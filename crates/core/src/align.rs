@@ -114,9 +114,35 @@ pub fn align(
     params: &ScoreParams,
     mode: AlignmentMode,
 ) -> Alignment {
+    align_with(q, p, params, mode, true)
+}
+
+/// `align(q, p, params, mode).lambda`, bit for bit, without the
+/// bindings: the same [`Tally`] arithmetic in the same order, but no
+/// `φ` is recorded, so the greedy scan allocates nothing. This is what
+/// the cluster fill scores candidates with; only the survivors of its
+/// `max_cluster_size` cut get a full [`align`]. ([`AlignmentMode::Optimal`]
+/// still replays its back-trace: the DP's `cost` cell sums the same
+/// terms in path order, not in `Tally::finish` order.)
+pub fn align_lambda(
+    q: &QueryPath,
+    p: LabelsRef<'_>,
+    params: &ScoreParams,
+    mode: AlignmentMode,
+) -> f64 {
+    align_with(q, p, params, mode, false).lambda
+}
+
+fn align_with(
+    q: &QueryPath,
+    p: LabelsRef<'_>,
+    params: &ScoreParams,
+    mode: AlignmentMode,
+    bind: bool,
+) -> Alignment {
     match mode {
-        AlignmentMode::Greedy => align_greedy(q, p, params),
-        AlignmentMode::Optimal => align_optimal(q, p, params),
+        AlignmentMode::Greedy => align_greedy(q, p, params, bind),
+        AlignmentMode::Optimal => align_optimal(q, p, params, bind),
     }
 }
 
@@ -163,22 +189,26 @@ struct Tally {
     node_mismatch_weight: f64,
     /// As above, for edge mismatches.
     edge_mismatch_weight: f64,
+    /// `false` for a score-only run ([`align_lambda`]): `bindings`
+    /// stays empty (and unallocated).
+    record_bindings: bool,
     bindings: Vec<(LabelId, LabelId)>,
 }
 
 impl Tally {
-    fn new() -> Self {
+    fn new(record_bindings: bool) -> Self {
         Tally {
             counts: AlignmentCounts::default(),
             node_mismatch_weight: 0.0,
             edge_mismatch_weight: 0.0,
+            record_bindings,
             bindings: Vec::new(),
         }
     }
 
     fn match_node(&mut self, q: &QueryLabel, p: LabelId, weight: f64) {
         match q {
-            QueryLabel::Var(v) => self.bindings.push((*v, p)),
+            QueryLabel::Var(v) => self.bind(*v, p),
             c if c.admits(p) => {}
             _ => {
                 self.counts.nodes_mismatched += 1;
@@ -189,12 +219,19 @@ impl Tally {
 
     fn match_edge(&mut self, q: &QueryLabel, p: LabelId, weight: f64) {
         match q {
-            QueryLabel::Var(v) => self.bindings.push((*v, p)),
+            QueryLabel::Var(v) => self.bind(*v, p),
             c if c.admits(p) => {}
             _ => {
                 self.counts.edges_mismatched += 1;
                 self.edge_mismatch_weight += weight;
             }
+        }
+    }
+
+    #[inline]
+    fn bind(&mut self, var: LabelId, p: LabelId) {
+        if self.record_bindings {
+            self.bindings.push((var, p));
         }
     }
 
@@ -231,10 +268,10 @@ fn unit_compatible(q: (&QueryLabel, &QueryLabel), p: (LabelId, LabelId)) -> bool
     q.0.admits(p.0) && q.1.admits(p.1)
 }
 
-fn align_greedy(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Alignment {
+fn align_greedy(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams, bind: bool) -> Alignment {
     let m = unit_count(p.node_labels.len());
     let n = unit_count(q.nodes.len());
-    let mut tally = Tally::new();
+    let mut tally = Tally::new(bind);
 
     // Anchor: sink node against sink node.
     tally.match_node(q.sink(), p.sink_label(), q.node_weight(q.nodes.len() - 1));
@@ -282,7 +319,7 @@ enum Step {
     Delete,
 }
 
-fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Alignment {
+fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams, bind: bool) -> Alignment {
     let m = unit_count(p.node_labels.len());
     let n = unit_count(q.nodes.len());
 
@@ -337,7 +374,7 @@ fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams) -> Align
     }
 
     // Backtrace, collecting counts and bindings sink-first.
-    let mut tally = Tally::new();
+    let mut tally = Tally::new(bind);
     tally.match_node(q.sink(), p.sink_label(), q.node_weight(q.nodes.len() - 1));
     let (mut i, mut j) = (rows - 1, cols - 1);
     let mut trace: Vec<Step> = Vec::with_capacity(rows + cols);

@@ -9,13 +9,15 @@
 //! alignment needed to obtain p from q") and clusters are kept sorted
 //! by alignment quality, best (lowest λ) first.
 
-use crate::align::{align, Alignment, AlignmentMode};
+use crate::align::{align, align_lambda, Alignment, AlignmentMode};
 use crate::deadline::QueryBudget;
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
 use path_index::{IndexLike, LshCandidate, PathId, SynonymProvider};
+use rdf_model::{EdgeId, NodeId};
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock};
 
@@ -101,7 +103,7 @@ pub enum Retrieval {
 }
 
 impl Retrieval {
-    /// The default LSH tier: 8 bands × 2 rows, `top_m` = 128.
+    /// The default LSH tier: 32 bands × 2 rows, `top_m` = 128.
     pub const DEFAULT_LSH: Retrieval = Retrieval::Lsh {
         bands: LSH_DEFAULT_BANDS,
         rows: LSH_DEFAULT_ROWS,
@@ -393,20 +395,44 @@ fn build_cluster<I: IndexLike + Sync>(
     };
 
     let align_span = sama_obs::span!("cluster.align_ns");
-    let mut entries = if !budget.is_unlimited() {
-        // Budgeted alignment runs inline so the checkpoints see every
-        // candidate; entries (and their order) are identical to the
-        // parallel path while the budget holds.
-        let aligned = align_candidates_budgeted(q, index, considered, params, mode, budget);
-        dropped += considered.len() - aligned.len();
-        aligned
-    } else if config.parallel_alignment {
-        align_candidates_parallel(q, index, considered, params, mode, config)
+    // Budgeted alignment runs inline so the checkpoints see every
+    // candidate; entries (and their order) are identical to the
+    // parallel path while the budget holds.
+    let threads = if config.parallel_alignment && budget.is_unlimited() {
+        worker_count(considered.len() / config.parallel_threshold.max(1))
     } else {
-        align_candidates(q, index, considered, params, mode)
+        1
     };
+    let cap = config.max_cluster_size;
+    let fill = |chunk| fill_chunk(q, index, chunk, params, mode, cap, budget);
+    let (mut entries, scored) = if threads < 2 {
+        fill(considered)
+    } else {
+        // Chunk survivors are concatenated in candidate order, so the
+        // stable sort + truncate below sees what one chunk would give.
+        let chunk_len = considered.len().div_ceil(threads);
+        let mut merged = Vec::new();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = considered
+                .chunks(chunk_len)
+                .map(|chunk| scope.spawn(move || fill(chunk).0))
+                .collect();
+            for handle in handles {
+                // Preserve the worker's panic payload (e.g. an injected
+                // fault's message) instead of replacing it with a generic
+                // `.expect` string — the batch pool's isolation reports it.
+                merged.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                );
+            }
+        });
+        (merged, considered.len())
+    };
+    dropped += considered.len() - scored;
     entries.sort_by(|x, y| entry_cmp(index, x, y));
-    entries.truncate(config.max_cluster_size);
+    entries.truncate(cap);
     drop(align_span);
 
     sama_obs::counter_add("cluster.builds_total", 1);
@@ -533,96 +559,94 @@ fn entry_cmp<I: IndexLike + ?Sized>(index: &I, x: &ClusterEntry, y: &ClusterEntr
     })
 }
 
-/// Align candidates inline, polling `budget` every
-/// [`ALIGN_CHECK_INTERVAL`]-th candidate (the first is always polled);
-/// stops early — returning the entries aligned so far — once it
-/// expires.
-fn align_candidates_budgeted<I: IndexLike + ?Sized>(
+/// The cluster-fill kernel: the entries of `chunk` that can make a
+/// `cap`-entry cut under [`entry_cmp`], fully aligned and in candidate
+/// order, plus how many candidates were scored before `budget` ran out
+/// (polled every [`ALIGN_CHECK_INTERVAL`]-th candidate, the first
+/// included; the rest of the chunk is skipped).
+///
+/// A chunk that fits in `cap` is simply aligned. A longer one is
+/// streamed: each candidate is scored with [`align_lambda`] (no
+/// bindings, no allocation) and offered to a `cap`-bounded max-heap
+/// ordered like the caller's stable sort — λ, then path content, then
+/// candidate position. A candidate whose λ alone is worse than the
+/// heap's worst never touches its path content. Only the survivors get
+/// the full [`align`].
+fn fill_chunk<I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
-    considered: &[PathId],
+    chunk: &[PathId],
     params: &ScoreParams,
     mode: AlignmentMode,
+    cap: usize,
     budget: &QueryBudget,
-) -> Vec<ClusterEntry> {
-    let mut entries = Vec::with_capacity(considered.len());
-    for (i, &pid) in considered.iter().enumerate() {
-        if i % ALIGN_CHECK_INTERVAL == 0 && budget.exceeded().is_some() {
+) -> (Vec<ClusterEntry>, usize) {
+    let entry = |pid| ClusterEntry {
+        path_id: pid,
+        alignment: align(q, index.labels(pid), params, mode),
+    };
+    let expired = |position| position % ALIGN_CHECK_INTERVAL == 0 && budget.exceeded().is_some();
+    if chunk.len() <= cap {
+        let mut entries = Vec::with_capacity(chunk.len());
+        for (position, &pid) in chunk.iter().enumerate() {
+            if expired(position) {
+                break;
+            }
+            entries.push(entry(pid));
+        }
+        let scored = entries.len();
+        return (entries, scored);
+    }
+    let key = |lambda, position, pid| FillKey {
+        lambda,
+        nodes: index.path_nodes(pid),
+        edges: index.path_edges(pid),
+        position,
+    };
+    let mut best = BinaryHeap::with_capacity(cap);
+    let mut scored = 0;
+    for (position, &pid) in chunk.iter().enumerate() {
+        if expired(position) {
             break;
         }
-        entries.push(ClusterEntry {
-            path_id: pid,
-            alignment: align(q, index.labels(pid), params, mode),
-        });
-    }
-    entries
-}
-
-/// Align every candidate inline, in retrieval order.
-fn align_candidates<I: IndexLike + ?Sized>(
-    q: &QueryPath,
-    index: &I,
-    considered: &[PathId],
-    params: &ScoreParams,
-    mode: AlignmentMode,
-) -> Vec<ClusterEntry> {
-    considered
-        .iter()
-        .map(|&pid| ClusterEntry {
-            path_id: pid,
-            alignment: align(q, index.labels(pid), params, mode),
-        })
-        .collect()
-}
-
-/// Align the candidate list across scoped worker threads.
-///
-/// Each worker sorts its chunk with [`entry_cmp`] and keeps only its
-/// best `max_cluster_size` entries (a per-chunk best-λ heap): an entry
-/// dropped there has `max_cluster_size` better-ordered entries in its
-/// own chunk alone, so it can never make the cluster's global cut.
-/// Chunks are concatenated in candidate order, and the caller's final
-/// *stable* sort + truncate therefore yields exactly the entries —
-/// and the entry order — of the sequential path.
-fn align_candidates_parallel<I: IndexLike + Sync + ?Sized>(
-    q: &QueryPath,
-    index: &I,
-    considered: &[PathId],
-    params: &ScoreParams,
-    mode: AlignmentMode,
-    config: &ClusterConfig,
-) -> Vec<ClusterEntry> {
-    let per_worker = config.parallel_threshold.max(1);
-    let threads = worker_count(considered.len() / per_worker);
-    if threads < 2 {
-        return align_candidates(q, index, considered, params, mode);
-    }
-    let chunk_len = considered.len().div_ceil(threads);
-    let mut merged: Vec<ClusterEntry> = Vec::with_capacity(considered.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = considered
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut entries = align_candidates(q, index, chunk, params, mode);
-                    entries.sort_by(|x, y| entry_cmp(index, x, y));
-                    entries.truncate(config.max_cluster_size);
-                    entries
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Preserve the worker's panic payload (e.g. an injected
-            // fault's message) instead of replacing it with a generic
-            // `.expect` string — the batch pool's isolation reports it.
-            merged.extend(
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
+        scored += 1;
+        let lambda = total_order_key(align_lambda(q, index.labels(pid), params, mode));
+        if best.len() < cap {
+            best.push(key(lambda, position, pid));
+        } else if best.peek().is_some_and(|worst| lambda <= worst.lambda) {
+            // λ alone rejects most candidates, before any path content
+            // is read. (No worst at all: `cap` is 0, nothing is kept.)
+            let candidate = key(lambda, position, pid);
+            if let Some(mut worst) = best.peek_mut() {
+                if candidate < *worst {
+                    *worst = candidate;
+                }
+            }
         }
-    });
-    merged
+    }
+    let mut survivors: Vec<usize> = best.into_iter().map(|key| key.position).collect();
+    survivors.sort_unstable();
+    let entries = survivors.into_iter().map(|position| entry(chunk[position]));
+    (entries.collect(), scored)
+}
+
+/// What [`fill_chunk`]'s bounded selection orders candidates by: field
+/// order is comparison order, and it is [`entry_cmp`] followed by the
+/// candidate position a stable sort would fall back on.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct FillKey<'a> {
+    /// [`total_order_key`] of the candidate's λ.
+    lambda: i64,
+    nodes: &'a [NodeId],
+    edges: &'a [EdgeId],
+    position: usize,
+}
+
+/// An integer that orders like `f64::total_cmp` (the same bit trick as
+/// the standard library's), so [`FillKey`] can derive its ordering.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The paper's retrieval rule, extended into a cascade so approximate

@@ -1086,7 +1086,14 @@ mod tests {
 
     #[test]
     fn slow_queries_are_captured_with_truncation_and_trace() {
-        let engine = SamaEngine::new(figure1_data());
+        // Tracing explicitly off: the `SAMA_TRACE=1` leg flips the default.
+        let engine = SamaEngine::with_config(
+            figure1_data(),
+            EngineConfig {
+                trace: TraceConfig::disabled(),
+                ..Default::default()
+            },
+        );
         let log = obs::slowlog::global();
         // Threshold 0 captures every query; other tests run concurrently
         // against the same global log, so assertions filter by query_id.

@@ -65,7 +65,7 @@ pub mod score;
 pub mod search;
 pub mod trace;
 
-pub use align::{align, Alignment, AlignmentCounts, AlignmentMode};
+pub use align::{align, align_lambda, Alignment, AlignmentCounts, AlignmentMode};
 pub use answer::{Answer, ChosenPath};
 pub use batch::{BatchConfig, BatchOutcome, BatchStats, PhaseLatency};
 pub use chi_cache::{ChiCache, ChiCacheStats, SharedChiCache, SharedChiStats};

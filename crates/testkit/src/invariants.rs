@@ -35,8 +35,8 @@ use graph_match::{Matcher, Vf2Matcher};
 use path_index::{IcTable, IndexLike, MappedIndex, PathIndex, Thesaurus};
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
-    AlignmentMode, BatchConfig, ClusterConfig, EngineConfig, QueryBudget, QueryResult, Retrieval,
-    SamaEngine, SearchConfig, SharedChiCache, TraceConfig,
+    AlignmentMode, BatchConfig, ClusterConfig, ClusterEntry, EngineConfig, QueryBudget,
+    QueryResult, Retrieval, SamaEngine, SearchConfig, SharedChiCache, TraceCluster, TraceConfig,
 };
 use std::time::Duration;
 
@@ -163,6 +163,13 @@ pub const CATALOG: &[Invariant] = &[
         summary: "an empty synonym table plus a uniform IC table is bit-identical \
                   to the legacy engine, and a real table never worsens the best score",
         check: synonyms_converge_to_exact,
+    },
+    Invariant {
+        name: "cluster_cap_is_prefix_of_uncapped",
+        kind: Kind::Metamorphic,
+        summary: "at max_cluster_size 1, 2 and 8 every cluster is a bit-identical prefix \
+                  of the uncapped cluster, with the same EXPLAIN retrieval counts",
+        check: cluster_cap_is_prefix_of_uncapped,
     },
 ];
 
@@ -461,18 +468,7 @@ fn trace_structure(result: &QueryResult) -> Vec<String> {
         .iter()
         .map(|qp| format!("qpath {} len={}", qp.index, qp.len))
         .collect();
-    lines.extend(trace.clusters.iter().map(|c| {
-        format!(
-            "cluster q{} tier={} retrieved={} aligned={} kept={} dropped={} bestλ={:016x}",
-            c.qpath_index,
-            c.tier.as_str(),
-            c.retrieved,
-            c.aligned,
-            c.kept,
-            c.dropped,
-            c.best_lambda.to_bits(),
-        )
-    }));
+    lines.extend(trace.clusters.iter().map(|c| cluster_line(c, c.kept)));
     lines.push(format!(
         "search retrieved={} aligned={} expansions={} answers={} best={:?} \
          truncated={} reason={:?} clusters_truncated={}",
@@ -486,6 +482,19 @@ fn trace_structure(result: &QueryResult) -> Vec<String> {
         trace.clusters_truncated,
     ));
     lines
+}
+
+/// One cluster's line of [`trace_structure`], reporting `kept` entries.
+fn cluster_line(c: &TraceCluster, kept: usize) -> String {
+    format!(
+        "cluster q{} tier={} retrieved={} aligned={} kept={kept} dropped={} bestλ={:016x}",
+        c.qpath_index,
+        c.tier.as_str(),
+        c.retrieved,
+        c.aligned,
+        c.dropped,
+        c.best_lambda.to_bits(),
+    )
 }
 
 /// Round-trip the index through both on-disk formats — the legacy
@@ -965,6 +974,66 @@ fn topk_prefix_stability(case: &Case) -> Result<(), String> {
             &small_fp,
             &large_fp,
         ));
+    }
+    Ok(())
+}
+
+/// [`base_config`] never truncates a cluster (`max_cluster_size` 2^20),
+/// so this is the one check that reaches the bounded selection of the
+/// cluster fill: capping a cluster must keep exactly the first `cap`
+/// entries of the uncapped one — same paths, λ bits, counts and
+/// bindings, in the same order — and must not change what EXPLAIN says
+/// was retrieved, aligned and dropped.
+fn cluster_cap_is_prefix_of_uncapped(case: &Case) -> Result<(), String> {
+    let query = case.query_graph();
+    let run = |cap: usize| {
+        let mut config = base_config();
+        config.cluster.max_cluster_size = cap;
+        config.trace = TraceConfig::enabled();
+        engine(case, config).answer(&query, case.k)
+    };
+    let entry_lines = |entries: &[ClusterEntry]| -> Vec<String> {
+        entries
+            .iter()
+            .map(|e| {
+                format!(
+                    "{:?} λ={:016x} {:?} {:?}",
+                    e.path_id,
+                    e.lambda().to_bits(),
+                    e.alignment.counts,
+                    e.alignment.bindings
+                )
+            })
+            .collect()
+    };
+    // What EXPLAIN says of every cluster, `kept` clamped to the cap.
+    let cluster_lines = |result: &QueryResult, cap: usize| -> Vec<String> {
+        let clusters = result.trace.iter().flat_map(|t| &t.clusters);
+        clusters.map(|c| cluster_line(c, c.kept.min(cap))).collect()
+    };
+    let uncapped = run(1 << 20);
+    for cap in [1, 2, 8] {
+        let capped = run(cap);
+        for (c, u) in capped.clusters.iter().zip(&uncapped.clusters) {
+            let want = &u.entries[..cap.min(u.entries.len())];
+            if entry_lines(&c.entries) != entry_lines(want) {
+                return Err(diff(
+                    &format!(
+                        "cluster {} at cap {cap} is not a prefix of the uncapped cluster",
+                        c.qpath_index
+                    ),
+                    &entry_lines(&c.entries),
+                    &entry_lines(want),
+                ));
+            }
+        }
+        if cluster_lines(&capped, cap) != cluster_lines(&uncapped, cap) {
+            return Err(diff(
+                &format!("cap {cap} changed the EXPLAIN cluster structure"),
+                &cluster_lines(&capped, cap),
+                &cluster_lines(&uncapped, cap),
+            ));
+        }
     }
     Ok(())
 }

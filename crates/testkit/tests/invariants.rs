@@ -80,6 +80,11 @@ fn topk_prefix_stability() {
 }
 
 #[test]
+fn cluster_cap_is_prefix_of_uncapped() {
+    assert_invariant("cluster_cap_is_prefix_of_uncapped");
+}
+
+#[test]
 fn deadline_unlimited_identity() {
     assert_invariant("deadline_unlimited_identity");
 }
