@@ -82,11 +82,10 @@ impl Answer {
         out
     }
 
-    /// Assemble the answer subgraph `G' ⊆ G`: the union of the edges of
-    /// all chosen paths. Single-node paths contribute their node via the
-    /// mapping only when an edge touches it; answers made purely of
-    /// single-node paths produce an empty graph.
-    pub fn subgraph(&self, index: &impl IndexLike) -> Graph {
+    /// The data edges of the answer: the union of the edges of all
+    /// chosen paths, ascending, each once. Single-node paths and
+    /// uncovered query paths contribute none.
+    fn edge_ids(&self, index: &impl IndexLike) -> Vec<EdgeId> {
         let mut edge_ids: Vec<EdgeId> = Vec::new();
         for c in &self.choices {
             if let Some(e) = &c.entry {
@@ -95,8 +94,40 @@ impl Answer {
         }
         edge_ids.sort_unstable();
         edge_ids.dedup();
-        let (sub, _) = index.data().as_graph().subgraph_from_edges(&edge_ids);
+        edge_ids
+    }
+
+    /// Assemble the answer subgraph `G' ⊆ G`: the union of the edges of
+    /// all chosen paths. Single-node paths contribute their node via the
+    /// mapping only when an edge touches it; answers made purely of
+    /// single-node paths produce an empty graph. Needs the index's data
+    /// graph; to print an answer use [`Answer::triple_lines`], which
+    /// does not.
+    pub fn subgraph(&self, index: &impl IndexLike) -> Graph {
+        let (sub, _) = index
+            .data()
+            .as_graph()
+            .subgraph_from_edges(&self.edge_ids(index));
         sub
+    }
+
+    /// The answer's triples as sorted `s p o` lines — what
+    /// `self.subgraph(index).to_sorted_lines()` prints, formatted
+    /// straight from the index's labels with no graph in between. The
+    /// one emitter behind the JSON `"triples"` array and the CLI's
+    /// plain-text answers.
+    pub fn triple_lines(&self, index: &impl IndexLike) -> Vec<String> {
+        let term = |label| index.label_kind(label).display(index.label_lexical(label));
+        let mut lines: Vec<String> = self
+            .edge_ids(index)
+            .into_iter()
+            .map(|edge| {
+                let (s, p, o) = index.edge_labels(edge);
+                format!("{} {} {}", term(s), term(p), term(o))
+            })
+            .collect();
+        lines.sort();
+        lines
     }
 }
 

@@ -455,7 +455,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
     pub fn answer_stream(&self, query: &QueryGraph) -> SearchStream<'_, I> {
         let mut query_paths = decompose_query(
             query,
-            self.index.data().vocab(),
+            &self.index,
             self.synonyms.as_ref(),
             &self.config.query_extraction,
         );
@@ -508,7 +508,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
     pub fn validate_query(&self, query: &QueryGraph) -> Result<(), SamaError> {
         decompose_query_checked(
             query,
-            self.index.data().vocab(),
+            &self.index,
             self.synonyms.as_ref(),
             &self.config.query_extraction,
         )
@@ -571,7 +571,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         let preprocess_span = obs::span!("query.preprocess_ns");
         let mut query_paths = decompose_query(
             query,
-            self.index.data().vocab(),
+            &self.index,
             self.synonyms.as_ref(),
             &self.config.query_extraction,
         );
@@ -689,7 +689,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             // same exact-fallback stance as the retrieval tiers.
             return;
         };
-        apply_ic_weights(query_paths, self.index.data().vocab(), &table);
+        apply_ic_weights(query_paths, &self.index, &table);
         obs::counter_add("score.ic_queries_total", 1);
         obs::gauge_set("score.ic_labels", table.len() as i64);
     }
@@ -723,8 +723,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
                 break;
             }
             obs::counter_add("cluster.synonym_probes_total", 1);
-            let widened =
-                widen_with_synonyms(&query_paths[i], self.index.data().vocab(), provider.as_ref());
+            let widened = widen_with_synonyms(&query_paths[i], &self.index, provider.as_ref());
             let mut rebuilt = build_clusters(
                 std::slice::from_ref(&widened),
                 &self.index,

@@ -13,6 +13,13 @@ use rdf_model::QueryGraph;
 /// Escape `s` for embedding inside a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// [`json_escape`] appended to `out`.
+fn push_json_escaped(out: &mut String, s: &str) {
+    use std::fmt::Write;
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,11 +27,12 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Render `result` as the stable machine-readable document:
@@ -55,24 +63,18 @@ pub fn render_result_json<I: IndexLike>(
             answer.is_exact()
         );
         out.push_str("\"triples\":[");
-        let lines = answer.subgraph(index).to_sorted_lines();
-        for (j, line) in lines.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", json_escape(line));
+        for (j, line) in answer.triple_lines(index).iter().enumerate() {
+            out.push_str(if j > 0 { ",\"" } else { "\"" });
+            push_json_escaped(&mut out, line);
+            out.push('"');
         }
         out.push_str("],\"bindings\":{");
         for (j, (var, value)) in answer.bindings().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":\"{}\"",
-                json_escape(query.vocab().lexical(*var)),
-                json_escape(index.data().vocab().lexical(*value))
-            );
+            out.push_str(if j > 0 { ",\"" } else { "\"" });
+            push_json_escaped(&mut out, query.vocab().lexical(*var));
+            out.push_str("\":\"");
+            push_json_escaped(&mut out, index.label_lexical(*value));
+            out.push('"');
         }
         out.push_str("}}");
     }

@@ -9,8 +9,8 @@
 //! integers.
 
 use crate::error::SamaError;
-use path_index::{extract_paths, ExtractionConfig, IcTable, Path, SynonymProvider};
-use rdf_model::{LabelId, QueryGraph, Vocabulary};
+use path_index::{extract_paths, ConstantLookup, ExtractionConfig, IcTable, Path, SynonymProvider};
+use rdf_model::{LabelId, QueryGraph};
 
 /// A query-path label as seen by alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,10 +127,12 @@ impl QueryPath {
 }
 
 /// Decompose `query` into `PQ` and translate labels against
-/// `data_vocab` (+ synonyms).
+/// `data_vocab` (+ synonyms) — the data graph's [`rdf_model::Vocabulary`],
+/// or the index itself ([`path_index::IndexLike`]), which resolves
+/// constants without materializing one.
 pub fn decompose_query(
     query: &QueryGraph,
-    data_vocab: &Vocabulary,
+    data_vocab: &(impl ConstantLookup + ?Sized),
     synonyms: &dyn SynonymProvider,
     config: &ExtractionConfig,
 ) -> Vec<QueryPath> {
@@ -168,7 +170,11 @@ pub fn decompose_query(
 /// (absent constants weigh [`IcTable::absent_weight`], maximal);
 /// variables weigh `1.0` — a variable never mismatches, so the value is
 /// inert and kept neutral.
-pub fn apply_ic_weights(qpaths: &mut [QueryPath], data_vocab: &Vocabulary, table: &IcTable) {
+pub fn apply_ic_weights(
+    qpaths: &mut [QueryPath],
+    data_vocab: &(impl ConstantLookup + ?Sized),
+    table: &IcTable,
+) {
     let weight_of = |label: &QueryLabel| -> f64 {
         match label.lexical() {
             None => 1.0,
@@ -191,7 +197,7 @@ pub fn apply_ic_weights(qpaths: &mut [QueryPath], data_vocab: &Vocabulary, table
 /// `accepted` grows.
 pub fn widen_with_synonyms(
     qp: &QueryPath,
-    data_vocab: &Vocabulary,
+    data_vocab: &(impl ConstantLookup + ?Sized),
     synonyms: &dyn SynonymProvider,
 ) -> QueryPath {
     let widen = |label: &QueryLabel| -> QueryLabel {
@@ -230,7 +236,7 @@ pub fn widen_with_synonyms(
 /// the pipeline as an empty decomposition.
 pub fn decompose_query_checked(
     query: &QueryGraph,
-    data_vocab: &Vocabulary,
+    data_vocab: &(impl ConstantLookup + ?Sized),
     synonyms: &dyn SynonymProvider,
     config: &ExtractionConfig,
 ) -> Result<Vec<QueryPath>, SamaError> {
@@ -253,7 +259,7 @@ pub fn decompose_query_checked(
 
 fn translate(
     query: &QueryGraph,
-    data_vocab: &Vocabulary,
+    data_vocab: &(impl ConstantLookup + ?Sized),
     synonyms: &dyn SynonymProvider,
     label: LabelId,
 ) -> QueryLabel {
@@ -283,7 +289,7 @@ fn translate(
 mod tests {
     use super::*;
     use path_index::{NoSynonyms, Thesaurus};
-    use rdf_model::DataGraph;
+    use rdf_model::{DataGraph, Vocabulary};
 
     fn data_vocab() -> Vocabulary {
         let mut b = DataGraph::builder();

@@ -361,7 +361,9 @@ impl PathIndex {
     ) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        self.match_via(lexical, synonyms, |label| self.paths_with_sink(label))
+        crate::shard::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
+            out.extend_from_slice(self.paths_with_sink(label))
+        })
     }
 
     /// Paths containing a label matching `lexical` exactly or via the
@@ -374,28 +376,9 @@ impl PathIndex {
     ) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        self.match_via(lexical, synonyms, |label| self.paths_with_label(label))
-    }
-
-    fn match_via<'s>(
-        &'s self,
-        lexical: &str,
-        synonyms: &dyn SynonymProvider,
-        lookup: impl Fn(LabelId) -> &'s [PathId],
-    ) -> Vec<PathId> {
-        let vocab = self.graph.vocab();
-        let mut out: Vec<PathId> = Vec::new();
-        if let Some(label) = vocab.get_constant(lexical) {
-            out.extend_from_slice(lookup(label));
-        }
-        for synonym in synonyms.synonyms(lexical) {
-            if let Some(label) = vocab.get_constant(&synonym) {
-                out.extend_from_slice(lookup(label));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        crate::shard::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
+            out.extend_from_slice(self.paths_with_label(label))
+        })
     }
 
     /// Label occurrence counts over the indexed paths — the input to

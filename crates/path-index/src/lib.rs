@@ -56,7 +56,7 @@ pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};
 pub use lsh::{build_lsh_bytes, sidecar_path, LshCandidate, LshParams, LshSidecar, LSH_MAGIC};
 pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels};
-pub use shard::{IndexLike, ShardedIndex};
+pub use shard::{ConstantLookup, IndexLike, ShardedIndex};
 pub use stats::{format_bytes, IndexStats};
 pub use storage::{decode, encode, serialize_index, StorageError};
 pub use synonyms::{NoSynonyms, SynonymProvider, Thesaurus, ThesaurusError};

@@ -22,8 +22,55 @@ use crate::index::{IndexedPath, PathIndex};
 use crate::path::{LabelsRef, PathId};
 use crate::stats::IndexStats;
 use crate::synonyms::SynonymProvider;
-use rdf_model::{DataGraph, EdgeId, NodeId};
+use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Vocabulary};
 use std::sync::OnceLock;
+
+/// Resolves a query constant's lexical form to a data label id — all
+/// that query decomposition, IC stamping and synonym widening need
+/// from the data side. [`Vocabulary`] and every [`IndexLike`] implement
+/// it, so the pipeline takes either an interned vocabulary or an index
+/// that answers from its own bytes.
+pub trait ConstantLookup {
+    /// [`Vocabulary::get_constant`] semantics: the IRI, then the
+    /// literal, then the blank label with this lexical form; among
+    /// duplicate entries of one kind the lowest id wins.
+    fn get_constant(&self, lexical: &str) -> Option<LabelId>;
+}
+
+impl ConstantLookup for Vocabulary {
+    fn get_constant(&self, lexical: &str) -> Option<LabelId> {
+        Vocabulary::get_constant(self, lexical)
+    }
+}
+
+impl<I: IndexLike + ?Sized> ConstantLookup for I {
+    fn get_constant(&self, lexical: &str) -> Option<LabelId> {
+        self.constant_label(lexical)
+    }
+}
+
+/// The paths `lookup` lists for `lexical` and for each of its synonyms,
+/// ascending and deduplicated — the admission rule behind
+/// [`IndexLike::sink_matching`] and [`IndexLike::label_matching`].
+pub(crate) fn match_via(
+    labels: &(impl ConstantLookup + ?Sized),
+    lexical: &str,
+    synonyms: &dyn SynonymProvider,
+    mut lookup: impl FnMut(LabelId, &mut Vec<PathId>),
+) -> Vec<PathId> {
+    let mut out: Vec<PathId> = Vec::new();
+    if let Some(label) = labels.get_constant(lexical) {
+        lookup(label, &mut out);
+    }
+    for synonym in synonyms.synonyms(lexical) {
+        if let Some(label) = labels.get_constant(&synonym) {
+            lookup(label, &mut out);
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
 
 /// The lookup interface shared by [`PathIndex`], [`ShardedIndex`] and
 /// the zero-copy [`crate::MappedIndex`] — everything the
@@ -38,8 +85,35 @@ use std::sync::OnceLock;
 /// The per-path accessors panic if `id` is out of range; use ids
 /// produced by the same index.
 pub trait IndexLike {
-    /// The indexed data graph.
+    /// The indexed data graph. A mapped index rebuilds it on first call
+    /// (every string interned, adjacency re-created), so the query path
+    /// does not ask for it: it reads labels through the four label
+    /// accessors below. What still needs a graph — path display,
+    /// `Answer::subgraph`, index updates — calls this.
     fn data(&self) -> &DataGraph;
+
+    /// The data label a query constant names, with
+    /// [`Vocabulary::get_constant`] semantics (see [`ConstantLookup`]).
+    fn constant_label(&self, lexical: &str) -> Option<LabelId> {
+        self.data().vocab().get_constant(lexical)
+    }
+
+    /// The lexical form of a data label.
+    fn label_lexical(&self, label: LabelId) -> &str {
+        self.data().vocab().lexical(label)
+    }
+
+    /// The term kind of a data label.
+    fn label_kind(&self, label: LabelId) -> TermKind {
+        self.data().vocab().kind(label)
+    }
+
+    /// The `(subject, predicate, object)` labels of a data edge.
+    fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId) {
+        let graph = self.data().as_graph();
+        let e = graph.edge(edge);
+        (graph.node_label(e.from), e.label, graph.node_label(e.to))
+    }
 
     /// Total number of indexed paths.
     fn total_paths(&self) -> usize;
@@ -316,6 +390,24 @@ impl<I: IndexLike> ShardedIndex<I> {
 impl<I: IndexLike> IndexLike for ShardedIndex<I> {
     fn data(&self) -> &DataGraph {
         self.shards[0].data()
+    }
+
+    // Every shard holds a replica of the graph and its dictionary, so
+    // shard 0 answers the label-level reads.
+    fn constant_label(&self, lexical: &str) -> Option<LabelId> {
+        self.shards[0].constant_label(lexical)
+    }
+
+    fn label_lexical(&self, label: LabelId) -> &str {
+        self.shards[0].label_lexical(label)
+    }
+
+    fn label_kind(&self, label: LabelId) -> TermKind {
+        self.shards[0].label_kind(label)
+    }
+
+    fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId) {
+        self.shards[0].edge_labels(edge)
     }
 
     fn total_paths(&self) -> usize {

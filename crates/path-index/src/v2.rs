@@ -75,7 +75,9 @@ use crate::shard::IndexLike;
 use crate::stats::IndexStats;
 use crate::storage::{try_u32, StorageError};
 use crate::synonyms::SynonymProvider;
+use rdf_model::hash::FxHasher;
 use rdf_model::{DataGraph, EdgeId, Graph, LabelId, NodeId, TermKind};
+use std::hash::Hasher;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -619,13 +621,21 @@ impl Layout {
         cast_u32s(self.bytes_of(bytes, s))
     }
 
+    /// The three vocabulary sections of a parsed buffer.
+    #[inline]
+    fn vocab<'a>(&self, bytes: &'a [u8]) -> VocabView<'a> {
+        VocabView {
+            kinds: self.bytes_of(bytes, S_VOCAB_KINDS),
+            offs: self.u32s(bytes, S_VOCAB_OFFS),
+            blob: self.bytes_of(bytes, S_VOCAB_BLOB),
+        }
+    }
+
     /// Slice a parsed buffer into a full borrowed view.
     fn view<'a>(&self, bytes: &'a [u8]) -> IndexView<'a> {
         IndexView {
             layout: *self,
-            vocab_kinds: self.bytes_of(bytes, S_VOCAB_KINDS),
-            vocab_offs: self.u32s(bytes, S_VOCAB_OFFS),
-            vocab_blob: self.bytes_of(bytes, S_VOCAB_BLOB),
+            vocab: self.vocab(bytes),
             node_labels: as_label_ids(self.u32s(bytes, S_NODE_LABELS)),
             edge_from: as_node_ids(self.u32s(bytes, S_EDGE_FROM)),
             edge_to: as_node_ids(self.u32s(bytes, S_EDGE_TO)),
@@ -647,6 +657,109 @@ impl Layout {
     }
 }
 
+/// The vocabulary as stored: term kind per label, CSR offsets, and the
+/// concatenated lexical forms. Its accessors rely on what
+/// [`IndexView::validate`] established at open — `offs` has one entry
+/// more than `kinds`, starts at 0, never decreases and ends at
+/// `blob.len()`; every entry is valid UTF-8; every kind byte is ≤ 3 —
+/// so on an opened index they cannot read out of range, and panic only
+/// on a label id ≥ the vocabulary length (like `Vocabulary::lexical`).
+#[derive(Debug, Clone, Copy)]
+struct VocabView<'a> {
+    kinds: &'a [u8],
+    offs: &'a [u32],
+    blob: &'a [u8],
+}
+
+impl<'a> VocabView<'a> {
+    #[inline]
+    fn lexical_bytes(&self, id: u32) -> &'a [u8] {
+        let i = id as usize;
+        &self.blob[self.offs[i] as usize..self.offs[i + 1] as usize]
+    }
+
+    #[inline]
+    fn lexical(&self, label: LabelId) -> &'a str {
+        std::str::from_utf8(self.lexical_bytes(label.0)).expect("validated utf-8")
+    }
+
+    #[inline]
+    fn kind(&self, label: LabelId) -> TermKind {
+        match self.kinds[label.index()] {
+            0 => TermKind::Iri,
+            1 => TermKind::Literal,
+            2 => TermKind::Blank,
+            _ => TermKind::Variable,
+        }
+    }
+
+    #[inline]
+    fn slot_of(lexical: &[u8], cap: usize) -> usize {
+        let mut hasher = FxHasher::default();
+        hasher.write(lexical);
+        // Fx multiplies last, so the high bits are the mixed ones.
+        (hasher.finish() >> (64 - cap.trailing_zeros())) as usize
+    }
+
+    /// The lookup table behind [`VocabView::get_constant`]: open
+    /// addressing over label ids, keyed by lexical form (compared in
+    /// the blob — no string is copied), at most half full. Labels are
+    /// inserted in id order and an entry whose `(kind, lexical)` pair
+    /// is already present is skipped, so the first duplicate wins as in
+    /// `Vocabulary::push_raw`, and a file full of equal strings cannot
+    /// grow a probe chain. Variables are left out: no constant names
+    /// one.
+    fn constant_table(&self) -> Box<[u32]> {
+        let cap = (self.kinds.len() * 2).next_power_of_two().max(2);
+        let mut table = vec![EMPTY; cap].into_boxed_slice();
+        for id in 0..self.kinds.len() as u32 {
+            let kind = self.kinds[id as usize];
+            if kind == 3 {
+                continue;
+            }
+            let lexical = self.lexical_bytes(id);
+            let mut slot = Self::slot_of(lexical, cap);
+            loop {
+                let seen = table[slot];
+                if seen == EMPTY {
+                    table[slot] = id;
+                    break;
+                }
+                if self.kinds[seen as usize] == kind && self.lexical_bytes(seen) == lexical {
+                    break;
+                }
+                slot = (slot + 1) & (cap - 1);
+            }
+        }
+        table
+    }
+
+    /// `Vocabulary::get_constant` over `table` (from
+    /// [`VocabView::constant_table`] of this same vocabulary): of the
+    /// entries spelled `lexical`, the IRI, else the literal, else the
+    /// blank — kind bytes 0, 1, 2, so the smallest byte.
+    fn get_constant(&self, table: &[u32], lexical: &str) -> Option<LabelId> {
+        let cap = table.len();
+        let mut slot = Self::slot_of(lexical.as_bytes(), cap);
+        let mut best: Option<(u8, u32)> = None;
+        // The table is at most half full, so an empty slot ends the scan.
+        loop {
+            let id = table[slot];
+            if id == EMPTY {
+                break;
+            }
+            if self.lexical_bytes(id) == lexical.as_bytes() {
+                let kind = self.kinds[id as usize];
+                if best.is_none_or(|(k, _)| kind < k) {
+                    best = Some((kind, id));
+                }
+            }
+            slot = (slot + 1) & (cap - 1);
+        }
+        best.map(|(_, id)| LabelId(id))
+    }
+}
+
 /// A borrowed, zero-copy view over a `SAMAIDX2` buffer: every accessor
 /// returns slices pointing straight into the underlying bytes.
 ///
@@ -655,9 +768,7 @@ impl Layout {
 #[derive(Debug, Clone, Copy)]
 pub struct IndexView<'a> {
     layout: Layout,
-    vocab_kinds: &'a [u8],
-    vocab_offs: &'a [u32],
-    vocab_blob: &'a [u8],
+    vocab: VocabView<'a>,
     node_labels: &'a [LabelId],
     edge_from: &'a [NodeId],
     edge_to: &'a [NodeId],
@@ -699,30 +810,28 @@ impl<'a> IndexView<'a> {
         let corrupt = |what: &'static str| StorageError::Corrupt(what);
 
         // Vocabulary: monotone offsets, utf-8 entries, known kinds.
-        if self.vocab_offs[0] != 0
-            || *self.vocab_offs.last().expect("len >= 1") as usize != self.vocab_blob.len()
+        let vocab = &self.vocab;
+        if vocab.offs[0] != 0 || *vocab.offs.last().expect("len >= 1") as usize != vocab.blob.len()
         {
             return Err(corrupt("vocab offsets do not span blob"));
         }
-        for w in self.vocab_offs.windows(2) {
+        for w in vocab.offs.windows(2) {
             if w[0] > w[1] {
                 return Err(corrupt("vocab offsets not monotone"));
             }
         }
-        for i in 0..l.vocab_len {
-            let lex =
-                &self.vocab_blob[self.vocab_offs[i] as usize..self.vocab_offs[i + 1] as usize];
-            if std::str::from_utf8(lex).is_err() {
+        for id in 0..l.vocab_len as u32 {
+            if std::str::from_utf8(vocab.lexical_bytes(id)).is_err() {
                 return Err(StorageError::BadUtf8);
             }
         }
-        if self.vocab_kinds.iter().any(|&k| k > 3) {
+        if vocab.kinds.iter().any(|&k| k > 3) {
             return Err(corrupt("unknown term kind"));
         }
 
         // Graph arrays: ids in range, no variable labels in data.
         let label_ok =
-            |l_: LabelId| (l_.0 as usize) < l.vocab_len && self.vocab_kinds[l_.0 as usize] != 3;
+            |l_: LabelId| (l_.0 as usize) < l.vocab_len && vocab.kinds[l_.0 as usize] != 3;
         if !self.node_labels.iter().copied().all(label_ok) {
             return Err(corrupt("node label out of range"));
         }
@@ -953,17 +1062,8 @@ impl<'a> IndexView<'a> {
     fn materialize_graph(&self) -> DataGraph {
         let mut graph = Graph::new();
         let vocab = graph.vocab_mut();
-        for i in 0..self.layout.vocab_len {
-            let lex =
-                &self.vocab_blob[self.vocab_offs[i] as usize..self.vocab_offs[i + 1] as usize];
-            let lex = std::str::from_utf8(lex).expect("validated utf-8");
-            let kind = match self.vocab_kinds[i] {
-                0 => TermKind::Iri,
-                1 => TermKind::Literal,
-                2 => TermKind::Blank,
-                _ => TermKind::Variable,
-            };
-            vocab.push_raw(kind, lex);
+        for id in (0..self.layout.vocab_len as u32).map(LabelId) {
+            vocab.push_raw(self.vocab.kind(id), self.vocab.lexical(id));
         }
         for &label in self.node_labels {
             graph
@@ -1037,14 +1137,19 @@ impl Backing {
 /// the hot lookup structures (path store, sorted node sets, stored
 /// inverted maps) are then read in place for the lifetime of the
 /// handle, shared by every worker thread that borrows it. The
-/// [`DataGraph`] (needed for query vocabulary resolution and answer
-/// assembly) is materialized lazily on first access.
+/// label-level reads of the query path (constant → label id, label id
+/// → lexical form and kind, edge → its three labels) are served from
+/// the mapped vocabulary and edge sections too; only callers that need
+/// a [`DataGraph`] pay for materializing one, lazily on first access.
 #[derive(Debug)]
 pub struct MappedIndex {
     backing: Backing,
     layout: Layout,
     stats: IndexStats,
     data: OnceLock<DataGraph>,
+    /// The constant → label id table over the vocabulary sections,
+    /// built on the first [`IndexLike::constant_label`] call.
+    constants: OnceLock<Box<[u32]>>,
     /// Optional MinHash/LSH candidate tier, loaded from a `SAMALSH1`
     /// sidecar file next to the index (see [`crate::lsh`]).
     lsh: Option<crate::lsh::LshSidecar>,
@@ -1054,7 +1159,8 @@ pub struct MappedIndex {
 }
 
 impl MappedIndex {
-    /// Map an index file read-only and validate it.
+    /// Map an index file read-only and validate it; when the file
+    /// cannot be mapped it is read into an aligned buffer instead.
     ///
     /// The file must not be modified while the handle is alive (the
     /// standard mmap contract; index files are immutable artifacts).
@@ -1066,12 +1172,21 @@ impl MappedIndex {
     /// loading).
     pub fn open(path: &std::path::Path) -> Result<MappedIndex, StorageError> {
         sama_obs::fault::point("index.load");
-        let file = std::fs::File::open(path).map_err(|e| StorageError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| StorageError::Io(e.to_string());
+        let mut file = std::fs::File::open(path).map_err(io)?;
         // SAFETY: the caller upholds the no-concurrent-modification
         // contract documented above.
-        let map =
-            unsafe { memmap2::Mmap::map(&file) }.map_err(|e| StorageError::Io(e.to_string()))?;
-        Self::from_backing(Backing::Mapped(map))
+        let backing = match unsafe { memmap2::Mmap::map(&file) } {
+            Ok(map) => Backing::Mapped(map),
+            // A filesystem that cannot map: read the same bytes once
+            // ([`MappedIndex::is_mapped`] tells the two apart).
+            Err(_) => {
+                let mut bytes = Vec::new();
+                std::io::Read::read_to_end(&mut file, &mut bytes).map_err(io)?;
+                Backing::Owned(AlignedBytes::copy_from(&bytes))
+            }
+        };
+        Self::from_backing(backing)
     }
 
     /// Build from in-memory bytes (copied once into an aligned buffer)
@@ -1098,6 +1213,7 @@ impl MappedIndex {
             layout,
             stats,
             data: OnceLock::new(),
+            constants: OnceLock::new(),
             lsh: None,
             ic: OnceLock::new(),
         })
@@ -1146,35 +1262,48 @@ impl MappedIndex {
         self.layout.u32s(self.backing.bytes(), s)
     }
 
-    fn match_via<'s>(
-        &'s self,
-        lexical: &str,
-        synonyms: &dyn SynonymProvider,
-        lookup: impl Fn(IndexView<'s>, LabelId) -> &'s [u32],
-    ) -> Vec<PathId> {
-        let vocab = self.data().vocab();
-        let view = self.view();
-        let mut out: Vec<PathId> = Vec::new();
-        if let Some(label) = vocab.get_constant(lexical) {
-            out.extend(lookup(view, label).iter().map(|&p| PathId(p)));
-        }
-        for synonym in synonyms.synonyms(lexical) {
-            if let Some(label) = vocab.get_constant(&synonym) {
-                out.extend(lookup(view, label).iter().map(|&p| PathId(p)));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    #[inline]
+    fn vocab(&self) -> VocabView<'_> {
+        self.layout.vocab(self.backing.bytes())
     }
 }
 
-impl crate::shard::IndexLike for MappedIndex {
+impl IndexLike for MappedIndex {
     fn data(&self) -> &DataGraph {
         self.data.get_or_init(|| {
             let _span = sama_obs::span!("index.materialize_ns");
             self.view().materialize_graph()
         })
+    }
+
+    fn constant_label(&self, lexical: &str) -> Option<LabelId> {
+        let vocab = self.vocab();
+        let table = self.constants.get_or_init(|| vocab.constant_table());
+        vocab.get_constant(table, lexical)
+    }
+
+    #[inline]
+    fn label_lexical(&self, label: LabelId) -> &str {
+        self.vocab().lexical(label)
+    }
+
+    #[inline]
+    fn label_kind(&self, label: LabelId) -> TermKind {
+        self.vocab().kind(label)
+    }
+
+    /// Relies on what open validated: edge endpoints are node ids in
+    /// range, and node and edge labels are label ids in range — so this
+    /// panics only on an edge id ≥ the edge count.
+    #[inline]
+    fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId) {
+        let e = edge.index();
+        let node_labels = self.u32s(S_NODE_LABELS);
+        (
+            LabelId(node_labels[self.u32s(S_EDGE_FROM)[e] as usize]),
+            LabelId(self.u32s(S_EDGE_LABEL)[e]),
+            LabelId(node_labels[self.u32s(S_EDGE_TO)[e] as usize]),
+        )
     }
 
     fn total_paths(&self) -> usize {
@@ -1216,13 +1345,19 @@ impl crate::shard::IndexLike for MappedIndex {
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        self.match_via(lexical, synonyms, |v, l| v.paths_with_sink(l))
+        let view = self.view();
+        crate::shard::match_via(self, lexical, synonyms, |label, out| {
+            out.extend(view.paths_with_sink(label).iter().map(|&p| PathId(p)))
+        })
     }
 
     fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        self.match_via(lexical, synonyms, |v, l| v.paths_with_label(l))
+        let view = self.view();
+        crate::shard::match_via(self, lexical, synonyms, |label, out| {
+            out.extend(view.paths_with_label(label).iter().map(|&p| PathId(p)))
+        })
     }
 
     fn all_path_ids(&self) -> Vec<PathId> {
@@ -1356,6 +1491,109 @@ mod tests {
             idx.graph().as_graph().to_sorted_lines()
         );
         assert_eq!(mapped.stats().triples, idx.stats().triples);
+    }
+
+    /// Every label-level accessor against the materialized graph it
+    /// stands in for, and `constant_label` against
+    /// `Vocabulary::get_constant` for every entry, near-misses of every
+    /// entry, and strings that are not there.
+    fn assert_label_surface_matches_graph(mapped: &MappedIndex) {
+        let graph = mapped.data().as_graph();
+        let vocab = graph.vocab();
+        for (label, kind, lexical) in vocab.iter() {
+            assert_eq!(mapped.label_lexical(label), lexical);
+            assert_eq!(mapped.label_kind(label), kind);
+            let mut probes = vec![
+                lexical.to_string(),
+                format!("{lexical}x"),
+                format!(" {lexical}"),
+            ];
+            probes.extend(
+                lexical
+                    .char_indices()
+                    .map(|(i, _)| lexical[..i].to_string()),
+            );
+            for probe in probes {
+                assert_eq!(
+                    mapped.constant_label(&probe),
+                    vocab.get_constant(&probe),
+                    "{probe:?}"
+                );
+            }
+        }
+        for probe in ["", "absent", "\u{0}", "ü"] {
+            assert_eq!(mapped.constant_label(probe), vocab.get_constant(probe));
+        }
+        for (id, edge) in graph.edges() {
+            assert_eq!(
+                mapped.edge_labels(id),
+                (
+                    graph.node_label(edge.from),
+                    edge.label,
+                    graph.node_label(edge.to)
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn label_surface_matches_the_materialized_graph() {
+        for idx in [sample_index(), bigger_index()] {
+            let mapped = MappedIndex::from_bytes(&encode_v2(&idx).unwrap()).unwrap();
+            // Resolving constants and reading labels builds no graph.
+            assert!(
+                mapped.constant_label("p").is_some() || mapped.constant_label("sponsor").is_some()
+            );
+            assert!(mapped.data.get().is_none());
+            assert_label_surface_matches_graph(&mapped);
+        }
+    }
+
+    #[test]
+    fn constant_lookup_keeps_kind_order_and_first_duplicate() {
+        // A vocabulary no builder produces, laid down entry by entry as
+        // a file could: one lexical form under all three constant kinds
+        // (listed blank, literal, IRI — against the lookup order), a
+        // repeated `(kind, lexical)` pair, a literal-only and a
+        // blank-only form, and a variable sharing a constant's spelling.
+        let mut graph = Graph::new();
+        let vocab = graph.vocab_mut();
+        let blank_x = vocab.push_raw(TermKind::Blank, "x");
+        let lit_x = vocab.push_raw(TermKind::Literal, "x");
+        let iri_x = vocab.push_raw(TermKind::Iri, "x");
+        let iri_x_again = vocab.push_raw(TermKind::Iri, "x");
+        let lit_only = vocab.push_raw(TermKind::Literal, "only");
+        let lit_only_again = vocab.push_raw(TermKind::Literal, "only");
+        let blank_only = vocab.push_raw(TermKind::Blank, "b");
+        vocab.push_raw(TermKind::Variable, "b");
+        vocab.push_raw(TermKind::Variable, "v");
+        let p = vocab.push_raw(TermKind::Iri, "p");
+        let nodes: Vec<NodeId> = [
+            blank_x,
+            lit_x,
+            iri_x,
+            iri_x_again,
+            lit_only,
+            lit_only_again,
+            blank_only,
+        ]
+        .into_iter()
+        .map(|label| graph.add_node_with_label(label).unwrap())
+        .collect();
+        for pair in nodes.windows(2) {
+            graph.add_edge_with_label(pair[0], pair[1], p).unwrap();
+        }
+        let idx = PathIndex::build(DataGraph::try_from_graph(graph).unwrap());
+        let mapped = MappedIndex::from_bytes(&encode_v2(&idx).unwrap()).unwrap();
+
+        assert_eq!(mapped.constant_label("x"), Some(iri_x));
+        assert_eq!(mapped.constant_label("only"), Some(lit_only));
+        assert_eq!(mapped.constant_label("b"), Some(blank_only));
+        assert_eq!(mapped.constant_label("v"), None);
+        // The shadowed entries still read back by id.
+        assert_eq!(mapped.label_lexical(iri_x_again), "x");
+        assert_eq!(mapped.label_kind(lit_only_again), TermKind::Literal);
+        assert_label_surface_matches_graph(&mapped);
     }
 
     #[test]

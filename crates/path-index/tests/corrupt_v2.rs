@@ -8,8 +8,20 @@
 //!
 //! The deterministic sweeps cover the structured positions exhaustively;
 //! the proptest leg fuzzes arbitrary offsets on top.
+//!
+//! A mutated file that still opens is then read through the label-level
+//! accessors the query path uses instead of the materialized graph. They
+//! index the mapped sections with no checks of their own, so each leans
+//! on an invariant the open established:
+//!
+//! * `label_lexical` — vocab offsets start at 0, never decrease, end at
+//!   the blob's length, and every entry is valid UTF-8;
+//! * `label_kind` — every kind byte is one of the four known kinds;
+//! * `edge_labels` — both endpoints of every edge are node ids in range,
+//!   and every node label and edge label is a label id in range;
+//! * `constant_label` — the three above (its table is built from them).
 
-use path_index::{decode_v2, encode_v2, MappedIndex, PathIndex};
+use path_index::{decode_v2, encode_v2, IndexLike, MappedIndex, PathIndex};
 use proptest::prelude::*;
 use rdf_model::DataGraph;
 
@@ -51,14 +63,39 @@ fn interesting_offsets(bytes: &[u8]) -> Vec<usize> {
 }
 
 /// Both decode paths must agree on rejecting (or both accept — some
-/// flips are harmless); neither may panic.
+/// flips are harmless); neither may panic. A survivor must then answer
+/// every label-level read exactly as its owned decode does.
 fn probe(bytes: &[u8]) {
-    let owned = decode_v2(bytes).is_ok();
-    let mapped = MappedIndex::from_bytes(bytes).is_ok();
+    let owned = decode_v2(bytes);
+    let mapped = MappedIndex::from_bytes(bytes);
     assert_eq!(
-        owned, mapped,
+        owned.is_ok(),
+        mapped.is_ok(),
         "owned decode and mapped open disagree on validity"
     );
+    let (Ok(owned), Ok(mapped)) = (owned, mapped) else {
+        return;
+    };
+    let graph = owned.graph().as_graph();
+    for (label, kind, lexical) in graph.vocab().iter() {
+        assert_eq!(mapped.label_lexical(label), lexical);
+        assert_eq!(mapped.label_kind(label), kind);
+        assert_eq!(
+            mapped.constant_label(lexical),
+            graph.vocab().get_constant(lexical),
+            "{lexical:?}"
+        );
+    }
+    for (id, edge) in graph.edges() {
+        assert_eq!(
+            mapped.edge_labels(id),
+            (
+                graph.node_label(edge.from),
+                edge.label,
+                graph.node_label(edge.to)
+            )
+        );
+    }
 }
 
 #[test]

@@ -154,13 +154,7 @@ impl Vocabulary {
 
     /// Reconstruct the owned [`Term`] for an id.
     pub fn term(&self, id: LabelId) -> Term {
-        let s = self.lexical(id).to_string();
-        match self.kind(id) {
-            TermKind::Iri => Term::Iri(s),
-            TermKind::Literal => Term::Literal(s),
-            TermKind::Blank => Term::Blank(s),
-            TermKind::Variable => Term::Variable(s),
-        }
+        Term::from_parts(self.kind(id), self.lexical(id))
     }
 
     /// Iterate over all `(id, kind, lexical)` entries in id order.

@@ -54,6 +54,6 @@ pub use interner::{LabelId, Vocabulary};
 pub use ntriples::{parse_ntriples, to_ntriples};
 pub use query::QueryGraph;
 pub use sparql::{parse_sparql, SparqlQuery};
-pub use term::{Term, TermKind};
+pub use term::{Term, TermDisplay, TermKind};
 pub use triple::Triple;
 pub use turtle::parse_turtle;

@@ -29,6 +29,36 @@ impl TermKind {
     pub fn is_constant(self) -> bool {
         !matches!(self, TermKind::Variable)
     }
+
+    /// The display form of a label of this kind — exactly what
+    /// [`Term`]'s `Display` prints (`iri`, `"literal"`, `_:blank`,
+    /// `?var`), for callers that hold `(kind, lexical)` and must not
+    /// allocate a [`Term`] to render it.
+    pub fn display(self, lexical: &str) -> TermDisplay<'_> {
+        TermDisplay {
+            kind: self,
+            lexical,
+        }
+    }
+}
+
+/// Display adapter returned by [`TermKind::display`].
+#[derive(Debug, Clone, Copy)]
+pub struct TermDisplay<'a> {
+    kind: TermKind,
+    lexical: &'a str,
+}
+
+impl fmt::Display for TermDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.lexical;
+        match self.kind {
+            TermKind::Iri => write!(f, "{s}"),
+            TermKind::Literal => write!(f, "\"{s}\""),
+            TermKind::Blank => write!(f, "_:{s}"),
+            TermKind::Variable => write!(f, "?{s}"),
+        }
+    }
 }
 
 /// An owned RDF term: the pre-interning representation used by parsers
@@ -62,6 +92,18 @@ impl Term {
     pub fn lexical(&self) -> &str {
         match self {
             Term::Iri(s) | Term::Literal(s) | Term::Blank(s) | Term::Variable(s) => s,
+        }
+    }
+
+    /// The term of `kind` with lexical form `lexical` — the inverse of
+    /// ([`Term::kind`], [`Term::lexical`]).
+    pub fn from_parts(kind: TermKind, lexical: &str) -> Term {
+        let s = lexical.to_string();
+        match kind {
+            TermKind::Iri => Term::Iri(s),
+            TermKind::Literal => Term::Literal(s),
+            TermKind::Blank => Term::Blank(s),
+            TermKind::Variable => Term::Variable(s),
         }
     }
 
@@ -107,12 +149,7 @@ impl Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(s) => write!(f, "{s}"),
-            Term::Literal(s) => write!(f, "\"{s}\""),
-            Term::Blank(s) => write!(f, "_:{s}"),
-            Term::Variable(s) => write!(f, "?{s}"),
-        }
+        self.kind().display(self.lexical()).fmt(f)
     }
 }
 

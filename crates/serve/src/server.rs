@@ -10,8 +10,8 @@
 
 use crate::http::{read_request, ParseError, Request, Response};
 use crate::ServeConfig;
-use path_index::IndexLike;
-use rdf_model::{parse_sparql, QueryGraph};
+use path_index::{IndexLike, PathId};
+use rdf_model::{parse_sparql, QueryGraph, Term, Triple};
 use sama_core::{
     json_escape, next_query_id, render_result_json, BatchConfig, QueryBudget, QueryError,
     SamaEngine,
@@ -129,14 +129,22 @@ impl<I: IndexLike + Send + Sync + 'static> Server<I> {
         Ok(server)
     }
 
-    /// Answer a one-triple query built from the first data triple (an
-    /// empty graph is trivially ready). This exercises index access,
-    /// decomposition, clustering, and search once before `/readyz`
-    /// reports ready.
+    /// Answer a one-triple query built from the first indexed edge (an
+    /// index whose paths have no edges is trivially ready). This
+    /// exercises index access, decomposition, clustering, and search
+    /// once before `/readyz` reports ready. The triple is read through
+    /// the index's label accessors: asking for `data()` here would make
+    /// every server process over a mapped index rebuild the graph.
     fn self_probe(&self) -> Result<(), String> {
-        let Some(triple) = self.engine.index().data().triples().next() else {
+        let index = self.engine.index();
+        let first_edge = (0..index.total_paths() as u32)
+            .find_map(|i| index.path_edges(PathId(i)).first().copied());
+        let Some(edge) = first_edge else {
             return Ok(());
         };
+        let (s, p, o) = index.edge_labels(edge);
+        let term = |label| Term::from_parts(index.label_kind(label), index.label_lexical(label));
+        let triple = Triple::new(term(s), term(p), term(o));
         let query = QueryGraph::from_triples([&triple])
             .map_err(|e| format!("readiness self-probe query: {e}"))?;
         self.engine

@@ -18,7 +18,7 @@ use sama::engine::{
 use sama::index::{
     build_lsh_bytes, decode_any, encode, encode_compressed, encode_v2, serialize_index,
     serialize_index_v2, sidecar_path, v2::SECTION_NAMES, AlignedBytes, ExtractionConfig, IndexLike,
-    IndexView, LshParams, LshSidecar, MappedIndex, PathIndex, Thesaurus,
+    IndexView, LshParams, LshSidecar, MappedIndex, PathIndex, StorageError, Thesaurus,
 };
 use sama::model::{parse_ntriples, parse_sparql, parse_turtle, DataGraph};
 use std::io::Read;
@@ -100,15 +100,17 @@ USAGE:
   --max-queue N      batch admission bound: queries beyond the first N are
                      shed with a typed error instead of queueing (0 = none)
   --v1               write the legacy SAMAIDX1 format instead of the
-                     zero-copy SAMAIDX2 default (readers accept all formats)
+                     zero-copy SAMAIDX2 default (readers accept all formats;
+                     query/batch/serve decode a legacy or compressed file
+                     once at start-up instead of mapping it)
   --parallel N       build the path index with N extraction workers
                      (0 = all hardware threads); output is byte-identical
                      to the sequential build
   --stats            after indexing, print per-section byte sizes,
                      bytes-per-path, and measured open time for both formats
-  --mmap             serve queries straight from a memory-mapped SAMAIDX2
-                     file: no decode, no inverted-map rebuild (also:
-                     SAMA_MMAP=1 env var; the index must be SAMAIDX2)
+  --mmap             accepted and ignored: a SAMAIDX2 file is always served
+                     straight from its validated memory map (no decode, no
+                     graph rebuild); the file's magic decides, not a flag
   --lsh              on index: also write <index.bin>.lsh, a MinHash/LSH
                      signature sidecar. On query/batch: prune each cluster's
                      candidates to the top-m most similar by estimated
@@ -153,11 +155,6 @@ USAGE:
   --write-timeout-ms N serve: socket write timeout (default 5000)
   --drain-ms N       serve: how long SIGTERM waits for in-flight
                      connections before exiting anyway (default 5000)";
-
-/// `--mmap` / `SAMA_MMAP=1`: serve from a mapped `SAMAIDX2` file.
-fn mmap_requested(flag: bool) -> bool {
-    flag || std::env::var("SAMA_MMAP").is_ok_and(|v| v == "1")
-}
 
 /// `--lsh` / `SAMA_LSH=1`: prune candidates through the LSH tier.
 fn lsh_requested(flag: bool) -> bool {
@@ -281,14 +278,34 @@ fn load_lsh_sidecar<I: IndexLike + ?Sized>(
     LshSidecar::from_bytes(&bytes).map_err(|e| format!("cannot build LSH signatures: {e}"))
 }
 
-fn open_mapped(path: &str) -> Result<MappedIndex, String> {
-    sama::obs::global().set_build_info("index.format", "SAMAIDX2");
-    MappedIndex::open(std::path::Path::new(path))
-        .map_err(|e| format!("cannot map index {path:?}: {e} (is it SAMAIDX2? re-run sama index)"))
+/// Open an index for answering queries. The file's magic decides how:
+/// a `SAMAIDX2` file is validated and served in place from its memory
+/// map; a legacy `SAMAIDX1` or compressed file is decoded once and
+/// served from its `SAMAIDX2` image — so every query, whatever the
+/// file, runs over the one index type and the one read path.
+fn open_index(path: &str) -> Result<MappedIndex, String> {
+    let undecodable = |e: StorageError| format!("cannot decode index {path:?}: {e}");
+    match MappedIndex::open(std::path::Path::new(path)) {
+        Ok(index) => {
+            sama::obs::global().set_build_info("index.format", "SAMAIDX2");
+            Ok(index)
+        }
+        Err(StorageError::BadMagic) => {
+            let image = encode_v2(&load_index(path)?).map_err(undecodable)?;
+            MappedIndex::from_bytes(&image).map_err(undecodable)
+        }
+        Err(StorageError::Io(e)) => Err(format!("cannot read index {path:?}: {e}")),
+        Err(e) => Err(undecodable(e)),
+    }
 }
 
+/// Decode an index file of any format into the owned, mutable
+/// representation — what `update`, `stats` and `paths` work on, and the
+/// legacy reader behind [`open_index`].
 fn load_index(path: &str) -> Result<PathIndex, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read index {path:?}: {e}"))?;
+    // Accepts both the plain and the compressed format, by magic.
+    let index = decode_any(&bytes).map_err(|e| format!("cannot decode index {path:?}: {e}"))?;
     sama::obs::global().set_build_info(
         "index.format",
         if bytes.starts_with(sama::index::MAGIC2) {
@@ -297,8 +314,30 @@ fn load_index(path: &str) -> Result<PathIndex, String> {
             "SAMAIDX1"
         },
     );
-    // Accepts both the plain and the compressed format, by magic.
-    decode_any(&bytes).map_err(|e| format!("cannot decode index {path:?}: {e}"))
+    Ok(index)
+}
+
+/// The engine `query`, `batch`, `serve` and `profile` answer with: the
+/// index from [`open_index`], its LSH sidecar attached when `use_lsh`,
+/// the synonym relaxation tier installed when a table was given.
+fn open_engine(
+    index_path: &str,
+    config: EngineConfig,
+    use_lsh: bool,
+    thesaurus: Option<std::sync::Arc<Thesaurus>>,
+) -> Result<SamaEngine<MappedIndex>, String> {
+    let mut index = open_index(index_path)?;
+    if use_lsh {
+        let sidecar = load_lsh_sidecar(index_path, &index)?;
+        index
+            .attach_lsh(sidecar)
+            .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
+    }
+    let engine = SamaEngine::from_index_with_config(index, config);
+    Ok(match thesaurus {
+        Some(thesaurus) => engine.relax_synonyms(thesaurus),
+        None => engine,
+    })
 }
 
 fn parse_rdf_file(path: &str) -> Result<Vec<sama::model::Triple>, String> {
@@ -427,7 +466,7 @@ fn print_format_stats(index: &PathIndex, output: &str, output_is_v2: bool) -> Re
     drop(decoded);
     let t = std::time::Instant::now();
     let mapped = if output_is_v2 {
-        open_mapped(output)?
+        open_index(output)?
     } else {
         MappedIndex::from_bytes(&v2).map_err(|e| e.to_string())?
     };
@@ -521,7 +560,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut explain = false;
     let mut explain_text = false;
     let mut json = false;
-    let mut mmap = false;
     let mut lsh = false;
     let mut lsh_top_m = LSH_DEFAULT_TOP_M;
     let mut anchor = AnchorSelection::SinkFirst;
@@ -586,7 +624,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             "--explain" => explain = true,
             "--explain-text" => explain_text = true,
             "--json" => json = true,
-            "--mmap" => mmap = true,
+            "--mmap" => {}
             "--lsh" => lsh = true,
             "--ic-weights" => ic = true,
             other => positional.push(other.to_string()),
@@ -622,43 +660,15 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if let Some(ms) = deadline_ms {
         config.deadline = Some(std::time::Duration::from_millis(ms));
     }
-    // `--mmap` serves straight from the mapped file — same engine, same
-    // pipeline, different `IndexLike` behind it.
-    if mmap_requested(mmap) {
-        let mut mapped = open_mapped(index_path)?;
-        if use_lsh {
-            let sidecar = load_lsh_sidecar(index_path, &mapped)?;
-            mapped
-                .attach_lsh(sidecar)
-                .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-        }
-        let mut engine = SamaEngine::from_index_with_config(mapped, config);
-        if let Some(thesaurus) = &thesaurus {
-            engine = engine.relax_synonyms(thesaurus.clone());
-        }
-        run_query(&engine, &query, query_path, k, explain, explain_text, json)?;
-        return flush_diagnostics(&profile_out, &slowlog_out);
-    }
-    let mut index = load_index(index_path)?;
-    if use_lsh {
-        let sidecar = load_lsh_sidecar(index_path, &index)?;
-        index
-            .attach_lsh(std::sync::Arc::new(sidecar))
-            .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-    }
-    let mut engine = SamaEngine::from_index_with_config(index, config);
-    if let Some(thesaurus) = &thesaurus {
-        engine = engine.relax_synonyms(thesaurus.clone());
-    }
+    let engine = open_engine(index_path, config, use_lsh, thesaurus)?;
     run_query(&engine, &query, query_path, k, explain, explain_text, json)?;
     flush_diagnostics(&profile_out, &slowlog_out)
 }
 
-/// The query pipeline after engine construction, generic over the
-/// index representation (owned `PathIndex` or zero-copy `MappedIndex`).
+/// The query pipeline after engine construction.
 #[allow(clippy::too_many_arguments)]
-fn run_query<I: IndexLike + Sync>(
-    engine: &SamaEngine<I>,
+fn run_query(
+    engine: &SamaEngine<MappedIndex>,
     query: &sama::model::SparqlQuery,
     query_path: &str,
     k: usize,
@@ -754,7 +764,7 @@ fn run_query<I: IndexLike + Sync>(
             answer.psi(),
             if answer.is_exact() { ", exact" } else { "" }
         );
-        for line in answer.subgraph(engine.index()).to_sorted_lines() {
+        for line in answer.triple_lines(engine.index()) {
             println!("   {line}");
         }
         let bindings = answer.bindings();
@@ -765,7 +775,7 @@ fn run_query<I: IndexLike + Sync>(
                     format!(
                         "?{}={}",
                         query.graph.vocab().lexical(v),
-                        engine.index().data().vocab().lexical(value)
+                        engine.index().label_lexical(value)
                     )
                 })
                 .collect();
@@ -791,7 +801,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut trace_out: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut max_queue = 0usize;
-    let mut mmap = false;
     let mut lsh = false;
     let mut lsh_top_m = LSH_DEFAULT_TOP_M;
     let mut anchor = AnchorSelection::SinkFirst;
@@ -861,7 +870,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             }
             "--shared-chi" => shared_chi = true,
             "--json" => json = true,
-            "--mmap" => mmap = true,
+            "--mmap" => {}
             "--lsh" => lsh = true,
             "--ic-weights" => ic = true,
             "--metrics-out" => {
@@ -917,39 +926,11 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         max_queue_depth: max_queue,
     };
     arm_diagnostics(&profile_out, slowlog_ms, &slowlog_out);
-    let outcome = if mmap_requested(mmap) {
-        let mut mapped = open_mapped(index_path)?;
-        if use_lsh {
-            let sidecar = load_lsh_sidecar(index_path, &mapped)?;
-            mapped
-                .attach_lsh(sidecar)
-                .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-        }
-        let mut engine = SamaEngine::from_index_with_config(mapped, config);
-        if let Some(thesaurus) = &thesaurus {
-            engine = engine.relax_synonyms(thesaurus.clone());
-        }
-        if shared_chi {
-            engine = engine.with_shared_chi_cache(SharedChiCache::with_defaults());
-        }
-        engine.answer_batch(&queries, &batch_config)
-    } else {
-        let mut index = load_index(index_path)?;
-        if use_lsh {
-            let sidecar = load_lsh_sidecar(index_path, &index)?;
-            index
-                .attach_lsh(std::sync::Arc::new(sidecar))
-                .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-        }
-        let mut engine = SamaEngine::from_index_with_config(index, config);
-        if let Some(thesaurus) = &thesaurus {
-            engine = engine.relax_synonyms(thesaurus.clone());
-        }
-        if shared_chi {
-            engine = engine.with_shared_chi_cache(SharedChiCache::with_defaults());
-        }
-        engine.answer_batch(&queries, &batch_config)
-    };
+    let mut engine = open_engine(index_path, config, use_lsh, thesaurus)?;
+    if shared_chi {
+        engine = engine.with_shared_chi_cache(SharedChiCache::with_defaults());
+    }
+    let outcome = engine.answer_batch(&queries, &batch_config);
     let stats = &outcome.stats;
     flush_diagnostics(&profile_out, &slowlog_out)?;
 
@@ -1110,7 +1091,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let raw = std::fs::read(index_path).map_err(|e| format!("cannot read {index_path:?}: {e}"))?;
     if raw.starts_with(sama::index::MAGIC2) {
         let t = std::time::Instant::now();
-        let mapped = open_mapped(index_path)?;
+        let mapped = open_index(index_path)?;
         println!("open time      : {:.2?} (zero-copy)", t.elapsed());
         let view = mapped.view();
         let paths = view.path_count().max(1);
@@ -1194,8 +1175,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let query = read_query(query_path)?;
     // Arm before loading so index-open spans profile too.
     sama::obs::profile::set_profiling(true);
-    let index = load_index(index_path)?;
-    let engine = SamaEngine::from_index_with_config(index, engine_config_for_threads(threads));
+    let engine = open_engine(index_path, engine_config_for_threads(threads), false, None)?;
     let result = engine
         .try_answer(&query.graph, k)
         .map_err(|e| format!("query failed: {e}"))?;
@@ -1237,11 +1217,11 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     match positional.as_slice() {
         [] => {}
         [index_path] => {
-            // Round-trip the index through the instrumented build so the
-            // snapshot reflects it.
-            let index = load_index(index_path)?;
-            sama::obs::gauge_set("index.paths", index.path_count() as i64);
-            sama::obs::gauge_set("index.triples", index.graph().edge_count() as i64);
+            // Open the index the way `query` and `serve` do, so the
+            // snapshot reports that path's spans and counters.
+            let index = open_index(index_path)?;
+            sama::obs::gauge_set("index.paths", index.total_paths() as i64);
+            sama::obs::gauge_set("index.triples", index.stats().triples as i64);
         }
         _ => return Err("usage: sama metrics [<index.bin>] [--json] [--slowlog]".into()),
     }
@@ -1268,7 +1248,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
     let mut serve_config = sama::serve::ServeConfig::default();
     let mut threads = 1usize;
-    let mut mmap = false;
     let mut lsh = false;
     let mut lsh_top_m = LSH_DEFAULT_TOP_M;
     let mut anchor = AnchorSelection::SinkFirst;
@@ -1379,7 +1358,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--slowlog-out" => {
                 slowlog_out = Some(iter.next().ok_or("--slowlog-out needs a path")?.clone());
             }
-            "--mmap" => mmap = true,
+            "--mmap" => {}
             "--lsh" => lsh = true,
             "--ic-weights" => ic = true,
             other => positional.push(other.to_string()),
@@ -1415,38 +1394,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // startup still wins.
     sama::serve::signal::install();
 
-    if mmap_requested(mmap) {
-        let mut mapped = open_mapped(index_path)?;
-        if use_lsh {
-            let sidecar = load_lsh_sidecar(index_path, &mapped)?;
-            mapped
-                .attach_lsh(sidecar)
-                .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-        }
-        let mut engine = SamaEngine::from_index_with_config(mapped, config);
-        if let Some(thesaurus) = &thesaurus {
-            engine = engine.relax_synonyms(thesaurus.clone());
-        }
-        return serve_engine(engine, serve_config, &metrics_out, &slowlog_out);
-    }
-    let mut index = load_index(index_path)?;
-    if use_lsh {
-        let sidecar = load_lsh_sidecar(index_path, &index)?;
-        index
-            .attach_lsh(std::sync::Arc::new(sidecar))
-            .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-    }
-    let mut engine = SamaEngine::from_index_with_config(index, config);
-    if let Some(thesaurus) = &thesaurus {
-        engine = engine.relax_synonyms(thesaurus.clone());
-    }
+    let engine = open_engine(index_path, config, use_lsh, thesaurus)?;
     serve_engine(engine, serve_config, &metrics_out, &slowlog_out)
 }
 
 /// Bind, announce, serve until drained, then flush the observability
-/// sinks — generic over the index representation like `run_query`.
-fn serve_engine<I: IndexLike + Send + Sync + 'static>(
-    engine: SamaEngine<I>,
+/// sinks.
+fn serve_engine(
+    engine: SamaEngine<MappedIndex>,
     config: sama::serve::ServeConfig,
     metrics_out: &Option<String>,
     slowlog_out: &Option<String>,

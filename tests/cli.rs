@@ -466,6 +466,7 @@ fn query_error_paths() {
     let empty_rq = temp_path("err_empty.rq");
     let bad_rq = temp_path("err_bad.rq");
     let corrupt = temp_path("err_corrupt.bin");
+    let truncated = temp_path("err_truncated.bin");
     let _cleanup = Cleanup(vec![
         nt.clone(),
         idx.clone(),
@@ -473,6 +474,7 @@ fn query_error_paths() {
         empty_rq.clone(),
         bad_rq.clone(),
         corrupt.clone(),
+        truncated.clone(),
     ]);
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&ok_rq, "SELECT ?x WHERE { ?x <sponsor> ?y . }\n").unwrap();
@@ -528,6 +530,27 @@ fn query_error_paths() {
     assert!(stderr.contains("cannot decode index"), "{stderr}");
     assert!(stderr.contains("bad magic"), "{stderr}");
 
+    // A SAMAIDX2 file cut short fails validation at open — under the
+    // default flags too, which map it like `--mmap` does.
+    let bytes = std::fs::read(&idx).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() - 9]).unwrap();
+    for extra in [&[][..], &["--mmap"]] {
+        let out = sama()
+            .args([
+                "query",
+                truncated.to_str().unwrap(),
+                ok_rq.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("error: cannot decode index"), "{stderr}");
+        assert!(stderr.contains("truncated"), "{stderr}");
+    }
+
     // Missing positional args print the query usage line.
     let out = sama()
         .args(["query", idx.to_str().unwrap()])
@@ -582,10 +605,14 @@ fn helpful_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read index"));
 
-    // No arguments prints usage.
+    // No arguments prints usage. `--mmap` is still listed (scripts pass
+    // it) but the environment switch it used to share is gone.
     let out = sama().output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert!(usage.contains("USAGE"));
+    assert!(usage.contains("--mmap"), "{usage}");
+    assert!(!usage.contains("SAMA_MMAP"), "{usage}");
 }
 
 #[test]
@@ -633,12 +660,16 @@ fn index_stats_flag_reports_sections_and_open_time() {
     assert!(text.contains("sink-table"), "{text}");
 }
 
+/// A `SAMAIDX2` file is served from its validated map whatever the
+/// flags say: `--mmap` changes no byte of the output, and neither run
+/// decodes into an owned index or rebuilds the data graph.
 #[test]
-fn query_mmap_flag_and_env_agree_with_decoded_path() {
+fn query_default_open_is_mapped_and_mmap_flag_decides_nothing() {
     let nt = temp_path("data_mmap.nt");
     let rq = temp_path("query_mmap.rq");
     let idx = temp_path("index_mmap.bin");
-    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone()]);
+    let prof = temp_path("profile_mmap.folded");
+    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone(), prof.clone()]);
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&rq, DEMO_RQ).unwrap();
 
@@ -648,35 +679,37 @@ fn query_mmap_flag_and_env_agree_with_decoded_path() {
         .unwrap();
     assert!(out.status.success());
 
-    let run = |configure: &dyn Fn(&mut std::process::Command)| {
-        let mut cmd = sama();
-        cmd.args([
-            "query",
-            idx.to_str().unwrap(),
-            rq.to_str().unwrap(),
-            "--json",
-        ]);
-        configure(&mut cmd);
-        let out = cmd.output().unwrap();
+    // Returns (stdout, folded profile stacks).
+    let run = |extra: &[&str]| {
+        let out = sama()
+            .args(["query", idx.to_str().unwrap(), rq.to_str().unwrap()])
+            .args(["--profile-out", prof.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            std::fs::read_to_string(&prof).unwrap(),
+        )
     };
 
-    let decoded = run(&|_| {});
-    let mapped = run(&|c| {
-        c.arg("--mmap");
-    });
-    let mapped_env = run(&|c| {
-        c.env("SAMA_MMAP", "1");
-    });
-    // Bit-identical answers regardless of how the index is served.
-    assert_eq!(decoded, mapped);
-    assert_eq!(decoded, mapped_env);
-    assert!(decoded.contains("\"answers\""));
+    for format in [&["--json"][..], &[]] {
+        let (default, default_stacks) = run(format);
+        let (flagged, flagged_stacks) = run(&[format, &["--mmap"]].concat());
+        assert_eq!(default, flagged);
+        assert!(default.contains("CarlaBunes sponsor A0056"), "{default}");
+        for stacks in [default_stacks, flagged_stacks] {
+            // The mapped open ran (the owned decoder has no such span)…
+            assert!(stacks.contains("index.open_ns"), "{stacks}");
+            // …and nothing asked the index for its graph.
+            assert!(!stacks.contains("index.materialize_ns"), "{stacks}");
+        }
+    }
 }
 
 #[test]
@@ -685,7 +718,14 @@ fn legacy_v1_flag_and_parallel_build_still_decode() {
     let rq = temp_path("query_v1flag.rq");
     let v1 = temp_path("index_v1flag.bin");
     let v2 = temp_path("index_v2par.bin");
-    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), v1.clone(), v2.clone()]);
+    let packed = temp_path("index_v1flag_packed.bin");
+    let _cleanup = Cleanup(vec![
+        nt.clone(),
+        rq.clone(),
+        v1.clone(),
+        v2.clone(),
+        packed.clone(),
+    ]);
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&rq, DEMO_RQ).unwrap();
 
@@ -715,8 +755,21 @@ fn legacy_v1_flag_and_parallel_build_still_decode() {
         .unwrap();
     assert!(out.status.success());
 
-    // Both formats answer identically (legacy decode vs v2).
-    let answers = |idx: &std::path::Path| {
+    let out = sama()
+        .args([
+            "index",
+            nt.to_str().unwrap(),
+            "-o",
+            packed.to_str().unwrap(),
+            "--compress",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // Every format answers identically (legacy reader vs mapped v2),
+    // and `--mmap` decides nothing: the file's magic picks the reader.
+    let answers = |idx: &std::path::Path, extra: &[&str]| {
         let out = sama()
             .args([
                 "query",
@@ -724,25 +777,21 @@ fn legacy_v1_flag_and_parallel_build_still_decode() {
                 rq.to_str().unwrap(),
                 "--json",
             ])
+            .args(extra)
             .output()
             .unwrap();
-        assert!(out.status.success());
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    assert_eq!(answers(&v1), answers(&v2));
-
-    // --mmap on a v1 file is a clear error, not a panic.
-    let out = sama()
-        .args([
-            "query",
-            v1.to_str().unwrap(),
-            rq.to_str().unwrap(),
-            "--mmap",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot map index"));
+    let expected = answers(&v2, &[]);
+    assert!(expected.contains("\"exact\":true"), "{expected}");
+    assert_eq!(answers(&v1, &[]), expected);
+    assert_eq!(answers(&v1, &["--mmap"]), expected);
+    assert_eq!(answers(&packed, &[]), expected);
 }
 
 #[test]
