@@ -1,6 +1,5 @@
 //! Batch-serving throughput: the worker-pool `answer_batch` replaying
-//! the 12-query LUBM workload mix at 1/2/4/8 threads, with and without
-//! the cross-query shared χ cache.
+//! the 12-query LUBM workload mix at 1/2/4/8 threads.
 //!
 //! Before timing anything the bench *verifies* the concurrency
 //! contract: every thread count must produce answers bit-identical to
@@ -16,7 +15,7 @@
 use bench::{fixture, BenchFixture};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdf_model::QueryGraph;
-use sama_core::{BatchConfig, QueryResult, SamaEngine, SharedChiCache};
+use sama_core::{BatchConfig, QueryResult, SamaEngine};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -100,39 +99,6 @@ fn bench_batch_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_shared_chi(c: &mut Criterion) {
-    let fx = fixture(3_000);
-    let queries = batch_queries(&fx);
-    let shared_engine = SamaEngine::new(fx.dataset.graph.clone())
-        .with_shared_chi_cache(SharedChiCache::with_defaults());
-
-    let mut group = c.benchmark_group("batch_shared_chi");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(queries.len() as u64));
-    let config = BatchConfig {
-        k: 10,
-        threads: 2,
-        ..Default::default()
-    };
-    group.bench_function("off", |b| {
-        b.iter(|| {
-            black_box(fx.engine.answer_batch(&queries, &config))
-                .stats
-                .queries
-        })
-    });
-    // Warm the shared tier once so the steady state is measured.
-    shared_engine.answer_batch(&queries, &config);
-    group.bench_function("on_warm", |b| {
-        b.iter(|| {
-            black_box(shared_engine.answer_batch(&queries, &config))
-                .stats
-                .queries
-        })
-    });
-    group.finish();
-}
-
 /// Median-of-`runs` wall time of `f`, in nanoseconds.
 fn time_ns<R>(runs: usize, mut f: impl FnMut() -> R) -> u128 {
     let mut samples: Vec<u128> = (0..runs)
@@ -179,36 +145,12 @@ fn emit_baseline() {
         ));
     }
 
-    let shared_engine = SamaEngine::new(fx.dataset.graph.clone())
-        .with_shared_chi_cache(SharedChiCache::with_defaults());
-    let config = BatchConfig {
-        k: 10,
-        threads: 2,
-        ..Default::default()
-    };
-    let off_ns = time_ns(5, || {
-        fx.engine.answer_batch(&queries, &config).stats.queries
-    });
-    shared_engine.answer_batch(&queries, &config); // warm
-    let on_ns = time_ns(5, || {
-        shared_engine.answer_batch(&queries, &config).stats.queries
-    });
-    let chi_stats = shared_engine
-        .shared_chi_cache()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-
     let json = format!(
         "{{\n  \"fixture_triples\": 3000,\n  \"workload_queries\": {},\n  \
          \"batch_size\": {},\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"determinism_verified\": true,\n  \"threads\": {{\n{thread_rows}\n  }},\n  \
-         \"shared_chi\": {{\"off_ns\": {off_ns}, \"on_warm_ns\": {on_ns}, \
-         \"shared_hits\": {}, \"shared_misses\": {}, \"entries\": {}}}\n}}\n",
+         \"determinism_verified\": true,\n  \"threads\": {{\n{thread_rows}\n  }}\n}}\n",
         fx.workload.len(),
         queries.len(),
-        chi_stats.hits,
-        chi_stats.misses,
-        chi_stats.entries,
     );
 
     let out = std::env::var("BENCH_THROUGHPUT_OUT").unwrap_or_else(|_| {
@@ -232,10 +174,5 @@ fn bench_emit_baseline(_c: &mut Criterion) {
     emit_baseline();
 }
 
-criterion_group!(
-    benches,
-    bench_batch_threads,
-    bench_shared_chi,
-    bench_emit_baseline
-);
+criterion_group!(benches, bench_batch_threads, bench_emit_baseline);
 criterion_main!(benches);

@@ -171,8 +171,7 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
     ///
     /// Results are returned in submission order and are bit-identical
     /// to calling [`SamaEngine::answer`] in a loop, at every thread
-    /// count. When a [`crate::SharedChiCache`] is installed on the
-    /// engine, all workers share it.
+    /// count.
     ///
     /// Each query is isolated: a panic (or invalid query) fills its own
     /// slot with an `Err` and never disturbs the rest of the batch.
@@ -272,22 +271,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         results.extend(queries[admitted..].iter().map(|_| Err(QueryError::Shed)));
         let wall_time = started.elapsed();
         drop(batch_span);
-        // Keep the shared-χ gauge set stable across configurations: an
-        // engine without the cross-query tier reports zeros instead of
-        // omitting the metrics from the exposition.
-        match self.shared_chi_cache() {
-            Some(shared) => shared.publish_metrics(),
-            None => {
-                for gauge in [
-                    "chi.shared_cache_hits",
-                    "chi.shared_cache_misses",
-                    "chi.shared_cache_entries",
-                    "chi.shared_cache_evictions",
-                ] {
-                    sama_obs::gauge_set(gauge, 0);
-                }
-            }
-        }
 
         let ok = || results.iter().filter_map(|r| r.as_ref().ok());
         let shed = results

@@ -3,10 +3,9 @@
 
 use crate::align::AlignmentMode;
 use crate::answer::Answer;
-use crate::chi_cache::{ChiCacheStats, SharedChiCache};
 use crate::cluster::{
-    build_clusters, build_clusters_budgeted, build_clusters_parallel, parallel_default, Cluster,
-    ClusterConfig, ClusterTier,
+    build_clusters_budgeted, build_clusters_parallel, parallel_default, Cluster, ClusterConfig,
+    ClusterTier,
 };
 use crate::deadline::QueryBudget;
 use crate::error::{QueryError, SamaError};
@@ -15,7 +14,9 @@ use crate::params::ScoreParams;
 use crate::qpath::{
     apply_ic_weights, decompose_query, decompose_query_checked, widen_with_synonyms, QueryPath,
 };
-use crate::search::{search_top_k_budgeted, SearchConfig, SearchStream, TruncationReason};
+use crate::search::{
+    search_top_k_budgeted, ChiStats, SearchConfig, SearchStream, TruncationReason,
+};
 use crate::trace::{ExplainTrace, TraceConfig};
 use path_index::{
     ExtractionConfig, IcTable, IndexLike, NoSynonyms, PathIndex, ShardedIndex, SynonymProvider,
@@ -170,10 +171,6 @@ pub struct QueryTimings {
     pub clustering: Duration,
     /// Top-k combination search.
     pub search: Duration,
-    /// Time spent computing `χ` inside the search (a sub-measure of
-    /// [`QueryTimings::search`], *not* an additional phase — excluded
-    /// from [`QueryTimings::total`]).
-    pub chi: Duration,
 }
 
 impl QueryTimings {
@@ -209,9 +206,8 @@ pub struct QueryResult {
     pub truncation: Option<TruncationReason>,
     /// Phase timings.
     pub timings: QueryTimings,
-    /// χ-cache counters of the combination search (see
-    /// [`crate::ChiCache`]).
-    pub chi_stats: ChiCacheStats,
+    /// `|χ|` evaluations of the combination search.
+    pub chi_stats: ChiStats,
     /// The EXPLAIN trace, when [`EngineConfig::trace`] is enabled.
     pub trace: Option<ExplainTrace>,
 }
@@ -299,10 +295,6 @@ pub struct SamaEngine<I: IndexLike = PathIndex> {
     synonyms: Arc<dyn SynonymProvider>,
     params: ScoreParams,
     config: EngineConfig,
-    /// Optional cross-query χ memo shared by every query (and every
-    /// batch worker) on this engine. `None` (the default) keeps the
-    /// query-scoped cache of single-shot runs.
-    shared_chi: Option<Arc<SharedChiCache>>,
     /// Thesaurus consulted by the synonym relaxation tier for thin
     /// clusters. Distinct from [`SamaEngine::with_synonyms`], which
     /// widens *every* query up front — this one is consulted only when
@@ -362,7 +354,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             synonyms: Arc::new(NoSynonyms),
             params: ScoreParams::paper(),
             config,
-            shared_chi: None,
             relax: None,
             ic_override: None,
         }
@@ -405,21 +396,6 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         self
     }
 
-    /// Install a cross-query shared χ cache (builder style): every
-    /// query answered by this engine — and every worker of
-    /// [`SamaEngine::answer_batch`](crate::batch) — reads and feeds the
-    /// same lock-striped memo. Answers and scores are unaffected; see
-    /// [`SharedChiCache`].
-    pub fn with_shared_chi_cache(mut self, cache: Arc<SharedChiCache>) -> Self {
-        self.shared_chi = Some(cache);
-        self
-    }
-
-    /// The installed cross-query χ cache, if any.
-    pub fn shared_chi_cache(&self) -> Option<&Arc<SharedChiCache>> {
-        self.shared_chi.as_ref()
-    }
-
     /// The underlying index.
     pub fn index(&self) -> &I {
         &self.index
@@ -436,8 +412,9 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
     }
 
     /// Stream answers lazily in non-decreasing score order — top-k
-    /// without fixing `k` up front. The stream owns the decomposition
-    /// artefacts and borrows the engine's index:
+    /// without fixing `k` up front — under the engine's default budget
+    /// (see [`EngineConfig::deadline`]). The stream owns the
+    /// decomposition artefacts and borrows the engine's index:
     ///
     /// ```
     /// # use rdf_model::{DataGraph, QueryGraph};
@@ -453,43 +430,19 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
     /// assert_eq!(best_two.len(), 2);
     /// ```
     pub fn answer_stream(&self, query: &QueryGraph) -> SearchStream<'_, I> {
-        let mut query_paths = decompose_query(
-            query,
-            &self.index,
-            self.synonyms.as_ref(),
-            &self.config.query_extraction,
-        );
-        self.stamp_ic_weights(&mut query_paths);
-        let intersection_graph = IntersectionGraph::build(&query_paths);
-        let mut clusters = if self.config.parallel_clustering {
-            build_clusters_parallel(
-                &query_paths,
-                &self.index,
-                self.synonyms.as_ref(),
-                &self.params,
-                self.config.alignment,
-                &self.config.cluster,
-            )
-        } else {
-            build_clusters(
-                &query_paths,
-                &self.index,
-                self.synonyms.as_ref(),
-                &self.params,
-                self.config.alignment,
-                &self.config.cluster,
-            )
-        };
-        self.relax_thin_clusters(&mut query_paths, &mut clusters, &QueryBudget::unlimited());
-        SearchStream::with_shared_chi(
-            query_paths,
-            intersection_graph,
-            clusters,
+        let budget = self.default_budget();
+        let prepared = self
+            .prepare(query, false, &budget)
+            .expect("only a checked decomposition can fail");
+        SearchStream::new(
+            prepared.query_paths,
+            prepared.intersection_graph,
+            prepared.clusters,
             &self.index,
             self.params,
             self.config.search,
-            self.shared_chi.clone(),
         )
+        .with_budget(budget)
     }
 
     /// The budget one query gets by default: the configured
@@ -515,22 +468,21 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         .map(|_| ())
     }
 
-    /// [`SamaEngine::answer`] with up-front validation: a query that
-    /// cannot be decomposed returns [`QueryError::InvalidQuery`]
-    /// instead of panicking.
+    /// [`SamaEngine::answer`] with validation: a query that cannot be
+    /// decomposed returns [`QueryError::InvalidQuery`] instead of an
+    /// empty result that looks like a miss.
     pub fn try_answer(&self, query: &QueryGraph, k: usize) -> Result<QueryResult, QueryError> {
         self.try_answer_with_budget(query, k, &self.default_budget())
     }
 
-    /// [`SamaEngine::answer_with_budget`] with up-front validation.
+    /// [`SamaEngine::answer_with_budget`] with validation.
     pub fn try_answer_with_budget(
         &self,
         query: &QueryGraph,
         k: usize,
         budget: &QueryBudget,
     ) -> Result<QueryResult, QueryError> {
-        self.validate_query(query)?;
-        Ok(self.answer_with_budget(query, k, budget))
+        Ok(self.run(query, k, budget, true)?)
     }
 
     /// Answer `query` with the `k` most relevant answers, under the
@@ -541,13 +493,14 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
 
     /// Answer `query` under an explicit deadline/cancellation budget.
     ///
-    /// The budget is polled at cheap checkpoints — the engine's phase
-    /// boundaries, every [`crate::cluster::ALIGN_CHECK_INTERVAL`]-th
-    /// alignment, every [`crate::search::BUDGET_CHECK_INTERVAL`]-th
-    /// expansion pop. On expiry the query *degrades* instead of
-    /// failing: the answers found so far plus a greedy completion of
-    /// the search frontier come back as a best-effort partial top-k,
-    /// flagged via [`QueryResult::truncation`] with
+    /// The budget is polled at cheap checkpoints — the engine's entry,
+    /// every [`crate::cluster::ALIGN_CHECK_INTERVAL`]-th alignment
+    /// (synonym relaxation rebuilds included), every
+    /// [`crate::search::BUDGET_CHECK_INTERVAL`]-th expansion pop. On
+    /// expiry the query *degrades* instead of failing: the answers
+    /// found so far plus a greedy completion of the search frontier
+    /// come back as a best-effort partial top-k, flagged via
+    /// [`QueryResult::truncation`] with
     /// [`TruncationReason::DeadlineExceeded`] (or `Cancelled`) and
     /// counted in `query.deadline_exceeded_total` /
     /// `query.cancelled_total`. An unlimited budget reads no clock and
@@ -559,75 +512,251 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         k: usize,
         budget: &QueryBudget,
     ) -> QueryResult {
+        self.run(query, k, budget, false)
+            .expect("only a checked decomposition can fail")
+    }
+
+    /// The one query path behind every `answer*` entry point: prepare,
+    /// search, finish. `checked` selects the validating decomposition.
+    fn run(
+        &self,
+        query: &QueryGraph,
+        k: usize,
+        budget: &QueryBudget,
+        checked: bool,
+    ) -> Result<QueryResult, SamaError> {
         obs::fault::point("engine.answer");
-        let query_id = next_query_id();
         // An already-expired budget (deadline 0, pre-cancelled token)
-        // returns immediately: a valid, empty, flagged result.
-        if !budget.is_unlimited() {
-            if let Some(reason) = budget.exceeded() {
-                return self.expired_result(query_id, query, reason);
+        // does no work: a valid, empty, flagged result.
+        if let Some(reason) = budget.exceeded() {
+            if checked {
+                self.validate_query(query)?;
             }
+            let outcome = crate::SearchOutcome {
+                answers: Vec::new(),
+                expansions: 0,
+                truncated: true,
+                truncation: Some(reason),
+                chi_stats: ChiStats::default(),
+            };
+            return Ok(self.finish(query, Prepared::default(), outcome, Duration::ZERO));
         }
-        let preprocess_span = obs::span!("query.preprocess_ns");
-        let mut query_paths = decompose_query(
-            query,
+        let prepared = self.prepare(query, checked, budget)?;
+        let search_span = obs::span!("query.search_ns");
+        let outcome = search_top_k_budgeted(
+            &prepared.query_paths,
+            &prepared.intersection_graph,
+            &prepared.clusters,
             &self.index,
-            self.synonyms.as_ref(),
-            &self.config.query_extraction,
+            &self.params,
+            k,
+            &self.config.search,
+            budget,
         );
+        let search = search_span.finish();
+        Ok(self.finish(query, prepared, outcome, search))
+    }
+
+    /// Everything before the combination search: decompose `query`
+    /// (once; `checked` rejects a query with no usable `PQ`), stamp IC
+    /// weights, build the intersection graph, fill the clusters and
+    /// relax the thin ones — all cluster fills under `budget`.
+    fn prepare(
+        &self,
+        query: &QueryGraph,
+        checked: bool,
+        budget: &QueryBudget,
+    ) -> Result<Prepared, SamaError> {
+        let preprocess_span = obs::span!("query.preprocess_ns");
+        let mut query_paths = if checked {
+            decompose_query_checked(
+                query,
+                &self.index,
+                self.synonyms.as_ref(),
+                &self.config.query_extraction,
+            )?
+        } else {
+            decompose_query(
+                query,
+                &self.index,
+                self.synonyms.as_ref(),
+                &self.config.query_extraction,
+            )
+        };
         self.stamp_ic_weights(&mut query_paths);
         let intersection_graph = IntersectionGraph::build(&query_paths);
         let preprocessing = preprocess_span.finish();
 
         let cluster_span = obs::span!("query.cluster_ns");
-        let mut clusters = if budget.is_unlimited() && self.config.parallel_clustering {
-            build_clusters_parallel(
-                &query_paths,
-                &self.index,
-                self.synonyms.as_ref(),
-                &self.params,
-                self.config.alignment,
-                &self.config.cluster,
-            )
-        } else {
-            // The budgeted path is bit-identical while the budget holds
-            // (and when it is unlimited).
-            build_clusters_budgeted(
-                &query_paths,
-                &self.index,
-                self.synonyms.as_ref(),
-                &self.params,
-                self.config.alignment,
-                &self.config.cluster,
-                budget,
-            )
+        // One task per query path on scoped threads when asked to and
+        // no budget needs polling; the budgeted fill is bit-identical
+        // while the budget holds (and when it is unlimited).
+        let fill = |paths: &[QueryPath], synonyms: &dyn SynonymProvider| {
+            if budget.is_unlimited() && self.config.parallel_clustering {
+                build_clusters_parallel(
+                    paths,
+                    &self.index,
+                    synonyms,
+                    &self.params,
+                    self.config.alignment,
+                    &self.config.cluster,
+                )
+            } else {
+                build_clusters_budgeted(
+                    paths,
+                    &self.index,
+                    synonyms,
+                    &self.params,
+                    self.config.alignment,
+                    &self.config.cluster,
+                    budget,
+                )
+            }
         };
-        self.relax_thin_clusters(&mut query_paths, &mut clusters, budget);
+        let mut clusters = fill(&query_paths, self.synonyms.as_ref());
+        self.relax_thin_clusters(&mut query_paths, &mut clusters, budget, fill);
         let clustering = cluster_span.finish();
 
-        let search_span = obs::span!("query.search_ns");
-        let outcome = search_top_k_budgeted(
-            &query_paths,
-            &intersection_graph,
-            &clusters,
-            &self.index,
-            &self.params,
-            k,
-            &self.config.search,
-            self.shared_chi.clone(),
-            budget,
-        );
-        let search = search_span.finish();
+        Ok(Prepared {
+            query_paths,
+            intersection_graph,
+            clusters,
+            preprocessing,
+            clustering,
+        })
+    }
 
+    /// Stamp IC weights onto the decomposed query paths when
+    /// [`EngineConfig::ic_weights`] is on. No-op otherwise: absent
+    /// weight vectors keep the alignment on the paper's unit-cost model
+    /// byte-for-byte.
+    fn stamp_ic_weights(&self, query_paths: &mut [QueryPath]) {
+        if !self.config.ic_weights {
+            return;
+        }
+        let _span = obs::span!("score.ic_ns");
+        let table = match &self.ic_override {
+            Some(table) => Some(table.clone()),
+            None => self.index.ic_table(),
+        };
+        let Some(table) = table else {
+            // An index without IC support serves unweighted costs — the
+            // same exact-fallback stance as the retrieval tiers.
+            return;
+        };
+        apply_ic_weights(query_paths, &self.index, &table);
+        obs::counter_add("score.ic_queries_total", 1);
+        obs::gauge_set("score.ic_labels", table.len() as i64);
+    }
+
+    /// The synonym relaxation pass: refill *thin* clusters (fewer than
+    /// [`RelaxationConfig::min_entries`] entries) through `fill` — the
+    /// query's own budgeted cluster build — with a thesaurus-widened
+    /// copy of their query path. A refill is adopted only when it ran
+    /// to completion and changes the entry list — it then replaces both
+    /// the cluster (tagged [`ClusterTier::Synonym`]) and the query
+    /// path, so downstream scoring sees the widened accepted sets;
+    /// otherwise the exact cluster stands and
+    /// `cluster.synonym_fallback_total` counts the no-op probe.
+    fn relax_thin_clusters(
+        &self,
+        query_paths: &mut [QueryPath],
+        clusters: &mut [Cluster],
+        budget: &QueryBudget,
+        fill: impl Fn(&[QueryPath], &dyn SynonymProvider) -> Vec<Cluster>,
+    ) {
+        if !self.config.relaxation.enabled {
+            return;
+        }
+        let Some(provider) = &self.relax else {
+            return;
+        };
+        let _span = obs::span!("cluster.synonym_ns");
+        for (i, cluster) in clusters.iter_mut().enumerate() {
+            if cluster.entries.len() >= self.config.relaxation.min_entries {
+                continue;
+            }
+            if budget.exceeded().is_some() {
+                break;
+            }
+            obs::counter_add("cluster.synonym_probes_total", 1);
+            let widened = widen_with_synonyms(&query_paths[i], &self.index, provider.as_ref());
+            let mut rebuilt = fill(std::slice::from_ref(&widened), provider.as_ref())
+                .pop()
+                .expect("one cluster per query path");
+            if budget.exceeded().is_some() {
+                // A refill the budget cut short is a sample, not a
+                // relaxation; the search flags the result.
+                break;
+            }
+            if rebuilt.entries == cluster.entries {
+                obs::counter_add("cluster.synonym_fallback_total", 1);
+                continue;
+            }
+            obs::counter_add("cluster.synonym_admitted_total", 1);
+            rebuilt.tier = ClusterTier::Synonym;
+            *cluster = rebuilt;
+            query_paths[i] = widened;
+        }
+    }
+
+    /// Everything after the combination search, and all there is to an
+    /// expired query: flush the query's local aggregates to the metrics
+    /// registry (once per query, so the search hot loop never touches
+    /// an atomic), capture the slow-query record and EXPLAIN trace, and
+    /// assemble the [`QueryResult`].
+    fn finish(
+        &self,
+        query: &QueryGraph,
+        prepared: Prepared,
+        outcome: crate::SearchOutcome,
+        search: Duration,
+    ) -> QueryResult {
+        let query_id = next_query_id();
+        let Prepared {
+            query_paths,
+            intersection_graph,
+            clusters,
+            preprocessing,
+            clustering,
+        } = prepared;
         let retrieved_paths = clusters.iter().map(|c| c.candidates_retrieved).sum();
         let truncated = outcome.truncated || clusters.iter().any(|c| c.candidates_dropped > 0);
         let timings = QueryTimings {
             preprocessing,
             clustering,
             search,
-            chi: outcome.chi_stats.chi_time,
         };
-        self.flush_query_metrics(&outcome, &timings, retrieved_paths);
+        if obs::enabled() {
+            obs::counter_add("query.queries_total", 1);
+            obs::counter_add("query.answers_total", outcome.answers.len() as u64);
+            obs::counter_add("search.expansions_total", outcome.expansions as u64);
+            obs::counter_add("search.chi_lookups_total", outcome.chi_stats.lookups());
+            obs::counter_add("cluster.retrieved_paths_total", retrieved_paths as u64);
+            if let Some(reason) = outcome.truncation {
+                obs::counter_add(
+                    match reason {
+                        TruncationReason::ExpansionLimit => {
+                            "search.truncated_expansion_limit_total"
+                        }
+                        TruncationReason::FrontierOverflow => {
+                            "search.truncated_frontier_overflow_total"
+                        }
+                        TruncationReason::DeadlineExceeded => "query.deadline_exceeded_total",
+                        TruncationReason::Cancelled => "query.cancelled_total",
+                    },
+                    1,
+                );
+            }
+            obs::observe_duration("query.total_ns", timings.total());
+            obs::rolling_observe_duration("query.total_ns", timings.total());
+            // Registered with 0 so the series exists from the first
+            // query, before (and whether or not) any violation happens.
+            obs::counter_add(
+                "query.slo_violations_total",
+                u64::from(timings.total() > slo_default()),
+            );
+        }
         // The slow-query log needs the EXPLAIN trace even when tracing
         // is otherwise off: build it on demand for captured queries,
         // but attach it to the result only when tracing is configured.
@@ -670,194 +799,17 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             trace,
         }
     }
+}
 
-    /// Stamp IC weights onto the decomposed query paths when
-    /// [`EngineConfig::ic_weights`] is on. No-op otherwise: absent
-    /// weight vectors keep the alignment on the paper's unit-cost model
-    /// byte-for-byte.
-    fn stamp_ic_weights(&self, query_paths: &mut [QueryPath]) {
-        if !self.config.ic_weights {
-            return;
-        }
-        let _span = obs::span!("score.ic_ns");
-        let table = match &self.ic_override {
-            Some(table) => Some(table.clone()),
-            None => self.index.ic_table(),
-        };
-        let Some(table) = table else {
-            // An index without IC support serves unweighted costs — the
-            // same exact-fallback stance as the retrieval tiers.
-            return;
-        };
-        apply_ic_weights(query_paths, &self.index, &table);
-        obs::counter_add("score.ic_queries_total", 1);
-        obs::gauge_set("score.ic_labels", table.len() as i64);
-    }
-
-    /// The synonym relaxation pass: rebuild *thin* clusters (fewer than
-    /// [`RelaxationConfig::min_entries`] entries) with a
-    /// thesaurus-widened copy of their query path. A rebuild is adopted
-    /// only when it changes the entry list — it then replaces both the
-    /// cluster (tagged [`ClusterTier::Synonym`]) and the query path, so
-    /// downstream scoring sees the widened accepted sets; otherwise the
-    /// exact cluster stands and `cluster.synonym_fallback_total` counts
-    /// the no-op probe.
-    fn relax_thin_clusters(
-        &self,
-        query_paths: &mut [QueryPath],
-        clusters: &mut [Cluster],
-        budget: &QueryBudget,
-    ) {
-        if !self.config.relaxation.enabled {
-            return;
-        }
-        let Some(provider) = &self.relax else {
-            return;
-        };
-        let _span = obs::span!("cluster.synonym_ns");
-        for (i, cluster) in clusters.iter_mut().enumerate() {
-            if cluster.entries.len() >= self.config.relaxation.min_entries {
-                continue;
-            }
-            if !budget.is_unlimited() && budget.exceeded().is_some() {
-                break;
-            }
-            obs::counter_add("cluster.synonym_probes_total", 1);
-            let widened = widen_with_synonyms(&query_paths[i], &self.index, provider.as_ref());
-            let mut rebuilt = build_clusters(
-                std::slice::from_ref(&widened),
-                &self.index,
-                provider.as_ref(),
-                &self.params,
-                self.config.alignment,
-                &self.config.cluster,
-            )
-            .pop()
-            .expect("one cluster per query path");
-            if rebuilt.entries == cluster.entries {
-                obs::counter_add("cluster.synonym_fallback_total", 1);
-                continue;
-            }
-            obs::counter_add("cluster.synonym_admitted_total", 1);
-            rebuilt.tier = ClusterTier::Synonym;
-            *cluster = rebuilt;
-            query_paths[i] = widened;
-        }
-    }
-
-    /// Flush the query's local aggregates (search counters, χ-cache
-    /// stats, timings) to the global metrics registry — once per query,
-    /// so the search hot loop itself never touches an atomic.
-    fn flush_query_metrics(
-        &self,
-        outcome: &crate::SearchOutcome,
-        timings: &QueryTimings,
-        retrieved_paths: usize,
-    ) {
-        if !obs::enabled() {
-            return;
-        }
-        obs::counter_add("query.queries_total", 1);
-        obs::counter_add("query.answers_total", outcome.answers.len() as u64);
-        obs::counter_add("search.expansions_total", outcome.expansions as u64);
-        obs::counter_add("cluster.retrieved_paths_total", retrieved_paths as u64);
-        match outcome.truncation {
-            Some(TruncationReason::ExpansionLimit) => {
-                obs::counter_add("search.truncated_expansion_limit_total", 1);
-            }
-            Some(TruncationReason::FrontierOverflow) => {
-                obs::counter_add("search.truncated_frontier_overflow_total", 1);
-            }
-            Some(TruncationReason::DeadlineExceeded) => {
-                obs::counter_add("query.deadline_exceeded_total", 1);
-            }
-            Some(TruncationReason::Cancelled) => {
-                obs::counter_add("query.cancelled_total", 1);
-            }
-            None => {}
-        }
-        let chi = outcome.chi_stats;
-        obs::counter_add("chi.query_hits_total", chi.hits);
-        obs::counter_add("chi.shared_hits_total", chi.shared_hits);
-        obs::counter_add("chi.misses_total", chi.misses);
-        obs::observe_duration("chi.compute_ns", chi.chi_time);
-        obs::observe_duration("query.total_ns", timings.total());
-        obs::rolling_observe_duration("query.total_ns", timings.total());
-        // Registered with 0 so the series exists from the first query,
-        // before (and whether or not) any violation happens.
-        obs::counter_add(
-            "query.slo_violations_total",
-            u64::from(timings.total() > slo_default()),
-        );
-        if let Some(shared) = &self.shared_chi {
-            shared.publish_metrics();
-        }
-    }
-
-    /// The degraded result of a budget that was already expired when
-    /// the query arrived: empty but valid, flagged with `reason`, and
-    /// counted like any other deadline expiry.
-    fn expired_result(
-        &self,
-        query_id: u64,
-        query: &QueryGraph,
-        reason: TruncationReason,
-    ) -> QueryResult {
-        if obs::enabled() {
-            obs::counter_add("query.queries_total", 1);
-            match reason {
-                TruncationReason::Cancelled => obs::counter_add("query.cancelled_total", 1),
-                _ => obs::counter_add("query.deadline_exceeded_total", 1),
-            }
-            obs::rolling_observe("query.total_ns", 0);
-        }
-        let timings = QueryTimings::default();
-        let outcome = crate::SearchOutcome {
-            answers: Vec::new(),
-            expansions: 0,
-            truncated: true,
-            truncation: Some(reason),
-            chi_stats: ChiCacheStats::default(),
-        };
-        let slow_threshold = obs::slowlog::global()
-            .threshold()
-            .filter(|&t| timings.total() >= t);
-        let trace = (self.config.trace.enabled || slow_threshold.is_some()).then(|| {
-            ExplainTrace::build(
-                query_id,
-                &self.config.trace,
-                query,
-                &[],
-                &[],
-                &outcome,
-                &timings,
-            )
-        });
-        if let (Some(threshold), Some(trace)) = (slow_threshold, trace.as_ref()) {
-            obs::slowlog::capture(obs::SlowQueryRecord {
-                query_id,
-                label: None,
-                total_ns: duration_ns(timings.total()),
-                threshold_ns: duration_ns(threshold),
-                truncation: Some(reason.as_str().to_string()),
-                trace_json: Some(trace.to_json_line()),
-            });
-        }
-        let trace = trace.filter(|_| self.config.trace.enabled);
-        QueryResult {
-            query_id,
-            answers: Vec::new(),
-            query_paths: Vec::new(),
-            intersection_graph: IntersectionGraph::build(&[]),
-            clusters: Vec::new(),
-            retrieved_paths: 0,
-            truncated: true,
-            truncation: Some(reason),
-            timings,
-            chi_stats: ChiCacheStats::default(),
-            trace,
-        }
-    }
+/// One query ready for the combination search — decomposed, priced,
+/// clustered, relaxed — with what the two phases took.
+#[derive(Default)]
+struct Prepared {
+    query_paths: Vec<QueryPath>,
+    intersection_graph: IntersectionGraph,
+    clusters: Vec<Cluster>,
+    preprocessing: Duration,
+    clustering: Duration,
 }
 
 /// Register the semantic tier's metrics (IC weighting + synonym
@@ -1012,20 +964,6 @@ mod tests {
         let engine = SamaEngine::new(figure1_data()).with_synonyms(Arc::new(t));
         let with_syn = engine.answer(&q, 1);
         assert_eq!(with_syn.best().unwrap().score(), 0.0);
-    }
-
-    #[test]
-    fn answer_stream_matches_batch() {
-        let engine = SamaEngine::new(figure1_data());
-        let q = q1();
-        let batch = engine.answer(&q, 12);
-        let streamed: Vec<f64> = engine
-            .answer_stream(&q)
-            .take(12)
-            .map(|a| a.score())
-            .collect();
-        let batch_scores: Vec<f64> = batch.answers.iter().map(Answer::score).collect();
-        assert_eq!(streamed, batch_scores);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! cluster entries, which combinations conform (solid edges, ψ ratio 1)
 //! and which only partially conform (the paper draws those dashed).
 
-use crate::chi_cache::ChiCache;
 use crate::cluster::Cluster;
 use crate::igraph::IntersectionGraph;
-use crate::score::conformity_ratio;
+use crate::score::{chi_count_sorted, conformity_ratio};
 use path_index::{IndexLike, PathId, PathIndex};
 use std::fmt;
 
@@ -75,21 +74,6 @@ impl PathForest {
         index: &I,
         width: usize,
     ) -> Self {
-        let mut chi = ChiCache::new();
-        PathForest::build_with_cache(clusters, ig, index, width, &mut chi)
-    }
-
-    /// Like [`PathForest::build`], but reusing a caller-owned query-scoped
-    /// [`ChiCache`] — the forest touches exactly the path pairs the
-    /// combination search re-prices, so sharing one cache lets the two
-    /// consumers amortize each other's `χ` computations.
-    pub fn build_with_cache<I: IndexLike>(
-        clusters: &[Cluster],
-        ig: &IntersectionGraph,
-        index: &I,
-        width: usize,
-        chi: &mut ChiCache,
-    ) -> Self {
         let mut nodes = Vec::new();
         for (ci, cluster) in clusters.iter().enumerate() {
             for (rank, entry) in cluster.entries.iter().take(width).enumerate() {
@@ -111,7 +95,10 @@ impl PathForest {
                     if b.cluster != edge.qj {
                         continue;
                     }
-                    let chi_p = chi.chi_count(index, a.path_id, b.path_id);
+                    let chi_p = chi_count_sorted(
+                        index.sorted_nodes(a.path_id),
+                        index.sorted_nodes(b.path_id),
+                    );
                     if chi_p == 0 {
                         continue; // no shared nodes: no forest edge
                     }

@@ -50,7 +50,6 @@
 pub mod align;
 pub mod answer;
 pub mod batch;
-pub mod chi_cache;
 pub mod cluster;
 pub mod deadline;
 pub mod engine;
@@ -68,7 +67,6 @@ pub mod trace;
 pub use align::{align, align_lambda, Alignment, AlignmentCounts, AlignmentMode};
 pub use answer::{Answer, ChosenPath};
 pub use batch::{BatchConfig, BatchOutcome, BatchStats, PhaseLatency};
-pub use chi_cache::{ChiCache, ChiCacheStats, SharedChiCache, SharedChiStats};
 pub use cluster::{
     build_clusters, build_clusters_budgeted, build_clusters_parallel, AnchorSelection, Cluster,
     ClusterConfig, ClusterEntry, ClusterTier, Retrieval, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS,
@@ -94,7 +92,7 @@ pub use score::{
     deletion_lambda, PairConformity, ScoreBreakdown,
 };
 pub use search::{
-    search_top_k, search_top_k_budgeted, search_top_k_with_shared_chi, SearchConfig, SearchOutcome,
-    SearchStream, TruncationReason,
+    search_top_k, search_top_k_budgeted, ChiStats, SearchConfig, SearchOutcome, SearchStream,
+    TruncationReason,
 };
 pub use trace::{ExplainTrace, TraceChi, TraceCluster, TraceConfig, TracePhases, TraceQueryPath};

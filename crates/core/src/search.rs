@@ -26,17 +26,15 @@
 //! instead of multiplying by cluster width.
 
 use crate::answer::{Answer, ChosenPath};
-use crate::chi_cache::{ChiCache, ChiCacheStats, SharedChiCache};
 use crate::cluster::Cluster;
 use crate::deadline::QueryBudget;
 use crate::igraph::IntersectionGraph;
 use crate::params::ScoreParams;
 use crate::qpath::QueryPath;
-use crate::score::{PairConformity, ScoreBreakdown};
+use crate::score::{chi_count_sorted, PairConformity, ScoreBreakdown};
 use path_index::IndexLike;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Limits for the combination search.
 #[derive(Debug, Clone, Copy)]
@@ -53,11 +51,6 @@ pub struct SearchConfig {
     /// An answer-construction improvement the paper lists as future
     /// work; off by default to match the paper's enumeration.
     pub distinct_paths: bool,
-    /// Memoize `|χ|` per unordered data-path pair for the lifetime of
-    /// the search (see [`ChiCache`]). Purely an optimization — answers
-    /// and scores are identical either way; disable only for A/B
-    /// measurement.
-    pub use_chi_cache: bool,
 }
 
 impl Default for SearchConfig {
@@ -66,7 +59,6 @@ impl Default for SearchConfig {
             max_expansions: 200_000,
             max_frontier: 1 << 20,
             distinct_paths: false,
-            use_chi_cache: true,
         }
     }
 }
@@ -104,6 +96,26 @@ impl TruncationReason {
     }
 }
 
+/// `|χ|` evaluations of one search. Every lookup is computed — a ~10 ns
+/// sorted merge over node sets the index already stores, which no memo
+/// beat in the ledger (DESIGN §5).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChiStats {
+    pub(crate) lookups: u64,
+    /// Always 0: there is no χ cache to hit. Read by the ledger's
+    /// `core.search.chi_hit_rate`; goes with its next revision.
+    pub hits: u64,
+    /// Always 0, as [`ChiStats::hits`].
+    pub shared_hits: u64,
+}
+
+impl ChiStats {
+    /// Total `|χ|` evaluations.
+    pub fn lookups(&self) -> u64 {
+        self.lookups
+    }
+}
+
 /// The search result.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -119,8 +131,8 @@ pub struct SearchOutcome {
     /// Which limit stopped the search (`None` while `truncated` is
     /// `false`).
     pub truncation: Option<TruncationReason>,
-    /// χ-cache counters and compute time for this search.
-    pub chi_stats: ChiCacheStats,
+    /// `|χ|` evaluations of this search.
+    pub chi_stats: ChiStats,
 }
 
 /// A frontier state: the first `choices.len()` clusters are assigned.
@@ -207,8 +219,8 @@ pub struct SearchStream<'a, I: IndexLike> {
     expansions: usize,
     truncated: bool,
     truncation: Option<TruncationReason>,
-    /// Query-scoped `|χ|` memo shared by every expansion.
-    chi: ChiCache,
+    /// `|χ|` evaluations so far.
+    chi_lookups: u64,
     /// Retired `choices` vectors, reused by later pushes so the steady
     /// state of the expansion loop allocates nothing.
     pool: Vec<Vec<u32>>,
@@ -230,22 +242,6 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
-        Self::with_shared_chi(qpaths, ig, clusters, index, params, config, None)
-    }
-
-    /// Like [`SearchStream::new`], with the query-scoped χ cache backed
-    /// by a cross-query [`SharedChiCache`] tier (ignored when
-    /// [`SearchConfig::use_chi_cache`] is off). Answers are identical
-    /// either way — χ is a pure function of the path pair.
-    pub fn with_shared_chi(
-        qpaths: Vec<QueryPath>,
-        ig: IntersectionGraph,
-        clusters: Vec<Cluster>,
-        index: &'a I,
-        params: ScoreParams,
-        config: SearchConfig,
-        shared_chi: Option<Arc<SharedChiCache>>,
-    ) -> Self {
         debug_assert_eq!(qpaths.len(), clusters.len());
         let n = clusters.len();
         let mut bound = vec![0.0f64; n + 1];
@@ -266,11 +262,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             expansions: 0,
             truncated: false,
             truncation: None,
-            chi: match (config.use_chi_cache, shared_chi) {
-                (false, _) => ChiCache::disabled(),
-                (true, Some(shared)) => ChiCache::with_shared(shared),
-                (true, None) => ChiCache::new(),
-            },
+            chi_lookups: 0,
             pool: Vec::new(),
             budget: QueryBudget::unlimited(),
             budget_countdown: 0,
@@ -329,9 +321,12 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         self.truncation.get_or_insert(reason);
     }
 
-    /// χ-cache counters and compute time so far.
-    pub fn chi_stats(&self) -> ChiCacheStats {
-        self.chi.stats()
+    /// `|χ|` evaluations so far.
+    pub fn chi_stats(&self) -> ChiStats {
+        ChiStats {
+            lookups: self.chi_lookups,
+            ..ChiStats::default()
+        }
     }
 
     /// The sorted multiset of data paths an assignment uses (for
@@ -380,7 +375,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                 &self.clusters,
                 self.index,
                 &self.params,
-                &mut self.chi,
+                &mut self.chi_lookups,
             );
         let mut choices = self.pool.pop().unwrap_or_default();
         choices.clear();
@@ -505,7 +500,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                         &self.clusters,
                         self.index,
                         &self.params,
-                        &mut self.chi,
+                        &mut self.chi_lookups,
                     );
                     self.pool.push(state.choices);
                     return Some(answer);
@@ -577,7 +572,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                             &self.clusters,
                             self.index,
                             &self.params,
-                            &mut self.chi,
+                            &mut self.chi_lookups,
                         ),
                     )
                 } else {
@@ -595,7 +590,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                                     &self.clusters,
                                     self.index,
                                     &self.params,
-                                    &mut self.chi,
+                                    &mut self.chi_lookups,
                                 ),
                             )
                         })
@@ -625,7 +620,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                 &self.clusters,
                 self.index,
                 &self.params,
-                &mut self.chi,
+                &mut self.chi_lookups,
             ));
         }
     }
@@ -650,22 +645,6 @@ pub fn search_top_k<I: IndexLike>(
     k: usize,
     config: &SearchConfig,
 ) -> SearchOutcome {
-    search_top_k_with_shared_chi(qpaths, ig, clusters, index, params, k, config, None)
-}
-
-/// [`search_top_k`] with an optional cross-query [`SharedChiCache`]
-/// tier behind the query-scoped χ memo.
-#[allow(clippy::too_many_arguments)]
-pub fn search_top_k_with_shared_chi<I: IndexLike>(
-    qpaths: &[QueryPath],
-    ig: &IntersectionGraph,
-    clusters: &[Cluster],
-    index: &I,
-    params: &ScoreParams,
-    k: usize,
-    config: &SearchConfig,
-    shared_chi: Option<Arc<SharedChiCache>>,
-) -> SearchOutcome {
     search_top_k_budgeted(
         qpaths,
         ig,
@@ -674,16 +653,15 @@ pub fn search_top_k_with_shared_chi<I: IndexLike>(
         params,
         k,
         config,
-        shared_chi,
         &QueryBudget::unlimited(),
     )
 }
 
-/// [`search_top_k_with_shared_chi`] under a deadline/cancellation
-/// budget: when the budget expires mid-search, the answers emitted so
-/// far plus a greedy completion of the best frontier states are
-/// returned, flagged with the budget's [`TruncationReason`]. An
-/// unlimited budget adds zero cost (no clock is read).
+/// [`search_top_k`] under a deadline/cancellation budget: when the
+/// budget expires mid-search, the answers emitted so far plus a greedy
+/// completion of the best frontier states are returned, flagged with
+/// the budget's [`TruncationReason`]. An unlimited budget adds zero
+/// cost (no clock is read).
 #[allow(clippy::too_many_arguments)]
 pub fn search_top_k_budgeted<I: IndexLike>(
     qpaths: &[QueryPath],
@@ -693,7 +671,6 @@ pub fn search_top_k_budgeted<I: IndexLike>(
     params: &ScoreParams,
     k: usize,
     config: &SearchConfig,
-    shared_chi: Option<Arc<SharedChiCache>>,
     budget: &QueryBudget,
 ) -> SearchOutcome {
     let mut outcome = SearchOutcome {
@@ -701,19 +678,18 @@ pub fn search_top_k_budgeted<I: IndexLike>(
         expansions: 0,
         truncated: false,
         truncation: None,
-        chi_stats: ChiCacheStats::default(),
+        chi_stats: ChiStats::default(),
     };
     if clusters.is_empty() || k == 0 {
         return outcome;
     }
-    let mut stream = SearchStream::with_shared_chi(
+    let mut stream = SearchStream::new(
         qpaths.to_vec(),
         ig.clone(),
         clusters.to_vec(),
         index,
         *params,
         *config,
-        shared_chi,
     )
     .with_budget(budget.clone());
     while outcome.answers.len() < k {
@@ -758,7 +734,7 @@ fn choice_cost<I: IndexLike + ?Sized>(
     clusters: &[Cluster],
     index: &I,
     params: &ScoreParams,
-    chi: &mut ChiCache,
+    chi_lookups: &mut u64,
 ) -> f64 {
     let cluster = &clusters[slot];
     let mut cost = if choice == DELETED {
@@ -772,14 +748,22 @@ fn choice_cost<I: IndexLike + ?Sized>(
         if other >= prefix.len() {
             continue;
         }
-        let chi_p = pair_chi_p(prefix[other], other, choice, slot, clusters, index, chi);
+        let chi_p = pair_chi_p(
+            prefix[other],
+            other,
+            choice,
+            slot,
+            clusters,
+            index,
+            chi_lookups,
+        );
         cost += crate::score::conformity_penalty(edge.chi_q(), chi_p, params.e);
     }
     cost
 }
 
-/// `|χ(p_i, p_j)|` for two cluster choices (0 if either is deleted).
-#[allow(clippy::too_many_arguments)]
+/// `|χ(p_i, p_j)|` for two cluster choices (0 if either is deleted):
+/// the sorted merge over the node sets the index stores.
 fn pair_chi_p<I: IndexLike + ?Sized>(
     choice_a: u32,
     cluster_a: usize,
@@ -787,14 +771,15 @@ fn pair_chi_p<I: IndexLike + ?Sized>(
     cluster_b: usize,
     clusters: &[Cluster],
     index: &I,
-    chi: &mut ChiCache,
+    chi_lookups: &mut u64,
 ) -> usize {
     if choice_a == DELETED || choice_b == DELETED {
         return 0;
     }
     let pa = clusters[cluster_a].entries[choice_a as usize].path_id;
     let pb = clusters[cluster_b].entries[choice_b as usize].path_id;
-    chi.chi_count(index, pa, pb)
+    *chi_lookups += 1;
+    chi_count_sorted(index.sorted_nodes(pa), index.sorted_nodes(pb))
 }
 
 fn materialize<I: IndexLike + ?Sized>(
@@ -804,7 +789,7 @@ fn materialize<I: IndexLike + ?Sized>(
     clusters: &[Cluster],
     index: &I,
     params: &ScoreParams,
-    chi: &mut ChiCache,
+    chi_lookups: &mut u64,
 ) -> Answer {
     let mut lambda_total = 0.0;
     let mut choices = Vec::with_capacity(state.choices.len());
@@ -834,7 +819,7 @@ fn materialize<I: IndexLike + ?Sized>(
             edge.qj,
             clusters,
             index,
-            chi,
+            chi_lookups,
         );
         let pair = PairConformity::evaluate(edge.qi, edge.qj, edge.chi_q(), chi_p, params.e);
         psi_total += pair.penalty;

@@ -1,6 +1,6 @@
 //! Per-query EXPLAIN traces: a structured record of *what the pipeline
 //! did* for one query — paths decomposed, clusters probed, candidates
-//! aligned, expansions, truncation reason, cache hit ratios, per-phase
+//! aligned, expansions, truncation reason, χ lookups, per-phase
 //! durations — attached to [`crate::QueryResult`] behind a
 //! [`TraceConfig`] and emitted as JSONL by the CLI (`sama query
 //! --explain`, `sama batch --trace-out`).
@@ -10,7 +10,6 @@
 //! aggregate metrics registry (see [`sama_obs`]) can only report as
 //! process-wide distributions.
 
-use crate::chi_cache::ChiCacheStats;
 use crate::cluster::{Cluster, ClusterTier};
 use crate::engine::QueryTimings;
 use crate::qpath::QueryPath;
@@ -100,21 +99,11 @@ pub struct TraceCluster {
     pub tier: ClusterTier,
 }
 
-/// χ-cache behaviour of one query, as recorded in a trace.
+/// χ work of one query, as recorded in a trace.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceChi {
-    /// Total `|χ|` lookups.
+    /// Total `|χ|` evaluations of the combination search.
     pub lookups: u64,
-    /// Served by the query-scoped tier.
-    pub hits: u64,
-    /// Served by the cross-query shared tier.
-    pub shared_hits: u64,
-    /// Computed (cache misses).
-    pub misses: u64,
-    /// Fraction of lookups served by either tier.
-    pub hit_rate: f64,
-    /// Nanoseconds spent computing χ on misses.
-    pub compute_ns: u64,
 }
 
 /// Per-phase durations of one query, in nanoseconds.
@@ -126,8 +115,6 @@ pub struct TracePhases {
     pub clustering_ns: u64,
     /// Top-k combination search.
     pub search_ns: u64,
-    /// χ compute time inside the search (sub-measure of `search_ns`).
-    pub chi_ns: u64,
     /// `preprocessing + clustering + search`.
     pub total_ns: u64,
 }
@@ -163,7 +150,7 @@ pub struct ExplainTrace {
     pub truncation: Option<TruncationReason>,
     /// `true` if a cluster cap dropped candidates.
     pub clusters_truncated: bool,
-    /// χ-cache hit ratios and compute time.
+    /// χ evaluations.
     pub chi: TraceChi,
     /// Per-phase durations.
     pub phases: TracePhases,
@@ -184,7 +171,6 @@ impl ExplainTrace {
         outcome: &SearchOutcome,
         timings: &QueryTimings,
     ) -> Self {
-        let chi_stats: ChiCacheStats = outcome.chi_stats;
         let trace_clusters: Vec<TraceCluster> = clusters
             .iter()
             .map(|c| TraceCluster {
@@ -223,18 +209,12 @@ impl ExplainTrace {
             truncation: outcome.truncation,
             clusters_truncated,
             chi: TraceChi {
-                lookups: chi_stats.lookups(),
-                hits: chi_stats.hits,
-                shared_hits: chi_stats.shared_hits,
-                misses: chi_stats.misses,
-                hit_rate: chi_stats.hit_rate(),
-                compute_ns: ns(chi_stats.chi_time),
+                lookups: outcome.chi_stats.lookups(),
             },
             phases: TracePhases {
                 preprocessing_ns: ns(timings.preprocessing),
                 clustering_ns: ns(timings.clustering),
                 search_ns: ns(timings.search),
-                chi_ns: ns(timings.chi),
                 total_ns: ns(timings.total()),
             },
         }
@@ -302,25 +282,14 @@ impl ExplainTrace {
                 .unwrap_or_else(|| "null".into()),
             self.clusters_truncated,
         );
-        let _ = write!(
-            out,
-            ",\"chi\":{{\"lookups\":{},\"hits\":{},\"shared_hits\":{},\"misses\":{},\
-             \"hit_rate\":{:.4},\"compute_ns\":{}}}",
-            self.chi.lookups,
-            self.chi.hits,
-            self.chi.shared_hits,
-            self.chi.misses,
-            self.chi.hit_rate,
-            self.chi.compute_ns,
-        );
+        let _ = write!(out, ",\"chi\":{{\"lookups\":{}}}", self.chi.lookups);
         let _ = write!(
             out,
             ",\"phases\":{{\"preprocessing_ns\":{},\"clustering_ns\":{},\"search_ns\":{},\
-             \"chi_ns\":{},\"total_ns\":{}}}}}",
+             \"total_ns\":{}}}}}",
             self.phases.preprocessing_ns,
             self.phases.clustering_ns,
             self.phases.search_ns,
-            self.phases.chi_ns,
             self.phases.total_ns,
         );
         out
@@ -405,6 +374,6 @@ mod tests {
         assert!(balance('[', ']'));
         assert!(line.contains("\"truncation\":null"));
         assert!(line.contains("\"phases\":{"));
-        assert!(line.contains("\"hit_rate\":"));
+        assert!(line.contains("\"chi\":{\"lookups\":"));
     }
 }

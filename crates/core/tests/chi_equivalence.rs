@@ -1,57 +1,32 @@
-//! The χ cache is *purely* an optimization: cached and uncached
-//! lookups must agree on every pair, and a full engine run must return
-//! identical answers and scores with the cache on or off.
+//! The reference check for the search's `χ`: the allocation-free
+//! sorted merge over the index's stored node sets agrees with the
+//! hash-based definition on every pair of indexed paths.
+
+mod support;
 
 use proptest::prelude::*;
-use rdf_model::{DataGraph, QueryGraph, Triple};
-use sama_core::{ChiCache, EngineConfig, QueryResult, SamaEngine, SearchConfig, SharedChiCache};
-use std::sync::Arc;
-
-/// Random ground triples over a small closed world, edges pointing from
-/// lower to higher node ids so the extracted paths stay acyclic.
-fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Vec<Triple>> {
-    proptest::collection::vec((0..max_nodes, 0..max_nodes, 0usize..3), 1..=max_edges)
-        .prop_map(|raw| {
-            raw.into_iter()
-                .filter_map(|(a, b, p)| {
-                    let (lo, hi) = if a < b {
-                        (a, b)
-                    } else if b < a {
-                        (b, a)
-                    } else {
-                        return None;
-                    };
-                    Some(Triple::parse(
-                        &format!("n{lo}"),
-                        &format!("p{p}"),
-                        &format!("n{hi}"),
-                    ))
-                })
-                .collect()
-        })
-        .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
-}
+use rdf_model::DataGraph;
+use support::arb_dag_triples;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For every pair of indexed paths, the sorted-merge χ (cached and
-    /// uncached, both argument orders) agrees with the reference
-    /// hash-based `chi_count`, and `chi_sorted` agrees with `chi`.
+    /// For every pair of indexed paths, in both argument orders,
+    /// `chi_count_sorted` agrees with the reference hash-based
+    /// `chi_count`, and `chi_sorted` with `chi`.
     #[test]
-    fn cached_chi_equals_uncached(triples in arb_dag_triples(9, 16)) {
+    fn sorted_chi_equals_reference(triples in arb_dag_triples(9, 16)) {
         let data = DataGraph::from_triples(&triples).expect("ground");
         let index = path_index::PathIndex::build(data);
-        let mut cache = ChiCache::new();
-        let mut off = ChiCache::disabled();
-        for (ia, pa) in index.paths() {
-            for (ib, pb) in index.paths() {
+        for (_, pa) in index.paths() {
+            for (_, pb) in index.paths() {
                 let reference = sama_core::chi_count(&pa.path, &pb.path);
-                prop_assert_eq!(cache.chi_count(&index, ia, ib), reference);
-                prop_assert_eq!(cache.chi_count(&index, ib, ia), reference);
-                prop_assert_eq!(off.chi_count(&index, ia, ib), reference);
                 prop_assert_eq!(
                     sama_core::chi_count_sorted(pa.sorted_nodes(), pb.sorted_nodes()),
+                    reference
+                );
+                prop_assert_eq!(
+                    sama_core::chi_count_sorted(pb.sorted_nodes(), pa.sorted_nodes()),
                     reference
                 );
                 prop_assert_eq!(
@@ -60,110 +35,5 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(off.len(), 0, "disabled cache must not retain entries");
     }
-
-    /// The shared (cross-query) tier is transparent: a query-scoped
-    /// cache backed by a shared tier returns the same counts, and a
-    /// *second* cache over the same shared tier is served entirely from
-    /// it — zero fresh χ computations.
-    #[test]
-    fn shared_tier_equals_uncached(triples in arb_dag_triples(9, 16)) {
-        let data = DataGraph::from_triples(&triples).expect("ground");
-        let index = path_index::PathIndex::build(data);
-        let shared = SharedChiCache::with_defaults();
-        let mut first = ChiCache::with_shared(Arc::clone(&shared));
-        for (ia, pa) in index.paths() {
-            for (ib, pb) in index.paths() {
-                let reference = sama_core::chi_count(&pa.path, &pb.path);
-                prop_assert_eq!(first.chi_count(&index, ia, ib), reference);
-            }
-        }
-        let mut second = ChiCache::with_shared(Arc::clone(&shared));
-        for (ia, pa) in index.paths() {
-            for (ib, pb) in index.paths() {
-                let reference = sama_core::chi_count(&pa.path, &pb.path);
-                prop_assert_eq!(second.chi_count(&index, ia, ib), reference);
-            }
-        }
-        let stats = second.stats();
-        prop_assert_eq!(stats.misses, 0, "second reader must never recompute");
-        prop_assert!(stats.shared_hits > 0 || index.path_count() < 1);
-    }
-}
-
-fn figure1_data() -> DataGraph {
-    let mut b = DataGraph::builder();
-    for (person, amendment, bill) in [
-        ("CarlaBunes", "A0056", "B1432"),
-        ("JeffRyser", "A1589", "B0532"),
-        ("KeithFarmer", "A1232", "B0045"),
-        ("JohnMcRie", "A0772", "B0045"),
-        ("PierceDickes", "A0467", "B0532"),
-    ] {
-        b.triple_str(person, "sponsor", amendment).unwrap();
-        b.triple_str(amendment, "aTo", bill).unwrap();
-    }
-    for bill in ["B1432", "B0532", "B0045"] {
-        b.triple_str(bill, "subject", "\"Health Care\"").unwrap();
-    }
-    for (person, bill) in [
-        ("JeffRyser", "B0045"),
-        ("PeterTraves", "B0532"),
-        ("AliceNimber", "B1432"),
-        ("PierceDickes", "B1432"),
-    ] {
-        b.triple_str(person, "sponsor", bill).unwrap();
-    }
-    for person in ["JeffRyser", "KeithFarmer", "JohnMcRie", "PierceDickes"] {
-        b.triple_str(person, "gender", "\"Male\"").unwrap();
-    }
-    b.build()
-}
-
-fn q1() -> QueryGraph {
-    let mut b = QueryGraph::builder();
-    b.triple_str("CarlaBunes", "sponsor", "?v1").unwrap();
-    b.triple_str("?v1", "aTo", "?v2").unwrap();
-    b.triple_str("?v2", "subject", "\"Health Care\"").unwrap();
-    b.triple_str("?v3", "sponsor", "?v2").unwrap();
-    b.triple_str("?v3", "gender", "\"Male\"").unwrap();
-    b.build()
-}
-
-/// End-to-end: the engine returns identical answers (same paths, same
-/// score breakdowns) whether the χ cache is on or off.
-#[test]
-fn engine_answers_identical_with_cache_on_and_off() {
-    let engine_for = |use_chi_cache: bool| {
-        SamaEngine::with_config(
-            figure1_data(),
-            EngineConfig {
-                search: SearchConfig {
-                    use_chi_cache,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-    };
-    let q = q1();
-    let on = engine_for(true).answer(&q, 25);
-    let off = engine_for(false).answer(&q, 25);
-
-    let fingerprint = |r: &QueryResult| {
-        r.answers
-            .iter()
-            .map(|a| (a.path_ids(), a.lambda(), a.psi(), a.score()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(fingerprint(&on), fingerprint(&off));
-    assert_eq!(on.truncated, off.truncated);
-
-    // Both runs price the same pair lookups; only the hit/miss split
-    // differs.
-    assert_eq!(on.chi_stats.lookups(), off.chi_stats.lookups());
-    assert!(on.chi_stats.hits > 0, "repeated pairs must hit the cache");
-    assert_eq!(off.chi_stats.hits, 0);
-    assert_eq!(off.chi_stats.misses, off.chi_stats.lookups());
 }

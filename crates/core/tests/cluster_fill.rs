@@ -8,42 +8,25 @@
 //!   any cap, threads or not, a budget cancelled half-way, any index
 //!   kind.
 
+mod support;
+
 use path_index::{
-    ExtractionConfig, IndexLike, LabelsRef, MappedIndex, NoSynonyms, PathId, PathIndex,
-    ShardedIndex, SynonymProvider,
+    ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, PathIndex, ShardedIndex,
 };
 use proptest::prelude::*;
-use rdf_model::{DataGraph, EdgeId, NodeId, QueryGraph, Triple};
+use rdf_model::{DataGraph, QueryGraph, Triple};
 use sama_core::{
     align, align_lambda, apply_ic_weights, build_clusters_budgeted, decompose_query, AlignmentMode,
     CancelToken, ClusterConfig, ClusterEntry, QueryBudget, QueryPath, ScoreParams,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
+use support::{arb_dag_triples, Probe};
 
 const MODES: [AlignmentMode; 2] = [AlignmentMode::Greedy, AlignmentMode::Optimal];
 
 // ---------------------------------------------------------------------------
 // align_lambda ≡ align(..).lambda
-
-/// Random ground triples over a small closed world, edges pointing from
-/// lower to higher node ids so the extracted paths stay acyclic.
-fn arb_dag_triples() -> impl Strategy<Value = Vec<Triple>> {
-    proptest::collection::vec((0usize..8, 0usize..8, 0usize..3), 1..=14)
-        .prop_map(|raw| {
-            raw.into_iter()
-                .filter(|(a, b, _)| a != b)
-                .map(|(a, b, p)| {
-                    Triple::parse(
-                        &format!("n{}", a.min(b)),
-                        &format!("p{p}"),
-                        &format!("n{}", a.max(b)),
-                    )
-                })
-                .collect()
-        })
-        .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
-}
 
 /// A chain query `x0 -p-> x1 -p-> …`: every node is a variable or one of
 /// the data's `n*` constants, every predicate one of `p0..p3` (`p3`
@@ -72,7 +55,7 @@ proptest! {
 
     #[test]
     fn align_lambda_is_bit_identical_to_align(
-        data in arb_dag_triples(),
+        data in arb_dag_triples(8, 14),
         query in arb_chain_query(),
         weights in proptest::collection::vec(0.05f64..6.0, 12),
     ) {
@@ -106,50 +89,6 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // The streaming kernel against the plain recipe.
-
-/// Delegates to `inner`, and cancels `token` during the `trip_at`-th
-/// `labels` call: the fill reads a candidate's labels exactly once to
-/// score it, in candidate order, so this trips the budget mid-cluster
-/// at a known candidate.
-struct Tripwire<I> {
-    inner: I,
-    labels_calls: AtomicUsize,
-    trip_at: usize,
-    token: Arc<CancelToken>,
-}
-
-impl<I: IndexLike> IndexLike for Tripwire<I> {
-    fn data(&self) -> &DataGraph {
-        self.inner.data()
-    }
-    fn total_paths(&self) -> usize {
-        self.inner.total_paths()
-    }
-    fn path_nodes(&self, id: PathId) -> &[NodeId] {
-        self.inner.path_nodes(id)
-    }
-    fn path_edges(&self, id: PathId) -> &[EdgeId] {
-        self.inner.path_edges(id)
-    }
-    fn labels(&self, id: PathId) -> LabelsRef<'_> {
-        if self.labels_calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trip_at {
-            self.token.cancel();
-        }
-        self.inner.labels(id)
-    }
-    fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
-        self.inner.sorted_nodes(id)
-    }
-    fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
-        self.inner.sink_matching(lexical, synonyms)
-    }
-    fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
-        self.inner.label_matching(lexical, synonyms)
-    }
-    fn all_path_ids(&self) -> Vec<PathId> {
-        self.inner.all_path_ids()
-    }
-}
 
 /// About a thousand paths of three shapes, so that against
 /// [`tie_query`] λ takes a handful of values, each shared by hundreds
@@ -240,12 +179,7 @@ fn check_kind<I: IndexLike + Sync>(kind: &str, index: I) {
     let trip_at = 300;
     let polled_out_at = 512;
 
-    let mut tripwire = Tripwire {
-        inner: index,
-        labels_calls: AtomicUsize::new(0),
-        trip_at: usize::MAX,
-        token: CancelToken::new(),
-    };
+    let mut tripwire = Probe::new(index);
     for (qpaths, ic) in [(&plain, false), (&weighted, true)] {
         for mode in MODES {
             for parallel in [false, true] {

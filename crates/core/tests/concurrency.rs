@@ -1,20 +1,21 @@
 //! Determinism guarantees of the concurrent serving paths.
 //!
 //! Every parallel knob in the engine — batch worker pools, parallel
-//! clustering, in-cluster parallel alignment, the cross-query shared χ
-//! cache — is a *scheduling* decision, never a *semantic* one: answers,
-//! scores, retrieval counters and truncation flags must be bit-identical
-//! to the sequential run at every thread count. These tests pin that
-//! contract.
+//! clustering, in-cluster parallel alignment — is a *scheduling*
+//! decision, never a *semantic* one: answers, scores, retrieval counters
+//! and truncation flags must be bit-identical to the sequential run at
+//! every thread count. These tests pin that contract.
+
+mod support;
 
 use path_index::IndexLike;
 use proptest::prelude::*;
-use rdf_model::{DataGraph, QueryGraph, Triple};
+use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{
     build_clusters, build_clusters_parallel, decompose_query, AlignmentMode, BatchConfig,
-    ClusterConfig, EngineConfig, QueryResult, SamaEngine, ScoreParams, SharedChiCache,
+    ClusterConfig, EngineConfig, QueryResult, SamaEngine, ScoreParams,
 };
-use std::sync::Arc;
+use support::arb_dag_triples;
 
 fn figure1_data() -> DataGraph {
     let mut b = DataGraph::builder();
@@ -221,59 +222,6 @@ fn parallel_cluster_build_matches_sequential_build() {
 }
 
 #[test]
-fn shared_chi_cache_does_not_change_answers() {
-    let shared = SharedChiCache::with_defaults();
-    let plain = SamaEngine::new(figure1_data());
-    let cached = SamaEngine::new(figure1_data()).with_shared_chi_cache(Arc::clone(&shared));
-    let qs = workload();
-    for q in &qs {
-        assert_eq!(
-            fingerprint(&plain.answer(q, 10)),
-            fingerprint(&cached.answer(q, 10))
-        );
-    }
-    // The shared tier actually participated.
-    let stats = shared.stats();
-    assert!(stats.misses > 0, "first-touch pairs must miss");
-    // A second identical workload is served from the shared tier.
-    for q in &qs {
-        cached.answer(q, 10);
-    }
-    assert!(shared.stats().hits > stats.hits, "repeat workload must hit");
-}
-
-#[test]
-fn batch_workers_share_one_chi_cache_deterministically() {
-    let shared = SharedChiCache::with_defaults();
-    let engine = SamaEngine::new(figure1_data()).with_shared_chi_cache(Arc::clone(&shared));
-    let baseline = SamaEngine::new(figure1_data());
-    let qs = workload();
-    let expected: Vec<_> = qs
-        .iter()
-        .map(|q| fingerprint(&baseline.answer(q, 6)))
-        .collect();
-    // Repeated batches at growing thread counts: the cache warms up
-    // across batches, answers never move.
-    for threads in [1usize, 2, 4] {
-        let outcome = engine.answer_batch(
-            &qs,
-            &BatchConfig {
-                k: 6,
-                threads,
-                ..Default::default()
-            },
-        );
-        let got: Vec<_> = outcome
-            .results
-            .iter()
-            .map(|r| fingerprint(r.as_ref().expect("valid query")))
-            .collect();
-        assert_eq!(got, expected, "threads = {threads}");
-    }
-    assert!(!shared.is_empty(), "shared cache must retain pair counts");
-}
-
-#[test]
 fn every_knob_on_equals_every_knob_off() {
     // The all-parallel configuration (what `SAMA_PARALLEL=1` selects)
     // against the all-sequential one, over the whole workload.
@@ -288,8 +236,7 @@ fn every_knob_on_equals_every_knob_off() {
             },
             ..Default::default()
         },
-    )
-    .with_shared_chi_cache(SharedChiCache::with_defaults());
+    );
     let sequential = SamaEngine::with_config(
         figure1_data(),
         EngineConfig {
@@ -316,36 +263,11 @@ fn every_knob_on_equals_every_knob_off() {
     }
 }
 
-/// Random ground triples over a small closed world, edges pointing from
-/// lower to higher node ids so the extracted paths stay acyclic.
-fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Vec<Triple>> {
-    proptest::collection::vec((0..max_nodes, 0..max_nodes, 0usize..3), 1..=max_edges)
-        .prop_map(|raw| {
-            raw.into_iter()
-                .filter_map(|(a, b, p)| {
-                    let (lo, hi) = if a < b {
-                        (a, b)
-                    } else if b < a {
-                        (b, a)
-                    } else {
-                        return None;
-                    };
-                    Some(Triple::parse(
-                        &format!("n{lo}"),
-                        &format!("p{p}"),
-                        &format!("n{hi}"),
-                    ))
-                })
-                .collect()
-        })
-        .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On arbitrary DAG data the fully-parallel engine (batch pool +
-    /// parallel clustering + parallel alignment + shared χ cache) agrees
+    /// parallel clustering + parallel alignment) agrees
     /// with the fully-sequential one, query by query.
     #[test]
     fn random_graphs_parallel_equals_sequential(triples in arb_dag_triples(8, 14)) {
@@ -363,7 +285,7 @@ proptest! {
                 ..Default::default()
             },
             ..Default::default()
-        }).with_shared_chi_cache(SharedChiCache::with_defaults());
+        });
 
         // A wildcard two-hop probe touches many paths at once.
         let mut b = QueryGraph::builder();

@@ -18,15 +18,20 @@
 //! — making the suite immune to whatever `SAMA_FAULTS` the environment
 //! carries (the CI chaos leg sets it on purpose).
 
+mod support;
+
+use path_index::{PathIndex, Thesaurus};
 use proptest::prelude::*;
-use rdf_model::{DataGraph, QueryGraph, Triple};
+use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{
-    BatchConfig, CancelToken, EngineConfig, QueryBudget, QueryError, QueryResult, SamaEngine,
-    TraceConfig, TruncationReason,
+    BatchConfig, CancelToken, ClusterConfig, ClusterTier, EngineConfig, QueryBudget, QueryError,
+    QueryResult, SamaEngine, TraceConfig, TruncationReason,
 };
 use sama_obs::fault::{self, FaultAction, FaultPlan};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use support::{arb_dag_triples, Probe};
 
 /// The fault plan is process-global: arm/shield under this lock.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -298,6 +303,115 @@ fn no_deadline_is_bit_identical_to_plain_answer() {
     fault::reset_to_env();
 }
 
+/// `answer_stream` runs under the engine's deadline like every other
+/// entry point: deadline 0 is an empty stream that says why.
+#[test]
+fn zero_deadline_stream_is_empty_and_flagged() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::install(FaultPlan::none());
+    let engine = SamaEngine::with_config(
+        figure1_data(),
+        EngineConfig {
+            deadline: Some(Duration::ZERO),
+            ..Default::default()
+        },
+    );
+    let mut stream = engine.answer_stream(&workload()[0]);
+    assert!(stream.next().is_none());
+    assert_eq!(
+        stream.truncation_reason(),
+        Some(TruncationReason::DeadlineExceeded)
+    );
+    fault::reset_to_env();
+}
+
+const MALES: usize = 600;
+
+/// `?p <predicate> <sink>` over [`MALES`] `P<i> gender "Male"` paths
+/// (more than two budget-poll intervals of candidates), with `M` ≡
+/// `Male` as the relaxation table and the token cancelled at the first
+/// `labels` call. Returns the result, the `labels` calls and the sink
+/// lookups (one per fill).
+fn relaxed_under_tripwire(
+    predicate: &str,
+    sink: &str,
+    max_cluster_size: usize,
+) -> (QueryResult, usize, usize) {
+    let mut b = DataGraph::builder();
+    for i in 0..MALES {
+        b.triple_str(&format!("P{i}"), "gender", "\"Male\"")
+            .unwrap();
+    }
+    let mut index = Probe::new(PathIndex::build(b.build()));
+    index.trip_at = 1;
+    let budget = QueryBudget::unlimited().cancelled_by(Arc::clone(&index.token));
+    let mut table = Thesaurus::new();
+    table.group(["M", "Male"]);
+    let engine = SamaEngine::from_index_with_config(
+        index,
+        EngineConfig {
+            cluster: ClusterConfig {
+                max_cluster_size,
+                allow_full_scan: false,
+                parallel_alignment: false,
+                ..Default::default()
+            },
+            parallel_clustering: false,
+            ..Default::default()
+        },
+    )
+    .relax_synonyms(Arc::new(table));
+    let mut q = QueryGraph::builder();
+    q.triple_str("?p", predicate, sink).unwrap();
+    let result = engine.answer_with_budget(&q.build(), 5, &budget);
+    let index = engine.index();
+    (
+        result,
+        index.labels_calls.load(Ordering::SeqCst),
+        index.sink_lookups.load(Ordering::SeqCst),
+    )
+}
+
+/// A token cancelled during the first fill: the fill stops at its next
+/// poll, the thin cluster it leaves is *not* relaxed (no second fill),
+/// and the partial result is flagged.
+#[test]
+fn cancel_during_the_first_fill_skips_the_relaxation() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::install(FaultPlan::none());
+    // Four entries kept of the 256 scored: thin enough to relax.
+    let (result, labels_calls, fills) = relaxed_under_tripwire("gender", "\"Male\"", 4);
+    assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
+    assert!(result.truncated);
+    assert!(!result.answers.is_empty(), "partial, not empty");
+    assert_eq!(result.clusters[0].entries.len(), 4);
+    assert_eq!(result.clusters[0].tier, ClusterTier::Exact);
+    assert!(result.clusters[0].candidates_dropped > 0);
+    assert_eq!(fills, 1, "a second fill ran");
+    assert!(labels_calls < MALES, "{labels_calls} candidates read");
+    fault::reset_to_env();
+}
+
+/// A token cancelled during the relaxation's refill: the refill runs
+/// under the query's budget too, so it stops at its next poll instead
+/// of aligning every candidate, and what it found is not adopted.
+#[test]
+fn cancel_during_the_relaxation_refill_stops_it() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::install(FaultPlan::none());
+    // "M", the query's only constant, is not in the data: the first
+    // fill retrieves nothing and reads no labels, so the token fires in
+    // the refill.
+    let (result, labels_calls, fills) = relaxed_under_tripwire("?e", "\"M\"", 256);
+    assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
+    assert!(result.truncated);
+    assert_eq!(fills, 2, "the exact fill and the refill");
+    assert!(labels_calls < MALES, "{labels_calls} candidates read");
+    assert_eq!(result.clusters[0].tier, ClusterTier::Exact);
+    assert!(result.clusters[0].is_empty());
+    fault::reset_to_env();
+}
+
 // ---------------------------------------------------------------------
 // Typed rejection
 // ---------------------------------------------------------------------
@@ -354,31 +468,8 @@ fn try_answer_rejects_malformed_query() {
 // Property: deadlines never panic, always flag
 // ---------------------------------------------------------------------
 
-/// Random acyclic data, deadline 0: the engine must always return a
-/// valid, empty, flagged result — never panic, never hang.
-fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Vec<Triple>> {
-    proptest::collection::vec((0..max_nodes, 0..max_nodes, 0usize..3), 1..=max_edges)
-        .prop_map(|raw| {
-            raw.into_iter()
-                .filter_map(|(a, b, p)| {
-                    let (lo, hi) = if a < b {
-                        (a, b)
-                    } else if b < a {
-                        (b, a)
-                    } else {
-                        return None;
-                    };
-                    Some(Triple::parse(
-                        &format!("n{lo}"),
-                        &format!("p{p}"),
-                        &format!("n{hi}"),
-                    ))
-                })
-                .collect()
-        })
-        .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
-}
-
+// Random acyclic data, deadline 0: the engine must always return a
+// valid, empty, flagged result — never panic, never hang.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

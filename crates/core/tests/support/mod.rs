@@ -1,0 +1,109 @@
+//! Shared by the integration tests: a random-data strategy, and an
+//! index the tests can watch — it delegates every read to the wrapped
+//! index, counts the reads the pipeline's contracts are stated in, and
+//! can cancel a budget at a known point of a cluster fill.
+
+#![allow(dead_code)] // each test target uses its own subset
+
+use path_index::{IndexLike, LabelsRef, PathId, SynonymProvider};
+use proptest::prelude::*;
+use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, Triple};
+use sama_core::CancelToken;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Random ground triples over a small closed world, edges pointing from
+/// lower to higher node ids so the extracted paths stay acyclic.
+pub fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Vec<Triple>> {
+    proptest::collection::vec((0..max_nodes, 0..max_nodes, 0usize..3), 1..=max_edges)
+        .prop_map(|raw| {
+            raw.into_iter()
+                .filter_map(|(a, b, p)| {
+                    let (lo, hi) = if a < b {
+                        (a, b)
+                    } else if b < a {
+                        (b, a)
+                    } else {
+                        return None;
+                    };
+                    Some(Triple::parse(
+                        &format!("n{lo}"),
+                        &format!("p{p}"),
+                        &format!("n{hi}"),
+                    ))
+                })
+                .collect()
+        })
+        .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
+}
+
+pub struct Probe<I> {
+    pub inner: I,
+    /// `labels` calls so far: a fill reads a candidate's labels exactly
+    /// once to score it, in candidate order.
+    pub labels_calls: AtomicUsize,
+    /// `token` is cancelled during this `labels` call (1-based), so a
+    /// budget trips mid-cluster at a known candidate.
+    pub trip_at: usize,
+    pub token: Arc<CancelToken>,
+    /// Sink lookups so far: one per fill of a query path with a
+    /// constant sink.
+    pub sink_lookups: AtomicUsize,
+    /// How often each query constant was resolved into the data
+    /// vocabulary, by lexical form.
+    pub resolved: Mutex<BTreeMap<String, usize>>,
+}
+
+impl<I> Probe<I> {
+    /// A probe that never cancels.
+    pub fn new(inner: I) -> Self {
+        Probe {
+            inner,
+            labels_calls: AtomicUsize::new(0),
+            trip_at: usize::MAX,
+            token: CancelToken::new(),
+            sink_lookups: AtomicUsize::new(0),
+            resolved: Mutex::new(BTreeMap::new()),
+        }
+    }
+}
+
+impl<I: IndexLike> IndexLike for Probe<I> {
+    fn data(&self) -> &DataGraph {
+        self.inner.data()
+    }
+    fn constant_label(&self, lexical: &str) -> Option<LabelId> {
+        let mut resolved = self.resolved.lock().expect("no panic under the lock");
+        *resolved.entry(lexical.to_string()).or_default() += 1;
+        self.inner.constant_label(lexical)
+    }
+    fn total_paths(&self) -> usize {
+        self.inner.total_paths()
+    }
+    fn path_nodes(&self, id: PathId) -> &[NodeId] {
+        self.inner.path_nodes(id)
+    }
+    fn path_edges(&self, id: PathId) -> &[EdgeId] {
+        self.inner.path_edges(id)
+    }
+    fn labels(&self, id: PathId) -> LabelsRef<'_> {
+        if self.labels_calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trip_at {
+            self.token.cancel();
+        }
+        self.inner.labels(id)
+    }
+    fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
+        self.inner.sorted_nodes(id)
+    }
+    fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+        self.sink_lookups.fetch_add(1, Ordering::SeqCst);
+        self.inner.sink_matching(lexical, synonyms)
+    }
+    fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+        self.inner.label_matching(lexical, synonyms)
+    }
+    fn all_path_ids(&self) -> Vec<PathId> {
+        self.inner.all_path_ids()
+    }
+}

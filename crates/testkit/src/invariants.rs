@@ -3,7 +3,7 @@
 //!
 //! Two kinds. **Differential** invariants run the same query through
 //! two implementations or configurations that must agree (serial vs.
-//! parallel, cached vs. uncached χ, engine vs. the VF2/GED oracles).
+//! parallel, engine vs. the VF2/GED oracles).
 //! **Metamorphic** invariants transform the input in a way with a known
 //! effect on the output (permutation ⇒ unchanged, query generalization
 //! ⇒ score can only drop) and check the relation.
@@ -36,7 +36,7 @@ use path_index::{IcTable, IndexLike, MappedIndex, PathIndex, Thesaurus};
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
     AlignmentMode, BatchConfig, ClusterConfig, ClusterEntry, EngineConfig, QueryBudget,
-    QueryResult, Retrieval, SamaEngine, SearchConfig, SharedChiCache, TraceCluster, TraceConfig,
+    QueryResult, Retrieval, SamaEngine, SearchConfig, TraceCluster, TraceConfig,
 };
 use std::time::Duration;
 
@@ -65,12 +65,6 @@ pub struct Invariant {
 /// Every public invariant, swept by the runner for every generated case.
 pub const CATALOG: &[Invariant] = &[
     Invariant {
-        name: "chi_cache_identity",
-        kind: Kind::Differential,
-        summary: "cached vs uncached χ produce bit-identical answers",
-        check: chi_cache_identity,
-    },
-    Invariant {
         name: "parallel_identity",
         kind: Kind::Differential,
         summary: "parallel clustering+alignment matches serial bit-for-bit",
@@ -81,12 +75,6 @@ pub const CATALOG: &[Invariant] = &[
         kind: Kind::Differential,
         summary: "the batch worker pool matches single-shot answers bit-for-bit",
         check: batch_identity,
-    },
-    Invariant {
-        name: "shared_chi_identity",
-        kind: Kind::Differential,
-        summary: "a shared cross-query χ cache (cold and warm) changes nothing",
-        check: shared_chi_identity,
     },
     Invariant {
         name: "exact_answers_embed",
@@ -300,22 +288,6 @@ fn graph_as_data(g: &Graph) -> Option<DataGraph> {
 // ---------------------------------------------------------------------------
 // Differential checks.
 
-fn chi_cache_identity(case: &Case) -> Result<(), String> {
-    let query = case.query_graph();
-    let cached = engine(case, base_config()).answer(&query, case.k);
-    let mut config = base_config();
-    config.search.use_chi_cache = false;
-    let uncached = engine(case, config).answer(&query, case.k);
-    if fingerprint(&cached) != fingerprint(&uncached) {
-        return Err(diff(
-            "cached vs uncached χ diverged",
-            &fingerprint(&cached),
-            &fingerprint(&uncached),
-        ));
-    }
-    Ok(())
-}
-
 fn parallel_identity(case: &Case) -> Result<(), String> {
     let query = case.query_graph();
     let serial = engine(case, base_config()).answer(&query, case.k);
@@ -360,30 +332,6 @@ fn batch_identity(case: &Case) -> Result<(), String> {
                 }
             }
         }
-    }
-    Ok(())
-}
-
-fn shared_chi_identity(case: &Case) -> Result<(), String> {
-    let query = case.query_graph();
-    let plain = engine(case, base_config()).answer(&query, case.k);
-    let shared = engine(case, base_config()).with_shared_chi_cache(SharedChiCache::with_defaults());
-    // Cold pass feeds the cache, warm pass reads it; both must match.
-    let cold = shared.answer(&query, case.k);
-    let warm = shared.answer(&query, case.k);
-    if fingerprint(&plain) != fingerprint(&cold) {
-        return Err(diff(
-            "shared χ cache (cold) diverged",
-            &fingerprint(&plain),
-            &fingerprint(&cold),
-        ));
-    }
-    if fingerprint(&plain) != fingerprint(&warm) {
-        return Err(diff(
-            "shared χ cache (warm) diverged",
-            &fingerprint(&plain),
-            &fingerprint(&warm),
-        ));
     }
     Ok(())
 }

@@ -13,11 +13,6 @@ use sama_testkit::assert_invariant;
 // --- Differential: two implementations must agree ---
 
 #[test]
-fn chi_cache_identity() {
-    assert_invariant("chi_cache_identity");
-}
-
-#[test]
 fn parallel_identity() {
     assert_invariant("parallel_identity");
 }
@@ -25,11 +20,6 @@ fn parallel_identity() {
 #[test]
 fn batch_identity() {
     assert_invariant("batch_identity");
-}
-
-#[test]
-fn shared_chi_identity() {
-    assert_invariant("shared_chi_identity");
 }
 
 #[test]

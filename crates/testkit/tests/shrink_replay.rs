@@ -73,7 +73,7 @@ fn failure_shrinks_to_minimal_replayable_case() {
 #[test]
 fn replay_of_passing_case_exits_zero() {
     let mut case = sama_testkit::gen::generate("unicode", 5);
-    case.invariant = Some("chi_cache_identity".into());
+    case.invariant = Some("parallel_identity".into());
     let dir = std::env::temp_dir().join("sama-testkit-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("passing-case.json");

@@ -11,9 +11,9 @@
 //! ```
 
 use sama::engine::{
-    json_escape, render_result_json, AnchorSelection, BatchConfig, ClusterConfig, EngineConfig,
-    Retrieval, SamaEngine, SharedChiCache, TraceConfig, TruncationReason, LSH_DEFAULT_BANDS,
-    LSH_DEFAULT_ROWS, LSH_DEFAULT_TOP_M,
+    json_escape, render_result_json, AnchorSelection, BatchConfig, EngineConfig, Retrieval,
+    SamaEngine, TraceConfig, TruncationReason, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS,
+    LSH_DEFAULT_TOP_M,
 };
 use sama::index::{
     build_lsh_bytes, decode_any, encode, encode_compressed, encode_v2, serialize_index,
@@ -37,10 +37,10 @@ fn main() -> ExitCode {
         Some("profile") => cmd_profile(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
+        Some(other) => Err(format!("unknown command {other:?}\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -58,27 +58,19 @@ USAGE:
   sama index <data.nt|data.ttl> -o <index.bin> [--v1] [--compress]
              [--parallel N] [--stats] [--lsh]
   sama update <index.bin> <more.nt|more.ttl> [-o <out.bin>] [--v1] [--compress]
-  sama query <index.bin> <query.rq|-> [-k N] [--threads N] [--explain]
-             [--explain-text] [--json] [--deadline-ms N] [--mmap]
-             [--lsh] [--lsh-top-m N] [--anchor sink|selective]
-             [--ic-weights] [--synonyms <file>]
-             [--profile-out <file>] [--slowlog MS] [--slowlog-out <file>]
-  sama batch <index.bin> <q1.rq> [q2.rq ...] [-k N] [--threads N]
-             [--shared-chi] [--json] [--metrics-out <file>] [--trace-out <file>]
-             [--deadline-ms N] [--max-queue N] [--mmap]
-             [--lsh] [--lsh-top-m N] [--anchor sink|selective]
-             [--ic-weights] [--synonyms <file>]
-             [--profile-out <file>] [--slowlog MS] [--slowlog-out <file>]
-  sama profile <index.bin> <query.rq|-> [-k N] [--threads N] [--out <file>]
+  sama query <index.bin> <query.rq|-> [--explain] [--explain-text] [--json]
+             {engine}
+  sama batch <index.bin> <q1.rq> [q2.rq ...] [--json] [--max-queue N]
+             [--metrics-out <file>] [--trace-out <file>]
+             {engine}
+  sama profile <index.bin> <query.rq|-> [--out <file>]
+             {engine}
              run one query with the phase-stack profiler armed and emit
              the folded flamegraph lines (stdout, or --out <file>)
-  sama serve <index.bin> [--addr HOST:PORT] [-k N] [--threads N] [--mmap]
-             [--lsh] [--lsh-top-m N] [--anchor sink|selective]
-             [--ic-weights] [--synonyms <file>]
-             [--deadline-ms N] [--max-connections N] [--max-body-kb N]
-             [--read-timeout-ms N] [--write-timeout-ms N] [--drain-ms N]
-             [--max-queue N] [--metrics-out <file>] [--slowlog MS]
-             [--slowlog-out <file>]
+  sama serve <index.bin> [--addr HOST:PORT] [--max-connections N]
+             [--max-body-kb N] [--read-timeout-ms N] [--write-timeout-ms N]
+             [--drain-ms N] [--max-queue N] [--metrics-out <file>]
+             {engine}
              HTTP front door: POST /query + /batch, GET /metrics,
              /healthz, /readyz; SIGTERM/ctrl-c drains gracefully
   sama stats <index.bin>                    indexing statistics
@@ -89,7 +81,6 @@ USAGE:
 
   --threads N        worker threads (0 = all hardware threads); N != 1 also
                      turns on parallel clustering and in-cluster alignment
-  --shared-chi       share one cross-query chi cache between batch workers
   --explain          emit the per-query EXPLAIN trace as one JSONL line
   --explain-text     human-readable pipeline + per-answer breakdown
   --metrics-out F    write Prometheus text to F and a JSON snapshot to F.json
@@ -156,74 +147,198 @@ USAGE:
   --drain-ms N       serve: how long SIGTERM waits for in-flight
                      connections before exiting anyway (default 5000)";
 
-/// `--lsh` / `SAMA_LSH=1`: prune candidates through the LSH tier.
-fn lsh_requested(flag: bool) -> bool {
-    flag || std::env::var("SAMA_LSH").is_ok_and(|v| v == "1")
+/// The engine options, as every subcommand that answers queries lists
+/// them in [`USAGE`] (see [`EngineOpts`]).
+const ENGINE_USAGE: &str = "\
+[-k N] [--threads N] [--lsh] [--lsh-top-m N]
+             [--anchor sink|selective] [--ic-weights] [--synonyms <file>]
+             [--deadline-ms N] [--mmap] [--profile-out <file>]
+             [--slowlog MS] [--slowlog-out <file>]";
+
+fn usage() -> String {
+    USAGE.replace("{engine}", ENGINE_USAGE)
 }
 
-/// `--ic-weights` / `SAMA_IC=1`: price label mismatches by corpus
-/// information content instead of uniformly.
-fn ic_requested(flag: bool) -> bool {
-    flag || std::env::var("SAMA_IC").is_ok_and(|v| v == "1")
+/// The operand of `flag`: the next argument, or a one-line complaint.
+fn operand<'a>(
+    flag: &str,
+    what: &str,
+    rest: &mut std::slice::Iter<'a, String>,
+) -> Result<&'a String, String> {
+    rest.next().ok_or_else(|| format!("{flag} needs {what}"))
 }
 
-/// `--synonyms <file>` / `SAMA_SYN=<file>`: the synonym table path, if
-/// the relaxation tier was requested either way.
-fn synonyms_requested(flag: &Option<String>) -> Option<String> {
-    flag.clone()
-        .or_else(|| std::env::var("SAMA_SYN").ok().filter(|v| !v.is_empty()))
+/// The numeric operand of `flag`.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    rest: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String> {
+    operand(flag, "a number", rest)?
+        .parse()
+        .map_err(|_| format!("bad {flag} value"))
 }
 
-/// Load and share a synonym table for `SamaEngine::relax_synonyms`. A
-/// missing or malformed file is a one-line diagnostic, not a panic.
-fn load_thesaurus(path: &str) -> Result<std::sync::Arc<Thesaurus>, String> {
-    let thesaurus =
-        Thesaurus::from_file(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    Ok(std::sync::Arc::new(thesaurus))
-}
-
-/// Arm the diagnostics sinks `query`/`batch` share before the run:
-/// `--profile-out` turns the phase-stack profiler on, `--slowlog MS`
-/// sets the capture threshold, and `--slowlog-out` alone implies
-/// capture-everything (threshold 0) so the file is never silently
-/// empty.
-fn arm_diagnostics(
-    profile_out: &Option<String>,
+/// How `query`, `batch`, `serve` and `profile` configure the engine and
+/// its diagnostics: one set of flags (each with its env fallback), one
+/// parse, one [`EngineConfig`] assembly.
+struct EngineOpts {
+    k: usize,
+    threads: usize,
+    lsh: bool,
+    lsh_top_m: usize,
+    anchor: AnchorSelection,
+    ic_weights: bool,
+    synonyms: Option<String>,
+    deadline_ms: Option<u64>,
+    profile_out: Option<String>,
     slowlog_ms: Option<u64>,
-    slowlog_out: &Option<String>,
-) {
-    if profile_out.is_some() {
-        sama::obs::profile::set_profiling(true);
-    }
-    let log = sama::obs::slowlog::global();
-    if let Some(ms) = slowlog_ms {
-        log.set_threshold(Some(std::time::Duration::from_millis(ms)));
-    } else if slowlog_out.is_some() && log.threshold().is_none() {
-        log.set_threshold(Some(std::time::Duration::ZERO));
-    }
+    slowlog_out: Option<String>,
 }
 
-/// Flush the diagnostics sinks after the run: folded flamegraph lines
-/// to `--profile-out`, slow-query JSONL to `--slowlog-out`.
-fn flush_diagnostics(
-    profile_out: &Option<String>,
-    slowlog_out: &Option<String>,
-) -> Result<(), String> {
-    if let Some(path) = profile_out {
-        let folded = sama::obs::profile::folded();
-        std::fs::write(path, &folded).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        eprintln!("wrote {} profile stacks to {path}", folded.lines().count());
+impl EngineOpts {
+    /// The defaults, with the subcommand's own worker-thread default.
+    fn new(threads: usize) -> Self {
+        EngineOpts {
+            k: 10,
+            threads,
+            lsh: std::env::var("SAMA_LSH").is_ok_and(|v| v == "1"),
+            lsh_top_m: LSH_DEFAULT_TOP_M,
+            anchor: AnchorSelection::SinkFirst,
+            ic_weights: std::env::var("SAMA_IC").is_ok_and(|v| v == "1"),
+            synonyms: std::env::var("SAMA_SYN").ok().filter(|v| !v.is_empty()),
+            deadline_ms: None,
+            profile_out: None,
+            slowlog_ms: None,
+            slowlog_out: None,
+        }
     }
-    if let Some(path) = slowlog_out {
+
+    /// Take `arg` (and its operand off `rest`) if it is an engine
+    /// option; `Ok(false)` leaves it to the subcommand.
+    fn accept(
+        &mut self,
+        arg: &str,
+        rest: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "-k" => self.k = number(arg, rest)?,
+            "--threads" => self.threads = number(arg, rest)?,
+            "--lsh" => self.lsh = true,
+            "--lsh-top-m" => self.lsh_top_m = number(arg, rest)?,
+            "--anchor" => {
+                self.anchor = match operand(arg, "a value", rest)?.as_str() {
+                    "sink" => AnchorSelection::SinkFirst,
+                    "selective" => AnchorSelection::MostSelective,
+                    other => {
+                        return Err(format!(
+                            "bad --anchor value {other:?} (expected \"sink\" or \"selective\")"
+                        ))
+                    }
+                }
+            }
+            "--ic-weights" => self.ic_weights = true,
+            "--synonyms" => self.synonyms = Some(operand(arg, "a path", rest)?.clone()),
+            "--deadline-ms" => self.deadline_ms = Some(number(arg, rest)?),
+            // The file's magic decides how an index is opened.
+            "--mmap" => {}
+            "--profile-out" => self.profile_out = Some(operand(arg, "a path", rest)?.clone()),
+            "--slowlog" => self.slowlog_ms = Some(number(arg, rest)?),
+            "--slowlog-out" => self.slowlog_out = Some(operand(arg, "a path", rest)?.clone()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The engine configuration these options select. Any worker count
+    /// other than the sequential `1` also enables the intra-query
+    /// parallel paths (parallel clustering and in-cluster alignment).
+    fn engine_config(&self, trace: bool) -> EngineConfig {
+        let mut config = EngineConfig::default();
+        if self.threads != 1 {
+            config.parallel_clustering = true;
+            config.cluster.parallel_alignment = true;
+        }
+        config.cluster.anchor = self.anchor;
+        config.ic_weights = self.ic_weights;
+        if self.lsh {
+            config.cluster.retrieval = Retrieval::Lsh {
+                bands: LSH_DEFAULT_BANDS,
+                rows: LSH_DEFAULT_ROWS,
+                top_m: self.lsh_top_m,
+            };
+        }
+        if trace {
+            config.trace = TraceConfig::enabled();
+        }
+        if let Some(ms) = self.deadline_ms {
+            config.deadline = Some(std::time::Duration::from_millis(ms));
+        }
+        config
+    }
+
+    /// Arm the diagnostics sinks, then open the engine (so the index
+    /// open profiles too): the index from [`open_index`], its LSH
+    /// sidecar attached under `--lsh`, the synonym relaxation tier
+    /// installed when a table was given. A missing or malformed table
+    /// is a one-line diagnostic, not a panic.
+    fn open_engine(
+        &self,
+        index_path: &str,
+        trace: bool,
+    ) -> Result<SamaEngine<MappedIndex>, String> {
+        let thesaurus = self
+            .synonyms
+            .as_deref()
+            .map(|path| Thesaurus::from_file(std::path::Path::new(path)))
+            .transpose()
+            .map_err(|e| e.to_string())?;
+        // `--profile-out` turns the phase-stack profiler on, `--slowlog
+        // MS` sets the capture threshold, and `--slowlog-out` alone
+        // implies capture-everything (threshold 0) so the file is never
+        // silently empty.
+        if self.profile_out.is_some() {
+            sama::obs::profile::set_profiling(true);
+        }
         let log = sama::obs::slowlog::global();
-        std::fs::write(path, log.to_jsonl()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        eprintln!(
-            "wrote {} slow-query records to {path} ({} evicted)",
-            log.len(),
-            log.evicted()
-        );
+        if let Some(ms) = self.slowlog_ms {
+            log.set_threshold(Some(std::time::Duration::from_millis(ms)));
+        } else if self.slowlog_out.is_some() && log.threshold().is_none() {
+            log.set_threshold(Some(std::time::Duration::ZERO));
+        }
+        let mut index = open_index(index_path)?;
+        if self.lsh {
+            let sidecar = load_lsh_sidecar(index_path, &index)?;
+            index
+                .attach_lsh(sidecar)
+                .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
+        }
+        let engine = SamaEngine::from_index_with_config(index, self.engine_config(trace));
+        Ok(match thesaurus {
+            Some(thesaurus) => engine.relax_synonyms(std::sync::Arc::new(thesaurus)),
+            None => engine,
+        })
     }
-    Ok(())
+
+    /// Flush the diagnostics sinks after the run: folded flamegraph
+    /// lines to `--profile-out`, slow-query JSONL to `--slowlog-out`.
+    fn flush_diagnostics(&self) -> Result<(), String> {
+        if let Some(path) = &self.profile_out {
+            let folded = sama::obs::profile::folded();
+            std::fs::write(path, &folded).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            eprintln!("wrote {} profile stacks to {path}", folded.lines().count());
+        }
+        if let Some(path) = &self.slowlog_out {
+            let log = sama::obs::slowlog::global();
+            std::fs::write(path, log.to_jsonl())
+                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            eprintln!(
+                "wrote {} slow-query records to {path} ({} evicted)",
+                log.len(),
+                log.evicted()
+            );
+        }
+        Ok(())
+    }
 }
 
 /// Read a query from a file or stdin (`-`) and parse it.
@@ -239,17 +354,6 @@ fn read_query(query_path: &str) -> Result<sama::model::SparqlQuery, String> {
             .map_err(|e| format!("cannot read {query_path:?}: {e}"))?
     };
     parse_sparql(&text).map_err(|e| e.to_string())
-}
-
-/// `--anchor sink|selective`.
-fn parse_anchor(value: &str) -> Result<AnchorSelection, String> {
-    match value {
-        "sink" => Ok(AnchorSelection::SinkFirst),
-        "selective" => Ok(AnchorSelection::MostSelective),
-        other => Err(format!(
-            "bad --anchor value {other:?} (expected \"sink\" or \"selective\")"
-        )),
-    }
 }
 
 /// The LSH sidecar for `index_path`: prefer the `.lsh` file written by
@@ -317,29 +421,6 @@ fn load_index(path: &str) -> Result<PathIndex, String> {
     Ok(index)
 }
 
-/// The engine `query`, `batch`, `serve` and `profile` answer with: the
-/// index from [`open_index`], its LSH sidecar attached when `use_lsh`,
-/// the synonym relaxation tier installed when a table was given.
-fn open_engine(
-    index_path: &str,
-    config: EngineConfig,
-    use_lsh: bool,
-    thesaurus: Option<std::sync::Arc<Thesaurus>>,
-) -> Result<SamaEngine<MappedIndex>, String> {
-    let mut index = open_index(index_path)?;
-    if use_lsh {
-        let sidecar = load_lsh_sidecar(index_path, &index)?;
-        index
-            .attach_lsh(sidecar)
-            .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-    }
-    let engine = SamaEngine::from_index_with_config(index, config);
-    Ok(match thesaurus {
-        Some(thesaurus) => engine.relax_synonyms(thesaurus),
-        None => engine,
-    })
-}
-
 fn parse_rdf_file(path: &str) -> Result<Vec<sama::model::Triple>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     if path.ends_with(".ttl") || path.ends_with(".turtle") {
@@ -355,26 +436,17 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let mut compress = false;
     let mut legacy_v1 = false;
     let mut show_stats = false;
-    let mut lsh = false;
+    let mut lsh = std::env::var("SAMA_LSH").is_ok_and(|v| v == "1");
     let mut parallel: Option<usize> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-o" | "--output" => {
-                output = Some(iter.next().ok_or("-o needs a path")?.clone());
-            }
+            "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
             "--compress" => compress = true,
             "--v1" => legacy_v1 = true,
             "--stats" => show_stats = true,
             "--lsh" => lsh = true,
-            "--parallel" => {
-                parallel = Some(
-                    iter.next()
-                        .ok_or("--parallel needs a number")?
-                        .parse()
-                        .map_err(|_| "bad --parallel value")?,
-                );
-            }
+            "--parallel" => parallel = Some(number(arg, &mut iter)?),
             other if input.is_none() => input = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
@@ -416,7 +488,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
             stats.depth_truncated, stats.dropped
         );
     }
-    if lsh_requested(lsh) {
+    if lsh {
         let side = sidecar_path(std::path::Path::new(&output));
         let lsh_bytes = build_lsh_bytes(&index, LshParams::default())
             .map_err(|e| format!("cannot build LSH signatures: {e}"))?;
@@ -492,9 +564,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-o" | "--output" => {
-                output = Some(iter.next().ok_or("-o needs a path")?.clone());
-            }
+            "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
             "--compress" => compress = true,
             "--v1" => legacy_v1 = true,
             other => positional.push(other.to_string()),
@@ -536,97 +606,19 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Engine configuration for a requested worker count: any value other
-/// than the sequential `1` also enables the intra-query parallel paths
-/// (parallel clustering and in-cluster alignment).
-fn engine_config_for_threads(threads: usize) -> EngineConfig {
-    if threads == 1 {
-        return EngineConfig::default();
-    }
-    EngineConfig {
-        cluster: ClusterConfig {
-            parallel_alignment: true,
-            ..Default::default()
-        },
-        parallel_clustering: true,
-        ..Default::default()
-    }
-}
-
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
-    let mut k = 10usize;
-    let mut threads = 1usize;
+    let mut opts = EngineOpts::new(1);
     let mut explain = false;
     let mut explain_text = false;
     let mut json = false;
-    let mut lsh = false;
-    let mut lsh_top_m = LSH_DEFAULT_TOP_M;
-    let mut anchor = AnchorSelection::SinkFirst;
-    let mut ic = false;
-    let mut synonyms: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut profile_out: Option<String> = None;
-    let mut slowlog_ms: Option<u64> = None;
-    let mut slowlog_out: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-k" => {
-                k = iter
-                    .next()
-                    .ok_or("-k needs a number")?
-                    .parse()
-                    .map_err(|_| "bad -k value")?;
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --threads value")?;
-            }
-            "--synonyms" => {
-                synonyms = Some(iter.next().ok_or("--synonyms needs a path")?.clone());
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    iter.next()
-                        .ok_or("--deadline-ms needs a number")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms value")?,
-                );
-            }
-            "--lsh-top-m" => {
-                lsh_top_m = iter
-                    .next()
-                    .ok_or("--lsh-top-m needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --lsh-top-m value")?;
-            }
-            "--anchor" => {
-                anchor = parse_anchor(iter.next().ok_or("--anchor needs a value")?)?;
-            }
-            "--profile-out" => {
-                profile_out = Some(iter.next().ok_or("--profile-out needs a path")?.clone());
-            }
-            "--slowlog" => {
-                slowlog_ms = Some(
-                    iter.next()
-                        .ok_or("--slowlog needs a millisecond count")?
-                        .parse()
-                        .map_err(|_| "bad --slowlog value")?,
-                );
-            }
-            "--slowlog-out" => {
-                slowlog_out = Some(iter.next().ok_or("--slowlog-out needs a path")?.clone());
-            }
             "--explain" => explain = true,
             "--explain-text" => explain_text = true,
             "--json" => json = true,
-            "--mmap" => {}
-            "--lsh" => lsh = true,
-            "--ic-weights" => ic = true,
+            other if opts.accept(other, &mut iter)? => {}
             other => positional.push(other.to_string()),
         }
     }
@@ -637,32 +629,17 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
 
     let query = read_query(query_path)?;
-    arm_diagnostics(&profile_out, slowlog_ms, &slowlog_out);
-
-    let mut config = engine_config_for_threads(threads);
-    config.cluster.anchor = anchor;
-    config.ic_weights = ic_requested(ic);
-    let thesaurus = match synonyms_requested(&synonyms) {
-        Some(path) => Some(load_thesaurus(&path)?),
-        None => None,
-    };
-    let use_lsh = lsh_requested(lsh);
-    if use_lsh {
-        config.cluster.retrieval = Retrieval::Lsh {
-            bands: LSH_DEFAULT_BANDS,
-            rows: LSH_DEFAULT_ROWS,
-            top_m: lsh_top_m,
-        };
-    }
-    if explain {
-        config.trace = TraceConfig::enabled();
-    }
-    if let Some(ms) = deadline_ms {
-        config.deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    let engine = open_engine(index_path, config, use_lsh, thesaurus)?;
-    run_query(&engine, &query, query_path, k, explain, explain_text, json)?;
-    flush_diagnostics(&profile_out, &slowlog_out)
+    let engine = opts.open_engine(index_path, explain)?;
+    run_query(
+        &engine,
+        &query,
+        query_path,
+        opts.k,
+        explain,
+        explain_text,
+        json,
+    )?;
+    opts.flush_diagnostics()
 }
 
 /// The query pipeline after engine construction.
@@ -684,7 +661,7 @@ fn run_query(
         .map_err(|e| format!("query failed: {e}"))?;
 
     // --explain: one machine-readable JSONL line per query (what the
-    // pipeline did — phases, clusters, cache hit ratios, truncation).
+    // pipeline did — phases, clusters, χ lookups, truncation).
     // Composable with --json; otherwise it is the only stdout output.
     if explain {
         let trace = result
@@ -734,17 +711,11 @@ fn run_query(
             result.retrieved_paths, result.truncated
         );
         println!(
-            "timings: preprocess {:.2?}, cluster {:.2?}, search {:.2?} (χ {:.2?})",
+            "timings: preprocess {:.2?}, cluster {:.2?}, search {:.2?} ({} χ lookups)",
             result.timings.preprocessing,
             result.timings.clustering,
             result.timings.search,
-            result.timings.chi
-        );
-        println!(
-            "χ cache: {} lookups, {} hits ({:.0}%)",
-            result.chi_stats.lookups(),
-            result.chi_stats.hits,
-            result.chi_stats.hit_rate() * 100.0
+            result.chi_stats.lookups()
         );
         println!();
     }
@@ -793,92 +764,19 @@ fn run_query(
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
-    let mut k = 10usize;
-    let mut threads = 0usize;
-    let mut shared_chi = false;
+    let mut opts = EngineOpts::new(0);
     let mut json = false;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut max_queue = 0usize;
-    let mut lsh = false;
-    let mut lsh_top_m = LSH_DEFAULT_TOP_M;
-    let mut anchor = AnchorSelection::SinkFirst;
-    let mut ic = false;
-    let mut synonyms: Option<String> = None;
-    let mut profile_out: Option<String> = None;
-    let mut slowlog_ms: Option<u64> = None;
-    let mut slowlog_out: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-k" => {
-                k = iter
-                    .next()
-                    .ok_or("-k needs a number")?
-                    .parse()
-                    .map_err(|_| "bad -k value")?;
-            }
-            "--synonyms" => {
-                synonyms = Some(iter.next().ok_or("--synonyms needs a path")?.clone());
-            }
-            "--profile-out" => {
-                profile_out = Some(iter.next().ok_or("--profile-out needs a path")?.clone());
-            }
-            "--slowlog" => {
-                slowlog_ms = Some(
-                    iter.next()
-                        .ok_or("--slowlog needs a millisecond count")?
-                        .parse()
-                        .map_err(|_| "bad --slowlog value")?,
-                );
-            }
-            "--slowlog-out" => {
-                slowlog_out = Some(iter.next().ok_or("--slowlog-out needs a path")?.clone());
-            }
-            "--lsh-top-m" => {
-                lsh_top_m = iter
-                    .next()
-                    .ok_or("--lsh-top-m needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --lsh-top-m value")?;
-            }
-            "--anchor" => {
-                anchor = parse_anchor(iter.next().ok_or("--anchor needs a value")?)?;
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --threads value")?;
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    iter.next()
-                        .ok_or("--deadline-ms needs a number")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms value")?,
-                );
-            }
-            "--max-queue" => {
-                max_queue = iter
-                    .next()
-                    .ok_or("--max-queue needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --max-queue value")?;
-            }
-            "--shared-chi" => shared_chi = true,
             "--json" => json = true,
-            "--mmap" => {}
-            "--lsh" => lsh = true,
-            "--ic-weights" => ic = true,
-            "--metrics-out" => {
-                metrics_out = Some(iter.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            "--trace-out" => {
-                trace_out = Some(iter.next().ok_or("--trace-out needs a path")?.clone());
-            }
+            "--max-queue" => max_queue = number(arg, &mut iter)?,
+            "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
+            "--trace-out" => trace_out = Some(operand(arg, "a path", &mut iter)?.clone()),
+            other if opts.accept(other, &mut iter)? => {}
             other => positional.push(other.to_string()),
         }
     }
@@ -899,40 +797,15 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         queries.push(query.graph);
     }
 
-    let mut config = engine_config_for_threads(threads);
-    config.cluster.anchor = anchor;
-    config.ic_weights = ic_requested(ic);
-    let thesaurus = match synonyms_requested(&synonyms) {
-        Some(path) => Some(load_thesaurus(&path)?),
-        None => None,
-    };
-    let use_lsh = lsh_requested(lsh);
-    if use_lsh {
-        config.cluster.retrieval = Retrieval::Lsh {
-            bands: LSH_DEFAULT_BANDS,
-            rows: LSH_DEFAULT_ROWS,
-            top_m: lsh_top_m,
-        };
-    }
-    if trace_out.is_some() {
-        config.trace = TraceConfig::enabled();
-    }
-    if let Some(ms) = deadline_ms {
-        config.deadline = Some(std::time::Duration::from_millis(ms));
-    }
     let batch_config = BatchConfig {
-        k,
-        threads,
+        k: opts.k,
+        threads: opts.threads,
         max_queue_depth: max_queue,
     };
-    arm_diagnostics(&profile_out, slowlog_ms, &slowlog_out);
-    let mut engine = open_engine(index_path, config, use_lsh, thesaurus)?;
-    if shared_chi {
-        engine = engine.with_shared_chi_cache(SharedChiCache::with_defaults());
-    }
+    let engine = opts.open_engine(index_path, trace_out.is_some())?;
     let outcome = engine.answer_batch(&queries, &batch_config);
     let stats = &outcome.stats;
-    flush_diagnostics(&profile_out, &slowlog_out)?;
+    opts.flush_diagnostics()?;
 
     // Per-query EXPLAIN traces, one JSONL line each, labeled by file.
     // Failed/shed slots carry no trace; they are skipped.
@@ -1113,13 +986,7 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--limit" => {
-                limit = iter
-                    .next()
-                    .ok_or("--limit needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --limit value")?;
-            }
+            "--limit" => limit = number(arg, &mut iter)?,
             other => positional.push(other.to_string()),
         }
     }
@@ -1143,29 +1010,14 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
 /// input — to stdout or `--out <file>`.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
-    let mut k = 10usize;
-    let mut threads = 1usize;
-    let mut out: Option<String> = None;
+    let mut opts = EngineOpts::new(1);
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-k" => {
-                k = iter
-                    .next()
-                    .ok_or("-k needs a number")?
-                    .parse()
-                    .map_err(|_| "bad -k value")?;
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --threads value")?;
-            }
             "-o" | "--out" => {
-                out = Some(iter.next().ok_or("--out needs a path")?.clone());
+                opts.profile_out = Some(operand("--out", "a path", &mut iter)?.clone())
             }
+            other if opts.accept(other, &mut iter)? => {}
             other => positional.push(other.to_string()),
         }
     }
@@ -1175,19 +1027,15 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let query = read_query(query_path)?;
     // Arm before loading so index-open spans profile too.
     sama::obs::profile::set_profiling(true);
-    let engine = open_engine(index_path, engine_config_for_threads(threads), false, None)?;
+    let engine = opts.open_engine(index_path, false)?;
     let result = engine
-        .try_answer(&query.graph, k)
+        .try_answer(&query.graph, opts.k)
         .map_err(|e| format!("query failed: {e}"))?;
     sama::obs::profile::set_profiling(false);
-    let folded = sama::obs::profile::folded();
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &folded).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            eprintln!("wrote {} profile stacks to {path}", folded.lines().count());
-        }
-        None => print!("{folded}"),
+    if opts.profile_out.is_none() {
+        print!("{}", sama::obs::profile::folded());
     }
+    opts.flush_diagnostics()?;
     eprintln!(
         "{} answers in {:.2?} (query id {})",
         result.answers.len(),
@@ -1245,180 +1093,59 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    use std::time::Duration;
     let mut positional = Vec::new();
     let mut serve_config = sama::serve::ServeConfig::default();
-    let mut threads = 1usize;
-    let mut lsh = false;
-    let mut lsh_top_m = LSH_DEFAULT_TOP_M;
-    let mut anchor = AnchorSelection::SinkFirst;
-    let mut ic = false;
-    let mut synonyms: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
+    let mut opts = EngineOpts::new(1);
     let mut metrics_out: Option<String> = None;
-    let mut slowlog_ms: Option<u64> = None;
-    let mut slowlog_out: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => {
-                serve_config.addr = iter.next().ok_or("--addr needs HOST:PORT")?.clone();
-            }
-            "--synonyms" => {
-                synonyms = Some(iter.next().ok_or("--synonyms needs a path")?.clone());
-            }
-            "-k" => {
-                serve_config.k = iter
-                    .next()
-                    .ok_or("-k needs a number")?
-                    .parse()
-                    .map_err(|_| "bad -k value")?;
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --threads value")?;
-            }
-            "--max-connections" => {
-                serve_config.max_connections = iter
-                    .next()
-                    .ok_or("--max-connections needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --max-connections value")?;
-            }
+            "--addr" => serve_config.addr = operand(arg, "HOST:PORT", &mut iter)?.clone(),
+            "--max-connections" => serve_config.max_connections = number(arg, &mut iter)?,
             "--max-body-kb" => {
-                let kb: usize = iter
-                    .next()
-                    .ok_or("--max-body-kb needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --max-body-kb value")?;
-                serve_config.max_body_bytes = kb * 1024;
+                serve_config.max_body_bytes = number::<usize>(arg, &mut iter)? * 1024;
             }
             "--read-timeout-ms" => {
-                let ms: u64 = iter
-                    .next()
-                    .ok_or("--read-timeout-ms needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --read-timeout-ms value")?;
-                serve_config.read_timeout = std::time::Duration::from_millis(ms);
+                serve_config.read_timeout = Duration::from_millis(number(arg, &mut iter)?);
             }
             "--write-timeout-ms" => {
-                let ms: u64 = iter
-                    .next()
-                    .ok_or("--write-timeout-ms needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --write-timeout-ms value")?;
-                serve_config.write_timeout = std::time::Duration::from_millis(ms);
+                serve_config.write_timeout = Duration::from_millis(number(arg, &mut iter)?);
             }
             "--drain-ms" => {
-                let ms: u64 = iter
-                    .next()
-                    .ok_or("--drain-ms needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --drain-ms value")?;
-                serve_config.drain_grace = std::time::Duration::from_millis(ms);
+                serve_config.drain_grace = Duration::from_millis(number(arg, &mut iter)?);
             }
-            "--max-queue" => {
-                serve_config.max_queue_depth = iter
-                    .next()
-                    .ok_or("--max-queue needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --max-queue value")?;
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    iter.next()
-                        .ok_or("--deadline-ms needs a number")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms value")?,
-                );
-            }
-            "--lsh-top-m" => {
-                lsh_top_m = iter
-                    .next()
-                    .ok_or("--lsh-top-m needs a number")?
-                    .parse()
-                    .map_err(|_| "bad --lsh-top-m value")?;
-            }
-            "--anchor" => {
-                anchor = parse_anchor(iter.next().ok_or("--anchor needs a value")?)?;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(iter.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            "--slowlog" => {
-                slowlog_ms = Some(
-                    iter.next()
-                        .ok_or("--slowlog needs a millisecond count")?
-                        .parse()
-                        .map_err(|_| "bad --slowlog value")?,
-                );
-            }
-            "--slowlog-out" => {
-                slowlog_out = Some(iter.next().ok_or("--slowlog-out needs a path")?.clone());
-            }
-            "--mmap" => {}
-            "--lsh" => lsh = true,
-            "--ic-weights" => ic = true,
+            "--max-queue" => serve_config.max_queue_depth = number(arg, &mut iter)?,
+            "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
+            other if opts.accept(other, &mut iter)? => {}
             other => positional.push(other.to_string()),
         }
     }
     let [index_path] = positional.as_slice() else {
         return Err("usage: sama serve <index.bin> [--addr HOST:PORT] [-k N] ...".into());
     };
-
-    arm_diagnostics(&None, slowlog_ms, &slowlog_out);
-    serve_config.batch_threads = threads;
-
-    let mut config = engine_config_for_threads(threads);
-    config.cluster.anchor = anchor;
-    config.ic_weights = ic_requested(ic);
-    let thesaurus = match synonyms_requested(&synonyms) {
-        Some(path) => Some(load_thesaurus(&path)?),
-        None => None,
-    };
-    let use_lsh = lsh_requested(lsh);
-    if use_lsh {
-        config.cluster.retrieval = Retrieval::Lsh {
-            bands: LSH_DEFAULT_BANDS,
-            rows: LSH_DEFAULT_ROWS,
-            top_m: lsh_top_m,
-        };
-    }
-    if let Some(ms) = deadline_ms {
-        config.deadline = Some(std::time::Duration::from_millis(ms));
-    }
+    serve_config.k = opts.k;
+    serve_config.batch_threads = opts.threads;
 
     // Arm the drain flag before the listener exists so a signal racing
     // startup still wins.
     sama::serve::signal::install();
 
-    let engine = open_engine(index_path, config, use_lsh, thesaurus)?;
-    serve_engine(engine, serve_config, &metrics_out, &slowlog_out)
-}
-
-/// Bind, announce, serve until drained, then flush the observability
-/// sinks.
-fn serve_engine(
-    engine: SamaEngine<MappedIndex>,
-    config: sama::serve::ServeConfig,
-    metrics_out: &Option<String>,
-    slowlog_out: &Option<String>,
-) -> Result<(), String> {
-    use std::io::Write;
-    let server = sama::serve::Server::bind(engine, config)?;
+    // Bind, announce, serve until drained, then flush the observability
+    // sinks.
+    let engine = opts.open_engine(index_path, false)?;
+    let server = sama::serve::Server::bind(engine, serve_config)?;
     // The startup line is machine-parsed (tests bind port 0 and read
     // the actual port back), so flush it past the pipe buffer.
     println!("sama serve: listening on http://{}", server.local_addr());
-    let _ = std::io::stdout().flush();
+    let _ = std::io::Write::flush(&mut std::io::stdout());
     let report = server.run();
-    if let Some(path) = metrics_out {
+    if let Some(path) = &metrics_out {
         let snapshot = sama::obs::global().snapshot();
         std::fs::write(path, snapshot.to_prometheus())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
     }
-    flush_diagnostics(&None, slowlog_out)?;
+    opts.flush_diagnostics()?;
     println!(
         "sama serve: drained {} in-flight connections in {:.2?}{}",
         report.in_flight_at_shutdown,

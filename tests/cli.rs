@@ -148,7 +148,6 @@ fn batch_answers_many_queries() {
             "3",
             "--threads",
             "2",
-            "--shared-chi",
         ])
         .output()
         .unwrap();
@@ -239,7 +238,7 @@ fn query_explain_emits_jsonl_trace() {
         "\"clusters\":[",
         "\"expansions\":",
         "\"truncation\":",
-        "\"hit_rate\":",
+        "\"chi\":{\"lookups\":",
         "\"phases\":{",
         "\"preprocessing_ns\":",
         "\"clustering_ns\":",
@@ -300,7 +299,6 @@ fn batch_metrics_out_and_trace_out() {
             idx.to_str().unwrap(),
             rq.to_str().unwrap(),
             rq.to_str().unwrap(),
-            "--shared-chi",
             "--metrics-out",
             prom.to_str().unwrap(),
             "--trace-out",
@@ -314,7 +312,7 @@ fn batch_metrics_out_and_trace_out() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Prometheus exposition covers all three phases, both chi tiers and
+    // Prometheus exposition covers all three phases, the χ lookups and
     // the worker pool.
     let text = std::fs::read_to_string(&prom).unwrap();
     for metric in [
@@ -325,9 +323,7 @@ fn batch_metrics_out_and_trace_out() {
         "sama_query_search_ns_count",
         "sama_cluster_retrieve_ns_count",
         "sama_cluster_align_ns_count",
-        "sama_chi_query_hits_total",
-        "sama_chi_shared_hits_total",
-        "sama_chi_shared_cache_entries",
+        "sama_search_chi_lookups_total",
         "sama_batch_pool_threads",
         "sama_batch_run_ns_count",
         "sama_search_expansions_total",
@@ -1487,4 +1483,107 @@ fn serve_applies_semantic_flags_to_http_queries() {
     sigterm(&child);
     let status = child.wait().expect("wait");
     assert!(status.success());
+}
+
+/// `query`, `batch`, `serve` and `profile` read their engine options
+/// through one parser: each accepts every engine flag, and a bad value
+/// gets the same one-line diagnostic whichever subcommand sees it.
+#[cfg(unix)]
+#[test]
+fn every_engine_flag_is_accepted_by_all_four_subcommands() {
+    let nt = temp_path("flags_data.nt");
+    let rq = temp_path("flags_query.rq");
+    let idx = temp_path("flags_index.bin");
+    let syn = temp_path("flags_syn.tsv");
+    let prof = temp_path("flags_profile.folded");
+    let slow = temp_path("flags_slow.jsonl");
+    let _cleanup = Cleanup(vec![
+        nt.clone(),
+        rq.clone(),
+        idx.clone(),
+        syn.clone(),
+        prof.clone(),
+        slow.clone(),
+    ]);
+    std::fs::write(&nt, DEMO_NT).unwrap();
+    std::fs::write(&rq, DEMO_RQ).unwrap();
+    std::fs::write(&syn, "M\tMale\n").unwrap();
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let engine_flags = format!(
+        "-k 3 --threads 1 --lsh --lsh-top-m 64 --anchor selective --ic-weights \
+         --synonyms {} --deadline-ms 60000 --mmap --profile-out {} --slowlog 0 --slowlog-out {}",
+        syn.display(),
+        prof.display(),
+        slow.display()
+    );
+    let engine_flags: Vec<&str> = engine_flags.split_whitespace().collect();
+    for sub in ["query", "batch", "profile"] {
+        let out = sama()
+            .args([sub, idx.to_str().unwrap(), rq.to_str().unwrap()])
+            .args(&engine_flags)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{sub}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let folded = std::fs::read_to_string(&prof).unwrap();
+        assert!(folded.contains("query.cluster_ns"), "{sub}: {folded}");
+        let records = std::fs::read_to_string(&slow).unwrap();
+        assert!(records.contains("\"query_id\":"), "{sub}: {records}");
+        std::fs::remove_file(&prof).unwrap();
+        std::fs::remove_file(&slow).unwrap();
+    }
+    let (mut child, _stdout, port) = spawn_serve(&idx, &engine_flags, &[]);
+    let (status, _, body) = post_to_serve(port, "/query", DEMO_RQ);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    sigterm(&child);
+    assert!(child.wait().expect("wait").success());
+
+    // Bad values are caught while parsing, before any file is read.
+    for (bad, message) in [
+        (&["-k", "x"][..], "bad -k value"),
+        (&["--lsh-top-m", "x"], "bad --lsh-top-m value"),
+        (
+            &["--anchor", "nope"],
+            "bad --anchor value \"nope\" (expected \"sink\" or \"selective\")",
+        ),
+        (&["--deadline-ms", "x"], "bad --deadline-ms value"),
+        (&["--slowlog", "x"], "bad --slowlog value"),
+        (&["-k"], "-k needs a number"),
+        (&["--synonyms"], "--synonyms needs a path"),
+        (&["--anchor"], "--anchor needs a value"),
+    ] {
+        for sub in ["query", "batch", "serve", "profile"] {
+            let out = sama().arg(sub).arg("idx.bin").args(bad).output().unwrap();
+            assert!(!out.status.success(), "{sub} {bad:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("error: {message}\n"),
+                "{sub} {bad:?}"
+            );
+        }
+    }
+
+    // The help text lists every engine flag under each of the four,
+    // and the flag that went with the χ cache is gone.
+    let out = sama().arg("--help").output().unwrap();
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert!(!usage.contains(concat!("--shared", "-chi")), "{usage}");
+    for sub in ["query", "batch", "profile", "serve"] {
+        let start = usage
+            .find(&format!("  sama {sub} "))
+            .unwrap_or_else(|| panic!("no {sub} section in {usage}"));
+        let section = &usage[start..];
+        let section = &section[..section[1..].find("\n  sama ").unwrap_or(section.len() - 1) + 1];
+        for flag in engine_flags.iter().filter(|f| f.starts_with('-')) {
+            assert!(section.contains(flag), "{sub} lacks {flag}: {section}");
+        }
+    }
 }
