@@ -65,7 +65,8 @@ fn workload() -> Vec<(QueryGraph, String)> {
             let mut q = QueryGraph::builder();
             q.triple_str(&format!("rare_source_{i}"), "usedBy", "?x")
                 .unwrap();
-            q.triple_str("?x", "recordedIn", &format!("sink_{i}")).unwrap();
+            q.triple_str("?x", "recordedIn", &format!("sink_{i}"))
+                .unwrap();
             (q.build(), format!("mid_{i}"))
         })
         .collect()

@@ -14,8 +14,8 @@ use crate::deadline::QueryBudget;
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
-use path_index::{IndexLike, LshCandidate, PathId, SynonymProvider};
-use rdf_model::{EdgeId, NodeId};
+use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
+use rdf_model::{EdgeId, FxHashMap, LabelId, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -230,6 +230,12 @@ pub struct Cluster {
     /// Candidates the [`Retrieval::Lsh`] tier pruned before alignment
     /// (0 under [`Retrieval::Exact`] or when the tier fell back).
     pub lsh_pruned: usize,
+    /// Alignments computed to score the candidates: one per candidate
+    /// of a cluster that fits in [`ClusterConfig::max_cluster_size`],
+    /// one per *distinguishable* candidate of a streamed one (see
+    /// [`memoised_lambdas`]; each fill chunk counts its own). The survivors'
+    /// binding pass is not counted.
+    pub alignments_computed: usize,
     /// The retrieval tier that produced [`Cluster::entries`].
     pub tier: ClusterTier,
 }
@@ -300,6 +306,7 @@ pub fn build_clusters_budgeted<I: IndexLike + Sync>(
                     candidates_dropped: 0,
                     candidates_retrieved: 0,
                     lsh_pruned: 0,
+                    alignments_computed: 0,
                     tier: ClusterTier::Exact,
                 };
             }
@@ -405,30 +412,31 @@ fn build_cluster<I: IndexLike + Sync>(
     };
     let cap = config.max_cluster_size;
     let fill = |chunk| fill_chunk(q, index, chunk, params, mode, cap, budget);
-    let (mut entries, scored) = if threads < 2 {
+    let (mut entries, scored, computed) = if threads < 2 {
         fill(considered)
     } else {
         // Chunk survivors are concatenated in candidate order, so the
         // stable sort + truncate below sees what one chunk would give.
         let chunk_len = considered.len().div_ceil(threads);
         let mut merged = Vec::new();
+        let mut computed = 0;
         std::thread::scope(|scope| {
             let handles: Vec<_> = considered
                 .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || fill(chunk).0))
+                .map(|chunk| scope.spawn(move || fill(chunk)))
                 .collect();
             for handle in handles {
                 // Preserve the worker's panic payload (e.g. an injected
                 // fault's message) instead of replacing it with a generic
                 // `.expect` string — the batch pool's isolation reports it.
-                merged.extend(
-                    handle
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-                );
+                let (entries, _, chunk_computed) = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                merged.extend(entries);
+                computed += chunk_computed;
             }
         });
-        (merged, considered.len())
+        (merged, considered.len(), computed)
     };
     dropped += considered.len() - scored;
     entries.sort_by(|x, y| entry_cmp(index, x, y));
@@ -438,6 +446,7 @@ fn build_cluster<I: IndexLike + Sync>(
     sama_obs::counter_add("cluster.builds_total", 1);
     sama_obs::counter_add("cluster.candidates_retrieved_total", retrieved as u64);
     sama_obs::counter_add("cluster.candidates_dropped_total", dropped as u64);
+    sama_obs::counter_add("cluster.alignments_computed_total", computed as u64);
 
     Cluster {
         qpath_index: q.index,
@@ -446,6 +455,7 @@ fn build_cluster<I: IndexLike + Sync>(
         candidates_dropped: dropped,
         candidates_retrieved: retrieved,
         lsh_pruned,
+        alignments_computed: computed,
         tier: if lsh_pruned > 0 {
             ClusterTier::Lsh
         } else {
@@ -563,15 +573,16 @@ fn entry_cmp<I: IndexLike + ?Sized>(index: &I, x: &ClusterEntry, y: &ClusterEntr
 /// `cap`-entry cut under [`entry_cmp`], fully aligned and in candidate
 /// order, plus how many candidates were scored before `budget` ran out
 /// (polled every [`ALIGN_CHECK_INTERVAL`]-th candidate, the first
-/// included; the rest of the chunk is skipped).
+/// included; the rest of the chunk is skipped) and how many alignments
+/// that scoring computed.
 ///
 /// A chunk that fits in `cap` is simply aligned. A longer one is
-/// streamed: each candidate is scored with [`align_lambda`] (no
-/// bindings, no allocation) and offered to a `cap`-bounded max-heap
-/// ordered like the caller's stable sort — λ, then path content, then
-/// candidate position. A candidate whose λ alone is worse than the
-/// heap's worst never touches its path content. Only the survivors get
-/// the full [`align`].
+/// streamed: each candidate is scored through a [`LambdaMemo`] (the
+/// λ of [`align_lambda`], computed once per distinguishable candidate)
+/// and offered to a `cap`-bounded max-heap ordered like the caller's
+/// stable sort — λ, then path content, then candidate position. A
+/// candidate whose λ alone is worse than the heap's worst never touches
+/// its path content. Only the survivors get the full [`align`].
 fn fill_chunk<I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
@@ -580,7 +591,7 @@ fn fill_chunk<I: IndexLike + ?Sized>(
     mode: AlignmentMode,
     cap: usize,
     budget: &QueryBudget,
-) -> (Vec<ClusterEntry>, usize) {
+) -> (Vec<ClusterEntry>, usize, usize) {
     let entry = |pid| ClusterEntry {
         path_id: pid,
         alignment: align(q, index.labels(pid), params, mode),
@@ -595,7 +606,7 @@ fn fill_chunk<I: IndexLike + ?Sized>(
             entries.push(entry(pid));
         }
         let scored = entries.len();
-        return (entries, scored);
+        return (entries, scored, scored);
     }
     let key = |lambda, position, pid| FillKey {
         lambda,
@@ -603,6 +614,7 @@ fn fill_chunk<I: IndexLike + ?Sized>(
         edges: index.path_edges(pid),
         position,
     };
+    let mut memo = LambdaMemo::new(q, index, params, mode);
     let mut best = BinaryHeap::with_capacity(cap);
     let mut scored = 0;
     for (position, &pid) in chunk.iter().enumerate() {
@@ -610,7 +622,7 @@ fn fill_chunk<I: IndexLike + ?Sized>(
             break;
         }
         scored += 1;
-        let lambda = total_order_key(align_lambda(q, index.labels(pid), params, mode));
+        let lambda = total_order_key(memo.lambda(pid));
         if best.len() < cap {
             best.push(key(lambda, position, pid));
         } else if best.peek().is_some_and(|worst| lambda <= worst.lambda) {
@@ -627,7 +639,141 @@ fn fill_chunk<I: IndexLike + ?Sized>(
     let mut survivors: Vec<usize> = best.into_iter().map(|key| key.position).collect();
     survivors.sort_unstable();
     let entries = survivors.into_iter().map(|position| entry(chunk[position]));
-    (entries.collect(), scored)
+    (entries.collect(), scored, memo.computed)
+}
+
+/// The streaming fill's scorer on its own: the λ it gives each of
+/// `candidates` against `q` — `align_lambda` of each, bit for bit —
+/// and how many alignments it computed to do so. Public so that tests
+/// and measurements can hold the memo to that contract directly; a
+/// cluster only ever shows the survivors' λ.
+pub fn memoised_lambdas<I: IndexLike + ?Sized>(
+    q: &QueryPath,
+    index: &I,
+    candidates: &[PathId],
+    params: &ScoreParams,
+    mode: AlignmentMode,
+) -> (Vec<f64>, usize) {
+    let mut memo = LambdaMemo::new(q, index, params, mode);
+    let lambdas = candidates.iter().map(|&pid| memo.lambda(pid)).collect();
+    (lambdas, memo.computed)
+}
+
+/// λ for the candidates of one streamed chunk, computed once per
+/// *distinguishable* candidate.
+///
+/// [`align_lambda`] reads a data path only through (i) its edge labels
+/// — its shape; (ii) whether the query sink admits its sink label (both
+/// modes anchor sink on sink, and compare the query sink with nothing
+/// else); (iii) which of the query's other constant nodes admit each of
+/// its other node labels — a variable admits every label, and its
+/// binding is not recorded when only λ is asked for. The memo key is
+/// exactly that: the shape id, one bit for (ii) and `|other data
+/// nodes| × |other constant query nodes|` bits for (iii), each present
+/// only when the query has such a constant — so a query path without
+/// constant nodes touches no label pool at all. Equal keys make the
+/// scan (or the DP) take the same branches and add the same terms in
+/// the same order, so a miss stores what [`align_lambda`] returns for
+/// that candidate and every hit is that λ bit for bit, whatever the
+/// mode, the IC weights or the synonym-widened accepted sets. There is
+/// no cheaper bound to reject candidates with: the greedy scan is not
+/// monotone in node compatibility (a unit that becomes compatible is
+/// matched where it was skipped, which shifts every later pairing), so
+/// "every constant admitted" is not a lower bound on λ — and the exact
+/// key does not need one.
+/// A path whose bits do not fit the packed word is scored directly.
+struct LambdaMemo<'a, I: ?Sized> {
+    q: &'a QueryPath,
+    index: &'a I,
+    params: &'a ScoreParams,
+    mode: AlignmentMode,
+    sink_is_const: bool,
+    /// The constant node labels of `q` other than its sink.
+    inner_consts: Vec<&'a QueryLabel>,
+    seen: FxHashMap<(u32, u64), f64>,
+    /// Per shape, the bits last looked up and their λ: a path's bits
+    /// are nearly always those of the previous path of its shape (none
+    /// admitted), so most lookups end here, one load short of a hash
+    /// probe.
+    recent: Vec<Option<(u64, f64)>>,
+    /// [`align_lambda`] calls so far (the misses).
+    computed: usize,
+}
+
+impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
+    fn new(q: &'a QueryPath, index: &'a I, params: &'a ScoreParams, mode: AlignmentMode) -> Self {
+        let (sink, inner) = q.nodes.split_last().expect("paths are non-empty");
+        LambdaMemo {
+            q,
+            index,
+            params,
+            mode,
+            sink_is_const: !sink.is_var(),
+            inner_consts: inner.iter().filter(|label| !label.is_var()).collect(),
+            seen: FxHashMap::default(),
+            recent: vec![None; index.shape_count()],
+            computed: 0,
+        }
+    }
+
+    /// `align_lambda(q, index.labels(pid), params, mode)`. Reads the
+    /// candidate's labels at most once, and only its shape id on a hit
+    /// when `q` has no constant node.
+    #[inline]
+    fn lambda(&mut self, pid: PathId) -> f64 {
+        let index = self.index;
+        let reads_nodes = self.sink_is_const || !self.inner_consts.is_empty();
+        let labels = reads_nodes.then(|| index.labels(pid));
+        let bits = match labels {
+            Some(labels) => self.node_bits(labels.node_labels),
+            None => Some(0),
+        };
+        let Some(bits) = bits else {
+            return self.miss(pid, labels, None);
+        };
+        let shape = index.path_shape(pid);
+        if let Some((_, lambda)) = self.recent[shape as usize].filter(|recent| recent.0 == bits) {
+            return lambda;
+        }
+        let lambda = match self.seen.get(&(shape, bits)) {
+            Some(&lambda) => lambda,
+            None => self.miss(pid, labels, Some((shape, bits))),
+        };
+        self.recent[shape as usize] = Some((bits, lambda));
+        lambda
+    }
+
+    /// The rare side of [`LambdaMemo::lambda`], out of line so the hit
+    /// path stays a hash probe: align, and remember the λ under `key`
+    /// (`None`: too long for the packed word, scored but not kept).
+    #[cold]
+    fn miss(&mut self, pid: PathId, labels: Option<LabelsRef<'_>>, key: Option<(u32, u64)>) -> f64 {
+        self.computed += 1;
+        let labels = labels.unwrap_or_else(|| self.index.labels(pid));
+        let lambda = align_lambda(self.q, labels, self.params, self.mode);
+        if let Some(key) = key {
+            self.seen.insert(key, lambda);
+        }
+        lambda
+    }
+
+    /// Parts (ii) and (iii) of the key, or `None` when they exceed the
+    /// word. The layout is a function of the shape (which fixes the
+    /// node count), so equal keys mean equal bits at equal places.
+    fn node_bits(&self, node_labels: &[LabelId]) -> Option<u64> {
+        let (&sink, inner) = node_labels.split_last().expect("paths are non-empty");
+        let width = usize::from(self.sink_is_const) + inner.len() * self.inner_consts.len();
+        if width > u64::BITS as usize {
+            return None;
+        }
+        let mut bits = u64::from(self.sink_is_const && self.q.sink().admits(sink));
+        for &label in inner {
+            for constant in &self.inner_consts {
+                bits = bits << 1 | u64::from(constant.admits(label));
+            }
+        }
+        Some(bits)
+    }
 }
 
 /// What [`fill_chunk`]'s bounded selection orders candidates by: field

@@ -89,6 +89,11 @@ pub struct TraceCluster {
     /// Candidates actually aligned (`retrieved` minus the
     /// `max_candidates` cap and any LSH pruning).
     pub aligned: usize,
+    /// Alignments computed to score the `aligned` candidates: the
+    /// streaming fill computes one per distinguishable candidate
+    /// (`Cluster::alignments_computed`), so this is the scoring the
+    /// query actually did.
+    pub alignments: usize,
     /// Entries kept after the `max_cluster_size` truncation.
     pub kept: usize,
     /// Candidates dropped by the `max_candidates` cap.
@@ -177,6 +182,7 @@ impl ExplainTrace {
                 qpath_index: c.qpath_index,
                 retrieved: c.candidates_retrieved,
                 aligned: c.candidates_retrieved - c.candidates_dropped - c.lsh_pruned,
+                alignments: c.alignments_computed,
                 kept: c.entries.len(),
                 dropped: c.candidates_dropped,
                 best_lambda: c.best_lambda(),
@@ -253,11 +259,12 @@ impl ExplainTrace {
             }
             let _ = write!(
                 out,
-                "{{\"qpath\":{},\"retrieved\":{},\"aligned\":{},\"kept\":{},\
-                 \"dropped\":{},\"best_lambda\":{},\"tier\":\"{}\"}}",
+                "{{\"qpath\":{},\"retrieved\":{},\"aligned\":{},\"alignments\":{},\
+                 \"kept\":{},\"dropped\":{},\"best_lambda\":{},\"tier\":\"{}\"}}",
                 c.qpath_index,
                 c.retrieved,
                 c.aligned,
+                c.alignments,
                 c.kept,
                 c.dropped,
                 c.best_lambda,

@@ -1,7 +1,11 @@
-//! The cluster fill's two contracts.
+//! The cluster fill's three contracts.
 //!
 //! * `align_lambda` is `align(..).lambda` bit for bit, in both
 //!   alignment modes, with and without IC weight vectors.
+//! * The fill's memoised score is `align_lambda` bit for bit for every
+//!   candidate — both modes, IC weights, synonym-widened constants,
+//!   constants absent from the data, constants at any position, and
+//!   paths too long for the memo's packed key.
 //! * A cluster is exactly what the paper's plain recipe gives — align
 //!   every candidate, stable-sort by (λ, path content), truncate to
 //!   `max_cluster_size` — whichever way the streaming kernel got there:
@@ -12,12 +16,14 @@ mod support;
 
 use path_index::{
     ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, PathIndex, ShardedIndex,
+    Thesaurus,
 };
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Triple};
 use sama_core::{
-    align, align_lambda, apply_ic_weights, build_clusters_budgeted, decompose_query, AlignmentMode,
-    CancelToken, ClusterConfig, ClusterEntry, QueryBudget, QueryPath, ScoreParams,
+    align, align_lambda, apply_ic_weights, build_clusters_budgeted, decompose_query,
+    memoised_lambdas, widen_with_synonyms, AlignmentMode, CancelToken, ClusterConfig, ClusterEntry,
+    QueryBudget, QueryPath, ScoreParams,
 };
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -83,6 +89,168 @@ proptest! {
                     prop_assert_eq!(score.to_bits(), full.lambda.to_bits(), "{:?}", mode);
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// memoised score ≡ align_lambda
+
+/// A chain query of up to 14 nodes. Each node is a variable, one of the
+/// data's `n*` constants, or a constant the data does not have (`x<i>`,
+/// one per position, so `accepted` is empty); predicates as in
+/// [`arb_chain_query`]. Constants therefore land at the sink only, the
+/// source only, the interior only, everywhere or nowhere, and a long
+/// chain of them against a seven-node data path overflows the memo's
+/// packed key.
+fn arb_constant_mix_query() -> impl Strategy<Value = Vec<Triple>> {
+    proptest::collection::vec((0usize..14, 0usize..4), 2..=14).prop_map(|spec| {
+        let node = |i: usize, pick: usize| match pick {
+            0..=5 => format!("n{pick}"),
+            6..=9 => format!("x{i}"),
+            _ => format!("?v{i}"),
+        };
+        spec.windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                Triple::parse(
+                    &node(i, w[0].0),
+                    &format!("p{}", w[0].1),
+                    &node(i + 1, w[1].0),
+                )
+            })
+            .collect()
+    })
+}
+
+/// Every candidate's memoised λ against `align_lambda`, for every
+/// query path in `qpaths` and both modes.
+fn assert_memo_is_exact<I: IndexLike>(index: &I, qpaths: &[QueryPath]) {
+    let candidates = index.all_path_ids();
+    let params = ScoreParams::paper();
+    for q in qpaths {
+        for mode in MODES {
+            let (lambdas, computed) = memoised_lambdas(q, index, &candidates, &params, mode);
+            assert_eq!(lambdas.len(), candidates.len());
+            assert!(computed <= candidates.len());
+            for (&pid, lambda) in candidates.iter().zip(lambdas) {
+                let direct = align_lambda(q, index.labels(pid), &params, mode);
+                assert_eq!(lambda.to_bits(), direct.to_bits(), "{} {:?}", pid, mode);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn memoised_lambda_is_bit_identical_to_align_lambda(
+        data in arb_dag_triples(8, 14),
+        query in arb_constant_mix_query(),
+        weights in proptest::collection::vec(0.05f64..6.0, 16),
+    ) {
+        let index = PathIndex::build(DataGraph::from_triples(&data).expect("ground"));
+        let Ok(query) = QueryGraph::from_triples(&query) else { return Ok(()) };
+        let plain = decompose_query(
+            &query,
+            index.graph().vocab(),
+            &NoSynonyms,
+            &ExtractionConfig::default(),
+        );
+        let mut weighted = plain.clone();
+        for q in &mut weighted {
+            q.node_weights = Some(weights.iter().cycle().take(q.nodes.len()).copied().collect());
+            q.edge_weights = Some(weights.iter().rev().cycle().take(q.edges.len()).copied().collect());
+        }
+        // One data label accepted at two query positions (and two
+        // labels at one): `n0`, `n1`, `n2` stand for one another.
+        let mut thesaurus = Thesaurus::new();
+        thesaurus.group(["n0", "n1", "n2"]);
+        let widened: Vec<QueryPath> = weighted
+            .iter()
+            .map(|q| widen_with_synonyms(q, index.graph().vocab(), &thesaurus))
+            .collect();
+        for qpaths in [&plain, &weighted, &widened] {
+            assert_memo_is_exact(&index, qpaths);
+        }
+        // The other index kinds number shapes their own way.
+        let bytes = path_index::encode_v2(&index).expect("encodes");
+        assert_memo_is_exact(&MappedIndex::from_bytes(&bytes).expect("opens"), &widened);
+        let sharded = ShardedIndex::build(index.graph().clone(), 3, &ExtractionConfig::default());
+        assert_memo_is_exact(&sharded, &widened);
+    }
+}
+
+#[test]
+fn paths_too_long_for_the_packed_key_are_scored_directly() {
+    // A 30-node chain and its 29 shorter suffix-sharing siblings: every
+    // `c<i>` feeds the chain at node `i`, so the index holds paths of
+    // 2 … 31 nodes.
+    let mut b = DataGraph::builder();
+    for i in 0..29 {
+        b.triple_str(&format!("m{i}"), "p", &format!("m{}", i + 1))
+            .unwrap();
+        b.triple_str(&format!("c{i}"), "r", &format!("m{i}"))
+            .unwrap();
+    }
+    let index = PathIndex::build(b.build());
+    let candidates = index.all_path_ids();
+    let longest = candidates
+        .iter()
+        .map(|&p| index.path_nodes(p).len())
+        .max()
+        .unwrap();
+    assert!(longest >= 30, "longest path has {longest} nodes");
+    // Three interior constants and a constant sink: a data path of more
+    // than 22 nodes needs more than 64 bits.
+    let mut short = QueryGraph::builder();
+    short.triple_str("m3", "p", "m9").unwrap();
+    short.triple_str("m9", "p", "m20").unwrap();
+    short.triple_str("m20", "p", "?x").unwrap();
+    short.triple_str("?x", "p", "m29").unwrap();
+    // A 30-node query of constants: any data path of four nodes or more
+    // overflows.
+    let mut long = QueryGraph::builder();
+    for i in 0..29 {
+        long.triple_str(&format!("m{i}"), "p", &format!("m{}", i + 1))
+            .unwrap();
+    }
+    let params = ScoreParams::paper();
+    for (query, overflowing) in [
+        (
+            short.build(),
+            candidates
+                .iter()
+                .filter(|&&p| 3 * (index.path_nodes(p).len() - 1) + 1 > 64)
+                .count(),
+        ),
+        (
+            long.build(),
+            candidates
+                .iter()
+                .filter(|&&p| 29 * (index.path_nodes(p).len() - 1) + 1 > 64)
+                .count(),
+        ),
+    ] {
+        assert!(overflowing > 0 && overflowing < candidates.len());
+        let qpaths = decompose_query(
+            &query,
+            index.graph().vocab(),
+            &NoSynonyms,
+            &ExtractionConfig::default(),
+        );
+        assert_eq!(qpaths.len(), 1);
+        for mode in MODES {
+            let (lambdas, computed) =
+                memoised_lambdas(&qpaths[0], &index, &candidates, &params, mode);
+            for (&pid, lambda) in candidates.iter().zip(lambdas) {
+                let direct = align_lambda(&qpaths[0], index.labels(pid), &params, mode);
+                assert_eq!(lambda.to_bits(), direct.to_bits(), "{pid} {mode:?}");
+            }
+            // Each overflowing path costs an alignment of its own; the
+            // rest share theirs.
+            assert!(computed >= overflowing && computed <= candidates.len());
         }
     }
 }

@@ -96,6 +96,12 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
         self.inner.sorted_nodes(id)
     }
+    fn path_shape(&self, id: PathId) -> u32 {
+        self.inner.path_shape(id)
+    }
+    fn shape_count(&self) -> usize {
+        self.inner.shape_count()
+    }
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         self.sink_lookups.fetch_add(1, Ordering::SeqCst);
         self.inner.sink_matching(lexical, synonyms)

@@ -64,6 +64,14 @@ pub struct PathIndex {
     by_label: FxHashMap<LabelId, Vec<PathId>>,
     /// sink label → paths ending in it, ascending.
     by_sink: FxHashMap<LabelId, Vec<PathId>>,
+    /// Shape id per path: two paths share an id exactly when they share
+    /// an edge-label sequence. Dense, numbered by first occurrence in
+    /// path-id order.
+    path_shapes: Vec<u32>,
+    /// The first path of each shape: shape `s` *is*
+    /// `paths[shape_reps[s]].labels.edge_labels`, so no sequence is
+    /// stored twice.
+    shape_reps: Vec<PathId>,
     stats: IndexStats,
     /// Optional MinHash/LSH candidate tier (see [`crate::lsh`]).
     /// Shared (`Arc`) so cloning the index does not re-sign every
@@ -88,59 +96,7 @@ impl PathIndex {
         let build_span = sama_obs::span!("index.build_ns");
         let start = Instant::now();
         let extraction = extract_paths(graph.as_graph(), config);
-        let mut paths = Vec::with_capacity(extraction.paths.len());
-        let mut by_label: FxHashMap<LabelId, Vec<PathId>> = FxHashMap::default();
-        let mut by_sink: FxHashMap<LabelId, Vec<PathId>> = FxHashMap::default();
-
-        for (i, path) in extraction.paths.into_iter().enumerate() {
-            let id = PathId(i as u32);
-            let labels = path.labels(graph.as_graph());
-            // Deduplicate per-path label occurrences so `by_label` lists
-            // each path at most once per label.
-            let mut seen: Vec<LabelId> = labels
-                .node_labels
-                .iter()
-                .chain(labels.edge_labels.iter())
-                .copied()
-                .collect();
-            seen.sort_unstable();
-            seen.dedup();
-            for label in seen {
-                by_label.entry(label).or_default().push(id);
-            }
-            by_sink.entry(labels.sink_label()).or_default().push(id);
-            paths.push(IndexedPath::new(path, labels));
-        }
-
-        let hyper = HyperGraphView::build(
-            graph.as_graph(),
-            // Borrow the plain paths for the hypergraph accounting.
-            &paths.iter().map(|ip| ip.path.clone()).collect::<Vec<_>>(),
-        );
-        let stats = IndexStats {
-            triples: graph.edge_count(),
-            hyper_vertices: hyper.vertex_count,
-            hyper_edges: hyper.edge_count(),
-            path_count: paths.len(),
-            build_time: start.elapsed(),
-            serialized_bytes: None,
-            depth_truncated: extraction.depth_truncated,
-            dropped: extraction.dropped,
-        };
-        drop(build_span);
-        sama_obs::counter_add("index.builds_total", 1);
-        sama_obs::gauge_set("index.paths", stats.path_count as i64);
-        sama_obs::gauge_set("index.triples", stats.triples as i64);
-
-        PathIndex {
-            graph,
-            paths,
-            by_label,
-            by_sink,
-            stats,
-            lsh: None,
-            ic: OnceLock::new(),
-        }
+        Self::from_extractions(graph, vec![extraction], start, build_span)
     }
 
     /// Build with explicit extraction limits, fanning path extraction
@@ -209,21 +165,30 @@ impl PathIndex {
                 .collect()
         };
 
-        let mut all_paths = Vec::new();
+        Self::from_extractions(graph, extractions, start, build_span)
+    }
+
+    /// The common tail of the builds: concatenate the extractions in
+    /// order, materialize labels, and assemble through
+    /// [`PathIndex::from_parts`] — one place builds the inverted maps
+    /// and the shape table.
+    fn from_extractions(
+        graph: DataGraph,
+        extractions: Vec<crate::extract::Extraction>,
+        start: Instant,
+        build_span: sama_obs::Span,
+    ) -> Self {
+        let mut paths = Vec::new();
         let mut depth_truncated = 0u64;
         let mut dropped = 0u64;
         for extraction in extractions {
-            all_paths.extend(extraction.paths);
             depth_truncated += extraction.depth_truncated;
             dropped += extraction.dropped;
-        }
-        let paths: Vec<IndexedPath> = all_paths
-            .into_iter()
-            .map(|path| {
+            paths.extend(extraction.paths.into_iter().map(|path| {
                 let labels = path.labels(graph.as_graph());
                 IndexedPath::new(path, labels)
-            })
-            .collect();
+            }));
+        }
         let hyper = HyperGraphView::build(
             graph.as_graph(),
             &paths.iter().map(|ip| ip.path.clone()).collect::<Vec<_>>(),
@@ -233,16 +198,18 @@ impl PathIndex {
             hyper_vertices: hyper.vertex_count,
             hyper_edges: hyper.edge_count(),
             path_count: paths.len(),
-            build_time: start.elapsed(),
+            build_time: std::time::Duration::ZERO,
             serialized_bytes: None,
             depth_truncated,
             dropped,
         };
+        let mut index = Self::from_parts(graph, paths, stats);
+        index.stats.build_time = start.elapsed();
         drop(build_span);
         sama_obs::counter_add("index.builds_total", 1);
-        sama_obs::gauge_set("index.paths", stats.path_count as i64);
-        sama_obs::gauge_set("index.triples", stats.triples as i64);
-        Self::from_parts(graph, paths, stats)
+        sama_obs::gauge_set("index.paths", index.stats.path_count as i64);
+        sama_obs::gauge_set("index.triples", index.stats.triples as i64);
+        index
     }
 
     /// Reassemble an index from its parts (used by [`crate::storage`]).
@@ -265,11 +232,27 @@ impl PathIndex {
             }
             by_sink.entry(ip.labels.sink_label()).or_default().push(id);
         }
+        // Intern the edge-label sequences: the map borrows them from
+        // `paths`, so a distinct sequence costs one id, not a copy.
+        let mut shape_of: FxHashMap<&[LabelId], u32> = FxHashMap::default();
+        let mut shape_reps = Vec::new();
+        let path_shapes = paths
+            .iter()
+            .enumerate()
+            .map(|(i, ip)| {
+                *shape_of.entry(&ip.labels.edge_labels).or_insert_with(|| {
+                    shape_reps.push(PathId(i as u32));
+                    shape_reps.len() as u32 - 1
+                })
+            })
+            .collect();
         PathIndex {
             graph,
             paths,
             by_label,
             by_sink,
+            path_shapes,
+            shape_reps,
             stats,
             lsh: None,
             ic: OnceLock::new(),
@@ -340,6 +323,27 @@ impl PathIndex {
             .iter()
             .enumerate()
             .map(|(i, p)| (PathId(i as u32), p))
+    }
+
+    /// The shape id of a path: equal for two paths exactly when their
+    /// edge-label sequences are equal; dense in `0..shape_count()`.
+    #[inline]
+    pub fn path_shape(&self, id: PathId) -> u32 {
+        self.path_shapes[id.index()]
+    }
+
+    /// Number of distinct edge-label sequences among the indexed paths.
+    #[inline]
+    pub fn shape_count(&self) -> usize {
+        self.shape_reps.len()
+    }
+
+    /// The distinct edge-label sequences, in shape-id order (v2 encoder
+    /// input).
+    pub(crate) fn shapes(&self) -> impl Iterator<Item = &[LabelId]> + '_ {
+        self.shape_reps
+            .iter()
+            .map(|&rep| &*self.path(rep).labels.edge_labels)
     }
 
     /// Paths containing `label` anywhere (node or edge position).

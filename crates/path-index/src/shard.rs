@@ -22,7 +22,7 @@ use crate::index::{IndexedPath, PathIndex};
 use crate::path::{LabelsRef, PathId};
 use crate::stats::IndexStats;
 use crate::synonyms::SynonymProvider;
-use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Vocabulary};
+use rdf_model::{DataGraph, EdgeId, FxHashMap, LabelId, NodeId, TermKind, Vocabulary};
 use std::sync::OnceLock;
 
 /// Resolves a query constant's lexical form to a data label id — all
@@ -67,8 +67,12 @@ pub(crate) fn match_via(
             lookup(label, &mut out);
         }
     }
-    out.sort_unstable();
-    out.dedup();
+    // One posting list is ascending and duplicate-free as it is; only a
+    // union of several needs the merge.
+    if !out.windows(2).all(|w| w[0] < w[1]) {
+        out.sort_unstable();
+        out.dedup();
+    }
     out
 }
 
@@ -131,6 +135,16 @@ pub trait IndexLike {
     /// conformity function `χ` intersects).
     fn sorted_nodes(&self, id: PathId) -> &[NodeId];
 
+    /// The path's *shape*: its edge-label sequence, interned when the
+    /// index was built. Two paths of this index have the same shape id
+    /// exactly when `labels(a).edge_labels == labels(b).edge_labels`;
+    /// ids are dense in `0..shape_count()`. The cluster fill keys its
+    /// alignment memo on it.
+    fn path_shape(&self, id: PathId) -> u32;
+
+    /// Number of distinct shapes among the indexed paths.
+    fn shape_count(&self) -> usize;
+
     /// Paths whose sink label matches `lexical` (or a synonym).
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId>;
 
@@ -188,6 +202,14 @@ impl IndexLike for PathIndex {
         self.path(id).sorted_nodes()
     }
 
+    fn path_shape(&self, id: PathId) -> u32 {
+        PathIndex::path_shape(self, id)
+    }
+
+    fn shape_count(&self) -> usize {
+        PathIndex::shape_count(self)
+    }
+
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         self.paths_with_sink_matching(lexical, synonyms)
     }
@@ -225,6 +247,11 @@ pub struct ShardedIndex<I: IndexLike = PathIndex> {
     /// `offsets[i]` = first global id of shard `i`; a final entry holds
     /// the total, so `offsets.len() == shards.len() + 1`.
     offsets: Vec<u32>,
+    /// `shape_maps[i][s]` = the global shape id of shard `i`'s shape
+    /// `s`: each shard interned its own edge-label sequences, and equal
+    /// sequences of different shards must share one id.
+    shape_maps: Vec<Vec<u32>>,
+    shape_count: usize,
     /// Merged IC weight table, derived lazily. Shards partition the
     /// path set disjointly over a shared vocabulary, so summing their
     /// per-label counts reproduces the single-index table exactly.
@@ -332,9 +359,30 @@ impl<I: IndexLike> ShardedIndex<I> {
             total += shard.total_paths() as u32;
         }
         offsets.push(total);
+        // Unify the shards' shape ids: walk each shard's paths and
+        // intern the sequence of every local shape on first sight.
+        let mut global: FxHashMap<Box<[LabelId]>, u32> = FxHashMap::default();
+        let shape_maps = shards
+            .iter()
+            .map(|shard| {
+                let mut map = vec![u32::MAX; shard.shape_count()];
+                for local in (0..shard.total_paths() as u32).map(PathId) {
+                    let slot = &mut map[shard.path_shape(local) as usize];
+                    if *slot == u32::MAX {
+                        let next = global.len() as u32;
+                        *slot = *global
+                            .entry(shard.labels(local).edge_labels.into())
+                            .or_insert(next);
+                    }
+                }
+                map
+            })
+            .collect();
         ShardedIndex {
             shards,
             offsets,
+            shape_maps,
+            shape_count: global.len(),
             ic: OnceLock::new(),
         }
     }
@@ -432,6 +480,15 @@ impl<I: IndexLike> IndexLike for ShardedIndex<I> {
     fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
         let (shard, local) = self.locate(id);
         self.shards[shard].sorted_nodes(local)
+    }
+
+    fn path_shape(&self, id: PathId) -> u32 {
+        let (shard, local) = self.locate(id);
+        self.shape_maps[shard][self.shards[shard].path_shape(local) as usize]
+    }
+
+    fn shape_count(&self) -> usize {
+        self.shape_count
     }
 
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {

@@ -48,6 +48,10 @@ pub enum StorageError {
     TooLarge(&'static str),
     /// An I/O error while opening or reading an index file.
     Io(String),
+    /// A `SAMAIDX2` file written before the shape table: it cannot be
+    /// served in place — decode it once ([`crate::decode_v2`]) and
+    /// serve the image of the result.
+    LegacyLayout,
 }
 
 impl std::fmt::Display for StorageError {
@@ -61,6 +65,9 @@ impl std::fmt::Display for StorageError {
                 write!(f, "index too large for format: {what} exceeds u32 range")
             }
             StorageError::Io(err) => write!(f, "index i/o error: {err}"),
+            StorageError::LegacyLayout => {
+                write!(f, "index was written in a superseded SAMAIDX2 layout")
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! ```text
 //! header   magic b"SAMAIDX2", u32 version, u32 section count,
 //!          u64 file length                                  (24 bytes)
-//! table    20 × { u64 offset, u64 length }                 (320 bytes)
+//! table    23 × { u64 offset, u64 length }                 (368 bytes)
 //! sections each 8-byte aligned, in table order:
 //!   0 counts        u64 × 8  (vocab, nodes, edges, paths,
 //!                             path-node pool, sorted pool,
@@ -27,36 +27,48 @@
 //!   9 path-nodes    u32 × pool             node ids, all paths
 //!  10 path-edges    u32 × pool−paths       edge ids, all paths
 //!  11 path-nlabels  u32 × pool             node labels, all paths
-//!  12 path-elabels  u32 × pool−paths       edge labels, all paths
-//!  13 sorted-offs   u32 × paths+1          sorted-node-pool offsets
-//!  14 sorted-nodes  u32 × sorted pool      per-path sorted+deduped ids
-//!  15 label-table   u32 × 3·cap            open addressing, stored
-//!  16 label-posts   u32 × n                postings (path ids)
-//!  17 sink-table    u32 × 3·cap            open addressing, stored
-//!  18 sink-posts    u32 × n                postings (path ids)
-//!  19 stats         u64 × 7                Table 1 numbers
-//!  20 ic-counts     u64 × vocab+1          label occurrence counts
+//!  12 path-shapes   u32 × paths            shape id per path
+//!  13 shape-offs    u32 × shapes+1         shape-pool offsets (CSR)
+//!  14 shape-labels  u32 × shape pool       edge labels, one copy per
+//!                                          distinct sequence
+//!  15 sorted-offs   u32 × paths+1          sorted-node-pool offsets
+//!  16 sorted-nodes  u32 × sorted pool      per-path sorted+deduped ids
+//!  17 label-table   u32 × 3·cap            open addressing, stored
+//!  18 label-posts   u32 × n                postings (path ids)
+//!  19 sink-table    u32 × 3·cap            open addressing, stored
+//!  20 sink-posts    u32 × n                postings (path ids)
+//!  21 stats         u64 × 7                Table 1 numbers
+//!  22 ic-counts     u64 × vocab+1          label occurrence counts
 //!                                          (total first) for the
 //!                                          IC-weighted cost model
 //! ```
 //!
-//! Files written before the `ic-counts` section existed carry a
-//! 20-entry table; parsing accepts both, and [`MappedIndex::ic_table`]
-//! recomputes the counts from the path label pools when the section is
-//! absent (the "sidecar fallback" — bit-identical to the stored table
-//! by construction, just not free).
+//! A path's edge labels are its *shape*: the sequence is interned at
+//! build time and stored once in the shape pool (sections 13/14), and
+//! each path carries only the id (section 12). LUBM-like data has tens
+//! of distinct sequences under hundreds of thousands of paths, so this
+//! is both the smaller encoding and what lets the cluster fill score a
+//! shape once instead of a path at a time (`IndexLike::path_shape`).
+//!
+//! Files written before the shape table carry a 20- or 21-entry table
+//! with a per-path edge-label pool where section 12 is now. They are
+//! not served in place: [`MappedIndex::open`] answers
+//! [`StorageError::LegacyLayout`], and [`decode_v2`] decodes them once
+//! into a [`PathIndex`] (whose image a caller then serves), gathering
+//! the label sequences through the decoded graph instead of reading the
+//! pool that went away.
 //!
 //! The hash tables are power-of-two open-addressing with linear
 //! probing (multiplicative Fibonacci hashing on the high bits), slot =
 //! `{label, postings start, postings len}`, empty key `u32::MAX` —
 //! stored at build time, so lookups on load need **no rebuild and no
-//! allocation**. The label pools (sections 11/12) duplicate what a
-//! gather through sections 4/7 could compute precisely so the hot
+//! allocation**. The node-label pool (section 11) duplicates what a
+//! gather through section 4 could compute precisely so the hot
 //! alignment loop reads one contiguous slice per path.
 //!
 //! Opening ([`MappedIndex::open`]) maps the file (via the vendored
 //! `memmap2` shim; [`MappedIndex::from_bytes`] is the pure in-memory
-//! fallback), parses the ~344-byte header, and runs one allocation-free
+//! fallback), parses the ~392-byte header, and runs one allocation-free
 //! sequential validation pass over the arrays so every later accessor
 //! can index without panicking on corrupt data. The data graph itself
 //! (vocabulary interning + adjacency) is materialized **lazily** on
@@ -84,10 +96,11 @@ use std::time::Duration;
 /// The format magic.
 pub const MAGIC2: &[u8; 8] = b"SAMAIDX2";
 const VERSION: u32 = 2;
-const SECTION_COUNT: usize = 21;
-/// Section count of files written before the `ic-counts` section —
-/// still accepted by [`Layout::parse`].
-const LEGACY_SECTION_COUNT: usize = 20;
+const SECTION_COUNT: usize = 23;
+/// Section counts of files written before the shape table (without and
+/// with the `ic-counts` section) — [`Layout::parse`] still reads their
+/// tables, for [`decode_v2`] only.
+const LEGACY_SECTION_COUNTS: [usize; 2] = [20, 21];
 const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
 /// Empty hash-table slot marker (never a valid label id: ids are < len).
@@ -105,15 +118,17 @@ const S_PATH_OFFS: usize = 8;
 const S_PATH_NODES: usize = 9;
 const S_PATH_EDGES: usize = 10;
 const S_PATH_NLABELS: usize = 11;
-const S_PATH_ELABELS: usize = 12;
-const S_SORTED_OFFS: usize = 13;
-const S_SORTED_NODES: usize = 14;
-const S_LABEL_TABLE: usize = 15;
-const S_LABEL_POSTS: usize = 16;
-const S_SINK_TABLE: usize = 17;
-const S_SINK_POSTS: usize = 18;
-const S_STATS: usize = 19;
-const S_IC_COUNTS: usize = 20;
+const S_PATH_SHAPES: usize = 12;
+const S_SHAPE_OFFS: usize = 13;
+const S_SHAPE_LABELS: usize = 14;
+const S_SORTED_OFFS: usize = 15;
+const S_SORTED_NODES: usize = 16;
+const S_LABEL_TABLE: usize = 17;
+const S_LABEL_POSTS: usize = 18;
+const S_SINK_TABLE: usize = 19;
+const S_SINK_POSTS: usize = 20;
+const S_STATS: usize = 21;
+const S_IC_COUNTS: usize = 22;
 
 /// Human-readable section names, table order (for `sama index --stats`).
 pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -129,7 +144,9 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "path-node-pool",
     "path-edge-pool",
     "path-node-labels",
-    "path-edge-labels",
+    "path-shapes",
+    "shape-offsets",
+    "shape-labels",
     "sorted-offsets",
     "sorted-node-pool",
     "label-table",
@@ -235,6 +252,17 @@ impl Writer {
         });
     }
 
+    /// CSR offsets over runs of the given lengths: a leading 0, then
+    /// the running total after each run. [`encode_v2`] checks every
+    /// pool's total against the `u32` range before it writes.
+    fn offsets_section(&mut self, lens: impl IntoIterator<Item = usize>) {
+        let mut off = 0u32;
+        self.u32_section(std::iter::once(0).chain(lens.into_iter().map(|len| {
+            off += len as u32;
+            off
+        })));
+    }
+
     fn finish(mut self) -> Vec<u8> {
         assert_eq!(self.next, SECTION_COUNT, "every section written");
         let len = self.buf.len() as u64;
@@ -304,7 +332,7 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
         + vocab.len() * 5
         + blob_len
         + (graph.node_count() + 3 * graph.edge_count()) * 4
-        + (4 * node_pool + 2 * (index.path_count() + 1) + sorted_pool) * 4
+        + (3 * node_pool + 3 * (index.path_count() + 1) + sorted_pool) * 4
         + (label_table.len() + label_posts.len() + sink_table.len() + sink_posts.len()) * 4
         + 56
         + (vocab.len() + 1) * 8
@@ -335,14 +363,7 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
             TermKind::Variable => 3,
         }));
     });
-    w.section(|buf| {
-        let mut off = 0u32;
-        buf.extend_from_slice(&off.to_le_bytes());
-        for (_, _, lex) in vocab.iter() {
-            off += lex.len() as u32; // guarded by the blob_len check above
-            buf.extend_from_slice(&off.to_le_bytes());
-        }
-    });
+    w.offsets_section(vocab.iter().map(|(_, _, lex)| lex.len()));
     w.section(|buf| {
         for (_, _, lex) in vocab.iter() {
             buf.extend_from_slice(lex.as_bytes());
@@ -355,15 +376,8 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
     w.u32_section(graph.edges().map(|(_, e)| e.to.0));
     w.u32_section(graph.edges().map(|(_, e)| e.label.0));
     // 8: path offsets (CSR into the node pool).
-    w.section(|buf| {
-        let mut off = 0u32;
-        buf.extend_from_slice(&off.to_le_bytes());
-        for (_, ip) in index.paths() {
-            off += ip.path.nodes.len() as u32; // guarded by node_pool check
-            buf.extend_from_slice(&off.to_le_bytes());
-        }
-    });
-    // 9-12: path pools.
+    w.offsets_section(index.paths().map(|(_, ip)| ip.path.nodes.len()));
+    // 9-11: path pools.
     w.u32_section(
         index
             .paths()
@@ -379,31 +393,24 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
             .paths()
             .flat_map(|(_, ip)| ip.labels.node_labels.iter().map(|l| l.0)),
     );
-    w.u32_section(
-        index
-            .paths()
-            .flat_map(|(_, ip)| ip.labels.edge_labels.iter().map(|l| l.0)),
-    );
-    // 13-14: sorted node sets.
-    w.section(|buf| {
-        let mut off = 0u32;
-        buf.extend_from_slice(&off.to_le_bytes());
-        for (_, ip) in index.paths() {
-            off += ip.sorted_nodes().len() as u32; // guarded above
-            buf.extend_from_slice(&off.to_le_bytes());
-        }
-    });
+    // 12-14: the shape table. The pool is no longer than the edge pool
+    // it replaces, so its offsets fit the node_pool check.
+    w.u32_section(index.paths().map(|(id, _)| index.path_shape(id)));
+    w.offsets_section(index.shapes().map(<[LabelId]>::len));
+    w.u32_section(index.shapes().flat_map(|shape| shape.iter().map(|l| l.0)));
+    // 15-16: sorted node sets.
+    w.offsets_section(index.paths().map(|(_, ip)| ip.sorted_nodes().len()));
     w.u32_section(
         index
             .paths()
             .flat_map(|(_, ip)| ip.sorted_nodes().iter().map(|n| n.0)),
     );
-    // 15-18: stored inverted maps.
+    // 17-20: stored inverted maps.
     w.u32_section(label_table);
     w.u32_section(label_posts);
     w.u32_section(sink_table);
     w.u32_section(sink_posts);
-    // 19: stats.
+    // 21: stats.
     w.section(|buf| {
         let stats = index.stats();
         for v in [
@@ -418,7 +425,7 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
             buf.extend_from_slice(&v.to_le_bytes());
         }
     });
-    // 20: ic counts.
+    // 22: ic counts.
     w.section(|buf| buf.extend_from_slice(&ic.to_bytes()));
 
     Ok(w.finish())
@@ -443,15 +450,18 @@ pub fn serialize_index_v2(index: &mut PathIndex) -> Result<Vec<u8>, StorageError
 #[derive(Debug, Clone, Copy)]
 struct Layout {
     sec: [(usize, usize); SECTION_COUNT],
-    /// `false` for legacy 20-section files that predate the
-    /// `ic-counts` section (the `sec` entry for it is then `(0, 0)`).
-    has_ic: bool,
+    /// `true` for a file written before the shape table. Its sections
+    /// sit in `sec` under today's indices, with the shape sections (and
+    /// `ic-counts`) left `(0, 0)` and unchecked: only [`decode_v2`]
+    /// reads such a layout, and it reads neither.
+    legacy: bool,
     vocab_len: usize,
     node_count: usize,
     edge_count: usize,
     path_count: usize,
     node_pool: usize,
     sorted_pool: usize,
+    shape_count: usize,
     stats: [u64; 7],
 }
 
@@ -472,7 +482,7 @@ impl Layout {
         if !(bytes.as_ptr() as usize).is_multiple_of(8) {
             return Err(StorageError::Corrupt("index buffer is not 8-byte aligned"));
         }
-        if bytes.len() < HEADER_LEN + LEGACY_SECTION_COUNT * 16 {
+        if bytes.len() < HEADER_LEN + LEGACY_SECTION_COUNTS[0] * 16 {
             if bytes.len() < MAGIC2.len() || &bytes[..MAGIC2.len()] != MAGIC2 {
                 return Err(StorageError::BadMagic);
             }
@@ -486,12 +496,12 @@ impl Layout {
             return Err(StorageError::Corrupt("unsupported SAMAIDX2 version"));
         }
         let sections = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        // Legacy files predate the ic-counts section; anything else is
-        // not ours.
-        if sections != SECTION_COUNT && sections != LEGACY_SECTION_COUNT {
+        // Legacy files predate the shape table; anything else is not
+        // ours.
+        let legacy = LEGACY_SECTION_COUNTS.contains(&sections);
+        if sections != SECTION_COUNT && !legacy {
             return Err(StorageError::Corrupt("unexpected section count"));
         }
-        let has_ic = sections == SECTION_COUNT;
         if bytes.len() < HEADER_LEN + sections * 16 {
             return Err(StorageError::Truncated);
         }
@@ -501,7 +511,7 @@ impl Layout {
 
         let mut sec = [(0usize, 0usize); SECTION_COUNT];
         let mut prev_end = HEADER_LEN + sections * 16;
-        for (i, entry) in sec.iter_mut().enumerate().take(sections) {
+        for i in 0..sections {
             let at = HEADER_LEN + i * 16;
             let off = usize::try_from(read_u64_at(bytes, at))
                 .map_err(|_| StorageError::Corrupt("section offset overflow"))?;
@@ -520,7 +530,14 @@ impl Layout {
                 return Err(StorageError::Truncated);
             }
             prev_end = end;
-            *entry = (off, len);
+            // A legacy table holds the per-path edge-label pool at 12
+            // and, when it has one, `ic-counts` at 20 (no reader is left
+            // for either), and the rest two places earlier than today.
+            match i {
+                12 | 20 if legacy => {}
+                _ if legacy && i > 12 => sec[i + 2] = (off, len),
+                _ => sec[i] = (off, len),
+            }
         }
 
         if sec[S_COUNTS].1 != 64 {
@@ -573,11 +590,6 @@ impl Layout {
             "path edge pool size",
         )?;
         expect(S_PATH_NLABELS, node_pool * 4, "path node label pool size")?;
-        expect(
-            S_PATH_ELABELS,
-            (node_pool - path_count) * 4,
-            "path edge label pool size",
-        )?;
         expect(S_SORTED_OFFS, (path_count + 1) * 4, "sorted offsets size")?;
         expect(S_SORTED_NODES, sorted_pool * 4, "sorted pool size")?;
         expect(S_LABEL_TABLE, label_cap * 12, "label table size")?;
@@ -588,7 +600,14 @@ impl Layout {
             }
         }
         expect(S_STATS, 56, "stats section size")?;
-        if has_ic {
+        let mut shape_count = 0;
+        if !legacy {
+            expect(S_PATH_SHAPES, path_count * 4, "path shapes section size")?;
+            let offs = sec[S_SHAPE_OFFS].1;
+            if offs < 4 || offs % 4 != 0 || sec[S_SHAPE_LABELS].1 % 4 != 0 {
+                return Err(StorageError::Corrupt("shape pool section size"));
+            }
+            shape_count = offs / 4 - 1;
             expect(S_IC_COUNTS, (vocab_len + 1) * 8, "ic counts section size")?;
         }
         let st = cast_u64s(&bytes[sec[S_STATS].0..sec[S_STATS].0 + 56]);
@@ -599,13 +618,14 @@ impl Layout {
 
         Ok(Layout {
             sec,
-            has_ic,
+            legacy,
             vocab_len,
             node_count,
             edge_count,
             path_count,
             node_pool,
             sorted_pool,
+            shape_count,
             stats,
         })
     }
@@ -644,14 +664,15 @@ impl Layout {
             path_nodes: as_node_ids(self.u32s(bytes, S_PATH_NODES)),
             path_edges: as_edge_ids(self.u32s(bytes, S_PATH_EDGES)),
             path_nlabels: as_label_ids(self.u32s(bytes, S_PATH_NLABELS)),
-            path_elabels: as_label_ids(self.u32s(bytes, S_PATH_ELABELS)),
+            path_shapes: self.u32s(bytes, S_PATH_SHAPES),
+            shape_offs: self.u32s(bytes, S_SHAPE_OFFS),
+            shape_labels: as_label_ids(self.u32s(bytes, S_SHAPE_LABELS)),
             sorted_offs: self.u32s(bytes, S_SORTED_OFFS),
             sorted_nodes: as_node_ids(self.u32s(bytes, S_SORTED_NODES)),
             label_table: self.u32s(bytes, S_LABEL_TABLE),
             label_posts: self.u32s(bytes, S_LABEL_POSTS),
             sink_table: self.u32s(bytes, S_SINK_TABLE),
             sink_posts: self.u32s(bytes, S_SINK_POSTS),
-            // Legacy files: sec[S_IC_COUNTS] is (0, 0) → empty slice.
             ic_counts: cast_u64s(self.bytes_of(bytes, S_IC_COUNTS)),
         }
     }
@@ -777,7 +798,9 @@ pub struct IndexView<'a> {
     path_nodes: &'a [NodeId],
     path_edges: &'a [EdgeId],
     path_nlabels: &'a [LabelId],
-    path_elabels: &'a [LabelId],
+    path_shapes: &'a [u32],
+    shape_offs: &'a [u32],
+    shape_labels: &'a [LabelId],
     sorted_offs: &'a [u32],
     sorted_nodes: &'a [NodeId],
     label_table: &'a [u32],
@@ -796,6 +819,9 @@ impl<'a> IndexView<'a> {
     /// never panics, never allocates proportionally to the input.
     pub fn parse(bytes: &'a [u8]) -> Result<IndexView<'a>, StorageError> {
         let layout = Layout::parse(bytes)?;
+        if layout.legacy {
+            return Err(StorageError::LegacyLayout);
+        }
         let view = layout.view(bytes);
         view.validate()?;
         Ok(view)
@@ -862,10 +888,34 @@ impl<'a> IndexView<'a> {
         if self.path_edges.iter().any(|e| e.0 as usize >= l.edge_count) {
             return Err(corrupt("path edge out of range"));
         }
-        if !self.path_nlabels.iter().copied().all(label_ok)
-            || !self.path_elabels.iter().copied().all(label_ok)
-        {
+        if !self.path_nlabels.iter().copied().all(label_ok) {
             return Err(corrupt("path label out of range"));
+        }
+
+        // Shapes: CSR offsets spanning the pool (a single-node path has
+        // the empty shape), labels in range, and every path naming a
+        // shape exactly as long as its edge sequence.
+        if !l.legacy {
+            if self.shape_offs[0] != 0
+                || *self.shape_offs.last().expect("len >= 1") as usize != self.shape_labels.len()
+            {
+                return Err(corrupt("shape offsets do not span pool"));
+            }
+            if self.shape_offs.windows(2).any(|w| w[0] > w[1]) {
+                return Err(corrupt("shape offsets not monotone"));
+            }
+            if !self.shape_labels.iter().copied().all(label_ok) {
+                return Err(corrupt("shape label out of range"));
+            }
+            for (nodes, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
+                let shape = shape as usize;
+                if shape >= l.shape_count {
+                    return Err(corrupt("path shape out of range"));
+                }
+                if self.shape_offs[shape + 1] - self.shape_offs[shape] != nodes[1] - nodes[0] - 1 {
+                    return Err(corrupt("shape length does not match path"));
+                }
+            }
         }
 
         // Sorted node sets: strictly ascending within each path.
@@ -916,12 +966,10 @@ impl<'a> IndexView<'a> {
 
         // IC counts: the stored total must equal the summed counts — a
         // flipped bit anywhere in the section trips this.
-        if l.has_ic {
+        if !l.legacy {
             let mut sum = 0u64;
             for &c in &self.ic_counts[1..] {
-                sum = sum
-                    .checked_add(c)
-                    .ok_or(corrupt("ic counts overflow"))?;
+                sum = sum.checked_add(c).ok_or(corrupt("ic counts overflow"))?;
             }
             if sum != self.ic_counts[0] {
                 return Err(corrupt("ic counts checksum mismatch"));
@@ -951,13 +999,16 @@ impl<'a> IndexView<'a> {
         &self.path_edges[a - id.index()..b - id.index() - 1]
     }
 
-    /// Label sequences of path `id`, straight from the stored pools.
+    /// Label sequences of path `id`: its run of the node-label pool and
+    /// its shape's run of the shape pool.
     #[inline]
     pub fn labels(&self, id: PathId) -> LabelsRef<'a> {
         let (a, b) = self.node_span(id);
+        let shape = self.path_shapes[id.index()] as usize;
         LabelsRef {
             node_labels: &self.path_nlabels[a..b],
-            edge_labels: &self.path_elabels[a - id.index()..b - id.index() - 1],
+            edge_labels: &self.shape_labels
+                [self.shape_offs[shape] as usize..self.shape_offs[shape + 1] as usize],
         }
     }
 
@@ -1007,27 +1058,12 @@ impl<'a> IndexView<'a> {
         Self::table_get(self.sink_table, self.sink_posts, label)
     }
 
-    /// Label occurrence counts for the IC-weighted cost model: the
-    /// stored `ic-counts` section when present, else recomputed from
-    /// the path label pools (legacy 20-section files) — identical to
-    /// what the encoder would have stored, just not free.
+    /// Label occurrence counts for the IC-weighted cost model, from
+    /// the stored `ic-counts` section.
     pub fn ic_counts(&self) -> IcCounts {
-        if self.layout.has_ic {
-            IcCounts {
-                counts: self.ic_counts[1..].to_vec(),
-                total: self.ic_counts[0],
-            }
-        } else {
-            IcCounts::tally(
-                self.layout.vocab_len,
-                (0..self.layout.path_count).map(|i| {
-                    let l = self.labels(PathId(i as u32));
-                    l.node_labels
-                        .iter()
-                        .copied()
-                        .chain(l.edge_labels.iter().copied())
-                }),
-            )
+        IcCounts {
+            counts: self.ic_counts[1..].to_vec(),
+            total: self.ic_counts[0],
         }
     }
 
@@ -1087,14 +1123,17 @@ impl<'a> IndexView<'a> {
 /// undesired, and the staging area for [`decode_v2`].
 #[derive(Debug, Clone)]
 pub struct AlignedBytes {
-    words: Box<[u64]>,
+    /// Never resized. A `Vec`, not a `Box`: [`MappedIndex`] keeps
+    /// slices into this allocation while the handle that owns it moves,
+    /// and moving a `Box` asserts unique access to what it points to.
+    words: Vec<u64>,
     len: usize,
 }
 
 impl AlignedBytes {
     /// Copy `bytes` into a fresh 8-aligned buffer.
     pub fn copy_from(bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)].into_boxed_slice();
+        let mut words = vec![0u64; bytes.len().div_ceil(8)];
         // SAFETY: u64 -> u8 reinterpretation of an initialized buffer.
         let dst = unsafe {
             std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8)
@@ -1143,8 +1182,14 @@ impl Backing {
 /// a [`DataGraph`] pay for materializing one, lazily on first access.
 #[derive(Debug)]
 pub struct MappedIndex {
+    /// Every section of `backing`, sliced once at open: slicing them
+    /// per read cost more than the reads (5.2 ns against 1.5 ns for one
+    /// `labels` call). The slices point into `backing`'s bytes; the
+    /// `'static` never leaves this module ([`MappedIndex::view`] and the
+    /// accessors hand them out under the borrow of `self`).
+    view: IndexView<'static>,
+    /// Owns the bytes `view` points into. Never mutated or replaced.
     backing: Backing,
-    layout: Layout,
     stats: IndexStats,
     data: OnceLock<DataGraph>,
     /// The constant → label id table over the vocabulary sections,
@@ -1153,8 +1198,8 @@ pub struct MappedIndex {
     /// Optional MinHash/LSH candidate tier, loaded from a `SAMALSH1`
     /// sidecar file next to the index (see [`crate::lsh`]).
     lsh: Option<crate::lsh::LshSidecar>,
-    /// IC weight table, derived lazily from the `ic-counts` section
-    /// (or recomputed for legacy files) on first use.
+    /// IC weight table, derived lazily from the `ic-counts` section on
+    /// first use.
     ic: OnceLock<IcTable>,
 }
 
@@ -1202,15 +1247,23 @@ impl MappedIndex {
 
     fn from_backing(backing: Backing) -> Result<MappedIndex, StorageError> {
         let _span = sama_obs::span!("index.open_ns");
-        let layout = Layout::parse(backing.bytes())?;
-        let view = layout.view(backing.bytes());
-        view.validate()?;
+        let view = IndexView::parse(backing.bytes())?;
         let mut stats = view.stats();
         stats.serialized_bytes = Some(backing.bytes().len());
         sama_obs::counter_add("index.opens_total", 1);
+        // SAFETY: only the lifetime changes. The slices point into the
+        // bytes `backing` owns — a file mapping, or the heap allocation
+        // of an `AlignedBytes` — whose address does not change when
+        // `backing` (or the `MappedIndex` holding it) moves, which are
+        // read-only, and which live until `backing` drops. `backing` is
+        // a private field stored beside the view, never mutated or
+        // replaced, so it drops no earlier than the view does; and no
+        // `'static` slice escapes, because every accessor returns them
+        // under the borrow of `&self`.
+        let view = unsafe { std::mem::transmute::<IndexView<'_>, IndexView<'static>>(view) };
         Ok(MappedIndex {
+            view,
             backing,
-            layout,
             stats,
             data: OnceLock::new(),
             constants: OnceLock::new(),
@@ -1226,7 +1279,7 @@ impl MappedIndex {
     /// [`StorageError::Corrupt`] when the sidecar's path count does not
     /// match this index (it was built for a different snapshot).
     pub fn attach_lsh(&mut self, sidecar: crate::lsh::LshSidecar) -> Result<(), StorageError> {
-        if sidecar.path_count() != self.layout.path_count {
+        if sidecar.path_count() != self.view.path_count() {
             return Err(StorageError::Corrupt("LSH sidecar path count mismatch"));
         }
         self.lsh = Some(sidecar);
@@ -1242,7 +1295,7 @@ impl MappedIndex {
     /// The borrowed zero-copy view (no re-validation).
     #[inline]
     pub fn view(&self) -> IndexView<'_> {
-        self.layout.view(self.backing.bytes())
+        self.view
     }
 
     /// Build statistics as stored in the file (plus the byte length).
@@ -1256,40 +1309,30 @@ impl MappedIndex {
     pub fn is_mapped(&self) -> bool {
         matches!(self.backing, Backing::Mapped(_))
     }
-
-    #[inline]
-    fn u32s(&self, s: usize) -> &[u32] {
-        self.layout.u32s(self.backing.bytes(), s)
-    }
-
-    #[inline]
-    fn vocab(&self) -> VocabView<'_> {
-        self.layout.vocab(self.backing.bytes())
-    }
 }
 
 impl IndexLike for MappedIndex {
     fn data(&self) -> &DataGraph {
         self.data.get_or_init(|| {
             let _span = sama_obs::span!("index.materialize_ns");
-            self.view().materialize_graph()
+            self.view.materialize_graph()
         })
     }
 
     fn constant_label(&self, lexical: &str) -> Option<LabelId> {
-        let vocab = self.vocab();
+        let vocab = self.view.vocab;
         let table = self.constants.get_or_init(|| vocab.constant_table());
         vocab.get_constant(table, lexical)
     }
 
     #[inline]
     fn label_lexical(&self, label: LabelId) -> &str {
-        self.vocab().lexical(label)
+        self.view.vocab.lexical(label)
     }
 
     #[inline]
     fn label_kind(&self, label: LabelId) -> TermKind {
-        self.vocab().kind(label)
+        self.view.vocab.kind(label)
     }
 
     /// Relies on what open validated: edge endpoints are node ids in
@@ -1298,54 +1341,51 @@ impl IndexLike for MappedIndex {
     #[inline]
     fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId) {
         let e = edge.index();
-        let node_labels = self.u32s(S_NODE_LABELS);
+        let view = &self.view;
         (
-            LabelId(node_labels[self.u32s(S_EDGE_FROM)[e] as usize]),
-            LabelId(self.u32s(S_EDGE_LABEL)[e]),
-            LabelId(node_labels[self.u32s(S_EDGE_TO)[e] as usize]),
+            view.node_labels[view.edge_from[e].index()],
+            view.edge_label[e],
+            view.node_labels[view.edge_to[e].index()],
         )
     }
 
     fn total_paths(&self) -> usize {
-        self.layout.path_count
+        self.view.path_count()
     }
 
     #[inline]
     fn path_nodes(&self, id: PathId) -> &[NodeId] {
-        let offs = self.u32s(S_PATH_OFFS);
-        let (a, b) = (offs[id.index()] as usize, offs[id.index() + 1] as usize);
-        &as_node_ids(self.u32s(S_PATH_NODES))[a..b]
+        self.view.path_nodes(id)
     }
 
     #[inline]
     fn path_edges(&self, id: PathId) -> &[EdgeId] {
-        let offs = self.u32s(S_PATH_OFFS);
-        let (a, b) = (offs[id.index()] as usize, offs[id.index() + 1] as usize);
-        &as_edge_ids(self.u32s(S_PATH_EDGES))[a - id.index()..b - id.index() - 1]
+        self.view.path_edges(id)
     }
 
     #[inline]
     fn labels(&self, id: PathId) -> LabelsRef<'_> {
-        let offs = self.u32s(S_PATH_OFFS);
-        let (a, b) = (offs[id.index()] as usize, offs[id.index() + 1] as usize);
-        LabelsRef {
-            node_labels: &as_label_ids(self.u32s(S_PATH_NLABELS))[a..b],
-            edge_labels: &as_label_ids(self.u32s(S_PATH_ELABELS))
-                [a - id.index()..b - id.index() - 1],
-        }
+        self.view.labels(id)
     }
 
     #[inline]
     fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
-        let offs = self.u32s(S_SORTED_OFFS);
-        let (a, b) = (offs[id.index()] as usize, offs[id.index() + 1] as usize);
-        &as_node_ids(self.u32s(S_SORTED_NODES))[a..b]
+        self.view.sorted_nodes(id)
+    }
+
+    #[inline]
+    fn path_shape(&self, id: PathId) -> u32 {
+        self.view.path_shapes[id.index()]
+    }
+
+    fn shape_count(&self) -> usize {
+        self.view.layout.shape_count
     }
 
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        let view = self.view();
+        let view = self.view;
         crate::shard::match_via(self, lexical, synonyms, |label, out| {
             out.extend(view.paths_with_sink(label).iter().map(|&p| PathId(p)))
         })
@@ -1354,14 +1394,14 @@ impl IndexLike for MappedIndex {
     fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        let view = self.view();
+        let view = self.view;
         crate::shard::match_via(self, lexical, synonyms, |label, out| {
             out.extend(view.paths_with_label(label).iter().map(|&p| PathId(p)))
         })
     }
 
     fn all_path_ids(&self) -> Vec<PathId> {
-        (0..self.layout.path_count as u32).map(PathId).collect()
+        (0..self.view.path_count() as u32).map(PathId).collect()
     }
 
     fn lsh_params(&self) -> Option<crate::lsh::LshParams> {
@@ -1378,7 +1418,7 @@ impl IndexLike for MappedIndex {
     fn ic_table(&self) -> Option<IcTable> {
         Some(
             self.ic
-                .get_or_init(|| IcTable::from_counts(&self.view().ic_counts()))
+                .get_or_init(|| IcTable::from_counts(&self.view.ic_counts()))
                 .clone(),
         )
     }
@@ -1386,23 +1426,31 @@ impl IndexLike for MappedIndex {
 
 /// Decode a `SAMAIDX2` buffer into a fully owned [`PathIndex`] — the
 /// migration path for consumers that need an owned, mutable index
-/// (e.g. `sama update`). Prefer [`MappedIndex`] for serving.
+/// (e.g. `sama update`), and the one reader of files written before the
+/// shape table: for those the label sequences are gathered through the
+/// decoded graph, so nothing reads the section that went away. Prefer
+/// [`MappedIndex`] for serving.
 ///
 /// # Errors
 /// Typed [`StorageError`]s on malformed input.
 pub fn decode_v2(buf: &[u8]) -> Result<PathIndex, StorageError> {
     sama_obs::fault::point("index.load");
     let owned = AlignedBytes::copy_from(buf);
-    let view = IndexView::parse(owned.as_slice())?;
+    let view = Layout::parse(owned.as_slice())?.view(owned.as_slice());
+    view.validate()?;
     let data = view.materialize_graph();
     let mut paths = Vec::with_capacity(view.path_count());
     for i in 0..view.path_count() {
         let id = PathId(i as u32);
         let path = Path::new(view.path_nodes(id).to_vec(), view.path_edges(id).to_vec());
-        let l = view.labels(id);
-        let labels = PathLabels {
-            node_labels: l.node_labels.into(),
-            edge_labels: l.edge_labels.into(),
+        let labels = if view.layout.legacy {
+            path.labels(data.as_graph())
+        } else {
+            let stored = view.labels(id);
+            PathLabels {
+                node_labels: stored.node_labels.into(),
+                edge_labels: stored.edge_labels.into(),
+            }
         };
         paths.push(IndexedPath::new(path, labels));
     }
@@ -1459,19 +1507,59 @@ mod tests {
         }
     }
 
+    /// The shape table's contract, on any index: ids are dense, and two
+    /// paths share one exactly when they share an edge-label sequence.
+    fn assert_shapes_partition_by_edge_labels(index: &impl IndexLike) {
+        let mut sequence_of = vec![None; index.shape_count()];
+        for id in index.all_path_ids() {
+            let sequence = index.labels(id).edge_labels;
+            let known = sequence_of[index.path_shape(id) as usize].get_or_insert(sequence);
+            assert_eq!(*known, sequence, "{id}: one shape, two sequences");
+        }
+        let mut distinct: Vec<_> = sequence_of.iter().map(|s| s.expect("dense ids")).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            index.shape_count(),
+            "one sequence, two shapes"
+        );
+    }
+
     #[test]
     fn mapped_view_agrees_with_owned_index() {
-        let idx = bigger_index();
-        let bytes = encode_v2(&idx).unwrap();
+        // Fresh from `build`, and again after `insert_triples` rebuilt
+        // the path set: a new branch with a new predicate (a new shape),
+        // and a chain extension that retires `m0`'s old paths.
+        let mut updated = bigger_index();
+        let extra = [
+            rdf_model::Triple::parse("s0", "r", "m1"),
+            rdf_model::Triple::parse("\"leaf 0\"", "t", "deeper"),
+        ];
+        updated
+            .insert_triples(&extra, &crate::extract::ExtractionConfig::default())
+            .unwrap();
+        assert!(updated.shape_count() > bigger_index().shape_count());
+        for idx in [bigger_index(), updated] {
+            assert_mapped_agrees_with_owned(&idx);
+        }
+    }
+
+    fn assert_mapped_agrees_with_owned(idx: &PathIndex) {
+        let bytes = encode_v2(idx).unwrap();
         let mapped = MappedIndex::from_bytes(&bytes).unwrap();
         assert!(!mapped.is_mapped());
         assert_eq!(mapped.total_paths(), idx.path_count());
+        assert_eq!(IndexLike::shape_count(&mapped), idx.shape_count());
         for (id, ip) in idx.paths() {
             assert_eq!(mapped.path_nodes(id), &*ip.path.nodes);
             assert_eq!(mapped.path_edges(id), &*ip.path.edges);
             assert_eq!(mapped.labels(id), ip.labels.view());
             assert_eq!(mapped.sorted_nodes(id), ip.sorted_nodes());
+            assert_eq!(IndexLike::path_shape(&mapped, id), idx.path_shape(id));
         }
+        assert_shapes_partition_by_edge_labels(idx);
+        assert_shapes_partition_by_edge_labels(&mapped);
         // Stored inverted maps agree with the rebuilt ones.
         for probe in ["p", "q", "m1", "leaf 2", "absent"] {
             assert_eq!(
@@ -1704,18 +1792,40 @@ mod tests {
         assert_eq!(back.path_count(), 0);
     }
 
-    /// Rewrite a freshly encoded buffer as a legacy 20-section file:
-    /// truncate before the ic-counts section, drop its table entry, and
-    /// patch the header's section count and file length. Section
-    /// offsets are absolute, so the remaining sections stay in place.
-    fn strip_ic_section(bytes: &[u8]) -> Vec<u8> {
-        let at = HEADER_LEN + S_IC_COUNTS * 16;
-        let ic_off = read_u64_at(bytes, at) as usize;
-        let mut out = bytes[..ic_off].to_vec();
-        out[12..16].copy_from_slice(&(LEGACY_SECTION_COUNT as u32).to_le_bytes());
+    /// Rewrite a freshly encoded buffer the way files were laid out
+    /// before the shape table: sections 0–11 as they are, each path's
+    /// edge labels spelled out in a per-path pool at 12, the rest two
+    /// places earlier, and `ic-counts` last or (the oldest files) not
+    /// at all.
+    fn legacy_image(bytes: &[u8], with_ic: bool) -> Vec<u8> {
+        let owned = AlignedBytes::copy_from(bytes);
+        let view = IndexView::parse(owned.as_slice()).unwrap();
+        let section = |s: usize| view.layout.bytes_of(owned.as_slice(), s).to_vec();
+        let mut sections: Vec<Vec<u8>> = (0..S_PATH_SHAPES).map(section).collect();
+        sections.push(
+            (0..view.path_count() as u32)
+                .flat_map(|i| view.labels(PathId(i)).edge_labels)
+                .flat_map(|label| label.0.to_le_bytes())
+                .collect(),
+        );
+        sections.extend((S_SORTED_OFFS..=S_STATS).map(section));
+        if with_ic {
+            sections.push(section(S_IC_COUNTS));
+        }
+        let mut out = MAGIC2.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        out.resize(HEADER_LEN + sections.len() * 16, 0);
+        for (i, section) in sections.iter().enumerate() {
+            out.resize(out.len().next_multiple_of(8), 0);
+            let at = HEADER_LEN + i * 16;
+            let off = out.len() as u64;
+            out[at..at + 8].copy_from_slice(&off.to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&(section.len() as u64).to_le_bytes());
+            out.extend_from_slice(section);
+        }
         let len = out.len() as u64;
         out[16..24].copy_from_slice(&len.to_le_bytes());
-        out[at..at + 16].fill(0);
         out
     }
 
@@ -1730,29 +1840,41 @@ mod tests {
 
     #[test]
     fn legacy_twenty_section_files_still_open() {
-        let idx = bigger_index();
-        let bytes = encode_v2(&idx).unwrap();
-        let legacy = strip_ic_section(&bytes);
-        let mapped = MappedIndex::from_bytes(&legacy).unwrap();
-        assert_eq!(mapped.total_paths(), idx.path_count());
-        assert_eq!(
-            mapped.sink_matching("leaf 1", &NoSynonyms),
-            idx.sink_matching("leaf 1", &NoSynonyms)
-        );
-        // The recomputed fallback table is bit-identical to the one
-        // derived from the stored section.
-        let stored = MappedIndex::from_bytes(&bytes).unwrap();
-        let a = IndexLike::ic_table(&mapped).unwrap();
-        let b = IndexLike::ic_table(&stored).unwrap();
-        assert_eq!(a.len(), b.len());
-        for i in 0..a.len() as u32 {
-            assert_eq!(
-                a.weight(LabelId(i)).to_bits(),
-                b.weight(LabelId(i)).to_bits(),
-                "label {i}"
-            );
+        // Not in place — there is one mapped layout — but through the
+        // decode-once route every older format takes: `decode_v2` reads
+        // the old table, and the image of what it decodes is the image a
+        // fresh build encodes, byte for byte, so every answer is too.
+        for idx in [sample_index(), bigger_index()] {
+            let bytes = encode_v2(&idx).unwrap();
+            for with_ic in [false, true] {
+                let legacy = legacy_image(&bytes, with_ic);
+                assert_eq!(
+                    u32::from_le_bytes(legacy[12..16].try_into().unwrap()) as usize,
+                    LEGACY_SECTION_COUNTS[usize::from(with_ic)]
+                );
+                for refused in [
+                    MappedIndex::from_bytes(&legacy).map(drop),
+                    IndexView::parse(AlignedBytes::copy_from(&legacy).as_slice()).map(drop),
+                ] {
+                    assert_eq!(refused, Err(StorageError::LegacyLayout));
+                }
+                let decoded = decode_v2(&legacy).unwrap();
+                assert_eq!(encode_v2(&decoded).unwrap(), bytes, "ic section: {with_ic}");
+            }
         }
-        assert_eq!(a.absent_weight().to_bits(), b.absent_weight().to_bits());
+    }
+
+    #[test]
+    fn corrupt_legacy_files_fail_typed() {
+        let legacy = legacy_image(&encode_v2(&bigger_index()).unwrap(), true);
+        for cut in 0..legacy.len() {
+            assert!(decode_v2(&legacy[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in (0..legacy.len()).step_by(3) {
+            let mut mutated = legacy.clone();
+            mutated[at] ^= 0x5a;
+            let _ = decode_v2(&mutated); // Ok or Err, no panic
+        }
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //! * `label_kind` — every kind byte is one of the four known kinds;
 //! * `edge_labels` — both endpoints of every edge are node ids in range,
 //!   and every node label and edge label is a label id in range;
-//! * `constant_label` — the three above (its table is built from them).
+//! * `constant_label` — the three above (its table is built from them);
+//! * `labels`, `path_shape` — every path's shape id is below the shape
+//!   count, the shape offsets start at 0, never decrease and end at the
+//!   pool's length, and a path's shape has one label per edge.
 
-use path_index::{decode_v2, encode_v2, IndexLike, MappedIndex, PathIndex};
+use path_index::{decode_v2, encode_v2, IndexLike, MappedIndex, PathIndex, StorageError};
 use proptest::prelude::*;
 use rdf_model::DataGraph;
 
@@ -37,19 +40,32 @@ fn sample_bytes() -> Vec<u8> {
         b.triple_str(&format!("m{}", i % 9), "q", &format!("\"leaf {}\"", i % 5))
             .unwrap();
     }
+    // One shorter path, so shapes come in two lengths.
+    b.triple_str("lone", "p0", "\"leaf 0\"").unwrap();
     encode_v2(&PathIndex::build(b.build())).unwrap()
+}
+
+const HEADER_LEN: usize = 24;
+const SECTIONS: usize = 23;
+const PATH_OFFSETS: usize = 8;
+const PATH_SHAPES: usize = 12;
+const SHAPE_OFFSETS: usize = 13;
+const SHAPE_LABELS: usize = 14;
+const IC_COUNTS: usize = 22;
+
+/// Byte `(offset, length)` of section `index`, from the table.
+fn section(bytes: &[u8], index: usize) -> (usize, usize) {
+    let at = HEADER_LEN + index * 16;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (word(at), word(at + 8))
 }
 
 /// Byte positions worth attacking: the header, every section-table
 /// entry, and the first/last byte of every section.
 fn interesting_offsets(bytes: &[u8]) -> Vec<usize> {
-    const HEADER_LEN: usize = 24;
-    const SECTIONS: usize = 21;
     let mut offs: Vec<usize> = (0..HEADER_LEN + SECTIONS * 16).collect();
     for i in 0..SECTIONS {
-        let at = HEADER_LEN + i * 16;
-        let off = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+        let (off, len) = section(bytes, i);
         if off < bytes.len() {
             offs.push(off);
         }
@@ -96,6 +112,14 @@ fn probe(bytes: &[u8]) {
             )
         );
     }
+    for id in mapped.all_path_ids() {
+        assert!((mapped.path_shape(id) as usize) < mapped.shape_count());
+        let labels = mapped.labels(id);
+        assert_eq!(labels.edge_labels.len() + 1, labels.node_labels.len());
+        for &label in labels.edge_labels {
+            let _ = mapped.label_lexical(label);
+        }
+    }
 }
 
 #[test]
@@ -127,7 +151,7 @@ fn bit_flips_at_section_boundaries_never_panic() {
 #[test]
 fn every_header_and_table_byte_zeroed_never_panics() {
     let bytes = sample_bytes();
-    for at in 0..(24 + 21 * 16) {
+    for at in 0..(HEADER_LEN + SECTIONS * 16) {
         let mut mutated = bytes.clone();
         mutated[at] = 0;
         probe(&mutated);
@@ -136,13 +160,11 @@ fn every_header_and_table_byte_zeroed_never_panics() {
 
 #[test]
 fn ic_count_flips_are_rejected_by_the_checksum() {
-    // The ic-counts section (index 20) stores the total alongside the
+    // The ic-counts section (the last) stores the total alongside the
     // per-label counts, so any single bit flip inside a count word must
     // be caught at open — never silently skew the cost model.
     let bytes = sample_bytes();
-    let at = 24 + 20 * 16;
-    let off = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+    let (off, len) = section(&bytes, IC_COUNTS);
     assert!(len >= 16, "ic section holds a total plus counts");
     for target in [off, off + 8, off + len - 8] {
         for bit in 0..8 {
@@ -151,6 +173,108 @@ fn ic_count_flips_are_rejected_by_the_checksum() {
             assert!(decode_v2(&mutated).is_err(), "flip at {target} accepted");
             assert!(MappedIndex::from_bytes(&mutated).is_err());
         }
+    }
+}
+
+#[test]
+fn every_shape_table_violation_is_typed() {
+    let bytes = sample_bytes();
+    let word = |bytes: &[u8], s: usize, i: usize| {
+        let at = section(bytes, s).0 + 4 * i;
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    };
+    let paths = section(&bytes, PATH_SHAPES).1 / 4;
+    let shapes = section(&bytes, SHAPE_OFFSETS).1 / 4 - 1;
+    let pool = section(&bytes, SHAPE_LABELS).1 / 4;
+    assert!(shapes >= 2 && pool >= 2, "several shapes to confuse");
+    let shape_len =
+        |shape: usize| word(&bytes, SHAPE_OFFSETS, shape + 1) - word(&bytes, SHAPE_OFFSETS, shape);
+    // A path and a shape of another length than its own (the fixture
+    // has two-edge chains and one one-edge path).
+    let (path, wrong_shape) = (0..paths)
+        .flat_map(|p| (0..shapes).map(move |s| (p, s)))
+        .find(|&(p, s)| shape_len(s) != shape_len(word(&bytes, PATH_SHAPES, p) as usize))
+        .expect("shapes of two lengths");
+    assert_eq!(
+        shape_len(word(&bytes, PATH_SHAPES, path) as usize) + 1,
+        word(&bytes, PATH_OFFSETS, path + 1) - word(&bytes, PATH_OFFSETS, path),
+        "as encoded, a shape holds one label per edge of its paths"
+    );
+    // The vocabulary length leads the counts section (a u64, low word first).
+    let vocab_len = word(&bytes, 0, 0);
+
+    let cases: [(&str, usize, usize, u32, &str); 8] = [
+        (
+            "shape id = shape count",
+            PATH_SHAPES,
+            0,
+            shapes as u32,
+            "path shape out of range",
+        ),
+        (
+            "shape id = u32::MAX",
+            PATH_SHAPES,
+            paths - 1,
+            u32::MAX,
+            "path shape out of range",
+        ),
+        (
+            "shape of another length",
+            PATH_SHAPES,
+            path,
+            wrong_shape as u32,
+            "shape length does not match path",
+        ),
+        (
+            "first offset not 0",
+            SHAPE_OFFSETS,
+            0,
+            1,
+            "shape offsets do not span pool",
+        ),
+        (
+            "last offset past the pool",
+            SHAPE_OFFSETS,
+            shapes,
+            pool as u32 + 1,
+            "shape offsets do not span pool",
+        ),
+        (
+            "offsets decrease",
+            SHAPE_OFFSETS,
+            1,
+            u32::MAX,
+            "shape offsets not monotone",
+        ),
+        (
+            "label = vocabulary length",
+            SHAPE_LABELS,
+            0,
+            vocab_len,
+            "shape label out of range",
+        ),
+        (
+            "label = u32::MAX",
+            SHAPE_LABELS,
+            pool - 1,
+            u32::MAX,
+            "shape label out of range",
+        ),
+    ];
+    for (what, s, i, value, message) in cases {
+        let mut mutated = bytes.clone();
+        let at = section(&bytes, s).0 + 4 * i;
+        mutated[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        assert_eq!(
+            decode_v2(&mutated).map(drop),
+            Err(StorageError::Corrupt(message)),
+            "{what}"
+        );
+        assert_eq!(
+            MappedIndex::from_bytes(&mutated).map(drop),
+            Err(StorageError::Corrupt(message)),
+            "{what}"
+        );
     }
 }
 

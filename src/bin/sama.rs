@@ -384,9 +384,10 @@ fn load_lsh_sidecar<I: IndexLike + ?Sized>(
 
 /// Open an index for answering queries. The file's magic decides how:
 /// a `SAMAIDX2` file is validated and served in place from its memory
-/// map; a legacy `SAMAIDX1` or compressed file is decoded once and
-/// served from its `SAMAIDX2` image — so every query, whatever the
-/// file, runs over the one index type and the one read path.
+/// map; a legacy file (`SAMAIDX1`, compressed, or a `SAMAIDX2` written
+/// before the shape table) is decoded once and served from its
+/// `SAMAIDX2` image — so every query, whatever the file, runs over the
+/// one index type and the one read path.
 fn open_index(path: &str) -> Result<MappedIndex, String> {
     let undecodable = |e: StorageError| format!("cannot decode index {path:?}: {e}");
     match MappedIndex::open(std::path::Path::new(path)) {
@@ -394,7 +395,7 @@ fn open_index(path: &str) -> Result<MappedIndex, String> {
             sama::obs::global().set_build_info("index.format", "SAMAIDX2");
             Ok(index)
         }
-        Err(StorageError::BadMagic) => {
+        Err(StorageError::BadMagic | StorageError::LegacyLayout) => {
             let image = encode_v2(&load_index(path)?).map_err(undecodable)?;
             MappedIndex::from_bytes(&image).map_err(undecodable)
         }

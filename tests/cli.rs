@@ -1449,11 +1449,8 @@ fn serve_applies_semantic_flags_to_http_queries() {
         &["--synonyms", syn.to_str().unwrap(), "--ic-weights"],
         &[],
     );
-    let (status, _, body) = post_to_serve(
-        port,
-        "/query",
-        "SELECT ?p WHERE { ?p <gender> \"M\" . }\n",
-    );
+    let (status, _, body) =
+        post_to_serve(port, "/query", "SELECT ?p WHERE { ?p <gender> \"M\" . }\n");
     assert_eq!(status, 200);
     let text = String::from_utf8(body).unwrap();
     assert!(text.contains("\"score\":0,"), "{text}");
