@@ -142,74 +142,12 @@ fn bench_sharding(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_update(c: &mut Criterion) {
-    use rdf_model::Triple;
-    let fx = fixture(3_000);
-    let base = path_index::PathIndex::build(fx.dataset.graph.clone());
-    // A small batch touching one existing professor.
-    let prof = fx.dataset.professors[0].clone();
-    let batch: Vec<Triple> = (0..5)
-        .map(|i| Triple::parse(&format!("NewPub{i}"), "publicationAuthor", &prof))
-        .collect();
-    let mut group = c.benchmark_group("ablation/update");
-    group.sample_size(10);
-    group.bench_function("incremental_insert", |b| {
-        b.iter(|| {
-            let mut index = base.clone();
-            index
-                .insert_triples(&batch, &Default::default())
-                .expect("insert")
-                .added_paths
-        });
-    });
-    group.bench_function("full_rebuild", |b| {
-        b.iter(|| {
-            let mut graph = fx.dataset.graph.clone();
-            graph.insert_triples(&batch).expect("insert");
-            black_box(path_index::PathIndex::build(graph)).path_count()
-        });
-    });
-    group.finish();
-}
-
-fn bench_compression(c: &mut Criterion) {
-    let fx = fixture(3_000);
-    let index = path_index::PathIndex::build(fx.dataset.graph.clone());
-    let plain = path_index::encode(&index).expect("index fits format");
-    let compressed = path_index::encode_compressed(&index);
-    let mut group = c.benchmark_group("ablation/compression");
-    group.sample_size(10);
-    group.bench_function("encode_plain", |b| {
-        b.iter(|| black_box(path_index::encode(&index).expect("index fits format")).len());
-    });
-    group.bench_function("encode_compressed", |b| {
-        b.iter(|| black_box(path_index::encode_compressed(&index)).len());
-    });
-    group.bench_function("decode_plain", |b| {
-        b.iter(|| {
-            path_index::decode(black_box(&plain))
-                .expect("valid")
-                .path_count()
-        });
-    });
-    group.bench_function("decode_compressed", |b| {
-        b.iter(|| {
-            path_index::decode_compressed(black_box(&compressed))
-                .expect("valid")
-                .path_count()
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_conformity,
     bench_alignment_mode,
     bench_synonyms,
     bench_index_value,
-    bench_sharding,
-    bench_incremental_update,
-    bench_compression
+    bench_sharding
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 use bench::fixture;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_match::{BoundedMatcher, DogmaMatcher, Matcher, SapperMatcher};
-use path_index::{decode, serialize_index};
+use path_index::{decode_v2, serialize_index_v2};
 use sama_core::SamaEngine;
 use std::hint::black_box;
 
@@ -29,7 +29,7 @@ fn bench_sama_warm(c: &mut Criterion) {
 fn bench_sama_cold(c: &mut Criterion) {
     let fx = fixture(TRIPLES);
     let mut index = fx.engine.index().clone();
-    let bytes = serialize_index(&mut index).expect("index fits format");
+    let bytes = serialize_index_v2(&mut index).expect("index fits format");
     let mut group = c.benchmark_group("fig6/sama_cold");
     group.sample_size(10);
     // Cold cache: deserialize the index before answering (the paper's
@@ -39,7 +39,7 @@ fn bench_sama_cold(c: &mut Criterion) {
         let nq = fx.workload.iter().find(|nq| nq.name == name).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &nq.query, |b, q| {
             b.iter(|| {
-                let engine = SamaEngine::from_index(decode(&bytes).expect("valid"));
+                let engine = SamaEngine::from_index(decode_v2(&bytes).expect("valid"));
                 black_box(engine.answer(q, K)).answers.len()
             });
         });

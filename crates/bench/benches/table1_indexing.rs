@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datasets::{bsbm, citation, govtrack, lubm, social};
-use path_index::{encode, ExtractionConfig, PathIndex};
+use path_index::{decode_v2, encode_v2, ExtractionConfig, PathIndex};
 use rdf_model::DataGraph;
 use std::hint::black_box;
 
@@ -62,10 +62,10 @@ fn bench_serialize(c: &mut Criterion) {
         let data = corpus(name, 10_000);
         let index = PathIndex::build_with_config(data, &extraction_for(name));
         group.throughput(Throughput::Bytes(
-            encode(&index).expect("index fits format").len() as u64,
+            encode_v2(&index).expect("index fits format").len() as u64,
         ));
         group.bench_function(BenchmarkId::new(name, 10_000), |b| {
-            b.iter(|| black_box(encode(&index).expect("index fits format")).len());
+            b.iter(|| black_box(encode_v2(&index).expect("index fits format")).len());
         });
     }
     group.finish();
@@ -76,14 +76,10 @@ fn bench_decode(c: &mut Criterion) {
     group.sample_size(10);
     let data = corpus("lubm", 10_000);
     let index = PathIndex::build(data);
-    let bytes = encode(&index).expect("index fits format");
+    let bytes = encode_v2(&index).expect("index fits format");
     group.throughput(Throughput::Bytes(bytes.len() as u64));
     group.bench_function("lubm/10000", |b| {
-        b.iter(|| {
-            path_index::decode(black_box(&bytes))
-                .expect("valid")
-                .path_count()
-        });
+        b.iter(|| decode_v2(black_box(&bytes)).expect("valid").path_count());
     });
     group.finish();
 }

@@ -941,8 +941,8 @@ mod tests {
     #[test]
     fn engine_from_serialized_index_agrees() {
         let engine = SamaEngine::new(figure1_data());
-        let bytes = path_index::encode(engine.index()).unwrap();
-        let loaded = path_index::decode(&bytes).unwrap();
+        let bytes = path_index::encode_v2(engine.index()).unwrap();
+        let loaded = path_index::decode_v2(&bytes).unwrap();
         let cold = SamaEngine::from_index(loaded);
         let warm_result = engine.answer(&q1(), 5);
         let cold_result = cold.answer(&q1(), 5);

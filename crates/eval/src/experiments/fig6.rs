@@ -14,7 +14,7 @@
 
 use super::setup::LubmFixture;
 use graph_match::Matcher;
-use path_index::{decode, serialize_index};
+use path_index::{decode_v2, serialize_index_v2};
 use sama_core::SamaEngine;
 use std::fmt;
 use std::time::Instant;
@@ -71,7 +71,7 @@ fn avg_ms(runs: usize, mut f: impl FnMut()) -> f64 {
 pub fn run(triples: usize, runs: usize, k: usize) -> Fig6 {
     let fx = LubmFixture::new(triples, 42);
     let mut index = fx.engine.index().clone();
-    let bytes = serialize_index(&mut index).expect("index fits format");
+    let bytes = serialize_index_v2(&mut index).expect("index fits format");
 
     let rows = fx
         .workload
@@ -79,7 +79,7 @@ pub fn run(triples: usize, runs: usize, k: usize) -> Fig6 {
         .map(|nq| {
             let q = &nq.query;
             let sama_cold_ms = avg_ms(runs, || {
-                let loaded = decode(&bytes).expect("index bytes are valid");
+                let loaded = decode_v2(&bytes).expect("index bytes are valid");
                 let engine = SamaEngine::from_index(loaded);
                 let _ = engine.answer(q, k);
             });

@@ -8,7 +8,7 @@
 //! regenerates in minutes, not hours.
 
 use datasets::{bsbm, citation, govtrack, lubm, social};
-use path_index::{serialize_index, ExtractionConfig, PathIndex};
+use path_index::{serialize_index_v2, ExtractionConfig, PathIndex};
 use rdf_model::DataGraph;
 use std::fmt;
 use std::time::Duration;
@@ -128,7 +128,7 @@ pub fn run(scale: f64) -> Table1 {
         .map(|(name, build)| {
             let graph = build();
             let mut index = PathIndex::build_with_config(graph, &extraction_for(name));
-            let bytes = serialize_index(&mut index)
+            let bytes = serialize_index_v2(&mut index)
                 .expect("index fits format")
                 .len();
             let stats = index.stats();

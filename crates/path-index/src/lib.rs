@@ -16,8 +16,10 @@
 //!   traversal at runtime";
 //! * account for the hypergraph representation (`|HV|`, `|HE|`) used by
 //!   Table 1 ([`hypergraph::HyperGraphView`]);
-//! * serialize the whole index to bytes ([`storage`]) — the paper's
-//!   disk boundary and the Table 1 *Space* column;
+//! * serialize the whole index to the one on-disk image, `SAMAIDX2`
+//!   ([`v2`]) — the paper's disk boundary and the Table 1 *Space*
+//!   column — and serve it in place from a memory map
+//!   ([`MappedIndex`]);
 //! * widen label matching through pluggable synonym providers
 //!   ([`synonyms`]), standing in for the paper's WordNet integration.
 //!
@@ -35,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compress;
 pub mod extract;
 pub mod hypergraph;
 pub mod ic;
@@ -49,7 +50,6 @@ pub mod synonyms;
 pub mod update;
 pub mod v2;
 
-pub use compress::{decode_any, decode_compressed, encode_compressed};
 pub use extract::{extract_paths, Extraction, ExtractionConfig};
 pub use hypergraph::{HyperEdge, HyperEdgeKind, HyperGraphView};
 pub use ic::{IcCounts, IcTable};
@@ -58,9 +58,10 @@ pub use lsh::{build_lsh_bytes, sidecar_path, LshCandidate, LshParams, LshSidecar
 pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels};
 pub use shard::{ConstantLookup, IndexLike, ShardedIndex};
 pub use stats::{format_bytes, IndexStats};
-pub use storage::{decode, encode, serialize_index, StorageError};
+pub use storage::StorageError;
 pub use synonyms::{NoSynonyms, SynonymProvider, Thesaurus, ThesaurusError};
 pub use update::UpdateStats;
 pub use v2::{
-    decode_v2, encode_v2, serialize_index_v2, AlignedBytes, IndexView, MappedIndex, MAGIC2,
+    decode_any, decode_v2, encode_v2, serialize_index_v2, AlignedBytes, IndexView, MappedIndex,
+    MAGIC2,
 };

@@ -22,7 +22,7 @@ pub struct IndexStats {
     /// maps.
     pub build_time: Duration,
     /// Serialized size in bytes, populated by
-    /// [`crate::storage::serialize_index`] (Table 1's "Space" column).
+    /// [`crate::serialize_index_v2`] (Table 1's "Space" column).
     pub serialized_bytes: Option<usize>,
     /// Walks cut short by the extraction depth limit.
     pub depth_truncated: u64,

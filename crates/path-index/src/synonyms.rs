@@ -144,7 +144,7 @@ impl Thesaurus {
                 message: message.to_string(),
             };
             let members: Vec<String> = if line.starts_with('[') {
-                parse_json_string_array(line).map_err(|m| parse(m))?
+                parse_json_string_array(line).map_err(&parse)?
             } else {
                 line.split_whitespace().map(str::to_string).collect()
             };

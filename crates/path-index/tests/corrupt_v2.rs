@@ -23,8 +23,14 @@
 //! * `labels`, `path_shape` — every path's shape id is below the shape
 //!   count, the shape offsets start at 0, never decrease and end at the
 //!   pool's length, and a path's shape has one label per edge.
+//!
+//! The formats this crate no longer reads are refused by name, from the
+//! header alone, by every reader.
 
-use path_index::{decode_v2, encode_v2, IndexLike, MappedIndex, PathIndex, StorageError};
+use path_index::{
+    decode_any, decode_v2, encode_v2, AlignedBytes, IndexLike, IndexView, MappedIndex, PathIndex,
+    StorageError, MAGIC2,
+};
 use proptest::prelude::*;
 use rdf_model::DataGraph;
 
@@ -134,6 +140,63 @@ fn truncation_at_every_section_boundary_is_typed() {
         let _ = err.to_string();
         assert!(MappedIndex::from_bytes(&bytes[..cut]).is_err());
     }
+}
+
+/// What each of the four readers makes of `bytes`.
+fn readers(bytes: &[u8]) -> [Result<(), StorageError>; 4] {
+    [
+        MappedIndex::from_bytes(bytes).map(drop),
+        IndexView::parse(AlignedBytes::copy_from(bytes).as_slice()).map(drop),
+        decode_v2(bytes).map(drop),
+        decode_any(bytes).map(drop),
+    ]
+}
+
+#[test]
+fn retired_formats_are_refused_from_the_header_alone() {
+    // What identifies each retired format: the eight magic bytes of
+    // `SAMAIDX1` and the compressed `SAMAIDXZ`; for a `SAMAIDX2` from
+    // before the shape table, the 24-byte header announcing 20 sections
+    // (without `ic-counts`) or 21 (with).
+    let old_header = |sections: u32| {
+        let mut header = MAGIC2.to_vec();
+        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&sections.to_le_bytes());
+        header.extend_from_slice(&4096u64.to_le_bytes());
+        header
+    };
+    let retired = [
+        b"SAMAIDX1".to_vec(),
+        b"SAMAIDXZ".to_vec(),
+        old_header(20),
+        old_header(21),
+    ];
+    for identifying in &retired {
+        // Refused as soon as the identifying bytes are all there,
+        // whatever follows them — nothing past the header is parsed.
+        let mut file = identifying.clone();
+        file.extend_from_slice(&[0xAB; 40]);
+        for len in identifying.len()..=file.len() {
+            for outcome in readers(&file[..len]) {
+                assert_eq!(outcome, Err(StorageError::LegacyLayout), "{len} bytes");
+            }
+        }
+        // Cut shorter it is not yet known to be ours: typed, no panic.
+        for cut in 0..identifying.len() {
+            let expected = if cut < MAGIC2.len() {
+                StorageError::BadMagic
+            } else {
+                StorageError::Truncated
+            };
+            for outcome in readers(&file[..cut]) {
+                assert_eq!(outcome, Err(expected.clone()), "cut at {cut}");
+            }
+        }
+    }
+    // The refusal tells the operator what to do about it.
+    assert!(StorageError::LegacyLayout
+        .to_string()
+        .contains("sama index"));
 }
 
 #[test]

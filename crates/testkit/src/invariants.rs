@@ -125,11 +125,11 @@ pub const CATALOG: &[Invariant] = &[
         check: deadline_unlimited_identity,
     },
     Invariant {
-        name: "v1_v2_migration_identity",
+        name: "owned_decoded_mapped_identity",
         kind: Kind::Differential,
-        summary: "a v1-decoded and a v2-mapped index answer bit-identically, \
-                  with the same EXPLAIN phase structure",
-        check: v1_v2_migration_identity,
+        summary: "the built index, its owned decode and its mapped open answer \
+                  bit-identically, with the same EXPLAIN phase structure",
+        check: owned_decoded_mapped_identity,
     },
     Invariant {
         name: "lsh_converges_to_exact",
@@ -445,41 +445,46 @@ fn cluster_line(c: &TraceCluster, kept: usize) -> String {
     )
 }
 
-/// Round-trip the index through both on-disk formats — the legacy
-/// `SAMAIDX1` eager decode and the zero-copy `SAMAIDX2` mapping — and
-/// require bit-identical top-k answers and identical EXPLAIN phase
-/// structure. This is the v1→v2 migration safety net: re-indexing a
-/// deployment must not change a single answer bit.
-fn v1_v2_migration_identity(case: &Case) -> Result<(), String> {
+/// The three ways an index reaches the engine — as built, decoded back
+/// into an owned [`PathIndex`] from its `SAMAIDX2` image, and served in
+/// place from that image — must give bit-identical top-k answers and
+/// identical EXPLAIN phase structure: writing an index to disk and
+/// opening it must not change a single answer bit.
+fn owned_decoded_mapped_identity(case: &Case) -> Result<(), String> {
     let query = case.query_graph();
     let mut config = base_config();
     config.trace = TraceConfig::enabled();
 
-    let mut index = PathIndex::build(case.data_graph());
-    let v1_bytes =
-        path_index::serialize_index(&mut index).map_err(|e| format!("v1 encode failed: {e}"))?;
-    let v2_bytes = path_index::encode_v2(&index).map_err(|e| format!("v2 encode failed: {e}"))?;
+    let built = PathIndex::build(case.data_graph());
+    let image = path_index::encode_v2(&built).map_err(|e| format!("encode failed: {e}"))?;
+    let decoded = path_index::decode_v2(&image).map_err(|e| format!("decode failed: {e}"))?;
+    let mapped = MappedIndex::from_bytes(&image).map_err(|e| format!("open failed: {e}"))?;
 
-    let v1_index = path_index::decode(&v1_bytes).map_err(|e| format!("v1 decode failed: {e}"))?;
-    let v2_index =
-        MappedIndex::from_bytes(&v2_bytes).map_err(|e| format!("v2 open failed: {e}"))?;
-
-    let from_v1 = SamaEngine::from_index_with_config(v1_index, config).answer(&query, case.k);
-    let from_v2 = SamaEngine::from_index_with_config(v2_index, config).answer(&query, case.k);
-
-    if fingerprint(&from_v1) != fingerprint(&from_v2) {
-        return Err(diff(
-            "v1-decoded vs v2-mapped answers diverged",
-            &fingerprint(&from_v1),
-            &fingerprint(&from_v2),
-        ));
-    }
-    if trace_structure(&from_v1) != trace_structure(&from_v2) {
-        return Err(diff(
-            "v1 vs v2 EXPLAIN structure diverged",
-            &trace_structure(&from_v1),
-            &trace_structure(&from_v2),
-        ));
+    let reference = SamaEngine::from_index_with_config(built, config).answer(&query, case.k);
+    for (what, result) in [
+        (
+            "decoded",
+            SamaEngine::from_index_with_config(decoded, config).answer(&query, case.k),
+        ),
+        (
+            "mapped",
+            SamaEngine::from_index_with_config(mapped, config).answer(&query, case.k),
+        ),
+    ] {
+        if fingerprint(&reference) != fingerprint(&result) {
+            return Err(diff(
+                &format!("built vs {what} answers diverged"),
+                &fingerprint(&reference),
+                &fingerprint(&result),
+            ));
+        }
+        if trace_structure(&reference) != trace_structure(&result) {
+            return Err(diff(
+                &format!("built vs {what} EXPLAIN structure diverged"),
+                &trace_structure(&reference),
+                &trace_structure(&result),
+            ));
+        }
     }
     Ok(())
 }

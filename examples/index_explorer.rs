@@ -7,7 +7,7 @@
 //! ```
 
 use sama::data::bsbm;
-use sama::index::{decode, serialize_index, HyperGraphView, PathIndex};
+use sama::index::{decode_v2, serialize_index_v2, HyperGraphView, PathIndex};
 
 fn main() {
     let triples: usize = std::env::args()
@@ -25,7 +25,7 @@ fn main() {
 
     // Build and serialize.
     let mut index = PathIndex::build(dataset.graph.clone());
-    let bytes = serialize_index(&mut index).expect("index fits format");
+    let bytes = serialize_index_v2(&mut index).expect("index fits format");
     let stats = index.stats();
     println!("\nindex statistics (one Table 1 row):");
     println!("  paths          : {}", stats.path_count);
@@ -51,7 +51,7 @@ fn main() {
     let path = std::env::temp_dir().join("sama_index.bin");
     std::fs::write(&path, &bytes).expect("write index file");
     let loaded =
-        decode(&std::fs::read(&path).expect("read index file")).expect("index file decodes");
+        decode_v2(&std::fs::read(&path).expect("read index file")).expect("index file decodes");
     assert_eq!(loaded.path_count(), index.path_count());
     println!("\nround-trip through {} OK", path.display());
 

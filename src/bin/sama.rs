@@ -16,9 +16,9 @@ use sama::engine::{
     LSH_DEFAULT_TOP_M,
 };
 use sama::index::{
-    build_lsh_bytes, decode_any, encode, encode_compressed, encode_v2, serialize_index,
-    serialize_index_v2, sidecar_path, v2::SECTION_NAMES, AlignedBytes, ExtractionConfig, IndexLike,
-    IndexView, LshParams, LshSidecar, MappedIndex, PathIndex, StorageError, Thesaurus,
+    build_lsh_bytes, decode_v2, display_parts, serialize_index_v2, sidecar_path, v2::SECTION_NAMES,
+    ExtractionConfig, IndexLike, LshParams, LshSidecar, MappedIndex, PathId, PathIndex,
+    StorageError, Thesaurus,
 };
 use sama::model::{parse_ntriples, parse_sparql, parse_turtle, DataGraph};
 use std::io::Read;
@@ -55,9 +55,10 @@ const USAGE: &str = "\
 sama — approximate RDF querying by path alignment (EDBT 2013)
 
 USAGE:
-  sama index <data.nt|data.ttl> -o <index.bin> [--v1] [--compress]
-             [--parallel N] [--stats] [--lsh]
-  sama update <index.bin> <more.nt|more.ttl> [-o <out.bin>] [--v1] [--compress]
+  sama index <data.nt|data.ttl> -o <index.bin> [--parallel N] [--stats] [--lsh]
+  sama update <index.bin> <more.nt|more.ttl> [-o <out.bin>]
+             insert the triples and rebuild: the output is the file
+             `sama index` writes for the old input followed by the new
   sama query <index.bin> <query.rq|-> [--explain] [--explain-text] [--json]
              {engine}
   sama batch <index.bin> <q1.rq> [q2.rq ...] [--json] [--max-queue N]
@@ -90,18 +91,15 @@ USAGE:
                      deadline_exceeded (also: SAMA_DEADLINE_MS env var)
   --max-queue N      batch admission bound: queries beyond the first N are
                      shed with a typed error instead of queueing (0 = none)
-  --v1               write the legacy SAMAIDX1 format instead of the
-                     zero-copy SAMAIDX2 default (readers accept all formats;
-                     query/batch/serve decode a legacy or compressed file
-                     once at start-up instead of mapping it)
   --parallel N       build the path index with N extraction workers
                      (0 = all hardware threads); output is byte-identical
                      to the sequential build
   --stats            after indexing, print per-section byte sizes,
-                     bytes-per-path, and measured open time for both formats
-  --mmap             accepted and ignored: a SAMAIDX2 file is always served
-                     straight from its validated memory map (no decode, no
-                     graph rebuild); the file's magic decides, not a flag
+                     bytes-per-path, and the measured open time of the file
+  --mmap             accepted and ignored: an index is always served straight
+                     from its validated memory map (no decode, no graph
+                     rebuild). There is one index format, SAMAIDX2; a file
+                     in an older one is refused: rebuild it with `sama index`
   --lsh              on index: also write <index.bin>.lsh, a MinHash/LSH
                      signature sidecar. On query/batch: prune each cluster's
                      candidates to the top-m most similar by estimated
@@ -239,7 +237,7 @@ impl EngineOpts {
             "--ic-weights" => self.ic_weights = true,
             "--synonyms" => self.synonyms = Some(operand(arg, "a path", rest)?.clone()),
             "--deadline-ms" => self.deadline_ms = Some(number(arg, rest)?),
-            // The file's magic decides how an index is opened.
+            // There is one way to open an index.
             "--mmap" => {}
             "--profile-out" => self.profile_out = Some(operand(arg, "a path", rest)?.clone()),
             "--slowlog" => self.slowlog_ms = Some(number(arg, rest)?),
@@ -382,44 +380,27 @@ fn load_lsh_sidecar<I: IndexLike + ?Sized>(
     LshSidecar::from_bytes(&bytes).map_err(|e| format!("cannot build LSH signatures: {e}"))
 }
 
-/// Open an index for answering queries. The file's magic decides how:
-/// a `SAMAIDX2` file is validated and served in place from its memory
-/// map; a legacy file (`SAMAIDX1`, compressed, or a `SAMAIDX2` written
-/// before the shape table) is decoded once and served from its
-/// `SAMAIDX2` image — so every query, whatever the file, runs over the
-/// one index type and the one read path.
+/// Open an index: the file is validated and served in place from its
+/// memory map — the one index type and the one read path of every
+/// subcommand but `update`.
 fn open_index(path: &str) -> Result<MappedIndex, String> {
-    let undecodable = |e: StorageError| format!("cannot decode index {path:?}: {e}");
-    match MappedIndex::open(std::path::Path::new(path)) {
-        Ok(index) => {
-            sama::obs::global().set_build_info("index.format", "SAMAIDX2");
-            Ok(index)
-        }
-        Err(StorageError::BadMagic | StorageError::LegacyLayout) => {
-            let image = encode_v2(&load_index(path)?).map_err(undecodable)?;
-            MappedIndex::from_bytes(&image).map_err(undecodable)
-        }
-        Err(StorageError::Io(e)) => Err(format!("cannot read index {path:?}: {e}")),
-        Err(e) => Err(undecodable(e)),
-    }
+    let index = MappedIndex::open(std::path::Path::new(path)).map_err(|e| index_error(path, e))?;
+    sama::obs::global().set_build_info("index.format", "SAMAIDX2");
+    Ok(index)
 }
 
-/// Decode an index file of any format into the owned, mutable
-/// representation — what `update`, `stats` and `paths` work on, and the
-/// legacy reader behind [`open_index`].
+/// Decode an index file into the owned, mutable representation `update`
+/// works on.
 fn load_index(path: &str) -> Result<PathIndex, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read index {path:?}: {e}"))?;
-    // Accepts both the plain and the compressed format, by magic.
-    let index = decode_any(&bytes).map_err(|e| format!("cannot decode index {path:?}: {e}"))?;
-    sama::obs::global().set_build_info(
-        "index.format",
-        if bytes.starts_with(sama::index::MAGIC2) {
-            "SAMAIDX2"
-        } else {
-            "SAMAIDX1"
-        },
-    );
-    Ok(index)
+    decode_v2(&bytes).map_err(|e| index_error(path, e))
+}
+
+fn index_error(path: &str, e: StorageError) -> String {
+    match e {
+        StorageError::Io(e) => format!("cannot read index {path:?}: {e}"),
+        e => format!("cannot decode index {path:?}: {e}"),
+    }
 }
 
 fn parse_rdf_file(path: &str) -> Result<Vec<sama::model::Triple>, String> {
@@ -434,8 +415,6 @@ fn parse_rdf_file(path: &str) -> Result<Vec<sama::model::Triple>, String> {
 fn cmd_index(args: &[String]) -> Result<(), String> {
     let mut input = None;
     let mut output = None;
-    let mut compress = false;
-    let mut legacy_v1 = false;
     let mut show_stats = false;
     let mut lsh = std::env::var("SAMA_LSH").is_ok_and(|v| v == "1");
     let mut parallel: Option<usize> = None;
@@ -443,8 +422,6 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
-            "--compress" => compress = true,
-            "--v1" => legacy_v1 = true,
             "--stats" => show_stats = true,
             "--lsh" => lsh = true,
             "--parallel" => parallel = Some(number(arg, &mut iter)?),
@@ -467,13 +444,8 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
         Some(threads) => PathIndex::build_parallel(data, &ExtractionConfig::default(), threads),
         None => PathIndex::build(data),
     };
-    let bytes = if compress {
-        encode_compressed(&index)
-    } else if legacy_v1 {
-        serialize_index(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?
-    } else {
-        serialize_index_v2(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?
-    };
+    let bytes =
+        serialize_index_v2(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?;
     std::fs::write(&output, &bytes).map_err(|e| format!("cannot write {output:?}: {e}"))?;
     let stats = index.stats();
     eprintln!(
@@ -502,22 +474,20 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
         );
     }
     if show_stats {
-        print_format_stats(&index, &output, !compress && !legacy_v1)?;
+        let t = std::time::Instant::now();
+        let mapped = open_index(&output)?;
+        print_open_time_and_sections(&mapped, t.elapsed());
     }
     Ok(())
 }
 
-/// The `sama index --stats` report: per-section byte sizes of the
-/// zero-copy layout, bytes-per-path for both formats, and measured
-/// open time for both (v1 full decode vs v2 validate-only open).
-fn print_format_stats(index: &PathIndex, output: &str, output_is_v2: bool) -> Result<(), String> {
-    let v1 = encode(index).map_err(|e| format!("cannot serialize index: {e}"))?;
-    let v2 = encode_v2(index).map_err(|e| format!("cannot serialize index: {e}"))?;
-    let paths = index.path_count().max(1);
-
-    let owned = AlignedBytes::copy_from(&v2);
-    let view = IndexView::parse(owned.as_slice()).expect("just encoded");
-    println!("sections (SAMAIDX2):");
+/// The tail of `sama stats` and `sama index --stats`: how long the open
+/// took, and the per-section byte sizes of the file.
+fn print_open_time_and_sections(index: &MappedIndex, open_time: std::time::Duration) {
+    println!("open time      : {open_time:.2?} (zero-copy)");
+    let view = index.view();
+    let paths = view.path_count().max(1);
+    println!("sections:");
     for (name, size) in SECTION_NAMES.iter().zip(view.section_sizes()) {
         println!(
             "  {name:<18} {:>12}  ({:.1} B/path)",
@@ -525,49 +495,15 @@ fn print_format_stats(index: &PathIndex, output: &str, output_is_v2: bool) -> Re
             size as f64 / paths as f64
         );
     }
-    println!(
-        "total: v1 {} ({:.1} B/path), v2 {} ({:.1} B/path)",
-        sama::index::format_bytes(v1.len()),
-        v1.len() as f64 / paths as f64,
-        sama::index::format_bytes(v2.len()),
-        v2.len() as f64 / paths as f64
-    );
-
-    let t = std::time::Instant::now();
-    let decoded = sama::index::decode(&v1).map_err(|e| e.to_string())?;
-    let v1_open = t.elapsed();
-    drop(decoded);
-    let t = std::time::Instant::now();
-    let mapped = if output_is_v2 {
-        open_index(output)?
-    } else {
-        MappedIndex::from_bytes(&v2).map_err(|e| e.to_string())?
-    };
-    let v2_open = t.elapsed();
-    println!(
-        "open time: v1 decode {:.2?}, v2 {} {:.2?}",
-        v1_open,
-        if mapped.is_mapped() {
-            "mmap"
-        } else {
-            "in-memory"
-        },
-        v2_open
-    );
-    Ok(())
 }
 
 fn cmd_update(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
     let mut output = None;
-    let mut compress = false;
-    let mut legacy_v1 = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
-            "--compress" => compress = true,
-            "--v1" => legacy_v1 = true,
             other => positional.push(other.to_string()),
         }
     }
@@ -582,23 +518,11 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         .insert_triples(&triples, &ExtractionConfig::default())
         .map_err(|e| e.to_string())?;
     eprintln!(
-        "inserted {} edges: +{} paths, -{} paths{}",
-        stats.inserted_edges,
-        stats.added_paths,
-        stats.removed_paths,
-        if stats.rebuilt {
-            " (full rebuild)"
-        } else {
-            " (incremental)"
-        }
+        "inserted {} edges: {} paths rebuilt into {}",
+        stats.inserted_edges, stats.removed_paths, stats.added_paths
     );
-    let bytes = if compress {
-        encode_compressed(&index)
-    } else if legacy_v1 {
-        serialize_index(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?
-    } else {
-        serialize_index_v2(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?
-    };
+    let bytes =
+        serialize_index_v2(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?;
     std::fs::write(&output, &bytes).map_err(|e| format!("cannot write {output:?}: {e}"))?;
     eprintln!(
         "wrote {} to {output}",
@@ -950,7 +874,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let [index_path] = args else {
         return Err("usage: sama stats <index.bin>".into());
     };
-    let index = load_index(index_path)?;
+    let t = std::time::Instant::now();
+    let index = open_index(index_path)?;
+    let open_time = t.elapsed();
     let s = index.stats();
     println!("triples        : {}", s.triples);
     println!("|HV|           : {}", s.hyper_vertices);
@@ -961,23 +887,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         println!("space          : {}", sama::index::format_bytes(bytes));
     }
     println!("truncated      : {}", s.is_truncated());
-    // A SAMAIDX2 file additionally carries its section table in place.
-    let raw = std::fs::read(index_path).map_err(|e| format!("cannot read {index_path:?}: {e}"))?;
-    if raw.starts_with(sama::index::MAGIC2) {
-        let t = std::time::Instant::now();
-        let mapped = open_index(index_path)?;
-        println!("open time      : {:.2?} (zero-copy)", t.elapsed());
-        let view = mapped.view();
-        let paths = view.path_count().max(1);
-        println!("sections:");
-        for (name, size) in SECTION_NAMES.iter().zip(view.section_sizes()) {
-            println!(
-                "  {name:<18} {:>12}  ({:.1} B/path)",
-                sama::index::format_bytes(size),
-                size as f64 / paths as f64
-            );
-        }
-    }
+    print_open_time_and_sections(&index, open_time);
     Ok(())
 }
 
@@ -994,13 +904,17 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     let [index_path] = positional.as_slice() else {
         return Err("usage: sama paths <index.bin> [--limit N]".into());
     };
-    let index = load_index(index_path)?;
-    let graph = index.graph().as_graph();
-    for (id, ip) in index.paths().take(limit) {
-        println!("{id}: {}", ip.path.display(graph));
+    let index = open_index(index_path)?;
+    let graph = index.data().as_graph();
+    let total = index.total_paths();
+    for id in (0..total.min(limit) as u32).map(PathId) {
+        println!(
+            "{id}: {}",
+            display_parts(graph, index.path_nodes(id), index.path_edges(id))
+        );
     }
-    if index.path_count() > limit {
-        eprintln!("… {} more (use --limit)", index.path_count() - limit);
+    if total > limit {
+        eprintln!("… {} more (use --limit)", total - limit);
     }
     Ok(())
 }

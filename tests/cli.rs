@@ -389,48 +389,84 @@ fn metrics_subcommand_reports_index_gauges() {
     assert!(text.contains("\"index.triples\":5"), "{text}");
 }
 
+/// An index file with its one run-dependent word — the wall-clock build
+/// time closing the `stats` section — zeroed: two files are the same
+/// index when they agree in everything else.
+fn without_build_time(path: &std::path::Path) -> Vec<u8> {
+    const STATS_ENTRY: usize = 24 + 21 * 16;
+    let mut image = std::fs::read(path).unwrap();
+    let stats = u64::from_le_bytes(image[STATS_ENTRY..STATS_ENTRY + 8].try_into().unwrap());
+    let stamp = stats as usize + 6 * 8;
+    image[stamp..stamp + 8].fill(0);
+    image
+}
+
 #[test]
-fn compressed_index_and_incremental_update() {
+fn update_round_trips_and_equals_indexing_the_concatenation() {
     let nt = temp_path("data2.nt");
     let more = temp_path("more.nt");
+    let all = temp_path("all.nt");
     let idx = temp_path("index2.bin");
-    let _cleanup = Cleanup(vec![nt.clone(), more.clone(), idx.clone()]);
+    let updated = temp_path("index2_updated.bin");
+    let fresh = temp_path("index2_fresh.bin");
+    let _cleanup = Cleanup(vec![
+        nt.clone(),
+        more.clone(),
+        all.clone(),
+        idx.clone(),
+        updated.clone(),
+        fresh.clone(),
+    ]);
+    // The batch extends a sink, adds a source and repeats an old triple.
+    let more_nt = "<B1432> <reviewedBy> <Committee7> .\n\
+                   <JeffRyser> <sponsor> <A0056> .\n\
+                   <PierceDickes> <gender> \"Male\" .\n";
     std::fs::write(&nt, DEMO_NT).unwrap();
-    std::fs::write(&more, "<B1432> <reviewedBy> <Committee7> .\n").unwrap();
+    std::fs::write(&more, more_nt).unwrap();
+    std::fs::write(&all, format!("{DEMO_NT}{more_nt}")).unwrap();
 
-    let out = sama()
-        .args([
-            "index",
-            nt.to_str().unwrap(),
-            "-o",
-            idx.to_str().unwrap(),
-            "--compress",
-        ])
-        .output()
-        .unwrap();
+    let run = |args: &[&str]| {
+        let out = sama().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    run(&["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()]);
+    run(&[
+        "index",
+        all.to_str().unwrap(),
+        "-o",
+        fresh.to_str().unwrap(),
+    ]);
+
+    // `update -o` leaves its input alone and writes the file `sama
+    // index` writes for the old triples followed by the new ones.
+    let before = std::fs::read(&idx).unwrap();
+    let log = run(&[
+        "update",
+        idx.to_str().unwrap(),
+        more.to_str().unwrap(),
+        "-o",
+        updated.to_str().unwrap(),
+    ]);
+    assert!(log.contains("inserted 3 edges"), "{log}");
+    assert_eq!(std::fs::read(&idx).unwrap(), before);
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        without_build_time(&updated) == without_build_time(&fresh),
+        "update output differs from indexing the concatenated input"
     );
 
-    let out = sama()
-        .args(["update", idx.to_str().unwrap(), more.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let log = String::from_utf8_lossy(&out.stderr);
-    assert!(log.contains("inserted 1 edges"), "{log}");
-
+    // Without `-o` the file is rewritten in place, and reads back.
+    run(&["update", idx.to_str().unwrap(), more.to_str().unwrap()]);
+    assert!(without_build_time(&idx) == without_build_time(&fresh));
     let out = sama()
         .args(["stats", idx.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(String::from_utf8_lossy(&out.stdout).contains("triples        : 6"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("triples        : 8"));
 }
 
 #[test]
@@ -634,18 +670,19 @@ fn index_stats_flag_reports_sections_and_open_time() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // Per-section byte sizes, bytes-per-path, and both open times.
-    assert!(text.contains("sections (SAMAIDX2):"), "{text}");
+    // Per-section byte sizes, bytes-per-path, and the open time of the
+    // file just written — and nothing about any other format.
+    assert!(text.contains("sections:"), "{text}");
     assert!(text.contains("path-node-pool"), "{text}");
     assert!(text.contains("B/path"), "{text}");
-    assert!(text.contains("open time: v1 decode"), "{text}");
-    assert!(text.contains("v2 mmap"), "{text}");
+    assert!(text.contains("open time"), "{text}");
+    assert!(text.contains("zero-copy"), "{text}");
+    assert!(!text.contains("v1"), "{text}");
 
-    // The default output is the zero-copy format.
     let bytes = std::fs::read(&idx).unwrap();
     assert!(bytes.starts_with(b"SAMAIDX2"));
 
-    // `sama stats` on a v2 file shows the stored section table too.
+    // `sama stats` shows the stored section table too.
     let out = sama()
         .args(["stats", idx.to_str().unwrap()])
         .output()
@@ -709,70 +746,29 @@ fn query_default_open_is_mapped_and_mmap_flag_decides_nothing() {
 }
 
 #[test]
-fn legacy_v1_flag_and_parallel_build_still_decode() {
-    let nt = temp_path("data_v1flag.nt");
-    let rq = temp_path("query_v1flag.rq");
-    let v1 = temp_path("index_v1flag.bin");
-    let v2 = temp_path("index_v2par.bin");
-    let packed = temp_path("index_v1flag_packed.bin");
+fn retired_formats_and_flags_are_refused_and_parallel_build_is_identical() {
+    let nt = temp_path("data_retired.nt");
+    let rq = temp_path("query_retired.rq");
+    let seq = temp_path("index_seq.bin");
+    let par = temp_path("index_par.bin");
+    let old = temp_path("index_retired.bin");
+    let unwritten = temp_path("index_unwritten.bin");
     let _cleanup = Cleanup(vec![
         nt.clone(),
         rq.clone(),
-        v1.clone(),
-        v2.clone(),
-        packed.clone(),
+        seq.clone(),
+        par.clone(),
+        old.clone(),
+        unwritten.clone(),
     ]);
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&rq, DEMO_RQ).unwrap();
 
-    let out = sama()
-        .args([
-            "index",
-            nt.to_str().unwrap(),
-            "-o",
-            v1.to_str().unwrap(),
-            "--v1",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(std::fs::read(&v1).unwrap().starts_with(b"SAMAIDX1"));
-
-    let out = sama()
-        .args([
-            "index",
-            nt.to_str().unwrap(),
-            "-o",
-            v2.to_str().unwrap(),
-            "--parallel",
-            "0",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    let out = sama()
-        .args([
-            "index",
-            nt.to_str().unwrap(),
-            "-o",
-            packed.to_str().unwrap(),
-            "--compress",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Every format answers identically (legacy reader vs mapped v2),
-    // and `--mmap` decides nothing: the file's magic picks the reader.
-    let answers = |idx: &std::path::Path, extra: &[&str]| {
+    // `--parallel` changes how fast the file is built, not the file.
+    for (out_path, extra) in [(&seq, &[][..]), (&par, &["--parallel", "0"])] {
         let out = sama()
-            .args([
-                "query",
-                idx.to_str().unwrap(),
-                rq.to_str().unwrap(),
-                "--json",
-            ])
+            .args(["index", nt.to_str().unwrap(), "-o"])
+            .arg(out_path)
             .args(extra)
             .output()
             .unwrap();
@@ -781,13 +777,79 @@ fn legacy_v1_flag_and_parallel_build_still_decode() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+    }
+    assert!(without_build_time(&seq) == without_build_time(&par));
+
+    // A file in a format that is no longer read — `SAMAIDX1`, the
+    // compressed `SAMAIDXZ`, a `SAMAIDX2` from before the shape table
+    // (20 or 21 sections) — is refused by every subcommand that opens
+    // one, with the remedy in the message.
+    let old_header = |sections: u32| {
+        let mut header = b"SAMAIDX2".to_vec();
+        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&sections.to_le_bytes());
+        header.extend_from_slice(&64u64.to_le_bytes());
+        header.resize(64, 0);
+        header
     };
-    let expected = answers(&v2, &[]);
-    assert!(expected.contains("\"exact\":true"), "{expected}");
-    assert_eq!(answers(&v1, &[]), expected);
-    assert_eq!(answers(&v1, &["--mmap"]), expected);
-    assert_eq!(answers(&packed, &[]), expected);
+    for retired in [
+        b"SAMAIDX1\x05\0\0\0".to_vec(),
+        b"SAMAIDXZ\x05".to_vec(),
+        old_header(20),
+        old_header(21),
+    ] {
+        std::fs::write(&old, &retired).unwrap();
+        for args in [
+            &["query", old.to_str().unwrap(), rq.to_str().unwrap()][..],
+            &["stats", old.to_str().unwrap()],
+            &["update", old.to_str().unwrap(), nt.to_str().unwrap()],
+        ] {
+            let out = sama().args(args).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("no longer read"), "{err}");
+            assert!(err.contains("sama index"), "{err}");
+        }
+        assert_eq!(
+            std::fs::read(&old).unwrap(),
+            retired,
+            "update left it alone"
+        );
+    }
+
+    // The flags that wrote those formats are gone from both subcommands.
+    for flag in ["--v1", "--compress"] {
+        for args in [
+            &[
+                "index",
+                nt.to_str().unwrap(),
+                "-o",
+                unwritten.to_str().unwrap(),
+            ][..],
+            &[
+                "update",
+                seq.to_str().unwrap(),
+                nt.to_str().unwrap(),
+                "-o",
+                unwritten.to_str().unwrap(),
+            ],
+        ] {
+            let out = sama().args(args).arg(flag).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{args:?} {flag}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("unexpected argument {flag:?}")) || err.contains("usage:"),
+                "{err}"
+            );
+            assert!(!unwritten.exists(), "{args:?} {flag} wrote a file");
+        }
+    }
+    let out = sama().arg("--help").output().unwrap();
+    let help = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !help.contains("--v1") && !help.contains("--compress"),
+        "{help}"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration tests across the I/O boundary: N-Triples and SPARQL in,
 //! serialized index on "disk", identical answers back out.
 
-use sama::index::{decode, serialize_index, PathIndex};
+use sama::index::{decode_v2, serialize_index_v2, PathIndex};
 use sama::prelude::*;
 
 const NT_DOC: &str = r#"
@@ -51,8 +51,8 @@ fn serialized_engine_gives_identical_answers() {
     let warm_result = warm.answer(&query.graph, 10);
 
     let mut index = PathIndex::build(data);
-    let bytes = serialize_index(&mut index).expect("index fits format");
-    let cold = SamaEngine::from_index(decode(&bytes).expect("decodes"));
+    let bytes = serialize_index_v2(&mut index).expect("index fits format");
+    let cold = SamaEngine::from_index(decode_v2(&bytes).expect("decodes"));
     let cold_result = cold.answer(&query.graph, 10);
 
     assert_eq!(warm_result.answers.len(), cold_result.answers.len());
@@ -68,16 +68,16 @@ fn serialized_engine_gives_identical_answers() {
 #[test]
 fn index_file_roundtrip_via_disk() {
     let mut index = PathIndex::build(load());
-    let bytes = serialize_index(&mut index).expect("index fits format");
+    let bytes = serialize_index_v2(&mut index).expect("index fits format");
     let path = std::env::temp_dir().join("sama_integration_index.bin");
     std::fs::write(&path, &bytes).expect("write");
-    let loaded = decode(&std::fs::read(&path).expect("read")).expect("decode");
+    let loaded = decode_v2(&std::fs::read(&path).expect("read")).expect("decode");
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.path_count(), index.path_count());
     assert_eq!(
         loaded.stats().serialized_bytes,
         Some(bytes.len()),
-        "decode recomputes the serialized size"
+        "decode records the serialized size"
     );
 }
 

@@ -197,8 +197,8 @@ proptest! {
     #[test]
     fn storage_roundtrip(data in arb_data_graph()) {
         let index = PathIndex::build(data);
-        let bytes = sama::index::encode(&index).expect("index fits format");
-        let loaded = sama::index::decode(&bytes).expect("decodes");
+        let bytes = sama::index::encode_v2(&index).expect("index fits format");
+        let loaded = sama::index::decode_v2(&bytes).expect("decodes");
         prop_assert_eq!(loaded.path_count(), index.path_count());
         prop_assert_eq!(
             loaded.graph().as_graph().to_sorted_lines(),
