@@ -11,6 +11,7 @@
 
 use crate::align::{align, align_lambda, Alignment, AlignmentMode};
 use crate::deadline::QueryBudget;
+use crate::frontier::total_order_key;
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
@@ -786,13 +787,6 @@ struct FillKey<'a> {
     nodes: &'a [NodeId],
     edges: &'a [EdgeId],
     position: usize,
-}
-
-/// An integer that orders like `f64::total_cmp` (the same bit trick as
-/// the standard library's), so [`FillKey`] can derive its ordering.
-fn total_order_key(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The paper's retrieval rule, extended into a cascade so approximate

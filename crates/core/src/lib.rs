@@ -55,6 +55,7 @@ pub mod deadline;
 pub mod engine;
 pub mod error;
 pub mod forest;
+pub mod frontier;
 pub mod igraph;
 pub mod jsonout;
 pub mod params;

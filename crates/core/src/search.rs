@@ -24,17 +24,40 @@
 //! the *monotone emission* property behind the paper's reciprocal-rank
 //! experiment — while the frontier stays linear in the number of pops
 //! instead of multiplying by cluster width.
+//!
+//! # What an expansion costs
+//!
+//! Among equal priorities the search pops *deeper* states first (drive
+//! toward completion instead of fanning out shallow siblings), then
+//! older insertions, for determinism. With the paper's parameters every
+//! priority is a multiple of 0.5, and IC weights only add the sums of a
+//! few per-label weights, so a frontier that grows to ≈198 000 states
+//! holds a handful of distinct `(priority, depth)` pairs. The frontier
+//! is therefore a [`Frontier`]: one FIFO bucket per pair — insertion
+//! numbers only grow, so appending to a bucket *is* "older first" and the
+//! pop sequence is the one a binary heap under that ordering produces
+//! (`tests/search_frontier.rs`) — at a cost that does not depend on the
+//! frontier's size.
+//!
+//! A queued state is 24 bytes and owns nothing: its choice list is a
+//! chain of 8-byte (parent, choice) links, shared with the states it was
+//! derived from and read back (≤ one link per cluster) when it is
+//! popped. Pushing a state therefore copies and allocates nothing; the
+//! only growth is the amortised doubling of the link arena and of a
+//! bucket. DESIGN §5 has the measurements, including what a workload of
+//! all-distinct priorities — the case buckets are worst at — costs.
 
 use crate::answer::{Answer, ChosenPath};
 use crate::cluster::Cluster;
 use crate::deadline::QueryBudget;
+use crate::frontier::Frontier;
 use crate::igraph::IntersectionGraph;
 use crate::params::ScoreParams;
 use crate::qpath::QueryPath;
 use crate::score::{chi_count_sorted, PairConformity, ScoreBreakdown};
 use path_index::IndexLike;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// Limits for the combination search.
 #[derive(Debug, Clone, Copy)]
@@ -135,61 +158,44 @@ pub struct SearchOutcome {
     pub chi_stats: ChiStats,
 }
 
-/// A frontier state: the first `choices.len()` clusters are assigned.
+/// A frontier state: a prefix assignment of the first `depth` clusters
+/// (the depth is the state's frontier key, not stored here).
 ///
 /// A state *covers* two sets of assignments: the completions of its own
 /// prefix, and (until the sibling is pushed) the subtree where its last
-/// choice is advanced to later cluster entries. Its heap priority is
+/// choice is advanced to later cluster entries. Its frontier priority is
 /// the minimum of the two subtrees' lower bounds; popping a state whose
 /// priority came from the sibling bound pushes the sibling and
 /// re-inserts the state with its own (tighter) bound.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct State {
-    /// Entry index per assigned cluster; `u32::MAX` encodes deletion
-    /// (only used for empty clusters).
-    choices: Vec<u32>,
     /// Exact cost of the prefix *excluding* the last choice — the
     /// sibling successor re-prices only the last slot.
     g_before_last: f64,
     /// Exact cost of the assigned prefix (Λ + Ψ among assigned).
     g: f64,
-    /// `true` once the sibling subtree has its own heap entry.
+    /// The [`Link`] holding the last choice; its parents hold the rest.
+    link: u32,
+    /// `true` once the sibling subtree has its own frontier entry.
     sibling_pushed: bool,
 }
 
-struct QueueItem {
-    state: State,
-    /// The admissible priority this item was inserted with.
-    priority: f64,
-    seq: u64,
-}
-
-impl PartialEq for QueueItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for QueueItem {}
-impl PartialOrd for QueueItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for min-priority. Among
-        // equal priorities prefer *deeper* states (drive toward
-        // completion instead of fanning out shallow siblings), then
-        // older insertions for determinism.
-        other
-            .priority
-            .total_cmp(&self.priority)
-            .then_with(|| self.state.choices.len().cmp(&other.state.choices.len()))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// One slot of a state's choice list, linked to the slot before it, so
+/// that pushing a state copies nothing: a child's list is its parent's
+/// plus one link, a sibling's is all but the last link of its twin's.
+/// Links live in [`SearchStream::links`] until the stream is dropped —
+/// at most two are added per expansion.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The link of the previous cluster's choice ([`NO_LINK`] at depth 1).
+    parent: u32,
+    /// Entry index in this cluster; [`DELETED`] encodes deletion (only
+    /// used for empty clusters).
+    choice: u32,
 }
 
 const DELETED: u32 = u32::MAX;
+const NO_LINK: u32 = u32::MAX;
 
 /// Expansion pops between polls of an attached [`QueryBudget`] (the
 /// first pop always polls, so an already-expired budget does no work).
@@ -198,32 +204,33 @@ const DELETED: u32 = u32::MAX;
 pub const BUDGET_CHECK_INTERVAL: u32 = 16;
 
 /// A resumable combination search: answers pop lazily in
-/// non-decreasing score order. Owns the decomposition artefacts
-/// (`PQ`, IG, clusters) and borrows only the index, so it can outlive
-/// the call that created it.
+/// non-decreasing score order. Holds the decomposition artefacts
+/// (`PQ`, IG, clusters) — owned when built with [`SearchStream::new`],
+/// so the stream can outlive the call that created it — and borrows
+/// the index.
 ///
 /// Obtained from [`crate::SamaEngine::answer_stream`] or built directly;
 /// [`search_top_k`] is the batch wrapper.
 pub struct SearchStream<'a, I: IndexLike> {
-    qpaths: Vec<QueryPath>,
-    ig: IntersectionGraph,
-    clusters: Vec<Cluster>,
+    qpaths: Cow<'a, [QueryPath]>,
+    ig: Cow<'a, IntersectionGraph>,
+    clusters: Cow<'a, [Cluster]>,
     index: &'a I,
     params: ScoreParams,
     config: SearchConfig,
     /// Suffix sums of per-cluster lower bounds.
     bound: Vec<f64>,
-    heap: BinaryHeap<QueueItem>,
-    seq: u64,
-    emitted_sets: Vec<Vec<u32>>,
+    frontier: Frontier<State>,
+    links: Vec<Link>,
+    /// The choice list of the state being expanded, read out of `links`
+    /// once per pop; `choices.len()` is the number of clusters.
+    choices: Vec<u32>,
+    emitted_sets: HashSet<Vec<u32>>,
     expansions: usize,
     truncated: bool,
     truncation: Option<TruncationReason>,
     /// `|χ|` evaluations so far.
     chi_lookups: u64,
-    /// Retired `choices` vectors, reused by later pushes so the steady
-    /// state of the expansion loop allocates nothing.
-    pool: Vec<Vec<u32>>,
     /// Deadline/cancellation budget; unlimited by default, in which
     /// case no clock is ever read.
     budget: QueryBudget,
@@ -242,6 +249,24 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
+        Self::start(
+            Cow::Owned(qpaths),
+            Cow::Owned(ig),
+            Cow::Owned(clusters),
+            index,
+            params,
+            config,
+        )
+    }
+
+    fn start(
+        qpaths: Cow<'a, [QueryPath]>,
+        ig: Cow<'a, IntersectionGraph>,
+        clusters: Cow<'a, [Cluster]>,
+        index: &'a I,
+        params: ScoreParams,
+        config: SearchConfig,
+    ) -> Self {
         debug_assert_eq!(qpaths.len(), clusters.len());
         let n = clusters.len();
         let mut bound = vec![0.0f64; n + 1];
@@ -256,20 +281,20 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             params,
             config,
             bound,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            emitted_sets: Vec::new(),
+            frontier: Frontier::new(),
+            links: Vec::new(),
+            choices: vec![0; n],
+            emitted_sets: HashSet::new(),
             expansions: 0,
             truncated: false,
             truncation: None,
             chi_lookups: 0,
-            pool: Vec::new(),
             budget: QueryBudget::unlimited(),
             budget_countdown: 0,
         };
         if n > 0 {
             let first = first_choice(&stream.clusters[0]);
-            stream.push_state(&[], 0.0, 0, first);
+            stream.push_state(NO_LINK, 0.0, 0, first);
         }
         stream
     }
@@ -329,10 +354,21 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         }
     }
 
-    /// The sorted multiset of data paths an assignment uses (for
-    /// `distinct_paths`).
-    fn path_set_key(&self, choices: &[u32]) -> Vec<u32> {
-        let mut key: Vec<u32> = choices
+    /// Read the `depth` choices ending at `link` into
+    /// `self.choices[..depth]`.
+    fn load_choices(&mut self, mut link: u32, depth: usize) {
+        for slot in (0..depth).rev() {
+            let Link { parent, choice } = self.links[link as usize];
+            self.choices[slot] = choice;
+            link = parent;
+        }
+    }
+
+    /// The sorted multiset of data paths the complete assignment in
+    /// `self.choices` uses (for `distinct_paths`).
+    fn path_set_key(&self) -> Vec<u32> {
+        let mut key: Vec<u32> = self
+            .choices
             .iter()
             .enumerate()
             .map(|(slot, &c)| {
@@ -347,28 +383,13 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         key
     }
 
-    /// The λ a state's *sibling* subtree cannot beat: the next entry's
-    /// λ with zero conformity penalty.
-    fn sibling_lower(&self, state: &State) -> Option<f64> {
-        let last_slot = state.choices.len() - 1;
-        let last_choice = state.choices[last_slot];
-        if last_choice == DELETED {
-            return None; // deletion has no successor entry
-        }
-        let next = last_choice as usize + 1;
-        let entries = &self.clusters[last_slot].entries;
-        if next >= entries.len() {
-            return None;
-        }
-        Some(state.g_before_last + entries[next].lambda() + self.bound[last_slot + 1])
-    }
-
-    /// Push the state `prefix ++ [choice]` for cluster index `slot`;
-    /// `g_prefix` is the exact cost of `prefix` alone.
-    fn push_state(&mut self, prefix: &[u32], g_prefix: f64, slot: usize, choice: u32) {
+    /// Push the state that assigns `choice` to cluster `slot` on top of
+    /// the prefix `self.choices[..slot]`, whose last link is `parent`
+    /// and whose exact cost is `g_prefix`.
+    fn push_state(&mut self, parent: u32, g_prefix: f64, slot: usize, choice: u32) {
         let g = g_prefix
             + choice_cost(
-                prefix,
+                &self.choices[..slot],
                 choice,
                 slot,
                 &self.ig,
@@ -377,27 +398,29 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                 &self.params,
                 &mut self.chi_lookups,
             );
-        let mut choices = self.pool.pop().unwrap_or_default();
-        choices.clear();
-        choices.extend_from_slice(prefix);
-        choices.push(choice);
-        let state = State {
-            choices,
-            g_before_last: g_prefix,
-            g,
-            sibling_pushed: false,
-        };
         let own = g + self.bound[slot + 1];
-        let priority = match self.sibling_lower(&state) {
-            Some(sib) => own.min(sib),
-            None => own,
+        // The *sibling* subtree cannot beat the next entry's λ with zero
+        // conformity penalty (deletion has no next entry).
+        let next = if choice == DELETED {
+            None
+        } else {
+            self.clusters[slot].entries.get(choice as usize + 1)
         };
-        self.seq += 1;
-        self.heap.push(QueueItem {
-            state,
-            priority,
-            seq: self.seq,
+        let priority = next.map_or(own, |next| {
+            own.min(g_prefix + next.lambda() + self.bound[slot + 1])
         });
+        let link = u32::try_from(self.links.len()).expect("fewer than 2^32 states are pushed");
+        self.links.push(Link { parent, choice });
+        self.frontier.push(
+            priority,
+            slot as u32 + 1,
+            State {
+                g_before_last: g_prefix,
+                g,
+                link,
+                sibling_pushed: false,
+            },
+        );
     }
 
     /// Produce the next answer in non-decreasing score order, or `None`
@@ -408,12 +431,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         if n == 0 || self.truncated {
             return None;
         }
-        while let Some(QueueItem {
-            mut state,
-            priority,
-            ..
-        }) = self.heap.pop()
-        {
+        while let Some((priority, depth, mut state)) = self.frontier.pop() {
             sama_obs::fault::point("search.expand");
             if !self.budget.is_unlimited() {
                 let due = self.budget_countdown == 0;
@@ -426,12 +444,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                     if let Some(reason) = self.budget.exceeded() {
                         // Put the state back so the anytime fallback can
                         // greedily complete the frontier.
-                        self.seq += 1;
-                        self.heap.push(QueueItem {
-                            state,
-                            priority,
-                            seq: self.seq,
-                        });
+                        self.frontier.push(priority, depth, state);
                         self.mark_truncated(reason);
                         return None;
                     }
@@ -439,31 +452,25 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             }
             if self.expansions >= self.config.max_expansions {
                 // Put the state back so the anytime fallback can use it.
-                self.seq += 1;
-                self.heap.push(QueueItem {
-                    state,
-                    priority,
-                    seq: self.seq,
-                });
+                self.frontier.push(priority, depth, state);
                 self.mark_truncated(TruncationReason::ExpansionLimit);
                 return None;
             }
             self.expansions += 1;
 
-            let t = state.choices.len();
+            let t = depth as usize;
             let own = state.g + self.bound[t];
+            self.load_choices(state.link, t);
 
-            // Materialize the sibling subtree as its own heap entry (once).
+            // Materialize the sibling subtree as its own entry (once).
             if !state.sibling_pushed {
                 let last_slot = t - 1;
-                let last_choice = state.choices[last_slot];
+                let last_choice = self.choices[last_slot];
                 if last_choice != DELETED
                     && (last_choice as usize + 1) < self.clusters[last_slot].entries.len()
                 {
-                    // `state` was moved out of the heap, so its prefix
-                    // can be borrowed directly across the push.
-                    let (prefix, _) = state.choices.split_at(last_slot);
-                    self.push_state(prefix, state.g_before_last, last_slot, last_choice + 1);
+                    let parent = self.links[state.link as usize].parent;
+                    self.push_state(parent, state.g_before_last, last_slot, last_choice + 1);
                 }
                 state.sibling_pushed = true;
             }
@@ -471,150 +478,110 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             // If the sibling bound drove the priority, this state itself
             // is not yet proven minimal: re-insert with its own bound.
             if priority + 1e-12 < own {
-                self.seq += 1;
-                self.heap.push(QueueItem {
-                    state,
-                    priority: own,
-                    seq: self.seq,
-                });
+                self.frontier.push(own, depth, state);
                 continue;
             }
 
             if t == n {
-                let emit = if self.config.distinct_paths {
-                    let key = self.path_set_key(&state.choices);
-                    if self.emitted_sets.contains(&key) {
-                        false
-                    } else {
-                        self.emitted_sets.push(key);
-                        true
-                    }
-                } else {
-                    true
+                let emit = !self.config.distinct_paths || {
+                    let key = self.path_set_key();
+                    self.emitted_sets.insert(key)
                 };
                 if emit {
-                    let answer = materialize(
-                        &state,
+                    return Some(materialize(
+                        &self.choices,
+                        state.g,
                         &self.qpaths,
                         &self.ig,
                         &self.clusters,
                         self.index,
                         &self.params,
                         &mut self.chi_lookups,
-                    );
-                    self.pool.push(state.choices);
-                    return Some(answer);
+                    ));
                 }
-                self.pool.push(state.choices);
             } else {
-                // Child: assign the next cluster its best entry. The
-                // child copies the prefix out of `state` itself, so no
-                // intermediate clone is needed.
+                // Child: assign the next cluster its best entry.
                 let first = first_choice(&self.clusters[t]);
-                self.push_state(&state.choices, state.g, t, first);
-                self.pool.push(state.choices);
+                self.push_state(state.link, state.g, t, first);
             }
 
-            if self.heap.len() > self.config.max_frontier {
-                self.shrink_frontier(self.config.max_frontier / 2);
+            if self.frontier.len() > self.config.max_frontier {
+                self.frontier.truncate(self.config.max_frontier / 2);
                 self.mark_truncated(TruncationReason::FrontierOverflow);
             }
         }
         None
     }
 
-    /// Drain up to `budget` frontier states (used by the batch
-    /// wrapper's anytime fill after truncation).
-    fn drain_frontier(&mut self, budget: usize) -> Vec<State> {
-        let mut frontier = Vec::with_capacity(budget);
+    /// Drain up to `budget` frontier states, best first, as (choice
+    /// list, exact cost) — used by the batch wrapper's anytime fill
+    /// after truncation.
+    fn drain_frontier(&mut self, budget: usize) -> Vec<(Vec<u32>, f64)> {
+        let mut frontier = Vec::with_capacity(budget.min(self.frontier.len()));
         while frontier.len() < budget {
-            match self.heap.pop() {
-                Some(item) => frontier.push(item.state),
-                None => break,
-            }
+            let Some((_, depth, state)) = self.frontier.pop() else {
+                break;
+            };
+            let depth = depth as usize;
+            self.load_choices(state.link, depth);
+            frontier.push((self.choices[..depth].to_vec(), state.g));
         }
         frontier
-    }
-
-    /// Keep the best `keep` frontier items, recycling the rest.
-    fn shrink_frontier(&mut self, keep: usize) {
-        let mut kept: Vec<QueueItem> = Vec::with_capacity(keep);
-        for _ in 0..keep {
-            match self.heap.pop() {
-                Some(item) => kept.push(item),
-                None => break,
-            }
-        }
-        self.pool
-            .extend(self.heap.drain().map(|item| item.state.choices));
-        self.heap.extend(kept);
     }
 
     /// Greedily complete `frontier` states (per remaining cluster, the
     /// entry with the cheapest incremental cost) and append the
     /// results, deduplicated and sorted, to `outcome.answers` — the
     /// anytime fallback after truncation.
-    fn fill_greedy(&mut self, outcome: &mut SearchOutcome, frontier: Vec<State>, k: usize) {
+    fn fill_greedy(
+        &mut self,
+        outcome: &mut SearchOutcome,
+        mut frontier: Vec<(Vec<u32>, f64)>,
+        k: usize,
+    ) {
         let n = self.clusters.len();
-        let mut filled: Vec<State> = Vec::new();
-        for mut state in frontier {
-            while state.choices.len() < n {
-                let slot = state.choices.len();
+        for (choices, g) in &mut frontier {
+            while choices.len() < n {
+                let slot = choices.len();
                 let cluster = &self.clusters[slot];
-                let (best_choice, best_cost) = if cluster.is_empty() {
-                    (
-                        DELETED,
-                        choice_cost(
-                            &state.choices,
-                            DELETED,
-                            slot,
-                            &self.ig,
-                            &self.clusters,
-                            self.index,
-                            &self.params,
-                            &mut self.chi_lookups,
-                        ),
+                let mut cost_of = |choice| {
+                    choice_cost(
+                        choices,
+                        choice,
+                        slot,
+                        &self.ig,
+                        &self.clusters,
+                        self.index,
+                        &self.params,
+                        &mut self.chi_lookups,
                     )
+                };
+                let (best_choice, best_cost) = if cluster.is_empty() {
+                    (DELETED, cost_of(DELETED))
                 } else {
                     // Entries are λ-sorted; scanning a bounded prefix finds
                     // a low-penalty choice without quadratic blowup.
                     (0..cluster.entries.len().min(32) as u32)
-                        .map(|c| {
-                            (
-                                c,
-                                choice_cost(
-                                    &state.choices,
-                                    c,
-                                    slot,
-                                    &self.ig,
-                                    &self.clusters,
-                                    self.index,
-                                    &self.params,
-                                    &mut self.chi_lookups,
-                                ),
-                            )
-                        })
+                        .map(|c| (c, cost_of(c)))
                         .min_by(|a, b| a.1.total_cmp(&b.1))
                         .expect("cluster is non-empty")
                 };
-                state.g_before_last = state.g;
-                state.g += best_cost;
-                state.choices.push(best_choice);
+                *g += best_cost;
+                choices.push(best_choice);
             }
-            filled.push(state);
         }
-        filled.sort_by(|a, b| a.g.total_cmp(&b.g));
-        let mut added: Vec<Vec<u32>> = Vec::new();
-        for state in &filled {
+        frontier.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut added: HashSet<&[u32]> = HashSet::new();
+        for (choices, g) in &frontier {
             if outcome.answers.len() >= k {
                 break;
             }
-            if added.contains(&state.choices) {
+            if !added.insert(choices) {
                 continue;
             }
-            added.push(state.choices.clone());
             outcome.answers.push(materialize(
-                state,
+                choices,
+                *g,
                 &self.qpaths,
                 &self.ig,
                 &self.clusters,
@@ -661,7 +628,7 @@ pub fn search_top_k<I: IndexLike>(
 /// budget expires mid-search, the answers emitted so far plus a greedy
 /// completion of the best frontier states are returned, flagged with
 /// the budget's [`TruncationReason`]. An unlimited budget adds zero
-/// cost (no clock is read).
+/// cost (no clock is read). The decomposition is borrowed, not copied.
 #[allow(clippy::too_many_arguments)]
 pub fn search_top_k_budgeted<I: IndexLike>(
     qpaths: &[QueryPath],
@@ -683,10 +650,10 @@ pub fn search_top_k_budgeted<I: IndexLike>(
     if clusters.is_empty() || k == 0 {
         return outcome;
     }
-    let mut stream = SearchStream::new(
-        qpaths.to_vec(),
-        ig.clone(),
-        clusters.to_vec(),
+    let mut stream = SearchStream::start(
+        Cow::Borrowed(qpaths),
+        Cow::Borrowed(ig),
+        Cow::Borrowed(clusters),
         index,
         *params,
         *config,
@@ -782,8 +749,12 @@ fn pair_chi_p<I: IndexLike + ?Sized>(
     chi_count_sorted(index.sorted_nodes(pa), index.sorted_nodes(pb))
 }
 
+/// The answer for the complete assignment `state_choices`, whose
+/// incrementally computed cost is `g`.
+#[allow(clippy::too_many_arguments)]
 fn materialize<I: IndexLike + ?Sized>(
-    state: &State,
+    state_choices: &[u32],
+    g: f64,
     qpaths: &[QueryPath],
     ig: &IntersectionGraph,
     clusters: &[Cluster],
@@ -792,8 +763,8 @@ fn materialize<I: IndexLike + ?Sized>(
     chi_lookups: &mut u64,
 ) -> Answer {
     let mut lambda_total = 0.0;
-    let mut choices = Vec::with_capacity(state.choices.len());
-    for (i, &c) in state.choices.iter().enumerate() {
+    let mut choices = Vec::with_capacity(state_choices.len());
+    for (i, &c) in state_choices.iter().enumerate() {
         if c == DELETED {
             lambda_total += clusters[i].deletion_lambda;
             choices.push(ChosenPath {
@@ -813,9 +784,9 @@ fn materialize<I: IndexLike + ?Sized>(
     let mut psi_total = 0.0;
     for edge in &ig.edges {
         let chi_p = pair_chi_p(
-            state.choices[edge.qi],
+            state_choices[edge.qi],
             edge.qi,
-            state.choices[edge.qj],
+            state_choices[edge.qj],
             edge.qj,
             clusters,
             index,
@@ -826,7 +797,7 @@ fn materialize<I: IndexLike + ?Sized>(
         pairs.push(pair);
     }
     debug_assert!(
-        (lambda_total + psi_total - state.g).abs() < 1e-9,
+        (lambda_total + psi_total - g).abs() < 1e-9,
         "incremental cost must agree with the full evaluation"
     );
     Answer {
@@ -1018,10 +989,16 @@ mod tests {
 
     #[test]
     fn distinct_paths_deduplicates_subgraphs() {
-        // Q2-like single-path query: with one cluster there are no
-        // duplicates; build a two-path query whose clusters overlap so
-        // the same path set can be assembled twice.
-        let index = path_index::PathIndex::build(figure1_data());
+        // A two-path query whose clusters draw from one candidate pool,
+        // so the same path set can be assembled twice — over enough
+        // co-sponsorships that 1 000 distinct sets exist.
+        const K: usize = 1_000;
+        let mut b = DataGraph::builder();
+        for i in 0..60 {
+            b.triple_str(&format!("P{i}"), "sponsor", &format!("B{}", i % 5))
+                .unwrap();
+        }
+        let index = path_index::PathIndex::build(b.build());
         let mut b = QueryGraph::builder();
         b.triple_str("?a", "sponsor", "?v").unwrap();
         b.triple_str("?b", "sponsor", "?v").unwrap();
@@ -1042,51 +1019,50 @@ mod tests {
             AlignmentMode::Greedy,
             &ClusterConfig::default(),
         );
-        let plain = search_top_k(
-            &qpaths,
-            &ig,
-            &clusters,
-            &index,
-            &params,
-            40,
-            &SearchConfig::default(),
-        );
-        let distinct = search_top_k(
-            &qpaths,
-            &ig,
-            &clusters,
-            &index,
-            &params,
-            40,
-            &SearchConfig {
-                distinct_paths: true,
-                ..Default::default()
-            },
-        );
+        let run = |k: usize, distinct_paths: bool| {
+            let outcome = search_top_k(
+                &qpaths,
+                &ig,
+                &clusters,
+                &index,
+                &params,
+                k,
+                &SearchConfig {
+                    distinct_paths,
+                    ..Default::default()
+                },
+            );
+            assert!(!outcome.truncated);
+            outcome.answers
+        };
+        let plain = run(usize::MAX, false);
+        let distinct = run(K, true);
         let key = |a: &crate::answer::Answer| {
             let mut ids: Vec<_> = a.path_ids();
             ids.sort();
             ids
         };
-        // The distinct run has no repeated path sets…
+        // Deduplicating skips emissions and nothing else: the distinct
+        // run is the plain enumeration with every repeated path set
+        // dropped — found here by a linear scan of the sets seen so far,
+        // as the search itself used to.
         let mut seen = Vec::new();
-        for a in &distinct.answers {
+        let mut expected = Vec::new();
+        for a in &plain {
             let k = key(a);
-            assert!(!seen.contains(&k), "duplicate path set emitted");
-            seen.push(k);
+            if !seen.contains(&k) {
+                seen.push(k);
+                expected.push(a);
+            }
         }
-        // …while the plain run does (both clusters draw from the same
-        // candidate pool).
-        let mut plain_keys: Vec<_> = plain.answers.iter().map(key).collect();
-        let total = plain_keys.len();
-        plain_keys.sort();
-        plain_keys.dedup();
-        assert!(
-            plain_keys.len() < total,
-            "expected duplicates without dedup"
-        );
+        assert!(expected.len() < plain.len(), "the plain run repeats sets");
+        assert_eq!(distinct.len(), K);
+        for (got, want) in distinct.iter().zip(&expected) {
+            assert_eq!(got.path_ids(), want.path_ids());
+            assert_eq!(got.score().to_bits(), want.score().to_bits());
+        }
         // Scores still emit monotonically under dedup.
-        for w in distinct.answers.windows(2) {
+        for w in distinct.windows(2) {
             assert!(w[0].score() <= w[1].score() + 1e-12);
         }
     }

@@ -1,7 +1,8 @@
 //! Shared by the integration tests: a random-data strategy, and an
 //! index the tests can watch — it delegates every read to the wrapped
 //! index, counts the reads the pipeline's contracts are stated in, and
-//! can cancel a budget at a known point of a cluster fill.
+//! can cancel a budget at a known point of a cluster fill or of the
+//! combination search.
 
 #![allow(dead_code)] // each test target uses its own subset
 
@@ -47,6 +48,11 @@ pub struct Probe<I> {
     /// budget trips mid-cluster at a known candidate.
     pub trip_at: usize,
     pub token: Arc<CancelToken>,
+    /// `token` is also cancelled during this `sorted_nodes` call
+    /// (1-based). Only the combination search reads sorted node sets —
+    /// two per χ lookup — so this trips a budget mid-search.
+    pub trip_at_sorted_nodes: usize,
+    pub sorted_nodes_calls: AtomicUsize,
     /// Sink lookups so far: one per fill of a query path with a
     /// constant sink.
     pub sink_lookups: AtomicUsize,
@@ -63,6 +69,8 @@ impl<I> Probe<I> {
             labels_calls: AtomicUsize::new(0),
             trip_at: usize::MAX,
             token: CancelToken::new(),
+            trip_at_sorted_nodes: usize::MAX,
+            sorted_nodes_calls: AtomicUsize::new(0),
             sink_lookups: AtomicUsize::new(0),
             resolved: Mutex::new(BTreeMap::new()),
         }
@@ -94,6 +102,9 @@ impl<I: IndexLike> IndexLike for Probe<I> {
         self.inner.labels(id)
     }
     fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
+        if self.sorted_nodes_calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trip_at_sorted_nodes {
+            self.token.cancel();
+        }
         self.inner.sorted_nodes(id)
     }
     fn path_shape(&self, id: PathId) -> u32 {
