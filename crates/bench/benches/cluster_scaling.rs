@@ -94,10 +94,8 @@ fn fixture(chains: usize) -> (PathIndex, Vec<QueryPath>) {
 fn config(retrieval: Retrieval) -> ClusterConfig {
     ClusterConfig {
         retrieval,
-        // Sequential alignment in both arms so the ratio reflects work
-        // pruned, not thread-pool luck; lift the entry cap so the exact
-        // arm's top-k is the true alignment ranking.
-        parallel_alignment: false,
+        // Lift the entry cap so the exact arm's top-k is the true
+        // alignment ranking.
         max_cluster_size: usize::MAX,
         ..Default::default()
     }

@@ -31,7 +31,6 @@ fn extraction_for(name: &str) -> ExtractionConfig {
             max_depth: 12,
             max_paths_per_source: 50_000,
             max_total_paths: 1 << 20,
-            ..Default::default()
         }
     } else {
         ExtractionConfig::default()

@@ -19,31 +19,6 @@ use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
 use rdf_model::{EdgeId, FxHashMap, LabelId, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Mutex, OnceLock};
-
-/// `true` when `SAMA_PARALLEL` is set (and not `0`): the CI matrix leg
-/// that runs the whole test suite with every parallel knob enabled, so
-/// the concurrent code paths get the same coverage as the sequential
-/// defaults. Read once per process.
-pub(crate) fn parallel_default() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("SAMA_PARALLEL").is_some_and(|v| v != "0"))
-}
-
-/// Worker-pool width: one worker per hardware thread, but never more
-/// than `tasks`. The floor of two keeps the concurrent path reachable
-/// on single-core machines — the parallel knobs are explicit opt-ins,
-/// so an oversubscribed pool (workers timeslicing) honors the request
-/// instead of silently degrading to the sequential code path, and the
-/// determinism tests exercise real interleavings everywhere.
-pub(crate) fn worker_count(tasks: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .max(2)
-        .min(tasks)
-}
 
 /// How the clustering step picks its retrieval anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,18 +113,6 @@ pub struct ClusterConfig {
     /// Theorem 1's end-to-end monotonicity) that the paper's anchor
     /// heuristic does not preserve.
     pub exhaustive: bool,
-    /// Align the retrieved candidate list on scoped threads when it is
-    /// long enough (see [`ClusterConfig::parallel_threshold`]). The
-    /// real fan-out of a query is the candidates *within* a cluster
-    /// (up to [`ClusterConfig::max_candidates`]), not the handful of
-    /// clusters — this is where alignment time actually goes. Entries,
-    /// order, and the `candidates_*` counters are bit-identical to the
-    /// sequential path.
-    pub parallel_alignment: bool,
-    /// Minimum candidates per worker before
-    /// [`ClusterConfig::parallel_alignment`] spawns threads; below
-    /// `2 × threshold` the cluster is aligned inline.
-    pub parallel_threshold: usize,
 }
 
 impl Default for ClusterConfig {
@@ -161,10 +124,6 @@ impl Default for ClusterConfig {
             anchor: AnchorSelection::SinkFirst,
             retrieval: Retrieval::Exact,
             exhaustive: false,
-            parallel_alignment: parallel_default(),
-            // Under SAMA_PARALLEL the threshold drops to 1 so even tiny
-            // test fixtures exercise the threaded path.
-            parallel_threshold: if parallel_default() { 1 } else { 4096 },
         }
     }
 }
@@ -234,8 +193,7 @@ pub struct Cluster {
     /// Alignments computed to score the candidates: one per candidate
     /// of a cluster that fits in [`ClusterConfig::max_cluster_size`],
     /// one per *distinguishable* candidate of a streamed one (see
-    /// [`memoised_lambdas`]; each fill chunk counts its own). The survivors'
-    /// binding pass is not counted.
+    /// [`memoised_lambdas`]). The survivors' binding pass is not counted.
     pub alignments_computed: usize,
     /// The retrieval tier that produced [`Cluster::entries`].
     pub tier: ClusterTier,
@@ -257,10 +215,9 @@ impl Cluster {
     }
 }
 
-/// Build all clusters for the decomposed query `qpaths` against `index`.
-/// (`Sync` because [`ClusterConfig::parallel_alignment`] may fan a
-/// large candidate list over scoped threads.)
-pub fn build_clusters<I: IndexLike + Sync>(
+/// Build all clusters for the decomposed query `qpaths` against `index`,
+/// on the calling thread.
+pub fn build_clusters<I: IndexLike>(
     qpaths: &[QueryPath],
     index: &I,
     synonyms: &dyn SynonymProvider,
@@ -287,7 +244,7 @@ pub fn build_clusters<I: IndexLike + Sync>(
 /// [`Cluster::candidates_dropped`]. An unlimited budget reads no clock
 /// and yields bit-identical clusters to [`build_clusters`].
 #[allow(clippy::too_many_arguments)]
-pub fn build_clusters_budgeted<I: IndexLike + Sync>(
+pub fn build_clusters_budgeted<I: IndexLike>(
     qpaths: &[QueryPath],
     index: &I,
     synonyms: &dyn SynonymProvider,
@@ -316,69 +273,12 @@ pub fn build_clusters_budgeted<I: IndexLike + Sync>(
         .collect()
 }
 
-/// Parallel variant of [`build_clusters`]: one *task* per query path,
-/// drained by a fixed pool of scoped workers. The paper notes its
-/// index supports "parallel implementations"; clustering is
-/// embarrassingly parallel because clusters are independent.
-///
-/// Work is claimed per query path through an atomic cursor rather than
-/// split into contiguous chunks: query paths have wildly different
-/// candidate counts (a popular sink retrieves thousands, a selective
-/// one a handful), so a chunked split can hand one thread all the
-/// heavy paths and serialize the run — with `qpaths.len()` just above
-/// the thread count, `div_ceil` used to put *two* paths in the first
-/// chunk and leave the last thread idle. Claiming one path at a time
-/// load-balances regardless of weight, and results land in `PQ` order
-/// by slot. Falls back to the sequential path for trivial queries
-/// where spawning would dominate.
-pub fn build_clusters_parallel<I: IndexLike + Sync>(
-    qpaths: &[QueryPath],
-    index: &I,
-    synonyms: &dyn SynonymProvider,
-    params: &ScoreParams,
-    mode: AlignmentMode,
-    config: &ClusterConfig,
-) -> Vec<Cluster> {
-    let threads = worker_count(qpaths.len());
-    if qpaths.len() < 2 || threads < 2 {
-        return build_clusters(qpaths, index, synonyms, params, mode, config);
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Cluster>>> = qpaths.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                let Some(q) = qpaths.get(i) else { break };
-                let cluster = build_cluster(
-                    q,
-                    index,
-                    synonyms,
-                    params,
-                    mode,
-                    config,
-                    &QueryBudget::unlimited(),
-                );
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(cluster);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
 /// Candidate alignments between polls of an attached [`QueryBudget`]
 /// during clustering.
 pub const ALIGN_CHECK_INTERVAL: usize = 256;
 
 #[allow(clippy::too_many_arguments)]
-fn build_cluster<I: IndexLike + Sync>(
+fn build_cluster<I: IndexLike>(
     q: &QueryPath,
     index: &I,
     synonyms: &dyn SynonymProvider,
@@ -403,45 +303,13 @@ fn build_cluster<I: IndexLike + Sync>(
     };
 
     let align_span = sama_obs::span!("cluster.align_ns");
-    // Budgeted alignment runs inline so the checkpoints see every
-    // candidate; entries (and their order) are identical to the
-    // parallel path while the budget holds.
-    let threads = if config.parallel_alignment && budget.is_unlimited() {
-        worker_count(considered.len() / config.parallel_threshold.max(1))
-    } else {
-        1
-    };
+    // At most `max_cluster_size` entries come back, so sorting is all
+    // that is left to do.
     let cap = config.max_cluster_size;
-    let fill = |chunk| fill_chunk(q, index, chunk, params, mode, cap, budget);
-    let (mut entries, scored, computed) = if threads < 2 {
-        fill(considered)
-    } else {
-        // Chunk survivors are concatenated in candidate order, so the
-        // stable sort + truncate below sees what one chunk would give.
-        let chunk_len = considered.len().div_ceil(threads);
-        let mut merged = Vec::new();
-        let mut computed = 0;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = considered
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || fill(chunk)))
-                .collect();
-            for handle in handles {
-                // Preserve the worker's panic payload (e.g. an injected
-                // fault's message) instead of replacing it with a generic
-                // `.expect` string — the batch pool's isolation reports it.
-                let (entries, _, chunk_computed) = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                merged.extend(entries);
-                computed += chunk_computed;
-            }
-        });
-        (merged, considered.len(), computed)
-    };
+    let (mut entries, scored, computed) =
+        fill_chunk(q, index, considered, params, mode, cap, budget);
     dropped += considered.len() - scored;
     entries.sort_by(|x, y| entry_cmp(index, x, y));
-    entries.truncate(cap);
     drop(align_span);
 
     sama_obs::counter_add("cluster.builds_total", 1);
@@ -584,6 +452,11 @@ fn entry_cmp<I: IndexLike + ?Sized>(index: &I, x: &ClusterEntry, y: &ClusterEntr
 /// stable sort — λ, then path content, then candidate position. A
 /// candidate whose λ alone is worse than the heap's worst never touches
 /// its path content. Only the survivors get the full [`align`].
+///
+/// Kept out of line: inlined into [`build_cluster`], its one caller, the
+/// streaming loop ran ≈5% slower on the ledger's `lubm_mix` (six of six
+/// rounds; EXPERIMENTS.md "Ledger — PR 21").
+#[inline(never)]
 fn fill_chunk<I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
@@ -660,7 +533,7 @@ pub fn memoised_lambdas<I: IndexLike + ?Sized>(
     (lambdas, memo.computed)
 }
 
-/// λ for the candidates of one streamed chunk, computed once per
+/// λ for the candidates of one streamed cluster, computed once per
 /// *distinguishable* candidate.
 ///
 /// [`align_lambda`] reads a data path only through (i) its edge labels
@@ -1245,35 +1118,6 @@ mod tests {
         for (e, l) in exact.iter().zip(&lsh) {
             assert_eq!(e.entries, l.entries);
             assert_eq!(l.lsh_pruned, 0);
-        }
-    }
-
-    #[test]
-    fn lsh_parallel_matches_sequential() {
-        let (mut index, qpaths) = lsh_setup(64);
-        index.build_lsh(path_index::LshParams::default()).unwrap();
-        let retrieval = Retrieval::Lsh {
-            bands: 8,
-            rows: 2,
-            top_m: 8,
-        };
-        let sequential = clusters_with(&index, &qpaths, retrieval);
-        let parallel = build_clusters_parallel(
-            &qpaths,
-            &index,
-            &NoSynonyms,
-            &ScoreParams::paper(),
-            AlignmentMode::Greedy,
-            &ClusterConfig {
-                retrieval,
-                parallel_alignment: true,
-                parallel_threshold: 1,
-                ..Default::default()
-            },
-        );
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.entries, p.entries);
-            assert_eq!(s.lsh_pruned, p.lsh_pruned);
         }
     }
 

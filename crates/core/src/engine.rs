@@ -3,10 +3,7 @@
 
 use crate::align::AlignmentMode;
 use crate::answer::Answer;
-use crate::cluster::{
-    build_clusters_budgeted, build_clusters_parallel, parallel_default, Cluster, ClusterConfig,
-    ClusterTier,
-};
+use crate::cluster::{build_clusters_budgeted, Cluster, ClusterConfig, ClusterTier};
 use crate::deadline::QueryBudget;
 use crate::error::{QueryError, SamaError};
 use crate::igraph::IntersectionGraph;
@@ -118,8 +115,6 @@ pub struct EngineConfig {
     pub search: SearchConfig,
     /// Alignment algorithm (paper's greedy scan by default).
     pub alignment: AlignmentMode,
-    /// Build clusters on scoped threads (one task per query path).
-    pub parallel_clustering: bool,
     /// Per-query EXPLAIN trace assembly (off by default; the
     /// `SAMA_TRACE` env flag flips the default on).
     pub trace: TraceConfig,
@@ -150,9 +145,6 @@ impl Default for EngineConfig {
             cluster: ClusterConfig::default(),
             search: SearchConfig::default(),
             alignment: AlignmentMode::default(),
-            // Off by default; the SAMA_PARALLEL env flag (the CI matrix
-            // leg) flips every parallel knob on.
-            parallel_clustering: parallel_default(),
             trace: TraceConfig::default(),
             deadline: deadline_default(),
             ic_weights: false,
@@ -341,7 +333,7 @@ impl SamaEngine<ShardedIndex> {
     }
 }
 
-impl<I: IndexLike + Sync> SamaEngine<I> {
+impl<I: IndexLike> SamaEngine<I> {
     /// Wrap an existing (e.g. deserialized) index.
     pub fn from_index(index: I) -> Self {
         Self::from_index_with_config(index, EngineConfig::default())
@@ -588,30 +580,16 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
         let preprocessing = preprocess_span.finish();
 
         let cluster_span = obs::span!("query.cluster_ns");
-        // One task per query path on scoped threads when asked to and
-        // no budget needs polling; the budgeted fill is bit-identical
-        // while the budget holds (and when it is unlimited).
         let fill = |paths: &[QueryPath], synonyms: &dyn SynonymProvider| {
-            if budget.is_unlimited() && self.config.parallel_clustering {
-                build_clusters_parallel(
-                    paths,
-                    &self.index,
-                    synonyms,
-                    &self.params,
-                    self.config.alignment,
-                    &self.config.cluster,
-                )
-            } else {
-                build_clusters_budgeted(
-                    paths,
-                    &self.index,
-                    synonyms,
-                    &self.params,
-                    self.config.alignment,
-                    &self.config.cluster,
-                    budget,
-                )
-            }
+            build_clusters_budgeted(
+                paths,
+                &self.index,
+                synonyms,
+                &self.params,
+                self.config.alignment,
+                &self.config.cluster,
+                budget,
+            )
         };
         let mut clusters = fill(&query_paths, self.synonyms.as_ref());
         self.relax_thin_clusters(&mut query_paths, &mut clusters, budget, fill);
@@ -992,24 +970,6 @@ mod tests {
         assert!(text.contains("exact"));
         assert!(text.contains("ψ(q"));
         assert!(result.explain_answer(99, engine.index(), &q).is_none());
-    }
-
-    #[test]
-    fn parallel_clustering_matches_sequential() {
-        let sequential = SamaEngine::new(figure1_data());
-        let parallel = SamaEngine::with_config(
-            figure1_data(),
-            EngineConfig {
-                parallel_clustering: true,
-                ..Default::default()
-            },
-        );
-        let q = q1();
-        let a = sequential.answer(&q, 10);
-        let b = parallel.answer(&q, 10);
-        let scores = |r: &QueryResult| r.answers.iter().map(Answer::score).collect::<Vec<_>>();
-        assert_eq!(scores(&a), scores(&b));
-        assert_eq!(a.retrieved_paths, b.retrieved_paths);
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub use align::{align, align_lambda, Alignment, AlignmentCounts, AlignmentMode};
 pub use answer::{Answer, ChosenPath};
 pub use batch::{BatchConfig, BatchOutcome, BatchStats, PhaseLatency};
 pub use cluster::{
-    build_clusters, build_clusters_budgeted, build_clusters_parallel, memoised_lambdas,
-    AnchorSelection, Cluster, ClusterConfig, ClusterEntry, ClusterTier, Retrieval,
-    LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS, LSH_DEFAULT_TOP_M, LSH_MIN_CANDIDATES,
+    build_clusters, build_clusters_budgeted, memoised_lambdas, AnchorSelection, Cluster,
+    ClusterConfig, ClusterEntry, ClusterTier, Retrieval, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS,
+    LSH_DEFAULT_TOP_M, LSH_MIN_CANDIDATES,
 };
 pub use deadline::{CancelToken, QueryBudget};
 pub use engine::{

@@ -324,9 +324,9 @@ fn reference<I: IndexLike>(
     entries
 }
 
-/// Every combination of cap × mode × IC weights × threads × cancellation
+/// Every combination of cap × mode × IC weights × cancellation
 /// over one index kind.
-fn check_kind<I: IndexLike + Sync>(kind: &str, index: I) {
+fn check_kind<I: IndexLike>(kind: &str, index: I) {
     let candidates = index.all_path_ids();
     let len = candidates.len();
     assert!(
@@ -350,54 +350,48 @@ fn check_kind<I: IndexLike + Sync>(kind: &str, index: I) {
     let mut tripwire = Probe::new(index);
     for (qpaths, ic) in [(&plain, false), (&weighted, true)] {
         for mode in MODES {
-            for parallel in [false, true] {
-                for cap in [0, 1, len - 1, len, len + 1] {
-                    for cancel in [false, true] {
-                        let what = format!(
-                            "{kind} ic={ic} {mode:?} parallel={parallel} cap={cap} cancel={cancel}"
-                        );
-                        tripwire.labels_calls = AtomicUsize::new(0);
-                        tripwire.token = CancelToken::new();
-                        tripwire.trip_at = if cancel { trip_at } else { usize::MAX };
-                        let budget = if cancel {
-                            QueryBudget::unlimited().cancelled_by(Arc::clone(&tripwire.token))
-                        } else {
-                            QueryBudget::unlimited()
-                        };
-                        let clusters = build_clusters_budgeted(
-                            qpaths,
-                            &tripwire,
-                            &NoSynonyms,
-                            &ScoreParams::paper(),
-                            mode,
-                            &ClusterConfig {
-                                exhaustive: true,
-                                max_cluster_size: cap,
-                                parallel_alignment: parallel,
-                                parallel_threshold: 1,
-                                ..Default::default()
-                            },
-                            &budget,
-                        );
-                        let scored = if cancel { polled_out_at } else { len };
-                        let want = reference(
-                            &qpaths[0],
-                            &tripwire.inner,
-                            &candidates[..scored],
-                            mode,
-                            cap,
-                        );
-                        let got = &clusters[0];
-                        assert_eq!(got.candidates_retrieved, len, "{what}");
-                        assert_eq!(got.candidates_dropped, len - scored, "{what}");
-                        assert_eq!(got.entries.len(), want.len(), "{what}");
-                        for (rank, (g, w)) in got.entries.iter().zip(&want).enumerate() {
-                            let what = format!("{what} rank={rank}");
-                            assert_eq!(g.path_id, w.path_id, "{what}");
-                            assert_eq!(g.lambda().to_bits(), w.lambda().to_bits(), "{what}");
-                            assert_eq!(g.alignment.counts, w.alignment.counts, "{what}");
-                            assert_eq!(g.alignment.bindings, w.alignment.bindings, "{what}");
-                        }
+            for cap in [0, 1, len - 1, len, len + 1] {
+                for cancel in [false, true] {
+                    let what = format!("{kind} ic={ic} {mode:?} cap={cap} cancel={cancel}");
+                    tripwire.labels_calls = AtomicUsize::new(0);
+                    tripwire.token = CancelToken::new();
+                    tripwire.trip_at = if cancel { trip_at } else { usize::MAX };
+                    let budget = if cancel {
+                        QueryBudget::unlimited().cancelled_by(Arc::clone(&tripwire.token))
+                    } else {
+                        QueryBudget::unlimited()
+                    };
+                    let clusters = build_clusters_budgeted(
+                        qpaths,
+                        &tripwire,
+                        &NoSynonyms,
+                        &ScoreParams::paper(),
+                        mode,
+                        &ClusterConfig {
+                            exhaustive: true,
+                            max_cluster_size: cap,
+                            ..Default::default()
+                        },
+                        &budget,
+                    );
+                    let scored = if cancel { polled_out_at } else { len };
+                    let want = reference(
+                        &qpaths[0],
+                        &tripwire.inner,
+                        &candidates[..scored],
+                        mode,
+                        cap,
+                    );
+                    let got = &clusters[0];
+                    assert_eq!(got.candidates_retrieved, len, "{what}");
+                    assert_eq!(got.candidates_dropped, len - scored, "{what}");
+                    assert_eq!(got.entries.len(), want.len(), "{what}");
+                    for (rank, (g, w)) in got.entries.iter().zip(&want).enumerate() {
+                        let what = format!("{what} rank={rank}");
+                        assert_eq!(g.path_id, w.path_id, "{what}");
+                        assert_eq!(g.lambda().to_bits(), w.lambda().to_bits(), "{what}");
+                        assert_eq!(g.alignment.counts, w.alignment.counts, "{what}");
+                        assert_eq!(g.alignment.bindings, w.alignment.bindings, "{what}");
                     }
                 }
             }

@@ -1,20 +1,16 @@
-//! Determinism guarantees of the concurrent serving paths.
+//! Determinism guarantees of the concurrent serving path.
 //!
-//! Every parallel knob in the engine — batch worker pools, parallel
-//! clustering, in-cluster parallel alignment — is a *scheduling*
+//! A query runs on the thread that called it; the batch worker pool
+//! runs whole queries side by side. Its width is a *scheduling*
 //! decision, never a *semantic* one: answers, scores, retrieval counters
 //! and truncation flags must be bit-identical to the sequential run at
 //! every thread count. These tests pin that contract.
 
 mod support;
 
-use path_index::IndexLike;
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph};
-use sama_core::{
-    build_clusters, build_clusters_parallel, decompose_query, AlignmentMode, BatchConfig,
-    ClusterConfig, EngineConfig, QueryResult, SamaEngine, ScoreParams,
-};
+use sama_core::{BatchConfig, QueryResult, SamaEngine};
 use support::arb_dag_triples;
 
 fn figure1_data() -> DataGraph {
@@ -114,178 +110,15 @@ fn batch_is_bit_identical_to_sequential_loop_at_every_thread_count() {
     }
 }
 
-#[test]
-fn parallel_alignment_is_bit_identical_to_sequential() {
-    // threshold 1 forces the threaded path even on tiny clusters.
-    let config_for = |parallel: bool| EngineConfig {
-        cluster: ClusterConfig {
-            parallel_alignment: parallel,
-            parallel_threshold: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let sequential = SamaEngine::with_config(figure1_data(), config_for(false));
-    let parallel = SamaEngine::with_config(figure1_data(), config_for(true));
-    for q in workload() {
-        let a = sequential.answer(&q, 10);
-        let b = parallel.answer(&q, 10);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        // The per-cluster counters feed the paper's Figure 7a: they must
-        // not depend on chunking either.
-        let counters = |r: &QueryResult| {
-            r.clusters
-                .iter()
-                .map(|c| {
-                    (
-                        c.candidates_retrieved,
-                        c.candidates_dropped,
-                        c.entries.len(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(counters(&a), counters(&b));
-    }
-}
-
-#[test]
-fn parallel_alignment_respects_max_cluster_size_cap() {
-    // A tight cap makes per-chunk truncation actually bite; the merged
-    // result must still equal the sequential (globally sorted) one.
-    let config_for = |parallel: bool| EngineConfig {
-        cluster: ClusterConfig {
-            max_cluster_size: 2,
-            parallel_alignment: parallel,
-            parallel_threshold: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let sequential = SamaEngine::with_config(figure1_data(), config_for(false));
-    let parallel = SamaEngine::with_config(figure1_data(), config_for(true));
-    for q in workload() {
-        assert_eq!(
-            fingerprint(&sequential.answer(&q, 10)),
-            fingerprint(&parallel.answer(&q, 10))
-        );
-    }
-}
-
-#[test]
-fn parallel_cluster_build_matches_sequential_build() {
-    let data = figure1_data();
-    let index = path_index::PathIndex::build(data);
-    let synonyms = path_index::NoSynonyms;
-    let params = ScoreParams::paper();
-    let extraction = path_index::ExtractionConfig::default();
-    let config = ClusterConfig {
-        parallel_threshold: 1,
-        ..Default::default()
-    };
-    for q in workload() {
-        let qpaths = decompose_query(&q, index.data().vocab(), &synonyms, &extraction);
-        let a = build_clusters(
-            &qpaths,
-            &index,
-            &synonyms,
-            &params,
-            AlignmentMode::default(),
-            &config,
-        );
-        let b = build_clusters_parallel(
-            &qpaths,
-            &index,
-            &synonyms,
-            &params,
-            AlignmentMode::default(),
-            &config,
-        );
-        let flat = |clusters: &[sama_core::Cluster]| {
-            clusters
-                .iter()
-                .map(|c| {
-                    (
-                        c.qpath_index,
-                        c.candidates_retrieved,
-                        c.candidates_dropped,
-                        c.entries
-                            .iter()
-                            .map(|e| (e.path_id, e.lambda()))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(flat(&a), flat(&b));
-    }
-}
-
-#[test]
-fn every_knob_on_equals_every_knob_off() {
-    // The all-parallel configuration (what `SAMA_PARALLEL=1` selects)
-    // against the all-sequential one, over the whole workload.
-    let parallel = SamaEngine::with_config(
-        figure1_data(),
-        EngineConfig {
-            parallel_clustering: true,
-            cluster: ClusterConfig {
-                parallel_alignment: true,
-                parallel_threshold: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let sequential = SamaEngine::with_config(
-        figure1_data(),
-        EngineConfig {
-            parallel_clustering: false,
-            cluster: ClusterConfig {
-                parallel_alignment: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let qs = workload();
-    let a = parallel.answer_batch(
-        &qs,
-        &BatchConfig {
-            k: 10,
-            threads: 4,
-            ..Default::default()
-        },
-    );
-    for (result, q) in a.results.iter().zip(&qs) {
-        let result = result.as_ref().expect("valid query");
-        assert_eq!(fingerprint(result), fingerprint(&sequential.answer(q, 10)));
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On arbitrary DAG data the fully-parallel engine (batch pool +
-    /// parallel clustering + parallel alignment) agrees
-    /// with the fully-sequential one, query by query.
+    /// On arbitrary DAG data the batch pool agrees with the sequential
+    /// loop, query by query.
     #[test]
-    fn random_graphs_parallel_equals_sequential(triples in arb_dag_triples(8, 14)) {
+    fn random_graphs_batch_equals_sequential(triples in arb_dag_triples(8, 14)) {
         let data = DataGraph::from_triples(&triples).expect("ground");
-        let sequential = SamaEngine::with_config(data.clone(), EngineConfig {
-            parallel_clustering: false,
-            cluster: ClusterConfig { parallel_alignment: false, ..Default::default() },
-            ..Default::default()
-        });
-        let parallel = SamaEngine::with_config(data, EngineConfig {
-            parallel_clustering: true,
-            cluster: ClusterConfig {
-                parallel_alignment: true,
-                parallel_threshold: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let engine = SamaEngine::new(data);
 
         // A wildcard two-hop probe touches many paths at once.
         let mut b = QueryGraph::builder();
@@ -294,9 +127,9 @@ proptest! {
         let q = b.build();
 
         let want: Vec<_> = std::iter::repeat_with(|| q.clone()).take(3)
-            .map(|q| fingerprint(&sequential.answer(&q, 6)))
+            .map(|q| fingerprint(&engine.answer(&q, 6)))
             .collect();
-        let got = parallel.answer_batch(&[q.clone(), q.clone(), q], &BatchConfig {
+        let got = engine.answer_batch(&[q.clone(), q.clone(), q], &BatchConfig {
             k: 6,
             threads: 3,
             ..Default::default()

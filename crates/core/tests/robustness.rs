@@ -353,10 +353,8 @@ fn relaxed_under_tripwire(
             cluster: ClusterConfig {
                 max_cluster_size,
                 allow_full_scan: false,
-                parallel_alignment: false,
                 ..Default::default()
             },
-            parallel_clustering: false,
             ..Default::default()
         },
     )

@@ -104,20 +104,15 @@ fn extraction_for(dataset: &str) -> ExtractionConfig {
             max_depth: 12,
             max_paths_per_source: 50_000,
             max_total_paths: 1 << 20,
-            parallel: true,
         }
     } else if dataset.starts_with("KEGG") || dataset.starts_with("DBLP") {
         ExtractionConfig {
             max_depth: 10,
             max_paths_per_source: 10_000,
             max_total_paths: 200_000,
-            parallel: true,
         }
     } else {
-        ExtractionConfig {
-            parallel: true,
-            ..Default::default()
-        }
+        ExtractionConfig::default()
     }
 }
 

@@ -19,8 +19,8 @@
 //!
 //! ## Semantics and cost
 //!
-//! * Stacks are **per thread**: spans opened on a worker thread (batch
-//!   pool, parallel clustering) form their own root — attribution stays
+//! * Stacks are **per thread**: spans opened on a worker thread (the
+//!   batch pool) form their own root — attribution stays
 //!   correct, it just isn't stitched under the coordinating span.
 //! * Non-LIFO teardown (a span outliving its parent) is handled
 //!   defensively: orphaned frames are discarded without recording

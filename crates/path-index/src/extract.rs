@@ -3,8 +3,9 @@
 //! The paper traverses the data graph "starting from the sources and
 //! following the routes to the sinks", with "independently concurrent
 //! traversals … started from each source". We reproduce that: an
-//! iterative depth-first enumeration of *simple* paths per source,
-//! optionally fanned out across threads with `crossbeam::scope`.
+//! iterative depth-first enumeration of *simple* paths per source, one
+//! source after another (threads exist across shards only — see
+//! `ShardedIndex::build`).
 //!
 //! Cycles (which hub promotion can expose) are handled by the
 //! simple-path restriction: a walk never revisits a node already on the
@@ -26,8 +27,6 @@ pub struct ExtractionConfig {
     pub max_paths_per_source: usize,
     /// Maximum number of paths enumerated overall.
     pub max_total_paths: usize,
-    /// Fan traversals out across threads (one logical task per source).
-    pub parallel: bool,
 }
 
 impl Default for ExtractionConfig {
@@ -36,7 +35,6 @@ impl Default for ExtractionConfig {
             max_depth: 32,
             max_paths_per_source: 1 << 20,
             max_total_paths: 1 << 22,
-            parallel: false,
         }
     }
 }
@@ -74,78 +72,22 @@ pub fn extract_paths_from_sources(
     sources: &[NodeId],
     config: &ExtractionConfig,
 ) -> Extraction {
-    if config.parallel && sources.len() > 1 {
-        extract_parallel(graph, sources, config)
-    } else {
-        let mut out = Extraction::default();
-        for &s in sources {
-            if out.paths.len() >= config.max_total_paths {
-                out.dropped += 1;
-                break;
-            }
-            let budget = config
-                .max_total_paths
-                .saturating_sub(out.paths.len())
-                .min(config.max_paths_per_source);
-            let from = walk_from(graph, s, config.max_depth, budget);
-            out.paths.extend(from.paths);
-            out.depth_truncated += from.depth_truncated;
-            out.dropped += from.dropped;
+    let mut out = Extraction::default();
+    for &s in sources {
+        if out.paths.len() >= config.max_total_paths {
+            out.dropped += 1;
+            break;
         }
-        out
+        let budget = config
+            .max_total_paths
+            .saturating_sub(out.paths.len())
+            .min(config.max_paths_per_source);
+        let from = walk_from(graph, s, config.max_depth, budget);
+        out.paths.extend(from.paths);
+        out.depth_truncated += from.depth_truncated;
+        out.dropped += from.dropped;
     }
-}
-
-fn extract_parallel(graph: &Graph, sources: &[NodeId], config: &ExtractionConfig) -> Extraction {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(sources.len());
-    let chunk = sources.len().div_ceil(threads);
-    let results: Vec<Extraction> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = sources
-            .chunks(chunk)
-            .map(|chunk| {
-                scope.spawn(move |_| {
-                    let mut acc = Extraction::default();
-                    for &s in chunk {
-                        if acc.paths.len() >= config.max_total_paths {
-                            acc.dropped += 1;
-                            break;
-                        }
-                        let budget = config
-                            .max_total_paths
-                            .saturating_sub(acc.paths.len())
-                            .min(config.max_paths_per_source);
-                        let from = walk_from(graph, s, config.max_depth, budget);
-                        acc.paths.extend(from.paths);
-                        acc.depth_truncated += from.depth_truncated;
-                        acc.dropped += from.dropped;
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("extraction worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope failed");
-
-    let mut merged = Extraction::default();
-    let mut total_budget = config.max_total_paths;
-    for mut part in results {
-        merged.depth_truncated += part.depth_truncated;
-        merged.dropped += part.dropped;
-        if part.paths.len() > total_budget {
-            merged.dropped += (part.paths.len() - total_budget) as u64;
-            part.paths.truncate(total_budget);
-        }
-        total_budget -= part.paths.len();
-        merged.paths.append(&mut part.paths);
-    }
-    merged
+    out
 }
 
 /// One frame of the iterative DFS: a node and the index of the next
@@ -390,27 +332,6 @@ mod tests {
         let ex = extract_paths(&g, &cfg);
         assert_eq!(ex.paths.len(), 2);
         assert!(ex.dropped > 0);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = graph_from(&[
-            ("a", "p", "m"),
-            ("b", "p", "m"),
-            ("c", "p", "m"),
-            ("m", "q", "x"),
-            ("m", "q", "y"),
-            ("d", "r", "e"),
-        ]);
-        let seq = extract_paths(&g, &ExtractionConfig::default());
-        let par = extract_paths(
-            &g,
-            &ExtractionConfig {
-                parallel: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(rendered(&g, &seq), rendered(&g, &par));
     }
 
     #[test]

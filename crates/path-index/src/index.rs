@@ -91,104 +91,21 @@ impl PathIndex {
         Self::build_with_config(graph, &ExtractionConfig::default())
     }
 
-    /// Build with explicit extraction limits.
+    /// Build with explicit extraction limits: extract, materialize
+    /// labels, and assemble through `from_parts` — the one place that
+    /// builds the inverted maps and the shape table.
     pub fn build_with_config(graph: DataGraph, config: &ExtractionConfig) -> Self {
         let build_span = sama_obs::span!("index.build_ns");
         let start = Instant::now();
         let extraction = extract_paths(graph.as_graph(), config);
-        Self::from_extractions(graph, vec![extraction], start, build_span)
-    }
-
-    /// Build with explicit extraction limits, fanning path extraction
-    /// out over `threads` workers (clamped to `available_parallelism`;
-    /// `0` means "use every core"). Sources are partitioned into
-    /// contiguous chunks and the per-chunk results concatenated in
-    /// chunk order, so the resulting path ids, inverted maps, and
-    /// serialized bytes are **identical** to the sequential
-    /// [`PathIndex::build_with_config`] — only wall-clock time differs.
-    ///
-    /// Caveat: with extraction *budgets* (`max_paths_per_source` etc.)
-    /// the per-chunk accounting of `dropped` can differ from a
-    /// sequential run on pathological graphs; the path set itself is
-    /// still per-source and therefore identical.
-    pub fn build_parallel(graph: DataGraph, config: &ExtractionConfig, threads: usize) -> Self {
-        let build_span = sama_obs::span!("index.build_ns");
-        let start = Instant::now();
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            threads.min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(threads),
-            )
-        };
-        let sources = graph.as_graph().effective_sources();
-        let chunk = sources.len().div_ceil(threads.max(1)).max(1);
-        let chunks: Vec<&[NodeId]> = sources.chunks(chunk).collect();
-
-        let extractions: Vec<crate::extract::Extraction> = if chunks.len() <= 1 {
-            vec![crate::extract::extract_paths_from_sources(
-                graph.as_graph(),
-                &sources,
-                config,
-            )]
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<crate::extract::Extraction>>> =
-                chunks.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(chunks.len()) {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(part) = chunks.get(i) else { break };
-                        let extraction = crate::extract::extract_paths_from_sources(
-                            graph.as_graph(),
-                            part,
-                            config,
-                        );
-                        *slots[i].lock().expect("extraction slot poisoned") = Some(extraction);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("extraction slot poisoned")
-                        .expect("every chunk extracted")
-                })
-                .collect()
-        };
-
-        Self::from_extractions(graph, extractions, start, build_span)
-    }
-
-    /// The common tail of the builds: concatenate the extractions in
-    /// order, materialize labels, and assemble through
-    /// [`PathIndex::from_parts`] — one place builds the inverted maps
-    /// and the shape table.
-    fn from_extractions(
-        graph: DataGraph,
-        extractions: Vec<crate::extract::Extraction>,
-        start: Instant,
-        build_span: sama_obs::Span,
-    ) -> Self {
-        let mut paths = Vec::new();
-        let mut depth_truncated = 0u64;
-        let mut dropped = 0u64;
-        for extraction in extractions {
-            depth_truncated += extraction.depth_truncated;
-            dropped += extraction.dropped;
-            paths.extend(extraction.paths.into_iter().map(|path| {
+        let paths: Vec<IndexedPath> = extraction
+            .paths
+            .into_iter()
+            .map(|path| {
                 let labels = path.labels(graph.as_graph());
                 IndexedPath::new(path, labels)
-            }));
-        }
+            })
+            .collect();
         let hyper = HyperGraphView::build(
             graph.as_graph(),
             &paths.iter().map(|ip| ip.path.clone()).collect::<Vec<_>>(),
@@ -200,8 +117,8 @@ impl PathIndex {
             path_count: paths.len(),
             build_time: std::time::Duration::ZERO,
             serialized_bytes: None,
-            depth_truncated,
-            dropped,
+            depth_truncated: extraction.depth_truncated,
+            dropped: extraction.dropped,
         };
         let mut index = Self::from_parts(graph, paths, stats);
         index.stats.build_time = start.elapsed();
@@ -447,37 +364,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        // A wider graph than `sample_index` so several chunks exist:
-        // 40 sources, shared mid nodes, shared literal sinks.
+    fn total_budget_respected_by_build_with_config() {
+        // Three paths available, room for two: the index holds exactly
+        // the cap and says what it left out.
         let mut b = DataGraph::builder();
-        for i in 0..40 {
-            b.triple_str(
-                &format!("s{i}"),
-                &format!("p{}", i % 3),
-                &format!("m{}", i % 7),
-            )
-            .unwrap();
-            b.triple_str(&format!("m{}", i % 7), "q", &format!("\"leaf {}\"", i % 4))
-                .unwrap();
+        for (s, o) in [("a", "b"), ("c", "d"), ("e", "f")] {
+            b.triple_str(s, "p", o).unwrap();
         }
-        let data = b.build();
-        let sequential = PathIndex::build(data.clone());
-        for threads in [1, 2, 3, 8, 0] {
-            let mut parallel =
-                PathIndex::build_parallel(data.clone(), &ExtractionConfig::default(), threads);
-            assert_eq!(parallel.path_count(), sequential.path_count());
-            // Wall-clock is the one field allowed to differ.
-            parallel.stats.build_time = sequential.stats.build_time;
-            // Strongest possible check: the serialized bytes (which
-            // cover vocabulary order, path ids, pools, postings, and
-            // both stored hash tables) must match exactly.
-            assert_eq!(
-                crate::v2::encode_v2(&parallel).unwrap(),
-                crate::v2::encode_v2(&sequential).unwrap(),
-                "parallel build diverged at {threads} threads"
-            );
-        }
+        let config = ExtractionConfig {
+            max_total_paths: 2,
+            ..Default::default()
+        };
+        let idx = PathIndex::build_with_config(b.build(), &config);
+        assert_eq!(idx.path_count(), 2);
+        assert!(idx.stats().dropped > 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * enumerate every source→sink path of a data graph
 //!   ([`extract::extract_paths`]), with hub promotion for source-less
-//!   graphs, cycle-safe simple-path walks, and optional parallel
-//!   traversal per source exactly as the paper describes;
+//!   graphs and cycle-safe simple-path walks, one traversal per source
+//!   as the paper describes;
 //! * keep those paths with materialized label sequences, behind
 //!   inverted *label → paths* and *sink label → paths* maps
 //!   ([`PathIndex`]), so query answering can "skip the expensive graph

@@ -261,10 +261,9 @@ pub struct ShardedIndex<I: IndexLike = PathIndex> {
 impl ShardedIndex {
     /// Partition the sources of `graph` round-robin into `shard_count`
     /// shards and index each independently. Shard builds run on a
-    /// worker pool capped at `available_parallelism` (the same clamp
-    /// `extract.rs` uses) — a 64-shard build on an 8-core box runs 8
-    /// builds at a time instead of spawning 64 OS threads that fight
-    /// over the cores.
+    /// worker pool capped at `available_parallelism` — a 64-shard build
+    /// on an 8-core box runs 8 builds at a time instead of spawning 64
+    /// OS threads that fight over the cores.
     ///
     /// # Panics
     /// Panics if `shard_count` is zero.

@@ -195,7 +195,7 @@ mod tests {
             family: "manual".into(),
             seed: 42,
             k: 5,
-            invariant: Some("parallel_identity".into()),
+            invariant: Some("batch_identity".into()),
             data: vec![
                 Triple::parse("a", "p", "b"),
                 Triple::parse("b", "q", "\"lit with \\\" quote\""),

@@ -10,7 +10,7 @@
 //!   removed one.
 //! * `prometheus_names.txt` — metric names a query run must export.
 //!   Compared as a *required subset*: CI legs with extra env flags
-//!   (`SAMA_PARALLEL`, `SAMA_TRACE`, `SAMA_FAULTS`) may add series, but
+//!   (`SAMA_TRACE`, `SAMA_FAULTS`) may add series, but
 //!   these must always exist.
 //!
 //! Regenerate intentionally with `SAMA_UPDATE_GOLDEN=1 cargo test -p

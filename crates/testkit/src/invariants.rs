@@ -2,8 +2,8 @@
 //! run against a [`Case`].
 //!
 //! Two kinds. **Differential** invariants run the same query through
-//! two implementations or configurations that must agree (serial vs.
-//! parallel, engine vs. the VF2/GED oracles).
+//! two implementations or configurations that must agree (single-shot
+//! vs. the batch pool, engine vs. the VF2/GED oracles).
 //! **Metamorphic** invariants transform the input in a way with a known
 //! effect on the output (permutation ⇒ unchanged, query generalization
 //! ⇒ score can only drop) and check the relation.
@@ -64,12 +64,6 @@ pub struct Invariant {
 
 /// Every public invariant, swept by the runner for every generated case.
 pub const CATALOG: &[Invariant] = &[
-    Invariant {
-        name: "parallel_identity",
-        kind: Kind::Differential,
-        summary: "parallel clustering+alignment matches serial bit-for-bit",
-        check: parallel_identity,
-    },
     Invariant {
         name: "batch_identity",
         kind: Kind::Differential,
@@ -194,20 +188,18 @@ pub const DEMOS: &[Invariant] = &[Invariant {
 // ---------------------------------------------------------------------------
 // Engine plumbing shared by the checks.
 
-/// The reference configuration: serial, exhaustive retrieval, optimal
+/// The reference configuration: exhaustive retrieval, optimal
 /// alignment, budgets far beyond any generated case, tracing and
 /// deadlines off. Explicit about every knob an env flag could flip
-/// (`SAMA_PARALLEL`, `SAMA_TRACE`, `SAMA_DEADLINE_MS`) so harness runs
-/// are identical across CI legs.
+/// (`SAMA_TRACE`, `SAMA_DEADLINE_MS`) so harness runs are identical
+/// across CI legs.
 pub fn base_config() -> EngineConfig {
     EngineConfig {
         alignment: AlignmentMode::Optimal,
-        parallel_clustering: false,
         cluster: ClusterConfig {
             exhaustive: true,
             max_cluster_size: 1 << 20,
             max_candidates: 1 << 20,
-            parallel_alignment: false,
             ..Default::default()
         },
         search: SearchConfig {
@@ -287,24 +279,6 @@ fn graph_as_data(g: &Graph) -> Option<DataGraph> {
 
 // ---------------------------------------------------------------------------
 // Differential checks.
-
-fn parallel_identity(case: &Case) -> Result<(), String> {
-    let query = case.query_graph();
-    let serial = engine(case, base_config()).answer(&query, case.k);
-    let mut config = base_config();
-    config.parallel_clustering = true;
-    config.cluster.parallel_alignment = true;
-    config.cluster.parallel_threshold = 1;
-    let parallel = engine(case, config).answer(&query, case.k);
-    if fingerprint(&serial) != fingerprint(&parallel) {
-        return Err(diff(
-            "serial vs parallel diverged",
-            &fingerprint(&serial),
-            &fingerprint(&parallel),
-        ));
-    }
-    Ok(())
-}
 
 fn batch_identity(case: &Case) -> Result<(), String> {
     let query = case.query_graph();

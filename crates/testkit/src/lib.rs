@@ -1,10 +1,10 @@
 //! `sama-testkit` — the differential & metamorphic correctness harness
 //! for the Sama pipeline.
 //!
-//! The engine has accumulated fast paths (χ caches, parallel
-//! clustering/alignment, the batch worker pool, deadline checkpoints)
-//! that are each a way for approximate answers to silently drift from
-//! the paper's `score = Λ + Ψ` semantics. This crate cross-checks them
+//! The engine has fast paths (the memoised cluster fill, the batch
+//! worker pool, deadline checkpoints) that are each a way for
+//! approximate answers to silently drift from the paper's
+//! `score = Λ + Ψ` semantics. This crate cross-checks them
 //! mechanically:
 //!
 //! * [`gen`] — seeded adversarial graph/query generators (degenerate

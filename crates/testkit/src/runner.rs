@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn replay_of_passing_case_is_ok() {
         let mut case = generate("chain", 2);
-        case.invariant = Some("parallel_identity".into());
+        case.invariant = Some("batch_identity".into());
         assert!(replay(&case).is_ok());
     }
 }

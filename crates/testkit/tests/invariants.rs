@@ -13,11 +13,6 @@ use sama_testkit::assert_invariant;
 // --- Differential: two implementations must agree ---
 
 #[test]
-fn parallel_identity() {
-    assert_invariant("parallel_identity");
-}
-
-#[test]
 fn batch_identity() {
     assert_invariant("batch_identity");
 }

@@ -73,7 +73,7 @@ fn failure_shrinks_to_minimal_replayable_case() {
 #[test]
 fn replay_of_passing_case_exits_zero() {
     let mut case = sama_testkit::gen::generate("unicode", 5);
-    case.invariant = Some("parallel_identity".into());
+    case.invariant = Some("batch_identity".into());
     let dir = std::env::temp_dir().join("sama-testkit-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("passing-case.json");
@@ -135,7 +135,7 @@ fn run_subcommand_sweeps_and_exits_zero() {
 
     // Single-invariant mode.
     let out = testkit()
-        .args(["run", "--cases", "4", "--invariant", "parallel_identity"])
+        .args(["run", "--cases", "4", "--invariant", "batch_identity"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sama index  <data.nt> -o <index.bin>      build and save an index
-//! sama query  <index.bin> <query.rq|-> [-k N] [--threads N] [--explain]
+//! sama query  <index.bin> <query.rq|-> [-k N] [--explain]
 //! sama batch  <index.bin> <q1.rq> [q2.rq ...] [-k N] [--threads N]
 //! sama stats  <index.bin>                   print Table-1-style stats
 //! sama paths  <index.bin> [--limit N]       dump indexed paths
@@ -51,18 +51,44 @@ fn main() -> ExitCode {
     }
 }
 
+/// Write to stdout like `print!`, except that a reader who has gone
+/// away (`sama paths idx.bin | head -1`) ends the process quietly, as
+/// it would any Unix filter, instead of panicking. `serve` keeps
+/// `println!`: it has connections to drain whatever happens to stdout.
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// [`out!`] plus a newline.
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 const USAGE: &str = "\
 sama — approximate RDF querying by path alignment (EDBT 2013)
 
 USAGE:
-  sama index <data.nt|data.ttl> -o <index.bin> [--parallel N] [--stats] [--lsh]
+  sama index <data.nt|data.ttl> -o <index.bin> [--stats] [--lsh]
   sama update <index.bin> <more.nt|more.ttl> [-o <out.bin>]
              insert the triples and rebuild: the output is the file
              `sama index` writes for the old input followed by the new
   sama query <index.bin> <query.rq|-> [--explain] [--explain-text] [--json]
              {engine}
   sama batch <index.bin> <q1.rq> [q2.rq ...] [--json] [--max-queue N]
-             [--metrics-out <file>] [--trace-out <file>]
+             [--threads N] [--metrics-out <file>] [--trace-out <file>]
              {engine}
   sama profile <index.bin> <query.rq|-> [--out <file>]
              {engine}
@@ -70,7 +96,8 @@ USAGE:
              the folded flamegraph lines (stdout, or --out <file>)
   sama serve <index.bin> [--addr HOST:PORT] [--max-connections N]
              [--max-body-kb N] [--read-timeout-ms N] [--write-timeout-ms N]
-             [--drain-ms N] [--max-queue N] [--metrics-out <file>]
+             [--drain-ms N] [--max-queue N] [--threads N]
+             [--metrics-out <file>]
              {engine}
              HTTP front door: POST /query + /batch, GET /metrics,
              /healthz, /readyz; SIGTERM/ctrl-c drains gracefully
@@ -80,8 +107,10 @@ USAGE:
              dump the global metrics registry (--slowlog: the captured
              slow-query records as JSONL instead)
 
-  --threads N        worker threads (0 = all hardware threads); N != 1 also
-                     turns on parallel clustering and in-cluster alignment
+  --threads N        batch, serve: width of the pool that runs whole queries
+                     side by side (0 = all hardware threads; batch defaults
+                     to 0, serve's POST /batch to 1). A query itself always
+                     runs on one thread
   --explain          emit the per-query EXPLAIN trace as one JSONL line
   --explain-text     human-readable pipeline + per-answer breakdown
   --metrics-out F    write Prometheus text to F and a JSON snapshot to F.json
@@ -91,9 +120,6 @@ USAGE:
                      deadline_exceeded (also: SAMA_DEADLINE_MS env var)
   --max-queue N      batch admission bound: queries beyond the first N are
                      shed with a typed error instead of queueing (0 = none)
-  --parallel N       build the path index with N extraction workers
-                     (0 = all hardware threads); output is byte-identical
-                     to the sequential build
   --stats            after indexing, print per-section byte sizes,
                      bytes-per-path, and the measured open time of the file
   --mmap             accepted and ignored: an index is always served straight
@@ -148,10 +174,9 @@ USAGE:
 /// The engine options, as every subcommand that answers queries lists
 /// them in [`USAGE`] (see [`EngineOpts`]).
 const ENGINE_USAGE: &str = "\
-[-k N] [--threads N] [--lsh] [--lsh-top-m N]
-             [--anchor sink|selective] [--ic-weights] [--synonyms <file>]
-             [--deadline-ms N] [--mmap] [--profile-out <file>]
-             [--slowlog MS] [--slowlog-out <file>]";
+[-k N] [--lsh] [--lsh-top-m N] [--anchor sink|selective]
+             [--ic-weights] [--synonyms <file>] [--deadline-ms N] [--mmap]
+             [--profile-out <file>] [--slowlog MS] [--slowlog-out <file>]";
 
 fn usage() -> String {
     USAGE.replace("{engine}", ENGINE_USAGE)
@@ -181,7 +206,6 @@ fn number<T: std::str::FromStr>(
 /// parse, one [`EngineConfig`] assembly.
 struct EngineOpts {
     k: usize,
-    threads: usize,
     lsh: bool,
     lsh_top_m: usize,
     anchor: AnchorSelection,
@@ -194,11 +218,10 @@ struct EngineOpts {
 }
 
 impl EngineOpts {
-    /// The defaults, with the subcommand's own worker-thread default.
-    fn new(threads: usize) -> Self {
+    /// The defaults, each env fallback read once.
+    fn new() -> Self {
         EngineOpts {
             k: 10,
-            threads,
             lsh: std::env::var("SAMA_LSH").is_ok_and(|v| v == "1"),
             lsh_top_m: LSH_DEFAULT_TOP_M,
             anchor: AnchorSelection::SinkFirst,
@@ -220,7 +243,6 @@ impl EngineOpts {
     ) -> Result<bool, String> {
         match arg {
             "-k" => self.k = number(arg, rest)?,
-            "--threads" => self.threads = number(arg, rest)?,
             "--lsh" => self.lsh = true,
             "--lsh-top-m" => self.lsh_top_m = number(arg, rest)?,
             "--anchor" => {
@@ -247,15 +269,9 @@ impl EngineOpts {
         Ok(true)
     }
 
-    /// The engine configuration these options select. Any worker count
-    /// other than the sequential `1` also enables the intra-query
-    /// parallel paths (parallel clustering and in-cluster alignment).
+    /// The engine configuration these options select.
     fn engine_config(&self, trace: bool) -> EngineConfig {
         let mut config = EngineConfig::default();
-        if self.threads != 1 {
-            config.parallel_clustering = true;
-            config.cluster.parallel_alignment = true;
-        }
         config.cluster.anchor = self.anchor;
         config.ic_weights = self.ic_weights;
         if self.lsh {
@@ -417,14 +433,12 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let mut output = None;
     let mut show_stats = false;
     let mut lsh = std::env::var("SAMA_LSH").is_ok_and(|v| v == "1");
-    let mut parallel: Option<usize> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
             "--stats" => show_stats = true,
             "--lsh" => lsh = true,
-            "--parallel" => parallel = Some(number(arg, &mut iter)?),
             other if input.is_none() => input = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
@@ -440,10 +454,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
         data.node_count()
     );
 
-    let mut index = match parallel {
-        Some(threads) => PathIndex::build_parallel(data, &ExtractionConfig::default(), threads),
-        None => PathIndex::build(data),
-    };
+    let mut index = PathIndex::build(data);
     let bytes =
         serialize_index_v2(&mut index).map_err(|e| format!("cannot serialize index: {e}"))?;
     std::fs::write(&output, &bytes).map_err(|e| format!("cannot write {output:?}: {e}"))?;
@@ -484,12 +495,12 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
 /// The tail of `sama stats` and `sama index --stats`: how long the open
 /// took, and the per-section byte sizes of the file.
 fn print_open_time_and_sections(index: &MappedIndex, open_time: std::time::Duration) {
-    println!("open time      : {open_time:.2?} (zero-copy)");
+    outln!("open time      : {open_time:.2?} (zero-copy)");
     let view = index.view();
     let paths = view.path_count().max(1);
-    println!("sections:");
+    outln!("sections:");
     for (name, size) in SECTION_NAMES.iter().zip(view.section_sizes()) {
-        println!(
+        outln!(
             "  {name:<18} {:>12}  ({:.1} B/path)",
             sama::index::format_bytes(size),
             size as f64 / paths as f64
@@ -533,7 +544,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
-    let mut opts = EngineOpts::new(1);
+    let mut opts = EngineOpts::new();
     let mut explain = false;
     let mut explain_text = false;
     let mut json = false;
@@ -548,9 +559,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
     }
     let [index_path, query_path] = positional.as_slice() else {
-        return Err(
-            "usage: sama query <index.bin> <query.rq|-> [-k N] [--threads N] [--explain]".into(),
-        );
+        return Err("usage: sama query <index.bin> <query.rq|-> [-k N] [--explain]".into());
     };
 
     let query = read_query(query_path)?;
@@ -594,11 +603,11 @@ fn run_query(
             .clone()
             .expect("trace enabled for --explain")
             .with_label(query_path);
-        println!("{}", trace.to_json_line());
+        outln!("{}", trace.to_json_line());
     }
 
     if json {
-        print!(
+        out!(
             "{}",
             render_result_json(engine.index(), &query.graph, &result)
         );
@@ -609,17 +618,17 @@ fn run_query(
     }
 
     if explain_text {
-        println!("query paths (PQ):");
+        outln!("query paths (PQ):");
         for qp in &result.query_paths {
-            println!(
+            outln!(
                 "  q{}: {}",
                 qp.index,
                 qp.path.display(query.graph.as_graph())
             );
         }
-        println!("clusters:");
+        outln!("clusters:");
         for c in &result.clusters {
-            println!(
+            outln!(
                 "  cl{}: {} entries (best λ = {}){}",
                 c.qpath_index,
                 c.entries.len(),
@@ -631,28 +640,29 @@ fn run_query(
                 }
             );
         }
-        println!(
+        outln!(
             "search: {} paths retrieved, truncated: {}",
-            result.retrieved_paths, result.truncated
+            result.retrieved_paths,
+            result.truncated
         );
-        println!(
+        outln!(
             "timings: preprocess {:.2?}, cluster {:.2?}, search {:.2?} ({} χ lookups)",
             result.timings.preprocessing,
             result.timings.clustering,
             result.timings.search,
             result.chi_stats.lookups()
         );
-        println!();
+        outln!();
     }
 
     for (rank, answer) in result.answers.iter().enumerate() {
         if explain_text {
             if let Some(text) = result.explain_answer(rank, engine.index(), &query.graph) {
-                print!("{text}");
+                out!("{text}");
                 continue;
             }
         }
-        println!(
+        outln!(
             "-- answer {} (score {:.2}, Λ {:.2}, Ψ {:.2}{})",
             rank + 1,
             answer.score(),
@@ -661,7 +671,7 @@ fn run_query(
             if answer.is_exact() { ", exact" } else { "" }
         );
         for line in answer.triple_lines(engine.index()) {
-            println!("   {line}");
+            outln!("   {line}");
         }
         let bindings = answer.bindings();
         if !bindings.is_empty() {
@@ -675,7 +685,7 @@ fn run_query(
                     )
                 })
                 .collect();
-            println!("   bindings: {}", rendered.join(" "));
+            outln!("   bindings: {}", rendered.join(" "));
         }
     }
     if result.answers.is_empty() {
@@ -689,16 +699,19 @@ fn run_query(
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
-    let mut opts = EngineOpts::new(0);
+    let mut opts = EngineOpts::new();
     let mut json = false;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut max_queue = 0usize;
+    // Pool width; 0 = one worker per hardware thread.
+    let mut threads = 0usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--max-queue" => max_queue = number(arg, &mut iter)?,
+            "--threads" => threads = number(arg, &mut iter)?,
             "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
             "--trace-out" => trace_out = Some(operand(arg, "a path", &mut iter)?.clone()),
             other if opts.accept(other, &mut iter)? => {}
@@ -724,7 +737,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
     let batch_config = BatchConfig {
         k: opts.k,
-        threads: opts.threads,
+        threads,
         max_queue_depth: max_queue,
     };
     let engine = opts.open_engine(index_path, trace_out.is_some())?;
@@ -821,13 +834,13 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             lat(&stats.clustering),
             lat(&stats.search),
         );
-        print!("{out}");
+        out!("{out}");
         return Ok(());
     }
 
     for (path, result) in query_paths.iter().zip(&outcome.results) {
         match result {
-            Ok(result) => println!(
+            Ok(result) => outln!(
                 "{path}: {} answers, best score {}, {} paths retrieved{} ({:.2?})",
                 result.answers.len(),
                 result
@@ -843,17 +856,22 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                 },
                 result.timings.total()
             ),
-            Err(error) => println!("{path}: FAILED ({error})"),
+            Err(error) => outln!("{path}: FAILED ({error})"),
         }
     }
-    println!(
+    outln!(
         "batch: {} queries on {} threads in {:.2?} ({:.1} q/s)",
-        stats.queries, stats.threads, stats.wall_time, stats.queries_per_sec
+        stats.queries,
+        stats.threads,
+        stats.wall_time,
+        stats.queries_per_sec
     );
     if stats.failed + stats.shed + stats.degraded > 0 {
-        println!(
+        outln!(
             "  {} failed, {} shed, {} degraded (deadline/cancel)",
-            stats.failed, stats.shed, stats.degraded
+            stats.failed,
+            stats.shed,
+            stats.degraded
         );
     }
     for (phase, lat) in [
@@ -862,9 +880,11 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         ("cluster", &stats.clustering),
         ("search", &stats.search),
     ] {
-        println!(
+        outln!(
             "  {phase:<10} p50 {:.2?}  p95 {:.2?}  max {:.2?}",
-            lat.p50, lat.p95, lat.max
+            lat.p50,
+            lat.p95,
+            lat.max
         );
     }
     Ok(())
@@ -878,15 +898,15 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let index = open_index(index_path)?;
     let open_time = t.elapsed();
     let s = index.stats();
-    println!("triples        : {}", s.triples);
-    println!("|HV|           : {}", s.hyper_vertices);
-    println!("|HE|           : {}", s.hyper_edges);
-    println!("paths          : {}", s.path_count);
-    println!("build time     : {:.2?}", s.build_time);
+    outln!("triples        : {}", s.triples);
+    outln!("|HV|           : {}", s.hyper_vertices);
+    outln!("|HE|           : {}", s.hyper_edges);
+    outln!("paths          : {}", s.path_count);
+    outln!("build time     : {:.2?}", s.build_time);
     if let Some(bytes) = s.serialized_bytes {
-        println!("space          : {}", sama::index::format_bytes(bytes));
+        outln!("space          : {}", sama::index::format_bytes(bytes));
     }
-    println!("truncated      : {}", s.is_truncated());
+    outln!("truncated      : {}", s.is_truncated());
     print_open_time_and_sections(&index, open_time);
     Ok(())
 }
@@ -908,7 +928,7 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     let graph = index.data().as_graph();
     let total = index.total_paths();
     for id in (0..total.min(limit) as u32).map(PathId) {
-        println!(
+        outln!(
             "{id}: {}",
             display_parts(graph, index.path_nodes(id), index.path_edges(id))
         );
@@ -925,7 +945,7 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
 /// input — to stdout or `--out <file>`.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut positional = Vec::new();
-    let mut opts = EngineOpts::new(1);
+    let mut opts = EngineOpts::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -948,7 +968,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("query failed: {e}"))?;
     sama::obs::profile::set_profiling(false);
     if opts.profile_out.is_none() {
-        print!("{}", sama::obs::profile::folded());
+        out!("{}", sama::obs::profile::folded());
     }
     opts.flush_diagnostics()?;
     eprintln!(
@@ -990,7 +1010,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
     if slowlog {
         let log = sama::obs::slowlog::global();
-        print!("{}", log.to_jsonl());
+        out!("{}", log.to_jsonl());
         eprintln!(
             "{} slow-query records retained, {} evicted",
             log.len(),
@@ -1000,9 +1020,9 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
     let snapshot = sama::obs::global().snapshot();
     if json {
-        println!("{}", snapshot.to_json());
+        outln!("{}", snapshot.to_json());
     } else {
-        print!("{}", snapshot.to_prometheus());
+        out!("{}", snapshot.to_prometheus());
     }
     Ok(())
 }
@@ -1010,8 +1030,13 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::time::Duration;
     let mut positional = Vec::new();
-    let mut serve_config = sama::serve::ServeConfig::default();
-    let mut opts = EngineOpts::new(1);
+    let mut serve_config = sama::serve::ServeConfig {
+        // Connections already run side by side, one thread each; a
+        // `POST /batch` gets a wider pool only when asked.
+        batch_threads: 1,
+        ..Default::default()
+    };
+    let mut opts = EngineOpts::new();
     let mut metrics_out: Option<String> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -1031,6 +1056,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 serve_config.drain_grace = Duration::from_millis(number(arg, &mut iter)?);
             }
             "--max-queue" => serve_config.max_queue_depth = number(arg, &mut iter)?,
+            "--threads" => serve_config.batch_threads = number(arg, &mut iter)?,
             "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
             other if opts.accept(other, &mut iter)? => {}
             other => positional.push(other.to_string()),
@@ -1040,7 +1066,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("usage: sama serve <index.bin> [--addr HOST:PORT] [-k N] ...".into());
     };
     serve_config.k = opts.k;
-    serve_config.batch_threads = opts.threads;
 
     // Arm the drain flag before the listener exists so a signal racing
     // startup still wins.

@@ -746,39 +746,31 @@ fn query_default_open_is_mapped_and_mmap_flag_decides_nothing() {
 }
 
 #[test]
-fn retired_formats_and_flags_are_refused_and_parallel_build_is_identical() {
+fn retired_formats_and_flags_are_refused() {
     let nt = temp_path("data_retired.nt");
     let rq = temp_path("query_retired.rq");
     let seq = temp_path("index_seq.bin");
-    let par = temp_path("index_par.bin");
     let old = temp_path("index_retired.bin");
     let unwritten = temp_path("index_unwritten.bin");
     let _cleanup = Cleanup(vec![
         nt.clone(),
         rq.clone(),
         seq.clone(),
-        par.clone(),
         old.clone(),
         unwritten.clone(),
     ]);
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&rq, DEMO_RQ).unwrap();
-
-    // `--parallel` changes how fast the file is built, not the file.
-    for (out_path, extra) in [(&seq, &[][..]), (&par, &["--parallel", "0"])] {
-        let out = sama()
-            .args(["index", nt.to_str().unwrap(), "-o"])
-            .arg(out_path)
-            .args(extra)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    assert!(without_build_time(&seq) == without_build_time(&par));
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o"])
+        .arg(&seq)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // A file in a format that is no longer read — `SAMAIDX1`, the
     // compressed `SAMAIDXZ`, a `SAMAIDX2` from before the shape table
@@ -850,6 +842,44 @@ fn retired_formats_and_flags_are_refused_and_parallel_build_is_identical() {
         !help.contains("--v1") && !help.contains("--compress"),
         "{help}"
     );
+}
+
+/// A reader that goes away (`sama paths idx.bin | head -1`) ends the
+/// process quietly, as it would any filter — not with a panic.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    let nt = temp_path("data_pipe.nt");
+    let idx = temp_path("index_pipe.bin");
+    let _cleanup = Cleanup(vec![nt.clone(), idx.clone()]);
+    // A listing well past any pipe buffer, so the writer is still at it
+    // when the reader leaves.
+    let triples: String = (0..50_000)
+        .map(|i| format!("<s{i}> <p> <o{i}> .\n"))
+        .collect();
+    std::fs::write(&nt, triples).unwrap();
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let mut child = sama()
+        .args(["paths", idx.to_str().unwrap(), "--limit", "50000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sama paths");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("first line");
+    assert!(line.starts_with("p0: "), "{line}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.is_empty(), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{:?}", out.status);
 }
 
 #[test]
@@ -1547,6 +1577,8 @@ fn serve_applies_semantic_flags_to_http_queries() {
 /// `query`, `batch`, `serve` and `profile` read their engine options
 /// through one parser: each accepts every engine flag, and a bad value
 /// gets the same one-line diagnostic whichever subcommand sees it.
+/// `--threads` is not one of them: it is the width of the pool `batch`
+/// and `serve` run whole queries on, and nothing else takes it.
 #[cfg(unix)]
 #[test]
 fn every_engine_flag_is_accepted_by_all_four_subcommands() {
@@ -1574,17 +1606,19 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
     assert!(out.status.success());
 
     let engine_flags = format!(
-        "-k 3 --threads 1 --lsh --lsh-top-m 64 --anchor selective --ic-weights \
+        "-k 3 --lsh --lsh-top-m 64 --anchor selective --ic-weights \
          --synonyms {} --deadline-ms 60000 --mmap --profile-out {} --slowlog 0 --slowlog-out {}",
         syn.display(),
         prof.display(),
         slow.display()
     );
     let engine_flags: Vec<&str> = engine_flags.split_whitespace().collect();
+    let pool_width: &[&str] = &["--threads", "2"];
     for sub in ["query", "batch", "profile"] {
         let out = sama()
             .args([sub, idx.to_str().unwrap(), rq.to_str().unwrap()])
             .args(&engine_flags)
+            .args(if sub == "batch" { pool_width } else { &[] })
             .output()
             .unwrap();
         assert!(
@@ -1599,9 +1633,16 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
         std::fs::remove_file(&prof).unwrap();
         std::fs::remove_file(&slow).unwrap();
     }
-    let (mut child, _stdout, port) = spawn_serve(&idx, &engine_flags, &[]);
+    let serve_flags = [&engine_flags[..], pool_width].concat();
+    let (mut child, _stdout, port) = spawn_serve(&idx, &serve_flags, &[]);
     let (status, _, body) = post_to_serve(port, "/query", DEMO_RQ);
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    // `--threads` is the width of the pool a `POST /batch` runs on.
+    let two = format!("{DEMO_RQ};;\n{DEMO_RQ}");
+    let (status, _, body) = post_to_serve(port, "/batch", &two);
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"threads\":2"), "{body}");
     sigterm(&child);
     assert!(child.wait().expect("wait").success());
 
@@ -1630,11 +1671,37 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
         }
     }
 
+    // A query runs on one thread and an index is built on one: the
+    // flags that said otherwise are refused like any unknown flag, with
+    // one line and before any file is read (none of these exist).
+    for (args, message) in [
+        (
+            &["query", "no.bin", "no.rq", "--threads", "2"][..],
+            "error: usage: sama query ",
+        ),
+        (
+            &["profile", "no.bin", "no.rq", "--threads", "2"],
+            "error: usage: sama profile ",
+        ),
+        (
+            &["index", "no.nt", "-o", "no.bin", "--parallel", "2"],
+            "error: unexpected argument \"--parallel\"",
+        ),
+    ] {
+        let out = sama().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(message), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+
     // The help text lists every engine flag under each of the four,
-    // and the flag that went with the χ cache is gone.
+    // `--threads` under `batch` and `serve` only, and the flag that
+    // went with the χ cache is gone.
     let out = sama().arg("--help").output().unwrap();
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(!usage.contains(concat!("--shared", "-chi")), "{usage}");
+    assert!(!usage.contains("--parallel"), "{usage}");
     for sub in ["query", "batch", "profile", "serve"] {
         let start = usage
             .find(&format!("  sama {sub} "))
@@ -1644,5 +1711,10 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
         for flag in engine_flags.iter().filter(|f| f.starts_with('-')) {
             assert!(section.contains(flag), "{sub} lacks {flag}: {section}");
         }
+        assert_eq!(
+            section.contains("--threads"),
+            sub == "batch" || sub == "serve",
+            "{sub}: {section}"
+        );
     }
 }

@@ -3,7 +3,6 @@
 //! agree with sequential execution.
 
 use sama::data::{lubm, lubm_workload};
-use sama::engine::EngineConfig;
 use sama::prelude::*;
 use std::sync::Arc;
 
@@ -63,40 +62,4 @@ fn concurrent_queries_agree_with_sequential() {
             assert_eq!(scores, reference[i], "query {} diverged", i + 1);
         }
     });
-}
-
-#[test]
-fn parallel_clustering_is_deterministic_under_contention() {
-    let ds = lubm::generate(&lubm::LubmConfig::sized_for(1_000, 9));
-    let engine = Arc::new(SamaEngine::with_config(
-        ds.graph.clone(),
-        EngineConfig {
-            parallel_clustering: true,
-            ..Default::default()
-        },
-    ));
-    let q = lubm_workload(&ds)[9].query.clone(); // Q10, multi-path
-
-    let runs: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        (0..4)
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                let q = q.clone();
-                scope.spawn(move || {
-                    engine
-                        .answer(&q, 8)
-                        .answers
-                        .iter()
-                        .map(|a| a.score())
-                        .collect::<Vec<f64>>()
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("thread panicked"))
-            .collect()
-    });
-    for r in &runs[1..] {
-        assert_eq!(r, &runs[0]);
-    }
 }
