@@ -21,7 +21,7 @@ use path_index::{
 use rdf_model::{DataGraph, QueryGraph};
 use sama_obs as obs;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Monotonically increasing per-process query id, stamped into every
@@ -39,70 +39,20 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The latency objective from `SAMA_SLO_MS` (default 500ms): queries
-/// slower than this count into `query.slo_violations_total` — the
-/// burn-rate numerator alerting divides by `query.queries_total`. Read
-/// once per process, like the other `SAMA_*` flags.
-pub(crate) fn slo_default() -> Duration {
-    static SLO: OnceLock<Duration> = OnceLock::new();
-    *SLO.get_or_init(|| match std::env::var("SAMA_SLO_MS") {
-        Ok(value) => match value.trim().parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms),
-            Err(_) => {
-                eprintln!("warning: ignoring SAMA_SLO_MS={value:?}: not a millisecond count");
-                Duration::from_millis(500)
-            }
-        },
-        Err(_) => Duration::from_millis(500),
-    })
-}
+/// The latency objective: queries slower than this count into
+/// `query.slo_violations_total` — the burn-rate numerator alerting
+/// divides by `query.queries_total`.
+const SLO: Duration = Duration::from_millis(500);
 
-/// The deadline from `SAMA_DEADLINE_MS` (unset = no deadline; `0` = an
-/// already-expired budget, useful for smoke-testing the degraded
-/// path). Read once per process, like the other `SAMA_*` flags.
-pub(crate) fn deadline_default() -> Option<Duration> {
-    static DEADLINE: OnceLock<Option<Duration>> = OnceLock::new();
-    *DEADLINE.get_or_init(|| match std::env::var("SAMA_DEADLINE_MS") {
-        Ok(value) => match value.trim().parse::<u64>() {
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => {
-                eprintln!("warning: ignoring SAMA_DEADLINE_MS={value:?}: not a millisecond count");
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// Below this many cluster entries the synonym relaxation tier (when
-/// enabled) considers the cluster *thin* and probes the thesaurus.
-/// Mirrors [`crate::cluster::LSH_MIN_CANDIDATES`]: a near-empty result
-/// is the signal that the exact vocabulary was too narrow.
+/// Below this many cluster entries the synonym relaxation tier (when a
+/// provider is installed, see [`SamaEngine::relax_synonyms`]) considers
+/// the cluster *thin* and probes the thesaurus. Mirrors
+/// [`crate::cluster::LSH_MIN_CANDIDATES`]: a near-empty result is the
+/// signal that the exact vocabulary was too narrow.
 pub const SYN_MIN_ENTRIES: usize = 8;
 
-/// Configuration of the synonym relaxation tier (see
-/// [`SamaEngine::relax_synonyms`]). Off by default; the tier also
-/// needs a provider installed on the engine — the flag alone changes
-/// nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct RelaxationConfig {
-    /// Probe the thesaurus for thin clusters.
-    pub enabled: bool,
-    /// Clusters with fewer entries than this are relaxed.
-    pub min_entries: usize,
-}
-
-impl Default for RelaxationConfig {
-    fn default() -> Self {
-        RelaxationConfig {
-            enabled: false,
-            min_entries: SYN_MIN_ENTRIES,
-        }
-    }
-}
-
 /// Engine-wide configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
     /// Path-extraction limits for the *data* graph (indexing).
     pub extraction: ExtractionConfig,
@@ -115,14 +65,12 @@ pub struct EngineConfig {
     pub search: SearchConfig,
     /// Alignment algorithm (paper's greedy scan by default).
     pub alignment: AlignmentMode,
-    /// Per-query EXPLAIN trace assembly (off by default; the
-    /// `SAMA_TRACE` env flag flips the default on).
+    /// Per-query EXPLAIN trace assembly (off by default).
     pub trace: TraceConfig,
     /// Per-query wall-clock budget. On expiry the engine returns the
     /// best-effort partial top-k flagged with
     /// [`TruncationReason::DeadlineExceeded`] instead of running to
-    /// `max_expansions`. `None` (the default, unless the
-    /// `SAMA_DEADLINE_MS` env flag sets one) disables the checkpoints
+    /// `max_expansions`. `None` (the default) disables the checkpoints
     /// entirely — no clock is read and results are bit-identical to an
     /// unbudgeted build.
     pub deadline: Option<Duration>,
@@ -132,25 +80,6 @@ pub struct EngineConfig {
     /// and when off, query paths carry no weight vectors at all, so
     /// answers are bit-identical to the unweighted engine.
     pub ic_weights: bool,
-    /// The synonym relaxation tier for thin clusters (see
-    /// [`SamaEngine::relax_synonyms`]).
-    pub relaxation: RelaxationConfig,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            extraction: ExtractionConfig::default(),
-            query_extraction: ExtractionConfig::default(),
-            cluster: ClusterConfig::default(),
-            search: SearchConfig::default(),
-            alignment: AlignmentMode::default(),
-            trace: TraceConfig::default(),
-            deadline: deadline_default(),
-            ic_weights: false,
-            relaxation: RelaxationConfig::default(),
-        }
-    }
 }
 
 /// Per-phase timings of one query run (the paper's Figure 6 measures
@@ -364,17 +293,15 @@ impl<I: IndexLike> SamaEngine<I> {
         self
     }
 
-    /// Install the synonym relaxation tier (builder style) and enable
-    /// it: when a cluster comes back with fewer than
-    /// [`RelaxationConfig::min_entries`] entries, its query path is
-    /// widened through `provider` and the cluster rebuilt. The rebuild
-    /// is adopted — and tagged [`ClusterTier::Synonym`] in EXPLAIN
-    /// traces — only when it actually changes the entry list; otherwise
-    /// the exact cluster stands, mirroring the LSH tier's fallback
-    /// semantics.
+    /// Install the synonym relaxation tier (builder style): when a
+    /// cluster comes back with fewer than [`SYN_MIN_ENTRIES`] entries,
+    /// its query path is widened through `provider` and the cluster
+    /// rebuilt. The rebuild is adopted — and tagged
+    /// [`ClusterTier::Synonym`] in EXPLAIN traces — only when it
+    /// actually changes the entry list; otherwise the exact cluster
+    /// stands, mirroring the LSH tier's fallback semantics.
     pub fn relax_synonyms(mut self, provider: Arc<dyn SynonymProvider>) -> Self {
         self.relax = Some(provider);
-        self.config.relaxation.enabled = true;
         self
     }
 
@@ -628,8 +555,8 @@ impl<I: IndexLike> SamaEngine<I> {
     }
 
     /// The synonym relaxation pass: refill *thin* clusters (fewer than
-    /// [`RelaxationConfig::min_entries`] entries) through `fill` — the
-    /// query's own budgeted cluster build — with a thesaurus-widened
+    /// [`SYN_MIN_ENTRIES`] entries) through `fill` — the query's own
+    /// budgeted cluster build — with a thesaurus-widened
     /// copy of their query path. A refill is adopted only when it ran
     /// to completion and changes the entry list — it then replaces both
     /// the cluster (tagged [`ClusterTier::Synonym`]) and the query
@@ -643,15 +570,12 @@ impl<I: IndexLike> SamaEngine<I> {
         budget: &QueryBudget,
         fill: impl Fn(&[QueryPath], &dyn SynonymProvider) -> Vec<Cluster>,
     ) {
-        if !self.config.relaxation.enabled {
-            return;
-        }
         let Some(provider) = &self.relax else {
             return;
         };
         let _span = obs::span!("cluster.synonym_ns");
         for (i, cluster) in clusters.iter_mut().enumerate() {
-            if cluster.entries.len() >= self.config.relaxation.min_entries {
+            if cluster.entries.len() >= SYN_MIN_ENTRIES {
                 continue;
             }
             if budget.exceeded().is_some() {
@@ -732,7 +656,7 @@ impl<I: IndexLike> SamaEngine<I> {
             // query, before (and whether or not) any violation happens.
             obs::counter_add(
                 "query.slo_violations_total",
-                u64::from(timings.total() > slo_default()),
+                u64::from(timings.total() > SLO),
             );
         }
         // The slow-query log needs the EXPLAIN trace even when tracing
@@ -983,14 +907,7 @@ mod tests {
 
     #[test]
     fn slow_queries_are_captured_with_truncation_and_trace() {
-        // Tracing explicitly off: the `SAMA_TRACE=1` leg flips the default.
-        let engine = SamaEngine::with_config(
-            figure1_data(),
-            EngineConfig {
-                trace: TraceConfig::disabled(),
-                ..Default::default()
-            },
-        );
+        let engine = SamaEngine::new(figure1_data());
         let log = obs::slowlog::global();
         // Threshold 0 captures every query; other tests run concurrently
         // against the same global log, so assertions filter by query_id.

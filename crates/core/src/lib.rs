@@ -75,8 +75,8 @@ pub use cluster::{
 };
 pub use deadline::{CancelToken, QueryBudget};
 pub use engine::{
-    next_query_id, register_semantic_metrics, EngineConfig, QueryResult, QueryTimings,
-    RelaxationConfig, SamaEngine, SYN_MIN_ENTRIES,
+    next_query_id, register_semantic_metrics, EngineConfig, QueryResult, QueryTimings, SamaEngine,
+    SYN_MIN_ENTRIES,
 };
 pub use error::{QueryError, SamaError};
 pub use forest::{ForestEdge, ForestNode, PathForest};

@@ -16,23 +16,13 @@ use crate::qpath::QueryPath;
 use crate::search::{SearchOutcome, TruncationReason};
 use rdf_model::QueryGraph;
 use std::fmt::Write;
-use std::sync::OnceLock;
-
-/// `true` when `SAMA_TRACE` is set (and not `0`): flips the default
-/// [`TraceConfig`] to enabled — the CI leg that runs the whole suite
-/// with tracing on. Read once per process.
-fn trace_default() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("SAMA_TRACE").is_some_and(|v| v != "0"))
-}
 
 /// Whether (and how) [`crate::SamaEngine::answer`] assembles an
 /// [`ExplainTrace`] alongside the answers.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Assemble a trace per query. Off by default (the `SAMA_TRACE`
-    /// environment variable flips the default); the assembly cost is
-    /// O(|PQ| + |clusters|) plus rendering the query paths.
+    /// Assemble a trace per query. Off by default; the assembly cost
+    /// is O(|PQ| + |clusters|) plus rendering the query paths.
     pub enabled: bool,
     /// Render the decomposed query paths as human-readable strings
     /// inside the trace (the only allocation-heavy part).
@@ -42,7 +32,7 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            enabled: trace_default(),
+            enabled: false,
             include_paths: true,
         }
     }

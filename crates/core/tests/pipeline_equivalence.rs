@@ -2,10 +2,10 @@
 //!
 //! `answer`, `try_answer`, `answer_with_budget`, `answer_stream` and
 //! `answer_batch` are thin callers of one prepare → search → finish
-//! pipeline, so for any index kind and any tier configuration they must
-//! return the same answers bit for bit; they differ only in how an
-//! invalid query is reported, and none of them decomposes a query more
-//! than once.
+//! pipeline, so for any index kind and any tier configuration, traced
+//! or not, they must return the same answers bit for bit; they differ
+//! only in how an invalid query is reported, and none of them decomposes
+//! a query more than once.
 
 mod support;
 
@@ -74,12 +74,9 @@ fn workload() -> Vec<QueryGraph> {
 }
 
 /// The four tier configurations, by name, and whether the synonym
-/// table goes with them. None reads a deadline from the environment.
+/// table goes with them.
 fn configs() -> Vec<(&'static str, EngineConfig, bool)> {
-    let exact = EngineConfig {
-        deadline: None,
-        ..Default::default()
-    };
+    let exact = EngineConfig::default();
     let (mut lsh, mut ic, mut synonyms) = (exact, exact, exact);
     lsh.cluster.retrieval = Retrieval::Lsh {
         bands: 32,
@@ -170,38 +167,56 @@ fn assert_entry_points_agree<I: IndexLike + Sync>(engine: &SamaEngine<I>, label:
     }
 }
 
+/// Both index kinds under one configuration, the synonym table
+/// installed when `relax`.
+fn engines(config: EngineConfig, relax: bool) -> (SamaEngine<PathIndex>, SamaEngine<MappedIndex>) {
+    // `with_config` builds the LSH tier an LSH configuration needs.
+    let owned = SamaEngine::with_config(data(), config);
+    let image = encode_v2(owned.index()).expect("encodes");
+    let mut mapped = MappedIndex::from_bytes(&image).expect("own image");
+    if let Retrieval::Lsh { bands, rows, .. } = config.cluster.retrieval {
+        let sidecar = build_lsh_bytes(&mapped, LshParams { bands, rows }).expect("signatures");
+        mapped
+            .attach_lsh(LshSidecar::from_bytes(&sidecar).expect("own sidecar"))
+            .expect("same snapshot");
+    }
+    let mapped = SamaEngine::from_index_with_config(mapped, config);
+    if relax {
+        (
+            owned.relax_synonyms(thesaurus()),
+            mapped.relax_synonyms(thesaurus()),
+        )
+    } else {
+        (owned, mapped)
+    }
+}
+
 #[test]
 fn every_entry_point_gives_the_same_answers() {
-    for (name, config, relax) in configs() {
-        // `with_config` builds the LSH tier an LSH configuration needs.
-        let owned = SamaEngine::with_config(data(), config);
-        let image = encode_v2(owned.index()).expect("encodes");
-        let mut mapped = MappedIndex::from_bytes(&image).expect("own image");
-        if let Retrieval::Lsh { bands, rows, .. } = config.cluster.retrieval {
-            let sidecar = build_lsh_bytes(&mapped, LshParams { bands, rows }).expect("signatures");
-            mapped
-                .attach_lsh(LshSidecar::from_bytes(&sidecar).expect("own sidecar"))
-                .expect("same snapshot");
-        }
-        let mapped = SamaEngine::from_index_with_config(mapped, config);
-        let (owned, mapped) = if relax {
-            (
-                owned.relax_synonyms(thesaurus()),
-                mapped.relax_synonyms(thesaurus()),
-            )
-        } else {
-            (owned, mapped)
-        };
-        assert_entry_points_agree(&owned, &format!("{name}/PathIndex"));
-        assert_entry_points_agree(&mapped, &format!("{name}/MappedIndex"));
-        // The two index kinds agree with each other, too.
-        for q in workload() {
-            assert_eq!(
-                fingerprint(&owned.answer(&q, K)),
-                fingerprint(&mapped.answer(&q, K)),
-                "{name}: PathIndex vs MappedIndex"
-            );
-        }
+    for (name, mut config, relax) in configs() {
+        let [untraced, traced] = [false, true].map(|trace| {
+            let name = format!("{name}{}", if trace { "+trace" } else { "" });
+            config.trace.enabled = trace;
+            let (owned, mapped) = engines(config, relax);
+            assert_entry_points_agree(&owned, &format!("{name}/PathIndex"));
+            assert_entry_points_agree(&mapped, &format!("{name}/MappedIndex"));
+            // The two index kinds agree with each other, too, and a
+            // result carries a trace exactly when one was asked for.
+            let mut answers = Vec::new();
+            for q in workload() {
+                let (owned, mapped) = (owned.answer(&q, K), mapped.answer(&q, K));
+                assert_eq!(
+                    fingerprint(&owned),
+                    fingerprint(&mapped),
+                    "{name}: PathIndex vs MappedIndex"
+                );
+                assert_eq!(owned.trace.is_some(), trace, "{name}/PathIndex");
+                assert_eq!(mapped.trace.is_some(), trace, "{name}/MappedIndex");
+                answers.push(fingerprint(&owned));
+            }
+            answers
+        });
+        assert_eq!(untraced, traced, "{name}: tracing changes no answer");
     }
 }
 
@@ -223,13 +238,7 @@ fn the_tier_configurations_are_not_vacuous() {
 /// the unchecked ones.
 #[test]
 fn an_invalid_query_is_an_error_only_from_the_checked_entry_points() {
-    let engine = SamaEngine::with_config(
-        data(),
-        EngineConfig {
-            deadline: None,
-            ..Default::default()
-        },
-    );
+    let engine = SamaEngine::new(data());
     let empty = QueryGraph::builder().build();
     let invalid = |r: Result<QueryResult, QueryError>| matches!(r, Err(QueryError::InvalidQuery(m)) if m.contains("no triple patterns"));
     assert!(invalid(engine.try_answer(&empty, K)));
@@ -277,13 +286,7 @@ fn an_invalid_query_is_an_error_only_from_the_checked_entry_points() {
 /// once: validation is the decomposition the pipeline then runs on.
 #[test]
 fn try_answer_resolves_each_query_constant_once() {
-    let engine = SamaEngine::from_index_with_config(
-        Probe::new(PathIndex::build(data())),
-        EngineConfig {
-            deadline: None,
-            ..Default::default()
-        },
-    );
+    let engine = SamaEngine::from_index(Probe::new(PathIndex::build(data())));
     // One path, every constant at one position.
     let q = query(&[
         ("P7", "sponsor", "?v1"),

@@ -15,10 +15,14 @@
 //!   enclosing scope into the global histogram of that name. Naming
 //!   scheme: `phase.subphase_ns` (dots map to `_` in the Prometheus
 //!   exposition, which prepends the `sama_` namespace).
-//! * **Kill switch**: [`set_enabled(false)`](set_enabled) (or the
-//!   `SAMA_METRICS=0` environment variable) turns the convenience
-//!   recorders and the [`span!`] macro into no-ops, for measuring the
-//!   instrumentation's own overhead.
+//! * **Kill switch**: [`set_enabled(false)`](set_enabled) turns the
+//!   convenience recorders and the [`span!`] macro into no-ops, for
+//!   measuring the instrumentation's own overhead.
+//! * **No ambient configuration**: this switch, the profiler
+//!   ([`profile::set_profiling`]) and the slow-query threshold
+//!   ([`SlowLog::set_threshold`]) are set by calls only. The one
+//!   environment variable the crate reads is `SAMA_FAULTS` (see
+//!   [`fault`]), which has to reach a spawned `sama serve`.
 //!
 //! ```
 //! use sama_obs as obs;
@@ -62,14 +66,9 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry every pipeline layer records into.
-/// Initialized on first use; `SAMA_METRICS=0` in the environment
-/// disables the convenience recorders from the start.
+/// Initialized on first use.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(|| {
-        if std::env::var_os("SAMA_METRICS").is_some_and(|v| v == "0") {
-            set_enabled(false);
-        }
-        profile::init_from_env();
         let registry = Registry::new();
         // Identify the process to scrapes and bench baselines up front:
         // detected parallelism and the crate version. Index-specific

@@ -38,9 +38,8 @@ use std::sync::{Mutex, OnceLock};
 
 static PROFILING: AtomicBool = AtomicBool::new(false);
 
-/// `true` while the phase-stack profiler is collecting (off by
-/// default; `SAMA_PROFILE=1` in the environment arms it from the start
-/// of the process, like the CLI's `--profile-out`).
+/// `true` while the phase-stack profiler is collecting (off until
+/// [`set_profiling`], which the CLI's `--profile-out` calls).
 #[inline]
 pub fn profiling() -> bool {
     PROFILING.load(Ordering::Relaxed)
@@ -51,15 +50,6 @@ pub fn profiling() -> bool {
 /// they drop.
 pub fn set_profiling(on: bool) {
     PROFILING.store(on, Ordering::Relaxed);
-}
-
-/// Read `SAMA_PROFILE` once and arm the profiler if it is set (and not
-/// `0`). Called from [`crate::global`] so any process that records
-/// metrics honors the flag.
-pub(crate) fn init_from_env() {
-    if std::env::var_os("SAMA_PROFILE").is_some_and(|v| v != "0") {
-        set_profiling(true);
-    }
 }
 
 /// Accumulated timings of one distinct stack path.

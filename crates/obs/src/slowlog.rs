@@ -9,12 +9,11 @@
 //! records one [`SlowQueryRecord`] — including the EXPLAIN trace it
 //! builds on demand even when tracing is otherwise off.
 //!
-//! The threshold comes from the `SAMA_SLOWLOG_MS` environment variable
-//! (`0` captures every query — the smoke-test mode) or the CLI's
-//! `--slowlog <ms>`; the ring holds the most recent
-//! [`DEFAULT_CAPACITY`] records and counts what it evicted. Dump it as
-//! JSONL via [`SlowLog::to_jsonl`] (`sama query/batch --slowlog-out`,
-//! `sama metrics --slowlog`).
+//! The threshold is set with [`SlowLog::set_threshold`] (the CLI's
+//! `--slowlog <ms>`; `0` captures every query — the smoke-test mode);
+//! the ring holds the most recent [`DEFAULT_CAPACITY`] records and
+//! counts what it evicted. Dump it as JSONL via [`SlowLog::to_jsonl`]
+//! (`sama query/batch/serve --slowlog-out`).
 //!
 //! This module stores only plain data and pre-rendered JSON, keeping
 //! `sama-obs` free of engine types (and of dependencies).
@@ -179,24 +178,11 @@ impl SlowLog {
     }
 }
 
-/// The process-wide slow-query log. The first access reads
-/// `SAMA_SLOWLOG_MS` (a millisecond threshold; `0` captures every
-/// query); without it the log stays disabled until
+/// The process-wide slow-query log, disabled until
 /// [`SlowLog::set_threshold`].
 pub fn global() -> &'static SlowLog {
     static GLOBAL: OnceLock<SlowLog> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let log = SlowLog::new(DEFAULT_CAPACITY);
-        if let Ok(value) = std::env::var("SAMA_SLOWLOG_MS") {
-            match value.trim().parse::<u64>() {
-                Ok(ms) => log.set_threshold(Some(Duration::from_millis(ms))),
-                Err(_) => eprintln!(
-                    "warning: ignoring SAMA_SLOWLOG_MS={value:?}: not a millisecond count"
-                ),
-            }
-        }
-        log
-    })
+    GLOBAL.get_or_init(|| SlowLog::new(DEFAULT_CAPACITY))
 }
 
 /// Record into the [global] log and count the capture in the

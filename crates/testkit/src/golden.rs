@@ -9,9 +9,9 @@
 //!   Compared exactly: a new key is as much a contract change as a
 //!   removed one.
 //! * `prometheus_names.txt` — metric names a query run must export.
-//!   Compared as a *required subset*: CI legs with extra env flags
-//!   (`SAMA_TRACE`, `SAMA_FAULTS`) may add series, but
-//!   these must always exist.
+//!   Compared as a *required subset*: other tests in the process and
+//!   the `SAMA_FAULTS` chaos leg may add series, but these must always
+//!   exist.
 //!
 //! Regenerate intentionally with `SAMA_UPDATE_GOLDEN=1 cargo test -p
 //! sama-testkit golden` and review the diff like any API change.
@@ -59,7 +59,6 @@ pub fn fixture_explain_line() -> String {
         data,
         EngineConfig {
             trace: TraceConfig::enabled(),
-            deadline: None,
             ..EngineConfig::default()
         },
     );
@@ -74,8 +73,7 @@ pub fn explain_shape() -> Vec<String> {
     json::shape(&value)
 }
 
-/// Metric names exported after answering the fixture query (empty when
-/// the `SAMA_METRICS=0` kill switch disabled recording).
+/// Metric names exported after answering the fixture query.
 pub fn prometheus_names() -> Vec<String> {
     let (data, query) = fixture();
     let engine = SamaEngine::new(data);
@@ -168,9 +166,6 @@ mod tests {
 
     #[test]
     fn prometheus_names_are_clean_identifiers() {
-        if !sama_obs::enabled() {
-            return; // SAMA_METRICS=0 leg
-        }
         let names = prometheus_names();
         assert!(!names.is_empty());
         for name in &names {

@@ -189,10 +189,7 @@ pub const DEMOS: &[Invariant] = &[Invariant {
 // Engine plumbing shared by the checks.
 
 /// The reference configuration: exhaustive retrieval, optimal
-/// alignment, budgets far beyond any generated case, tracing and
-/// deadlines off. Explicit about every knob an env flag could flip
-/// (`SAMA_TRACE`, `SAMA_DEADLINE_MS`) so harness runs are identical
-/// across CI legs.
+/// alignment, budgets far beyond any generated case.
 pub fn base_config() -> EngineConfig {
     EngineConfig {
         alignment: AlignmentMode::Optimal,
@@ -206,8 +203,6 @@ pub fn base_config() -> EngineConfig {
             max_expansions: 2_000_000,
             ..Default::default()
         },
-        trace: TraceConfig::disabled(),
-        deadline: None,
         ..Default::default()
     }
 }

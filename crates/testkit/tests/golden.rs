@@ -2,8 +2,8 @@
 //!
 //! `explain_shape.txt` pins the exact key-path structure of an EXPLAIN
 //! JSONL line; `prometheus_names.txt` pins the metric names a query
-//! run must export (subset semantics — env-flag CI legs may add
-//! series). Regenerate intentionally with
+//! run must export (subset semantics — the `SAMA_FAULTS` chaos leg
+//! may add series). Regenerate intentionally with
 //! `SAMA_UPDATE_GOLDEN=1 cargo test -p sama-testkit --test golden`.
 
 use sama_testkit::golden::{check_golden, explain_shape, prometheus_names, Mode};
@@ -19,9 +19,6 @@ fn explain_jsonl_shape_is_pinned() {
 
 #[test]
 fn prometheus_export_keeps_required_names() {
-    if !sama_obs::enabled() {
-        return; // the SAMA_METRICS=0 leg records nothing to compare
-    }
     let names = prometheus_names();
     assert!(!names.is_empty(), "no metrics exported");
     if let Err(msg) = check_golden("prometheus_names.txt", &names, Mode::RequiredSubset) {

@@ -3,12 +3,17 @@
 //!
 //! ```text
 //! sama index  <data.nt> -o <index.bin>      build and save an index
+//! sama update <index.bin> <more.nt>         insert triples and rebuild
 //! sama query  <index.bin> <query.rq|-> [-k N] [--explain]
 //! sama batch  <index.bin> <q1.rq> [q2.rq ...] [-k N] [--threads N]
+//! sama serve  <index.bin> [--addr HOST:PORT]  HTTP front door
 //! sama stats  <index.bin>                   print Table-1-style stats
 //! sama paths  <index.bin> [--limit N]       dump indexed paths
-//! sama metrics [<index.bin>] [--json]       dump the metrics registry
 //! ```
+//!
+//! A run is configured by its flags alone: the binary reads no
+//! environment variable (`SAMA_FAULTS`, the chaos harness's way into a
+//! spawned `sama serve`, is read by `sama_obs::fault`).
 
 use sama::engine::{
     json_escape, render_result_json, AnchorSelection, BatchConfig, EngineConfig, Retrieval,
@@ -33,8 +38,6 @@ fn main() -> ExitCode {
         Some("batch") => cmd_batch(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("paths") => cmd_paths(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
             eprintln!("{}", usage());
@@ -90,10 +93,6 @@ USAGE:
   sama batch <index.bin> <q1.rq> [q2.rq ...] [--json] [--max-queue N]
              [--threads N] [--metrics-out <file>] [--trace-out <file>]
              {engine}
-  sama profile <index.bin> <query.rq|-> [--out <file>]
-             {engine}
-             run one query with the phase-stack profiler armed and emit
-             the folded flamegraph lines (stdout, or --out <file>)
   sama serve <index.bin> [--addr HOST:PORT] [--max-connections N]
              [--max-body-kb N] [--read-timeout-ms N] [--write-timeout-ms N]
              [--drain-ms N] [--max-queue N] [--threads N]
@@ -103,9 +102,6 @@ USAGE:
              /healthz, /readyz; SIGTERM/ctrl-c drains gracefully
   sama stats <index.bin>                    indexing statistics
   sama paths <index.bin> [--limit N]        dump indexed paths
-  sama metrics [<index.bin>] [--json] [--slowlog]
-             dump the global metrics registry (--slowlog: the captured
-             slow-query records as JSONL instead)
 
   --threads N        batch, serve: width of the pool that runs whole queries
                      side by side (0 = all hardware threads; batch defaults
@@ -117,7 +113,7 @@ USAGE:
   --trace-out F      write one EXPLAIN trace JSONL line per query to F
   --deadline-ms N    per-query time budget in milliseconds; an expired query
                      returns its best-effort partial top-k, flagged
-                     deadline_exceeded (also: SAMA_DEADLINE_MS env var)
+                     deadline_exceeded
   --max-queue N      batch admission bound: queries beyond the first N are
                      shed with a typed error instead of queueing (0 = none)
   --stats            after indexing, print per-section byte sizes,
@@ -129,10 +125,10 @@ USAGE:
   --lsh              on index: also write <index.bin>.lsh, a MinHash/LSH
                      signature sidecar. On query/batch: prune each cluster's
                      candidates to the top-m most similar by estimated
-                     Jaccard before alignment (also: SAMA_LSH=1 env var);
-                     falls back to the exact scan per cluster when too few
-                     candidates collide. Answers are always a subset of the
-                     exact scan's, identical when top-m covers it
+                     Jaccard before alignment; falls back to the exact scan
+                     per cluster when too few candidates collide. Answers
+                     are always a subset of the exact scan's, identical
+                     when top-m covers it
   --lsh-top-m N      candidates kept per cluster under --lsh (default 128)
   --anchor MODE      candidate-retrieval anchor: \"sink\" (the paper's rule,
                      default) or \"selective\" (probe every constant, keep
@@ -140,25 +136,22 @@ USAGE:
   --ic-weights       price label mismatches by corpus information content
                      (-log2 label frequency, from the index's IC section)
                      instead of uniformly, so rare-label disagreements cost
-                     more than generic ones (also: SAMA_IC=1 env var;
-                     indexes without the section fall back to uniform)
+                     more than generic ones (indexes without the section
+                     fall back to uniform)
   --synonyms F       load a synonym table (TSV: one tab- or comma-separated
                      group per line; # comments) and, when a cluster comes
                      back thinner than 8 entries, retry its retrieval with
-                     synonym-widened labels (also: SAMA_SYN=<file> env var).
-                     Exact fallback: if widening adds nothing the original
-                     cluster is kept, and an empty table leaves every answer
-                     bit-identical; EXPLAIN tags relaxed clusters
-                     \"tier\":\"synonym\"
+                     synonym-widened labels. Exact fallback: if widening
+                     adds nothing the original cluster is kept, and an empty
+                     table leaves every answer bit-identical; EXPLAIN tags
+                     relaxed clusters \"tier\":\"synonym\"
   --profile-out F    arm the phase-stack profiler and write the folded
-                     flamegraph lines to F after the run (also:
-                     SAMA_PROFILE=1 env var + sama profile)
+                     flamegraph lines to F after the run
   --slowlog MS       capture queries slower than MS milliseconds into the
-                     slow-query log (0 = every query; also:
-                     SAMA_SLOWLOG_MS env var)
+                     slow-query log (0 = every query)
   --slowlog-out F    write the captured slow-query records to F as JSONL
                      after the run (implies --slowlog 0 unless --slowlog
-                     or SAMA_SLOWLOG_MS set a threshold)
+                     set a threshold)
   --addr H:P         serve: listen address (default 127.0.0.1:7878; port 0
                      picks a free port, printed on the startup line)
   --max-connections N  serve: admission cap; accepts beyond it are shed
@@ -191,6 +184,16 @@ fn operand<'a>(
     rest.next().ok_or_else(|| format!("{flag} needs {what}"))
 }
 
+/// `arg` as a positional argument: one that no flag arm recognised and
+/// that starts with `-` is a mistyped flag, refused by name instead of
+/// being adopted as a file (a lone `-` is stdin).
+fn not_a_flag(arg: &str) -> Result<&str, String> {
+    if arg.len() > 1 && arg.starts_with('-') {
+        return Err(format!("unexpected argument {arg:?}"));
+    }
+    Ok(arg)
+}
+
 /// The numeric operand of `flag`.
 fn number<T: std::str::FromStr>(
     flag: &str,
@@ -201,9 +204,9 @@ fn number<T: std::str::FromStr>(
         .map_err(|_| format!("bad {flag} value"))
 }
 
-/// How `query`, `batch`, `serve` and `profile` configure the engine and
-/// its diagnostics: one set of flags (each with its env fallback), one
-/// parse, one [`EngineConfig`] assembly.
+/// How `query`, `batch` and `serve` configure the engine and its
+/// diagnostics: one set of flags, one parse, one [`EngineConfig`]
+/// assembly.
 struct EngineOpts {
     k: usize,
     lsh: bool,
@@ -218,15 +221,15 @@ struct EngineOpts {
 }
 
 impl EngineOpts {
-    /// The defaults, each env fallback read once.
+    /// What a run does when no flag says otherwise.
     fn new() -> Self {
         EngineOpts {
             k: 10,
-            lsh: std::env::var("SAMA_LSH").is_ok_and(|v| v == "1"),
+            lsh: false,
             lsh_top_m: LSH_DEFAULT_TOP_M,
             anchor: AnchorSelection::SinkFirst,
-            ic_weights: std::env::var("SAMA_IC").is_ok_and(|v| v == "1"),
-            synonyms: std::env::var("SAMA_SYN").ok().filter(|v| !v.is_empty()),
+            ic_weights: false,
+            synonyms: None,
             deadline_ms: None,
             profile_out: None,
             slowlog_ms: None,
@@ -316,7 +319,7 @@ impl EngineOpts {
         let log = sama::obs::slowlog::global();
         if let Some(ms) = self.slowlog_ms {
             log.set_threshold(Some(std::time::Duration::from_millis(ms)));
-        } else if self.slowlog_out.is_some() && log.threshold().is_none() {
+        } else if self.slowlog_out.is_some() {
             log.set_threshold(Some(std::time::Duration::ZERO));
         }
         let mut index = open_index(index_path)?;
@@ -432,14 +435,14 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let mut input = None;
     let mut output = None;
     let mut show_stats = false;
-    let mut lsh = std::env::var("SAMA_LSH").is_ok_and(|v| v == "1");
+    let mut lsh = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
             "--stats" => show_stats = true,
             "--lsh" => lsh = true,
-            other if input.is_none() => input = Some(other.to_string()),
+            other if input.is_none() => input = Some(not_a_flag(other)?.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
@@ -515,7 +518,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
-            other => positional.push(other.to_string()),
+            other => positional.push(not_a_flag(other)?.to_string()),
         }
     }
     let [index_path, data_path] = positional.as_slice() else {
@@ -555,7 +558,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             "--explain-text" => explain_text = true,
             "--json" => json = true,
             other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(other.to_string()),
+            other => positional.push(not_a_flag(other)?.to_string()),
         }
     }
     let [index_path, query_path] = positional.as_slice() else {
@@ -715,7 +718,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
             "--trace-out" => trace_out = Some(operand(arg, "a path", &mut iter)?.clone()),
             other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(other.to_string()),
+            other => positional.push(not_a_flag(other)?.to_string()),
         }
     }
     let [index_path, query_paths @ ..] = positional.as_slice() else {
@@ -895,7 +898,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         return Err("usage: sama stats <index.bin>".into());
     };
     let t = std::time::Instant::now();
-    let index = open_index(index_path)?;
+    let index = open_index(not_a_flag(index_path)?)?;
     let open_time = t.elapsed();
     let s = index.stats();
     outln!("triples        : {}", s.triples);
@@ -918,7 +921,7 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--limit" => limit = number(arg, &mut iter)?,
-            other => positional.push(other.to_string()),
+            other => positional.push(not_a_flag(other)?.to_string()),
         }
     }
     let [index_path] = positional.as_slice() else {
@@ -935,94 +938,6 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     }
     if total > limit {
         eprintln!("… {} more (use --limit)", total - limit);
-    }
-    Ok(())
-}
-
-/// `sama profile`: answer one query with the phase-stack profiler
-/// armed, then emit the accumulated folded flamegraph lines
-/// (`parent;child self_ns`) — `flamegraph.pl` / `inferno` / speedscope
-/// input — to stdout or `--out <file>`.
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
-    let mut opts = EngineOpts::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-o" | "--out" => {
-                opts.profile_out = Some(operand("--out", "a path", &mut iter)?.clone())
-            }
-            other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [index_path, query_path] = positional.as_slice() else {
-        return Err("usage: sama profile <index.bin> <query.rq|-> [-k N] [--out <file>]".into());
-    };
-    let query = read_query(query_path)?;
-    // Arm before loading so index-open spans profile too.
-    sama::obs::profile::set_profiling(true);
-    let engine = opts.open_engine(index_path, false)?;
-    let result = engine
-        .try_answer(&query.graph, opts.k)
-        .map_err(|e| format!("query failed: {e}"))?;
-    sama::obs::profile::set_profiling(false);
-    if opts.profile_out.is_none() {
-        out!("{}", sama::obs::profile::folded());
-    }
-    opts.flush_diagnostics()?;
-    eprintln!(
-        "{} answers in {:.2?} (query id {})",
-        result.answers.len(),
-        result.timings.total(),
-        result.query_id
-    );
-    Ok(())
-}
-
-/// Dump the process-global metrics registry — Prometheus text by
-/// default, the JSON snapshot with `--json`, the slow-query log as
-/// JSONL with `--slowlog`. An optional index path is loaded first so
-/// one-shot invocations have something to report (index gauges and
-/// build spans); long-lived embedders call
-/// `sama::obs::global().snapshot()` directly instead.
-fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
-    let mut json = false;
-    let mut slowlog = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--slowlog" => slowlog = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    match positional.as_slice() {
-        [] => {}
-        [index_path] => {
-            // Open the index the way `query` and `serve` do, so the
-            // snapshot reports that path's spans and counters.
-            let index = open_index(index_path)?;
-            sama::obs::gauge_set("index.paths", index.total_paths() as i64);
-            sama::obs::gauge_set("index.triples", index.stats().triples as i64);
-        }
-        _ => return Err("usage: sama metrics [<index.bin>] [--json] [--slowlog]".into()),
-    }
-    if slowlog {
-        let log = sama::obs::slowlog::global();
-        out!("{}", log.to_jsonl());
-        eprintln!(
-            "{} slow-query records retained, {} evicted",
-            log.len(),
-            log.evicted()
-        );
-        return Ok(());
-    }
-    let snapshot = sama::obs::global().snapshot();
-    if json {
-        outln!("{}", snapshot.to_json());
-    } else {
-        out!("{}", snapshot.to_prometheus());
     }
     Ok(())
 }
@@ -1059,7 +974,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--threads" => serve_config.batch_threads = number(arg, &mut iter)?,
             "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
             other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(other.to_string()),
+            other => positional.push(not_a_flag(other)?.to_string()),
         }
     }
     let [index_path] = positional.as_slice() else {

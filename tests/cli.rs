@@ -350,45 +350,6 @@ fn batch_metrics_out_and_trace_out() {
     }
 }
 
-#[test]
-fn metrics_subcommand_reports_index_gauges() {
-    let nt = temp_path("data_mcmd.nt");
-    let idx = temp_path("index_mcmd.bin");
-    let _cleanup = Cleanup(vec![nt.clone(), idx.clone()]);
-    std::fs::write(&nt, DEMO_NT).unwrap();
-
-    let out = sama()
-        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = sama()
-        .args(["metrics", idx.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("sama_index_triples 5"), "{text}");
-    assert!(text.contains("sama_index_paths"), "{text}");
-
-    let out = sama()
-        .args(["metrics", idx.to_str().unwrap(), "--json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"index.triples\":5"), "{text}");
-}
-
 /// An index file with its one run-dependent word — the wall-clock build
 /// time closing the `stats` section — zeroed: two files are the same
 /// index when they agree in everything else.
@@ -624,10 +585,44 @@ fn query_error_paths() {
 
 #[test]
 fn helpful_errors() {
-    // Unknown command.
-    let out = sama().arg("bogus").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // Unknown command — the two retired ones included (`query
+    // --profile-out` and `batch --metrics-out` / `GET /metrics` are
+    // what they spelled).
+    for command in ["bogus", "profile", "metrics"] {
+        let out = sama().args([command, "idx.bin"]).output().unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("error: unknown command {command:?}")),
+            "{err}"
+        );
+    }
+
+    // A mistyped flag is named, by every subcommand and before any file
+    // is read (none of these exist), not adopted as a file name or
+    // answered with the bare usage line. A lone `-` stays "stdin".
+    for args in [
+        &["index", "--stat", "x.nt", "-o", "i.bin"][..],
+        &["index", "x.nt", "-o", "i.bin", "--stat"],
+        &["update", "i.bin", "x.nt", "--stat"],
+        &["query", "i.bin", "q.rq", "--jsno"],
+        &["batch", "i.bin", "q.rq", "--jsno"],
+        &["serve", "i.bin", "--adr", "127.0.0.1:0"],
+        &["stats", "--sections"],
+        &["paths", "i.bin", "--limt", "3"],
+    ] {
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        let out = sama().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: unexpected argument {flag:?}\n"),
+            "{args:?}"
+        );
+    }
+    let out = sama().args(["query", "i.bin", "-"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("unexpected argument"), "{err}");
 
     // Missing index file.
     let out = sama()
@@ -637,14 +632,24 @@ fn helpful_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read index"));
 
-    // No arguments prints usage. `--mmap` is still listed (scripts pass
-    // it) but the environment switch it used to share is gone.
+    // No arguments prints usage: seven subcommands, and no environment
+    // variable — a switch is spelled as its flag only. `--mmap` is
+    // still listed (scripts pass it).
     let out = sama().output().unwrap();
     assert!(!out.status.success());
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(usage.contains("USAGE"));
     assert!(usage.contains("--mmap"), "{usage}");
-    assert!(!usage.contains("SAMA_MMAP"), "{usage}");
+    assert!(!usage.contains("SAMA_"), "{usage}");
+    let subcommands: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  sama "))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    assert_eq!(
+        subcommands,
+        ["index", "update", "query", "batch", "serve", "stats", "paths"]
+    );
 }
 
 #[test]
@@ -983,22 +988,22 @@ fn lsh_sidecar_roundtrip_and_env_flag() {
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&rq, DEMO_RQ).unwrap();
 
-    // `index --lsh` writes the SAMALSH1 sidecar next to the index.
-    let out = sama()
-        .args([
-            "index",
-            nt.to_str().unwrap(),
-            "-o",
-            idx.to_str().unwrap(),
-            "--lsh",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // `index --lsh` writes the SAMALSH1 sidecar next to the index; the
+    // retired `SAMA_LSH=1` does not.
+    for (flag, env) in [(None, Some("1")), (Some("--lsh"), None)] {
+        let out = sama()
+            .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+            .args(flag)
+            .envs(env.map(|v| ("SAMA_LSH", v)))
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(lsh.exists(), flag.is_some());
+    }
     assert!(std::fs::read(&lsh).unwrap().starts_with(b"SAMALSH1"));
 
     let run = |configure: &dyn Fn(&mut std::process::Command)| {
@@ -1016,33 +1021,41 @@ fn lsh_sidecar_roundtrip_and_env_flag() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
     };
 
     // The demo query's candidates fit in top_m, so LSH answers are
-    // bit-identical to the exact scan — flag, env, and mmap alike.
-    let exact = run(&|_| {});
-    let flagged = run(&|c| {
+    // bit-identical to the exact scan — with and without --mmap.
+    let (exact, _) = run(&|_| {});
+    let (flagged, _) = run(&|c| {
         c.arg("--lsh");
     });
-    let via_env = run(&|c| {
-        c.env("SAMA_LSH", "1");
-    });
-    let mapped = run(&|c| {
+    let (mapped, _) = run(&|c| {
         c.args(["--lsh", "--mmap"]);
     });
     assert_eq!(exact, flagged);
-    assert_eq!(exact, via_env);
     assert_eq!(exact, mapped);
     assert!(exact.contains("\"answers\""));
 
     // Without the sidecar the tier rebuilds signatures in memory
     // (a stderr note, same answers).
     std::fs::remove_file(&lsh).unwrap();
-    let rebuilt = run(&|c| {
+    let (rebuilt, note) = run(&|c| {
         c.args(["--lsh", "--lsh-top-m", "4"]);
     });
     assert_eq!(exact, rebuilt);
+    assert!(note.contains("no usable LSH sidecar"), "{note}");
+
+    // The retired `SAMA_LSH=1` turns no tier on: nothing looks for the
+    // missing sidecar.
+    let (via_env, note) = run(&|c| {
+        c.env("SAMA_LSH", "1");
+    });
+    assert_eq!(exact, via_env);
+    assert_eq!(note, "");
 }
 
 #[test]
@@ -1050,9 +1063,12 @@ fn ic_weights_flag_and_env_keep_exact_answers() {
     let nt = temp_path("data_ic.nt");
     let rq = temp_path("query_ic.rq");
     let idx = temp_path("index_ic.bin");
-    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone()]);
+    let near_rq = temp_path("query_ic_near.rq");
+    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone(), near_rq.clone()]);
     std::fs::write(&nt, DEMO_NT).unwrap();
     std::fs::write(&rq, DEMO_RQ).unwrap();
+    // "M" is not in the data: the one answer mismatches it with "Male".
+    std::fs::write(&near_rq, "SELECT ?p WHERE { ?p <gender> \"M\" . }\n").unwrap();
 
     let out = sama()
         .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
@@ -1060,7 +1076,7 @@ fn ic_weights_flag_and_env_keep_exact_answers() {
         .unwrap();
     assert!(out.status.success());
 
-    let run = |configure: &dyn Fn(&mut std::process::Command)| {
+    let run = |rq: &PathBuf, configure: &dyn Fn(&mut std::process::Command)| {
         let mut cmd = sama();
         cmd.args([
             "query",
@@ -1079,20 +1095,29 @@ fn ic_weights_flag_and_env_keep_exact_answers() {
     };
 
     // IC weights only reprice *mismatches*: the exact answer stays
-    // score 0 and exact, flag and env var alike, owned and mmap alike.
-    let flagged = run(&|c| {
+    // score 0 and exact, with and without --mmap.
+    let flagged = run(&rq, &|c| {
         c.arg("--ic-weights");
     });
     assert!(flagged.contains("\"score\":0"), "{flagged}");
     assert!(flagged.contains("\"exact\":true"), "{flagged}");
-    let via_env = run(&|c| {
-        c.env("SAMA_IC", "1");
-    });
-    assert_eq!(flagged, via_env);
-    let mapped = run(&|c| {
+    let mapped = run(&rq, &|c| {
         c.args(["--ic-weights", "--mmap"]);
     });
     assert_eq!(flagged, mapped);
+
+    // A mismatch is repriced by the flag, and by the flag only: the
+    // retired `SAMA_IC=1` leaves the uniform score.
+    let uniform = run(&near_rq, &|_| {});
+    assert!(uniform.contains("\"score\":1,"), "{uniform}");
+    let weighted = run(&near_rq, &|c| {
+        c.arg("--ic-weights");
+    });
+    assert_ne!(uniform, weighted);
+    let via_env = run(&near_rq, &|c| {
+        c.env("SAMA_IC", "1");
+    });
+    assert_eq!(uniform, via_env);
 
     // batch accepts the flag too.
     let out = sama()
@@ -1167,15 +1192,16 @@ fn synonyms_flag_relaxes_thin_clusters_and_falls_back_exactly() {
     assert!(relaxed.contains("\"exact\":true"), "{relaxed}");
     assert!(relaxed.contains("PierceDickes"), "{relaxed}");
 
-    // SAMA_SYN env var and --mmap serve the same answers.
-    let via_env = run(&|c| {
-        c.env("SAMA_SYN", syn.to_str().unwrap());
-    });
-    assert_eq!(relaxed, via_env);
+    // --mmap serves the same answers; the retired `SAMA_SYN` loads no
+    // table.
     let mapped = run(&|c| {
         c.args(["--synonyms", syn.to_str().unwrap(), "--mmap"]);
     });
     assert_eq!(relaxed, mapped);
+    let via_env = run(&|c| {
+        c.env("SAMA_SYN", syn.to_str().unwrap());
+    });
+    assert_eq!(plain, via_env);
 
     // Exact fallback: an empty table changes nothing, byte for byte.
     let neutral = run(&|c| {
@@ -1574,14 +1600,14 @@ fn serve_applies_semantic_flags_to_http_queries() {
     assert!(status.success());
 }
 
-/// `query`, `batch`, `serve` and `profile` read their engine options
+/// `query`, `batch` and `serve` read their engine options
 /// through one parser: each accepts every engine flag, and a bad value
 /// gets the same one-line diagnostic whichever subcommand sees it.
 /// `--threads` is not one of them: it is the width of the pool `batch`
 /// and `serve` run whole queries on, and nothing else takes it.
 #[cfg(unix)]
 #[test]
-fn every_engine_flag_is_accepted_by_all_four_subcommands() {
+fn every_engine_flag_is_accepted_by_all_three_subcommands() {
     let nt = temp_path("flags_data.nt");
     let rq = temp_path("flags_query.rq");
     let idx = temp_path("flags_index.bin");
@@ -1614,7 +1640,7 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
     );
     let engine_flags: Vec<&str> = engine_flags.split_whitespace().collect();
     let pool_width: &[&str] = &["--threads", "2"];
-    for sub in ["query", "batch", "profile"] {
+    for sub in ["query", "batch"] {
         let out = sama()
             .args([sub, idx.to_str().unwrap(), rq.to_str().unwrap()])
             .args(&engine_flags)
@@ -1660,7 +1686,7 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
         (&["--synonyms"], "--synonyms needs a path"),
         (&["--anchor"], "--anchor needs a value"),
     ] {
-        for sub in ["query", "batch", "serve", "profile"] {
+        for sub in ["query", "batch", "serve"] {
             let out = sama().arg(sub).arg("idx.bin").args(bad).output().unwrap();
             assert!(!out.status.success(), "{sub} {bad:?}");
             assert_eq!(
@@ -1677,32 +1703,26 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
     for (args, message) in [
         (
             &["query", "no.bin", "no.rq", "--threads", "2"][..],
-            "error: usage: sama query ",
-        ),
-        (
-            &["profile", "no.bin", "no.rq", "--threads", "2"],
-            "error: usage: sama profile ",
+            "error: unexpected argument \"--threads\"\n",
         ),
         (
             &["index", "no.nt", "-o", "no.bin", "--parallel", "2"],
-            "error: unexpected argument \"--parallel\"",
+            "error: unexpected argument \"--parallel\"\n",
         ),
     ] {
         let out = sama().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.starts_with(message), "{args:?}: {err}");
-        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), message, "{args:?}");
     }
 
-    // The help text lists every engine flag under each of the four,
+    // The help text lists every engine flag under each of the three,
     // `--threads` under `batch` and `serve` only, and the flag that
     // went with the χ cache is gone.
     let out = sama().arg("--help").output().unwrap();
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(!usage.contains(concat!("--shared", "-chi")), "{usage}");
     assert!(!usage.contains("--parallel"), "{usage}");
-    for sub in ["query", "batch", "profile", "serve"] {
+    for sub in ["query", "batch", "serve"] {
         let start = usage
             .find(&format!("  sama {sub} "))
             .unwrap_or_else(|| panic!("no {sub} section in {usage}"));
@@ -1717,4 +1737,76 @@ fn every_engine_flag_is_accepted_by_all_four_subcommands() {
             "{sub}: {section}"
         );
     }
+}
+
+/// The nine retired `SAMA_*` switches, each at the value that did the
+/// most damage while it was read.
+const RETIRED_ENV: [(&str, &str); 9] = [
+    ("SAMA_DEADLINE_MS", "0"),
+    ("SAMA_TRACE", "1"),
+    ("SAMA_LSH", "1"),
+    ("SAMA_IC", "1"),
+    ("SAMA_SYN", "/nonexistent"),
+    ("SAMA_METRICS", "0"),
+    ("SAMA_PROFILE", "1"),
+    ("SAMA_SLOWLOG_MS", "0"),
+    ("SAMA_SLO_MS", "0"),
+];
+
+/// A run is configured by its flags: `query`, `batch` and `serve` answer
+/// the same bytes whatever the retired variables say. (`batch --json`
+/// reports wall-clock latencies, which no two runs share; everything
+/// else in it is compared.)
+#[cfg(unix)]
+#[test]
+fn environment_configures_nothing() {
+    let nt = temp_path("env_data.nt");
+    let rq = temp_path("env_query.rq");
+    let idx = temp_path("env_index.bin");
+    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone()]);
+    std::fs::write(&nt, DEMO_NT).unwrap();
+    // One mismatched label, so IC weights or a deadline would show.
+    let near = "SELECT ?p WHERE { ?p <gender> \"M\" . }\n";
+    std::fs::write(&rq, near).unwrap();
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let without_timings = |batch_json: String| {
+        let (queries, _stats) = batch_json.split_once("],\"stats\":").expect("stats object");
+        let (head, _latency) = queries.split_once(",\"latency_us\":").expect("latency");
+        head.to_string()
+    };
+    let run = |env: &[(&str, &str)]| {
+        let cli = |sub: &str| {
+            let out = sama()
+                .args([sub, idx.to_str().unwrap(), rq.to_str().unwrap(), "--json"])
+                .envs(env.iter().copied())
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{sub}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let (mut child, _stdout, port) = spawn_serve(&idx, &[], env);
+        let (status, _, body) = post_to_serve(port, "/query", near);
+        sigterm(&child);
+        assert!(child.wait().expect("wait").success());
+        assert_eq!(status, 200);
+        (
+            cli("query"),
+            without_timings(cli("batch")),
+            String::from_utf8(body).unwrap(),
+        )
+    };
+    let clean = run(&[]);
+    assert!(clean.0.contains("\"score\":1,"), "{}", clean.0);
+    assert!(clean.1.contains("\"best_score\":1,"), "{}", clean.1);
+    assert_eq!(clean.0, clean.2, "serve answers the CLI's bytes");
+    assert_eq!(run(&RETIRED_ENV), clean);
 }
