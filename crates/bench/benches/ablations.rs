@@ -108,46 +108,11 @@ fn bench_index_value(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharding(c: &mut Criterion) {
-    use sama_core::SamaEngine as Engine;
-    let fx = fixture(3_000);
-    let q = q5(&fx);
-    let mut group = c.benchmark_group("ablation/sharding");
-    group.sample_size(10);
-    let single = Engine::new(fx.dataset.graph.clone());
-    group.bench_function("single_index", |b| {
-        b.iter(|| black_box(single.answer(&q, K)).answers.len());
-    });
-    for shards in [2usize, 4, 8] {
-        let sharded = Engine::sharded(fx.dataset.graph.clone(), shards);
-        group.bench_with_input(BenchmarkId::new("sharded_query", shards), &q, |b, q| {
-            b.iter(|| black_box(sharded.answer(q, K)).answers.len());
-        });
-    }
-    // Build-time comparison: the sharded build parallelizes per shard.
-    group.bench_function("build_single", |b| {
-        b.iter(|| black_box(path_index::PathIndex::build(fx.dataset.graph.clone())).path_count());
-    });
-    group.bench_function("build_4_shards", |b| {
-        b.iter(|| {
-            use path_index::IndexLike;
-            black_box(path_index::ShardedIndex::build(
-                fx.dataset.graph.clone(),
-                4,
-                &Default::default(),
-            ))
-            .total_paths()
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_conformity,
     bench_alignment_mode,
     bench_synonyms,
-    bench_index_value,
-    bench_sharding
+    bench_index_value
 );
 criterion_main!(benches);

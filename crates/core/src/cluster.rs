@@ -426,9 +426,9 @@ fn query_shingles(q: &QueryPath) -> Vec<u64> {
 
 /// λ first; ties broken by the path's *content* (its node/edge id
 /// sequences in the shared data graph), not by the path id — path ids
-/// are deployment-specific (a sharded index numbers them differently),
-/// and `max_cluster_size` truncation must keep the same entry set
-/// everywhere for answers to be score-identical.
+/// are build-specific (an index rebuilt after an update numbers them
+/// differently), and `max_cluster_size` truncation must keep the same
+/// entry set everywhere for answers to be score-identical.
 fn entry_cmp<I: IndexLike + ?Sized>(index: &I, x: &ClusterEntry, y: &ClusterEntry) -> Ordering {
     x.lambda().total_cmp(&y.lambda()).then_with(|| {
         index

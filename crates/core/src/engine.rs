@@ -15,9 +15,7 @@ use crate::search::{
     search_top_k_budgeted, ChiStats, SearchConfig, SearchStream, TruncationReason,
 };
 use crate::trace::{ExplainTrace, TraceConfig};
-use path_index::{
-    ExtractionConfig, IcTable, IndexLike, NoSynonyms, PathIndex, ShardedIndex, SynonymProvider,
-};
+use path_index::{ExtractionConfig, IcTable, IndexLike, NoSynonyms, PathIndex, SynonymProvider};
 use rdf_model::{DataGraph, QueryGraph};
 use sama_obs as obs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,7 +208,8 @@ impl QueryResult {
 }
 
 /// The Sama engine: an index (a plain [`PathIndex`] by default, or any
-/// [`IndexLike`] such as a [`ShardedIndex`]) plus scoring configuration.
+/// [`IndexLike`] such as a [`path_index::MappedIndex`]) plus scoring
+/// configuration.
 pub struct SamaEngine<I: IndexLike = PathIndex> {
     index: I,
     synonyms: Arc<dyn SynonymProvider>,
@@ -242,22 +241,6 @@ impl SamaEngine<PathIndex> {
         if let crate::Retrieval::Lsh { bands, rows, .. } = config.cluster.retrieval {
             let _ = index.build_lsh(path_index::LshParams { bands, rows });
         }
-        Self::from_index_with_config(index, config)
-    }
-}
-
-impl SamaEngine<ShardedIndex> {
-    /// Index `data` split across `shards` per-source partitions — the
-    /// simulated grid deployment of the paper's future work (see
-    /// [`ShardedIndex`]). Answers are score-identical to the
-    /// single-index engine.
-    pub fn sharded(data: DataGraph, shards: usize) -> Self {
-        Self::sharded_with_config(data, shards, EngineConfig::default())
-    }
-
-    /// Sharded construction with explicit configuration.
-    pub fn sharded_with_config(data: DataGraph, shards: usize, config: EngineConfig) -> Self {
-        let index = ShardedIndex::build(data, shards, &config.extraction);
         Self::from_index_with_config(index, config)
     }
 }

@@ -15,8 +15,7 @@
 mod support;
 
 use path_index::{
-    ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, PathIndex, ShardedIndex,
-    Thesaurus,
+    ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, PathIndex, Thesaurus,
 };
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Triple};
@@ -174,11 +173,9 @@ proptest! {
         for qpaths in [&plain, &weighted, &widened] {
             assert_memo_is_exact(&index, qpaths);
         }
-        // The other index kinds number shapes their own way.
+        // The other index kind reads shapes from its own sections.
         let bytes = path_index::encode_v2(&index).expect("encodes");
         assert_memo_is_exact(&MappedIndex::from_bytes(&bytes).expect("opens"), &widened);
-        let sharded = ShardedIndex::build(index.graph().clone(), 3, &ExtractionConfig::default());
-        assert_memo_is_exact(&sharded, &widened);
     }
 }
 
@@ -410,13 +407,5 @@ fn fill_equals_align_sort_truncate_on_a_mapped_index() {
     check_kind(
         "MappedIndex",
         MappedIndex::from_bytes(&bytes).expect("opens"),
-    );
-}
-
-#[test]
-fn fill_equals_align_sort_truncate_on_a_sharded_index() {
-    check_kind(
-        "ShardedIndex",
-        ShardedIndex::build(tie_data(), 3, &ExtractionConfig::default()),
     );
 }

@@ -5,12 +5,12 @@
 //! kept here is the old way: assemble `Answer::subgraph` (a fresh
 //! `Graph` + `Vocabulary` per answer), print its `to_sorted_lines`, and
 //! resolve bindings through `data().vocab()`. The two must agree byte
-//! for byte on every index kind — owned, mapped, sharded over owned and
-//! over mapped shards — and on the shapes an answer can take: chosen
-//! paths that share edges, single-node paths, uncovered query paths,
-//! no answers at all, labels that need JSON escapes.
+//! for byte on both index kinds — owned and mapped — and on the shapes an
+//! answer can take: chosen paths that share edges, single-node paths,
+//! uncovered query paths, no answers at all, labels that need JSON
+//! escapes.
 
-use path_index::{encode_v2, ExtractionConfig, IndexLike, MappedIndex, PathIndex, ShardedIndex};
+use path_index::{encode_v2, IndexLike, MappedIndex, PathIndex};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Term, Triple};
 use sama_core::{render_result_json, QueryResult, SamaEngine};
@@ -112,9 +112,8 @@ fn check_kind<I: IndexLike + Sync>(
     json
 }
 
-/// [`check_kind`] over `PathIndex`, `MappedIndex`, a 3-shard
-/// `ShardedIndex` and the same shards mapped. Owned and mapped serve
-/// one id space, so their documents must also equal each other.
+/// [`check_kind`] over `PathIndex` and `MappedIndex`. The two serve one
+/// id space, so their documents must also equal each other.
 fn check_all_kinds(
     data: &DataGraph,
     query: &QueryGraph,
@@ -125,11 +124,6 @@ fn check_all_kinds(
     let from_mapped = check_kind(mapped(&owned), query, k, mutate);
     let from_owned = check_kind(owned, query, k, mutate);
     assert_eq!(from_owned, from_mapped);
-
-    let sharded = ShardedIndex::build(data.clone(), 3, &ExtractionConfig::default());
-    let mapped_shards = ShardedIndex::from_shards(sharded.shards().iter().map(mapped).collect());
-    let from_mapped_shards = check_kind(mapped_shards, query, k, mutate);
-    assert_eq!(check_kind(sharded, query, k, mutate), from_mapped_shards);
     from_owned
 }
 

@@ -11,16 +11,14 @@
 //! `χ` lookup counts of `search_top_k_budgeted` equal the values in
 //! `search_frontier.table`, which the commit *before* the frontier
 //! change generated with this same code — across expansion and frontier
-//! limits, `distinct_paths`, paper and IC-weighted costs, three index
+//! limits, `distinct_paths`, paper and IC-weighted costs, both index
 //! kinds and a cancellation tripped mid-search. Any change to the pop
 //! order, to the truncation point or to the states the anytime fill
 //! drains shows up as a different row.
 
 mod support;
 
-use path_index::{
-    encode_v2, ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathIndex, ShardedIndex,
-};
+use path_index::{encode_v2, ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathIndex};
 use proptest::prelude::*;
 use proptest::TestRng;
 use rdf_model::{DataGraph, QueryGraph};
@@ -477,7 +475,6 @@ fn actual_table() -> String {
             .collect();
         let image = encode_v2(&owned).expect("encodes");
         let mapped = MappedIndex::from_bytes(&image).expect("own image");
-        let sharded = ShardedIndex::build(case.data.clone(), 3, &ExtractionConfig::default());
         for ic in [false, true] {
             // A mapped image numbers its paths like the index it was
             // encoded from, so the two share their rows.
@@ -490,14 +487,6 @@ fn actual_table() -> String {
                 from_mapped,
                 out[before..],
                 "{name}: MappedIndex vs PathIndex"
-            );
-            limit_rows(
-                &mut out,
-                &format!("{name} sharded3"),
-                &sharded,
-                &case.query,
-                ic,
-                &limits,
             );
             cancel_row(&mut out, &format!("{name} owned"), &owned, &case.query, ic);
         }

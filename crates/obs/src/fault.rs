@@ -11,7 +11,7 @@
 //!
 //! * `panic` — unwind with an identifiable payload (proving the
 //!   caller's isolation, e.g. `catch_unwind` in the batch pool);
-//! * `delay=MS` — sleep, simulating a slow shard / IO stall (proving
+//! * `delay=MS` — sleep, simulating a slow peer / IO stall (proving
 //!   deadline enforcement end-to-end).
 //!
 //! Plans come from the `SAMA_FAULTS` environment variable (the CI

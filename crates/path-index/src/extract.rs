@@ -4,8 +4,7 @@
 //! following the routes to the sinks", with "independently concurrent
 //! traversals … started from each source". We reproduce that: an
 //! iterative depth-first enumeration of *simple* paths per source, one
-//! source after another (threads exist across shards only — see
-//! `ShardedIndex::build`).
+//! source after another.
 //!
 //! Cycles (which hub promotion can expose) are handled by the
 //! simple-path restriction: a walk never revisits a node already on the
@@ -60,20 +59,8 @@ impl Extraction {
 
 /// Enumerate all source-to-sink simple paths of `graph` under `config`.
 pub fn extract_paths(graph: &Graph, config: &ExtractionConfig) -> Extraction {
-    let sources = graph.effective_sources();
-    extract_paths_from_sources(graph, &sources, config)
-}
-
-/// Enumerate paths starting only from the given `sources` — the
-/// building block for sharded indexing (each shard owns a subset of the
-/// sources and therefore a disjoint subset of the paths).
-pub fn extract_paths_from_sources(
-    graph: &Graph,
-    sources: &[NodeId],
-    config: &ExtractionConfig,
-) -> Extraction {
     let mut out = Extraction::default();
-    for &s in sources {
+    for s in graph.effective_sources() {
         if out.paths.len() >= config.max_total_paths {
             out.dropped += 1;
             break;

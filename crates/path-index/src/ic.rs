@@ -12,10 +12,10 @@
 //!
 //! The counts — not the weights — are what gets persisted (the
 //! `ic-counts` section of the SAMAIDX2 format, see [`crate::v2`]):
-//! counts are exact integers that merge across shards by addition,
-//! while floats would accumulate representation drift. Weights are
-//! recomputed from counts on load, so every deployment (owned, mapped,
-//! sharded) derives the identical table from the identical integers.
+//! counts are exact integers, while floats would accumulate
+//! representation drift. Weights are recomputed from counts on load, so
+//! an owned and a mapped index derive the identical table from the
+//! identical integers.
 
 use crate::storage::StorageError;
 use rdf_model::LabelId;
@@ -102,20 +102,6 @@ impl IcCounts {
             return Err(StorageError::Corrupt("ic counts checksum mismatch"));
         }
         Ok(IcCounts { counts, total })
-    }
-
-    /// Merge another corpus partition into this one (element-wise sum) —
-    /// how a sharded index reassembles the single-index table.
-    pub fn merge(&mut self, other: &IcCounts) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "merged partitions must share a vocabulary"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
-        self.total += other.total;
     }
 }
 
@@ -266,14 +252,6 @@ mod tests {
         let bytes = counts(&[1, 2]).to_bytes();
         assert!(IcCounts::from_bytes(&bytes, 3).is_err());
         assert!(IcCounts::from_bytes(&bytes[..bytes.len() - 1], 2).is_err());
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let mut a = counts(&[1, 0, 2]);
-        let b = counts(&[4, 1, 0]);
-        a.merge(&b);
-        assert_eq!(a, counts(&[5, 1, 2]));
     }
 
     #[test]

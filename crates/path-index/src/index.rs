@@ -282,7 +282,7 @@ impl PathIndex {
     ) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        crate::shard::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
+        crate::index_like::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
             out.extend_from_slice(self.paths_with_sink(label))
         })
     }
@@ -297,7 +297,7 @@ impl PathIndex {
     ) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        crate::shard::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
+        crate::index_like::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
             out.extend_from_slice(self.paths_with_label(label))
         })
     }

@@ -41,9 +41,9 @@ pub mod extract;
 pub mod hypergraph;
 pub mod ic;
 pub mod index;
+pub mod index_like;
 pub mod lsh;
 pub mod path;
-pub mod shard;
 pub mod stats;
 pub mod storage;
 pub mod synonyms;
@@ -54,9 +54,9 @@ pub use extract::{extract_paths, Extraction, ExtractionConfig};
 pub use hypergraph::{HyperEdge, HyperEdgeKind, HyperGraphView};
 pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};
+pub use index_like::{ConstantLookup, IndexLike};
 pub use lsh::{build_lsh_bytes, sidecar_path, LshCandidate, LshParams, LshSidecar, LSH_MAGIC};
 pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels};
-pub use shard::{ConstantLookup, IndexLike, ShardedIndex};
 pub use stats::{format_bytes, IndexStats};
 pub use storage::StorageError;
 pub use synonyms::{NoSynonyms, SynonymProvider, Thesaurus, ThesaurusError};

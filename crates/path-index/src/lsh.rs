@@ -42,8 +42,8 @@
 //! front (typed [`StorageError`]s, never panics), so lookups can
 //! index without bounds anxiety.
 
+use crate::index_like::IndexLike;
 use crate::path::{LabelsRef, PathId};
-use crate::shard::IndexLike;
 use crate::storage::{try_u32, StorageError};
 use rdf_model::LabelId;
 
@@ -646,7 +646,7 @@ mod tests {
             let id = PathId(i as u32);
             assert_eq!(
                 sidecar.signature(id),
-                path_signature(crate::shard::IndexLike::labels(&index, id), params).as_slice()
+                path_signature(crate::index_like::IndexLike::labels(&index, id), params).as_slice()
             );
         }
     }

@@ -80,8 +80,8 @@
 
 use crate::ic::{IcCounts, IcTable};
 use crate::index::{IndexedPath, PathIndex};
+use crate::index_like::IndexLike;
 use crate::path::{LabelsRef, Path, PathId, PathLabels};
-use crate::shard::IndexLike;
 use crate::stats::IndexStats;
 use crate::storage::{try_u32, StorageError};
 use crate::synonyms::SynonymProvider;
@@ -1365,7 +1365,7 @@ impl IndexLike for MappedIndex {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
         let view = self.view;
-        crate::shard::match_via(self, lexical, synonyms, |label, out| {
+        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
             out.extend(view.paths_with_sink(label).iter().map(|&p| PathId(p)))
         })
     }
@@ -1374,7 +1374,7 @@ impl IndexLike for MappedIndex {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
         let view = self.view;
-        crate::shard::match_via(self, lexical, synonyms, |label, out| {
+        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
             out.extend(view.paths_with_label(label).iter().map(|&p| PathId(p)))
         })
     }
@@ -1439,7 +1439,7 @@ pub fn decode_any(buf: &[u8]) -> Result<PathIndex, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::IndexLike;
+    use crate::index_like::IndexLike;
     use crate::synonyms::NoSynonyms;
     use rdf_model::Term;
 

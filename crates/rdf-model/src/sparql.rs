@@ -25,6 +25,7 @@ use crate::hash::FxHashMap;
 use crate::query::QueryGraph;
 use crate::term::Term;
 use crate::triple::Triple;
+use std::ops::Range;
 
 /// A parsed SPARQL query: the projection list and the basic graph
 /// pattern, plus the [`QueryGraph`] assembled from the pattern.
@@ -40,76 +41,63 @@ pub struct SparqlQuery {
 
 /// Parse a SPARQL SELECT query over a basic graph pattern.
 pub fn parse_sparql(input: &str) -> Result<SparqlQuery> {
-    let mut tokens = tokenize(input)?;
-    tokens.reverse(); // pop() from the front
+    let mut rest = tokenize(input)?;
+    rest.reverse(); // pop() from the front
+    let mut tokens = Tokens {
+        input,
+        rest,
+        at: 0..0,
+    };
 
     let mut prefixes: FxHashMap<String, String> = FxHashMap::default();
-    loop {
-        match tokens.last() {
-            Some(Token::Keyword(k)) if k == "PREFIX" => {
-                tokens.pop();
-                let name = match tokens.pop() {
-                    Some(Token::PrefixedName(p, n)) if n.is_empty() => p,
-                    other => return parse_err(format!("expected prefix name, got {other:?}")),
-                };
-                let iri = match tokens.pop() {
-                    Some(Token::Iri(iri)) => iri,
-                    other => {
-                        return parse_err(format!("expected <iri> after PREFIX, got {other:?}"))
-                    }
-                };
-                prefixes.insert(name, iri);
-            }
-            _ => break,
-        }
+    while matches!(tokens.peek(), Some(Token::Keyword(k)) if k == "PREFIX") {
+        tokens.pop();
+        let name = match tokens.pop() {
+            Some(Token::PrefixedName(p, n)) if n.is_empty() => p,
+            _ => return tokens.unexpected("prefix name"),
+        };
+        let iri = match tokens.pop() {
+            Some(Token::Iri(iri)) => iri,
+            _ => return tokens.unexpected("<iri> after PREFIX"),
+        };
+        prefixes.insert(name, iri);
     }
 
     expect_keyword(&mut tokens, "SELECT")?;
     let mut projection = Vec::new();
     loop {
-        match tokens.last() {
-            Some(Token::Variable(_)) => {
-                if let Some(Token::Variable(v)) = tokens.pop() {
-                    projection.push(v);
-                }
-            }
+        match tokens.pop() {
+            Some(Token::Variable(v)) => projection.push(v),
             Some(Token::Star) => {
-                tokens.pop();
+                expect_keyword(&mut tokens, "WHERE")?;
                 break;
             }
             Some(Token::Keyword(k)) if k == "WHERE" => break,
-            other => return parse_err(format!("expected ?var, * or WHERE, got {other:?}")),
+            _ => return tokens.unexpected("?var, * or WHERE"),
         }
     }
 
-    expect_keyword(&mut tokens, "WHERE")?;
     match tokens.pop() {
         Some(Token::OpenBrace) => {}
-        other => return parse_err(format!("expected '{{' after WHERE, got {other:?}")),
+        _ => return tokens.unexpected("'{' after WHERE"),
     }
 
     let mut patterns = Vec::new();
-    loop {
-        match tokens.last() {
-            Some(Token::CloseBrace) => {
-                tokens.pop();
-                break;
-            }
-            None => return parse_err("unexpected end of query; missing '}'".to_string()),
-            _ => {
-                let s = term(&mut tokens, &prefixes)?;
-                let p = term(&mut tokens, &prefixes)?;
-                let o = term(&mut tokens, &prefixes)?;
-                patterns.push(Triple::new(s, p, o));
-                // Triple separator: '.', optional before '}'.
-                if matches!(tokens.last(), Some(Token::Dot)) {
-                    tokens.pop();
-                }
-            }
+    while !matches!(tokens.peek(), Some(Token::CloseBrace) | None) {
+        let s = term(&mut tokens, &prefixes)?;
+        let p = term(&mut tokens, &prefixes)?;
+        let o = term(&mut tokens, &prefixes)?;
+        patterns.push(Triple::new(s, p, o));
+        // Triple separator: '.', optional before '}'.
+        if matches!(tokens.peek(), Some(Token::Dot)) {
+            tokens.pop();
         }
     }
-    if let Some(tok) = tokens.pop() {
-        return parse_err(format!("trailing content after '}}': {tok:?}"));
+    if tokens.pop().is_none() {
+        return tokens.err("unexpected end of query; missing '}'".to_string());
+    }
+    if tokens.pop().is_some() {
+        return tokens.err(format!("trailing content after '}}': {}", tokens.written()));
     }
 
     let graph = QueryGraph::from_triples(&patterns)?;
@@ -120,18 +108,66 @@ pub fn parse_sparql(input: &str) -> Result<SparqlQuery> {
     })
 }
 
-fn parse_err<T>(message: String) -> Result<T> {
-    Err(RdfError::Parse { line: 0, message })
+/// A parse error on the 1-based line holding byte `offset` of `input`.
+fn parse_err<T>(input: &str, offset: usize, message: String) -> Result<T> {
+    let line = 1 + input[..offset].matches('\n').count();
+    Err(RdfError::Parse { line, message })
 }
 
-fn expect_keyword(tokens: &mut Vec<Token>, kw: &str) -> Result<()> {
-    match tokens.pop() {
-        Some(Token::Keyword(k)) if k == kw => Ok(()),
-        other => parse_err(format!("expected {kw}, got {other:?}")),
+/// The token stream the parser consumes front to back.
+struct Tokens<'a> {
+    input: &'a str,
+    /// What is left, next token last, each with the bytes of `input` it
+    /// was read from.
+    rest: Vec<(Token, Range<usize>)>,
+    /// The bytes of the token [`Tokens::pop`] returned last — empty, at
+    /// the end of the input, once it returned `None`. Diagnostics point
+    /// here.
+    at: Range<usize>,
+}
+
+impl Tokens<'_> {
+    fn peek(&self) -> Option<&Token> {
+        self.rest.last().map(|(token, _)| token)
+    }
+
+    fn pop(&mut self) -> Option<Token> {
+        let (token, at) = match self.rest.pop() {
+            Some((token, at)) => (Some(token), at),
+            None => (None, self.input.len()..self.input.len()),
+        };
+        self.at = at;
+        token
+    }
+
+    /// The token popped last, as the query spells it.
+    fn written(&self) -> &str {
+        &self.input[self.at.clone()]
+    }
+
+    /// An error about the token popped last.
+    fn err<T>(&self, message: String) -> Result<T> {
+        parse_err(self.input, self.at.start, message)
+    }
+
+    /// The token popped last is not the `expected` thing.
+    fn unexpected<T>(&self, expected: &str) -> Result<T> {
+        let got = match self.written() {
+            "" => "end of input",
+            written => written,
+        };
+        self.err(format!("expected {expected}, got {got}"))
     }
 }
 
-fn term(tokens: &mut Vec<Token>, prefixes: &FxHashMap<String, String>) -> Result<Term> {
+fn expect_keyword(tokens: &mut Tokens<'_>, kw: &str) -> Result<()> {
+    match tokens.pop() {
+        Some(Token::Keyword(k)) if k == kw => Ok(()),
+        _ => tokens.unexpected(kw),
+    }
+}
+
+fn term(tokens: &mut Tokens<'_>, prefixes: &FxHashMap<String, String>) -> Result<Term> {
     match tokens.pop() {
         Some(Token::Iri(iri)) => Ok(Term::Iri(iri)),
         Some(Token::Variable(v)) => Ok(Term::Variable(v)),
@@ -139,9 +175,9 @@ fn term(tokens: &mut Vec<Token>, prefixes: &FxHashMap<String, String>) -> Result
         Some(Token::PrefixedName(p, n)) => match prefixes.get(&p) {
             Some(base) => Ok(Term::Iri(format!("{base}{n}"))),
             None if n.is_empty() => Ok(Term::Iri(p)), // bare identifier
-            None => parse_err(format!("undeclared prefix '{p}:'")),
+            None => tokens.err(format!("undeclared prefix '{p}:'")),
         },
-        other => parse_err(format!("expected term, got {other:?}")),
+        _ => tokens.unexpected("term"),
     }
 }
 
@@ -160,43 +196,46 @@ enum Token {
     Star,
 }
 
-fn tokenize(input: &str) -> Result<Vec<Token>> {
+/// Split `input` into tokens, each with the bytes it was read from.
+fn tokenize(input: &str) -> Result<Vec<(Token, Range<usize>)>> {
     let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
+    let mut chars = input.char_indices().peekable();
+    while let Some(&(start, c)) = chars.peek() {
+        let token = match c {
             c if c.is_whitespace() => {
                 chars.next();
+                continue;
             }
             '#' => {
                 // Comment to end of line.
-                for c in chars.by_ref() {
+                for (_, c) in chars.by_ref() {
                     if c == '\n' {
                         break;
                     }
                 }
+                continue;
             }
             '{' => {
                 chars.next();
-                tokens.push(Token::OpenBrace);
+                Token::OpenBrace
             }
             '}' => {
                 chars.next();
-                tokens.push(Token::CloseBrace);
+                Token::CloseBrace
             }
             '.' => {
                 chars.next();
-                tokens.push(Token::Dot);
+                Token::Dot
             }
             '*' => {
                 chars.next();
-                tokens.push(Token::Star);
+                Token::Star
             }
             '<' => {
                 chars.next();
                 let mut iri = String::new();
                 let mut closed = false;
-                for c in chars.by_ref() {
+                for (_, c) in chars.by_ref() {
                     if c == '>' {
                         closed = true;
                         break;
@@ -204,62 +243,69 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
                     iri.push(c);
                 }
                 if !closed {
-                    return parse_err("unterminated IRI".to_string());
+                    return parse_err(input, start, "unterminated IRI".to_string());
                 }
-                tokens.push(Token::Iri(iri));
+                Token::Iri(iri)
             }
             '?' | '$' => {
                 chars.next();
                 let name = take_identifier(&mut chars);
                 if name.is_empty() {
-                    return parse_err("empty variable name".to_string());
+                    return parse_err(input, start, "empty variable name".to_string());
                 }
-                tokens.push(Token::Variable(name));
+                Token::Variable(name)
             }
             '"' => {
                 chars.next();
                 let mut value = String::new();
                 let mut closed = false;
-                while let Some(c) = chars.next() {
+                while let Some((_, c)) = chars.next() {
                     match c {
                         '"' => {
                             closed = true;
                             break;
                         }
                         '\\' => match chars.next() {
-                            Some('"') => value.push('"'),
-                            Some('\\') => value.push('\\'),
-                            Some('n') => value.push('\n'),
-                            Some('t') => value.push('\t'),
-                            other => {
-                                return parse_err(format!("unsupported escape {other:?}"));
+                            Some((_, '"')) => value.push('"'),
+                            Some((_, '\\')) => value.push('\\'),
+                            Some((_, 'n')) => value.push('\n'),
+                            Some((_, 't')) => value.push('\t'),
+                            Some((at, other)) => {
+                                return parse_err(
+                                    input,
+                                    at,
+                                    format!("unsupported escape \\{other}"),
+                                );
                             }
+                            None => break,
                         },
                         other => value.push(other),
                     }
                 }
                 if !closed {
-                    return parse_err("unterminated literal".to_string());
+                    return parse_err(input, start, "unterminated literal".to_string());
                 }
-                tokens.push(Token::Literal(value));
+                Token::Literal(value)
             }
             c if is_identifier_char(c) => {
                 let word = take_identifier(&mut chars);
                 let upper = word.to_ascii_uppercase();
                 if upper == "SELECT" || upper == "WHERE" || upper == "PREFIX" {
-                    tokens.push(Token::Keyword(upper));
-                } else if chars.peek() == Some(&':') {
+                    Token::Keyword(upper)
+                } else if matches!(chars.peek(), Some(&(_, ':'))) {
                     chars.next();
                     let local = take_identifier(&mut chars);
-                    tokens.push(Token::PrefixedName(word, local));
+                    Token::PrefixedName(word, local)
                 } else {
-                    tokens.push(Token::PrefixedName(word, String::new()));
+                    Token::PrefixedName(word, String::new())
                 }
             }
             other => {
-                return parse_err(format!("unexpected character {other:?}"));
+                return parse_err(input, start, format!("unexpected character {other:?}"));
             }
-        }
+        };
+        let end = chars.peek().map_or(input.len(), |&(at, _)| at);
+        tokens.push((token, start..end));
     }
     Ok(tokens)
 }
@@ -268,9 +314,9 @@ fn is_identifier_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-' || c == '/'
 }
 
-fn take_identifier(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> String {
+fn take_identifier(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> String {
     let mut out = String::new();
-    while let Some(&c) = chars.peek() {
+    while let Some(&(_, c)) = chars.peek() {
         if is_identifier_char(c) {
             out.push(c);
             chars.next();
@@ -350,6 +396,49 @@ mod tests {
     #[test]
     fn missing_brace_rejected() {
         assert!(parse_sparql("SELECT ?x WHERE { ?x <p> <a> .").is_err());
+        // Diagnostics quote the token as written, `end of input` when
+        // there is none, and the 1-based line either is on.
+        for (input, want) in [
+            (
+                "SELEC ?x WHERE { ?x <p> <a> . }",
+                "parse error at line 1: expected SELECT, got SELEC",
+            ),
+            (
+                "SELECT ?x\nWHERE {\n  ?x <p> }",
+                "parse error at line 3: expected term, got }",
+            ),
+            (
+                "select ?x\nwhere { ?x p\n\"a b\" . } where",
+                "parse error at line 3: trailing content after '}': where",
+            ),
+            (
+                "SELECT ?x WHERE {\n ?x ub:p <a> }",
+                "parse error at line 2: undeclared prefix 'ub:'",
+            ),
+            (
+                "# comment\nSELECT ?x WHERE\n",
+                "parse error at line 3: expected '{' after WHERE, got end of input",
+            ),
+            (
+                "SELECT ?x WHERE {\n ?x <p> <a> .\n",
+                "parse error at line 3: unexpected end of query; missing '}'",
+            ),
+            (
+                "PREFIX ub: \"x\"",
+                "parse error at line 1: expected <iri> after PREFIX, got \"x\"",
+            ),
+            (
+                "SELECT ?x WHERE {\n ?x <p> \"a\\qb\" }",
+                "parse error at line 2: unsupported escape \\q",
+            ),
+            (
+                "SELECT ?x WHERE {\n\n ?x <p> <a }",
+                "parse error at line 3: unterminated IRI",
+            ),
+        ] {
+            let got = parse_sparql(input).unwrap_err().to_string();
+            assert_eq!(got, want, "{input:?}");
+        }
     }
 
     #[test]

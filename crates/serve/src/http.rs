@@ -152,13 +152,21 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
         _ => version == "HTTP/1.1",
     };
-    let content_length = match find("content-length") {
-        None => 0,
-        Some(raw) => raw
-            .trim()
+    // Repeated `Content-Length` headers must agree (RFC 9112 §6.3): a
+    // disagreement is a framing error no later byte can be trusted after.
+    let mut content_length = None;
+    for (_, raw) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let declared = raw
             .parse::<usize>()
-            .map_err(|_| ParseError::BadRequest(format!("bad content-length {raw:?}")))?,
-    };
+            .map_err(|_| ParseError::BadRequest(format!("bad content-length {raw:?}")))?;
+        if content_length.is_some_and(|first| first != declared) {
+            return Err(ParseError::BadRequest(
+                "content-length headers disagree".into(),
+            ));
+        }
+        content_length = Some(declared);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(ParseError::BodyTooLarge);
     }
@@ -354,6 +362,20 @@ mod tests {
             parse(b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 16).unwrap_err(),
             ParseError::BadRequest(_)
         ));
+        assert!(matches!(
+            parse(
+                b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 50\r\n\r\nSELECT",
+                64
+            )
+            .unwrap_err(),
+            ParseError::BadRequest(_)
+        ));
+        let agreeing = parse(
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello",
+            64,
+        )
+        .expect("repeats with one value are accepted");
+        assert_eq!(agreeing.body, b"hello");
         assert!(matches!(parse(b"", 16).unwrap_err(), ParseError::Closed));
         assert!(matches!(
             parse(b"GET / HT", 16).unwrap_err(),

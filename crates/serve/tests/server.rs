@@ -1,6 +1,7 @@
 //! Integration tests driving a real [`sama_serve::Server`] over
 //! loopback sockets: routing, deadline propagation, overload shedding,
-//! slow-loris cuts, injected handler panics, and graceful drain.
+//! slow-loris cuts, injected handler panics, graceful drain, and a soak
+//! that checks threads and descriptors return to their baseline.
 //!
 //! Fault plans and the metrics registry are process-global, so every
 //! test serializes behind one mutex (the same pattern as the fault
@@ -462,4 +463,128 @@ fn drain_finishes_in_flight_queries_and_stops_accepting() {
     assert!(TcpStream::connect(addr).is_err());
 
     install(FaultPlan::none());
+}
+
+/// `(live threads, open descriptors)` of this process, sampled until
+/// three reads 10 ms apart agree — workers of an earlier test, and the
+/// harness's own test threads, may still be starting or exiting.
+#[cfg(target_os = "linux")]
+fn settled_resources() -> (usize, usize) {
+    let entries = |dir: &str| {
+        std::fs::read_dir(format!("/proc/self/{dir}"))
+            .expect("procfs")
+            .count()
+    };
+    let mut last = (entries("task"), entries("fd"));
+    let mut agreed = 0;
+    while agreed < 2 {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = (entries("task"), entries("fd"));
+        agreed = if now == last { agreed + 1 } else { 0 };
+        last = now;
+    }
+    last
+}
+
+/// A few hundred requests through every way a connection can end —
+/// answered, panicked, shed, timed out, refused — leave no thread, no
+/// descriptor and no counted connection behind.
+#[cfg(target_os = "linux")]
+#[test]
+fn resources_return_to_baseline_after_faults() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    install(FaultPlan::none());
+    let active = sama_obs::global().gauge("serve.active_connections");
+    let (threads, fds) = settled_resources();
+    let connections = active.get();
+
+    install(FaultPlan::parse("serve.handler:panic:every=3,serve.read:delay=1").expect("plan"));
+    let config = ServeConfig {
+        max_connections: 16,
+        max_body_bytes: 4096,
+        read_timeout: Duration::from_secs(1),
+        ..ServeConfig::default()
+    };
+    let (addr, handle, join) = start(config.clone());
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    };
+
+    // Three keep-alive clients and one that reconnects per request, at
+    // once. A panicked handler answers 500 and closes its connection.
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                let mut stream = None;
+                for _ in 0..60 {
+                    let s = stream.get_or_insert_with(connect);
+                    s.write_all(post("/query", QUERY, "").as_bytes())
+                        .expect("write");
+                    let reply = read_reply(s);
+                    assert!(matches!(reply.status, 200 | 500), "{}", reply.status);
+                    if reply.header("connection") == Some("close") {
+                        stream = None;
+                    }
+                }
+            });
+        }
+        scope.spawn(|| {
+            for i in 0..120 {
+                let (request, expect): (_, &[u16]) = match i % 10 {
+                    0 => (post("/query", "not sparql", ""), &[400]),
+                    5 => (
+                        post("/batch", &format!("{QUERY};;\n{QUERY}"), ""),
+                        &[200, 500],
+                    ),
+                    _ => (post("/query", QUERY, ""), &[200, 500]),
+                };
+                let status = send(addr, request).status;
+                assert!(expect.contains(&status), "request {i}: {status}");
+            }
+        });
+    });
+
+    // A body over the cap, refused from its declared length.
+    let reply = send(addr, post("/query", &"x".repeat(8192), ""));
+    assert_eq!(reply.status, 413);
+
+    // A slow-loris: half a head, then silence until the server cuts it.
+    let mut loris = connect();
+    loris.write_all(b"POST /query HTT").expect("write");
+    let mut cut = Vec::new();
+    loris.read_to_end(&mut cut).expect("server closes");
+    assert!(cut.starts_with(b"HTTP/1.1 408"));
+    drop(loris);
+
+    // A burst past the cap: idle connections fill every slot, the next
+    // ones are shed.
+    let held: Vec<TcpStream> = (0..config.max_connections).map(|_| connect()).collect();
+    std::thread::sleep(Duration::from_millis(100));
+    let shed = (0..6)
+        .filter(|_| send(addr, post("/query", QUERY, "")).status == 503)
+        .count();
+    assert!(shed >= 1, "nothing shed past max_connections");
+    drop(held);
+
+    install(FaultPlan::none());
+    assert!(drain(&handle, join).is_clean());
+    assert_eq!(active.get(), connections, "serve.active_connections");
+    // A worker frees its slot before its thread is gone: give the last
+    // ones a moment.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let now = settled_resources();
+        if now.0 <= threads && now.1 <= fds {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "(threads, fds) {now:?} did not return to {:?}",
+            (threads, fds)
+        );
+    }
 }

@@ -89,9 +89,7 @@ pub mod bench {
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use graph_match::{BoundedMatcher, DogmaMatcher, Matcher, SapperMatcher, Vf2Matcher};
-    pub use path_index::{
-        ExtractionConfig, IndexLike, PathIndex, ShardedIndex, SynonymProvider, Thesaurus,
-    };
+    pub use path_index::{ExtractionConfig, IndexLike, PathIndex, SynonymProvider, Thesaurus};
     pub use rdf_model::{parse_ntriples, parse_sparql, DataGraph, Graph, QueryGraph, Term, Triple};
     pub use sama_core::{Answer, EngineConfig, QueryResult, SamaEngine, ScoreParams};
 }

@@ -624,6 +624,45 @@ fn helpful_errors() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("unexpected argument"), "{err}");
 
+    // A SPARQL diagnostic names the token as the query wrote it (not
+    // the parser's enum) and the 1-based line it is on.
+    let nt = temp_path("data_diag.nt");
+    let idx = temp_path("index_diag.bin");
+    let rq = temp_path("diag.rq");
+    let _cleanup = Cleanup(vec![nt.clone(), idx.clone(), rq.clone()]);
+    std::fs::write(&nt, DEMO_NT).unwrap();
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for (query, diagnostic) in [
+        (
+            "SELEC ?x WHERE { ?x <sponsor> ?y }\n",
+            "parse error at line 1: expected SELECT, got SELEC",
+        ),
+        (
+            "SELECT ?x\nWHERE {\n  ?x <sponsor> }\n",
+            "parse error at line 3: expected term, got }",
+        ),
+        (
+            "SELECT ?x WHERE\n",
+            "parse error at line 2: expected '{' after WHERE, got end of input",
+        ),
+    ] {
+        std::fs::write(&rq, query).unwrap();
+        let out = sama()
+            .args(["query", idx.to_str().unwrap(), rq.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{query:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {diagnostic}\n"),
+            "{query:?}"
+        );
+    }
+
     // Missing index file.
     let out = sama()
         .args(["stats", "/nonexistent/idx.bin"])
