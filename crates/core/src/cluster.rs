@@ -16,8 +16,7 @@ use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
 use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
-use rdf_model::{EdgeId, FxHashMap, LabelId, NodeId};
-use std::cmp::Ordering;
+use rdf_model::{FxHashMap, LabelId};
 use std::collections::BinaryHeap;
 
 /// How the clustering step picks its retrieval anchor.
@@ -95,7 +94,9 @@ pub struct ClusterConfig {
     /// both memory and the search branching factor.
     pub max_cluster_size: usize,
     /// Align at most this many candidates per cluster (an upstream cap
-    /// for pathological label frequencies).
+    /// for pathological label frequencies). The index hands candidates
+    /// out in path-content order, so the cap keeps the first
+    /// `max_candidates` of them in that order.
     pub max_candidates: usize,
     /// When a query path contains no constant at all (pure variable
     /// path), fall back to scanning every indexed path. Disable to make
@@ -177,12 +178,13 @@ impl ClusterEntry {
 pub struct Cluster {
     /// Index of the query path in `PQ`.
     pub qpath_index: usize,
-    /// Entries sorted ascending by `(λ, path id)` — best first.
+    /// Entries sorted ascending by `(λ, path content)` — best first.
     pub entries: Vec<ClusterEntry>,
     /// Cost of covering this query path with nothing at all (cluster
     /// empty, or deliberate skip): full deletion of the path.
     pub deletion_lambda: f64,
-    /// Candidates dropped by [`ClusterConfig::max_candidates`].
+    /// Candidates dropped by [`ClusterConfig::max_candidates`] or left
+    /// unscored by an expired budget.
     pub candidates_dropped: usize,
     /// Candidates the index retrieved before any cap — the cluster's
     /// contribution to the paper's `I` (Figure 7a's x-axis).
@@ -190,6 +192,12 @@ pub struct Cluster {
     /// Candidates the [`Retrieval::Lsh`] tier pruned before alignment
     /// (0 under [`Retrieval::Exact`] or when the tier fell back).
     pub lsh_pruned: usize,
+    /// Candidates the fill scored. Fewer than it was given when the
+    /// budget expired, or when it stopped early: once
+    /// [`ClusterConfig::max_cluster_size`] entries sit at λ = 0, no later
+    /// candidate can enter, and those passed over are neither dropped
+    /// nor a truncation.
+    pub scanned: usize,
     /// Alignments computed to score the candidates: one per candidate
     /// of a cluster that fits in [`ClusterConfig::max_cluster_size`],
     /// one per *distinguishable* candidate of a streamed one (see
@@ -264,6 +272,7 @@ pub fn build_clusters_budgeted<I: IndexLike>(
                     candidates_dropped: 0,
                     candidates_retrieved: 0,
                     lsh_pruned: 0,
+                    scanned: 0,
                     alignments_computed: 0,
                     tier: ClusterTier::Exact,
                 };
@@ -303,19 +312,27 @@ fn build_cluster<I: IndexLike>(
     };
 
     let align_span = sama_obs::span!("cluster.align_ns");
-    // At most `max_cluster_size` entries come back, so sorting is all
-    // that is left to do.
-    let cap = config.max_cluster_size;
-    let (mut entries, scored, computed) =
-        fill_chunk(q, index, considered, params, mode, cap, budget);
-    dropped += considered.len() - scored;
-    entries.sort_by(|x, y| entry_cmp(index, x, y));
+    let fill = fill_chunk(
+        q,
+        index,
+        considered,
+        params,
+        mode,
+        config.max_cluster_size,
+        budget,
+    );
+    dropped += fill.unscored;
+    // At most `max_cluster_size` entries come back, in candidate order —
+    // path-content order — so a stable sort by λ puts them in
+    // `(λ, path content)` order.
+    let mut entries = fill.entries;
+    entries.sort_by(|x, y| x.lambda().total_cmp(&y.lambda()));
     drop(align_span);
 
     sama_obs::counter_add("cluster.builds_total", 1);
     sama_obs::counter_add("cluster.candidates_retrieved_total", retrieved as u64);
     sama_obs::counter_add("cluster.candidates_dropped_total", dropped as u64);
-    sama_obs::counter_add("cluster.alignments_computed_total", computed as u64);
+    sama_obs::counter_add("cluster.alignments_computed_total", fill.computed as u64);
 
     Cluster {
         qpath_index: q.index,
@@ -324,7 +341,8 @@ fn build_cluster<I: IndexLike>(
         candidates_dropped: dropped,
         candidates_retrieved: retrieved,
         lsh_pruned,
-        alignments_computed: computed,
+        scanned: fill.scanned,
+        alignments_computed: fill.computed,
         tier: if lsh_pruned > 0 {
             ClusterTier::Lsh
         } else {
@@ -340,8 +358,8 @@ fn build_cluster<I: IndexLike>(
 /// intersected with `exact`), so downstream answers are always a
 /// subset-or-equal of the exact run's — and when the scan already fits
 /// in `top_m` it is returned untouched, making the two retrieval modes
-/// bit-identical there. Returns the (still ascending-sorted) candidate
-/// list plus the number of paths pruned.
+/// bit-identical there. Returns the surviving candidates, still in the
+/// exact scan's path-content order, plus the number of paths pruned.
 fn lsh_filter<I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
@@ -369,12 +387,14 @@ fn lsh_filter<I: IndexLike + ?Sized>(
     let probe_span = sama_obs::span!("cluster.lsh_probe_ns");
     let collisions = index.lsh_probe(&signature);
     drop(probe_span);
-    // Retrieval results are sorted ascending (postings order), so the
-    // intersection is a binary search per collision.
-    debug_assert!(exact.windows(2).all(|w| w[0] < w[1]));
+    // Intersect through a bitset over path ids: first with the exact
+    // scan, then — holding the `top_m` winners — back over it, so the
+    // survivors keep its order.
+    let mut marked = PathSet::new(index.total_paths());
+    exact.iter().for_each(|&p| marked.insert(p));
     let mut viable: Vec<LshCandidate> = collisions
         .into_iter()
-        .filter(|c| exact.binary_search(&c.path).is_ok())
+        .filter(|c| marked.contains(c.path))
         .collect();
     sama_obs::observe("cluster.lsh_candidates", viable.len() as u64);
     if viable.len() < LSH_MIN_CANDIDATES.min(top_m) {
@@ -383,10 +403,36 @@ fn lsh_filter<I: IndexLike + ?Sized>(
     }
     viable.sort_by(|a, b| b.matches.cmp(&a.matches).then(a.path.cmp(&b.path)));
     viable.truncate(top_m);
-    let mut kept: Vec<PathId> = viable.into_iter().map(|c| c.path).collect();
-    kept.sort_unstable();
+    marked.clear();
+    viable.iter().for_each(|c| marked.insert(c.path));
+    let kept: Vec<PathId> = exact
+        .iter()
+        .copied()
+        .filter(|&p| marked.contains(p))
+        .collect();
     let pruned = exact.len() - kept.len();
     (kept, pruned)
+}
+
+/// A set of path ids, one bit per id of the index.
+struct PathSet(Vec<u64>);
+
+impl PathSet {
+    fn new(paths: usize) -> Self {
+        PathSet(vec![0; paths.div_ceil(64)])
+    }
+
+    fn insert(&mut self, p: PathId) {
+        self.0[p.index() / 64] |= 1 << (p.index() % 64);
+    }
+
+    fn contains(&self, p: PathId) -> bool {
+        self.0[p.index() / 64] >> (p.index() % 64) & 1 == 1
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
 }
 
 /// MinHash shingles of a *query* path: every accepted data label of
@@ -424,34 +470,37 @@ fn query_shingles(q: &QueryPath) -> Vec<u64> {
     shingles
 }
 
-/// λ first; ties broken by the path's *content* (its node/edge id
-/// sequences in the shared data graph), not by the path id — path ids
-/// are build-specific (an index rebuilt after an update numbers them
-/// differently), and `max_cluster_size` truncation must keep the same
-/// entry set everywhere for answers to be score-identical.
-fn entry_cmp<I: IndexLike + ?Sized>(index: &I, x: &ClusterEntry, y: &ClusterEntry) -> Ordering {
-    x.lambda().total_cmp(&y.lambda()).then_with(|| {
-        index
-            .path_nodes(x.path_id)
-            .cmp(index.path_nodes(y.path_id))
-            .then_with(|| index.path_edges(x.path_id).cmp(index.path_edges(y.path_id)))
-    })
+/// What one run of [`fill_chunk`] did.
+struct Fill {
+    /// The entries that make the cut, fully aligned, in candidate order.
+    entries: Vec<ClusterEntry>,
+    /// Candidates scored ([`Cluster::scanned`]).
+    scanned: usize,
+    /// Candidates an expired budget left unscored; 0 when the fill ran
+    /// to the end of the chunk or stopped at λ = 0.
+    unscored: usize,
+    /// Alignments the scoring computed.
+    computed: usize,
 }
 
-/// The cluster-fill kernel: the entries of `chunk` that can make a
-/// `cap`-entry cut under [`entry_cmp`], fully aligned and in candidate
-/// order, plus how many candidates were scored before `budget` ran out
-/// (polled every [`ALIGN_CHECK_INTERVAL`]-th candidate, the first
-/// included; the rest of the chunk is skipped) and how many alignments
-/// that scoring computed.
+/// The cluster-fill kernel: the entries of `chunk` that make the
+/// `cap`-entry cut of a stable sort by λ. `chunk` is in path-content
+/// order (every [`IndexLike`] list is), so candidate position *is* the
+/// content tie-break: the cut is the paper's `(λ, path content)` one,
+/// the same entry set whatever the path ids — an index rebuilt after an
+/// update numbers its paths differently.
+///
+/// `budget` is polled every [`ALIGN_CHECK_INTERVAL`]-th candidate, the
+/// first included; on expiry the rest of the chunk is skipped.
 ///
 /// A chunk that fits in `cap` is simply aligned. A longer one is
 /// streamed: each candidate is scored through a [`LambdaMemo`] (the
 /// λ of [`align_lambda`], computed once per distinguishable candidate)
-/// and offered to a `cap`-bounded max-heap ordered like the caller's
-/// stable sort — λ, then path content, then candidate position. A
-/// candidate whose λ alone is worse than the heap's worst never touches
-/// its path content. Only the survivors get the full [`align`].
+/// and offered to a `cap`-bounded max-heap of `(λ, position)`. A tie
+/// with the heap's worst loses — it comes later — so λ alone decides,
+/// and no path content is read. Once the heap is full at λ = 0 nothing
+/// later can enter ([`lambda_floor_is_zero`]) and the scan stops. Only
+/// the survivors get the full [`align`].
 ///
 /// Kept out of line: inlined into [`build_cluster`], its one caller, the
 /// streaming loop ran ≈5% slower on the ledger's `lubm_mix` (six of six
@@ -465,7 +514,7 @@ fn fill_chunk<I: IndexLike + ?Sized>(
     mode: AlignmentMode,
     cap: usize,
     budget: &QueryBudget,
-) -> (Vec<ClusterEntry>, usize, usize) {
+) -> Fill {
     let entry = |pid| ClusterEntry {
         path_id: pid,
         alignment: align(q, index.labels(pid), params, mode),
@@ -479,41 +528,65 @@ fn fill_chunk<I: IndexLike + ?Sized>(
             }
             entries.push(entry(pid));
         }
-        let scored = entries.len();
-        return (entries, scored, scored);
+        let scanned = entries.len();
+        return Fill {
+            entries,
+            scanned,
+            unscored: chunk.len() - scanned,
+            computed: scanned,
+        };
     }
-    let key = |lambda, position, pid| FillKey {
-        lambda,
-        nodes: index.path_nodes(pid),
-        edges: index.path_edges(pid),
-        position,
-    };
+    let floor = lambda_floor_is_zero(q, params).then(|| total_order_key(0.0));
     let mut memo = LambdaMemo::new(q, index, params, mode);
-    let mut best = BinaryHeap::with_capacity(cap);
-    let mut scored = 0;
+    let mut best: BinaryHeap<(i64, usize)> = BinaryHeap::with_capacity(cap);
+    let mut scanned = 0;
+    let mut unscored = 0;
     for (position, &pid) in chunk.iter().enumerate() {
         if expired(position) {
+            unscored = chunk.len() - position;
             break;
         }
-        scored += 1;
+        scanned += 1;
         let lambda = total_order_key(memo.lambda(pid));
         if best.len() < cap {
-            best.push(key(lambda, position, pid));
-        } else if best.peek().is_some_and(|worst| lambda <= worst.lambda) {
-            // λ alone rejects most candidates, before any path content
-            // is read. (No worst at all: `cap` is 0, nothing is kept.)
-            let candidate = key(lambda, position, pid);
-            if let Some(mut worst) = best.peek_mut() {
-                if candidate < *worst {
-                    *worst = candidate;
-                }
-            }
+            best.push((lambda, position));
+        } else if best.peek().is_some_and(|&(worst, _)| lambda < worst) {
+            *best.peek_mut().expect("the heap is full") = (lambda, position);
+        } else {
+            // Not better than the worst, or `cap` is 0: nothing changed.
+            continue;
+        }
+        // (A `None` floor is below every `Some`: no stop.)
+        if best.len() == cap && best.peek().is_some_and(|&(worst, _)| Some(worst) <= floor) {
+            break;
         }
     }
-    let mut survivors: Vec<usize> = best.into_iter().map(|key| key.position).collect();
+    let mut survivors: Vec<usize> = best.into_iter().map(|(_, position)| position).collect();
     survivors.sort_unstable();
-    let entries = survivors.into_iter().map(|position| entry(chunk[position]));
-    (entries.collect(), scored, memo.computed)
+    Fill {
+        entries: survivors
+            .into_iter()
+            .map(|position| entry(chunk[position]))
+            .collect(),
+        scanned,
+        unscored,
+        computed: memo.computed,
+    }
+}
+
+/// `true` when no candidate can score below λ = 0 against `q`, so a fill
+/// whose heap is full at λ = 0 may stop: λ (Eq. 1) sums products of the
+/// cost parameters, the query path's IC weights and operation counts,
+/// and here none of them is negative. (A `-0.0` parameter can only make
+/// λ `-0.0` when all six are, and then for every candidate alike.)
+/// `SamaEngine::with_params` asserts [`ScoreParams::is_valid`] and IC
+/// weights are never negative, so every engine query qualifies.
+fn lambda_floor_is_zero(q: &QueryPath, params: &ScoreParams) -> bool {
+    let mut weights = [&q.node_weights, &q.edge_weights]
+        .into_iter()
+        .flatten()
+        .flat_map(|weights| weights.iter());
+    params.is_valid() && weights.all(|w| w.is_finite() && *w >= 0.0)
 }
 
 /// The streaming fill's scorer on its own: the λ it gives each of
@@ -648,18 +721,6 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
         }
         Some(bits)
     }
-}
-
-/// What [`fill_chunk`]'s bounded selection orders candidates by: field
-/// order is comparison order, and it is [`entry_cmp`] followed by the
-/// candidate position a stable sort would fall back on.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct FillKey<'a> {
-    /// [`total_order_key`] of the candidate's λ.
-    lambda: i64,
-    nodes: &'a [NodeId],
-    edges: &'a [EdgeId],
-    position: usize,
 }
 
 /// The paper's retrieval rule, extended into a cascade so approximate

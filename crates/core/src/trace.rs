@@ -79,7 +79,11 @@ pub struct TraceCluster {
     /// Candidates actually aligned (`retrieved` minus the
     /// `max_candidates` cap and any LSH pruning).
     pub aligned: usize,
-    /// Alignments computed to score the `aligned` candidates: the
+    /// Candidates scored before the fill stopped (`Cluster::scanned`):
+    /// `aligned`, unless `max_cluster_size` entries at λ = 0 ended the
+    /// scan early.
+    pub scanned: usize,
+    /// Alignments computed to score the `scanned` candidates: the
     /// streaming fill computes one per distinguishable candidate
     /// (`Cluster::alignments_computed`), so this is the scoring the
     /// query actually did.
@@ -172,6 +176,7 @@ impl ExplainTrace {
                 qpath_index: c.qpath_index,
                 retrieved: c.candidates_retrieved,
                 aligned: c.candidates_retrieved - c.candidates_dropped - c.lsh_pruned,
+                scanned: c.scanned,
                 alignments: c.alignments_computed,
                 kept: c.entries.len(),
                 dropped: c.candidates_dropped,
@@ -249,11 +254,13 @@ impl ExplainTrace {
             }
             let _ = write!(
                 out,
-                "{{\"qpath\":{},\"retrieved\":{},\"aligned\":{},\"alignments\":{},\
-                 \"kept\":{},\"dropped\":{},\"best_lambda\":{},\"tier\":\"{}\"}}",
+                "{{\"qpath\":{},\"retrieved\":{},\"aligned\":{},\"scanned\":{},\
+                 \"alignments\":{},\"kept\":{},\"dropped\":{},\"best_lambda\":{},\
+                 \"tier\":\"{}\"}}",
                 c.qpath_index,
                 c.retrieved,
                 c.aligned,
+                c.scanned,
                 c.alignments,
                 c.kept,
                 c.dropped,

@@ -9,8 +9,9 @@
 //! * A cluster is exactly what the paper's plain recipe gives — align
 //!   every candidate, stable-sort by (λ, path content), truncate to
 //!   `max_cluster_size` — whichever way the streaming kernel got there:
-//!   any cap, threads or not, a budget cancelled half-way, any index
-//!   kind.
+//!   any cap, a budget cancelled half-way, any index kind; and the
+//!   kernel reads candidates exactly up to where the recipe says no
+//!   later one can make the cut.
 
 mod support;
 
@@ -19,10 +20,11 @@ use path_index::{
 };
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Triple};
+use sama_core::cluster::ALIGN_CHECK_INTERVAL;
 use sama_core::{
     align, align_lambda, apply_ic_weights, build_clusters_budgeted, decompose_query,
-    memoised_lambdas, widen_with_synonyms, AlignmentMode, CancelToken, ClusterConfig, ClusterEntry,
-    QueryBudget, QueryPath, ScoreParams,
+    memoised_lambdas, widen_with_synonyms, AlignmentMode, CancelToken, Cluster, ClusterConfig,
+    ClusterEntry, QueryBudget, QueryPath, ScoreParams,
 };
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -261,8 +263,8 @@ fn paths_too_long_for_the_packed_key_are_scored_directly() {
 /// from four hub sponsors (a hundred of them exact answers), 200 direct
 /// sponsorships `S-sponsor-B-subject-HC`, and 404 `X-gender-Male`
 /// stubs. Each hub's sponsor edges are inserted towards *descending*
-/// amendment ids, so candidate (path id) order is not content order
-/// and ties really are decided by content.
+/// amendment ids, so path id order is not content order and ties
+/// really are decided by content.
 fn tie_data() -> DataGraph {
     let mut b = DataGraph::builder();
     for i in 0..400 {
@@ -289,22 +291,31 @@ fn tie_data() -> DataGraph {
     b.build()
 }
 
-fn tie_query() -> QueryGraph {
+/// `H2-sponsor-?v1-aTo-?v2-subject-<sink>`. With the sink `"HC"` the
+/// hundred `H2` chains are exact answers, so a small cap fills at λ = 0
+/// and the fill stops early; no data path ends in `"Finance"`, so
+/// against that sink every λ stays above 0 and a cancel lands mid-fill
+/// whatever the cap.
+fn tie_query(sink: &str) -> QueryGraph {
     let mut b = QueryGraph::builder();
     b.triple_str("H2", "sponsor", "?v1").unwrap();
     b.triple_str("?v1", "aTo", "?v2").unwrap();
-    b.triple_str("?v2", "subject", "\"HC\"").unwrap();
+    b.triple_str("?v2", "subject", sink).unwrap();
     b.build()
 }
 
-/// The plain recipe, sharing nothing with the kernel but `align`.
+/// The plain recipe, sharing nothing with the kernel but `align`: the
+/// entries of `candidates` sorted by (λ, path content) and truncated to
+/// `cap`, and how many of them a fill must read — in content order, a
+/// list longer than `cap` up to its `cap`-th λ = 0 candidate (nothing
+/// after it can make the cut), any other list to its end.
 fn reference<I: IndexLike>(
     q: &QueryPath,
     index: &I,
     candidates: &[PathId],
     mode: AlignmentMode,
     cap: usize,
-) -> Vec<ClusterEntry> {
+) -> (Vec<ClusterEntry>, usize) {
     let mut entries: Vec<ClusterEntry> = candidates
         .iter()
         .map(|&pid| ClusterEntry {
@@ -312,13 +323,74 @@ fn reference<I: IndexLike>(
             alignment: align(q, index.labels(pid), &ScoreParams::paper(), mode),
         })
         .collect();
+    let mut zeros = (0..entries.len()).filter(|&i| entries[i].lambda() == 0.0);
+    let stop = (cap > 0 && candidates.len() > cap).then(|| zeros.nth(cap - 1));
+    let scanned = stop.flatten().map_or(candidates.len(), |last| last + 1);
     entries.sort_by(|x, y| {
         (x.lambda().total_cmp(&y.lambda()))
             .then_with(|| index.path_nodes(x.path_id).cmp(index.path_nodes(y.path_id)))
             .then_with(|| index.path_edges(x.path_id).cmp(index.path_edges(y.path_id)))
     });
     entries.truncate(cap);
-    entries
+    (entries, scanned)
+}
+
+/// The query's one path, plain and IC-weighted.
+fn query_paths<I: IndexLike>(index: &I, sink: &str) -> [(Vec<QueryPath>, bool); 2] {
+    let plain = decompose_query(
+        &tie_query(sink),
+        index.data().vocab(),
+        &NoSynonyms,
+        &ExtractionConfig::default(),
+    );
+    assert_eq!(plain.len(), 1, "one query path, one cluster");
+    let mut weighted = plain.clone();
+    let table = index.ic_table().expect("every index kind tallies IC");
+    apply_ic_weights(&mut weighted, index.data().vocab(), &table);
+    [(plain, false), (weighted, true)]
+}
+
+/// Fill `qpaths`' cluster over every path of `tripwire`, its token
+/// cancelled during `labels` call `trip_at` when one is given.
+fn fill(
+    tripwire: &mut Probe<impl IndexLike>,
+    qpaths: &[QueryPath],
+    mode: AlignmentMode,
+    cap: usize,
+    trip_at: Option<usize>,
+) -> (Cluster, QueryBudget) {
+    tripwire.labels_calls = AtomicUsize::new(0);
+    tripwire.token = CancelToken::new();
+    tripwire.trip_at = trip_at.unwrap_or(usize::MAX);
+    let budget = match trip_at {
+        Some(_) => QueryBudget::unlimited().cancelled_by(Arc::clone(&tripwire.token)),
+        None => QueryBudget::unlimited(),
+    };
+    let mut clusters = build_clusters_budgeted(
+        qpaths,
+        &*tripwire,
+        &NoSynonyms,
+        &ScoreParams::paper(),
+        mode,
+        &ClusterConfig {
+            exhaustive: true,
+            max_cluster_size: cap,
+            ..Default::default()
+        },
+        &budget,
+    );
+    (clusters.pop().expect("one cluster"), budget)
+}
+
+fn assert_entries_equal(what: &str, got: &[ClusterEntry], want: &[ClusterEntry]) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (rank, (g, w)) in got.iter().zip(want).enumerate() {
+        let what = format!("{what} rank={rank}");
+        assert_eq!(g.path_id, w.path_id, "{what}");
+        assert_eq!(g.lambda().to_bits(), w.lambda().to_bits(), "{what}");
+        assert_eq!(g.alignment.counts, w.alignment.counts, "{what}");
+        assert_eq!(g.alignment.bindings, w.alignment.bindings, "{what}");
+    }
 }
 
 /// Every combination of cap × mode × IC weights × cancellation
@@ -330,70 +402,49 @@ fn check_kind<I: IndexLike>(kind: &str, index: I) {
         len > 3 * 256,
         "{kind}: need several budget polls, got {len} paths"
     );
-    let plain = decompose_query(
-        &tie_query(),
-        index.data().vocab(),
-        &NoSynonyms,
-        &ExtractionConfig::default(),
-    );
-    assert_eq!(plain.len(), 1, "one query path, one cluster");
-    let mut weighted = plain.clone();
-    let table = index.ic_table().expect("every index kind tallies IC");
-    apply_ic_weights(&mut weighted, index.data().vocab(), &table);
     // Cancelled while candidate 299 is scored; noticed at the next poll.
     let trip_at = 300;
     let polled_out_at = 512;
 
+    let mut stopped_early = 0;
+    let cases = [
+        ("\"HC\"", query_paths(&index, "\"HC\""), &[false][..]),
+        (
+            "\"Finance\"",
+            query_paths(&index, "\"Finance\""),
+            &[false, true],
+        ),
+    ];
     let mut tripwire = Probe::new(index);
-    for (qpaths, ic) in [(&plain, false), (&weighted, true)] {
-        for mode in MODES {
-            for cap in [0, 1, len - 1, len, len + 1] {
-                for cancel in [false, true] {
-                    let what = format!("{kind} ic={ic} {mode:?} cap={cap} cancel={cancel}");
-                    tripwire.labels_calls = AtomicUsize::new(0);
-                    tripwire.token = CancelToken::new();
-                    tripwire.trip_at = if cancel { trip_at } else { usize::MAX };
-                    let budget = if cancel {
-                        QueryBudget::unlimited().cancelled_by(Arc::clone(&tripwire.token))
-                    } else {
-                        QueryBudget::unlimited()
-                    };
-                    let clusters = build_clusters_budgeted(
-                        qpaths,
-                        &tripwire,
-                        &NoSynonyms,
-                        &ScoreParams::paper(),
-                        mode,
-                        &ClusterConfig {
-                            exhaustive: true,
-                            max_cluster_size: cap,
-                            ..Default::default()
-                        },
-                        &budget,
-                    );
-                    let scored = if cancel { polled_out_at } else { len };
-                    let want = reference(
-                        &qpaths[0],
-                        &tripwire.inner,
-                        &candidates[..scored],
-                        mode,
-                        cap,
-                    );
-                    let got = &clusters[0];
-                    assert_eq!(got.candidates_retrieved, len, "{what}");
-                    assert_eq!(got.candidates_dropped, len - scored, "{what}");
-                    assert_eq!(got.entries.len(), want.len(), "{what}");
-                    for (rank, (g, w)) in got.entries.iter().zip(&want).enumerate() {
-                        let what = format!("{what} rank={rank}");
-                        assert_eq!(g.path_id, w.path_id, "{what}");
-                        assert_eq!(g.lambda().to_bits(), w.lambda().to_bits(), "{what}");
-                        assert_eq!(g.alignment.counts, w.alignment.counts, "{what}");
-                        assert_eq!(g.alignment.bindings, w.alignment.bindings, "{what}");
+    for (sink, queries, cancels) in &cases {
+        for (qpaths, ic) in queries {
+            for mode in MODES {
+                for cap in [0, 1, len - 1, len, len + 1] {
+                    for &cancel in *cancels {
+                        let what =
+                            format!("{kind} {sink} ic={ic} {mode:?} cap={cap} cancel={cancel}");
+                        let (got, _) =
+                            fill(&mut tripwire, qpaths, mode, cap, cancel.then_some(trip_at));
+                        let scored = if cancel { polled_out_at } else { len };
+                        let (want, scanned) = reference(
+                            &qpaths[0],
+                            &tripwire.inner,
+                            &candidates[..scored],
+                            mode,
+                            cap,
+                        );
+                        assert_eq!(got.candidates_retrieved, len, "{what}");
+                        assert_eq!(got.candidates_dropped, len - scored, "{what}");
+                        assert_eq!(got.scanned, scanned, "{what}");
+                        stopped_early += usize::from(scanned < scored);
+                        assert_entries_equal(&what, &got.entries, &want);
                     }
                 }
             }
         }
     }
+    // cap = 1 stops at the first H2 chain: plain and weighted, both modes.
+    assert_eq!(stopped_early, 4, "{kind}");
 }
 
 #[test]
@@ -408,4 +459,62 @@ fn fill_equals_align_sort_truncate_on_a_mapped_index() {
         "MappedIndex",
         MappedIndex::from_bytes(&bytes).expect("opens"),
     );
+}
+
+/// Query weights are public, and a caller may price a position below
+/// zero. Then a heap full at λ = 0 is no floor: against `H3`, the first
+/// source in content order, the H3 chains come first at λ = 0, and every
+/// later chain, mismatching the source at weight −1, beats them.
+#[test]
+fn a_negative_weight_keeps_the_fill_reading() {
+    let index = PathIndex::build(tie_data());
+    let candidates = index.all_path_ids();
+    let mut b = QueryGraph::builder();
+    b.triple_str("H3", "sponsor", "?v1").unwrap();
+    b.triple_str("?v1", "aTo", "?v2").unwrap();
+    b.triple_str("?v2", "subject", "\"HC\"").unwrap();
+    let mut qpaths = decompose_query(
+        &b.build(),
+        index.graph().vocab(),
+        &NoSynonyms,
+        &ExtractionConfig::default(),
+    );
+    qpaths[0].node_weights = Some(vec![-1.0, 1.0, 1.0, 1.0].into());
+    let mut tripwire = Probe::new(index);
+    for mode in MODES {
+        let (got, _) = fill(&mut tripwire, &qpaths, mode, 1, None);
+        let (want, scanned) = reference(&qpaths[0], &tripwire.inner, &candidates, mode, 1);
+        assert!(want[0].lambda() < 0.0, "{mode:?}");
+        assert_eq!(scanned, 1, "{mode:?}: the reference's zero rule would stop");
+        assert_eq!(got.scanned, candidates.len(), "{mode:?}");
+        assert_entries_equal(&format!("{mode:?}"), &got.entries, &want);
+    }
+}
+
+/// The token trips while candidate 1 is scored, after the first poll;
+/// the next poll is due at candidate 256. A fill that reaches `cap`
+/// entries at λ = 0 before then stops with its cluster complete: not a
+/// candidate dropped, so nothing for `QueryResult::truncated` to flag
+/// on the clustering side, though the budget has expired.
+#[test]
+fn a_stop_that_beats_a_tripped_budget_leaves_a_complete_cluster() {
+    let index = PathIndex::build(tie_data());
+    let candidates = index.all_path_ids();
+    let cases = query_paths(&index, "\"HC\"");
+    let mut tripwire = Probe::new(index);
+    for (qpaths, ic) in &cases {
+        for mode in MODES {
+            for cap in [1, 100] {
+                let what = format!("ic={ic} {mode:?} cap={cap}");
+                let (got, budget) = fill(&mut tripwire, qpaths, mode, cap, Some(2));
+                assert!(budget.exceeded().is_some(), "{what}: the token tripped");
+                let (want, scanned) =
+                    reference(&qpaths[0], &tripwire.inner, &candidates, mode, cap);
+                assert!(scanned < ALIGN_CHECK_INTERVAL, "{what}: {scanned}");
+                assert_eq!(got.scanned, scanned, "{what}");
+                assert_eq!(got.candidates_dropped, 0, "{what}");
+                assert_entries_equal(&what, &got.entries, &want);
+            }
+        }
+    }
 }

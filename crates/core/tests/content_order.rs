@@ -1,0 +1,174 @@
+//! The content-order contract of `IndexLike`: every candidate list an
+//! index hands out — sink and label postings, synonym unions of them,
+//! `all_path_ids`, and what the LSH tier leaves of a list — is strictly
+//! increasing in `(path_nodes, path_edges)`, for the built index, the
+//! mapped one and a wrapper forwarding to either. The cluster fill
+//! breaks λ ties by candidate position and stops once its heap is full
+//! at λ = 0; both are right only in this order.
+
+mod support;
+
+use path_index::{
+    build_lsh_bytes, encode_v2, IndexLike, LshParams, LshSidecar, MappedIndex, NoSynonyms, PathId,
+    PathIndex, SynonymProvider, Thesaurus,
+};
+use proptest::prelude::*;
+use rdf_model::{DataGraph, QueryGraph, Term, Triple};
+use sama_core::{
+    build_clusters, decompose_query, AlignmentMode, ClusterConfig, Retrieval, ScoreParams,
+};
+use std::collections::BTreeSet;
+use support::{arb_dag_triples, Probe};
+
+const LSH: LshParams = LshParams { bands: 8, rows: 2 };
+
+fn assert_content_order<I: IndexLike + ?Sized>(what: &str, index: &I, ids: &[PathId]) {
+    for pair in ids.windows(2) {
+        let [a, b] = [pair[0], pair[1]].map(|p| (index.path_nodes(p), index.path_edges(p)));
+        assert!(a < b, "{what}: {} before {}", pair[0], pair[1]);
+    }
+}
+
+/// `n0`/`n1`/`n2` and `p0`/`p1` stand for one another, so a lookup
+/// through them unions several posting lists.
+fn thesaurus() -> Thesaurus {
+    let mut t = Thesaurus::new();
+    t.group(["n0", "n1", "n2"]);
+    t.group(["p0", "p1"]);
+    t
+}
+
+/// `all_path_ids` lists every path once, and each lookup — alone and
+/// through the thesaurus — is in content order; a union holds exactly
+/// the paths of the lists it merges.
+fn check_lookups<I: IndexLike>(kind: &str, index: &I) {
+    let all = index.all_path_ids();
+    assert_eq!(all.len(), index.total_paths(), "{kind}");
+    assert_content_order(&format!("{kind} all_path_ids"), index, &all);
+    let thesaurus = thesaurus();
+    let lookup = |sink: bool, lexical: &str, synonyms: &dyn SynonymProvider| match sink {
+        true => index.sink_matching(lexical, synonyms),
+        false => index.label_matching(lexical, synonyms),
+    };
+    for (_, _, lexical) in index.data().vocab().iter() {
+        for (name, sink) in [("sink", true), ("label", false)] {
+            let what = format!("{kind} {name} {lexical}");
+            let alone = lookup(sink, lexical, &NoSynonyms);
+            assert_content_order(&what, index, &alone);
+            let union = lookup(sink, lexical, &thesaurus);
+            assert_content_order(&format!("{what} + synonyms"), index, &union);
+            let mut merged: BTreeSet<PathId> = alone.into_iter().collect();
+            for synonym in thesaurus.synonyms(lexical) {
+                merged.extend(lookup(sink, &synonym, &NoSynonyms));
+            }
+            assert_eq!(union.into_iter().collect::<BTreeSet<_>>(), merged, "{what}");
+        }
+    }
+}
+
+/// For the one-pattern query `?v p o` of each `(p, o)` of `data`, the
+/// list the LSH tier leaves to the fill, read back through the probe's
+/// `labels` log (a cluster that fits its cap reads each candidate once,
+/// in order). Returns how many of the lists were pruned.
+fn check_lsh_lists<I: IndexLike>(kind: &str, probe: &Probe<I>, data: &[Triple]) -> usize {
+    let config = ClusterConfig {
+        retrieval: Retrieval::Lsh {
+            bands: LSH.bands,
+            rows: LSH.rows,
+            top_m: 2,
+        },
+        // Every list fits: none is streamed.
+        max_cluster_size: 1 << 20,
+        ..Default::default()
+    };
+    let mut pruned = 0;
+    for triple in data {
+        let pattern = Triple {
+            subject: Term::var("v"),
+            ..triple.clone()
+        };
+        let query = QueryGraph::from_triples(&[pattern]).expect("one pattern");
+        let qpaths = decompose_query(
+            &query,
+            probe.inner.data().vocab(),
+            &NoSynonyms,
+            &Default::default(),
+        );
+        probe.labels_read.lock().expect("unpoisoned").clear();
+        let clusters = build_clusters(
+            &qpaths,
+            probe,
+            &NoSynonyms,
+            &ScoreParams::paper(),
+            AlignmentMode::Greedy,
+            &config,
+        );
+        let read = std::mem::take(&mut *probe.labels_read.lock().expect("unpoisoned"));
+        let cluster = &clusters[0];
+        assert_eq!(read.len(), cluster.scanned, "{kind} {triple}");
+        assert_content_order(&format!("{kind} lsh {triple}"), probe, &read);
+        pruned += usize::from(cluster.lsh_pruned > 0);
+    }
+    pruned
+}
+
+/// The built index with an LSH tier, and its image mapped with one.
+fn both_kinds(data: DataGraph) -> (PathIndex, MappedIndex) {
+    let mut owned = PathIndex::build(data);
+    owned.build_lsh(LSH).expect("signs");
+    let mut mapped = MappedIndex::from_bytes(&encode_v2(&owned).expect("encodes")).expect("opens");
+    let sidecar = LshSidecar::from_bytes(&build_lsh_bytes(&owned, LSH).expect("signs"));
+    mapped
+        .attach_lsh(sidecar.expect("opens"))
+        .expect("same paths");
+    (owned, mapped)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_candidate_list_is_in_content_order(data in arb_dag_triples(8, 14)) {
+        let (owned, mapped) = both_kinds(DataGraph::from_triples(&data).expect("ground"));
+        check_lookups("PathIndex", &owned);
+        check_lookups("MappedIndex", &mapped);
+        assert_eq!(owned.all_path_ids(), mapped.all_path_ids());
+        let probe = Probe::new(owned);
+        check_lookups("Probe<PathIndex>", &probe);
+        check_lsh_lists("Probe<PathIndex>", &probe, &data);
+        let probe = Probe::new(mapped);
+        check_lookups("Probe<MappedIndex>", &probe);
+        check_lsh_lists("Probe<MappedIndex>", &probe, &data);
+    }
+}
+
+/// 64 chains from one hub sponsor, its sponsor edges inserted towards
+/// descending amendment ids: extraction walks them in that order, so
+/// path ids run against content order, and the query's sink retrieves
+/// all 64 — enough for the LSH tier to prune.
+#[test]
+fn the_lsh_tier_keeps_content_order_when_it_prunes() {
+    let mut b = DataGraph::builder();
+    for i in 0..64 {
+        b.triple_str(&format!("A{i}"), "aTo", &format!("B{}", i % 8))
+            .unwrap();
+    }
+    for j in 0..8 {
+        b.triple_str(&format!("B{j}"), "subject", "\"HC\"").unwrap();
+    }
+    for i in (0..64).rev() {
+        b.triple_str("H", "sponsor", &format!("A{i}")).unwrap();
+    }
+    let data = [
+        Triple::parse("B0", "subject", "\"HC\""),
+        Triple::parse("A3", "aTo", "B3"),
+    ];
+    let (owned, mapped) = both_kinds(b.build());
+    let ids = owned.all_path_ids();
+    assert!(
+        ids.windows(2).all(|w| w[0] > w[1]),
+        "path ids run against content order"
+    );
+    assert!(check_lsh_lists("Probe<PathIndex>", &Probe::new(owned), &data) > 0);
+    assert!(check_lsh_lists("Probe<MappedIndex>", &Probe::new(mapped), &data) > 0);
+}

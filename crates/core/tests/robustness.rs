@@ -377,8 +377,11 @@ fn relaxed_under_tripwire(
 fn cancel_during_the_first_fill_skips_the_relaxation() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::install(FaultPlan::none());
-    // Four entries kept of the 256 scored: thin enough to relax.
-    let (result, labels_calls, fills) = relaxed_under_tripwire("gender", "\"Male\"", 4);
+    // Four entries kept of the 256 scored: thin enough to relax. "M" is
+    // not in the data, so the fill anchors on `gender` and every
+    // candidate mismatches the sink — no λ = 0 entry ends the scan
+    // before the cancel is noticed.
+    let (result, labels_calls, fills) = relaxed_under_tripwire("gender", "\"M\"", 4);
     assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
     assert!(result.truncated);
     assert!(!result.answers.is_empty(), "partial, not empty");

@@ -6,7 +6,7 @@
 
 #![allow(dead_code)] // each test target uses its own subset
 
-use path_index::{IndexLike, LabelsRef, PathId, SynonymProvider};
+use path_index::{IndexLike, LabelsRef, LshCandidate, LshParams, PathId, SynonymProvider};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, Triple};
 use sama_core::CancelToken;
@@ -44,6 +44,9 @@ pub struct Probe<I> {
     /// `labels` calls so far: a fill reads a candidate's labels exactly
     /// once to score it, in candidate order.
     pub labels_calls: AtomicUsize,
+    /// The path of every `labels` call, in call order: what a fill that
+    /// fits its cap read, which is its candidate list.
+    pub labels_read: Mutex<Vec<PathId>>,
     /// `token` is cancelled during this `labels` call (1-based), so a
     /// budget trips mid-cluster at a known candidate.
     pub trip_at: usize,
@@ -67,6 +70,7 @@ impl<I> Probe<I> {
         Probe {
             inner,
             labels_calls: AtomicUsize::new(0),
+            labels_read: Mutex::new(Vec::new()),
             trip_at: usize::MAX,
             token: CancelToken::new(),
             trip_at_sorted_nodes: usize::MAX,
@@ -99,6 +103,10 @@ impl<I: IndexLike> IndexLike for Probe<I> {
         if self.labels_calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trip_at {
             self.token.cancel();
         }
+        self.labels_read
+            .lock()
+            .expect("no panic under the lock")
+            .push(id);
         self.inner.labels(id)
     }
     fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
@@ -122,5 +130,11 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     }
     fn all_path_ids(&self) -> Vec<PathId> {
         self.inner.all_path_ids()
+    }
+    fn lsh_params(&self) -> Option<LshParams> {
+        self.inner.lsh_params()
+    }
+    fn lsh_probe(&self, signature: &[u32]) -> Vec<LshCandidate> {
+        self.inner.lsh_probe(signature)
     }
 }

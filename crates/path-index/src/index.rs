@@ -56,13 +56,19 @@ impl IndexedPath {
 }
 
 /// The complete off-line index over one data graph.
+///
+/// Every list of path ids it hands out — postings, `all_path_ids` — is
+/// in *path-content order*: ascending by `(path.nodes, path.edges)`.
+/// Two distinct paths never share both, so the order is strict.
 #[derive(Debug, Clone)]
 pub struct PathIndex {
     graph: DataGraph,
     paths: Vec<IndexedPath>,
-    /// label → paths containing it (as node or edge label), ascending.
+    /// Every path id, in path-content order.
+    order: Vec<PathId>,
+    /// label → paths containing it (as node or edge label), content order.
     by_label: FxHashMap<LabelId, Vec<PathId>>,
-    /// sink label → paths ending in it, ascending.
+    /// sink label → paths ending in it, content order.
     by_sink: FxHashMap<LabelId, Vec<PathId>>,
     /// Shape id per path: two paths share an id exactly when they share
     /// an edge-label sequence. Dense, numbered by first occurrence in
@@ -131,20 +137,19 @@ impl PathIndex {
 
     /// Reassemble an index from its parts (used by [`crate::storage`]).
     pub(crate) fn from_parts(graph: DataGraph, paths: Vec<IndexedPath>, stats: IndexStats) -> Self {
+        let order = content_order(&paths);
         let mut by_label: FxHashMap<LabelId, Vec<PathId>> = FxHashMap::default();
         let mut by_sink: FxHashMap<LabelId, Vec<PathId>> = FxHashMap::default();
-        for (i, ip) in paths.iter().enumerate() {
-            let id = PathId(i as u32);
-            let mut seen: Vec<LabelId> = ip
-                .labels
-                .node_labels
-                .iter()
-                .chain(ip.labels.edge_labels.iter())
-                .copied()
-                .collect();
+        // One buffer for every path's label set: an allocation per path
+        // was a quarter of this loop.
+        let mut seen: Vec<LabelId> = Vec::new();
+        for &id in &order {
+            let ip = &paths[id.index()];
+            seen.clear();
+            seen.extend(ip.labels.node_labels.iter().chain(&*ip.labels.edge_labels));
             seen.sort_unstable();
             seen.dedup();
-            for label in seen {
+            for &label in &seen {
                 by_label.entry(label).or_default().push(id);
             }
             by_sink.entry(ip.labels.sink_label()).or_default().push(id);
@@ -166,6 +171,7 @@ impl PathIndex {
         PathIndex {
             graph,
             paths,
+            order,
             by_label,
             by_sink,
             path_shapes,
@@ -263,6 +269,13 @@ impl PathIndex {
             .map(|&rep| &*self.path(rep).labels.edge_labels)
     }
 
+    /// Every path id, in path-content order (`all_path_ids`, and the v2
+    /// encoder's `path-order` section).
+    #[inline]
+    pub(crate) fn content_order(&self) -> &[PathId] {
+        &self.order
+    }
+
     /// Paths containing `label` anywhere (node or edge position).
     pub fn paths_with_label(&self, label: LabelId) -> &[PathId] {
         self.by_label.get(&label).map(Vec::as_slice).unwrap_or(&[])
@@ -274,7 +287,8 @@ impl PathIndex {
     }
 
     /// Paths whose sink label matches `lexical` exactly *or via the
-    /// synonym provider* — the clustering step's admission rule.
+    /// synonym provider* — the clustering step's admission rule — in
+    /// path-content order.
     pub fn paths_with_sink_matching(
         &self,
         lexical: &str,
@@ -282,14 +296,14 @@ impl PathIndex {
     ) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        crate::index_like::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
+        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
             out.extend_from_slice(self.paths_with_sink(label))
         })
     }
 
     /// Paths containing a label matching `lexical` exactly or via the
     /// synonym provider — the clustering fallback when the query path's
-    /// sink is a variable.
+    /// sink is a variable — in path-content order.
     pub fn paths_with_label_matching(
         &self,
         lexical: &str,
@@ -297,7 +311,7 @@ impl PathIndex {
     ) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        crate::index_like::match_via(self.graph.vocab(), lexical, synonyms, |label, out| {
+        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
             out.extend_from_slice(self.paths_with_label(label))
         })
     }
@@ -345,6 +359,25 @@ impl PathIndex {
     pub(crate) fn sink_map(&self) -> &FxHashMap<LabelId, Vec<PathId>> {
         &self.by_sink
     }
+}
+
+/// The ids of `paths` ascending by `(nodes, edges)`. Extraction emits
+/// paths grouped by source, sources ascending, so sorting each source's
+/// run is all it takes; the final check confirms that, and a list that
+/// came some other way gets the full sort.
+fn content_order(paths: &[IndexedPath]) -> Vec<PathId> {
+    let key = |id: &PathId| {
+        let path = &paths[id.index()].path;
+        (&*path.nodes, &*path.edges)
+    };
+    let mut order: Vec<PathId> = (0..paths.len() as u32).map(PathId).collect();
+    for run in order.chunk_by_mut(|a, b| key(a).0[0] == key(b).0[0]) {
+        run.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+    }
+    if !order.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        order.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+    }
+    order
 }
 
 #[cfg(test)]

@@ -34,27 +34,29 @@ impl<I: IndexLike + ?Sized> ConstantLookup for I {
 }
 
 /// The paths `lookup` lists for `lexical` and for each of its synonyms,
-/// ascending and deduplicated — the admission rule behind
+/// in path-content order and deduplicated — the admission rule behind
 /// [`IndexLike::sink_matching`] and [`IndexLike::label_matching`].
-pub(crate) fn match_via(
-    labels: &(impl ConstantLookup + ?Sized),
+pub(crate) fn match_via<I: IndexLike + ?Sized>(
+    index: &I,
     lexical: &str,
     synonyms: &dyn SynonymProvider,
     mut lookup: impl FnMut(LabelId, &mut Vec<PathId>),
 ) -> Vec<PathId> {
     let mut out: Vec<PathId> = Vec::new();
-    if let Some(label) = labels.get_constant(lexical) {
+    let mut lists = 0;
+    let widened = synonyms.synonyms(lexical);
+    let labels = std::iter::once(lexical)
+        .chain(widened.iter().map(String::as_str))
+        .filter_map(|lexical| index.constant_label(lexical));
+    for label in labels {
+        let before = out.len();
         lookup(label, &mut out);
+        lists += usize::from(out.len() > before);
     }
-    for synonym in synonyms.synonyms(lexical) {
-        if let Some(label) = labels.get_constant(&synonym) {
-            lookup(label, &mut out);
-        }
-    }
-    // One posting list is ascending and duplicate-free as it is; only a
-    // union of several needs the merge.
-    if !out.windows(2).all(|w| w[0] < w[1]) {
-        out.sort_unstable();
+    // One posting list is in content order and duplicate-free as it is;
+    // only a union of several needs the merge.
+    if lists > 1 {
+        out.sort_unstable_by_key(|&p| (index.path_nodes(p), index.path_edges(p)));
         out.dedup();
     }
     out
@@ -130,12 +132,20 @@ pub trait IndexLike {
     fn shape_count(&self) -> usize;
 
     /// Paths whose sink label matches `lexical` (or a synonym).
+    ///
+    /// This and the two lists below are in *path-content order*: strictly
+    /// ascending by `(path_nodes, path_edges)` (distinct paths never
+    /// share both). The cluster fill relies on it — a candidate's
+    /// position is its tie-break, and a fill whose heap is full at λ = 0
+    /// stops there.
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId>;
 
-    /// Paths containing a label matching `lexical` (or a synonym).
+    /// Paths containing a label matching `lexical` (or a synonym), in
+    /// path-content order.
     fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId>;
 
-    /// Every path id (the clustering full-scan fallback).
+    /// Every path id (the clustering full-scan fallback), in path-content
+    /// order.
     fn all_path_ids(&self) -> Vec<PathId>;
 
     /// Banding shape of the attached MinHash/LSH candidate tier (see
@@ -203,7 +213,7 @@ impl IndexLike for PathIndex {
     }
 
     fn all_path_ids(&self) -> Vec<PathId> {
-        self.paths().map(|(id, _)| id).collect()
+        self.content_order().to_vec()
     }
 
     fn lsh_params(&self) -> Option<crate::lsh::LshParams> {

@@ -20,8 +20,9 @@ pub enum StorageError {
     Io(String),
     /// A file in a format this crate once wrote and no longer reads:
     /// `SAMAIDX1`, the compressed `SAMAIDXZ`, or a `SAMAIDX2` written
-    /// before the shape table (20 or 21 sections). The index is a pure
-    /// function of its RDF source, so the remedy is to build it again.
+    /// before the shape table (20 or 21 sections) or before path-content
+    /// order (23). The index is a pure function of its RDF source, so
+    /// the remedy is to build it again.
     LegacyLayout,
 }
 

@@ -8,7 +8,7 @@
 //! ```text
 //! header   magic b"SAMAIDX2", u32 version, u32 section count,
 //!          u64 file length                                  (24 bytes)
-//! table    23 × { u64 offset, u64 length }                 (368 bytes)
+//! table    24 × { u64 offset, u64 length }                 (384 bytes)
 //! sections each 8-byte aligned, in table order:
 //!   0 counts        u64 × 8  (vocab, nodes, edges, paths,
 //!                             path-node pool, sorted pool,
@@ -33,14 +33,25 @@
 //!  15 sorted-offs   u32 × paths+1          sorted-node-pool offsets
 //!  16 sorted-nodes  u32 × sorted pool      per-path sorted+deduped ids
 //!  17 label-table   u32 × 3·cap            open addressing, stored
-//!  18 label-posts   u32 × n                postings (path ids)
+//!  18 label-posts   u32 × n                postings (path ids, in
+//!                                          path-content order)
 //!  19 sink-table    u32 × 3·cap            open addressing, stored
-//!  20 sink-posts    u32 × n                postings (path ids)
+//!  20 sink-posts    u32 × n                postings (path ids, in
+//!                                          path-content order)
 //!  21 stats         u64 × 7                Table 1 numbers
 //!  22 ic-counts     u64 × vocab+1          label occurrence counts
 //!                                          (total first) for the
 //!                                          IC-weighted cost model
+//!  23 path-order    u32 × paths            every path id, in
+//!                                          path-content order
 //! ```
+//!
+//! *Path-content order* is ascending by `(path-nodes, path-edges)` of
+//! each path — what the cluster fill breaks λ ties by. Every postings
+//! run and the path-order section list their ids in it, so a candidate
+//! list read from this file is already sorted for the fill
+//! (`IndexLike::sink_matching`). Path ids themselves stay in extraction
+//! order.
 //!
 //! A path's edge labels are its *shape*: the sequence is interned at
 //! build time and stored once in the shape pool (sections 13/14), and
@@ -50,11 +61,13 @@
 //! shape once instead of a path at a time (`IndexLike::path_shape`).
 //!
 //! Formats this crate used to write — `SAMAIDX1`, the compressed
-//! `SAMAIDXZ`, and `SAMAIDX2` files from before the shape table (a 20-
-//! or 21-entry section table) — are recognised from their header and
-//! refused with [`StorageError::LegacyLayout`]: an index is a pure
-//! function of its RDF source, so the remedy is `sama index`, not a
-//! reader kept alive per retired layout.
+//! `SAMAIDXZ`, `SAMAIDX2` files from before the shape table (a 20- or
+//! 21-entry section table) and from before path-content order (23
+//! entries: postings in path-id order, which the fill would misread as
+//! content order) — are recognised from their header and refused with
+//! [`StorageError::LegacyLayout`]: an index is a pure function of its
+//! RDF source, so the remedy is `sama index`, not a reader kept alive
+//! per retired layout.
 //!
 //! The hash tables are power-of-two open-addressing with linear
 //! probing (multiplicative Fibonacci hashing on the high bits), slot =
@@ -66,7 +79,7 @@
 //!
 //! Opening ([`MappedIndex::open`]) maps the file (via the vendored
 //! `memmap2` shim; [`MappedIndex::from_bytes`] is the pure in-memory
-//! fallback), parses the ~392-byte header, and runs one allocation-free
+//! fallback), parses the ~408-byte header, and runs one allocation-free
 //! sequential validation pass over the arrays so every later accessor
 //! can index without panicking on corrupt data. The data graph itself
 //! (vocabulary interning + adjacency) is materialized **lazily** on
@@ -94,12 +107,13 @@ use std::time::Duration;
 /// The format magic.
 pub const MAGIC2: &[u8; 8] = b"SAMAIDX2";
 const VERSION: u32 = 2;
-const SECTION_COUNT: usize = 23;
+const SECTION_COUNT: usize = 24;
 /// Magics of the two retired formats, and the section counts of
 /// `SAMAIDX2` files written before the shape table (without and with
-/// the `ic-counts` section): [`Layout::parse`] refuses all four.
+/// the `ic-counts` section) and before path-content order:
+/// [`Layout::parse`] refuses all five.
 const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SAMAIDX1", b"SAMAIDXZ"];
-const RETIRED_SECTION_COUNTS: [usize; 2] = [20, 21];
+const RETIRED_SECTION_COUNTS: [usize; 3] = [20, 21, 23];
 const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
 /// Empty hash-table slot marker (never a valid label id: ids are < len).
@@ -128,6 +142,7 @@ const S_SINK_TABLE: usize = 19;
 const S_SINK_POSTS: usize = 20;
 const S_STATS: usize = 21;
 const S_IC_COUNTS: usize = 22;
+const S_PATH_ORDER: usize = 23;
 
 /// Human-readable section names, table order (for `sama index --stats`).
 pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -154,6 +169,7 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "sink-postings",
     "stats",
     "ic-counts",
+    "path-order",
 ];
 
 // ---------------------------------------------------------------------------
@@ -331,7 +347,7 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
         + vocab.len() * 5
         + blob_len
         + (graph.node_count() + 3 * graph.edge_count()) * 4
-        + (3 * node_pool + 3 * (index.path_count() + 1) + sorted_pool) * 4
+        + (3 * node_pool + 4 * index.path_count() + 3 + sorted_pool) * 4
         + (label_table.len() + label_posts.len() + sink_table.len() + sink_posts.len()) * 4
         + 56
         + (vocab.len() + 1) * 8
@@ -426,6 +442,8 @@ pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
     });
     // 22: ic counts.
     w.section(|buf| buf.extend_from_slice(&ic.to_bytes()));
+    // 23: path-content order.
+    w.u32_section(index.content_order().iter().map(|id| id.0));
 
     Ok(w.finish())
 }
@@ -599,6 +617,7 @@ impl Layout {
         }
         let shape_count = offs / 4 - 1;
         expect(S_IC_COUNTS, (vocab_len + 1) * 8, "ic counts section size")?;
+        expect(S_PATH_ORDER, path_count * 4, "path order section size")?;
         let st = cast_u64s(&bytes[sec[S_STATS].0..sec[S_STATS].0 + 56]);
         let stats: [u64; 7] = st.try_into().expect("7 stats");
         if stats[3] != path_count as u64 {
@@ -662,6 +681,7 @@ impl Layout {
             sink_table: self.u32s(bytes, S_SINK_TABLE),
             sink_posts: self.u32s(bytes, S_SINK_POSTS),
             ic_counts: cast_u64s(self.bytes_of(bytes, S_IC_COUNTS)),
+            path_order: self.u32s(bytes, S_PATH_ORDER),
         }
     }
 }
@@ -796,6 +816,7 @@ pub struct IndexView<'a> {
     sink_table: &'a [u32],
     sink_posts: &'a [u32],
     ic_counts: &'a [u64],
+    path_order: &'a [u32],
 }
 
 impl<'a> IndexView<'a> {
@@ -944,6 +965,9 @@ impl<'a> IndexView<'a> {
             if posts.iter().any(|&p| p as usize >= l.path_count) {
                 return Err(corrupt("posting out of range"));
             }
+        }
+        if self.path_order.iter().any(|&p| p as usize >= l.path_count) {
+            return Err(corrupt("path order entry out of range"));
         }
 
         // IC counts: the stored total must equal the summed counts — a
@@ -1379,8 +1403,9 @@ impl IndexLike for MappedIndex {
         })
     }
 
+    /// The stored path-order section: every id in range, as open checked.
     fn all_path_ids(&self) -> Vec<PathId> {
-        (0..self.view.path_count() as u32).map(PathId).collect()
+        self.view.path_order.iter().map(|&p| PathId(p)).collect()
     }
 
     fn lsh_params(&self) -> Option<crate::lsh::LshParams> {
@@ -1537,6 +1562,7 @@ mod tests {
         }
         assert_shapes_partition_by_edge_labels(idx);
         assert_shapes_partition_by_edge_labels(&mapped);
+        assert_eq!(mapped.all_path_ids(), idx.all_path_ids());
         // Stored inverted maps agree with the rebuilt ones.
         for probe in ["p", "q", "m1", "leaf 2", "absent"] {
             assert_eq!(

@@ -22,7 +22,9 @@
 //! * `constant_label` — the three above (its table is built from them);
 //! * `labels`, `path_shape` — every path's shape id is below the shape
 //!   count, the shape offsets start at 0, never decrease and end at the
-//!   pool's length, and a path's shape has one label per edge.
+//!   pool's length, and a path's shape has one label per edge;
+//! * `all_path_ids` — every entry of the path-order section is a path
+//!   id in range (the probe reads each listed path).
 //!
 //! The formats this crate no longer reads are refused by name, from the
 //! header alone, by every reader.
@@ -52,12 +54,13 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 const HEADER_LEN: usize = 24;
-const SECTIONS: usize = 23;
+const SECTIONS: usize = 24;
 const PATH_OFFSETS: usize = 8;
 const PATH_SHAPES: usize = 12;
 const SHAPE_OFFSETS: usize = 13;
 const SHAPE_LABELS: usize = 14;
 const IC_COUNTS: usize = 22;
+const PATH_ORDER: usize = 23;
 
 /// Byte `(offset, length)` of section `index`, from the table.
 fn section(bytes: &[u8], index: usize) -> (usize, usize) {
@@ -157,7 +160,9 @@ fn retired_formats_are_refused_from_the_header_alone() {
     // What identifies each retired format: the eight magic bytes of
     // `SAMAIDX1` and the compressed `SAMAIDXZ`; for a `SAMAIDX2` from
     // before the shape table, the 24-byte header announcing 20 sections
-    // (without `ic-counts`) or 21 (with).
+    // (without `ic-counts`) or 21 (with); from before path-content
+    // order, 23 (its postings are in path-id order, which the cluster
+    // fill would take for content order).
     let old_header = |sections: u32| {
         let mut header = MAGIC2.to_vec();
         header.extend_from_slice(&2u32.to_le_bytes());
@@ -170,6 +175,7 @@ fn retired_formats_are_refused_from_the_header_alone() {
         b"SAMAIDXZ".to_vec(),
         old_header(20),
         old_header(21),
+        old_header(23),
     ];
     for identifying in &retired {
         // Refused as soon as the identifying bytes are all there,
@@ -338,6 +344,37 @@ fn every_shape_table_violation_is_typed() {
             Err(StorageError::Corrupt(message)),
             "{what}"
         );
+    }
+}
+
+#[test]
+fn a_path_order_entry_out_of_range_is_typed() {
+    let bytes = sample_bytes();
+    let (off, len) = section(&bytes, PATH_ORDER);
+    let paths = section(&bytes, PATH_SHAPES).1 / 4;
+    assert_eq!(len, 4 * paths, "one entry per path");
+    // The order is a permutation of the path ids, stored as written.
+    let mut order: Vec<u32> = bytes[off..off + len]
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+        .collect();
+    let mapped = MappedIndex::from_bytes(&bytes).unwrap();
+    let listed: Vec<u32> = mapped.all_path_ids().iter().map(|p| p.0).collect();
+    assert_eq!(listed, order);
+    order.sort_unstable();
+    assert!(order.iter().copied().eq(0..paths as u32));
+
+    for (entry, value) in [(0, paths as u32), (paths - 1, u32::MAX)] {
+        let mut mutated = bytes.clone();
+        let at = off + 4 * entry;
+        mutated[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        for outcome in readers(&mutated) {
+            assert_eq!(
+                outcome,
+                Err(StorageError::Corrupt("path order entry out of range")),
+                "entry {entry} = {value}"
+            );
+        }
     }
 }
 

@@ -818,8 +818,9 @@ fn retired_formats_and_flags_are_refused() {
 
     // A file in a format that is no longer read — `SAMAIDX1`, the
     // compressed `SAMAIDXZ`, a `SAMAIDX2` from before the shape table
-    // (20 or 21 sections) — is refused by every subcommand that opens
-    // one, with the remedy in the message.
+    // (20 or 21 sections) or before path-content order (23) — is
+    // refused by every subcommand that opens one, with the remedy in
+    // the message.
     let old_header = |sections: u32| {
         let mut header = b"SAMAIDX2".to_vec();
         header.extend_from_slice(&2u32.to_le_bytes());
@@ -833,6 +834,7 @@ fn retired_formats_and_flags_are_refused() {
         b"SAMAIDXZ\x05".to_vec(),
         old_header(20),
         old_header(21),
+        old_header(23),
     ] {
         std::fs::write(&old, &retired).unwrap();
         for args in [
