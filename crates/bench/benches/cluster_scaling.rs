@@ -16,7 +16,9 @@
 //! `BENCH_CLUSTER_OUT`). Scale down with `SAMA_BENCH_CLUSTER_CHAINS`
 //! (the largest swept `I`) for smoke runs.
 
-use path_index::{ExtractionConfig, LshParams, NoSynonyms, PathIndex};
+use path_index::{
+    build_lsh_bytes, ExtractionConfig, LshParams, LshSidecar, MappedIndex, NoSynonyms,
+};
 use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{
     build_clusters, decompose_query, AlignmentMode, Cluster, ClusterConfig, QueryPath, Retrieval,
@@ -50,7 +52,7 @@ fn time_ns<R>(runs: usize, mut f: impl FnMut() -> R) -> u128 {
 /// λ = 0; the rest carry noise edge labels and share only the sink.
 /// The exact top-k is therefore precisely the matching tier, and
 /// recall of that top-k is a real test of the MinHash ordering.
-fn fixture(chains: usize) -> (PathIndex, Vec<QueryPath>) {
+fn fixture(chains: usize) -> (MappedIndex, Vec<QueryPath>) {
     let mut b = DataGraph::builder();
     for i in 0..chains {
         let (e0, e1, e2) = if i < RECALL_K {
@@ -72,7 +74,7 @@ fn fixture(chains: usize) -> (PathIndex, Vec<QueryPath>) {
             .unwrap();
         b.triple_str(&format!("B{i}"), &e2, "\"HC\"").unwrap();
     }
-    let index = PathIndex::build(b.build());
+    let index = MappedIndex::build(b.build()).expect("index fits format");
 
     // Variable endpoints, constant predicates: the matching tier is a
     // perfect (λ = 0) answer for each of its chains, and the query's
@@ -82,12 +84,7 @@ fn fixture(chains: usize) -> (PathIndex, Vec<QueryPath>) {
     qb.triple_str("?v1", "aTo", "?v2").unwrap();
     qb.triple_str("?v2", "subject", "\"HC\"").unwrap();
     let q = qb.build();
-    let qpaths = decompose_query(
-        &q,
-        index.graph().vocab(),
-        &NoSynonyms,
-        &ExtractionConfig::default(),
-    );
+    let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
     (index, qpaths)
 }
 
@@ -101,7 +98,7 @@ fn config(retrieval: Retrieval) -> ClusterConfig {
     }
 }
 
-fn fill(index: &PathIndex, qpaths: &[QueryPath], retrieval: Retrieval) -> Vec<Cluster> {
+fn fill(index: &MappedIndex, qpaths: &[QueryPath], retrieval: Retrieval) -> Vec<Cluster> {
     build_clusters(
         qpaths,
         index,
@@ -168,9 +165,10 @@ fn main() {
     );
     for &chains in &sweep {
         let (mut index, qpaths) = fixture(chains);
+        let sidecar = build_lsh_bytes(&index, LshParams::default()).expect("sidecar builds");
         index
-            .build_lsh(LshParams::default())
-            .expect("sidecar builds");
+            .attach_lsh(LshSidecar::from_bytes(&sidecar).expect("sidecar opens"))
+            .expect("same paths");
 
         let exact_clusters = fill(&index, &qpaths, Retrieval::Exact);
         let retrieved: usize = exact_clusters.iter().map(|c| c.candidates_retrieved).sum();

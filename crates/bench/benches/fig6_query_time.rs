@@ -7,7 +7,7 @@
 use bench::fixture;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph_match::{BoundedMatcher, DogmaMatcher, Matcher, SapperMatcher};
-use path_index::{decode_v2, serialize_index_v2};
+use path_index::{encode_v2, MappedIndex, PathIndex};
 use sama_core::SamaEngine;
 use std::hint::black_box;
 
@@ -28,18 +28,18 @@ fn bench_sama_warm(c: &mut Criterion) {
 
 fn bench_sama_cold(c: &mut Criterion) {
     let fx = fixture(TRIPLES);
-    let mut index = fx.engine.index().clone();
-    let bytes = serialize_index_v2(&mut index).expect("index fits format");
+    let bytes = encode_v2(&PathIndex::build(fx.dataset.graph.clone())).expect("index fits format");
     let mut group = c.benchmark_group("fig6/sama_cold");
     group.sample_size(10);
-    // Cold cache: deserialize the index before answering (the paper's
-    // disk-resident configuration). One representative light query and
+    // Cold cache: open the index image before answering, as `sama
+    // query` opens its file (the paper's disk-resident configuration). One representative light query and
     // one heavy query keep the bench time sane.
     for name in ["Q1", "Q10"] {
         let nq = fx.workload.iter().find(|nq| nq.name == name).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &nq.query, |b, q| {
             b.iter(|| {
-                let engine = SamaEngine::from_index(decode_v2(&bytes).expect("valid"));
+                let engine =
+                    SamaEngine::from_index(MappedIndex::from_bytes(&bytes).expect("valid"));
                 black_box(engine.answer(q, K)).answers.len()
             });
         });

@@ -4,7 +4,7 @@
 
 use bench::fixture;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use path_index::ExtractionConfig;
+use path_index::{ExtractionConfig, IndexLike, Path, PathId};
 use sama_core::{
     align, build_clusters, chi_count, decompose_query, search_top_k, AlignmentMode, ClusterConfig,
     IntersectionGraph, ScoreParams, SearchConfig,
@@ -20,7 +20,7 @@ fn bench_align(c: &mut Criterion) {
     // Q10's longest path as the query side.
     let qpaths = decompose_query(
         &fx.workload[9].query,
-        engine.index().graph().vocab(),
+        engine.index(),
         &path_index::NoSynonyms,
         &ExtractionConfig::default(),
     );
@@ -29,15 +29,16 @@ fn bench_align(c: &mut Criterion) {
         .max_by_key(|p| p.len())
         .expect("query has paths");
 
+    let index = engine.index();
     let mut group = c.benchmark_group("micro/align");
     for mode in [AlignmentMode::Greedy, AlignmentMode::Optimal] {
         // Alignment over every indexed path: elements = paths aligned.
-        group.throughput(Throughput::Elements(engine.index().path_count() as u64));
+        group.throughput(Throughput::Elements(engine.index().total_paths() as u64));
         group.bench_function(BenchmarkId::new("all_paths", format!("{mode:?}")), |b| {
             b.iter(|| {
                 let mut acc = 0.0f64;
-                for (_, ip) in engine.index().paths() {
-                    acc += align(q, ip.labels.view(), &params, mode).lambda;
+                for id in (0..index.total_paths() as u32).map(PathId) {
+                    acc += align(q, index.labels(id), &params, mode).lambda;
                 }
                 black_box(acc)
             });
@@ -49,12 +50,12 @@ fn bench_align(c: &mut Criterion) {
 /// χ (common nodes) between indexed paths.
 fn bench_chi(c: &mut Criterion) {
     let fx = fixture(3_000);
-    let paths: Vec<_> = fx
-        .engine
-        .index()
-        .paths()
-        .take(256)
-        .map(|(_, ip)| ip.path.clone())
+    let index = fx.engine.index();
+    let paths: Vec<Path> = (0..index.total_paths().min(256) as u32)
+        .map(|id| {
+            let id = PathId(id);
+            Path::new(index.path_nodes(id).to_vec(), index.path_edges(id).to_vec())
+        })
         .collect();
     c.bench_function("micro/chi_256x256", |b| {
         b.iter(|| {
@@ -76,7 +77,7 @@ fn bench_cluster(c: &mut Criterion) {
     let params = ScoreParams::paper();
     let qpaths = decompose_query(
         &fx.workload[11].query, // Q12
-        engine.index().graph().vocab(),
+        engine.index(),
         &path_index::NoSynonyms,
         &ExtractionConfig::default(),
     );
@@ -115,7 +116,7 @@ fn bench_search(c: &mut Criterion) {
         let nq = fx.workload.iter().find(|nq| nq.name == name).unwrap();
         let qpaths = decompose_query(
             &nq.query,
-            engine.index().graph().vocab(),
+            engine.index(),
             &path_index::NoSynonyms,
             &ExtractionConfig::default(),
         );

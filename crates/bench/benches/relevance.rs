@@ -25,6 +25,7 @@
 //! and `hardware_threads` for context.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use path_index::IndexLike;
 use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{EngineConfig, SamaEngine};
 use std::hint::black_box;
@@ -87,11 +88,11 @@ fn precision_at_1(engine: &SamaEngine, queries: &[(QueryGraph, String)]) -> f64 
     for (query, want) in queries {
         let result = engine.answer(query, 2);
         let Some(best) = result.best() else { continue };
-        let vocab = engine.index().graph().vocab();
+        let index = engine.index();
         if best
             .bindings()
             .iter()
-            .any(|&(_, value)| vocab.lexical(value) == want.as_str())
+            .any(|&(_, value)| index.label_lexical(value) == want.as_str())
         {
             hits += 1;
         }

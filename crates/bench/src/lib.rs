@@ -43,11 +43,12 @@ pub fn fixture(triples: usize) -> BenchFixture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use path_index::IndexLike;
 
     #[test]
     fn fixture_is_usable() {
         let fx = fixture(800);
         assert_eq!(fx.workload.len(), 12);
-        assert!(fx.engine.index().path_count() > 0);
+        assert!(fx.engine.index().total_paths() > 0);
     }
 }

@@ -19,19 +19,6 @@ use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
 use rdf_model::{FxHashMap, LabelId};
 use std::collections::BinaryHeap;
 
-/// How the clustering step picks its retrieval anchor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnchorSelection {
-    /// The paper's rule: the sink, else the first constant scanning
-    /// backward from it (extended into a non-empty-first cascade).
-    #[default]
-    SinkFirst,
-    /// Probe every constant of the query path and anchor on the one
-    /// retrieving the fewest candidates — fewer alignments for the same
-    /// recall, at the price of one extra index lookup per constant.
-    MostSelective,
-}
-
 /// Default banding shape of [`Retrieval::Lsh`]: bands. Matches
 /// `path_index::LshParams::default()` — band-collision counts are the
 /// ranking signal, and 32 of them give enough resolution to order
@@ -102,8 +89,6 @@ pub struct ClusterConfig {
     /// path), fall back to scanning every indexed path. Disable to make
     /// such clusters empty instead.
     pub allow_full_scan: bool,
-    /// Anchor-selection strategy.
-    pub anchor: AnchorSelection,
     /// Candidate-retrieval tier: exact anchor scan, or LSH-pruned
     /// top-m (ignored when [`ClusterConfig::exhaustive`] is set — an
     /// exhaustive run is explicitly asking for every path).
@@ -122,7 +107,6 @@ impl Default for ClusterConfig {
             max_cluster_size: 256,
             max_candidates: 1 << 17,
             allow_full_scan: true,
-            anchor: AnchorSelection::SinkFirst,
             retrieval: Retrieval::Exact,
             exhaustive: false,
         }
@@ -741,49 +725,17 @@ fn retrieve_candidates<I: IndexLike>(
     if config.exhaustive {
         return index.all_path_ids();
     }
-    match config.anchor {
-        AnchorSelection::SinkFirst => {
-            if let Some(lexical) = q.sink().lexical() {
-                let by_sink = index.sink_matching(lexical, synonyms);
-                if !by_sink.is_empty() {
-                    return by_sink;
-                }
-            }
-            for anchor in q.constants_from_sink() {
-                let lexical = anchor.lexical().expect("anchor is a constant");
-                let hits = index.label_matching(lexical, synonyms);
-                if !hits.is_empty() {
-                    return hits;
-                }
-            }
+    if let Some(lexical) = q.sink().lexical() {
+        let by_sink = index.sink_matching(lexical, synonyms);
+        if !by_sink.is_empty() {
+            return by_sink;
         }
-        AnchorSelection::MostSelective => {
-            // Probe the sink lookup plus a containment lookup per
-            // constant; keep the smallest non-empty result. The sink
-            // lookup is preferred on ties (it anchors the alignment).
-            let mut best: Option<Vec<PathId>> = None;
-            let mut consider = |candidates: Vec<PathId>| {
-                if candidates.is_empty() {
-                    return;
-                }
-                let better = match &best {
-                    None => true,
-                    Some(current) => candidates.len() < current.len(),
-                };
-                if better {
-                    best = Some(candidates);
-                }
-            };
-            if let Some(lexical) = q.sink().lexical() {
-                consider(index.sink_matching(lexical, synonyms));
-            }
-            for anchor in q.constants_from_sink() {
-                let lexical = anchor.lexical().expect("anchor is a constant");
-                consider(index.label_matching(lexical, synonyms));
-            }
-            if let Some(candidates) = best {
-                return candidates;
-            }
+    }
+    for anchor in q.constants_from_sink() {
+        let lexical = anchor.lexical().expect("anchor is a constant");
+        let hits = index.label_matching(lexical, synonyms);
+        if !hits.is_empty() {
+            return hits;
         }
     }
     if config.allow_full_scan {
@@ -797,8 +749,7 @@ fn retrieve_candidates<I: IndexLike>(
 mod tests {
     use super::*;
     use crate::qpath::decompose_query;
-    use path_index::PathIndex;
-    use path_index::{ExtractionConfig, NoSynonyms, Thesaurus};
+    use path_index::{ExtractionConfig, LshParams, LshSidecar, MappedIndex, NoSynonyms, Thesaurus};
     use rdf_model::{DataGraph, QueryGraph};
 
     /// The full Figure 1 GovTrack-style fragment restricted to what the
@@ -847,16 +798,11 @@ mod tests {
         b.build()
     }
 
-    fn setup() -> (PathIndex, Vec<QueryPath>) {
+    fn setup() -> (MappedIndex, Vec<QueryPath>) {
         let data = figure1_data();
-        let index = PathIndex::build(data);
+        let index = MappedIndex::build(data).unwrap();
         let q = q1();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         (index, qpaths)
     }
 
@@ -958,12 +904,7 @@ mod tests {
         let mut b = QueryGraph::builder();
         b.triple_str("?x", "owns", "\"Spaceship\"").unwrap();
         let q = b.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let clusters = build_clusters(
             &qpaths,
             &index,
@@ -1003,7 +944,7 @@ mod tests {
         let q = b.build();
         let mut t = Thesaurus::new();
         t.group(["M", "Male"]);
-        let qpaths = decompose_query(&q, index.graph().vocab(), &t, &ExtractionConfig::default());
+        let qpaths = decompose_query(&q, &index, &t, &ExtractionConfig::default());
         let clusters = build_clusters(
             &qpaths,
             &index,
@@ -1017,33 +958,28 @@ mod tests {
         assert!(clusters[0].entries.iter().all(|e| e.lambda() == 0.0));
     }
 
+    /// Why the anchor is the paper's sink-first rule and not "the
+    /// constant that retrieves the fewest paths": under `?w`, the first
+    /// constant from the sink is `p1`, which retrieves both paths, and
+    /// the `n6` path is a second answer at λ = 1 (one mismatched source).
+    /// Anchoring on `n8`, the rarer constant, retrieved one path and lost
+    /// that answer — the testkit counterexample that retired the
+    /// most-selective rule.
     #[test]
-    fn most_selective_anchor_shrinks_candidate_pool() {
-        // Query path ?s-memberOf-dept0-type-Department: the sink
-        // (`Department`, the shared type object) matches every
-        // department's type path, while the interior constant `dept0`
-        // occurs in far fewer paths.
+    fn variable_sink_anchors_on_the_first_constant_from_the_sink() {
         let mut b = DataGraph::builder();
-        for d in 0..8 {
-            b.triple_str(&format!("dept{d}"), "type", "Department")
-                .unwrap();
-            for s in 0..4 {
-                b.triple_str(&format!("stu{d}_{s}"), "memberOf", &format!("dept{d}"))
-                    .unwrap();
-            }
-        }
-        let index = PathIndex::build(b.build());
+        b.triple_str("n6", "p1", "n7").unwrap();
+        b.triple_str("n8", "p1", "n3").unwrap();
+        let index = MappedIndex::build(b.build()).unwrap();
         let mut qb = QueryGraph::builder();
-        qb.triple_str("?s", "memberOf", "dept0").unwrap();
-        qb.triple_str("dept0", "type", "Department").unwrap();
-        let q = qb.build();
+        qb.triple_str("n8", "p1", "?w").unwrap();
         let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
+            &qb.build(),
+            &index,
             &NoSynonyms,
             &ExtractionConfig::default(),
         );
-        let paper = build_clusters(
+        let clusters = build_clusters(
             &qpaths,
             &index,
             &NoSynonyms,
@@ -1051,31 +987,18 @@ mod tests {
             AlignmentMode::Greedy,
             &ClusterConfig::default(),
         );
-        let selective = build_clusters(
-            &qpaths,
-            &index,
-            &NoSynonyms,
-            &ScoreParams::paper(),
-            AlignmentMode::Greedy,
-            &ClusterConfig {
-                anchor: AnchorSelection::MostSelective,
-                ..Default::default()
-            },
-        );
-        assert!(
-            selective[0].candidates_retrieved < paper[0].candidates_retrieved,
-            "selective {} !< paper {}",
-            selective[0].candidates_retrieved,
-            paper[0].candidates_retrieved
-        );
-        // Both still retrieve the exact matches (λ = 0 entries).
-        assert_eq!(paper[0].best_lambda(), 0.0);
-        assert_eq!(selective[0].best_lambda(), 0.0);
+        assert_eq!(clusters[0].candidates_retrieved, 2);
+        let lambdas: Vec<f64> = clusters[0]
+            .entries
+            .iter()
+            .map(ClusterEntry::lambda)
+            .collect();
+        assert_eq!(lambdas, [0.0, 1.0]);
     }
 
     /// `chains` sponsor chains sharing the `"HC"` sink, so the sink
     /// anchor retrieves every chain, plus a query matching chain 0.
-    fn lsh_setup(chains: usize) -> (PathIndex, Vec<QueryPath>) {
+    fn lsh_setup(chains: usize) -> (MappedIndex, Vec<QueryPath>) {
         let mut b = DataGraph::builder();
         for i in 0..chains {
             b.triple_str(&format!("P{i}"), "sponsor", &format!("A{i}"))
@@ -1084,23 +1007,25 @@ mod tests {
                 .unwrap();
             b.triple_str(&format!("B{i}"), "subject", "\"HC\"").unwrap();
         }
-        let index = PathIndex::build(b.build());
+        let index = MappedIndex::build(b.build()).unwrap();
         let mut qb = QueryGraph::builder();
         qb.triple_str("P0", "sponsor", "?v1").unwrap();
         qb.triple_str("?v1", "aTo", "?v2").unwrap();
         qb.triple_str("?v2", "subject", "\"HC\"").unwrap();
         let q = qb.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         (index, qpaths)
     }
 
+    fn attach_lsh(index: &mut MappedIndex, params: LshParams) {
+        let bytes = path_index::build_lsh_bytes(&*index, params).unwrap();
+        index
+            .attach_lsh(LshSidecar::from_bytes(&bytes).unwrap())
+            .unwrap();
+    }
+
     fn clusters_with(
-        index: &PathIndex,
+        index: &MappedIndex,
         qpaths: &[QueryPath],
         retrieval: Retrieval,
     ) -> Vec<Cluster> {
@@ -1120,7 +1045,7 @@ mod tests {
     #[test]
     fn lsh_converges_to_exact_at_large_top_m() {
         let (mut index, qpaths) = lsh_setup(32);
-        index.build_lsh(path_index::LshParams::default()).unwrap();
+        attach_lsh(&mut index, LshParams::default());
         let exact = clusters_with(&index, &qpaths, Retrieval::Exact);
         let lsh = clusters_with(
             &index,
@@ -1143,9 +1068,7 @@ mod tests {
         let (mut index, qpaths) = lsh_setup(64);
         // The default 64-row signature separates the one true match
         // from 63 same-sink chains with deterministic margin.
-        index
-            .build_lsh(path_index::LshParams { bands: 32, rows: 2 })
-            .unwrap();
+        attach_lsh(&mut index, LshParams { bands: 32, rows: 2 });
         let exact = clusters_with(&index, &qpaths, Retrieval::Exact);
         let lsh = clusters_with(
             &index,
@@ -1185,16 +1108,11 @@ mod tests {
     #[test]
     fn pure_variable_query_falls_back_under_lsh() {
         let (mut index, _) = lsh_setup(64);
-        index.build_lsh(path_index::LshParams::default()).unwrap();
+        attach_lsh(&mut index, LshParams::default());
         let mut b = QueryGraph::builder();
         b.triple_str("?a", "?p", "?b").unwrap();
         let q = b.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let exact = clusters_with(&index, &qpaths, Retrieval::Exact);
         let lsh = clusters_with(
             &index,
@@ -1217,12 +1135,7 @@ mod tests {
         let mut b = QueryGraph::builder();
         b.triple_str("?a", "?p", "?b").unwrap();
         let q = b.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let clusters = build_clusters(
             &qpaths,
             &index,

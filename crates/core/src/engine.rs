@@ -15,7 +15,10 @@ use crate::search::{
     search_top_k_budgeted, ChiStats, SearchConfig, SearchStream, TruncationReason,
 };
 use crate::trace::{ExplainTrace, TraceConfig};
-use path_index::{ExtractionConfig, IcTable, IndexLike, NoSynonyms, PathIndex, SynonymProvider};
+use path_index::{
+    build_lsh_bytes, ExtractionConfig, IcTable, IndexLike, LshParams, LshSidecar, MappedIndex,
+    NoSynonyms, SynonymProvider,
+};
 use rdf_model::{DataGraph, QueryGraph};
 use sama_obs as obs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,10 +210,13 @@ impl QueryResult {
     }
 }
 
-/// The Sama engine: an index (a plain [`PathIndex`] by default, or any
-/// [`IndexLike`] such as a [`path_index::MappedIndex`]) plus scoring
-/// configuration.
-pub struct SamaEngine<I: IndexLike = PathIndex> {
+/// The Sama engine: an index plus scoring configuration.
+///
+/// The index is a [`MappedIndex`] — a `SAMAIDX2` image, mapped from a
+/// file ([`MappedIndex::open`]) or held in memory
+/// ([`SamaEngine::new`] builds one). The type parameter is a seam for
+/// tests that wrap the index to watch what a query reads.
+pub struct SamaEngine<I: IndexLike = MappedIndex> {
     index: I,
     synonyms: Arc<dyn SynonymProvider>,
     params: ScoreParams,
@@ -225,21 +231,35 @@ pub struct SamaEngine<I: IndexLike = PathIndex> {
     ic_override: Option<IcTable>,
 }
 
-impl SamaEngine<PathIndex> {
+impl SamaEngine<MappedIndex> {
     /// Index `data` with default configuration.
+    ///
+    /// # Panics
+    /// See [`SamaEngine::with_config`].
     pub fn new(data: DataGraph) -> Self {
         Self::with_config(data, EngineConfig::default())
     }
 
-    /// Index `data` with explicit configuration. A
-    /// [`crate::Retrieval::Lsh`] cluster config also builds the LSH
+    /// Index `data` with explicit configuration
+    /// ([`MappedIndex::build_with_config`]: the `SAMAIDX2` image
+    /// `sama index` would write, served from memory). A
+    /// [`crate::Retrieval::Lsh`] cluster config also attaches the LSH
     /// signature tier here; if that fails (it cannot for a freshly
     /// built index) the engine serves exact retrieval per the tier's
     /// fallback semantics.
+    ///
+    /// # Panics
+    /// If the index outgrows the format's `u32` counts
+    /// ([`path_index::StorageError::TooLarge`]).
     pub fn with_config(data: DataGraph, config: EngineConfig) -> Self {
-        let mut index = PathIndex::build_with_config(data, &config.extraction);
+        let mut index = MappedIndex::build_with_config(data, &config.extraction)
+            .expect("the index fits the SAMAIDX2 format");
         if let crate::Retrieval::Lsh { bands, rows, .. } = config.cluster.retrieval {
-            let _ = index.build_lsh(path_index::LshParams { bands, rows });
+            if let Ok(sidecar) = build_lsh_bytes(&index, LshParams { bands, rows })
+                .and_then(|bytes| LshSidecar::from_bytes(&bytes))
+            {
+                let _ = index.attach_lsh(sidecar);
+            }
         }
         Self::from_index_with_config(index, config)
     }
@@ -824,11 +844,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_from_serialized_index_agrees() {
+    fn engine_from_written_index_agrees() {
         let engine = SamaEngine::new(figure1_data());
-        let bytes = path_index::encode_v2(engine.index()).unwrap();
-        let loaded = path_index::decode_v2(&bytes).unwrap();
-        let cold = SamaEngine::from_index(loaded);
+        let bytes = path_index::encode_v2(&path_index::PathIndex::build(figure1_data())).unwrap();
+        let cold = SamaEngine::from_index(MappedIndex::from_bytes(&bytes).unwrap());
         let warm_result = engine.answer(&q1(), 5);
         let cold_result = cold.answer(&q1(), 5);
         let scores = |r: &QueryResult| r.answers.iter().map(Answer::score).collect::<Vec<_>>();
@@ -944,7 +963,7 @@ mod tests {
     #[test]
     fn uniform_ic_table_is_bit_identical() {
         let plain = SamaEngine::new(figure1_data());
-        let vocab_len = plain.index().graph().vocab().len();
+        let vocab_len = plain.index().data().vocab().len();
         let ic =
             SamaEngine::new(figure1_data()).with_ic_table(path_index::IcTable::uniform(vocab_len));
         let q = q1();

@@ -12,7 +12,7 @@
 use crate::cluster::Cluster;
 use crate::igraph::IntersectionGraph;
 use crate::score::{chi_count_sorted, conformity_ratio};
-use path_index::{IndexLike, PathId, PathIndex};
+use path_index::{display_parts, IndexLike, PathId};
 use std::fmt;
 
 /// A node of the forest: one candidate path of one cluster.
@@ -120,7 +120,7 @@ impl PathForest {
     }
 
     /// Render the forest against an index (paths in display form).
-    pub fn display<'a>(&'a self, index: &'a PathIndex) -> ForestDisplay<'a> {
+    pub fn display<'a, I: IndexLike>(&'a self, index: &'a I) -> ForestDisplay<'a, I> {
         ForestDisplay {
             forest: self,
             index,
@@ -129,21 +129,25 @@ impl PathForest {
 }
 
 /// `Display` adapter for [`PathForest`].
-pub struct ForestDisplay<'a> {
+pub struct ForestDisplay<'a, I> {
     forest: &'a PathForest,
-    index: &'a PathIndex,
+    index: &'a I,
 }
 
-impl fmt::Display for ForestDisplay<'_> {
+impl<I: IndexLike> fmt::Display for ForestDisplay<'_, I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let graph = self.index.graph().as_graph();
+        let graph = self.index.data().as_graph();
         for (i, n) in self.forest.nodes.iter().enumerate() {
             writeln!(
                 f,
                 "[{i}] cluster q{} rank {}: {} (λ={})",
                 n.cluster,
                 n.rank,
-                self.index.path(n.path_id).path.display(graph),
+                display_parts(
+                    graph,
+                    self.index.path_nodes(n.path_id),
+                    self.index.path_edges(n.path_id)
+                ),
                 n.lambda()
             )?;
         }
@@ -173,7 +177,7 @@ mod tests {
     use path_index::{ExtractionConfig, NoSynonyms};
     use rdf_model::{DataGraph, QueryGraph};
 
-    fn setup() -> (path_index::PathIndex, Vec<crate::qpath::QueryPath>) {
+    fn setup() -> (path_index::MappedIndex, Vec<crate::qpath::QueryPath>) {
         let mut b = DataGraph::builder();
         for (person, amendment, bill) in [("CB", "A0056", "B1432"), ("JR", "A1589", "B0532")] {
             b.triple_str(person, "sponsor", amendment).unwrap();
@@ -187,7 +191,7 @@ mod tests {
         for person in ["JR", "PD"] {
             b.triple_str(person, "gender", "\"Male\"").unwrap();
         }
-        let index = path_index::PathIndex::build(b.build());
+        let index = path_index::MappedIndex::build(b.build()).unwrap();
 
         let mut qb = QueryGraph::builder();
         qb.triple_str("CB", "sponsor", "?v1").unwrap();
@@ -196,12 +200,7 @@ mod tests {
         qb.triple_str("?v3", "sponsor", "?v2").unwrap();
         qb.triple_str("?v3", "gender", "\"Male\"").unwrap();
         let q = qb.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         (index, qpaths)
     }
 

@@ -21,7 +21,8 @@
 //! 1. **Preprocessing** ([`qpath`], [`igraph`]): decompose `Q` into
 //!    source→sink paths `PQ`, build the intersection query graph.
 //! 2. **Clustering** ([`cluster`]): retrieve candidate data paths per
-//!    query path through the [`path_index::PathIndex`], align and sort.
+//!    query path through the index (a [`path_index::MappedIndex`]), align
+//!    and sort.
 //! 3. **Search** ([`search`]): best-first combination of cluster
 //!    entries, emitting answers in non-decreasing score order.
 //!
@@ -69,9 +70,9 @@ pub use align::{align, align_lambda, Alignment, AlignmentCounts, AlignmentMode};
 pub use answer::{Answer, ChosenPath};
 pub use batch::{BatchConfig, BatchOutcome, BatchStats, PhaseLatency};
 pub use cluster::{
-    build_clusters, build_clusters_budgeted, memoised_lambdas, AnchorSelection, Cluster,
-    ClusterConfig, ClusterEntry, ClusterTier, Retrieval, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS,
-    LSH_DEFAULT_TOP_M, LSH_MIN_CANDIDATES,
+    build_clusters, build_clusters_budgeted, memoised_lambdas, Cluster, ClusterConfig,
+    ClusterEntry, ClusterTier, Retrieval, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS, LSH_DEFAULT_TOP_M,
+    LSH_MIN_CANDIDATES,
 };
 pub use deadline::{CancelToken, QueryBudget};
 pub use engine::{

@@ -856,15 +856,10 @@ mod tests {
         b.build()
     }
 
-    fn run(k: usize) -> (path_index::PathIndex, Vec<QueryPath>, SearchOutcome) {
-        let index = path_index::PathIndex::build(figure1_data());
+    fn run(k: usize) -> (path_index::MappedIndex, Vec<QueryPath>, SearchOutcome) {
+        let index = path_index::MappedIndex::build(figure1_data()).unwrap();
         let q = q1();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let ig = IntersectionGraph::build(&qpaths);
         let params = ScoreParams::paper();
         let clusters = build_clusters(
@@ -899,12 +894,15 @@ mod tests {
         assert_eq!(best.score(), 0.0);
         assert!(best.is_exact());
 
-        let graph = index.graph().as_graph();
+        let graph = index.data().as_graph();
         let rendered: Vec<String> = best
             .path_ids()
             .into_iter()
             .flatten()
-            .map(|pid| index.path(pid).path.display(graph).to_string())
+            .map(|pid| {
+                path_index::display_parts(graph, index.path_nodes(pid), index.path_edges(pid))
+                    .to_string()
+            })
             .collect();
         assert!(rendered.contains(&"CB-sponsor-A0056-aTo-B1432-subject-\"HC\"".to_string()));
         assert!(rendered.contains(&"PD-sponsor-B1432-subject-\"HC\"".to_string()));
@@ -937,14 +935,9 @@ mod tests {
 
     #[test]
     fn expansion_limit_truncates() {
-        let index = path_index::PathIndex::build(figure1_data());
+        let index = path_index::MappedIndex::build(figure1_data()).unwrap();
         let q = q1();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let ig = IntersectionGraph::build(&qpaths);
         let params = ScoreParams::paper();
         let clusters = build_clusters(
@@ -998,17 +991,12 @@ mod tests {
             b.triple_str(&format!("P{i}"), "sponsor", &format!("B{}", i % 5))
                 .unwrap();
         }
-        let index = path_index::PathIndex::build(b.build());
+        let index = path_index::MappedIndex::build(b.build()).unwrap();
         let mut b = QueryGraph::builder();
         b.triple_str("?a", "sponsor", "?v").unwrap();
         b.triple_str("?b", "sponsor", "?v").unwrap();
         let q = b.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let ig = IntersectionGraph::build(&qpaths);
         let params = ScoreParams::paper();
         let clusters = build_clusters(
@@ -1078,17 +1066,12 @@ mod tests {
         // With the full-scan fallback disabled, a query path whose
         // labels are all absent gets an empty cluster and is priced as
         // a full deletion, and its IG edge cannot conform.
-        let index = path_index::PathIndex::build(figure1_data());
+        let index = path_index::MappedIndex::build(figure1_data()).unwrap();
         let mut b = QueryGraph::builder();
         b.triple_str("?v3", "gender", "\"Male\"").unwrap();
         b.triple_str("?v3", "owns", "\"Spaceship\"").unwrap();
         let q = b.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let ig = IntersectionGraph::build(&qpaths);
         let params = ScoreParams::paper();
         let clusters = build_clusters(
@@ -1125,17 +1108,12 @@ mod tests {
         // Same query with the default full-scan fallback: the `owns`
         // path aligns against a gender path (sink mismatch 1 + edge
         // mismatch 2 = 3), and picking the same person keeps Ψ = 0.
-        let index = path_index::PathIndex::build(figure1_data());
+        let index = path_index::MappedIndex::build(figure1_data()).unwrap();
         let mut b = QueryGraph::builder();
         b.triple_str("?v3", "gender", "\"Male\"").unwrap();
         b.triple_str("?v3", "owns", "\"Spaceship\"").unwrap();
         let q = b.build();
-        let qpaths = decompose_query(
-            &q,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
         let ig = IntersectionGraph::build(&qpaths);
         let params = ScoreParams::paper();
         let clusters = build_clusters(

@@ -9,15 +9,13 @@
 //! * A cluster is exactly what the paper's plain recipe gives — align
 //!   every candidate, stable-sort by (λ, path content), truncate to
 //!   `max_cluster_size` — whichever way the streaming kernel got there:
-//!   any cap, a budget cancelled half-way, any index kind; and the
+//!   any cap, a budget cancelled half-way; and the
 //!   kernel reads candidates exactly up to where the recipe says no
 //!   later one can make the cut.
 
 mod support;
 
-use path_index::{
-    ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, PathIndex, Thesaurus,
-};
+use path_index::{ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, Thesaurus};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Triple};
 use sama_core::cluster::ALIGN_CHECK_INTERVAL;
@@ -66,11 +64,11 @@ proptest! {
         query in arb_chain_query(),
         weights in proptest::collection::vec(0.05f64..6.0, 12),
     ) {
-        let index = PathIndex::build(DataGraph::from_triples(&data).expect("ground"));
+        let index = MappedIndex::build(DataGraph::from_triples(&data).expect("ground")).expect("builds");
         let Ok(query) = QueryGraph::from_triples(&query) else { return Ok(()) };
         let plain = decompose_query(
             &query,
-            index.graph().vocab(),
+            &index,
             &NoSynonyms,
             &ExtractionConfig::default(),
         );
@@ -83,7 +81,7 @@ proptest! {
         }
         let params = ScoreParams::paper();
         for q in plain.iter().chain(&weighted) {
-            for (pid, _) in index.paths() {
+            for pid in index.all_path_ids() {
                 for mode in MODES {
                     let full = align(q, index.labels(pid), &params, mode);
                     let score = align_lambda(q, index.labels(pid), &params, mode);
@@ -151,11 +149,11 @@ proptest! {
         query in arb_constant_mix_query(),
         weights in proptest::collection::vec(0.05f64..6.0, 16),
     ) {
-        let index = PathIndex::build(DataGraph::from_triples(&data).expect("ground"));
+        let index = MappedIndex::build(DataGraph::from_triples(&data).expect("ground")).expect("builds");
         let Ok(query) = QueryGraph::from_triples(&query) else { return Ok(()) };
         let plain = decompose_query(
             &query,
-            index.graph().vocab(),
+            &index,
             &NoSynonyms,
             &ExtractionConfig::default(),
         );
@@ -170,14 +168,11 @@ proptest! {
         thesaurus.group(["n0", "n1", "n2"]);
         let widened: Vec<QueryPath> = weighted
             .iter()
-            .map(|q| widen_with_synonyms(q, index.graph().vocab(), &thesaurus))
+            .map(|q| widen_with_synonyms(q, &index, &thesaurus))
             .collect();
         for qpaths in [&plain, &weighted, &widened] {
             assert_memo_is_exact(&index, qpaths);
         }
-        // The other index kind reads shapes from its own sections.
-        let bytes = path_index::encode_v2(&index).expect("encodes");
-        assert_memo_is_exact(&MappedIndex::from_bytes(&bytes).expect("opens"), &widened);
     }
 }
 
@@ -193,7 +188,7 @@ fn paths_too_long_for_the_packed_key_are_scored_directly() {
         b.triple_str(&format!("c{i}"), "r", &format!("m{i}"))
             .unwrap();
     }
-    let index = PathIndex::build(b.build());
+    let index = MappedIndex::build(b.build()).expect("builds");
     let candidates = index.all_path_ids();
     let longest = candidates
         .iter()
@@ -233,12 +228,7 @@ fn paths_too_long_for_the_packed_key_are_scored_directly() {
         ),
     ] {
         assert!(overflowing > 0 && overflowing < candidates.len());
-        let qpaths = decompose_query(
-            &query,
-            index.graph().vocab(),
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
+        let qpaths = decompose_query(&query, &index, &NoSynonyms, &ExtractionConfig::default());
         assert_eq!(qpaths.len(), 1);
         for mode in MODES {
             let (lambdas, computed) =
@@ -345,7 +335,7 @@ fn query_paths<I: IndexLike>(index: &I, sink: &str) -> [(Vec<QueryPath>, bool); 
     );
     assert_eq!(plain.len(), 1, "one query path, one cluster");
     let mut weighted = plain.clone();
-    let table = index.ic_table().expect("every index kind tallies IC");
+    let table = index.ic_table().expect("a mapped index tallies IC");
     apply_ic_weights(&mut weighted, index.data().vocab(), &table);
     [(plain, false), (weighted, true)]
 }
@@ -393,15 +383,11 @@ fn assert_entries_equal(what: &str, got: &[ClusterEntry], want: &[ClusterEntry])
     }
 }
 
-/// Every combination of cap × mode × IC weights × cancellation
-/// over one index kind.
-fn check_kind<I: IndexLike>(kind: &str, index: I) {
+/// Every combination of cap × mode × IC weights × cancellation.
+fn check<I: IndexLike>(index: I) {
     let candidates = index.all_path_ids();
     let len = candidates.len();
-    assert!(
-        len > 3 * 256,
-        "{kind}: need several budget polls, got {len} paths"
-    );
+    assert!(len > 3 * 256, "need several budget polls, got {len} paths");
     // Cancelled while candidate 299 is scored; noticed at the next poll.
     let trip_at = 300;
     let polled_out_at = 512;
@@ -421,8 +407,7 @@ fn check_kind<I: IndexLike>(kind: &str, index: I) {
             for mode in MODES {
                 for cap in [0, 1, len - 1, len, len + 1] {
                     for &cancel in *cancels {
-                        let what =
-                            format!("{kind} {sink} ic={ic} {mode:?} cap={cap} cancel={cancel}");
+                        let what = format!("{sink} ic={ic} {mode:?} cap={cap} cancel={cancel}");
                         let (got, _) =
                             fill(&mut tripwire, qpaths, mode, cap, cancel.then_some(trip_at));
                         let scored = if cancel { polled_out_at } else { len };
@@ -444,21 +429,12 @@ fn check_kind<I: IndexLike>(kind: &str, index: I) {
         }
     }
     // cap = 1 stops at the first H2 chain: plain and weighted, both modes.
-    assert_eq!(stopped_early, 4, "{kind}");
+    assert_eq!(stopped_early, 4);
 }
 
 #[test]
-fn fill_equals_align_sort_truncate_on_an_owned_index() {
-    check_kind("PathIndex", PathIndex::build(tie_data()));
-}
-
-#[test]
-fn fill_equals_align_sort_truncate_on_a_mapped_index() {
-    let bytes = path_index::encode_v2(&PathIndex::build(tie_data())).expect("encodes");
-    check_kind(
-        "MappedIndex",
-        MappedIndex::from_bytes(&bytes).expect("opens"),
-    );
+fn fill_equals_align_sort_truncate() {
+    check(MappedIndex::build(tie_data()).expect("builds"));
 }
 
 /// Query weights are public, and a caller may price a position below
@@ -467,7 +443,7 @@ fn fill_equals_align_sort_truncate_on_a_mapped_index() {
 /// later chain, mismatching the source at weight −1, beats them.
 #[test]
 fn a_negative_weight_keeps_the_fill_reading() {
-    let index = PathIndex::build(tie_data());
+    let index = MappedIndex::build(tie_data()).expect("builds");
     let candidates = index.all_path_ids();
     let mut b = QueryGraph::builder();
     b.triple_str("H3", "sponsor", "?v1").unwrap();
@@ -475,7 +451,7 @@ fn a_negative_weight_keeps_the_fill_reading() {
     b.triple_str("?v2", "subject", "\"HC\"").unwrap();
     let mut qpaths = decompose_query(
         &b.build(),
-        index.graph().vocab(),
+        &index,
         &NoSynonyms,
         &ExtractionConfig::default(),
     );
@@ -498,7 +474,7 @@ fn a_negative_weight_keeps_the_fill_reading() {
 /// on the clustering side, though the budget has expired.
 #[test]
 fn a_stop_that_beats_a_tripped_budget_leaves_a_complete_cluster() {
-    let index = PathIndex::build(tie_data());
+    let index = MappedIndex::build(tie_data()).expect("builds");
     let candidates = index.all_path_ids();
     let cases = query_paths(&index, "\"HC\"");
     let mut tripwire = Probe::new(index);

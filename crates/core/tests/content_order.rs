@@ -1,16 +1,16 @@
 //! The content-order contract of `IndexLike`: every candidate list an
 //! index hands out — sink and label postings, synonym unions of them,
 //! `all_path_ids`, and what the LSH tier leaves of a list — is strictly
-//! increasing in `(path_nodes, path_edges)`, for the built index, the
-//! mapped one and a wrapper forwarding to either. The cluster fill
+//! increasing in `(path_nodes, path_edges)`, for the mapped index and a
+//! wrapper forwarding to it. The cluster fill
 //! breaks λ ties by candidate position and stops once its heap is full
 //! at λ = 0; both are right only in this order.
 
 mod support;
 
 use path_index::{
-    build_lsh_bytes, encode_v2, IndexLike, LshParams, LshSidecar, MappedIndex, NoSynonyms, PathId,
-    PathIndex, SynonymProvider, Thesaurus,
+    build_lsh_bytes, IndexLike, LshParams, LshSidecar, MappedIndex, NoSynonyms, PathId,
+    SynonymProvider, Thesaurus,
 };
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Term, Triple};
@@ -88,12 +88,7 @@ fn check_lsh_lists<I: IndexLike>(kind: &str, probe: &Probe<I>, data: &[Triple]) 
             ..triple.clone()
         };
         let query = QueryGraph::from_triples(&[pattern]).expect("one pattern");
-        let qpaths = decompose_query(
-            &query,
-            probe.inner.data().vocab(),
-            &NoSynonyms,
-            &Default::default(),
-        );
+        let qpaths = decompose_query(&query, &probe.inner, &NoSynonyms, &Default::default());
         probe.labels_read.lock().expect("unpoisoned").clear();
         let clusters = build_clusters(
             &qpaths,
@@ -112,16 +107,14 @@ fn check_lsh_lists<I: IndexLike>(kind: &str, probe: &Probe<I>, data: &[Triple]) 
     pruned
 }
 
-/// The built index with an LSH tier, and its image mapped with one.
-fn both_kinds(data: DataGraph) -> (PathIndex, MappedIndex) {
-    let mut owned = PathIndex::build(data);
-    owned.build_lsh(LSH).expect("signs");
-    let mut mapped = MappedIndex::from_bytes(&encode_v2(&owned).expect("encodes")).expect("opens");
-    let sidecar = LshSidecar::from_bytes(&build_lsh_bytes(&owned, LSH).expect("signs"));
-    mapped
+/// The index of `data` with an LSH tier.
+fn with_lsh(data: DataGraph) -> MappedIndex {
+    let mut index = MappedIndex::build(data).expect("builds");
+    let sidecar = LshSidecar::from_bytes(&build_lsh_bytes(&index, LSH).expect("signs"));
+    index
         .attach_lsh(sidecar.expect("opens"))
         .expect("same paths");
-    (owned, mapped)
+    index
 }
 
 proptest! {
@@ -129,16 +122,11 @@ proptest! {
 
     #[test]
     fn every_candidate_list_is_in_content_order(data in arb_dag_triples(8, 14)) {
-        let (owned, mapped) = both_kinds(DataGraph::from_triples(&data).expect("ground"));
-        check_lookups("PathIndex", &owned);
-        check_lookups("MappedIndex", &mapped);
-        assert_eq!(owned.all_path_ids(), mapped.all_path_ids());
-        let probe = Probe::new(owned);
-        check_lookups("Probe<PathIndex>", &probe);
-        check_lsh_lists("Probe<PathIndex>", &probe, &data);
-        let probe = Probe::new(mapped);
-        check_lookups("Probe<MappedIndex>", &probe);
-        check_lsh_lists("Probe<MappedIndex>", &probe, &data);
+        let index = with_lsh(DataGraph::from_triples(&data).expect("ground"));
+        check_lookups("MappedIndex", &index);
+        let probe = Probe::new(index);
+        check_lookups("Probe", &probe);
+        check_lsh_lists("Probe", &probe, &data);
     }
 }
 
@@ -163,12 +151,11 @@ fn the_lsh_tier_keeps_content_order_when_it_prunes() {
         Triple::parse("B0", "subject", "\"HC\""),
         Triple::parse("A3", "aTo", "B3"),
     ];
-    let (owned, mapped) = both_kinds(b.build());
-    let ids = owned.all_path_ids();
+    let index = with_lsh(b.build());
+    let ids = index.all_path_ids();
     assert!(
         ids.windows(2).all(|w| w[0] > w[1]),
         "path ids run against content order"
     );
-    assert!(check_lsh_lists("Probe<PathIndex>", &Probe::new(owned), &data) > 0);
-    assert!(check_lsh_lists("Probe<MappedIndex>", &Probe::new(mapped), &data) > 0);
+    assert!(check_lsh_lists("Probe", &Probe::new(index), &data) > 0);
 }

@@ -2,16 +2,14 @@
 //!
 //! `answer`, `try_answer`, `answer_with_budget`, `answer_stream` and
 //! `answer_batch` are thin callers of one prepare → search → finish
-//! pipeline, so for any index kind and any tier configuration, traced
-//! or not, they must return the same answers bit for bit; they differ
+//! pipeline, so for any tier configuration, traced or not, they must
+//! return the same answers bit for bit; they differ
 //! only in how an invalid query is reported, and none of them decomposes
 //! a query more than once.
 
 mod support;
 
-use path_index::{
-    build_lsh_bytes, encode_v2, IndexLike, LshParams, LshSidecar, MappedIndex, PathIndex, Thesaurus,
-};
+use path_index::{IndexLike, MappedIndex, Thesaurus};
 use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{
     Answer, BatchConfig, EngineConfig, QueryBudget, QueryError, QueryResult, Retrieval, SamaEngine,
@@ -167,27 +165,15 @@ fn assert_entry_points_agree<I: IndexLike + Sync>(engine: &SamaEngine<I>, label:
     }
 }
 
-/// Both index kinds under one configuration, the synonym table
-/// installed when `relax`.
-fn engines(config: EngineConfig, relax: bool) -> (SamaEngine<PathIndex>, SamaEngine<MappedIndex>) {
-    // `with_config` builds the LSH tier an LSH configuration needs.
-    let owned = SamaEngine::with_config(data(), config);
-    let image = encode_v2(owned.index()).expect("encodes");
-    let mut mapped = MappedIndex::from_bytes(&image).expect("own image");
-    if let Retrieval::Lsh { bands, rows, .. } = config.cluster.retrieval {
-        let sidecar = build_lsh_bytes(&mapped, LshParams { bands, rows }).expect("signatures");
-        mapped
-            .attach_lsh(LshSidecar::from_bytes(&sidecar).expect("own sidecar"))
-            .expect("same snapshot");
-    }
-    let mapped = SamaEngine::from_index_with_config(mapped, config);
+/// An engine under one configuration, the synonym table installed when
+/// `relax` (`with_config` attaches the LSH tier an LSH configuration
+/// needs).
+fn engine(config: EngineConfig, relax: bool) -> SamaEngine {
+    let engine = SamaEngine::with_config(data(), config);
     if relax {
-        (
-            owned.relax_synonyms(thesaurus()),
-            mapped.relax_synonyms(thesaurus()),
-        )
+        engine.relax_synonyms(thesaurus())
     } else {
-        (owned, mapped)
+        engine
     }
 }
 
@@ -197,22 +183,14 @@ fn every_entry_point_gives_the_same_answers() {
         let [untraced, traced] = [false, true].map(|trace| {
             let name = format!("{name}{}", if trace { "+trace" } else { "" });
             config.trace.enabled = trace;
-            let (owned, mapped) = engines(config, relax);
-            assert_entry_points_agree(&owned, &format!("{name}/PathIndex"));
-            assert_entry_points_agree(&mapped, &format!("{name}/MappedIndex"));
-            // The two index kinds agree with each other, too, and a
-            // result carries a trace exactly when one was asked for.
+            let engine = engine(config, relax);
+            assert_entry_points_agree(&engine, &name);
+            // A result carries a trace exactly when one was asked for.
             let mut answers = Vec::new();
             for q in workload() {
-                let (owned, mapped) = (owned.answer(&q, K), mapped.answer(&q, K));
-                assert_eq!(
-                    fingerprint(&owned),
-                    fingerprint(&mapped),
-                    "{name}: PathIndex vs MappedIndex"
-                );
-                assert_eq!(owned.trace.is_some(), trace, "{name}/PathIndex");
-                assert_eq!(mapped.trace.is_some(), trace, "{name}/MappedIndex");
-                answers.push(fingerprint(&owned));
+                let result = engine.answer(&q, K);
+                assert_eq!(result.trace.is_some(), trace, "{name}");
+                answers.push(fingerprint(&result));
             }
             answers
         });
@@ -271,7 +249,7 @@ fn an_invalid_query_is_an_error_only_from_the_checked_entry_points() {
     assert!(!stream.is_truncated());
 
     // A valid query under an expired budget is a flagged empty result
-    // from both kinds.
+    // from both kinds of entry point.
     let q = &workload()[0];
     let expired = QueryBudget::deadline(Duration::ZERO);
     let checked = engine.try_answer_with_budget(q, K, &expired).unwrap();
@@ -286,7 +264,7 @@ fn an_invalid_query_is_an_error_only_from_the_checked_entry_points() {
 /// once: validation is the decomposition the pipeline then runs on.
 #[test]
 fn try_answer_resolves_each_query_constant_once() {
-    let engine = SamaEngine::from_index(Probe::new(PathIndex::build(data())));
+    let engine = SamaEngine::from_index(Probe::new(MappedIndex::build(data()).unwrap()));
     // One path, every constant at one position.
     let q = query(&[
         ("P7", "sponsor", "?v1"),

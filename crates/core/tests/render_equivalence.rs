@@ -5,12 +5,11 @@
 //! kept here is the old way: assemble `Answer::subgraph` (a fresh
 //! `Graph` + `Vocabulary` per answer), print its `to_sorted_lines`, and
 //! resolve bindings through `data().vocab()`. The two must agree byte
-//! for byte on both index kinds — owned and mapped — and on the shapes an
-//! answer can take: chosen paths that share edges, single-node paths,
+//! for byte on the shapes an answer can take: chosen paths that share edges, single-node paths,
 //! uncovered query paths, no answers at all, labels that need JSON
 //! escapes.
 
-use path_index::{encode_v2, IndexLike, MappedIndex, PathIndex};
+use path_index::{IndexLike, MappedIndex};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Term, Triple};
 use sama_core::{render_result_json, QueryResult, SamaEngine};
@@ -78,22 +77,18 @@ fn reference_json<I: IndexLike>(index: &I, query: &QueryGraph, result: &QueryRes
 }
 
 // ---------------------------------------------------------------------------
-// One data graph behind every index kind.
+// The emitter held to the reference.
 
-fn mapped(index: &PathIndex) -> MappedIndex {
-    MappedIndex::from_bytes(&encode_v2(index).expect("encode")).expect("open")
-}
-
-/// Answer `query` on one index kind and hold the new emitter to the
+/// Answer `query` over `data` and hold the new emitter to the
 /// reference: the JSON document, the plain-text lines, and the same
 /// again after `mutate` reshaped the result. Returns the JSON.
-fn check_kind<I: IndexLike + Sync>(
-    index: I,
+fn check(
+    data: &DataGraph,
     query: &QueryGraph,
     k: usize,
     mutate: &dyn Fn(&mut QueryResult),
 ) -> String {
-    let engine = SamaEngine::from_index(index);
+    let engine = SamaEngine::from_index(MappedIndex::build(data.clone()).expect("builds"));
     let mut result = engine.answer(query, k);
     let index = engine.index();
     let json = render_result_json(index, query, &result);
@@ -110,21 +105,6 @@ fn check_kind<I: IndexLike + Sync>(
         );
     }
     json
-}
-
-/// [`check_kind`] over `PathIndex` and `MappedIndex`. The two serve one
-/// id space, so their documents must also equal each other.
-fn check_all_kinds(
-    data: &DataGraph,
-    query: &QueryGraph,
-    k: usize,
-    mutate: &dyn Fn(&mut QueryResult),
-) -> String {
-    let owned = PathIndex::build(data.clone());
-    let from_mapped = check_kind(mapped(&owned), query, k, mutate);
-    let from_owned = check_kind(owned, query, k, mutate);
-    assert_eq!(from_owned, from_mapped);
-    from_owned
 }
 
 fn keep(_: &mut QueryResult) {}
@@ -155,7 +135,7 @@ fn q1() -> QueryGraph {
 #[test]
 fn chosen_paths_that_share_edges_print_each_triple_once() {
     // q1 and q2 of the paper's Q1 both end in `B1432 subject HC`.
-    let json = check_all_kinds(&govtrack(), &q1(), 5, &keep);
+    let json = check(&govtrack(), &q1(), 5, &keep);
     let best = json.split("\"rank\":1").next().unwrap();
     assert_eq!(best.matches("B1432 subject \\\"Health Care\\\"").count(), 1);
     assert!(best.contains("\"exact\":true"), "{best}");
@@ -167,20 +147,20 @@ fn uncovered_query_paths_and_empty_results() {
     // Uncover each query path in turn (`entry == None`, priced as a
     // deletion): its edges leave the triples, its bindings the map.
     for uncovered in 0..3 {
-        check_all_kinds(&govtrack(), &q1(), 5, &|result| {
+        check(&govtrack(), &q1(), 5, &|result| {
             for answer in &mut result.answers {
                 answer.choices[uncovered].entry = None;
             }
         });
     }
     // Every path uncovered, and no answers at all.
-    check_all_kinds(&govtrack(), &q1(), 5, &|result| {
+    check(&govtrack(), &q1(), 5, &|result| {
         for choice in result.answers.iter_mut().flat_map(|a| &mut a.choices) {
             choice.entry = None;
         }
     });
-    check_all_kinds(&govtrack(), &q1(), 5, &|result| result.answers.clear());
-    let none = check_all_kinds(&govtrack(), &q1(), 0, &keep);
+    check(&govtrack(), &q1(), 5, &|result| result.answers.clear());
+    let none = check(&govtrack(), &q1(), 0, &keep);
     assert!(none.starts_with("{\"answers\":[],"), "{none}");
 }
 
@@ -193,7 +173,7 @@ fn single_node_paths_contribute_no_triples() {
     // The only path ending in `lonely` is the isolated node itself.
     let mut q = QueryGraph::builder();
     q.triple_str("?x", "p", "lonely").unwrap();
-    let json = check_all_kinds(&data, &q.build(), 3, &keep);
+    let json = check(&data, &q.build(), 3, &keep);
     assert!(json.contains("\"triples\":[]"), "{json}");
 }
 
@@ -213,7 +193,7 @@ fn labels_are_escaped_and_kinds_keep_their_sigils() {
         .unwrap();
     q.triple(&Triple::new(Term::var("a"), Term::iri("q"), Term::var("c")))
         .unwrap();
-    let json = check_all_kinds(&data, &q.build(), 10, &keep);
+    let json = check(&data, &q.build(), 10, &keep);
     assert!(json.contains("\\\"hi\\\" \\\\ back\\nnext\\ttab\\r\\u0001 ü"));
     assert!(json.contains("x q \\\"x\\\""), "{json}");
     assert!(json.contains("_:x q x"), "{json}");
@@ -285,7 +265,7 @@ proptest! {
     ) {
         let data = DataGraph::from_triples(&data).expect("ground");
         let Ok(query) = QueryGraph::from_triples(&query) else { return Ok(()) };
-        check_all_kinds(&data, &query, 6, &|result| {
+        check(&data, &query, 6, &|result| {
             for answer in &mut result.answers {
                 if let Some(choice) = answer.choices.get_mut(uncovered) {
                     choice.entry = None;

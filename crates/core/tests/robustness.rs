@@ -20,7 +20,7 @@
 
 mod support;
 
-use path_index::{PathIndex, Thesaurus};
+use path_index::{MappedIndex, Thesaurus};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{
@@ -342,7 +342,7 @@ fn relaxed_under_tripwire(
         b.triple_str(&format!("P{i}"), "gender", "\"Male\"")
             .unwrap();
     }
-    let mut index = Probe::new(PathIndex::build(b.build()));
+    let mut index = Probe::new(MappedIndex::build(b.build()).expect("builds"));
     index.trip_at = 1;
     let budget = QueryBudget::unlimited().cancelled_by(Arc::clone(&index.token));
     let mut table = Thesaurus::new();

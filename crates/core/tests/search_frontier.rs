@@ -11,8 +11,8 @@
 //! `χ` lookup counts of `search_top_k_budgeted` equal the values in
 //! `search_frontier.table`, which the commit *before* the frontier
 //! change generated with this same code — across expansion and frontier
-//! limits, `distinct_paths`, paper and IC-weighted costs, both index
-//! kinds and a cancellation tripped mid-search. Any change to the pop
+//! limits, `distinct_paths`, paper and IC-weighted costs, and a
+//! cancellation tripped mid-search. Any change to the pop
 //! order, to the truncation point or to the states the anytime fill
 //! drains shows up as a different row.
 
@@ -242,8 +242,8 @@ struct Case {
     name: String,
     data: DataGraph,
     query: QueryGraph,
-    /// The full limits × index kinds matrix, or (for the one case that
-    /// never finishes) two expansion limits on the owned index only.
+    /// The full limits matrix with cancellation rows, or (for the one
+    /// case that never finishes) three limit pairs only.
     full_matrix: bool,
 }
 
@@ -327,9 +327,7 @@ struct Prepared {
 fn prepare<I: IndexLike + Sync>(index: &I, query: &QueryGraph, ic: bool) -> Prepared {
     let mut qpaths = decompose_query(query, index, &NoSynonyms, &ExtractionConfig::default());
     if ic {
-        let table = index
-            .ic_table()
-            .expect("every index kind here has IC counts");
+        let table = index.ic_table().expect("a mapped index has IC counts");
         apply_ic_weights(&mut qpaths, index, &table);
     }
     let ig = IntersectionGraph::build(&qpaths);
@@ -437,11 +435,12 @@ fn limit_rows<I: IndexLike + Sync>(
 /// One row: the search over a probe that cancels the budget's token
 /// after a fixed number of χ lookups — the search notices at its next
 /// poll, puts the popped state back and greedily completes the frontier.
-fn cancel_row(out: &mut String, label: &str, index: &PathIndex, query: &QueryGraph, ic: bool) {
-    let prepared = prepare(index, query, ic);
+fn cancel_row(out: &mut String, label: &str, image: &[u8], query: &QueryGraph, ic: bool) {
+    let open = || MappedIndex::from_bytes(image).expect("own image");
+    let prepared = prepare(&open(), query, ic);
     write!(out, "{label} {} cancel", if ic { "ic" } else { "paper" }).unwrap();
     for lookups in CANCEL_AFTER_LOOKUPS {
-        let mut probe = Probe::new(index.clone());
+        let mut probe = Probe::new(open());
         probe.trip_at_sorted_nodes = 2 * lookups + 1;
         let budget = QueryBudget::unlimited().cancelled_by(probe.token.clone());
         let outcome = search(&prepared, &probe, &SearchConfig::default(), &budget);
@@ -453,19 +452,13 @@ fn cancel_row(out: &mut String, label: &str, index: &PathIndex, query: &QueryGra
 fn actual_table() -> String {
     let mut out = String::new();
     for case in cases() {
-        let owned = PathIndex::build(case.data.clone());
-        let name = &case.name;
+        let image = encode_v2(&PathIndex::build(case.data.clone())).expect("encodes");
+        let index = MappedIndex::from_bytes(&image).expect("own image");
+        let label = format!("{} mapped", case.name);
         if !case.full_matrix {
             let limits = [(Some(50), None), (Some(3000), None), (Some(3000), Some(8))];
             for ic in [false, true] {
-                limit_rows(
-                    &mut out,
-                    &format!("{name} owned"),
-                    &owned,
-                    &case.query,
-                    ic,
-                    &limits,
-                );
+                limit_rows(&mut out, &label, &index, &case.query, ic, &limits);
             }
             continue;
         }
@@ -473,22 +466,9 @@ fn actual_table() -> String {
             .iter()
             .flat_map(|&e| MAX_FRONTIER.iter().map(move |&f| (e, f)))
             .collect();
-        let image = encode_v2(&owned).expect("encodes");
-        let mapped = MappedIndex::from_bytes(&image).expect("own image");
         for ic in [false, true] {
-            // A mapped image numbers its paths like the index it was
-            // encoded from, so the two share their rows.
-            let label = format!("{name} owned+mapped");
-            let before = out.len();
-            limit_rows(&mut out, &label, &owned, &case.query, ic, &limits);
-            let mut from_mapped = String::new();
-            limit_rows(&mut from_mapped, &label, &mapped, &case.query, ic, &limits);
-            assert_eq!(
-                from_mapped,
-                out[before..],
-                "{name}: MappedIndex vs PathIndex"
-            );
-            cancel_row(&mut out, &format!("{name} owned"), &owned, &case.query, ic);
+            limit_rows(&mut out, &label, &index, &case.query, ic, &limits);
+            cancel_row(&mut out, &label, &image, &case.query, ic);
         }
     }
     out

@@ -6,15 +6,16 @@
 //! top-10 answers, including any preprocessing, execution and
 //! traversal."
 //!
-//! Cold cache for Sama deserializes the index before every run (the
-//! paper's disk-resident HGDB start); warm reuses the resident engine.
+//! Cold cache for Sama opens the index image before every run — copied
+//! and validated, as `sama query` opens its file (the paper's
+//! disk-resident HGDB start); warm reuses the resident engine.
 //! The baselines hold no persistent index, so their cold and warm runs
 //! coincide — we report their (identical) measurement once, as the
 //! paper's bars do.
 
 use super::setup::LubmFixture;
 use graph_match::Matcher;
-use path_index::{decode_v2, serialize_index_v2};
+use path_index::{encode_v2, MappedIndex, PathIndex};
 use sama_core::SamaEngine;
 use std::fmt;
 use std::time::Instant;
@@ -24,7 +25,7 @@ use std::time::Instant;
 pub struct Fig6Row {
     /// Query name ("Q1" … "Q12").
     pub query: String,
-    /// Sama, cold cache (per-run index deserialization included).
+    /// Sama, cold cache (per-run index open included).
     pub sama_cold_ms: f64,
     /// Sama, warm cache.
     pub sama_warm_ms: f64,
@@ -70,8 +71,7 @@ fn avg_ms(runs: usize, mut f: impl FnMut()) -> f64 {
 /// Run Figure 6 on a corpus of roughly `triples` triples.
 pub fn run(triples: usize, runs: usize, k: usize) -> Fig6 {
     let fx = LubmFixture::new(triples, 42);
-    let mut index = fx.engine.index().clone();
-    let bytes = serialize_index_v2(&mut index).expect("index fits format");
+    let bytes = encode_v2(&PathIndex::build(fx.data().clone())).expect("index fits format");
 
     let rows = fx
         .workload
@@ -79,8 +79,8 @@ pub fn run(triples: usize, runs: usize, k: usize) -> Fig6 {
         .map(|nq| {
             let q = &nq.query;
             let sama_cold_ms = avg_ms(runs, || {
-                let loaded = decode_v2(&bytes).expect("index bytes are valid");
-                let engine = SamaEngine::from_index(loaded);
+                let opened = MappedIndex::from_bytes(&bytes).expect("index bytes are valid");
+                let engine = SamaEngine::from_index(opened);
                 let _ = engine.answer(q, k);
             });
             let sama_warm_ms = avg_ms(runs, || {

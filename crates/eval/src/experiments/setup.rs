@@ -116,13 +116,14 @@ pub fn graph_triples(g: &Graph) -> Vec<rdf_model::Triple> {
 mod tests {
     use super::*;
     use graph_match::Matcher;
+    use path_index::IndexLike;
 
     #[test]
     fn fixture_builds() {
         let fx = LubmFixture::new(1_500, 1);
         assert!(fx.data().edge_count() > 500);
         assert_eq!(fx.workload.len(), 12);
-        assert!(fx.engine.index().path_count() > 0);
+        assert!(fx.engine.index().total_paths() > 0);
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! clustering step's "group the paths of `G` having a sink that matches
 //! the sink of `q`" lookup, and the full label map supports the fallback
 //! "paths containing a label matching `v`".
+//!
+//! [`PathIndex`] is the builder's side of the index: what `build`,
+//! `insert_triples` and `decode_v2` produce and [`crate::encode_v2`]
+//! writes. Queries read the written image, through
+//! [`crate::MappedIndex`] — the one [`crate::IndexLike`].
 
 use crate::extract::{extract_paths, ExtractionConfig};
 use crate::hypergraph::HyperGraphView;
-use crate::ic::{IcCounts, IcTable};
+use crate::ic::IcCounts;
 use crate::path::{Path, PathId, PathLabels};
 use crate::stats::IndexStats;
-use crate::storage::StorageError;
-use crate::synonyms::SynonymProvider;
 use rdf_model::{DataGraph, FxHashMap, LabelId, NodeId};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A path plus its materialized label sequences and the sorted set of
@@ -55,7 +57,9 @@ impl IndexedPath {
     }
 }
 
-/// The complete off-line index over one data graph.
+/// The complete off-line index over one data graph, as the builder
+/// holds it: the input to [`crate::encode_v2`], and what
+/// [`crate::decode_v2`] gives back for an update.
 ///
 /// Every list of path ids it hands out — postings, `all_path_ids` — is
 /// in *path-content order*: ascending by `(path.nodes, path.edges)`.
@@ -79,16 +83,6 @@ pub struct PathIndex {
     /// stored twice.
     shape_reps: Vec<PathId>,
     stats: IndexStats,
-    /// Optional MinHash/LSH candidate tier (see [`crate::lsh`]).
-    /// Shared (`Arc`) so cloning the index does not re-sign every
-    /// path; invalidated by any rebuild through `from_parts` — an
-    /// update renumbers paths, so stale signatures would be wrong, not
-    /// just incomplete.
-    lsh: Option<std::sync::Arc<crate::lsh::LshSidecar>>,
-    /// IC weight table, derived lazily from the path label sequences
-    /// on first use (see [`crate::ic`]). A clone restarts empty —
-    /// recomputation yields the identical table.
-    ic: OnceLock<IcTable>,
 }
 
 impl PathIndex {
@@ -177,46 +171,7 @@ impl PathIndex {
             path_shapes,
             shape_reps,
             stats,
-            lsh: None,
-            ic: OnceLock::new(),
         }
-    }
-
-    /// Build and attach the MinHash/LSH candidate tier (see
-    /// [`crate::lsh`]) so cluster filling can retrieve approximate
-    /// candidates instead of aligning every exact-scan hit.
-    ///
-    /// # Errors
-    /// Propagates [`crate::lsh::build_lsh_bytes`] failures (the index
-    /// is left without an LSH tier).
-    pub fn build_lsh(&mut self, params: crate::lsh::LshParams) -> Result<(), StorageError> {
-        let bytes = crate::lsh::build_lsh_bytes(self, params)?;
-        self.lsh = Some(std::sync::Arc::new(crate::lsh::LshSidecar::from_bytes(
-            &bytes,
-        )?));
-        Ok(())
-    }
-
-    /// Attach a pre-built (e.g. mapped-from-disk) LSH sidecar.
-    ///
-    /// # Errors
-    /// [`StorageError::Corrupt`] when the sidecar covers a different
-    /// number of paths than this index.
-    pub fn attach_lsh(
-        &mut self,
-        sidecar: std::sync::Arc<crate::lsh::LshSidecar>,
-    ) -> Result<(), StorageError> {
-        if sidecar.path_count() != self.path_count() {
-            return Err(StorageError::Corrupt("LSH sidecar path count mismatch"));
-        }
-        self.lsh = Some(sidecar);
-        Ok(())
-    }
-
-    /// The attached LSH tier, if any.
-    #[inline]
-    pub fn lsh(&self) -> Option<&crate::lsh::LshSidecar> {
-        self.lsh.as_deref()
     }
 
     /// The indexed data graph.
@@ -269,10 +224,10 @@ impl PathIndex {
             .map(|&rep| &*self.path(rep).labels.edge_labels)
     }
 
-    /// Every path id, in path-content order (`all_path_ids`, and the v2
-    /// encoder's `path-order` section).
+    /// Every path id, in path-content order (the v2 encoder's
+    /// `path-order` section).
     #[inline]
-    pub(crate) fn content_order(&self) -> &[PathId] {
+    pub fn content_order(&self) -> &[PathId] {
         &self.order
     }
 
@@ -284,36 +239,6 @@ impl PathIndex {
     /// Paths whose sink carries `label`.
     pub fn paths_with_sink(&self, label: LabelId) -> &[PathId] {
         self.by_sink.get(&label).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Paths whose sink label matches `lexical` exactly *or via the
-    /// synonym provider* — the clustering step's admission rule — in
-    /// path-content order.
-    pub fn paths_with_sink_matching(
-        &self,
-        lexical: &str,
-        synonyms: &dyn SynonymProvider,
-    ) -> Vec<PathId> {
-        let _span = sama_obs::span!("index.locate_ns");
-        sama_obs::counter_add("index.sink_lookups_total", 1);
-        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
-            out.extend_from_slice(self.paths_with_sink(label))
-        })
-    }
-
-    /// Paths containing a label matching `lexical` exactly or via the
-    /// synonym provider — the clustering fallback when the query path's
-    /// sink is a variable — in path-content order.
-    pub fn paths_with_label_matching(
-        &self,
-        lexical: &str,
-        synonyms: &dyn SynonymProvider,
-    ) -> Vec<PathId> {
-        let _span = sama_obs::span!("index.locate_ns");
-        sama_obs::counter_add("index.label_lookups_total", 1);
-        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
-            out.extend_from_slice(self.paths_with_label(label))
-        })
     }
 
     /// Label occurrence counts over the indexed paths — the input to
@@ -330,13 +255,6 @@ impl PathIndex {
                     .chain(ip.labels.edge_labels.iter().copied())
             }),
         )
-    }
-
-    /// The IC weight table, derived lazily from
-    /// [`PathIndex::ic_counts`] on first use.
-    pub fn ic_table(&self) -> &IcTable {
-        self.ic
-            .get_or_init(|| IcTable::from_counts(&self.ic_counts()))
     }
 
     /// Build statistics (Table 1's row for this dataset).
@@ -383,7 +301,6 @@ fn content_order(paths: &[IndexedPath]) -> Vec<PathId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synonyms::{NoSynonyms, Thesaurus};
     use rdf_model::Term;
 
     fn sample_index() -> PathIndex {
@@ -444,23 +361,6 @@ mod tests {
         assert_eq!(hits.len(), 2);
         let b1432 = idx.graph().vocab().get(&Term::iri("B1432")).unwrap();
         assert_eq!(idx.paths_with_label(b1432).len(), 2);
-    }
-
-    #[test]
-    fn unknown_label_is_empty() {
-        let idx = sample_index();
-        assert!(idx.paths_with_sink_matching("Nope", &NoSynonyms).is_empty());
-    }
-
-    #[test]
-    fn synonym_widens_matching() {
-        let idx = sample_index();
-        let mut t = Thesaurus::new();
-        t.group(["Healthcare", "HC"]);
-        assert!(idx
-            .paths_with_sink_matching("Healthcare", &NoSynonyms)
-            .is_empty());
-        assert_eq!(idx.paths_with_sink_matching("Healthcare", &t).len(), 2);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! What the query-answering pipeline asks of an index: the
-//! [`IndexLike`] trait, implemented by the index the builder holds
-//! ([`PathIndex`]) and the one a file maps ([`crate::MappedIndex`]),
-//! and the [`ConstantLookup`] it resolves query constants through.
+//! [`IndexLike`] trait, implemented in the library by the one index a
+//! query reads — a `SAMAIDX2` image, [`crate::MappedIndex`] — and the
+//! [`ConstantLookup`] it resolves query constants through.
 
 use crate::ic::IcTable;
-use crate::index::PathIndex;
 use crate::path::{LabelsRef, PathId};
 use crate::synonyms::SynonymProvider;
 use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Vocabulary};
@@ -33,38 +32,10 @@ impl<I: IndexLike + ?Sized> ConstantLookup for I {
     }
 }
 
-/// The paths `lookup` lists for `lexical` and for each of its synonyms,
-/// in path-content order and deduplicated — the admission rule behind
-/// [`IndexLike::sink_matching`] and [`IndexLike::label_matching`].
-pub(crate) fn match_via<I: IndexLike + ?Sized>(
-    index: &I,
-    lexical: &str,
-    synonyms: &dyn SynonymProvider,
-    mut lookup: impl FnMut(LabelId, &mut Vec<PathId>),
-) -> Vec<PathId> {
-    let mut out: Vec<PathId> = Vec::new();
-    let mut lists = 0;
-    let widened = synonyms.synonyms(lexical);
-    let labels = std::iter::once(lexical)
-        .chain(widened.iter().map(String::as_str))
-        .filter_map(|lexical| index.constant_label(lexical));
-    for label in labels {
-        let before = out.len();
-        lookup(label, &mut out);
-        lists += usize::from(out.len() > before);
-    }
-    // One posting list is in content order and duplicate-free as it is;
-    // only a union of several needs the merge.
-    if lists > 1 {
-        out.sort_unstable_by_key(|&p| (index.path_nodes(p), index.path_edges(p)));
-        out.dedup();
-    }
-    out
-}
-
-/// The lookup interface shared by the owned [`PathIndex`] and the
-/// zero-copy [`crate::MappedIndex`], its two implementations —
-/// everything the query-answering pipeline needs from an index.
+/// Everything the query-answering pipeline needs from an index. The
+/// library's one implementation is the zero-copy
+/// [`crate::MappedIndex`]; the trait stays a seam so a test can wrap
+/// that index and watch what a query reads.
 ///
 /// All per-path accessors return *borrowed slices* so an implementation
 /// backed by a read-only file mapping can serve the hot alignment and
@@ -78,8 +49,8 @@ pub trait IndexLike {
     /// The indexed data graph. A mapped index rebuilds it on first call
     /// (every string interned, adjacency re-created), so the query path
     /// does not ask for it: it reads labels through the four label
-    /// accessors below. What still needs a graph — path display,
-    /// `Answer::subgraph`, index updates — calls this.
+    /// accessors below. What still needs a graph — path display and
+    /// `Answer::subgraph` — calls this.
     fn data(&self) -> &DataGraph;
 
     /// The data label a query constant names, with
@@ -168,65 +139,5 @@ pub trait IndexLike {
     /// every label mismatch uniformly.
     fn ic_table(&self) -> Option<IcTable> {
         None
-    }
-}
-
-impl IndexLike for PathIndex {
-    fn data(&self) -> &DataGraph {
-        self.graph()
-    }
-
-    fn total_paths(&self) -> usize {
-        self.path_count()
-    }
-
-    fn path_nodes(&self, id: PathId) -> &[NodeId] {
-        &self.path(id).path.nodes
-    }
-
-    fn path_edges(&self, id: PathId) -> &[EdgeId] {
-        &self.path(id).path.edges
-    }
-
-    fn labels(&self, id: PathId) -> LabelsRef<'_> {
-        self.path(id).labels.view()
-    }
-
-    fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
-        self.path(id).sorted_nodes()
-    }
-
-    fn path_shape(&self, id: PathId) -> u32 {
-        PathIndex::path_shape(self, id)
-    }
-
-    fn shape_count(&self) -> usize {
-        PathIndex::shape_count(self)
-    }
-
-    fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
-        self.paths_with_sink_matching(lexical, synonyms)
-    }
-
-    fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
-        self.paths_with_label_matching(lexical, synonyms)
-    }
-
-    fn all_path_ids(&self) -> Vec<PathId> {
-        self.content_order().to_vec()
-    }
-
-    fn lsh_params(&self) -> Option<crate::lsh::LshParams> {
-        self.lsh().map(|sidecar| sidecar.params())
-    }
-
-    fn lsh_probe(&self, signature: &[u32]) -> Vec<crate::lsh::LshCandidate> {
-        self.lsh()
-            .map(|sidecar| sidecar.probe(signature))
-            .unwrap_or_default()
-    }
-
-    fn ic_table(&self) -> Option<IcTable> {
-        Some(PathIndex::ic_table(self).clone())
     }
 }

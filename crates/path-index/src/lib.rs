@@ -12,14 +12,15 @@
 //!   as the paper describes;
 //! * keep those paths with materialized label sequences, behind
 //!   inverted *label → paths* and *sink label → paths* maps
-//!   ([`PathIndex`]), so query answering can "skip the expensive graph
-//!   traversal at runtime";
+//!   ([`PathIndex`], the builder's side), so query answering can "skip
+//!   the expensive graph traversal at runtime";
 //! * account for the hypergraph representation (`|HV|`, `|HE|`) used by
 //!   Table 1 ([`hypergraph::HyperGraphView`]);
 //! * serialize the whole index to the one on-disk image, `SAMAIDX2`
 //!   ([`v2`]) — the paper's disk boundary and the Table 1 *Space*
 //!   column — and serve it in place from a memory map
-//!   ([`MappedIndex`]);
+//!   ([`MappedIndex`], the one [`IndexLike`]: every query reads the
+//!   image, never the builder's structs);
 //! * widen label matching through pluggable synonym providers
 //!   ([`synonyms`]), standing in for the paper's WordNet integration.
 //!

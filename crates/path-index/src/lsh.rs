@@ -609,10 +609,10 @@ impl LshSidecar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::PathIndex;
+    use crate::v2::MappedIndex;
     use rdf_model::DataGraph;
 
-    fn sample_index() -> PathIndex {
+    fn sample_index() -> MappedIndex {
         let mut b = DataGraph::builder();
         for i in 0..12 {
             b.triple_str(&format!("s{i}"), "sponsor", &format!("a{i}"))
@@ -622,7 +622,7 @@ mod tests {
             b.triple_str(&format!("b{}", i % 3), "subject", "\"HC\"")
                 .unwrap();
         }
-        PathIndex::build(b.build())
+        MappedIndex::build(b.build()).unwrap()
     }
 
     #[test]
@@ -641,12 +641,12 @@ mod tests {
         let bytes = build_lsh_bytes(&index, params).unwrap();
         let sidecar = LshSidecar::from_bytes(&bytes).unwrap();
         assert_eq!(sidecar.params(), params);
-        assert_eq!(sidecar.path_count(), index.path_count());
-        for i in 0..index.path_count() {
+        assert_eq!(sidecar.path_count(), index.total_paths());
+        for i in 0..index.total_paths() {
             let id = PathId(i as u32);
             assert_eq!(
                 sidecar.signature(id),
-                path_signature(crate::index_like::IndexLike::labels(&index, id), params).as_slice()
+                path_signature(index.labels(id), params).as_slice()
             );
         }
     }
@@ -659,7 +659,7 @@ mod tests {
         let params = LshParams::default();
         let bytes = build_lsh_bytes(&index, params).unwrap();
         let sidecar = LshSidecar::from_bytes(&bytes).unwrap();
-        for i in 0..index.path_count() {
+        for i in 0..index.total_paths() {
             let id = PathId(i as u32);
             let sig = sidecar.signature(id).to_vec();
             let hits = sidecar.probe(&sig);
@@ -718,7 +718,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("sama_lsh_test_{}.lsh", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         let sidecar = LshSidecar::open(&path).unwrap();
-        assert_eq!(sidecar.path_count(), index.path_count());
+        assert_eq!(sidecar.path_count(), index.total_paths());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -91,6 +91,7 @@
 //! little-endian hosts (all supported targets); parsing returns a typed
 //! error on big-endian rather than misreading.
 
+use crate::extract::ExtractionConfig;
 use crate::ic::{IcCounts, IcTable};
 use crate::index::{IndexedPath, PathIndex};
 use crate::index_like::IndexLike;
@@ -1173,8 +1174,10 @@ impl Backing {
     }
 }
 
-/// An index served directly from a `SAMAIDX2` buffer — the zero-copy
-/// counterpart of [`PathIndex`].
+/// An index served directly from a `SAMAIDX2` buffer — the one index
+/// a query reads. [`PathIndex`] is what the builder holds; its
+/// [`encode_v2`] image is what this serves, from a file mapping or an
+/// owned copy.
 ///
 /// Opening performs an `mmap` plus one allocation-free validation scan;
 /// the hot lookup structures (path store, sorted node sets, stored
@@ -1248,6 +1251,31 @@ impl MappedIndex {
         Self::from_backing(Backing::Owned(AlignedBytes::copy_from(bytes)))
     }
 
+    /// Index `data` with default extraction limits and serve the image
+    /// from memory (see [`MappedIndex::build_with_config`]).
+    ///
+    /// # Errors
+    /// As [`MappedIndex::build_with_config`].
+    pub fn build(data: DataGraph) -> Result<MappedIndex, StorageError> {
+        Self::build_with_config(data, &ExtractionConfig::default())
+    }
+
+    /// Index `data` and serve the image from memory: build the paths
+    /// ([`PathIndex::build_with_config`]), [`encode_v2`], and
+    /// [`MappedIndex::from_bytes`] — the bytes `sama index` writes, read
+    /// the way a mapped file is.
+    ///
+    /// # Errors
+    /// [`StorageError::TooLarge`] when the index outgrows the format's
+    /// `u32` counts.
+    pub fn build_with_config(
+        data: DataGraph,
+        config: &ExtractionConfig,
+    ) -> Result<MappedIndex, StorageError> {
+        let image = encode_v2(&PathIndex::build_with_config(data, config))?;
+        Self::from_bytes(&image)
+    }
+
     fn from_backing(backing: Backing) -> Result<MappedIndex, StorageError> {
         let _span = sama_obs::span!("index.open_ns");
         let view = IndexView::parse(backing.bytes())?;
@@ -1311,6 +1339,36 @@ impl MappedIndex {
     /// opposed to the owned in-memory fallback).
     pub fn is_mapped(&self) -> bool {
         matches!(self.backing, Backing::Mapped(_))
+    }
+
+    /// The paths `postings` lists for `lexical` and for each of its
+    /// synonyms, in path-content order and deduplicated — the admission
+    /// rule behind [`IndexLike::sink_matching`] and
+    /// [`IndexLike::label_matching`].
+    fn match_via(
+        &self,
+        lexical: &str,
+        synonyms: &dyn SynonymProvider,
+        postings: fn(&IndexView<'static>, LabelId) -> &'static [u32],
+    ) -> Vec<PathId> {
+        let mut out: Vec<PathId> = Vec::new();
+        let mut lists = 0;
+        let widened = synonyms.synonyms(lexical);
+        let labels = std::iter::once(lexical)
+            .chain(widened.iter().map(String::as_str))
+            .filter_map(|lexical| self.constant_label(lexical));
+        for label in labels {
+            let run = postings(&self.view, label);
+            out.extend(run.iter().map(|&p| PathId(p)));
+            lists += usize::from(!run.is_empty());
+        }
+        // One posting list is in content order and duplicate-free as it is;
+        // only a union of several needs the merge.
+        if lists > 1 {
+            out.sort_unstable_by_key(|&p| (self.path_nodes(p), self.path_edges(p)));
+            out.dedup();
+        }
+        out
     }
 }
 
@@ -1388,19 +1446,13 @@ impl IndexLike for MappedIndex {
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        let view = self.view;
-        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
-            out.extend(view.paths_with_sink(label).iter().map(|&p| PathId(p)))
-        })
+        self.match_via(lexical, synonyms, IndexView::paths_with_sink)
     }
 
     fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        let view = self.view;
-        crate::index_like::match_via(self, lexical, synonyms, |label, out| {
-            out.extend(view.paths_with_label(label).iter().map(|&p| PathId(p)))
-        })
+        self.match_via(lexical, synonyms, IndexView::paths_with_label)
     }
 
     /// The stored path-order section: every id in range, as open checked.
@@ -1560,19 +1612,22 @@ mod tests {
             assert_eq!(mapped.sorted_nodes(id), ip.sorted_nodes());
             assert_eq!(IndexLike::path_shape(&mapped, id), idx.path_shape(id));
         }
-        assert_shapes_partition_by_edge_labels(idx);
         assert_shapes_partition_by_edge_labels(&mapped);
-        assert_eq!(mapped.all_path_ids(), idx.all_path_ids());
-        // Stored inverted maps agree with the rebuilt ones.
+        assert_eq!(mapped.all_path_ids(), idx.content_order());
+        // Stored inverted maps agree with the built ones.
         for probe in ["p", "q", "m1", "leaf 2", "absent"] {
+            let label = idx.graph().vocab().get_constant(probe);
+            let built = |list: fn(&PathIndex, LabelId) -> &[PathId]| {
+                label.map_or_else(Vec::new, |label| list(idx, label).to_vec())
+            };
             assert_eq!(
                 mapped.sink_matching(probe, &NoSynonyms),
-                idx.sink_matching(probe, &NoSynonyms),
+                built(PathIndex::paths_with_sink),
                 "sink {probe}"
             );
             assert_eq!(
                 mapped.label_matching(probe, &NoSynonyms),
-                idx.label_matching(probe, &NoSynonyms),
+                built(PathIndex::paths_with_label),
                 "label {probe}"
             );
         }
@@ -1582,6 +1637,16 @@ mod tests {
             idx.graph().as_graph().to_sorted_lines()
         );
         assert_eq!(mapped.stats().triples, idx.stats().triples);
+    }
+
+    #[test]
+    fn synonyms_widen_matching() {
+        let mapped = MappedIndex::from_bytes(&encode_v2(&sample_index()).unwrap()).unwrap();
+        assert!(mapped.sink_matching("Nope", &NoSynonyms).is_empty());
+        let mut t = crate::synonyms::Thesaurus::new();
+        t.group(["Healthcare", "Health Care"]);
+        assert!(mapped.sink_matching("Healthcare", &NoSynonyms).is_empty());
+        assert_eq!(mapped.sink_matching("Healthcare", &t).len(), 2);
     }
 
     /// Every label-level accessor against the materialized graph it
@@ -1803,7 +1868,7 @@ mod tests {
         let bytes = encode_v2(&idx).unwrap();
         let mapped = MappedIndex::from_bytes(&bytes).unwrap();
         let from_mapped = IndexLike::ic_table(&mapped).unwrap();
-        let from_owned = idx.ic_table();
+        let from_owned = IcTable::from_counts(&idx.ic_counts());
         assert_eq!(from_mapped.len(), from_owned.len());
         for i in 0..from_owned.len() as u32 {
             assert_eq!(

@@ -6,12 +6,25 @@
 //! in bounds — never a panic. This mirrors `corrupt_v2.rs` for the
 //! index file itself: the sidecar is parsed with the same deep
 //! validation so a later `probe()` can trust every slot and posting.
+//! A sidecar that parses is attached to the index it was built for,
+//! [`MappedIndex::attach_lsh`], and probed the way the cluster fill
+//! probes it, through [`IndexLike::lsh_probe`].
 
-use path_index::{build_lsh_bytes, LshParams, LshSidecar, PathIndex};
+use path_index::{
+    build_lsh_bytes, encode_v2, IndexLike, LshParams, LshSidecar, MappedIndex, PathIndex,
+};
 use proptest::prelude::*;
 use rdf_model::DataGraph;
+use std::sync::OnceLock;
 
-fn sample_index() -> PathIndex {
+/// A fresh handle on the sample index (a sidecar attaches by value).
+fn sample_index() -> MappedIndex {
+    static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
+    let image = IMAGE.get_or_init(|| encode_v2(&PathIndex::build(sample_data())).unwrap());
+    MappedIndex::from_bytes(image).unwrap()
+}
+
+fn sample_data() -> DataGraph {
     let mut b = DataGraph::builder();
     for i in 0..30 {
         b.triple_str(
@@ -23,31 +36,32 @@ fn sample_index() -> PathIndex {
         b.triple_str(&format!("m{}", i % 9), "q", &format!("\"leaf {}\"", i % 5))
             .unwrap();
     }
-    PathIndex::build(b.build())
+    b.build()
 }
 
 fn sample_bytes() -> Vec<u8> {
     build_lsh_bytes(&sample_index(), LshParams::default()).unwrap()
 }
 
-/// A query signature matching the sidecar's shape, for probing
-/// survivors: a parse that accepts corrupted bytes must still serve
-/// probes without panicking or returning out-of-range paths.
-fn probe_survivor(sidecar: &LshSidecar, path_count: usize) {
-    let params = sidecar.params();
+/// A parse that accepts corrupted bytes must still attach or be refused
+/// typed, and an attached sidecar must serve probes — with a signature
+/// of its own shape — without panicking or returning out-of-range paths.
+fn probe(bytes: &[u8]) {
+    let Ok(sidecar) = LshSidecar::from_bytes(bytes) else {
+        return;
+    };
+    let mut index = sample_index();
+    if index.attach_lsh(sidecar).is_err() {
+        return;
+    }
+    let params = index.lsh_params().expect("attached");
     let signature: Vec<u32> = (0..params.signature_len() as u32).collect();
-    for candidate in sidecar.probe(&signature) {
+    for candidate in index.lsh_probe(&signature) {
         assert!(
-            (candidate.path.0 as usize) < path_count,
+            candidate.path.index() < index.total_paths(),
             "probe returned out-of-range path {:?}",
             candidate.path
         );
-    }
-}
-
-fn probe(bytes: &[u8]) {
-    if let Ok(sidecar) = LshSidecar::from_bytes(bytes) {
-        probe_survivor(&sidecar, sidecar.path_count());
     }
 }
 
@@ -135,11 +149,16 @@ fn attach_rejects_foreign_sidecar() {
     // must be rejected at attach, not trusted at probe time.
     let mut small = DataGraph::builder();
     small.triple_str("a", "p", "b").unwrap();
-    let mut small_index = PathIndex::build(small.build());
+    let mut small_index = MappedIndex::build(small.build()).unwrap();
     let foreign = LshSidecar::from_bytes(&sample_bytes()).unwrap();
-    assert!(small_index
-        .attach_lsh(std::sync::Arc::new(foreign))
-        .is_err());
+    assert!(small_index.attach_lsh(foreign).is_err());
+    assert!(small_index.lsh_params().is_none());
+    // Its own sidecar attaches.
+    let mut index = sample_index();
+    index
+        .attach_lsh(LshSidecar::from_bytes(&sample_bytes()).unwrap())
+        .unwrap();
+    assert_eq!(index.lsh_params(), Some(LshParams::default()));
 }
 
 proptest! {

@@ -7,7 +7,6 @@
 //! test serializes behind one mutex (the same pattern as the fault
 //! harness's own tests).
 
-use path_index::{encode_v2, IndexLike, MappedIndex};
 use rdf_model::DataGraph;
 use sama_core::SamaEngine;
 use sama_obs::fault::{install, FaultAction, FaultPlan};
@@ -43,19 +42,8 @@ fn start(
     ShutdownHandle,
     std::thread::JoinHandle<DrainReport>,
 ) {
-    start_engine(demo_engine(), config)
-}
-
-fn start_engine<I: IndexLike + Send + Sync + 'static>(
-    engine: SamaEngine<I>,
-    config: ServeConfig,
-) -> (
-    SocketAddr,
-    ShutdownHandle,
-    std::thread::JoinHandle<DrainReport>,
-) {
     let server = Server::bind(
-        engine,
+        demo_engine(),
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             ..config
@@ -203,41 +191,40 @@ fn query_answers_with_engine_json_and_query_id() {
     assert!(drain(&handle, join).is_clean());
 }
 
-/// Serving a mapped index — readiness self-probe, a query, its rendered
+/// Serving an index — readiness self-probe, a query, its rendered
 /// body, the metrics page — never asks it for the data graph.
 #[test]
-fn mapped_index_is_served_without_materializing_its_graph() {
+fn index_is_served_without_materializing_its_graph() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     install(FaultPlan::none());
-    let bytes = encode_v2(demo_engine().index()).expect("encode");
-    let mapped = MappedIndex::from_bytes(&bytes).expect("open");
-    let (addr, handle, join) = start_engine(SamaEngine::from_index(mapped), ServeConfig::default());
+    let materialized = || {
+        sama_obs::global()
+            .histogram("index.materialize_ns")
+            .snapshot()
+            .count()
+    };
+    let before = materialized();
+    let (addr, handle, join) = start(ServeConfig::default());
 
     let reply = send(addr, get("/readyz"));
     assert_eq!((reply.status, reply.body.as_str()), (200, "ready\n"));
     let reply = send(addr, post("/query", QUERY, ""));
     assert_eq!(reply.status, 200, "{}", reply.body);
     let parsed = rdf_model::parse_sparql(QUERY).unwrap();
-    let owned = demo_engine();
-    let result = owned.answer(&parsed.graph, ServeConfig::default().k);
+    let local = demo_engine();
+    let result = local.answer(&parsed.graph, ServeConfig::default().k);
     assert_eq!(
         reply.body,
-        sama_core::render_result_json(owned.index(), &parsed.graph, &result),
-        "mapped and owned bodies are the same bytes"
+        sama_core::render_result_json(local.index(), &parsed.graph, &result),
+        "served and in-process bodies are the same bytes"
     );
     assert!(reply.body.contains("CarlaBunes sponsor A0056"));
     let reply = send(addr, get("/metrics"));
     assert_eq!(reply.status, 200);
 
-    // No other test in this binary opens a mapped index, so the
-    // process-global histogram counts this server's rebuilds alone.
-    assert_eq!(
-        sama_obs::global()
-            .histogram("index.materialize_ns")
-            .snapshot()
-            .count(),
-        0
-    );
+    // Every test in this binary holds `SERIAL`, so nothing else moves
+    // the process-global histogram meanwhile.
+    assert_eq!(materialized(), before);
     assert!(drain(&handle, join).is_clean());
 }
 

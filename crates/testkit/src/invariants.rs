@@ -32,7 +32,9 @@ use crate::case::Case;
 use datasets::Rng;
 use eval::oracle::ged_relevance;
 use graph_match::{Matcher, Vf2Matcher};
-use path_index::{IcTable, IndexLike, MappedIndex, PathIndex, Thesaurus};
+use path_index::{
+    decode_v2, encode_v2, IcTable, IndexLike, LabelsRef, MappedIndex, PathId, PathIndex, Thesaurus,
+};
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
     AlignmentMode, BatchConfig, ClusterConfig, ClusterEntry, EngineConfig, QueryBudget,
@@ -119,11 +121,12 @@ pub const CATALOG: &[Invariant] = &[
         check: deadline_unlimited_identity,
     },
     Invariant {
-        name: "owned_decoded_mapped_identity",
+        name: "image_round_trip_identity",
         kind: Kind::Differential,
-        summary: "the built index, its owned decode and its mapped open answer \
-                  bit-identically, with the same EXPLAIN phase structure",
-        check: owned_decoded_mapped_identity,
+        summary: "the mapped image reads back every path, posting list, label, the \
+                  content order and the IC table the builder holds, and re-encodes \
+                  to the same bytes",
+        check: image_round_trip_identity,
     },
     Invariant {
         name: "lsh_converges_to_exact",
@@ -414,46 +417,110 @@ fn cluster_line(c: &TraceCluster, kept: usize) -> String {
     )
 }
 
-/// The three ways an index reaches the engine — as built, decoded back
-/// into an owned [`PathIndex`] from its `SAMAIDX2` image, and served in
-/// place from that image — must give bit-identical top-k answers and
-/// identical EXPLAIN phase structure: writing an index to disk and
-/// opening it must not change a single answer bit.
-fn owned_decoded_mapped_identity(case: &Case) -> Result<(), String> {
-    let query = case.query_graph();
-    let mut config = base_config();
-    config.trace = TraceConfig::enabled();
-
+/// The one index a query reads is the index the builder built: served
+/// from its `SAMAIDX2` image, every accessor returns exactly what the
+/// builder's own structs hold — per path its nodes, edges, labels,
+/// sorted node set and shape; per data label its lexical form, kind,
+/// sink postings and label postings; per edge its three labels; the
+/// content order and the IC table, bit for bit — and decoding the image
+/// and encoding it again gives the same bytes.
+fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     let built = PathIndex::build(case.data_graph());
-    let image = path_index::encode_v2(&built).map_err(|e| format!("encode failed: {e}"))?;
-    let decoded = path_index::decode_v2(&image).map_err(|e| format!("decode failed: {e}"))?;
+    let image = encode_v2(&built).map_err(|e| format!("encode failed: {e}"))?;
     let mapped = MappedIndex::from_bytes(&image).map_err(|e| format!("open failed: {e}"))?;
+    let mismatch = |what: String| Err(format!("the image disagrees with the builder: {what}"));
 
-    let reference = SamaEngine::from_index_with_config(built, config).answer(&query, case.k);
-    for (what, result) in [
-        (
-            "decoded",
-            SamaEngine::from_index_with_config(decoded, config).answer(&query, case.k),
-        ),
-        (
-            "mapped",
-            SamaEngine::from_index_with_config(mapped, config).answer(&query, case.k),
-        ),
-    ] {
-        if fingerprint(&reference) != fingerprint(&result) {
-            return Err(diff(
-                &format!("built vs {what} answers diverged"),
-                &fingerprint(&reference),
-                &fingerprint(&result),
+    let counts = |index: usize, shapes: usize| format!("{index} paths, {shapes} shapes");
+    let (want, got) = (
+        counts(built.path_count(), built.shape_count()),
+        counts(mapped.total_paths(), mapped.shape_count()),
+    );
+    if got != want {
+        return mismatch(format!("{got}, built {want}"));
+    }
+    for (id, ip) in built.paths() {
+        let want: (&[_], &[_], LabelsRef<'_>, &[_], u32) = (
+            &ip.path.nodes,
+            &ip.path.edges,
+            ip.labels.view(),
+            ip.sorted_nodes(),
+            built.path_shape(id),
+        );
+        let got = (
+            mapped.path_nodes(id),
+            mapped.path_edges(id),
+            mapped.labels(id),
+            mapped.sorted_nodes(id),
+            mapped.path_shape(id),
+        );
+        if got != want {
+            return mismatch(format!("path {id}: {got:?}, built {want:?}"));
+        }
+    }
+    let graph = built.graph().as_graph();
+    let view = mapped.view();
+    let ids = |list: &[PathId]| list.iter().map(|p| p.0).collect::<Vec<u32>>();
+    for (label, kind, lexical) in graph.vocab().iter() {
+        let want = (
+            lexical,
+            kind,
+            ids(built.paths_with_sink(label)),
+            ids(built.paths_with_label(label)),
+        );
+        let got = (
+            mapped.label_lexical(label),
+            mapped.label_kind(label),
+            view.paths_with_sink(label).to_vec(),
+            view.paths_with_label(label).to_vec(),
+        );
+        if got != want {
+            return mismatch(format!("label {label}: {got:?}, built {want:?}"));
+        }
+    }
+    for (id, edge) in graph.edges() {
+        let want = (
+            graph.node_label(edge.from),
+            edge.label,
+            graph.node_label(edge.to),
+        );
+        if mapped.edge_labels(id) != want {
+            return mismatch(format!(
+                "edge {id:?}: {:?}, built {want:?}",
+                mapped.edge_labels(id)
             ));
         }
-        if trace_structure(&reference) != trace_structure(&result) {
-            return Err(diff(
-                &format!("built vs {what} EXPLAIN structure diverged"),
-                &trace_structure(&reference),
-                &trace_structure(&result),
-            ));
-        }
+    }
+    if mapped.all_path_ids() != built.content_order() {
+        return mismatch(format!(
+            "content order {:?}, built {:?}",
+            mapped.all_path_ids(),
+            built.content_order()
+        ));
+    }
+    let want = IcTable::from_counts(&built.ic_counts());
+    let got = mapped.ic_table().ok_or("no IC table")?;
+    let weights = |table: &IcTable| {
+        (0..table.len() as u32)
+            .map(|l| table.weight(rdf_model::LabelId(l)).to_bits())
+            .collect::<Vec<u64>>()
+    };
+    if weights(&got) != weights(&want) {
+        return mismatch(format!(
+            "IC table {:?}, built {:?}",
+            weights(&got),
+            weights(&want)
+        ));
+    }
+
+    let decoded = decode_v2(&image).map_err(|e| format!("decode failed: {e}"))?;
+    let again = encode_v2(&decoded).map_err(|e| format!("re-encode failed: {e}"))?;
+    if again != image {
+        let at = again.iter().zip(&image).position(|(a, b)| a != b);
+        return Err(format!(
+            "decode → encode changed the image: {} bytes against {}, first difference at {at:?}",
+            again.len(),
+            image.len()
+        ));
     }
     Ok(())
 }

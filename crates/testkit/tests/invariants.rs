@@ -28,6 +28,11 @@ fn ged_oracle_agreement() {
 }
 
 #[test]
+fn image_round_trip_identity() {
+    assert_invariant("image_round_trip_identity");
+}
+
+#[test]
 fn lsh_converges_to_exact() {
     assert_invariant("lsh_converges_to_exact");
 }

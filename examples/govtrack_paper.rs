@@ -8,6 +8,7 @@
 
 use sama::data::govtrack;
 use sama::engine::{IntersectionGraph, PathForest, SamaEngine};
+use sama::index::{display_parts, IndexLike, PathId};
 
 fn main() {
     let data = govtrack::data_graph();
@@ -20,12 +21,12 @@ fn main() {
     );
 
     let engine = SamaEngine::new(data);
+    let index = engine.index();
+    let graph = index.data().as_graph();
+    let path = |id: PathId| display_parts(graph, index.path_nodes(id), index.path_edges(id));
     println!("indexed paths:");
-    for (id, ip) in engine.index().paths() {
-        println!(
-            "  {id}: {}",
-            ip.path.display(engine.index().graph().as_graph())
-        );
+    for id in (0..index.total_paths() as u32).map(PathId) {
+        println!("  {id}: {}", path(id));
     }
 
     // ---- Q1: exact answer exists -------------------------------------
@@ -52,15 +53,7 @@ fn main() {
             cluster.entries.len()
         );
         for entry in cluster.entries.iter().take(6) {
-            println!(
-                "    {} [{}]",
-                engine
-                    .index()
-                    .path(entry.path_id)
-                    .path
-                    .display(engine.index().graph().as_graph()),
-                entry.lambda()
-            );
+            println!("    {} [{}]", path(entry.path_id), entry.lambda());
         }
     }
 

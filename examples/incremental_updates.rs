@@ -8,7 +8,7 @@
 //! ```
 
 use sama::engine::SamaEngine;
-use sama::index::{encode_v2, ExtractionConfig, PathIndex};
+use sama::index::{encode_v2, ExtractionConfig, MappedIndex, PathIndex};
 use sama::model::{parse_sparql, Triple};
 
 fn main() {
@@ -49,8 +49,11 @@ fn main() {
         stats.inserted_edges, stats.removed_paths, stats.added_paths
     );
 
-    // The updated index answers queries that span old and new data.
-    let engine = SamaEngine::from_index(index);
+    // The updated index is written like any other, and its image
+    // answers queries that span old and new data.
+    let image = encode_v2(&index).expect("index fits format");
+    println!("\nserialized: {}", sama::index::format_bytes(image.len()));
+    let engine = SamaEngine::from_index(MappedIndex::from_bytes(&image).expect("own image"));
     let query = parse_sparql(
         r#"SELECT ?who ?a WHERE {
             ?who <sponsor> ?a .
@@ -67,8 +70,4 @@ fn main() {
             }
         }
     }
-
-    // Storage: the updated index serializes like any other.
-    let image = encode_v2(engine.index()).expect("index fits format");
-    println!("\nserialized: {}", sama::index::format_bytes(image.len()));
 }

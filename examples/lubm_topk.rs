@@ -27,7 +27,7 @@ fn main() {
     let engine = SamaEngine::new(dataset.graph.clone());
     println!(
         "indexed {} paths in {:.2?}\n",
-        engine.index().path_count(),
+        engine.index().total_paths(),
         start.elapsed()
     );
 

@@ -31,7 +31,7 @@ fn main() {
 
     // 2. Index it (off-line step: extracts all source→sink paths).
     let engine = SamaEngine::new(data);
-    println!("indexed {} paths", engine.index().path_count());
+    println!("indexed {} paths", engine.index().total_paths());
 
     // 3. Write a query — SPARQL basic graph patterns are supported.
     //    This one has NO exact answer: `fundedBy` does not exist.
@@ -67,7 +67,7 @@ fn main() {
         println!(
             "  ?{} -> {}",
             query.graph.vocab().lexical(var),
-            engine.index().graph().vocab().lexical(value)
+            engine.index().label_lexical(value)
         );
     }
 }

@@ -16,9 +16,8 @@
 //! spawned `sama serve`, is read by `sama_obs::fault`).
 
 use sama::engine::{
-    json_escape, render_result_json, AnchorSelection, BatchConfig, EngineConfig, Retrieval,
-    SamaEngine, TraceConfig, TruncationReason, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS,
-    LSH_DEFAULT_TOP_M,
+    json_escape, render_result_json, BatchConfig, EngineConfig, Retrieval, SamaEngine, TraceConfig,
+    TruncationReason, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS, LSH_DEFAULT_TOP_M,
 };
 use sama::index::{
     build_lsh_bytes, decode_v2, display_parts, serialize_index_v2, sidecar_path, v2::SECTION_NAMES,
@@ -130,9 +129,6 @@ USAGE:
                      are always a subset of the exact scan's, identical
                      when top-m covers it
   --lsh-top-m N      candidates kept per cluster under --lsh (default 128)
-  --anchor MODE      candidate-retrieval anchor: \"sink\" (the paper's rule,
-                     default) or \"selective\" (probe every constant, keep
-                     the smallest candidate pool)
   --ic-weights       price label mismatches by corpus information content
                      (-log2 label frequency, from the index's IC section)
                      instead of uniformly, so rare-label disagreements cost
@@ -167,9 +163,9 @@ USAGE:
 /// The engine options, as every subcommand that answers queries lists
 /// them in [`USAGE`] (see [`EngineOpts`]).
 const ENGINE_USAGE: &str = "\
-[-k N] [--lsh] [--lsh-top-m N] [--anchor sink|selective]
-             [--ic-weights] [--synonyms <file>] [--deadline-ms N] [--mmap]
-             [--profile-out <file>] [--slowlog MS] [--slowlog-out <file>]";
+[-k N] [--lsh] [--lsh-top-m N] [--ic-weights] [--synonyms <file>]
+             [--deadline-ms N] [--mmap] [--profile-out <file>] [--slowlog MS]
+             [--slowlog-out <file>]";
 
 fn usage() -> String {
     USAGE.replace("{engine}", ENGINE_USAGE)
@@ -211,7 +207,6 @@ struct EngineOpts {
     k: usize,
     lsh: bool,
     lsh_top_m: usize,
-    anchor: AnchorSelection,
     ic_weights: bool,
     synonyms: Option<String>,
     deadline_ms: Option<u64>,
@@ -227,7 +222,6 @@ impl EngineOpts {
             k: 10,
             lsh: false,
             lsh_top_m: LSH_DEFAULT_TOP_M,
-            anchor: AnchorSelection::SinkFirst,
             ic_weights: false,
             synonyms: None,
             deadline_ms: None,
@@ -248,17 +242,6 @@ impl EngineOpts {
             "-k" => self.k = number(arg, rest)?,
             "--lsh" => self.lsh = true,
             "--lsh-top-m" => self.lsh_top_m = number(arg, rest)?,
-            "--anchor" => {
-                self.anchor = match operand(arg, "a value", rest)?.as_str() {
-                    "sink" => AnchorSelection::SinkFirst,
-                    "selective" => AnchorSelection::MostSelective,
-                    other => {
-                        return Err(format!(
-                            "bad --anchor value {other:?} (expected \"sink\" or \"selective\")"
-                        ))
-                    }
-                }
-            }
             "--ic-weights" => self.ic_weights = true,
             "--synonyms" => self.synonyms = Some(operand(arg, "a path", rest)?.clone()),
             "--deadline-ms" => self.deadline_ms = Some(number(arg, rest)?),
@@ -274,9 +257,10 @@ impl EngineOpts {
 
     /// The engine configuration these options select.
     fn engine_config(&self, trace: bool) -> EngineConfig {
-        let mut config = EngineConfig::default();
-        config.cluster.anchor = self.anchor;
-        config.ic_weights = self.ic_weights;
+        let mut config = EngineConfig {
+            ic_weights: self.ic_weights,
+            ..Default::default()
+        };
         if self.lsh {
             config.cluster.retrieval = Retrieval::Lsh {
                 bands: LSH_DEFAULT_BANDS,
@@ -377,10 +361,7 @@ fn read_query(query_path: &str) -> Result<sama::model::SparqlQuery, String> {
 /// `sama index --lsh`; when it is missing, corrupt, or built for a
 /// different snapshot, rebuild the signatures in memory (a warning, not
 /// an error — the sidecar is a cache of derived data).
-fn load_lsh_sidecar<I: IndexLike + ?Sized>(
-    index_path: &str,
-    index: &I,
-) -> Result<LshSidecar, String> {
+fn load_lsh_sidecar(index_path: &str, index: &MappedIndex) -> Result<LshSidecar, String> {
     let side = sidecar_path(std::path::Path::new(index_path));
     match LshSidecar::open(&side) {
         Ok(sidecar) if sidecar.path_count() == index.total_paths() => return Ok(sidecar),
@@ -476,8 +457,10 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
         );
     }
     if lsh {
+        // Signed from the image just written, read the way a query reads it.
+        let image = MappedIndex::from_bytes(&bytes).map_err(|e| index_error(&output, e))?;
         let side = sidecar_path(std::path::Path::new(&output));
-        let lsh_bytes = build_lsh_bytes(&index, LshParams::default())
+        let lsh_bytes = build_lsh_bytes(&image, LshParams::default())
             .map_err(|e| format!("cannot build LSH signatures: {e}"))?;
         std::fs::write(&side, &lsh_bytes)
             .map_err(|e| format!("cannot write {:?}: {e}", side.display()))?;

@@ -11,8 +11,10 @@
 //!
 //! * [`model`] — RDF terms, triples, data/query graphs, N-Triples and
 //!   SPARQL-BGP parsers (`rdf-model`).
-//! * [`index`] — source→sink path extraction and the label-indexed
-//!   path store (`path-index`).
+//! * [`index`] — source→sink path extraction, the label-indexed path
+//!   store the builder holds (`PathIndex`), and its `SAMAIDX2` image,
+//!   served in place by `MappedIndex` — the one index a query reads
+//!   (`path-index`).
 //! * [`engine`] — the similarity measure (λ, ψ, score) and the
 //!   preprocessing/clustering/search pipeline (`sama-core`).
 //! * [`baselines`] — SAPPER-, BOUNDED- and DOGMA-style matchers, VF2
@@ -25,7 +27,8 @@
 //! ```
 //! use sama::prelude::*;
 //!
-//! // Build a data graph and index it.
+//! // Build a data graph and index it (into an in-memory SAMAIDX2 image;
+//! // `SamaEngine::from_index(MappedIndex::open(path)?)` serves a file).
 //! let mut b = DataGraph::builder();
 //! b.triple_str("CarlaBunes", "sponsor", "A0056").unwrap();
 //! b.triple_str("A0056", "aTo", "B1432").unwrap();
@@ -51,7 +54,8 @@ pub mod model {
     pub use rdf_model::*;
 }
 
-/// Path extraction and the off-line path index (`path-index`).
+/// Path extraction, the off-line path index and its mapped image
+/// (`path-index`).
 pub mod index {
     pub use path_index::*;
 }
@@ -89,7 +93,7 @@ pub mod bench {
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use graph_match::{BoundedMatcher, DogmaMatcher, Matcher, SapperMatcher, Vf2Matcher};
-    pub use path_index::{ExtractionConfig, IndexLike, PathIndex, SynonymProvider, Thesaurus};
+    pub use path_index::{ExtractionConfig, IndexLike, MappedIndex, SynonymProvider, Thesaurus};
     pub use rdf_model::{parse_ntriples, parse_sparql, DataGraph, Graph, QueryGraph, Term, Triple};
     pub use sama_core::{Answer, EngineConfig, QueryResult, SamaEngine, ScoreParams};
 }

@@ -929,97 +929,6 @@ fn closed_stdout_is_not_a_panic() {
 }
 
 #[test]
-fn anchor_flag_selects_strategy_and_rejects_bad_values() {
-    let nt = temp_path("data_anchor.nt");
-    let rq = temp_path("query_anchor.rq");
-    let idx = temp_path("index_anchor.bin");
-    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone()]);
-    std::fs::write(&nt, DEMO_NT).unwrap();
-    std::fs::write(&rq, DEMO_RQ).unwrap();
-
-    let out = sama()
-        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Both anchor strategies find the exact best answer; the selective
-    // anchor retrieves a smaller pool, so lower-ranked approximate
-    // answers may legitimately differ.
-    let answers = |anchor: &str| {
-        let out = sama()
-            .args([
-                "query",
-                idx.to_str().unwrap(),
-                rq.to_str().unwrap(),
-                "--json",
-                "--anchor",
-                anchor,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "--anchor {anchor}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    for anchor in ["sink", "selective"] {
-        let json = answers(anchor);
-        assert!(
-            json.contains("\"rank\":0,\"score\":0") && json.contains("\"exact\":true"),
-            "--anchor {anchor}: {json}"
-        );
-    }
-
-    // batch accepts the flag too.
-    let out = sama()
-        .args([
-            "batch",
-            idx.to_str().unwrap(),
-            rq.to_str().unwrap(),
-            "--anchor",
-            "selective",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // A bad value is a one-line diagnostic and exit 1, not a panic.
-    let out = sama()
-        .args([
-            "query",
-            idx.to_str().unwrap(),
-            rq.to_str().unwrap(),
-            "--anchor",
-            "bogus",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad --anchor value"), "{stderr}");
-
-    // A missing value too.
-    let out = sama()
-        .args([
-            "query",
-            idx.to_str().unwrap(),
-            rq.to_str().unwrap(),
-            "--anchor",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--anchor needs a value"));
-}
-
-#[test]
 fn lsh_sidecar_roundtrip_and_env_flag() {
     let nt = temp_path("data_lsh.nt");
     let rq = temp_path("query_lsh.rq");
@@ -1097,6 +1006,40 @@ fn lsh_sidecar_roundtrip_and_env_flag() {
     });
     assert_eq!(exact, via_env);
     assert_eq!(note, "");
+}
+
+/// `sama index --lsh` signs the image it has just written, read the way
+/// a query reads it: the sidecar file is byte for byte the one built in
+/// memory from the same N-Triples through `MappedIndex`.
+#[test]
+fn index_lsh_sidecar_equals_one_signed_from_the_in_memory_image() {
+    use sama::index::{build_lsh_bytes, LshParams, MappedIndex};
+    let nt = temp_path("data_lsh_image.nt");
+    let idx = temp_path("index_lsh_image.bin");
+    let lsh = temp_path("index_lsh_image.bin.lsh");
+    let _cleanup = Cleanup(vec![nt.clone(), idx.clone(), lsh.clone()]);
+    std::fs::write(&nt, DEMO_NT).unwrap();
+    let out = sama()
+        .args([
+            "index",
+            nt.to_str().unwrap(),
+            "-o",
+            idx.to_str().unwrap(),
+            "--lsh",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let triples = sama::model::parse_ntriples(DEMO_NT).unwrap();
+    let data = sama::model::DataGraph::from_triples(&triples).unwrap();
+    let image = MappedIndex::build(data).unwrap();
+    let signed = build_lsh_bytes(&image, LshParams::default()).unwrap();
+    assert_eq!(std::fs::read(&lsh).unwrap(), signed);
 }
 
 #[test]
@@ -1482,13 +1425,13 @@ fn serve_rejects_bad_flags_and_missing_index() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --max-connections value"));
 
-    // Bad --anchor value reuses the query-path diagnostics.
+    // A bad engine-flag value reuses the query-path diagnostics.
     let out = sama()
-        .args(["serve", "idx.bin", "--anchor", "sideways"])
+        .args(["serve", "idx.bin", "--lsh-top-m", "many"])
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --anchor value"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --lsh-top-m value"));
 
     // A nonexistent index is a one-line diagnostic, not a panic.
     let out = sama()
@@ -1673,7 +1616,7 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
     assert!(out.status.success());
 
     let engine_flags = format!(
-        "-k 3 --lsh --lsh-top-m 64 --anchor selective --ic-weights \
+        "-k 3 --lsh --lsh-top-m 64 --ic-weights \
          --synonyms {} --deadline-ms 60000 --mmap --profile-out {} --slowlog 0 --slowlog-out {}",
         syn.display(),
         prof.display(),
@@ -1717,15 +1660,10 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
     for (bad, message) in [
         (&["-k", "x"][..], "bad -k value"),
         (&["--lsh-top-m", "x"], "bad --lsh-top-m value"),
-        (
-            &["--anchor", "nope"],
-            "bad --anchor value \"nope\" (expected \"sink\" or \"selective\")",
-        ),
         (&["--deadline-ms", "x"], "bad --deadline-ms value"),
         (&["--slowlog", "x"], "bad --slowlog value"),
         (&["-k"], "-k needs a number"),
         (&["--synonyms"], "--synonyms needs a path"),
-        (&["--anchor"], "--anchor needs a value"),
     ] {
         for sub in ["query", "batch", "serve"] {
             let out = sama().arg(sub).arg("idx.bin").args(bad).output().unwrap();
@@ -1738,12 +1676,17 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
         }
     }
 
-    // A query runs on one thread and an index is built on one: the
-    // flags that said otherwise are refused like any unknown flag, with
-    // one line and before any file is read (none of these exist).
+    // A query runs on one thread, an index is built on one, and a
+    // cluster is anchored by the paper's sink-first rule: the flags that
+    // said otherwise are refused like any unknown flag, with one line
+    // and before any file is read (none of these exist).
     for (args, message) in [
         (
-            &["query", "no.bin", "no.rq", "--threads", "2"][..],
+            &["query", "no.bin", "no.rq", "--anchor", "selective"][..],
+            "error: unexpected argument \"--anchor\"\n",
+        ),
+        (
+            &["query", "no.bin", "no.rq", "--threads", "2"],
             "error: unexpected argument \"--threads\"\n",
         ),
         (
@@ -1763,6 +1706,7 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(!usage.contains(concat!("--shared", "-chi")), "{usage}");
     assert!(!usage.contains("--parallel"), "{usage}");
+    assert!(!usage.contains("--anchor"), "{usage}");
     for sub in ["query", "batch", "serve"] {
         let start = usage
             .find(&format!("  sama {sub} "))

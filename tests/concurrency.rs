@@ -11,7 +11,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 #[test]
 fn engine_is_send_and_sync() {
     assert_send_sync::<SamaEngine>();
-    assert_send_sync::<PathIndex>();
+    assert_send_sync::<MappedIndex>();
     assert_send_sync::<DataGraph>();
     assert_send_sync::<QueryGraph>();
 }

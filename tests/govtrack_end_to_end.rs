@@ -4,6 +4,7 @@
 
 use sama::data::govtrack;
 use sama::engine::{IntersectionGraph, PathForest, SamaEngine};
+use sama::index::IndexLike;
 
 fn engine() -> SamaEngine {
     SamaEngine::new(govtrack::data_graph())
@@ -133,8 +134,7 @@ fn variable_bindings_of_the_best_answer() {
     let bindings = best.bindings();
     let lookup = |var: &str| -> Option<String> {
         bindings.iter().find_map(|&(v, value)| {
-            (q1.vocab().lexical(v) == var)
-                .then(|| engine.index().graph().vocab().lexical(value).to_string())
+            (q1.vocab().lexical(v) == var).then(|| engine.index().label_lexical(value).to_string())
         })
     };
     assert_eq!(lookup("v1").as_deref(), Some("A0056"));

@@ -1,7 +1,7 @@
 //! Integration tests across the I/O boundary: N-Triples and SPARQL in,
 //! serialized index on "disk", identical answers back out.
 
-use sama::index::{decode_v2, serialize_index_v2, PathIndex};
+use sama::index::{decode_v2, encode_v2, serialize_index_v2, MappedIndex, PathIndex};
 use sama::prelude::*;
 
 const NT_DOC: &str = r#"
@@ -52,7 +52,7 @@ fn serialized_engine_gives_identical_answers() {
 
     let mut index = PathIndex::build(data);
     let bytes = serialize_index_v2(&mut index).expect("index fits format");
-    let cold = SamaEngine::from_index(decode_v2(&bytes).expect("decodes"));
+    let cold = SamaEngine::from_index(MappedIndex::from_bytes(&bytes).expect("opens"));
     let cold_result = cold.answer(&query.graph, 10);
 
     assert_eq!(warm_result.answers.len(), cold_result.answers.len());
@@ -132,8 +132,12 @@ fn updated_index_answers_like_fresh_build() {
     let fresh = PathIndex::build(DataGraph::from_triples(&all).expect("ground"));
     assert_eq!(updated.path_count(), fresh.path_count());
 
-    let updated_result = SamaEngine::from_index(updated).answer(&query.graph, 10);
-    let fresh_result = SamaEngine::from_index(fresh).answer(&query.graph, 10);
+    let answer = |index: &PathIndex| {
+        let image = encode_v2(index).expect("index fits format");
+        SamaEngine::from_index(MappedIndex::from_bytes(&image).expect("opens"))
+            .answer(&query.graph, 10)
+    };
+    let (updated_result, fresh_result) = (answer(&updated), answer(&fresh));
     assert_eq!(updated_result.answers.len(), fresh_result.answers.len());
     assert!(!updated_result.answers.is_empty());
     for (a, b) in updated_result
