@@ -11,11 +11,11 @@
 
 use crate::align::{align, align_lambda, Alignment, AlignmentMode};
 use crate::deadline::QueryBudget;
-use crate::frontier::total_order_key;
+use crate::frontier::{from_total_order_key, total_order_key};
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
-use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
+use path_index::{IndexLike, LabelsRef, LshCandidate, NoSynonyms, PathId, SynonymProvider};
 use rdf_model::{FxHashMap, LabelId};
 use std::collections::BinaryHeap;
 
@@ -178,14 +178,23 @@ pub struct Cluster {
     pub lsh_pruned: usize,
     /// Candidates the fill scored. Fewer than it was given when the
     /// budget expired, or when it stopped early: once
-    /// [`ClusterConfig::max_cluster_size`] entries sit at λ = 0, no later
-    /// candidate can enter, and those passed over are neither dropped
-    /// nor a truncation.
+    /// [`ClusterConfig::max_cluster_size`] entries sit at or below the
+    /// lowest λ a later candidate can still take, none of them can
+    /// enter, and those passed over are neither dropped nor a truncation.
     pub scanned: usize,
+    /// Of the [`Cluster::scanned`] candidates, those scored from their
+    /// labels: every one of a cluster that fits in
+    /// [`ClusterConfig::max_cluster_size`]; in a streamed one, those
+    /// holding a label that a constant node of the query path other than
+    /// its sink accepts. The other `scanned − touched` were priced by
+    /// their shape.
+    pub touched: usize,
     /// Alignments computed to score the candidates: one per candidate
-    /// of a cluster that fits in [`ClusterConfig::max_cluster_size`],
-    /// one per *distinguishable* candidate of a streamed one (see
-    /// [`memoised_lambdas`]). The survivors' binding pass is not counted.
+    /// of a cluster that fits in [`ClusterConfig::max_cluster_size`]; for
+    /// a streamed one, one per path shape (per sink bit read) for the
+    /// shape price table plus one per *distinguishable* touched candidate
+    /// (see [`memoised_lambdas`]). The survivors' binding pass is not
+    /// counted.
     pub alignments_computed: usize,
     /// The retrieval tier that produced [`Cluster::entries`].
     pub tier: ClusterTier,
@@ -257,6 +266,7 @@ pub fn build_clusters_budgeted<I: IndexLike>(
                     candidates_retrieved: 0,
                     lsh_pruned: 0,
                     scanned: 0,
+                    touched: 0,
                     alignments_computed: 0,
                     tier: ClusterTier::Exact,
                 };
@@ -282,7 +292,7 @@ fn build_cluster<I: IndexLike>(
 ) -> Cluster {
     sama_obs::fault::point("cluster.align");
     let retrieve_span = sama_obs::span!("cluster.retrieve_ns");
-    let exact = retrieve_candidates(q, index, synonyms, config);
+    let (exact, sink) = retrieve_candidates(q, index, synonyms, config);
     let retrieved = exact.len();
     let (candidates, lsh_pruned) = lsh_filter(q, index, exact, config);
     drop(retrieve_span);
@@ -296,10 +306,12 @@ fn build_cluster<I: IndexLike>(
     };
 
     let align_span = sama_obs::span!("cluster.align_ns");
+    // The LSH tier and the cap keep a sublist: the sink bit holds for it.
     let fill = fill_chunk(
         q,
         index,
         considered,
+        sink,
         params,
         mode,
         config.max_cluster_size,
@@ -326,6 +338,7 @@ fn build_cluster<I: IndexLike>(
         candidates_retrieved: retrieved,
         lsh_pruned,
         scanned: fill.scanned,
+        touched: fill.touched,
         alignments_computed: fill.computed,
         tier: if lsh_pruned > 0 {
             ClusterTier::Lsh
@@ -398,7 +411,9 @@ fn lsh_filter<I: IndexLike + ?Sized>(
     (kept, pruned)
 }
 
-/// A set of path ids, one bit per id of the index.
+/// A set of path ids, one bit per id of the index (`PathSet::default()`:
+/// the empty set, with no bits at all).
+#[derive(Default)]
 struct PathSet(Vec<u64>);
 
 impl PathSet {
@@ -410,8 +425,11 @@ impl PathSet {
         self.0[p.index() / 64] |= 1 << (p.index() % 64);
     }
 
+    #[inline]
     fn contains(&self, p: PathId) -> bool {
-        self.0[p.index() / 64] >> (p.index() % 64) & 1 == 1
+        self.0
+            .get(p.index() / 64)
+            .is_some_and(|word| word >> (p.index() % 64) & 1 == 1)
     }
 
     fn clear(&mut self) {
@@ -460,8 +478,10 @@ struct Fill {
     entries: Vec<ClusterEntry>,
     /// Candidates scored ([`Cluster::scanned`]).
     scanned: usize,
+    /// Of those, the ones scored from their labels ([`Cluster::touched`]).
+    touched: usize,
     /// Candidates an expired budget left unscored; 0 when the fill ran
-    /// to the end of the chunk or stopped at λ = 0.
+    /// to the end of the chunk or stopped at its floor.
     unscored: usize,
     /// Alignments the scoring computed.
     computed: usize,
@@ -478,22 +498,35 @@ struct Fill {
 /// first included; on expiry the rest of the chunk is skipped.
 ///
 /// A chunk that fits in `cap` is simply aligned. A longer one is
-/// streamed: each candidate is scored through a [`LambdaMemo`] (the
-/// λ of [`align_lambda`], computed once per distinguishable candidate)
-/// and offered to a `cap`-bounded max-heap of `(λ, position)`. A tie
+/// streamed, and most of its candidates are priced without reading
+/// their labels. [`align_lambda`] sees a path only through its
+/// [`LambdaMemo`] key: its shape, its sink bit, and which inner constant
+/// nodes of `q` admit its other node labels. A candidate that no inner
+/// constant touches has no inner bit set, and `sink` — what the
+/// retrieval rule fixed — gives its sink bit, so its λ is its shape's
+/// entry in a [`ShapePrices`] table, bit for bit. The [`Touched`]
+/// candidates are found through the inner constants' label postings and
+/// scored up front through the memo. The scan then reads one shape id
+/// per untouched candidate (and its sink label where the rule fixed no
+/// bit) and offers `(λ, position)` to a `cap`-bounded max-heap. A tie
 /// with the heap's worst loses — it comes later — so λ alone decides,
-/// and no path content is read. Once the heap is full at λ = 0 nothing
-/// later can enter ([`lambda_floor_is_zero`]) and the scan stops. Only
-/// the survivors get the full [`align`].
+/// and no path content is read. The scan stops once the heap is full
+/// and its worst is at or below the *floor*: the least shape price and
+/// the least λ of a touched candidate not yet passed. Every later
+/// candidate takes one of those values, so none can enter — under any
+/// weights, negative ones included. Only the survivors get the full
+/// [`align`].
 ///
 /// Kept out of line: inlined into [`build_cluster`], its one caller, the
 /// streaming loop ran ≈5% slower on the ledger's `lubm_mix` (six of six
 /// rounds; EXPERIMENTS.md "Ledger — PR 21").
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 fn fill_chunk<I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
     chunk: &[PathId],
+    sink: SinkBit,
     params: &ScoreParams,
     mode: AlignmentMode,
     cap: usize,
@@ -516,32 +549,52 @@ fn fill_chunk<I: IndexLike + ?Sized>(
         return Fill {
             entries,
             scanned,
+            touched: scanned,
             unscored: chunk.len() - scanned,
             computed: scanned,
         };
     }
-    let floor = lambda_floor_is_zero(q, params).then(|| total_order_key(0.0));
+    let none_scored = |computed| Fill {
+        entries: Vec::new(),
+        scanned: 0,
+        touched: 0,
+        unscored: chunk.len(),
+        computed,
+    };
+    // Position 0 is polled before the up-front scoring: a budget that
+    // expires during it is noticed at the next poll.
+    if expired(0) {
+        return none_scored(0);
+    }
+    let prices = ShapePrices::new(q, index, sink, params, mode);
     let mut memo = LambdaMemo::new(q, index, params, mode);
+    let Some(mut touched) = Touched::score(&mut memo, sink, budget) else {
+        return none_scored(prices.computed + memo.computed);
+    };
+    let mut floor = prices.floor.min(touched.floor());
     let mut best: BinaryHeap<(i64, usize)> = BinaryHeap::with_capacity(cap);
-    let mut scanned = 0;
-    let mut unscored = 0;
+    let (mut scanned, mut met, mut unscored) = (0, 0, 0);
     for (position, &pid) in chunk.iter().enumerate() {
-        if expired(position) {
+        if position > 0 && expired(position) {
             unscored = chunk.len() - position;
             break;
         }
         scanned += 1;
-        let lambda = total_order_key(memo.lambda(pid));
+        let lambda = match touched.take(pid) {
+            Some(lambda) => {
+                met += 1;
+                floor = prices.floor.min(touched.floor());
+                lambda
+            }
+            None => prices.price(pid),
+        };
         if best.len() < cap {
             best.push((lambda, position));
         } else if best.peek().is_some_and(|&(worst, _)| lambda < worst) {
             *best.peek_mut().expect("the heap is full") = (lambda, position);
-        } else {
-            // Not better than the worst, or `cap` is 0: nothing changed.
-            continue;
         }
-        // (A `None` floor is below every `Some`: no stop.)
-        if best.len() == cap && best.peek().is_some_and(|&(worst, _)| Some(worst) <= floor) {
+        // (`cap` = 0: the heap is "full" but has no worst; no stop.)
+        if best.len() == cap && best.peek().is_some_and(|&(worst, _)| worst <= floor) {
             break;
         }
     }
@@ -553,31 +606,240 @@ fn fill_chunk<I: IndexLike + ?Sized>(
             .map(|position| entry(chunk[position]))
             .collect(),
         scanned,
+        touched: met,
         unscored,
-        computed: memo.computed,
+        computed: prices.computed + memo.computed,
     }
 }
 
-/// `true` when no candidate can score below λ = 0 against `q`, so a fill
-/// whose heap is full at λ = 0 may stop: λ (Eq. 1) sums products of the
-/// cost parameters, the query path's IC weights and operation counts,
-/// and here none of them is negative. (A `-0.0` parameter can only make
-/// λ `-0.0` when all six are, and then for every candidate alike.)
-/// `SamaEngine::with_params` asserts [`ScoreParams::is_valid`] and IC
-/// weights are never negative, so every engine query qualifies.
-fn lambda_floor_is_zero(q: &QueryPath, params: &ScoreParams) -> bool {
-    let mut weights = [&q.node_weights, &q.edge_weights]
-        .into_iter()
-        .flatten()
-        .flat_map(|weights| weights.iter());
-    params.is_valid() && weights.all(|w| w.is_finite() && *w >= 0.0)
+/// What the retrieval rule fixes about the sink bit of a list's
+/// candidates — part (ii) of the [`LambdaMemo`] key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SinkBit {
+    /// Every candidate has this bit. A variable sink has no bit, which
+    /// prices as `Fixed(false)`.
+    Fixed(bool),
+    /// The rule fixes nothing: read each candidate's sink label.
+    PerCandidate,
+}
+
+/// A label id no data label has (ids are below the vocabulary length, a
+/// `u32`), so no constant admits it.
+const NO_LABEL: LabelId = LabelId(u32::MAX);
+
+/// The λ of every *untouched* candidate of a streamed cluster: per sink
+/// bit the list can show and per path shape, what [`align_lambda`]
+/// gives a path of that shape whose other nodes carry a label no
+/// constant admits ([`NO_LABEL`]) and whose sink label has that bit. By
+/// the [`LambdaMemo`] key that is the λ of every path of the shape with
+/// that sink bit and no inner bit set.
+struct ShapePrices<'a, I: ?Sized> {
+    index: &'a I,
+    sink_label: &'a QueryLabel,
+    sink: SinkBit,
+    shapes: usize,
+    /// `total_order_key` of λ at `bit × shapes + shape`; a row the list
+    /// cannot show holds `i64::MAX`.
+    keys: Vec<i64>,
+    /// The least key of the table: no untouched candidate scores lower.
+    floor: i64,
+    /// Alignments computed to fill the table.
+    computed: usize,
+}
+
+impl<'a, I: IndexLike + ?Sized> ShapePrices<'a, I> {
+    fn new(
+        q: &'a QueryPath,
+        index: &'a I,
+        sink: SinkBit,
+        params: &ScoreParams,
+        mode: AlignmentMode,
+    ) -> Self {
+        let shapes = index.shape_count();
+        let bits: &[bool] = match sink {
+            SinkBit::Fixed(false) => &[false],
+            SinkBit::Fixed(true) => &[true],
+            SinkBit::PerCandidate => &[false, true],
+        };
+        let mut keys = vec![i64::MAX; 2 * shapes];
+        let mut node_labels = Vec::new();
+        for &bit in bits {
+            let sink_label = match q.sink() {
+                QueryLabel::Const { accepted, .. } if bit => {
+                    accepted.first().copied().unwrap_or(NO_LABEL)
+                }
+                _ => NO_LABEL,
+            };
+            for shape in 0..shapes {
+                let edge_labels = index.shape_edge_labels(shape as u32);
+                node_labels.clear();
+                node_labels.resize(edge_labels.len(), NO_LABEL);
+                node_labels.push(sink_label);
+                let path = LabelsRef {
+                    node_labels: &node_labels,
+                    edge_labels,
+                };
+                keys[usize::from(bit) * shapes + shape] =
+                    total_order_key(align_lambda(q, path, params, mode));
+            }
+        }
+        ShapePrices {
+            index,
+            sink_label: q.sink(),
+            sink,
+            shapes,
+            floor: keys.iter().copied().min().unwrap_or(i64::MAX),
+            keys,
+            computed: bits.len() * shapes,
+        }
+    }
+
+    /// The key of untouched candidate `pid`: a shape id read, and its
+    /// sink label where the list's rule fixed no bit.
+    #[inline]
+    fn price(&self, pid: PathId) -> i64 {
+        let bit = match self.sink {
+            SinkBit::Fixed(bit) => bit,
+            SinkBit::PerCandidate => self.sink_label.admits(self.index.labels(pid).sink_label()),
+        };
+        self.keys[usize::from(bit) * self.shapes + self.index.path_shape(pid) as usize]
+    }
+}
+
+/// The *touched* candidates of a streamed cluster — paths with a label
+/// that an inner constant node of `q` admits — each scored up front
+/// through the memo. They are read from the accepted labels' postings,
+/// so the set may hold paths the list does not: those only keep the
+/// floor low (the scan never passes them), they never misprice a
+/// candidate. A path whose sink bit differs from one the rule fixed
+/// cannot be in the list and is left out.
+struct Touched {
+    /// Membership, one bit per path id (no bits when there is none).
+    members: PathSet,
+    /// Each member's level in `levels`.
+    level_of: FxHashMap<PathId, usize>,
+    /// The members' distinct λ keys, ascending, each with the number of
+    /// members the scan has not passed yet.
+    levels: Vec<(i64, usize)>,
+    /// The first level with a member left.
+    lowest: usize,
+}
+
+impl Touched {
+    /// Find and score the touched candidates, polling `budget` at every
+    /// [`ALIGN_CHECK_INTERVAL`]-th one after the first. `None` once it
+    /// expired.
+    fn score<I: IndexLike + ?Sized>(
+        memo: &mut LambdaMemo<'_, I>,
+        sink: SinkBit,
+        budget: &QueryBudget,
+    ) -> Option<Touched> {
+        let (q, index) = (memo.q, memo.index);
+        let mut labels: Vec<LabelId> = memo
+            .inner_consts
+            .iter()
+            .flat_map(|constant| match constant {
+                QueryLabel::Const { accepted, .. } => &accepted[..],
+                QueryLabel::Var(_) => &[],
+            })
+            .copied()
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let wanted_sink = match sink {
+            SinkBit::Fixed(bit) if !q.sink().is_var() => Some(bit),
+            _ => None,
+        };
+        let mut scored: FxHashMap<PathId, i64> = FxHashMap::default();
+        let mut read = 0usize;
+        for label in labels {
+            // An accepted label is what `constant_label` resolves its
+            // lexical form to (`decompose_query`, `widen_with_synonyms`),
+            // so that form names the label's postings.
+            for pid in index.label_matching(index.label_lexical(label), &NoSynonyms) {
+                if scored.contains_key(&pid) {
+                    continue;
+                }
+                read += 1;
+                if read.is_multiple_of(ALIGN_CHECK_INTERVAL) && budget.exceeded().is_some() {
+                    return None;
+                }
+                let path = index.labels(pid);
+                if wanted_sink.is_some_and(|bit| q.sink().admits(path.sink_label()) != bit) {
+                    continue;
+                }
+                scored.insert(pid, total_order_key(memo.score(pid, path)));
+            }
+        }
+        let mut keys: Vec<i64> = scored.values().copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut levels: Vec<(i64, usize)> = keys.iter().map(|&key| (key, 0)).collect();
+        let mut members = if scored.is_empty() {
+            PathSet::default()
+        } else {
+            PathSet::new(index.total_paths())
+        };
+        let level_of = scored
+            .into_iter()
+            .map(|(pid, key)| {
+                let level = keys.binary_search(&key).expect("a member's key");
+                levels[level].1 += 1;
+                members.insert(pid);
+                (pid, level)
+            })
+            .collect();
+        Some(Touched {
+            members,
+            level_of,
+            levels,
+            lowest: 0,
+        })
+    }
+
+    /// The level of `pid` if it is a member.
+    #[inline]
+    fn level(&self, pid: PathId) -> Option<usize> {
+        self.members.contains(pid).then(|| self.level_of[&pid])
+    }
+
+    /// The key of `pid` if it is a member.
+    fn key(&self, pid: PathId) -> Option<i64> {
+        self.level(pid).map(|level| self.levels[level].0)
+    }
+
+    /// [`Touched::key`], and the member counts as passed.
+    #[inline]
+    fn take(&mut self, pid: PathId) -> Option<i64> {
+        let level = self.level(pid)?;
+        let key = self.levels[level].0;
+        self.levels[level].1 -= 1;
+        while self
+            .levels
+            .get(self.lowest)
+            .is_some_and(|&(_, left)| left == 0)
+        {
+            self.lowest += 1;
+        }
+        Some(key)
+    }
+
+    /// The least key of a member not passed yet (`i64::MAX`: none left).
+    fn floor(&self) -> i64 {
+        self.levels
+            .get(self.lowest)
+            .map_or(i64::MAX, |&(key, _)| key)
+    }
 }
 
 /// The streaming fill's scorer on its own: the λ it gives each of
-/// `candidates` against `q` — `align_lambda` of each, bit for bit —
-/// and how many alignments it computed to do so. Public so that tests
-/// and measurements can hold the memo to that contract directly; a
-/// cluster only ever shows the survivors' λ.
+/// `candidates` against `q` — `align_lambda` of each, bit for bit — and
+/// how many alignments it computed to do so. Touched candidates go
+/// through the memo, the rest through the shape price table; the sink
+/// label of every untouched candidate is read (no retrieval rule fixed
+/// its bit). Public so that tests and measurements can hold the scorer
+/// to that contract directly; a cluster only ever shows the survivors'
+/// λ.
 pub fn memoised_lambdas<I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
@@ -585,13 +847,20 @@ pub fn memoised_lambdas<I: IndexLike + ?Sized>(
     params: &ScoreParams,
     mode: AlignmentMode,
 ) -> (Vec<f64>, usize) {
+    let sink = sink_bit(q, index, None);
+    let prices = ShapePrices::new(q, index, sink, params, mode);
     let mut memo = LambdaMemo::new(q, index, params, mode);
-    let lambdas = candidates.iter().map(|&pid| memo.lambda(pid)).collect();
-    (lambdas, memo.computed)
+    let touched =
+        Touched::score(&mut memo, sink, &QueryBudget::unlimited()).expect("no budget to expire");
+    let lambdas = candidates
+        .iter()
+        .map(|&pid| from_total_order_key(touched.key(pid).unwrap_or_else(|| prices.price(pid))))
+        .collect();
+    (lambdas, prices.computed + memo.computed)
 }
 
-/// λ for the candidates of one streamed cluster, computed once per
-/// *distinguishable* candidate.
+/// λ for the touched candidates of one streamed cluster, computed once
+/// per *distinguishable* candidate.
 ///
 /// [`align_lambda`] reads a data path only through (i) its edge labels
 /// — its shape; (ii) whether the query sink admits its sink label (both
@@ -601,17 +870,17 @@ pub fn memoised_lambdas<I: IndexLike + ?Sized>(
 /// binding is not recorded when only λ is asked for. The memo key is
 /// exactly that: the shape id, one bit for (ii) and `|other data
 /// nodes| × |other constant query nodes|` bits for (iii), each present
-/// only when the query has such a constant — so a query path without
-/// constant nodes touches no label pool at all. Equal keys make the
+/// only when the query has such a constant. Equal keys make the
 /// scan (or the DP) take the same branches and add the same terms in
 /// the same order, so a miss stores what [`align_lambda`] returns for
 /// that candidate and every hit is that λ bit for bit, whatever the
-/// mode, the IC weights or the synonym-widened accepted sets. There is
-/// no cheaper bound to reject candidates with: the greedy scan is not
-/// monotone in node compatibility (a unit that becomes compatible is
-/// matched where it was skipped, which shifts every later pairing), so
-/// "every constant admitted" is not a lower bound on λ — and the exact
-/// key does not need one.
+/// mode, the IC weights or the synonym-widened accepted sets. The same
+/// argument prices an untouched candidate by its shape
+/// ([`ShapePrices`]). There is no cheaper bound to reject candidates
+/// with: the greedy scan is not monotone in node compatibility (a unit
+/// that becomes compatible is matched where it was skipped, which
+/// shifts every later pairing), so "every constant admitted" is not a
+/// lower bound on λ — and the exact key does not need one.
 /// A path whose bits do not fit the packed word is scored directly.
 struct LambdaMemo<'a, I: ?Sized> {
     q: &'a QueryPath,
@@ -622,11 +891,6 @@ struct LambdaMemo<'a, I: ?Sized> {
     /// The constant node labels of `q` other than its sink.
     inner_consts: Vec<&'a QueryLabel>,
     seen: FxHashMap<(u32, u64), f64>,
-    /// Per shape, the bits last looked up and their λ: a path's bits
-    /// are nearly always those of the previous path of its shape (none
-    /// admitted), so most lookups end here, one load short of a hash
-    /// probe.
-    recent: Vec<Option<(u64, f64)>>,
     /// [`align_lambda`] calls so far (the misses).
     computed: usize,
 }
@@ -642,45 +906,20 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
             sink_is_const: !sink.is_var(),
             inner_consts: inner.iter().filter(|label| !label.is_var()).collect(),
             seen: FxHashMap::default(),
-            recent: vec![None; index.shape_count()],
             computed: 0,
         }
     }
 
-    /// `align_lambda(q, index.labels(pid), params, mode)`. Reads the
-    /// candidate's labels at most once, and only its shape id on a hit
-    /// when `q` has no constant node.
-    #[inline]
-    fn lambda(&mut self, pid: PathId) -> f64 {
-        let index = self.index;
-        let reads_nodes = self.sink_is_const || !self.inner_consts.is_empty();
-        let labels = reads_nodes.then(|| index.labels(pid));
-        let bits = match labels {
-            Some(labels) => self.node_bits(labels.node_labels),
-            None => Some(0),
-        };
-        let Some(bits) = bits else {
-            return self.miss(pid, labels, None);
-        };
-        let shape = index.path_shape(pid);
-        if let Some((_, lambda)) = self.recent[shape as usize].filter(|recent| recent.0 == bits) {
+    /// `align_lambda(q, labels, params, mode)`, where `labels` are the
+    /// labels of `pid`.
+    fn score(&mut self, pid: PathId, labels: LabelsRef<'_>) -> f64 {
+        let key = self
+            .node_bits(labels.node_labels)
+            .map(|bits| (self.index.path_shape(pid), bits));
+        if let Some(&lambda) = key.and_then(|key| self.seen.get(&key)) {
             return lambda;
         }
-        let lambda = match self.seen.get(&(shape, bits)) {
-            Some(&lambda) => lambda,
-            None => self.miss(pid, labels, Some((shape, bits))),
-        };
-        self.recent[shape as usize] = Some((bits, lambda));
-        lambda
-    }
-
-    /// The rare side of [`LambdaMemo::lambda`], out of line so the hit
-    /// path stays a hash probe: align, and remember the λ under `key`
-    /// (`None`: too long for the packed word, scored but not kept).
-    #[cold]
-    fn miss(&mut self, pid: PathId, labels: Option<LabelsRef<'_>>, key: Option<(u32, u64)>) -> f64 {
         self.computed += 1;
-        let labels = labels.unwrap_or_else(|| self.index.labels(pid));
         let lambda = align_lambda(self.q, labels, self.params, self.mode);
         if let Some(key) = key {
             self.seen.insert(key, lambda);
@@ -716,32 +955,70 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
 ///    itself) → containment lookup, first non-empty wins;
 /// 3. pure-variable path, or every constant absent → full scan if
 ///    allowed.
+///
+/// Returns the list and the sink bit the rule fixes for it.
 fn retrieve_candidates<I: IndexLike>(
     q: &QueryPath,
     index: &I,
     synonyms: &dyn SynonymProvider,
     config: &ClusterConfig,
-) -> Vec<PathId> {
+) -> (Vec<PathId>, SinkBit) {
     if config.exhaustive {
-        return index.all_path_ids();
+        return (index.all_path_ids(), sink_bit(q, index, None));
     }
     if let Some(lexical) = q.sink().lexical() {
         let by_sink = index.sink_matching(lexical, synonyms);
         if !by_sink.is_empty() {
-            return by_sink;
+            return (by_sink, sink_bit(q, index, Some((synonyms, true))));
         }
     }
+    let bit = sink_bit(q, index, Some((synonyms, false)));
     for anchor in q.constants_from_sink() {
         let lexical = anchor.lexical().expect("anchor is a constant");
         let hits = index.label_matching(lexical, synonyms);
         if !hits.is_empty() {
-            return hits;
+            return (hits, bit);
         }
     }
     if config.allow_full_scan {
-        index.all_path_ids()
+        (index.all_path_ids(), bit)
     } else {
-        Vec::new()
+        (Vec::new(), bit)
+    }
+}
+
+/// The sink bit of every candidate of a list, where the rule that
+/// retrieved it fixes one. `lookup` is the sink-label lookup that ran:
+/// the synonyms it widened the sink's lexical form with, and whether the
+/// list is its result (`true`) or it found no path (`false`); `None` for
+/// a list that owes nothing to it (`exhaustive`).
+///
+/// An accepted label is what `constant_label` resolves its lexical form
+/// to, so a name an accepted label carries resolves to that label. The
+/// lookup's postings are then all admitted when every name it looked up
+/// is an accepted label's; and when it found nothing, no path ends in an
+/// admitted label if every accepted label's name was looked up.
+fn sink_bit<I: IndexLike + ?Sized>(
+    q: &QueryPath,
+    index: &I,
+    lookup: Option<(&dyn SynonymProvider, bool)>,
+) -> SinkBit {
+    let QueryLabel::Const { accepted, lexical } = q.sink() else {
+        return SinkBit::Fixed(false);
+    };
+    if accepted.is_empty() {
+        return SinkBit::Fixed(false);
+    }
+    let Some((synonyms, found)) = lookup else {
+        return SinkBit::PerCandidate;
+    };
+    let widened = synonyms.synonyms(lexical);
+    let looked_up = || std::iter::once(&**lexical).chain(widened.iter().map(String::as_str));
+    let named: Vec<&str> = accepted.iter().map(|&l| index.label_lexical(l)).collect();
+    match found {
+        true if looked_up().all(|name| named.contains(&name)) => SinkBit::Fixed(true),
+        false if named.iter().all(|&name| looked_up().any(|n| n == name)) => SinkBit::Fixed(false),
+        _ => SinkBit::PerCandidate,
     }
 }
 

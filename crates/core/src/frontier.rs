@@ -33,7 +33,7 @@ pub(crate) fn total_order_key(x: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-fn from_total_order_key(key: i64) -> f64 {
+pub(crate) fn from_total_order_key(key: i64) -> f64 {
     f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 

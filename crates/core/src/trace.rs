@@ -80,11 +80,16 @@ pub struct TraceCluster {
     /// `max_candidates` cap and any LSH pruning).
     pub aligned: usize,
     /// Candidates scored before the fill stopped (`Cluster::scanned`):
-    /// `aligned`, unless `max_cluster_size` entries at λ = 0 ended the
-    /// scan early.
+    /// `aligned`, unless `max_cluster_size` entries at or below the
+    /// least λ a later candidate can take ended the scan early.
     pub scanned: usize,
+    /// Of the `scanned` candidates, those scored from their labels
+    /// (`Cluster::touched`); the other `scanned − touched` were priced
+    /// by their shape.
+    pub touched: usize,
     /// Alignments computed to score the `scanned` candidates: the
-    /// streaming fill computes one per distinguishable candidate
+    /// streaming fill computes one per shape for its price table and one
+    /// per distinguishable touched candidate
     /// (`Cluster::alignments_computed`), so this is the scoring the
     /// query actually did.
     pub alignments: usize,
@@ -177,6 +182,7 @@ impl ExplainTrace {
                 retrieved: c.candidates_retrieved,
                 aligned: c.candidates_retrieved - c.candidates_dropped - c.lsh_pruned,
                 scanned: c.scanned,
+                touched: c.touched,
                 alignments: c.alignments_computed,
                 kept: c.entries.len(),
                 dropped: c.candidates_dropped,
@@ -255,12 +261,13 @@ impl ExplainTrace {
             let _ = write!(
                 out,
                 "{{\"qpath\":{},\"retrieved\":{},\"aligned\":{},\"scanned\":{},\
-                 \"alignments\":{},\"kept\":{},\"dropped\":{},\"best_lambda\":{},\
-                 \"tier\":\"{}\"}}",
+                 \"touched\":{},\"alignments\":{},\"kept\":{},\"dropped\":{},\
+                 \"best_lambda\":{},\"tier\":\"{}\"}}",
                 c.qpath_index,
                 c.retrieved,
                 c.aligned,
                 c.scanned,
+                c.touched,
                 c.alignments,
                 c.kept,
                 c.dropped,

@@ -2,27 +2,32 @@
 //!
 //! * `align_lambda` is `align(..).lambda` bit for bit, in both
 //!   alignment modes, with and without IC weight vectors.
-//! * The fill's memoised score is `align_lambda` bit for bit for every
-//!   candidate — both modes, IC weights, synonym-widened constants,
-//!   constants absent from the data, constants at any position, and
-//!   paths too long for the memo's packed key.
-//! * A cluster is exactly what the paper's plain recipe gives — align
-//!   every candidate, stable-sort by (λ, path content), truncate to
+//! * The fill's scorer — the memo for the candidates a query constant
+//!   touches, the shape price table for the rest — is `align_lambda`
+//!   bit for bit for every candidate: both modes, IC weights,
+//!   synonym-widened constants, constants absent from the data,
+//!   constants at any position, and paths too long for the memo's
+//!   packed key.
+//! * A cluster is exactly what an oracle that aligns every candidate
+//!   gives — stable-sort by (λ, path content), truncate to
 //!   `max_cluster_size` — whichever way the streaming kernel got there:
-//!   any cap, a budget cancelled half-way; and the
-//!   kernel reads candidates exactly up to where the recipe says no
-//!   later one can make the cut.
+//!   any cap, either mode, any weights (negative ones included), every
+//!   retrieval rule, a budget cancelled half-way; and the kernel reads
+//!   no fewer candidates than the oracle's exact suffix floor says it
+//!   must.
 
 mod support;
 
-use path_index::{ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, Thesaurus};
+use path_index::{
+    ExtractionConfig, IndexLike, MappedIndex, NoSynonyms, PathId, SynonymProvider, Thesaurus,
+};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph, Triple};
 use sama_core::cluster::ALIGN_CHECK_INTERVAL;
 use sama_core::{
-    align, align_lambda, apply_ic_weights, build_clusters_budgeted, decompose_query,
-    memoised_lambdas, widen_with_synonyms, AlignmentMode, CancelToken, Cluster, ClusterConfig,
-    ClusterEntry, QueryBudget, QueryPath, ScoreParams,
+    align, align_lambda, apply_ic_weights, build_clusters, build_clusters_budgeted,
+    decompose_query, memoised_lambdas, widen_with_synonyms, AlignmentMode, CancelToken, Cluster,
+    ClusterConfig, ClusterEntry, QueryBudget, QueryPath, ScoreParams,
 };
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -131,7 +136,8 @@ fn assert_memo_is_exact<I: IndexLike>(index: &I, qpaths: &[QueryPath]) {
         for mode in MODES {
             let (lambdas, computed) = memoised_lambdas(q, index, &candidates, &params, mode);
             assert_eq!(lambdas.len(), candidates.len());
-            assert!(computed <= candidates.len());
+            // One alignment per shape and sink bit, one per touched key.
+            assert!(computed <= 2 * index.shape_count() + candidates.len());
             for (&pid, lambda) in candidates.iter().zip(lambdas) {
                 let direct = align_lambda(q, index.labels(pid), &params, mode);
                 assert_eq!(lambda.to_bits(), direct.to_bits(), "{} {:?}", pid, mode);
@@ -237,15 +243,33 @@ fn paths_too_long_for_the_packed_key_are_scored_directly() {
                 let direct = align_lambda(&qpaths[0], index.labels(pid), &params, mode);
                 assert_eq!(lambda.to_bits(), direct.to_bits(), "{pid} {mode:?}");
             }
-            // Each overflowing path costs an alignment of its own; the
-            // rest share theirs.
-            assert!(computed >= overflowing && computed <= candidates.len());
+            // Each overflowing path an inner constant touches costs an
+            // alignment of its own; the rest share theirs.
+            let q = &qpaths[0];
+            let inner: Vec<_> = q.nodes[..q.len() - 1]
+                .iter()
+                .filter(|c| !c.is_var())
+                .collect();
+            let touched_overflowing = candidates
+                .iter()
+                .filter(|&&p| {
+                    let nodes = index.labels(p).node_labels;
+                    let width = 1 + (nodes.len() - 1) * inner.len();
+                    width > 64
+                        && nodes[..nodes.len() - 1]
+                            .iter()
+                            .any(|&l| inner.iter().any(|c| c.admits(l)))
+                })
+                .count();
+            assert!(touched_overflowing > 0);
+            assert!(computed >= touched_overflowing);
+            assert!(computed <= 2 * index.shape_count() + candidates.len());
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The streaming kernel against the plain recipe.
+// The streaming kernel against an oracle that aligns everything.
 
 /// About a thousand paths of three shapes, so that against
 /// [`tie_query`] λ takes a handful of values, each shared by hundreds
@@ -254,7 +278,9 @@ fn paths_too_long_for_the_packed_key_are_scored_directly() {
 /// sponsorships `S-sponsor-B-subject-HC`, and 404 `X-gender-Male`
 /// stubs. Each hub's sponsor edges are inserted towards *descending*
 /// amendment ids, so path id order is not content order and ties
-/// really are decided by content.
+/// really are decided by content. In content order the `H3` paths come
+/// first (101 of them: its chains, then its gender stub), then `H2`,
+/// `H1`, `H0`, the direct sponsorships and the `G` stubs.
 fn tie_data() -> DataGraph {
     let mut b = DataGraph::builder();
     for i in 0..400 {
@@ -281,25 +307,27 @@ fn tie_data() -> DataGraph {
     b.build()
 }
 
-/// `H2-sponsor-?v1-aTo-?v2-subject-<sink>`. With the sink `"HC"` the
-/// hundred `H2` chains are exact answers, so a small cap fills at λ = 0
-/// and the fill stops early; no data path ends in `"Finance"`, so
-/// against that sink every λ stays above 0 and a cancel lands mid-fill
-/// whatever the cap.
-fn tie_query(sink: &str) -> QueryGraph {
+/// `<hub>-sponsor-?v1-aTo-?v2-subject-<sink>`. The hub is the one inner
+/// constant: its 101 paths are the touched candidates. With the sink
+/// `"HC"` the hundred chains of the hub are exact answers. No data path
+/// ends in `"Finance"`: against that sink the hub's chains score 1 and
+/// every other path more.
+fn tie_query(hub: &str, sink: &str) -> QueryGraph {
     let mut b = QueryGraph::builder();
-    b.triple_str("H2", "sponsor", "?v1").unwrap();
+    b.triple_str(hub, "sponsor", "?v1").unwrap();
     b.triple_str("?v1", "aTo", "?v2").unwrap();
     b.triple_str("?v2", "subject", sink).unwrap();
     b.build()
 }
 
-/// The plain recipe, sharing nothing with the kernel but `align`: the
-/// entries of `candidates` sorted by (λ, path content) and truncated to
-/// `cap`, and how many of them a fill must read — in content order, a
-/// list longer than `cap` up to its `cap`-th λ = 0 candidate (nothing
-/// after it can make the cut), any other list to its end.
-fn reference<I: IndexLike>(
+/// The oracle, sharing nothing with the kernel but `align`: the entries
+/// of `candidates` sorted by (λ, path content) and truncated to `cap`,
+/// and the exact suffix-floor stop — how many candidates, in content
+/// order, a fill that knew every later λ would read: a list longer than
+/// `cap` up to the first prefix whose `cap` best sit at or below the
+/// least λ after it (nothing later can make the cut), any other list to
+/// its end.
+fn oracle<I: IndexLike>(
     q: &QueryPath,
     index: &I,
     candidates: &[PathId],
@@ -313,22 +341,38 @@ fn reference<I: IndexLike>(
             alignment: align(q, index.labels(pid), &ScoreParams::paper(), mode),
         })
         .collect();
-    let mut zeros = (0..entries.len()).filter(|&i| entries[i].lambda() == 0.0);
-    let stop = (cap > 0 && candidates.len() > cap).then(|| zeros.nth(cap - 1));
-    let scanned = stop.flatten().map_or(candidates.len(), |last| last + 1);
+    let lambdas: Vec<f64> = entries.iter().map(ClusterEntry::lambda).collect();
+    let least = |a: f64, b: f64| if a.total_cmp(&b).is_le() { a } else { b };
+    let mut after = vec![f64::INFINITY; lambdas.len() + 1];
+    for i in (0..lambdas.len()).rev() {
+        after[i] = least(lambdas[i], after[i + 1]);
+    }
+    let mut stop = lambdas.len();
+    if cap > 0 && lambdas.len() > cap {
+        let mut kept: Vec<f64> = Vec::new();
+        for (i, &lambda) in lambdas.iter().enumerate() {
+            let at = kept.partition_point(|k| k.total_cmp(&lambda).is_le());
+            kept.insert(at, lambda);
+            kept.truncate(cap);
+            if kept.len() == cap && kept[cap - 1].total_cmp(&after[i + 1]).is_le() {
+                stop = i + 1;
+                break;
+            }
+        }
+    }
     entries.sort_by(|x, y| {
         (x.lambda().total_cmp(&y.lambda()))
             .then_with(|| index.path_nodes(x.path_id).cmp(index.path_nodes(y.path_id)))
             .then_with(|| index.path_edges(x.path_id).cmp(index.path_edges(y.path_id)))
     });
     entries.truncate(cap);
-    (entries, scanned)
+    (entries, stop)
 }
 
 /// The query's one path, plain and IC-weighted.
-fn query_paths<I: IndexLike>(index: &I, sink: &str) -> [(Vec<QueryPath>, bool); 2] {
+fn query_paths<I: IndexLike>(index: &I, query: &QueryGraph) -> [(Vec<QueryPath>, bool); 2] {
     let plain = decompose_query(
-        &tie_query(sink),
+        query,
         index.data().vocab(),
         &NoSynonyms,
         &ExtractionConfig::default(),
@@ -383,53 +427,61 @@ fn assert_entries_equal(what: &str, got: &[ClusterEntry], want: &[ClusterEntry])
     }
 }
 
-/// Every combination of cap × mode × IC weights × cancellation.
+/// Every combination of cap × mode × IC weights, and a cancellation.
+/// `H2` against `"HC"` and `"Finance"` stops early; `H0` against
+/// `"Finance"` is the cancellation case: its chains, the only λ = 1
+/// candidates, come after position 300, so the floor stays below the
+/// heap's worst past the poll at 256 whatever the cap.
 fn check<I: IndexLike>(index: I) {
     let candidates = index.all_path_ids();
     let len = candidates.len();
     assert!(len > 3 * 256, "need several budget polls, got {len} paths");
-    // Cancelled while candidate 299 is scored; noticed at the next poll.
-    let trip_at = 300;
-    let polled_out_at = 512;
+    // Cancelled during the first `labels` call — the up-front scoring of
+    // the touched candidates, or the first alignment of a list that fits
+    // its cap — and noticed at the next poll.
+    let trip_at = 1;
+    let polled_out_at = ALIGN_CHECK_INTERVAL;
 
     let mut stopped_early = 0;
     let cases = [
-        ("\"HC\"", query_paths(&index, "\"HC\""), &[false][..]),
-        (
-            "\"Finance\"",
-            query_paths(&index, "\"Finance\""),
-            &[false, true],
-        ),
-    ];
+        ("H2 \"HC\"", tie_query("H2", "\"HC\""), false),
+        ("H2 \"Finance\"", tie_query("H2", "\"Finance\""), false),
+        ("H0 \"Finance\"", tie_query("H0", "\"Finance\""), true),
+    ]
+    .map(|(what, query, cancel)| (what, query_paths(&index, &query), cancel));
     let mut tripwire = Probe::new(index);
-    for (sink, queries, cancels) in &cases {
+    for (query, queries, cancel) in &cases {
         for (qpaths, ic) in queries {
             for mode in MODES {
-                for cap in [0, 1, len - 1, len, len + 1] {
-                    for &cancel in *cancels {
-                        let what = format!("{sink} ic={ic} {mode:?} cap={cap} cancel={cancel}");
-                        let (got, _) =
-                            fill(&mut tripwire, qpaths, mode, cap, cancel.then_some(trip_at));
-                        let scored = if cancel { polled_out_at } else { len };
-                        let (want, scanned) = reference(
-                            &qpaths[0],
-                            &tripwire.inner,
-                            &candidates[..scored],
-                            mode,
-                            cap,
-                        );
-                        assert_eq!(got.candidates_retrieved, len, "{what}");
-                        assert_eq!(got.candidates_dropped, len - scored, "{what}");
-                        assert_eq!(got.scanned, scanned, "{what}");
-                        stopped_early += usize::from(scanned < scored);
-                        assert_entries_equal(&what, &got.entries, &want);
-                    }
+                for cap in [0, 1, 2, 100, len - 1, len, len + 1] {
+                    let what = format!("{query} ic={ic} {mode:?} cap={cap}");
+                    let (got, _) =
+                        fill(&mut tripwire, qpaths, mode, cap, cancel.then_some(trip_at));
+                    let scored = if *cancel { polled_out_at } else { len };
+                    let (want, stop) = oracle(
+                        &qpaths[0],
+                        &tripwire.inner,
+                        &candidates[..scored],
+                        mode,
+                        cap,
+                    );
+                    assert_eq!(got.candidates_retrieved, len, "{what}");
+                    assert_eq!(got.candidates_dropped, len - scored, "{what}");
+                    assert!(
+                        got.scanned >= stop && got.scanned <= scored,
+                        "{what}: {stop}"
+                    );
+                    assert!(got.touched <= got.scanned, "{what}");
+                    stopped_early += usize::from(got.scanned < scored);
+                    assert_entries_equal(&what, &got.entries, &want);
                 }
             }
         }
     }
-    // cap = 1 stops at the first H2 chain: plain and weighted, both modes.
-    assert_eq!(stopped_early, 4);
+    // The H2 fills with caps 1, 2 and 100 stop early — two sinks ×
+    // plain and weighted × two modes × three caps. (Cap 0 has no heap to
+    // fill; `len - 1` fills it only one candidate before the end.)
+    assert_eq!(stopped_early, 2 * 2 * 2 * 3);
 }
 
 #[test]
@@ -438,19 +490,17 @@ fn fill_equals_align_sort_truncate() {
 }
 
 /// Query weights are public, and a caller may price a position below
-/// zero. Then a heap full at λ = 0 is no floor: against `H3`, the first
-/// source in content order, the H3 chains come first at λ = 0, and every
-/// later chain, mismatching the source at weight −1, beats them.
+/// zero. The floor is a minimum over the λ values candidates really
+/// take, not a bound at 0, so the stop stays exact: against `H3`, the
+/// first source in content order, the H3 chains come first at λ = 0 and
+/// every later chain, mismatching the source at weight −1, beats them;
+/// the fill stops at the first of those, where the oracle does.
 #[test]
-fn a_negative_weight_keeps_the_fill_reading() {
+fn a_negative_weight_stops_at_its_exact_floor() {
     let index = MappedIndex::build(tie_data()).expect("builds");
     let candidates = index.all_path_ids();
-    let mut b = QueryGraph::builder();
-    b.triple_str("H3", "sponsor", "?v1").unwrap();
-    b.triple_str("?v1", "aTo", "?v2").unwrap();
-    b.triple_str("?v2", "subject", "\"HC\"").unwrap();
     let mut qpaths = decompose_query(
-        &b.build(),
+        &tie_query("H3", "\"HC\""),
         &index,
         &NoSynonyms,
         &ExtractionConfig::default(),
@@ -459,24 +509,25 @@ fn a_negative_weight_keeps_the_fill_reading() {
     let mut tripwire = Probe::new(index);
     for mode in MODES {
         let (got, _) = fill(&mut tripwire, &qpaths, mode, 1, None);
-        let (want, scanned) = reference(&qpaths[0], &tripwire.inner, &candidates, mode, 1);
+        let (want, stop) = oracle(&qpaths[0], &tripwire.inner, &candidates, mode, 1);
         assert!(want[0].lambda() < 0.0, "{mode:?}");
-        assert_eq!(scanned, 1, "{mode:?}: the reference's zero rule would stop");
-        assert_eq!(got.scanned, candidates.len(), "{mode:?}");
+        assert!(stop < candidates.len(), "{mode:?}: the oracle stops early");
+        assert_eq!(got.scanned, stop, "{mode:?}");
         assert_entries_equal(&format!("{mode:?}"), &got.entries, &want);
     }
 }
 
-/// The token trips while candidate 1 is scored, after the first poll;
-/// the next poll is due at candidate 256. A fill that reaches `cap`
-/// entries at λ = 0 before then stops with its cluster complete: not a
+/// The token trips during the second `labels` call, in the up-front
+/// scoring of the touched candidates, after the first poll; the next
+/// poll is due at candidate 256. A fill that reaches `cap` entries at
+/// its floor before then stops with its cluster complete: not a
 /// candidate dropped, so nothing for `QueryResult::truncated` to flag
 /// on the clustering side, though the budget has expired.
 #[test]
 fn a_stop_that_beats_a_tripped_budget_leaves_a_complete_cluster() {
     let index = MappedIndex::build(tie_data()).expect("builds");
     let candidates = index.all_path_ids();
-    let cases = query_paths(&index, "\"HC\"");
+    let cases = query_paths(&index, &tie_query("H2", "\"HC\""));
     let mut tripwire = Probe::new(index);
     for (qpaths, ic) in &cases {
         for mode in MODES {
@@ -484,13 +535,195 @@ fn a_stop_that_beats_a_tripped_budget_leaves_a_complete_cluster() {
                 let what = format!("ic={ic} {mode:?} cap={cap}");
                 let (got, budget) = fill(&mut tripwire, qpaths, mode, cap, Some(2));
                 assert!(budget.exceeded().is_some(), "{what}: the token tripped");
-                let (want, scanned) =
-                    reference(&qpaths[0], &tripwire.inner, &candidates, mode, cap);
-                assert!(scanned < ALIGN_CHECK_INTERVAL, "{what}: {scanned}");
-                assert_eq!(got.scanned, scanned, "{what}");
+                let (want, stop) = oracle(&qpaths[0], &tripwire.inner, &candidates, mode, cap);
+                assert!(got.scanned >= stop, "{what}: {stop}");
+                assert!(
+                    got.scanned < ALIGN_CHECK_INTERVAL,
+                    "{what}: {}",
+                    got.scanned
+                );
                 assert_eq!(got.candidates_dropped, 0, "{what}");
                 assert_entries_equal(&what, &got.entries, &want);
             }
+        }
+    }
+}
+
+/// The list `build_clusters` fills `q`'s cluster from, by the retrieval
+/// cascade of `ClusterConfig` (LSH aside): every path when exhaustive,
+/// else the sink lookup, else the first constant from the sink that
+/// retrieves anything, else every path when a full scan is allowed;
+/// then the first `max_candidates`.
+fn retrieved<I: IndexLike>(
+    q: &QueryPath,
+    index: &I,
+    synonyms: &dyn SynonymProvider,
+    config: &ClusterConfig,
+) -> Vec<PathId> {
+    let lookups =
+        q.sink()
+            .lexical()
+            .map(|sink| index.sink_matching(sink, synonyms))
+            .into_iter()
+            .chain(q.constants_from_sink().map(|anchor| {
+                index.label_matching(anchor.lexical().expect("a constant"), synonyms)
+            }));
+    let mut list = match config.exhaustive {
+        true => index.all_path_ids(),
+        false => lookups
+            .into_iter()
+            .find(|hits| !hits.is_empty())
+            .unwrap_or_else(|| match config.allow_full_scan {
+                true => index.all_path_ids(),
+                false => Vec::new(),
+            }),
+    };
+    list.truncate(config.max_candidates);
+    list
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random data and queries, every retrieval rule: sink lookups,
+    /// anchors, full scans, `exhaustive` and capped lists; accepted sets
+    /// plain or widened, and the lookup widened or not, so the sink bit
+    /// is fixed for the list or read per candidate; uniform, positive
+    /// and partly negative weights; caps 1, 2 and 8.
+    #[test]
+    fn every_list_fills_to_the_oracle_cut(
+        data in arb_dag_triples(8, 14),
+        query in arb_constant_mix_query(),
+        weights in proptest::collection::vec(0.05f64..6.0, 16),
+        signs in proptest::collection::vec(0u8..2, 16),
+    ) {
+        let index = MappedIndex::build(DataGraph::from_triples(&data).expect("ground")).expect("builds");
+        let Ok(query) = QueryGraph::from_triples(&query) else { return Ok(()) };
+        let plain = decompose_query(&query, &index, &NoSynonyms, &ExtractionConfig::default());
+        let stamp = |negative: bool| {
+            let signed: Vec<f64> = weights
+                .iter()
+                .zip(&signs)
+                .map(|(&w, &minus)| if negative && minus == 1 { -w } else { w })
+                .collect();
+            let mut stamped = plain.clone();
+            for q in &mut stamped {
+                q.node_weights = Some(signed.iter().cycle().take(q.nodes.len()).copied().collect());
+                q.edge_weights = Some(signed.iter().rev().cycle().take(q.edges.len()).copied().collect());
+            }
+            stamped
+        };
+        let mut thesaurus = Thesaurus::new();
+        thesaurus.group(["n0", "n1", "n2"]);
+        let widened: Vec<QueryPath> = plain
+            .iter()
+            .map(|q| widen_with_synonyms(q, &index, &thesaurus))
+            .collect();
+        let configs = [
+            ClusterConfig::default(),
+            ClusterConfig { exhaustive: true, ..Default::default() },
+            ClusterConfig { max_candidates: 3, ..Default::default() },
+            ClusterConfig { allow_full_scan: false, ..Default::default() },
+        ];
+        let synonyms: [&dyn SynonymProvider; 2] = [&NoSynonyms, &thesaurus];
+        for qpaths in [&plain, &stamp(false), &stamp(true), &widened] {
+            for synonyms in synonyms {
+                for config in &configs {
+                    for cap in [1, 2, 8] {
+                        for mode in MODES {
+                            let config = ClusterConfig { max_cluster_size: cap, ..*config };
+                            let clusters = build_clusters(
+                                qpaths, &index, synonyms, &ScoreParams::paper(), mode, &config,
+                            );
+                            for (q, got) in qpaths.iter().zip(&clusters) {
+                                let list = retrieved(q, &index, synonyms, &config);
+                                let (want, stop) = oracle(q, &index, &list, mode, cap);
+                                let what = format!("{q:?} {config:?} {mode:?}");
+                                prop_assert!(got.scanned >= stop && got.scanned <= list.len(), "{}", what);
+                                prop_assert!(got.touched <= got.scanned, "{}", what);
+                                assert_entries_equal(&what, &got.entries, &want);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Where the sink lookup and the query path's accepted sets disagree,
+/// the retrieval rule fixes no sink bit and the fill reads each
+/// candidate's sink. 300 `"Health"` chains come first in content order,
+/// then 300 `"HC"` chains, 300 `"Female"` stubs and 300 `"Male"` ones;
+/// the thesaurus has `HC` ≡ `Health` and `M` ≡ `Male`. A lookup through
+/// the thesaurus for an `"HC"` sink decomposed
+/// without it retrieves the `"Health"` chains too, though their sink is
+/// not admitted; a sink `"M"` widened to `Male` but looked up without
+/// the thesaurus finds no path and falls through to the `gender`
+/// anchor, whose `Male` stubs are admitted. Priced with the wrong bit,
+/// either cut would take the first ten candidates of the list.
+#[test]
+fn the_sink_bit_is_read_where_the_lookup_does_not_fix_it() {
+    let mut b = DataGraph::builder();
+    for (sink, prefix) in [("\"Health\"", "a"), ("\"HC\"", "b")] {
+        for i in 0..300 {
+            b.triple_str(&format!("{prefix}{i}"), "sponsor", &format!("{prefix}B{i}"))
+                .unwrap();
+            b.triple_str(&format!("{prefix}B{i}"), "subject", sink)
+                .unwrap();
+        }
+    }
+    for (sink, prefix) in [("\"Female\"", "f"), ("\"Male\"", "m")] {
+        for i in 0..300 {
+            b.triple_str(&format!("{prefix}{i}"), "gender", sink)
+                .unwrap();
+        }
+    }
+    let index = MappedIndex::build(b.build()).expect("builds");
+    let mut thesaurus = Thesaurus::new();
+    thesaurus.group(["HC", "Health"]);
+    thesaurus.group(["M", "Male"]);
+    let decompose = |triples: &[(&str, &str, &str)]| {
+        let mut q = QueryGraph::builder();
+        for (s, p, o) in triples {
+            q.triple_str(s, p, o).unwrap();
+        }
+        decompose_query(
+            &q.build(),
+            &index,
+            &NoSynonyms,
+            &ExtractionConfig::default(),
+        )
+    };
+    let hc = decompose(&[("?x", "sponsor", "?b"), ("?b", "subject", "\"HC\"")]);
+    let m: Vec<QueryPath> = decompose(&[("?p", "gender", "\"M\"")])
+        .iter()
+        .map(|q| widen_with_synonyms(q, &index, &thesaurus))
+        .collect();
+    let cases: [(&str, &[QueryPath], &dyn SynonymProvider); 2] = [
+        ("HC through the thesaurus", &hc, &thesaurus),
+        ("M widened, looked up plain", &m, &NoSynonyms),
+    ];
+    for (what, qpaths, synonyms) in cases {
+        for mode in MODES {
+            let config = ClusterConfig {
+                max_cluster_size: 10,
+                ..Default::default()
+            };
+            let clusters = build_clusters(
+                qpaths,
+                &index,
+                synonyms,
+                &ScoreParams::paper(),
+                mode,
+                &config,
+            );
+            let list = retrieved(&qpaths[0], &index, synonyms, &config);
+            assert_eq!(list.len(), 600, "{what}");
+            let (want, stop) = oracle(&qpaths[0], &index, &list, mode, 10);
+            assert_eq!(want[0].lambda(), 0.0, "{what}");
+            assert!(clusters[0].scanned >= stop, "{what}");
+            assert_entries_equal(&format!("{what} {mode:?}"), &clusters[0].entries, &want);
         }
     }
 }

@@ -327,14 +327,14 @@ fn zero_deadline_stream_is_empty_and_flagged() {
 
 const MALES: usize = 600;
 
-/// `?p <predicate> <sink>` over [`MALES`] `P<i> gender "Male"` paths
-/// (more than two budget-poll intervals of candidates), with `M` ≡
+/// `query` over [`MALES`] `P<i> gender "Male"` paths (more than two
+/// budget-poll intervals of candidates), the last of them led in by `Z
+/// likes P<MALES-1>` — the last path in content order — with `M` ≡
 /// `Male` as the relaxation table and the token cancelled at the first
 /// `labels` call. Returns the result, the `labels` calls and the sink
 /// lookups (one per fill).
 fn relaxed_under_tripwire(
-    predicate: &str,
-    sink: &str,
+    query: &[(&str, &str, &str)],
     max_cluster_size: usize,
 ) -> (QueryResult, usize, usize) {
     let mut b = DataGraph::builder();
@@ -342,6 +342,8 @@ fn relaxed_under_tripwire(
         b.triple_str(&format!("P{i}"), "gender", "\"Male\"")
             .unwrap();
     }
+    b.triple_str("Z", "likes", &format!("P{}", MALES - 1))
+        .unwrap();
     let mut index = Probe::new(MappedIndex::build(b.build()).expect("builds"));
     index.trip_at = 1;
     let budget = QueryBudget::unlimited().cancelled_by(Arc::clone(&index.token));
@@ -360,7 +362,9 @@ fn relaxed_under_tripwire(
     )
     .relax_synonyms(Arc::new(table));
     let mut q = QueryGraph::builder();
-    q.triple_str("?p", predicate, sink).unwrap();
+    for (s, p, o) in query {
+        q.triple_str(s, p, o).unwrap();
+    }
     let result = engine.answer_with_budget(&q.build(), 5, &budget);
     let index = engine.index();
     (
@@ -378,10 +382,13 @@ fn cancel_during_the_first_fill_skips_the_relaxation() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::install(FaultPlan::none());
     // Four entries kept of the 256 scored: thin enough to relax. "M" is
-    // not in the data, so the fill anchors on `gender` and every
-    // candidate mismatches the sink — no λ = 0 entry ends the scan
-    // before the cancel is noticed.
-    let (result, labels_calls, fills) = relaxed_under_tripwire("gender", "\"M\"", 4);
+    // not in the data, so the fill anchors on `gender`; `Z`'s path, the
+    // one the query's inner constant touches, is read first (the token
+    // trips) and scores λ = 1 against 4 for the `P` paths, so the floor
+    // stays below the heap's worst until the end and the scan runs on to
+    // the poll that notices the cancel.
+    let query = [("Z", "likes", "?p"), ("?p", "gender", "\"M\"")];
+    let (result, labels_calls, fills) = relaxed_under_tripwire(&query, 4);
     assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
     assert!(result.truncated);
     assert!(!result.answers.is_empty(), "partial, not empty");
@@ -403,7 +410,7 @@ fn cancel_during_the_relaxation_refill_stops_it() {
     // "M", the query's only constant, is not in the data: the first
     // fill retrieves nothing and reads no labels, so the token fires in
     // the refill.
-    let (result, labels_calls, fills) = relaxed_under_tripwire("?e", "\"M\"", 256);
+    let (result, labels_calls, fills) = relaxed_under_tripwire(&[("?p", "?e", "\"M\"")], 256);
     assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
     assert!(result.truncated);
     assert_eq!(fills, 2, "the exact fill and the refill");

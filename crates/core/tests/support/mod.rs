@@ -121,6 +121,9 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     fn shape_count(&self) -> usize {
         self.inner.shape_count()
     }
+    fn shape_edge_labels(&self, shape: u32) -> &[LabelId] {
+        self.inner.shape_edge_labels(shape)
+    }
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         self.sink_lookups.fetch_add(1, Ordering::SeqCst);
         self.inner.sink_matching(lexical, synonyms)

@@ -102,6 +102,12 @@ pub trait IndexLike {
     /// Number of distinct shapes among the indexed paths.
     fn shape_count(&self) -> usize;
 
+    /// The edge-label sequence of shape `shape` (`< shape_count()`):
+    /// `labels(id).edge_labels` of every path `id` of that shape. The
+    /// cluster fill prices the candidates no query constant touches by
+    /// their shape alone.
+    fn shape_edge_labels(&self, shape: u32) -> &[LabelId];
+
     /// Paths whose sink label matches `lexical` (or a synonym).
     ///
     /// This and the two lists below are in *path-content order*: strictly

@@ -1443,6 +1443,14 @@ impl IndexLike for MappedIndex {
         self.view.layout.shape_count
     }
 
+    /// The shape's run of the stored shape pool (offsets validated at
+    /// open).
+    fn shape_edge_labels(&self, shape: u32) -> &[LabelId] {
+        let view = &self.view;
+        let shape = shape as usize;
+        &view.shape_labels[view.shape_offs[shape] as usize..view.shape_offs[shape + 1] as usize]
+    }
+
     fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
@@ -1561,13 +1569,16 @@ mod tests {
         }
     }
 
-    /// The shape table's contract, on any index: ids are dense, and two
-    /// paths share one exactly when they share an edge-label sequence.
+    /// The shape table's contract, on any index: ids are dense, two
+    /// paths share one exactly when they share an edge-label sequence,
+    /// and `shape_edge_labels` is that sequence.
     fn assert_shapes_partition_by_edge_labels(index: &impl IndexLike) {
         let mut sequence_of = vec![None; index.shape_count()];
         for id in index.all_path_ids() {
             let sequence = index.labels(id).edge_labels;
-            let known = sequence_of[index.path_shape(id) as usize].get_or_insert(sequence);
+            let shape = index.path_shape(id);
+            assert_eq!(index.shape_edge_labels(shape), sequence, "{id}");
+            let known = sequence_of[shape as usize].get_or_insert(sequence);
             assert_eq!(*known, sequence, "{id}: one shape, two sequences");
         }
         let mut distinct: Vec<_> = sequence_of.iter().map(|s| s.expect("dense ids")).collect();

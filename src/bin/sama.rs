@@ -615,10 +615,13 @@ fn run_query(
         outln!("clusters:");
         for c in &result.clusters {
             outln!(
-                "  cl{}: {} entries (best λ = {}){}",
+                "  cl{}: {} entries (best λ = {}), {} of {} candidates scanned, {} touched{}",
                 c.qpath_index,
                 c.entries.len(),
                 c.best_lambda(),
+                c.scanned,
+                c.candidates_retrieved,
+                c.touched,
                 if c.candidates_dropped > 0 {
                     format!(" [{} candidates dropped]", c.candidates_dropped)
                 } else {
