@@ -80,8 +80,9 @@
 //! Opening ([`MappedIndex::open`]) maps the file (via the vendored
 //! `memmap2` shim; [`MappedIndex::from_bytes`] is the pure in-memory
 //! fallback), parses the ~408-byte header, and runs one allocation-free
-//! sequential validation pass over the arrays so every later accessor
-//! can index without panicking on corrupt data. The data graph itself
+//! validation pass — a fold per check over its array, which vectorises
+//! — so every later accessor can index without panicking on corrupt
+//! data. The data graph itself
 //! (vocabulary interning + adjacency) is materialized **lazily** on
 //! first access — the open path allocates nothing proportional to the
 //! path store, which is what makes cold opens of million-triple
@@ -790,6 +791,43 @@ impl<'a> VocabView<'a> {
     }
 }
 
+/// Every value is below `bound` — a fold with no early exit, so it
+/// vectorises where `all`/`any` would not.
+#[inline]
+fn all_below(values: impl Iterator<Item = u32>, bound: usize) -> bool {
+    // Every u32 is below a bound past the u32 range.
+    let Ok(bound) = u32::try_from(bound) else {
+        return true;
+    };
+    values.fold(true, |ok, v| ok & (v < bound))
+}
+
+/// The adjacent pairs `(values[i], values[i + 1])`.
+#[inline]
+fn pairs<T: Copy>(values: &[T]) -> impl Iterator<Item = (T, T)> + '_ {
+    let next = values.get(1..).unwrap_or_default();
+    values.iter().copied().zip(next.iter().copied())
+}
+
+/// Name the first used slot of a stored table, in slot order, whose key
+/// is not a label id or whose postings run ends past `posts` — run once
+/// [`IndexView::validate`]'s fold has found that one does.
+fn first_slot_fault(table: &[u32], posts: &[u32], vocab_len: usize) -> Result<(), StorageError> {
+    for slot in table.chunks_exact(3) {
+        if slot[0] == EMPTY {
+            continue;
+        }
+        if slot[0] as usize >= vocab_len {
+            return Err(StorageError::Corrupt("table key out of range"));
+        }
+        let end = (slot[1] as u64) + (slot[2] as u64);
+        if end > posts.len() as u64 {
+            return Err(StorageError::Corrupt("postings run out of range"));
+        }
+    }
+    Ok(())
+}
+
 /// A borrowed, zero-copy view over a `SAMAIDX2` buffer: every accessor
 /// returns slices pointing straight into the underlying bytes.
 ///
@@ -833,10 +871,28 @@ impl<'a> IndexView<'a> {
         Ok(view)
     }
 
-    /// The deep validation pass: one allocation-free sequential scan
-    /// establishing every invariant the accessors rely on, so that no
-    /// lookup on a successfully opened index can panic or read out of
-    /// range.
+    /// The deep validation pass: allocation-free, establishing every
+    /// invariant the accessors rely on, so that no lookup on a
+    /// successfully opened index can panic or read out of range.
+    ///
+    /// Each check is a fold over its whole section with no early exit
+    /// ([`all_below`], [`pairs`]), which the compiler vectorises; the
+    /// checks run in a fixed order and the first that fails names the
+    /// error. Three of them test an equivalent, cheaper property:
+    ///
+    /// * every vocabulary entry is UTF-8 ⇔ the whole blob is and no
+    ///   entry offset lands on a continuation byte (the offsets are
+    ///   already known to be monotone and to span the blob);
+    /// * no data label is a variable ⇔ trivially, when no vocabulary
+    ///   entry is one, so the per-label kind gather runs only otherwise;
+    /// * every sorted node set is strictly ascending ⇔ the pool has as
+    ///   many non-ascending adjacent pairs as straddle a set boundary.
+    ///
+    /// Two blocks interleave checks with different messages (a path's
+    /// shape id against its length, a table slot's key against its
+    /// run). A fold there only says that something is wrong; the block
+    /// is then rescanned in order to name the first fault, so an image
+    /// with several always reports the one that comes first.
     fn validate(&self) -> Result<(), StorageError> {
         let l = &self.layout;
         let corrupt = |what: &'static str| StorageError::Corrupt(what);
@@ -847,35 +903,36 @@ impl<'a> IndexView<'a> {
         {
             return Err(corrupt("vocab offsets do not span blob"));
         }
-        for w in vocab.offs.windows(2) {
-            if w[0] > w[1] {
-                return Err(corrupt("vocab offsets not monotone"));
-            }
+        if pairs(vocab.offs).fold(false, |bad, (a, b)| bad | (a > b)) {
+            return Err(corrupt("vocab offsets not monotone"));
         }
-        for id in 0..l.vocab_len as u32 {
-            if std::str::from_utf8(vocab.lexical_bytes(id)).is_err() {
-                return Err(StorageError::BadUtf8);
-            }
+        let entries_utf8 = std::str::from_utf8(vocab.blob).is_ok_and(|blob| {
+            vocab
+                .offs
+                .iter()
+                .fold(true, |ok, &o| ok & blob.is_char_boundary(o as usize))
+        });
+        if !entries_utf8 {
+            return Err(StorageError::BadUtf8);
         }
-        if vocab.kinds.iter().any(|&k| k > 3) {
+        if vocab.kinds.iter().fold(false, |bad, &k| bad | (k > 3)) {
             return Err(corrupt("unknown term kind"));
         }
 
         // Graph arrays: ids in range, no variable labels in data.
-        let label_ok =
-            |l_: LabelId| (l_.0 as usize) < l.vocab_len && vocab.kinds[l_.0 as usize] != 3;
-        if !self.node_labels.iter().copied().all(label_ok) {
+        let has_variable = vocab.kinds.contains(&3);
+        let labels_ok = |labels: &[LabelId]| {
+            all_below(labels.iter().map(|label| label.0), l.vocab_len)
+                && !(has_variable && labels.iter().any(|&label| vocab.kinds[label.index()] == 3))
+        };
+        if !labels_ok(self.node_labels) {
             return Err(corrupt("node label out of range"));
         }
-        if !self.edge_label.iter().copied().all(label_ok) {
+        if !labels_ok(self.edge_label) {
             return Err(corrupt("edge label out of range"));
         }
-        if self
-            .edge_from
-            .iter()
-            .chain(self.edge_to.iter())
-            .any(|n| n.0 as usize >= l.node_count)
-        {
+        let nodes_ok = |nodes: &[NodeId]| all_below(nodes.iter().map(|n| n.0), l.node_count);
+        if !(nodes_ok(self.edge_from) && nodes_ok(self.edge_to)) {
             return Err(corrupt("edge endpoint out of range"));
         }
 
@@ -885,16 +942,16 @@ impl<'a> IndexView<'a> {
         {
             return Err(corrupt("path offsets do not span pool"));
         }
-        if self.path_offs.windows(2).any(|w| w[0] >= w[1]) {
+        if pairs(self.path_offs).fold(false, |bad, (a, b)| bad | (a >= b)) {
             return Err(corrupt("empty path"));
         }
-        if self.path_nodes.iter().any(|n| n.0 as usize >= l.node_count) {
+        if !nodes_ok(self.path_nodes) {
             return Err(corrupt("path node out of range"));
         }
-        if self.path_edges.iter().any(|e| e.0 as usize >= l.edge_count) {
+        if !all_below(self.path_edges.iter().map(|e| e.0), l.edge_count) {
             return Err(corrupt("path edge out of range"));
         }
-        if !self.path_nlabels.iter().copied().all(label_ok) {
+        if !labels_ok(self.path_nlabels) {
             return Err(corrupt("path label out of range"));
         }
 
@@ -906,20 +963,21 @@ impl<'a> IndexView<'a> {
         {
             return Err(corrupt("shape offsets do not span pool"));
         }
-        if self.shape_offs.windows(2).any(|w| w[0] > w[1]) {
+        if pairs(self.shape_offs).fold(false, |bad, (a, b)| bad | (a > b)) {
             return Err(corrupt("shape offsets not monotone"));
         }
-        if !self.shape_labels.iter().copied().all(label_ok) {
+        if !labels_ok(self.shape_labels) {
             return Err(corrupt("shape label out of range"));
         }
-        for (nodes, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
-            let shape = shape as usize;
-            if shape >= l.shape_count {
-                return Err(corrupt("path shape out of range"));
-            }
-            if self.shape_offs[shape + 1] - self.shape_offs[shape] != nodes[1] - nodes[0] - 1 {
-                return Err(corrupt("shape length does not match path"));
-            }
+        let shapes_ok = all_below(self.path_shapes.iter().copied(), l.shape_count)
+            && pairs(self.path_offs)
+                .zip(self.path_shapes)
+                .fold(true, |ok, ((a, b), &shape)| {
+                    let shape = shape as usize;
+                    ok & (self.shape_offs[shape + 1] - self.shape_offs[shape] == b - a - 1)
+                });
+        if !shapes_ok {
+            self.first_shape_fault()?;
         }
 
         // Sorted node sets: strictly ascending within each path.
@@ -928,22 +986,24 @@ impl<'a> IndexView<'a> {
         {
             return Err(corrupt("sorted offsets do not span pool"));
         }
-        if self.sorted_offs.windows(2).any(|w| w[0] >= w[1]) {
+        if pairs(self.sorted_offs).fold(false, |bad, (a, b)| bad | (a >= b)) {
             return Err(corrupt("empty sorted node set"));
         }
-        if self
-            .sorted_nodes
-            .iter()
-            .any(|n| n.0 as usize >= l.node_count)
-        {
+        if !nodes_ok(self.sorted_nodes) {
             return Err(corrupt("sorted node out of range"));
         }
-        for i in 0..l.path_count {
-            let s =
-                &self.sorted_nodes[self.sorted_offs[i] as usize..self.sorted_offs[i + 1] as usize];
-            if s.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(corrupt("sorted node set not strictly ascending"));
-            }
+        // The sets are non-empty and tile the pool, so every adjacent
+        // pair of the pool lies inside one set or across one boundary.
+        // Fewer than 2^32 pairs: the counts fit a u32.
+        let pool = self.sorted_nodes;
+        let descents: u32 = pairs(pool).map(|(a, b)| u32::from(a >= b)).sum();
+        let boundaries = self.sorted_offs.get(1..l.path_count).unwrap_or_default();
+        let across: u32 = boundaries
+            .iter()
+            .map(|&at| u32::from(pool[at as usize - 1] >= pool[at as usize]))
+            .sum();
+        if descents != across {
+            return Err(corrupt("sorted node set not strictly ascending"));
         }
 
         // Stored hash tables: keys and postings runs in range.
@@ -951,34 +1011,47 @@ impl<'a> IndexView<'a> {
             (self.label_table, self.label_posts),
             (self.sink_table, self.sink_posts),
         ] {
-            for slot in table.chunks_exact(3) {
-                if slot[0] == EMPTY {
-                    continue;
-                }
-                if slot[0] as usize >= l.vocab_len {
-                    return Err(corrupt("table key out of range"));
-                }
-                let end = (slot[1] as u64) + (slot[2] as u64);
-                if end > posts.len() as u64 {
-                    return Err(corrupt("postings run out of range"));
-                }
+            let (slots, _) = table.as_chunks::<3>();
+            let slots_ok = slots.iter().fold(true, |ok, &[key, start, len]| {
+                let run_end = u64::from(start) + u64::from(len);
+                ok & ((key == EMPTY)
+                    | ((key as usize) < l.vocab_len) & (run_end <= posts.len() as u64))
+            });
+            if !slots_ok {
+                first_slot_fault(table, posts, l.vocab_len)?;
             }
-            if posts.iter().any(|&p| p as usize >= l.path_count) {
+            if !all_below(posts.iter().copied(), l.path_count) {
                 return Err(corrupt("posting out of range"));
             }
         }
-        if self.path_order.iter().any(|&p| p as usize >= l.path_count) {
+        if !all_below(self.path_order.iter().copied(), l.path_count) {
             return Err(corrupt("path order entry out of range"));
         }
 
         // IC counts: the stored total must equal the summed counts — a
-        // flipped bit anywhere in the section trips this.
-        let mut sum = 0u64;
-        for &c in &self.ic_counts[1..] {
-            sum = sum.checked_add(c).ok_or(corrupt("ic counts overflow"))?;
-        }
+        // flipped bit anywhere in the section trips this. A prefix of
+        // the counts overflows a u64 exactly when their whole sum does,
+        // and fewer than 2^32 of them cannot overflow a u128.
+        let sum: u128 = self.ic_counts[1..].iter().map(|&c| u128::from(c)).sum();
+        let sum = u64::try_from(sum).map_err(|_| corrupt("ic counts overflow"))?;
         if sum != self.ic_counts[0] {
             return Err(corrupt("ic counts checksum mismatch"));
+        }
+        Ok(())
+    }
+
+    /// Name the first path, in path order, whose shape id is out of
+    /// range or whose shape is not one label per edge long — run once
+    /// [`IndexView::validate`]'s fold has found that one is.
+    fn first_shape_fault(&self) -> Result<(), StorageError> {
+        for (nodes, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
+            let shape = shape as usize;
+            if shape >= self.layout.shape_count {
+                return Err(StorageError::Corrupt("path shape out of range"));
+            }
+            if self.shape_offs[shape + 1] - self.shape_offs[shape] != nodes[1] - nodes[0] - 1 {
+                return Err(StorageError::Corrupt("shape length does not match path"));
+            }
         }
         Ok(())
     }
@@ -1138,12 +1211,17 @@ pub struct AlignedBytes {
 impl AlignedBytes {
     /// Copy `bytes` into a fresh 8-aligned buffer.
     pub fn copy_from(bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: u64 -> u8 reinterpretation of an initialized buffer.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8)
-        };
-        dst[..bytes.len()].copy_from_slice(bytes);
+        // One pass, no zero fill first: whole words, then the tail
+        // padded with zeros.
+        let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
+        let chunks = bytes.chunks_exact(8);
+        let tail = chunks.remainder();
+        words.extend(chunks.map(|word| u64::from_ne_bytes(word.try_into().expect("8 bytes"))));
+        if !tail.is_empty() {
+            let mut last = [0; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_ne_bytes(last));
+        }
         AlignedBytes {
             words,
             len: bytes.len(),
@@ -1520,6 +1598,9 @@ pub fn decode_v2(buf: &[u8]) -> Result<PathIndex, StorageError> {
 pub fn decode_any(buf: &[u8]) -> Result<PathIndex, StorageError> {
     decode_v2(buf)
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

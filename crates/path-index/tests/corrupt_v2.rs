@@ -34,7 +34,7 @@ use path_index::{
     StorageError, MAGIC2,
 };
 use proptest::prelude::*;
-use rdf_model::DataGraph;
+use rdf_model::{DataGraph, TermKind};
 
 fn sample_bytes() -> Vec<u8> {
     let mut b = DataGraph::builder();
@@ -50,15 +50,25 @@ fn sample_bytes() -> Vec<u8> {
     }
     // One shorter path, so shapes come in two lengths.
     b.triple_str("lone", "p0", "\"leaf 0\"").unwrap();
+    // A lexical form with a two-byte character.
+    b.triple_str("lone", "p1", "\"Zürich\"").unwrap();
     encode_v2(&PathIndex::build(b.build())).unwrap()
 }
 
 const HEADER_LEN: usize = 24;
 const SECTIONS: usize = 24;
+const VOCAB_KINDS: usize = 1;
+const VOCAB_OFFSETS: usize = 2;
+const VOCAB_BLOB: usize = 3;
+const NODE_LABELS: usize = 4;
 const PATH_OFFSETS: usize = 8;
 const PATH_SHAPES: usize = 12;
 const SHAPE_OFFSETS: usize = 13;
 const SHAPE_LABELS: usize = 14;
+const SORTED_OFFSETS: usize = 15;
+const SORTED_NODES: usize = 16;
+const LABEL_TABLE: usize = 17;
+const LABEL_POSTINGS: usize = 18;
 const IC_COUNTS: usize = 22;
 const PATH_ORDER: usize = 23;
 
@@ -375,6 +385,182 @@ fn a_path_order_entry_out_of_range_is_typed() {
                 "entry {entry} = {value}"
             );
         }
+    }
+}
+
+// Targeted images for the checks the validation pass tests through an
+// equivalent property (DESIGN §14 "Open path"): one image that the
+// equivalence must reject and, where one exists, one it must let
+// through.
+
+/// Word `i` of section `s`.
+fn word_of(bytes: &[u8], s: usize, i: usize) -> u32 {
+    let at = section(bytes, s).0 + 4 * i;
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+/// `bytes` with word `i` of section `s` set to `value`, per entry.
+fn set_words(bytes: &[u8], words: &[(usize, usize, u32)]) -> Vec<u8> {
+    let mut mutated = bytes.to_vec();
+    for &(s, i, value) in words {
+        let at = section(bytes, s).0 + 4 * i;
+        mutated[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+    mutated
+}
+
+/// Every reader gives `expected`; a survivor also passes [`probe`].
+fn assert_readers(bytes: &[u8], expected: Result<(), StorageError>, what: &str) {
+    for outcome in readers(bytes) {
+        assert_eq!(outcome, expected, "{what}");
+    }
+    probe(bytes);
+}
+
+#[test]
+fn a_vocabulary_offset_inside_a_character_is_bad_utf8() {
+    let bytes = sample_bytes();
+    let (off, len) = section(&bytes, VOCAB_BLOB);
+    let blob = &bytes[off..off + len];
+    let entry = blob
+        .windows("Zürich".len())
+        .position(|w| w == "Zürich".as_bytes())
+        .expect("the multibyte entry");
+    let entries = section(&bytes, VOCAB_OFFSETS).1 / 4;
+    let i = (0..entries)
+        .find(|&i| word_of(&bytes, VOCAB_OFFSETS, i) as usize == entry)
+        .expect("an entry starts there");
+    // Move the entry's start onto the second byte of `ü`: the offsets
+    // stay monotone and the blob stays valid UTF-8, but two entries no
+    // longer are.
+    let mutated = set_words(&bytes, &[(VOCAB_OFFSETS, i, entry as u32 + 2)]);
+    assert!(std::str::from_utf8(&mutated[off..off + len]).is_ok());
+    assert_readers(&mutated, Err(StorageError::BadUtf8), "offset inside ü");
+    // On the character boundary just before it, both entries are UTF-8.
+    let mutated = set_words(&bytes, &[(VOCAB_OFFSETS, i, entry as u32 + 1)]);
+    assert_readers(&mutated, Ok(()), "offset before ü");
+}
+
+#[test]
+fn sorted_sets_must_ascend_inside_but_not_across_boundaries() {
+    let bytes = sample_bytes();
+    let paths = section(&bytes, PATH_SHAPES).1 / 4;
+    let set = |p: usize| {
+        word_of(&bytes, SORTED_OFFSETS, p) as usize..word_of(&bytes, SORTED_OFFSETS, p + 1) as usize
+    };
+    let node = |i: usize| word_of(&bytes, SORTED_NODES, i);
+
+    // A swap inside one set.
+    let p = (0..paths)
+        .find(|&p| set(p).len() >= 2)
+        .expect("a set of two");
+    let a = set(p).start;
+    let mutated = set_words(
+        &bytes,
+        &[
+            (SORTED_NODES, a, node(a + 1)),
+            (SORTED_NODES, a + 1, node(a)),
+        ],
+    );
+    let fault = Err(StorageError::Corrupt(
+        "sorted node set not strictly ascending",
+    ));
+    assert_readers(&mutated, fault.clone(), "descent inside a set");
+    // A repeat inside one set.
+    let mutated = set_words(&bytes, &[(SORTED_NODES, a + 1, node(a))]);
+    assert_readers(&mutated, fault, "repeat inside a set");
+
+    // A set that starts at node 0 right after one that ends above it:
+    // a descent across the boundary only, which is no fault.
+    let p = (1..paths)
+        .find(|&p| node(set(p).start - 1) > 0 && node(set(p).start) > 0)
+        .expect("a boundary to descend across");
+    let mutated = set_words(&bytes, &[(SORTED_NODES, set(p).start, 0)]);
+    assert_readers(&mutated, Ok(()), "descent across a boundary");
+}
+
+#[test]
+fn a_variable_label_is_refused_only_where_data_uses_it() {
+    let mut b = DataGraph::builder();
+    b.triple_str("a", "p", "b").unwrap();
+    b.triple_str("b", "q", "\"c\"").unwrap();
+    let mut graph = b.build().as_graph().clone();
+    let variable = graph.vocab_mut().push_raw(TermKind::Variable, "v");
+    let data = DataGraph::try_from_graph(graph).unwrap();
+    let bytes = encode_v2(&PathIndex::build(data)).unwrap();
+    assert_readers(&bytes, Ok(()), "a variable no data label uses");
+
+    // A node that names it.
+    let mutated = set_words(&bytes, &[(NODE_LABELS, 0, variable.0)]);
+    let fault = Err(StorageError::Corrupt("node label out of range"));
+    assert_readers(&mutated, fault.clone(), "a node labelled by the variable");
+    // A constant a node names, turned into a variable.
+    let mut mutated = bytes.clone();
+    mutated[section(&bytes, VOCAB_KINDS).0 + word_of(&bytes, NODE_LABELS, 0) as usize] = 3;
+    assert_readers(&mutated, fault, "a node's label turned variable");
+}
+
+#[test]
+fn interleaved_shape_faults_report_the_first_path() {
+    let bytes = sample_bytes();
+    let paths = section(&bytes, PATH_SHAPES).1 / 4;
+    let shapes = section(&bytes, SHAPE_OFFSETS).1 / 4 - 1;
+    let shape_len =
+        |s: usize| word_of(&bytes, SHAPE_OFFSETS, s + 1) - word_of(&bytes, SHAPE_OFFSETS, s);
+    let wrong_shape = |p: usize| {
+        let own = shape_len(word_of(&bytes, PATH_SHAPES, p) as usize);
+        (0..shapes)
+            .find(|&s| shape_len(s) != own)
+            .expect("another length") as u32
+    };
+    let (first, last) = (0, paths - 1);
+    for (faults, message) in [
+        (
+            [
+                (PATH_SHAPES, first, u32::MAX),
+                (PATH_SHAPES, last, wrong_shape(last)),
+            ],
+            "path shape out of range",
+        ),
+        (
+            [
+                (PATH_SHAPES, first, wrong_shape(first)),
+                (PATH_SHAPES, last, u32::MAX),
+            ],
+            "shape length does not match path",
+        ),
+    ] {
+        assert_readers(
+            &set_words(&bytes, &faults),
+            Err(StorageError::Corrupt(message)),
+            message,
+        );
+    }
+}
+
+#[test]
+fn interleaved_table_faults_report_the_first_slot() {
+    let bytes = sample_bytes();
+    let slots = section(&bytes, LABEL_TABLE).1 / 12;
+    let used: Vec<usize> = (0..slots)
+        .filter(|&s| word_of(&bytes, LABEL_TABLE, 3 * s) != u32::MAX)
+        .collect();
+    let (early, late) = (used[0], used[used.len() - 1]);
+    assert!(early < late, "two used slots");
+    let vocab_len = word_of(&bytes, 0, 0);
+    let postings = (section(&bytes, LABEL_POSTINGS).1 / 4) as u32;
+    // A run past the postings keeps its key; a bad key keeps its run.
+    let bad_run = |slot: usize| (LABEL_TABLE, 3 * slot + 2, postings + 1);
+    let bad_key = |slot: usize| (LABEL_TABLE, 3 * slot, vocab_len);
+    for (faults, message) in [
+        ([bad_run(early), bad_key(late)], "postings run out of range"),
+        ([bad_key(early), bad_run(late)], "table key out of range"),
+    ] {
+        assert_readers(
+            &set_words(&bytes, &faults),
+            Err(StorageError::Corrupt(message)),
+            message,
+        );
     }
 }
 
