@@ -55,7 +55,7 @@ pub enum Retrieval {
     Lsh {
         /// Bands the stored signatures are grouped into (index-build
         /// shape; query-time probes always use the shape stored in the
-        /// sidecar).
+        /// attached tier).
         bands: u32,
         /// Signature rows per band.
         rows: u32,

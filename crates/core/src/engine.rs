@@ -669,15 +669,7 @@ impl<I: IndexLike> SamaEngine<I> {
             .threshold()
             .filter(|&t| timings.total() >= t);
         let trace = (self.config.trace.enabled || slow_threshold.is_some()).then(|| {
-            ExplainTrace::build(
-                query_id,
-                &self.config.trace,
-                query,
-                &query_paths,
-                &clusters,
-                &outcome,
-                &timings,
-            )
+            ExplainTrace::build(query_id, query, &query_paths, &clusters, &outcome, &timings)
         });
         if let (Some(threshold), Some(trace)) = (slow_threshold, trace.as_ref()) {
             obs::slowlog::capture(obs::SlowQueryRecord {

@@ -68,12 +68,6 @@ pub struct SearchConfig {
     /// Cap on the frontier size; the worst states are discarded when it
     /// overflows (can only affect answers beyond the cap's horizon).
     pub max_frontier: usize,
-    /// Emit only answers with *distinct data-path sets*: combinations
-    /// that assemble the same set of paths (and therefore the same
-    /// answer subgraph) as an already emitted answer are skipped.
-    /// An answer-construction improvement the paper lists as future
-    /// work; off by default to match the paper's enumeration.
-    pub distinct_paths: bool,
 }
 
 impl Default for SearchConfig {
@@ -81,7 +75,6 @@ impl Default for SearchConfig {
         SearchConfig {
             max_expansions: 200_000,
             max_frontier: 1 << 20,
-            distinct_paths: false,
         }
     }
 }
@@ -225,7 +218,6 @@ pub struct SearchStream<'a, I: IndexLike> {
     /// The choice list of the state being expanded, read out of `links`
     /// once per pop; `choices.len()` is the number of clusters.
     choices: Vec<u32>,
-    emitted_sets: HashSet<Vec<u32>>,
     expansions: usize,
     truncated: bool,
     truncation: Option<TruncationReason>,
@@ -284,7 +276,6 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             frontier: Frontier::new(),
             links: Vec::new(),
             choices: vec![0; n],
-            emitted_sets: HashSet::new(),
             expansions: 0,
             truncated: false,
             truncation: None,
@@ -362,25 +353,6 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             self.choices[slot] = choice;
             link = parent;
         }
-    }
-
-    /// The sorted multiset of data paths the complete assignment in
-    /// `self.choices` uses (for `distinct_paths`).
-    fn path_set_key(&self) -> Vec<u32> {
-        let mut key: Vec<u32> = self
-            .choices
-            .iter()
-            .enumerate()
-            .map(|(slot, &c)| {
-                if c == DELETED {
-                    u32::MAX
-                } else {
-                    self.clusters[slot].entries[c as usize].path_id.0
-                }
-            })
-            .collect();
-        key.sort_unstable();
-        key
     }
 
     /// Push the state that assigns `choice` to cluster `slot` on top of
@@ -483,22 +455,16 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
             }
 
             if t == n {
-                let emit = !self.config.distinct_paths || {
-                    let key = self.path_set_key();
-                    self.emitted_sets.insert(key)
-                };
-                if emit {
-                    return Some(materialize(
-                        &self.choices,
-                        state.g,
-                        &self.qpaths,
-                        &self.ig,
-                        &self.clusters,
-                        self.index,
-                        &self.params,
-                        &mut self.chi_lookups,
-                    ));
-                }
+                return Some(materialize(
+                    &self.choices,
+                    state.g,
+                    &self.qpaths,
+                    &self.ig,
+                    &self.clusters,
+                    self.index,
+                    &self.params,
+                    &mut self.chi_lookups,
+                ));
             } else {
                 // Child: assign the next cluster its best entry.
                 let first = first_choice(&self.clusters[t]);
@@ -978,81 +944,6 @@ mod tests {
         );
         assert!(outcome.truncated);
         assert_eq!(outcome.truncation, Some(TruncationReason::FrontierOverflow));
-    }
-
-    #[test]
-    fn distinct_paths_deduplicates_subgraphs() {
-        // A two-path query whose clusters draw from one candidate pool,
-        // so the same path set can be assembled twice — over enough
-        // co-sponsorships that 1 000 distinct sets exist.
-        const K: usize = 1_000;
-        let mut b = DataGraph::builder();
-        for i in 0..60 {
-            b.triple_str(&format!("P{i}"), "sponsor", &format!("B{}", i % 5))
-                .unwrap();
-        }
-        let index = path_index::MappedIndex::build(b.build()).unwrap();
-        let mut b = QueryGraph::builder();
-        b.triple_str("?a", "sponsor", "?v").unwrap();
-        b.triple_str("?b", "sponsor", "?v").unwrap();
-        let q = b.build();
-        let qpaths = decompose_query(&q, &index, &NoSynonyms, &ExtractionConfig::default());
-        let ig = IntersectionGraph::build(&qpaths);
-        let params = ScoreParams::paper();
-        let clusters = build_clusters(
-            &qpaths,
-            &index,
-            &NoSynonyms,
-            &params,
-            AlignmentMode::Greedy,
-            &ClusterConfig::default(),
-        );
-        let run = |k: usize, distinct_paths: bool| {
-            let outcome = search_top_k(
-                &qpaths,
-                &ig,
-                &clusters,
-                &index,
-                &params,
-                k,
-                &SearchConfig {
-                    distinct_paths,
-                    ..Default::default()
-                },
-            );
-            assert!(!outcome.truncated);
-            outcome.answers
-        };
-        let plain = run(usize::MAX, false);
-        let distinct = run(K, true);
-        let key = |a: &crate::answer::Answer| {
-            let mut ids: Vec<_> = a.path_ids();
-            ids.sort();
-            ids
-        };
-        // Deduplicating skips emissions and nothing else: the distinct
-        // run is the plain enumeration with every repeated path set
-        // dropped — found here by a linear scan of the sets seen so far,
-        // as the search itself used to.
-        let mut seen = Vec::new();
-        let mut expected = Vec::new();
-        for a in &plain {
-            let k = key(a);
-            if !seen.contains(&k) {
-                seen.push(k);
-                expected.push(a);
-            }
-        }
-        assert!(expected.len() < plain.len(), "the plain run repeats sets");
-        assert_eq!(distinct.len(), K);
-        for (got, want) in distinct.iter().zip(&expected) {
-            assert_eq!(got.path_ids(), want.path_ids());
-            assert_eq!(got.score().to_bits(), want.score().to_bits());
-        }
-        // Scores still emit monotonically under dedup.
-        for w in distinct.windows(2) {
-            assert!(w[0].score() <= w[1].score() + 1e-12);
-        }
     }
 
     #[test]

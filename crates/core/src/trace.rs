@@ -17,43 +17,19 @@ use crate::search::{SearchOutcome, TruncationReason};
 use rdf_model::QueryGraph;
 use std::fmt::Write;
 
-/// Whether (and how) [`crate::SamaEngine::answer`] assembles an
-/// [`ExplainTrace`] alongside the answers.
-#[derive(Debug, Clone, Copy)]
+/// Whether [`crate::SamaEngine::answer`] assembles an [`ExplainTrace`]
+/// alongside the answers. Off by default (`TraceConfig::default()`).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TraceConfig {
-    /// Assemble a trace per query. Off by default; the assembly cost
-    /// is O(|PQ| + |clusters|) plus rendering the query paths.
+    /// Assemble a trace per query. The assembly cost is O(|PQ| +
+    /// |clusters|) plus rendering the query paths.
     pub enabled: bool,
-    /// Render the decomposed query paths as human-readable strings
-    /// inside the trace (the only allocation-heavy part).
-    pub include_paths: bool,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            include_paths: true,
-        }
-    }
 }
 
 impl TraceConfig {
-    /// Tracing on (with rendered query paths).
+    /// Tracing on.
     pub fn enabled() -> Self {
-        TraceConfig {
-            enabled: true,
-            include_paths: true,
-        }
-    }
-
-    /// Tracing off — the zero-overhead configuration the instrumentation
-    /// bench compares against.
-    pub fn disabled() -> Self {
-        TraceConfig {
-            enabled: false,
-            include_paths: false,
-        }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -64,8 +40,7 @@ pub struct TraceQueryPath {
     pub index: usize,
     /// Nodes on the path.
     pub len: usize,
-    /// Human-readable rendering (empty when
-    /// [`TraceConfig::include_paths`] is off).
+    /// Human-readable rendering.
     pub rendered: String,
 }
 
@@ -168,7 +143,6 @@ impl ExplainTrace {
     /// Assemble a trace from the pipeline artefacts of one query run.
     pub(crate) fn build(
         query_id: u64,
-        config: &TraceConfig,
         query: &QueryGraph,
         query_paths: &[QueryPath],
         clusters: &[Cluster],
@@ -199,11 +173,7 @@ impl ExplainTrace {
                 .map(|qp| TraceQueryPath {
                     index: qp.index,
                     len: qp.len(),
-                    rendered: if config.include_paths {
-                        qp.path.display(query.as_graph()).to_string()
-                    } else {
-                        String::new()
-                    },
+                    rendered: qp.path.display(query.as_graph()).to_string(),
                 })
                 .collect(),
             retrieved_paths: trace_clusters.iter().map(|c| c.retrieved).sum(),
@@ -351,7 +321,7 @@ mod tests {
         let mut b = DataGraph::builder();
         b.triple_str("a", "p", "b").unwrap();
         let config = crate::EngineConfig {
-            trace: TraceConfig::disabled(),
+            trace: TraceConfig::default(),
             ..Default::default()
         };
         let engine = SamaEngine::with_config(b.build(), config);

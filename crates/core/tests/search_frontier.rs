@@ -11,8 +11,8 @@
 //! `χ` lookup counts of `search_top_k_budgeted` equal the values in
 //! `search_frontier.table`, which the commit *before* the frontier
 //! change generated with this same code — across expansion and frontier
-//! limits, `distinct_paths`, paper and IC-weighted costs, and a
-//! cancellation tripped mid-search. Any change to the pop
+//! limits, paper and IC-weighted costs, and a cancellation tripped
+//! mid-search. Any change to the pop
 //! order, to the truncation point or to the states the anytime fill
 //! drains shows up as a different row.
 
@@ -262,7 +262,7 @@ fn cases() -> Vec<Case> {
             full_matrix: true,
         },
         // Both clusters draw from one candidate pool, so the same path
-        // set can be assembled twice: `distinct_paths` has work to do.
+        // set can be assembled twice.
         Case {
             name: "figure1-cosponsors".into(),
             data: figure1_data(),
@@ -399,9 +399,9 @@ fn cell(outcome: &SearchOutcome) -> String {
     )
 }
 
-/// One table row per `distinct_paths` setting: a cell per
-/// (max_expansions, max_frontier) pair, in `limits` order.
-fn limit_rows<I: IndexLike + Sync>(
+/// One table row: a cell per (max_expansions, max_frontier) pair, in
+/// `limits` order.
+fn limit_row<I: IndexLike + Sync>(
     out: &mut String,
     label: &str,
     index: &I,
@@ -410,26 +410,17 @@ fn limit_rows<I: IndexLike + Sync>(
     limits: &[(Option<usize>, Option<usize>)],
 ) {
     let prepared = prepare(index, query, ic);
-    for distinct_paths in [false, true] {
-        write!(
-            out,
-            "{label} {} {}",
-            if ic { "ic" } else { "paper" },
-            if distinct_paths { "distinct" } else { "plain" }
-        )
-        .unwrap();
-        for &(max_expansions, max_frontier) in limits {
-            let default = SearchConfig::default();
-            let config = SearchConfig {
-                max_expansions: max_expansions.unwrap_or(default.max_expansions),
-                max_frontier: max_frontier.unwrap_or(default.max_frontier),
-                distinct_paths,
-            };
-            let outcome = search(&prepared, index, &config, &QueryBudget::unlimited());
-            write!(out, " {}", cell(&outcome)).unwrap();
-        }
-        out.push('\n');
+    write!(out, "{label} {} plain", if ic { "ic" } else { "paper" }).unwrap();
+    for &(max_expansions, max_frontier) in limits {
+        let default = SearchConfig::default();
+        let config = SearchConfig {
+            max_expansions: max_expansions.unwrap_or(default.max_expansions),
+            max_frontier: max_frontier.unwrap_or(default.max_frontier),
+        };
+        let outcome = search(&prepared, index, &config, &QueryBudget::unlimited());
+        write!(out, " {}", cell(&outcome)).unwrap();
     }
+    out.push('\n');
 }
 
 /// One row: the search over a probe that cancels the budget's token
@@ -458,7 +449,7 @@ fn actual_table() -> String {
         if !case.full_matrix {
             let limits = [(Some(50), None), (Some(3000), None), (Some(3000), Some(8))];
             for ic in [false, true] {
-                limit_rows(&mut out, &label, &index, &case.query, ic, &limits);
+                limit_row(&mut out, &label, &index, &case.query, ic, &limits);
             }
             continue;
         }
@@ -467,7 +458,7 @@ fn actual_table() -> String {
             .flat_map(|&e| MAX_FRONTIER.iter().map(move |&f| (e, f)))
             .collect();
         for ic in [false, true] {
-            limit_rows(&mut out, &label, &index, &case.query, ic, &limits);
+            limit_row(&mut out, &label, &index, &case.query, ic, &limits);
             cancel_row(&mut out, &label, &image, &case.query, ic);
         }
     }

@@ -56,7 +56,7 @@ pub use hypergraph::{HyperEdge, HyperEdgeKind, HyperGraphView};
 pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};
 pub use index_like::{ConstantLookup, IndexLike};
-pub use lsh::{build_lsh_bytes, sidecar_path, LshCandidate, LshParams, LshSidecar, LSH_MAGIC};
+pub use lsh::{build_lsh_bytes, LshCandidate, LshParams, LshSidecar, LSH_MAGIC};
 pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels};
 pub use stats::{format_bytes, IndexStats};
 pub use storage::StorageError;

@@ -1,4 +1,4 @@
-//! `SAMALSH1` — the MinHash/LSH candidate-retrieval sidecar.
+//! `SAMALSH1` — the in-memory MinHash/LSH candidate-retrieval tier.
 //!
 //! Cluster filling is the `I` in the paper's `O(h·I²)` complexity: an
 //! exact sink/constant-label scan retrieves every candidate path and
@@ -12,18 +12,18 @@
 //! similarity (matching signature rows), and hands only the `top_m`
 //! best to the alignment loop.
 //!
-//! The structure persists as a *sidecar file* next to the index
-//! (`<index>.lsh`, see [`sidecar_path`]) rather than as a 21st
-//! `SAMAIDX2` section: the v2 format pins its section count, and a
-//! sidecar keeps every existing index byte-identical while remaining
-//! strictly optional — an index without one simply answers with the
-//! exact scan. Like `SAMAIDX2` the sidecar is a little-endian,
-//! 8-aligned sectioned buffer read **zero-copy** (mapped or from
-//! owned aligned bytes):
+//! The structure lives in memory only. The library builds it from an
+//! index ([`build_lsh_bytes`]), parses it ([`LshSidecar::from_bytes`])
+//! and attaches it to a [`MappedIndex`](crate::MappedIndex) with
+//! `attach_lsh`; the performance ledger's `deep_topk` workload does so
+//! to measure the tier. No file is written or mapped, and the `sama`
+//! binary has no flag that reaches it: the CLI fills every cluster by
+//! exact retrieval. The bytes are a little-endian, 8-aligned sectioned
+//! buffer, read in place:
 //!
 //! ```text
 //! header   magic b"SAMALSH1", u32 version, u32 section count,
-//!          u64 file length                                  (24 bytes)
+//!          u64 buffer length                                (24 bytes)
 //! table    5 × { u64 offset, u64 length }                   (80 bytes)
 //! sections each 8-byte aligned, in table order:
 //!   0 params      u64 × 4   (bands, rows, path count, reserved 0)
@@ -37,7 +37,7 @@
 //! The bucket tables reuse the `SAMAIDX2` idiom: power-of-two
 //! open-addressing with linear probing on Fibonacci-hashed keys,
 //! empty slot key `u32::MAX`, postings stored as contiguous runs —
-//! probes on a mapped file need no rebuild and no allocation beyond
+//! probes need no rebuild and no allocation beyond
 //! the result vector. Parsing validates every slot and posting up
 //! front (typed [`StorageError`]s, never panics), so lookups can
 //! index without bounds anxiety.
@@ -47,7 +47,7 @@ use crate::path::{LabelsRef, PathId};
 use crate::storage::{try_u32, StorageError};
 use rdf_model::LabelId;
 
-/// The sidecar format magic.
+/// The `SAMALSH1` buffer magic.
 pub const LSH_MAGIC: &[u8; 8] = b"SAMALSH1";
 const VERSION: u32 = 1;
 const SECTION_COUNT: usize = 5;
@@ -120,14 +120,6 @@ pub struct LshCandidate {
     /// Matching signature rows out of `bands × rows` — the numerator
     /// of the Jaccard estimate, usable directly as a ranking key.
     pub matches: u32,
-}
-
-/// Conventional sidecar location for an index file: the index path
-/// with `.lsh` appended (`corpus.idx` → `corpus.idx.lsh`).
-pub fn sidecar_path(index_path: &std::path::Path) -> std::path::PathBuf {
-    let mut name = index_path.as_os_str().to_owned();
-    name.push(".lsh");
-    std::path::PathBuf::from(name)
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +206,7 @@ fn slot_of(key: u32, cap: usize) -> usize {
 // ---------------------------------------------------------------------------
 // Building.
 
-/// Build the serialized `SAMALSH1` sidecar for `index`: one MinHash
+/// Build the serialized `SAMALSH1` buffer for `index`: one MinHash
 /// signature per path, bucketed per band. Deterministic — the same
 /// index and params always produce the same bytes.
 ///
@@ -310,22 +302,45 @@ pub fn build_lsh_bytes<I: IndexLike + ?Sized>(
 
 #[inline]
 fn bytemuck_u32s(words: &[u32]) -> &[u8] {
-    // SAFETY: u32 -> u8 reinterpretation of an initialized buffer.
+    // SAFETY: alignment: `u8` needs 1, which every pointer meets.
+    // Length: `words.len() * 4` bytes are exactly the bytes of the
+    // `words` slice, which is one live allocation no larger than
+    // `isize::MAX`, so the product neither overflows nor reaches past
+    // it; every byte of an initialised `u32` is initialised. Lifetime:
+    // the result borrows `words` immutably (elided lifetimes), so the
+    // words can neither move, change nor be freed while it lives.
     unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len() * 4) }
 }
 
 #[inline]
 fn bytemuck_u64s(words: &[u64]) -> &[u8] {
-    // SAFETY: as above.
+    // SAFETY: alignment: `u8` needs 1, which every pointer meets.
+    // Length: `words.len() * 8` bytes are exactly the bytes of the
+    // `words` slice, which is one live allocation no larger than
+    // `isize::MAX`, so the product neither overflows nor reaches past
+    // it; every byte of an initialised `u64` is initialised. Lifetime:
+    // the result borrows `words` immutably (elided lifetimes), so the
+    // words can neither move, change nor be freed while it lives.
     unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len() * 8) }
 }
 
+/// `bytes` as native-endian `u32`s. Callers pass a section of a parsed
+/// buffer: the buffer starts 8-aligned (checked first thing in
+/// `LshLayout::parse`, and guaranteed by the `AlignedBytes` that
+/// `LshSidecar` owns) and every section offset is a multiple of 8
+/// (checked per table entry), so every section starts 4-aligned.
 #[inline]
 fn cast_u32s(bytes: &[u8]) -> &[u32] {
     debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
     debug_assert_eq!(bytes.len() % 4, 0);
-    // SAFETY: alignment/length checked above; u32 has no invalid bit
-    // patterns; the source is an immutable borrow for the same lifetime.
+    // SAFETY: alignment: `bytes` starts 4-aligned, by the caller
+    // contract above (asserted in debug builds). Length: `len / 4`
+    // whole `u32`s cover at most `bytes.len()` bytes, all inside the
+    // borrowed slice and all initialised; a trailing partial word, which
+    // the parse's size checks rule out, would be left out rather than
+    // read. Every bit pattern is a valid `u32`. Lifetime: the result
+    // borrows `bytes` immutably (elided lifetimes), so the buffer cannot
+    // be freed or written while the words are read.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), bytes.len() / 4) }
 }
 
@@ -482,58 +497,25 @@ impl LshLayout {
     }
 }
 
-#[derive(Debug)]
-enum LshBacking {
-    Mapped(memmap2::Mmap),
-    Owned(crate::v2::AlignedBytes),
-}
-
-impl LshBacking {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            LshBacking::Mapped(m) => m,
-            LshBacking::Owned(b) => b.as_slice(),
-        }
-    }
-}
-
-/// A validated, zero-copy handle over a `SAMALSH1` buffer — mapped
-/// from a sidecar file or owned in memory. Probes read the stored
-/// bucket tables and signatures in place.
+/// A validated, zero-copy handle over a `SAMALSH1` buffer held in
+/// memory. Probes read the stored bucket tables and signatures in
+/// place.
 #[derive(Debug)]
 pub struct LshSidecar {
-    backing: LshBacking,
+    bytes: crate::v2::AlignedBytes,
     layout: LshLayout,
 }
 
 impl LshSidecar {
-    /// Map a sidecar file read-only and validate it.
+    /// Parse `bytes`, copied once into an 8-aligned buffer, so any
+    /// slice parses wherever it starts.
     ///
     /// # Errors
-    /// [`StorageError::Io`] on filesystem errors, typed corruption
-    /// errors on malformed content.
-    pub fn open(path: &std::path::Path) -> Result<LshSidecar, StorageError> {
-        let file = std::fs::File::open(path).map_err(|e| StorageError::Io(e.to_string()))?;
-        // SAFETY: sidecars are immutable artifacts, same contract as
-        // `MappedIndex::open`.
-        let map =
-            unsafe { memmap2::Mmap::map(&file) }.map_err(|e| StorageError::Io(e.to_string()))?;
-        Self::from_backing(LshBacking::Mapped(map))
-    }
-
-    /// Build from in-memory bytes (copied once into an aligned
-    /// buffer), with identical semantics to [`LshSidecar::open`].
-    ///
-    /// # Errors
-    /// As [`LshSidecar::open`], minus I/O.
+    /// Typed corruption errors on malformed content.
     pub fn from_bytes(bytes: &[u8]) -> Result<LshSidecar, StorageError> {
-        Self::from_backing(LshBacking::Owned(crate::v2::AlignedBytes::copy_from(bytes)))
-    }
-
-    fn from_backing(backing: LshBacking) -> Result<LshSidecar, StorageError> {
-        let layout = LshLayout::parse(backing.bytes())?;
-        Ok(LshSidecar { backing, layout })
+        let bytes = crate::v2::AlignedBytes::copy_from(bytes);
+        let layout = LshLayout::parse(bytes.as_slice())?;
+        Ok(LshSidecar { bytes, layout })
     }
 
     /// The banding shape this structure was built with.
@@ -551,7 +533,7 @@ impl LshSidecar {
     #[inline]
     fn u32s(&self, s: usize) -> &[u32] {
         let (off, len) = self.layout.sec[s];
-        cast_u32s(&self.backing.bytes()[off..off + len])
+        cast_u32s(&self.bytes.as_slice()[off..off + len])
     }
 
     /// The stored signature of one path.
@@ -706,19 +688,24 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_path_appends_extension() {
-        let p = sidecar_path(std::path::Path::new("/tmp/corpus.idx"));
-        assert_eq!(p, std::path::PathBuf::from("/tmp/corpus.idx.lsh"));
-    }
-
-    #[test]
-    fn open_roundtrips_through_a_file() {
+    fn a_buffer_at_an_odd_address_parses_and_probes_alike() {
+        // `cast_u32s` reads words in place and is sound only over an
+        // aligned buffer; `from_bytes` must supply one whatever slice it
+        // is handed.
         let index = sample_index();
         let bytes = build_lsh_bytes(&index, LshParams::default()).unwrap();
-        let path = std::env::temp_dir().join(format!("sama_lsh_test_{}.lsh", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let sidecar = LshSidecar::open(&path).unwrap();
-        assert_eq!(sidecar.path_count(), index.total_paths());
-        std::fs::remove_file(&path).ok();
+        let aligned = LshSidecar::from_bytes(&bytes).unwrap();
+        let mut shifted = vec![0u8; bytes.len() + 1];
+        shifted[1..].copy_from_slice(&bytes);
+        let odd = &shifted[1..];
+        assert_eq!(odd.as_ptr() as usize % 2, 1);
+        let sidecar = LshSidecar::from_bytes(odd).unwrap();
+        assert_eq!(sidecar.params(), aligned.params());
+        assert_eq!(sidecar.path_count(), aligned.path_count());
+        for i in 0..index.total_paths() {
+            let sig = aligned.signature(PathId(i as u32));
+            assert_eq!(sidecar.signature(PathId(i as u32)), sig);
+            assert_eq!(sidecar.probe(sig), aligned.probe(sig));
+        }
     }
 }

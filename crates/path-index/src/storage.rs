@@ -1,6 +1,6 @@
 //! The typed errors of the index's disk boundary — the paper's Section
 //! 6.1 "disk" — shared by the one index image ([`crate::v2`],
-//! `SAMAIDX2`) and the LSH sidecar ([`crate::lsh`]).
+//! `SAMAIDX2`) and the in-memory LSH tier's bytes ([`crate::lsh`]).
 
 /// Errors raised while encoding, opening or decoding a serialized index.
 #[derive(Debug, Clone, PartialEq, Eq)]

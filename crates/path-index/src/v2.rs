@@ -1280,8 +1280,8 @@ pub struct MappedIndex {
     /// The constant → label id table over the vocabulary sections,
     /// built on the first [`IndexLike::constant_label`] call.
     constants: OnceLock<Box<[u32]>>,
-    /// Optional MinHash/LSH candidate tier, loaded from a `SAMALSH1`
-    /// sidecar file next to the index (see [`crate::lsh`]).
+    /// Optional MinHash/LSH candidate tier, built in memory and
+    /// attached with [`MappedIndex::attach_lsh`] (see [`crate::lsh`]).
     lsh: Option<crate::lsh::LshSidecar>,
     /// IC weight table, derived lazily from the `ic-counts` section on
     /// first use.

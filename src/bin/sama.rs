@@ -16,13 +16,12 @@
 //! spawned `sama serve`, is read by `sama_obs::fault`).
 
 use sama::engine::{
-    json_escape, render_result_json, BatchConfig, EngineConfig, Retrieval, SamaEngine, TraceConfig,
-    TruncationReason, LSH_DEFAULT_BANDS, LSH_DEFAULT_ROWS, LSH_DEFAULT_TOP_M,
+    json_escape, render_result_json, BatchConfig, EngineConfig, SamaEngine, TraceConfig,
+    TruncationReason,
 };
 use sama::index::{
-    build_lsh_bytes, decode_v2, display_parts, serialize_index_v2, sidecar_path, v2::SECTION_NAMES,
-    ExtractionConfig, IndexLike, LshParams, LshSidecar, MappedIndex, PathId, PathIndex,
-    StorageError, Thesaurus,
+    decode_v2, display_parts, serialize_index_v2, v2::SECTION_NAMES, ExtractionConfig, IndexLike,
+    MappedIndex, PathId, PathIndex, StorageError, Thesaurus,
 };
 use sama::model::{parse_ntriples, parse_sparql, parse_turtle, DataGraph};
 use std::io::Read;
@@ -83,7 +82,7 @@ const USAGE: &str = "\
 sama — approximate RDF querying by path alignment (EDBT 2013)
 
 USAGE:
-  sama index <data.nt|data.ttl> -o <index.bin> [--stats] [--lsh]
+  sama index <data.nt|data.ttl> -o <index.bin> [--stats]
   sama update <index.bin> <more.nt|more.ttl> [-o <out.bin>]
              insert the triples and rebuild: the output is the file
              `sama index` writes for the old input followed by the new
@@ -121,14 +120,6 @@ USAGE:
                      from its validated memory map (no decode, no graph
                      rebuild). There is one index format, SAMAIDX2; a file
                      in an older one is refused: rebuild it with `sama index`
-  --lsh              on index: also write <index.bin>.lsh, a MinHash/LSH
-                     signature sidecar. On query/batch: prune each cluster's
-                     candidates to the top-m most similar by estimated
-                     Jaccard before alignment; falls back to the exact scan
-                     per cluster when too few candidates collide. Answers
-                     are always a subset of the exact scan's, identical
-                     when top-m covers it
-  --lsh-top-m N      candidates kept per cluster under --lsh (default 128)
   --ic-weights       price label mismatches by corpus information content
                      (-log2 label frequency, from the index's IC section)
                      instead of uniformly, so rare-label disagreements cost
@@ -163,9 +154,8 @@ USAGE:
 /// The engine options, as every subcommand that answers queries lists
 /// them in [`USAGE`] (see [`EngineOpts`]).
 const ENGINE_USAGE: &str = "\
-[-k N] [--lsh] [--lsh-top-m N] [--ic-weights] [--synonyms <file>]
-             [--deadline-ms N] [--mmap] [--profile-out <file>] [--slowlog MS]
-             [--slowlog-out <file>]";
+[-k N] [--ic-weights] [--synonyms <file>] [--deadline-ms N] [--mmap]
+             [--profile-out <file>] [--slowlog MS] [--slowlog-out <file>]";
 
 fn usage() -> String {
     USAGE.replace("{engine}", ENGINE_USAGE)
@@ -205,8 +195,6 @@ fn number<T: std::str::FromStr>(
 /// assembly.
 struct EngineOpts {
     k: usize,
-    lsh: bool,
-    lsh_top_m: usize,
     ic_weights: bool,
     synonyms: Option<String>,
     deadline_ms: Option<u64>,
@@ -220,8 +208,6 @@ impl EngineOpts {
     fn new() -> Self {
         EngineOpts {
             k: 10,
-            lsh: false,
-            lsh_top_m: LSH_DEFAULT_TOP_M,
             ic_weights: false,
             synonyms: None,
             deadline_ms: None,
@@ -240,8 +226,6 @@ impl EngineOpts {
     ) -> Result<bool, String> {
         match arg {
             "-k" => self.k = number(arg, rest)?,
-            "--lsh" => self.lsh = true,
-            "--lsh-top-m" => self.lsh_top_m = number(arg, rest)?,
             "--ic-weights" => self.ic_weights = true,
             "--synonyms" => self.synonyms = Some(operand(arg, "a path", rest)?.clone()),
             "--deadline-ms" => self.deadline_ms = Some(number(arg, rest)?),
@@ -261,13 +245,6 @@ impl EngineOpts {
             ic_weights: self.ic_weights,
             ..Default::default()
         };
-        if self.lsh {
-            config.cluster.retrieval = Retrieval::Lsh {
-                bands: LSH_DEFAULT_BANDS,
-                rows: LSH_DEFAULT_ROWS,
-                top_m: self.lsh_top_m,
-            };
-        }
         if trace {
             config.trace = TraceConfig::enabled();
         }
@@ -278,9 +255,8 @@ impl EngineOpts {
     }
 
     /// Arm the diagnostics sinks, then open the engine (so the index
-    /// open profiles too): the index from [`open_index`], its LSH
-    /// sidecar attached under `--lsh`, the synonym relaxation tier
-    /// installed when a table was given. A missing or malformed table
+    /// open profiles too): the index from [`open_index`], the synonym
+    /// relaxation tier installed when a table was given. A missing or malformed table
     /// is a one-line diagnostic, not a panic.
     fn open_engine(
         &self,
@@ -306,13 +282,7 @@ impl EngineOpts {
         } else if self.slowlog_out.is_some() {
             log.set_threshold(Some(std::time::Duration::ZERO));
         }
-        let mut index = open_index(index_path)?;
-        if self.lsh {
-            let sidecar = load_lsh_sidecar(index_path, &index)?;
-            index
-                .attach_lsh(sidecar)
-                .map_err(|e| format!("cannot attach LSH sidecar: {e}"))?;
-        }
+        let index = open_index(index_path)?;
         let engine = SamaEngine::from_index_with_config(index, self.engine_config(trace));
         Ok(match thesaurus {
             Some(thesaurus) => engine.relax_synonyms(std::sync::Arc::new(thesaurus)),
@@ -357,29 +327,6 @@ fn read_query(query_path: &str) -> Result<sama::model::SparqlQuery, String> {
     parse_sparql(&text).map_err(|e| e.to_string())
 }
 
-/// The LSH sidecar for `index_path`: prefer the `.lsh` file written by
-/// `sama index --lsh`; when it is missing, corrupt, or built for a
-/// different snapshot, rebuild the signatures in memory (a warning, not
-/// an error — the sidecar is a cache of derived data).
-fn load_lsh_sidecar(index_path: &str, index: &MappedIndex) -> Result<LshSidecar, String> {
-    let side = sidecar_path(std::path::Path::new(index_path));
-    match LshSidecar::open(&side) {
-        Ok(sidecar) if sidecar.path_count() == index.total_paths() => return Ok(sidecar),
-        Ok(_) => eprintln!(
-            "warning: {} was built for a different index snapshot; \
-             rebuilding LSH signatures in memory",
-            side.display()
-        ),
-        Err(e) => eprintln!(
-            "note: no usable LSH sidecar at {} ({e}); building signatures in memory",
-            side.display()
-        ),
-    }
-    let bytes = build_lsh_bytes(index, LshParams::default())
-        .map_err(|e| format!("cannot build LSH signatures: {e}"))?;
-    LshSidecar::from_bytes(&bytes).map_err(|e| format!("cannot build LSH signatures: {e}"))
-}
-
 /// Open an index: the file is validated and served in place from its
 /// memory map — the one index type and the one read path of every
 /// subcommand but `update`.
@@ -416,13 +363,11 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let mut input = None;
     let mut output = None;
     let mut show_stats = false;
-    let mut lsh = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
             "--stats" => show_stats = true,
-            "--lsh" => lsh = true,
             other if input.is_none() => input = Some(not_a_flag(other)?.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
@@ -454,20 +399,6 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
             "warning: extraction limits truncated the path set \
              ({} depth cuts, {} dropped)",
             stats.depth_truncated, stats.dropped
-        );
-    }
-    if lsh {
-        // Signed from the image just written, read the way a query reads it.
-        let image = MappedIndex::from_bytes(&bytes).map_err(|e| index_error(&output, e))?;
-        let side = sidecar_path(std::path::Path::new(&output));
-        let lsh_bytes = build_lsh_bytes(&image, LshParams::default())
-            .map_err(|e| format!("cannot build LSH signatures: {e}"))?;
-        std::fs::write(&side, &lsh_bytes)
-            .map_err(|e| format!("cannot write {:?}: {e}", side.display()))?;
-        eprintln!(
-            "wrote LSH sidecar ({}) to {}",
-            sama::index::format_bytes(lsh_bytes.len()),
-            side.display()
         );
     }
     if show_stats {

@@ -929,120 +929,6 @@ fn closed_stdout_is_not_a_panic() {
 }
 
 #[test]
-fn lsh_sidecar_roundtrip_and_env_flag() {
-    let nt = temp_path("data_lsh.nt");
-    let rq = temp_path("query_lsh.rq");
-    let idx = temp_path("index_lsh.bin");
-    let lsh = temp_path("index_lsh.bin.lsh");
-    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone(), lsh.clone()]);
-    std::fs::write(&nt, DEMO_NT).unwrap();
-    std::fs::write(&rq, DEMO_RQ).unwrap();
-
-    // `index --lsh` writes the SAMALSH1 sidecar next to the index; the
-    // retired `SAMA_LSH=1` does not.
-    for (flag, env) in [(None, Some("1")), (Some("--lsh"), None)] {
-        let out = sama()
-            .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
-            .args(flag)
-            .envs(env.map(|v| ("SAMA_LSH", v)))
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(lsh.exists(), flag.is_some());
-    }
-    assert!(std::fs::read(&lsh).unwrap().starts_with(b"SAMALSH1"));
-
-    let run = |configure: &dyn Fn(&mut std::process::Command)| {
-        let mut cmd = sama();
-        cmd.args([
-            "query",
-            idx.to_str().unwrap(),
-            rq.to_str().unwrap(),
-            "--json",
-        ]);
-        configure(&mut cmd);
-        let out = cmd.output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        (
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
-
-    // The demo query's candidates fit in top_m, so LSH answers are
-    // bit-identical to the exact scan — with and without --mmap.
-    let (exact, _) = run(&|_| {});
-    let (flagged, _) = run(&|c| {
-        c.arg("--lsh");
-    });
-    let (mapped, _) = run(&|c| {
-        c.args(["--lsh", "--mmap"]);
-    });
-    assert_eq!(exact, flagged);
-    assert_eq!(exact, mapped);
-    assert!(exact.contains("\"answers\""));
-
-    // Without the sidecar the tier rebuilds signatures in memory
-    // (a stderr note, same answers).
-    std::fs::remove_file(&lsh).unwrap();
-    let (rebuilt, note) = run(&|c| {
-        c.args(["--lsh", "--lsh-top-m", "4"]);
-    });
-    assert_eq!(exact, rebuilt);
-    assert!(note.contains("no usable LSH sidecar"), "{note}");
-
-    // The retired `SAMA_LSH=1` turns no tier on: nothing looks for the
-    // missing sidecar.
-    let (via_env, note) = run(&|c| {
-        c.env("SAMA_LSH", "1");
-    });
-    assert_eq!(exact, via_env);
-    assert_eq!(note, "");
-}
-
-/// `sama index --lsh` signs the image it has just written, read the way
-/// a query reads it: the sidecar file is byte for byte the one built in
-/// memory from the same N-Triples through `MappedIndex`.
-#[test]
-fn index_lsh_sidecar_equals_one_signed_from_the_in_memory_image() {
-    use sama::index::{build_lsh_bytes, LshParams, MappedIndex};
-    let nt = temp_path("data_lsh_image.nt");
-    let idx = temp_path("index_lsh_image.bin");
-    let lsh = temp_path("index_lsh_image.bin.lsh");
-    let _cleanup = Cleanup(vec![nt.clone(), idx.clone(), lsh.clone()]);
-    std::fs::write(&nt, DEMO_NT).unwrap();
-    let out = sama()
-        .args([
-            "index",
-            nt.to_str().unwrap(),
-            "-o",
-            idx.to_str().unwrap(),
-            "--lsh",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let triples = sama::model::parse_ntriples(DEMO_NT).unwrap();
-    let data = sama::model::DataGraph::from_triples(&triples).unwrap();
-    let image = MappedIndex::build(data).unwrap();
-    let signed = build_lsh_bytes(&image, LshParams::default()).unwrap();
-    assert_eq!(std::fs::read(&lsh).unwrap(), signed);
-}
-
-#[test]
 fn ic_weights_flag_and_env_keep_exact_answers() {
     let nt = temp_path("data_ic.nt");
     let rq = temp_path("query_ic.rq");
@@ -1427,11 +1313,11 @@ fn serve_rejects_bad_flags_and_missing_index() {
 
     // A bad engine-flag value reuses the query-path diagnostics.
     let out = sama()
-        .args(["serve", "idx.bin", "--lsh-top-m", "many"])
+        .args(["serve", "idx.bin", "--deadline-ms", "many"])
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --lsh-top-m value"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --deadline-ms value"));
 
     // A nonexistent index is a one-line diagnostic, not a panic.
     let out = sama()
@@ -1616,7 +1502,7 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
     assert!(out.status.success());
 
     let engine_flags = format!(
-        "-k 3 --lsh --lsh-top-m 64 --ic-weights \
+        "-k 3 --ic-weights \
          --synonyms {} --deadline-ms 60000 --mmap --profile-out {} --slowlog 0 --slowlog-out {}",
         syn.display(),
         prof.display(),
@@ -1659,7 +1545,6 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
     // Bad values are caught while parsing, before any file is read.
     for (bad, message) in [
         (&["-k", "x"][..], "bad -k value"),
-        (&["--lsh-top-m", "x"], "bad --lsh-top-m value"),
         (&["--deadline-ms", "x"], "bad --deadline-ms value"),
         (&["--slowlog", "x"], "bad --slowlog value"),
         (&["-k"], "-k needs a number"),
@@ -1676,10 +1561,11 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
         }
     }
 
-    // A query runs on one thread, an index is built on one, and a
-    // cluster is anchored by the paper's sink-first rule: the flags that
-    // said otherwise are refused like any unknown flag, with one line
-    // and before any file is read (none of these exist).
+    // A query runs on one thread, an index is built on one, a cluster is
+    // anchored by the paper's sink-first rule and filled by exact
+    // retrieval: the flags that said otherwise are refused like any
+    // unknown flag, with one line and before any file is read (none of
+    // these exist).
     for (args, message) in [
         (
             &["query", "no.bin", "no.rq", "--anchor", "selective"][..],
@@ -1693,20 +1579,49 @@ fn every_engine_flag_is_accepted_by_all_three_subcommands() {
             &["index", "no.nt", "-o", "no.bin", "--parallel", "2"],
             "error: unexpected argument \"--parallel\"\n",
         ),
+        (
+            &["query", "no.bin", "no.rq", "--lsh"],
+            "error: unexpected argument \"--lsh\"\n",
+        ),
+        (
+            &["batch", "no.bin", "no.rq", "--lsh-top-m", "4"],
+            "error: unexpected argument \"--lsh-top-m\"\n",
+        ),
+        (
+            &["serve", "no.bin", "--lsh"],
+            "error: unexpected argument \"--lsh\"\n",
+        ),
     ] {
         let out = sama().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         assert_eq!(String::from_utf8_lossy(&out.stderr), message, "{args:?}");
     }
 
+    // `index --lsh` is refused before the input is read: nothing is
+    // written, neither the index nor an `.lsh` beside it.
+    let refused = temp_path("flags_refused.bin");
+    let sidecar = temp_path("flags_refused.bin.lsh");
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o"])
+        .args([refused.to_str().unwrap(), "--lsh"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unexpected argument \"--lsh\"\n"
+    );
+    assert!(!refused.exists() && !sidecar.exists());
+
     // The help text lists every engine flag under each of the three,
-    // `--threads` under `batch` and `serve` only, and the flag that
-    // went with the χ cache is gone.
+    // `--threads` under `batch` and `serve` only, and the flags that
+    // went with the χ cache and the LSH sidecar are gone.
     let out = sama().arg("--help").output().unwrap();
     let usage = String::from_utf8_lossy(&out.stderr);
     assert!(!usage.contains(concat!("--shared", "-chi")), "{usage}");
     assert!(!usage.contains("--parallel"), "{usage}");
     assert!(!usage.contains("--anchor"), "{usage}");
+    assert!(!usage.contains("--lsh"), "{usage}");
     for sub in ["query", "batch", "serve"] {
         let start = usage
             .find(&format!("  sama {sub} "))
