@@ -124,9 +124,6 @@ pub enum ClusterTier {
     Exact,
     /// The MinHash/LSH tier pruned the anchor scan before alignment.
     Lsh,
-    /// The synonym relaxation tier rebuilt a thin cluster with a
-    /// thesaurus-widened query path.
-    Synonym,
 }
 
 impl ClusterTier {
@@ -135,7 +132,6 @@ impl ClusterTier {
         match self {
             ClusterTier::Exact => "exact",
             ClusterTier::Lsh => "lsh",
-            ClusterTier::Synonym => "synonym",
         }
     }
 }
@@ -754,8 +750,8 @@ impl Touched {
         let mut read = 0usize;
         for label in labels {
             // An accepted label is what `constant_label` resolves its
-            // lexical form to (`decompose_query`, `widen_with_synonyms`),
-            // so that form names the label's postings.
+            // lexical form to (`decompose_query`), so that form names
+            // the label's postings.
             for pid in index.label_matching(index.label_lexical(label), &NoSynonyms) {
                 if scored.contains_key(&pid) {
                     continue;

@@ -3,14 +3,12 @@
 
 use crate::align::AlignmentMode;
 use crate::answer::Answer;
-use crate::cluster::{build_clusters_budgeted, Cluster, ClusterConfig, ClusterTier};
+use crate::cluster::{build_clusters_budgeted, Cluster, ClusterConfig};
 use crate::deadline::QueryBudget;
 use crate::error::{QueryError, SamaError};
 use crate::igraph::IntersectionGraph;
 use crate::params::ScoreParams;
-use crate::qpath::{
-    apply_ic_weights, decompose_query, decompose_query_checked, widen_with_synonyms, QueryPath,
-};
+use crate::qpath::{apply_ic_weights, decompose_query, decompose_query_checked, QueryPath};
 use crate::search::{
     search_top_k_budgeted, ChiStats, SearchConfig, SearchStream, TruncationReason,
 };
@@ -44,13 +42,6 @@ fn duration_ns(d: Duration) -> u64 {
 /// `query.slo_violations_total` — the burn-rate numerator alerting
 /// divides by `query.queries_total`.
 const SLO: Duration = Duration::from_millis(500);
-
-/// Below this many cluster entries the synonym relaxation tier (when a
-/// provider is installed, see [`SamaEngine::relax_synonyms`]) considers
-/// the cluster *thin* and probes the thesaurus. Mirrors
-/// [`crate::cluster::LSH_MIN_CANDIDATES`]: a near-empty result is the
-/// signal that the exact vocabulary was too narrow.
-pub const SYN_MIN_ENTRIES: usize = 8;
 
 /// Engine-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -221,11 +212,6 @@ pub struct SamaEngine<I: IndexLike = MappedIndex> {
     synonyms: Arc<dyn SynonymProvider>,
     params: ScoreParams,
     config: EngineConfig,
-    /// Thesaurus consulted by the synonym relaxation tier for thin
-    /// clusters. Distinct from [`SamaEngine::with_synonyms`], which
-    /// widens *every* query up front — this one is consulted only when
-    /// the exact vocabulary came back thin.
-    relax: Option<Arc<dyn SynonymProvider>>,
     /// Overrides the index-derived IC table when set (the testkit
     /// forces [`IcTable::uniform`] here to prove convergence).
     ic_override: Option<IcTable>,
@@ -278,7 +264,6 @@ impl<I: IndexLike> SamaEngine<I> {
             synonyms: Arc::new(NoSynonyms),
             params: ScoreParams::paper(),
             config,
-            relax: None,
             ic_override: None,
         }
     }
@@ -290,21 +275,13 @@ impl<I: IndexLike> SamaEngine<I> {
         self
     }
 
-    /// Install a synonym provider (builder style).
+    /// Install a synonym provider (builder style). Every query is
+    /// widened once, at decomposition: each constant accepts its own
+    /// data label and those of its synonyms, and a synonym match costs
+    /// what an exact match costs (the paper's WordNet semantics,
+    /// Section 6.1). An empty provider changes no answer.
     pub fn with_synonyms(mut self, synonyms: Arc<dyn SynonymProvider>) -> Self {
         self.synonyms = synonyms;
-        self
-    }
-
-    /// Install the synonym relaxation tier (builder style): when a
-    /// cluster comes back with fewer than [`SYN_MIN_ENTRIES`] entries,
-    /// its query path is widened through `provider` and the cluster
-    /// rebuilt. The rebuild is adopted — and tagged
-    /// [`ClusterTier::Synonym`] in EXPLAIN traces — only when it
-    /// actually changes the entry list; otherwise the exact cluster
-    /// stands, mirroring the LSH tier's fallback semantics.
-    pub fn relax_synonyms(mut self, provider: Arc<dyn SynonymProvider>) -> Self {
-        self.relax = Some(provider);
         self
     }
 
@@ -416,9 +393,8 @@ impl<I: IndexLike> SamaEngine<I> {
     /// Answer `query` under an explicit deadline/cancellation budget.
     ///
     /// The budget is polled at cheap checkpoints — the engine's entry,
-    /// every [`crate::cluster::ALIGN_CHECK_INTERVAL`]-th alignment
-    /// (synonym relaxation rebuilds included), every
-    /// [`crate::search::BUDGET_CHECK_INTERVAL`]-th expansion pop. On
+    /// every [`crate::cluster::ALIGN_CHECK_INTERVAL`]-th alignment,
+    /// every [`crate::search::BUDGET_CHECK_INTERVAL`]-th expansion pop. On
     /// expiry the query *degrades* instead of failing: the answers
     /// found so far plus a greedy completion of the search frontier
     /// come back as a best-effort partial top-k, flagged via
@@ -481,8 +457,8 @@ impl<I: IndexLike> SamaEngine<I> {
 
     /// Everything before the combination search: decompose `query`
     /// (once; `checked` rejects a query with no usable `PQ`), stamp IC
-    /// weights, build the intersection graph, fill the clusters and
-    /// relax the thin ones — all cluster fills under `budget`.
+    /// weights, build the intersection graph and fill the clusters under
+    /// `budget`.
     fn prepare(
         &self,
         query: &QueryGraph,
@@ -510,19 +486,15 @@ impl<I: IndexLike> SamaEngine<I> {
         let preprocessing = preprocess_span.finish();
 
         let cluster_span = obs::span!("query.cluster_ns");
-        let fill = |paths: &[QueryPath], synonyms: &dyn SynonymProvider| {
-            build_clusters_budgeted(
-                paths,
-                &self.index,
-                synonyms,
-                &self.params,
-                self.config.alignment,
-                &self.config.cluster,
-                budget,
-            )
-        };
-        let mut clusters = fill(&query_paths, self.synonyms.as_ref());
-        self.relax_thin_clusters(&mut query_paths, &mut clusters, budget, fill);
+        let clusters = build_clusters_budgeted(
+            &query_paths,
+            &self.index,
+            self.synonyms.as_ref(),
+            &self.params,
+            self.config.alignment,
+            &self.config.cluster,
+            budget,
+        );
         let clustering = cluster_span.finish();
 
         Ok(Prepared {
@@ -555,54 +527,6 @@ impl<I: IndexLike> SamaEngine<I> {
         apply_ic_weights(query_paths, &self.index, &table);
         obs::counter_add("score.ic_queries_total", 1);
         obs::gauge_set("score.ic_labels", table.len() as i64);
-    }
-
-    /// The synonym relaxation pass: refill *thin* clusters (fewer than
-    /// [`SYN_MIN_ENTRIES`] entries) through `fill` — the query's own
-    /// budgeted cluster build — with a thesaurus-widened
-    /// copy of their query path. A refill is adopted only when it ran
-    /// to completion and changes the entry list — it then replaces both
-    /// the cluster (tagged [`ClusterTier::Synonym`]) and the query
-    /// path, so downstream scoring sees the widened accepted sets;
-    /// otherwise the exact cluster stands and
-    /// `cluster.synonym_fallback_total` counts the no-op probe.
-    fn relax_thin_clusters(
-        &self,
-        query_paths: &mut [QueryPath],
-        clusters: &mut [Cluster],
-        budget: &QueryBudget,
-        fill: impl Fn(&[QueryPath], &dyn SynonymProvider) -> Vec<Cluster>,
-    ) {
-        let Some(provider) = &self.relax else {
-            return;
-        };
-        let _span = obs::span!("cluster.synonym_ns");
-        for (i, cluster) in clusters.iter_mut().enumerate() {
-            if cluster.entries.len() >= SYN_MIN_ENTRIES {
-                continue;
-            }
-            if budget.exceeded().is_some() {
-                break;
-            }
-            obs::counter_add("cluster.synonym_probes_total", 1);
-            let widened = widen_with_synonyms(&query_paths[i], &self.index, provider.as_ref());
-            let mut rebuilt = fill(std::slice::from_ref(&widened), provider.as_ref())
-                .pop()
-                .expect("one cluster per query path");
-            if budget.exceeded().is_some() {
-                // A refill the budget cut short is a sample, not a
-                // relaxation; the search flags the result.
-                break;
-            }
-            if rebuilt.entries == cluster.entries {
-                obs::counter_add("cluster.synonym_fallback_total", 1);
-                continue;
-            }
-            obs::counter_add("cluster.synonym_admitted_total", 1);
-            rebuilt.tier = ClusterTier::Synonym;
-            *cluster = rebuilt;
-            query_paths[i] = widened;
-        }
     }
 
     /// Everything after the combination search, and all there is to an
@@ -699,7 +623,7 @@ impl<I: IndexLike> SamaEngine<I> {
 }
 
 /// One query ready for the combination search — decomposed, priced,
-/// clustered, relaxed — with what the two phases took.
+/// clustered — with what the two phases took.
 #[derive(Default)]
 struct Prepared {
     query_paths: Vec<QueryPath>,
@@ -709,15 +633,11 @@ struct Prepared {
     clustering: Duration,
 }
 
-/// Register the semantic tier's metrics (IC weighting + synonym
-/// relaxation) with the global registry up front, so `/metrics`
-/// scrapes and the golden Prometheus-name pinning see the series
-/// before the first probe runs.
+/// Register the IC weighting metrics with the global registry up
+/// front, so `/metrics` scrapes and the golden Prometheus-name pinning
+/// see the series before the first weighted query runs.
 pub fn register_semantic_metrics() {
     let registry = obs::global();
-    registry.counter("cluster.synonym_probes_total");
-    registry.counter("cluster.synonym_admitted_total");
-    registry.counter("cluster.synonym_fallback_total");
     registry.counter("score.ic_queries_total");
     registry.gauge("score.ic_labels");
 }
@@ -857,9 +777,26 @@ mod tests {
 
         let mut t = Thesaurus::new();
         t.group(["M", "Male"]);
-        let engine = SamaEngine::new(figure1_data()).with_synonyms(Arc::new(t));
+        let t: Arc<dyn SynonymProvider> = Arc::new(t);
+        let engine = SamaEngine::new(figure1_data()).with_synonyms(Arc::clone(&t));
         let with_syn = engine.answer(&q, 1);
         assert_eq!(with_syn.best().unwrap().score(), 0.0);
+
+        // The sink is widened at decomposition, so the fill needs no
+        // full scan, and the cluster it fills is an exact one.
+        let config = EngineConfig {
+            cluster: crate::ClusterConfig {
+                allow_full_scan: false,
+                ..Default::default()
+            },
+            trace: TraceConfig::enabled(),
+            ..Default::default()
+        };
+        let engine = SamaEngine::with_config(figure1_data(), config).with_synonyms(t);
+        let result = engine.answer(&q, 1);
+        assert_eq!(result.best().expect("widened answer").score(), 0.0);
+        let trace = result.trace.as_ref().expect("trace enabled");
+        assert!(trace.to_json_line().contains("\"tier\":\"exact\""));
     }
 
     #[test]
@@ -987,38 +924,12 @@ mod tests {
     }
 
     #[test]
-    fn synonym_relaxation_fills_thin_cluster_and_tags_the_tier() {
-        let config = EngineConfig {
-            cluster: crate::ClusterConfig {
-                allow_full_scan: false,
-                ..Default::default()
-            },
-            trace: TraceConfig::enabled(),
-            ..Default::default()
-        };
-        let mut t = Thesaurus::new();
-        t.group(["M", "Male"]);
-        let engine = SamaEngine::with_config(figure1_data(), config).relax_synonyms(Arc::new(t));
-        let mut b = QueryGraph::builder();
-        b.triple_str("?v3", "gender", "\"M\"").unwrap();
-        let q = b.build();
-        let result = engine.answer(&q, 1);
-        // Without relaxation the "M" cluster is empty (full scan off);
-        // the thesaurus widens it onto the four "Male" paths at λ=0.
-        assert_eq!(result.best().expect("relaxed answer").score(), 0.0);
-        assert_eq!(result.clusters[0].tier, ClusterTier::Synonym);
-        let trace = result.trace.as_ref().expect("trace enabled");
-        assert_eq!(trace.clusters[0].tier, ClusterTier::Synonym);
-        assert!(trace.to_json_line().contains("\"tier\":\"synonym\""));
-    }
-
-    #[test]
-    fn empty_thesaurus_relaxation_is_bit_identical() {
+    fn empty_thesaurus_is_bit_identical() {
         let plain = SamaEngine::new(figure1_data());
-        let relaxed = SamaEngine::new(figure1_data()).relax_synonyms(Arc::new(Thesaurus::new()));
+        let widened = SamaEngine::new(figure1_data()).with_synonyms(Arc::new(Thesaurus::new()));
         let q = q1();
         let a = plain.answer(&q, 10);
-        let b = relaxed.answer(&q, 10);
+        let b = widened.answer(&q, 10);
         let bits = |r: &QueryResult| {
             r.answers
                 .iter()
@@ -1026,8 +937,13 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(&a), bits(&b));
-        // Every probe fell back: no cluster is tagged Synonym.
-        assert!(b.clusters.iter().all(|c| c.tier != ClusterTier::Synonym));
+        let entries = |r: &QueryResult| {
+            r.clusters
+                .iter()
+                .map(|c| c.entries.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(entries(&a), entries(&b));
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub use cluster::{
 pub use deadline::{CancelToken, QueryBudget};
 pub use engine::{
     next_query_id, register_semantic_metrics, EngineConfig, QueryResult, QueryTimings, SamaEngine,
-    SYN_MIN_ENTRIES,
 };
 pub use error::{QueryError, SamaError};
 pub use forest::{ForestEdge, ForestNode, PathForest};
@@ -85,8 +84,7 @@ pub use igraph::{IgEdge, IntersectionGraph};
 pub use jsonout::{json_escape, render_result_json};
 pub use params::ScoreParams;
 pub use qpath::{
-    apply_ic_weights, decompose_query, decompose_query_checked, widen_with_synonyms, QueryLabel,
-    QueryPath,
+    apply_ic_weights, decompose_query, decompose_query_checked, QueryLabel, QueryPath,
 };
 pub use relevance::{more_relevant, ops_of_counts, transformation_cost, EditOp};
 pub use score::{

@@ -190,45 +190,6 @@ pub fn apply_ic_weights(
     }
 }
 
-/// Clone `qp` with every constant's accepted set widened through the
-/// synonym provider (resolved in the data vocabulary) — the synonym
-/// relaxation tier's rewrite of a thin cluster's query path. Lexical
-/// forms, positions, and any stamped IC weights are preserved; only
-/// `accepted` grows.
-pub fn widen_with_synonyms(
-    qp: &QueryPath,
-    data_vocab: &(impl ConstantLookup + ?Sized),
-    synonyms: &dyn SynonymProvider,
-) -> QueryPath {
-    let widen = |label: &QueryLabel| -> QueryLabel {
-        match label {
-            QueryLabel::Var(v) => QueryLabel::Var(*v),
-            QueryLabel::Const { accepted, lexical } => {
-                let mut widened: Vec<LabelId> = accepted.to_vec();
-                for synonym in synonyms.synonyms(lexical) {
-                    if let Some(id) = data_vocab.get_constant(&synonym) {
-                        widened.push(id);
-                    }
-                }
-                widened.sort_unstable();
-                widened.dedup();
-                QueryLabel::Const {
-                    accepted: widened.into_boxed_slice(),
-                    lexical: lexical.clone(),
-                }
-            }
-        }
-    };
-    QueryPath {
-        index: qp.index,
-        path: qp.path.clone(),
-        nodes: qp.nodes.iter().map(widen).collect(),
-        edges: qp.edges.iter().map(widen).collect(),
-        node_weights: qp.node_weights.clone(),
-        edge_weights: qp.edge_weights.clone(),
-    }
-}
-
 /// [`decompose_query`] with validation: a query that yields no usable
 /// `PQ` — no triple patterns at all, or an extraction that produces no
 /// source→sink paths (e.g. every path exceeds the extraction limits) —
@@ -434,38 +395,6 @@ mod tests {
                 assert_eq!(p.edge_weight(i), 1.0);
             }
         }
-    }
-
-    #[test]
-    fn widen_with_synonyms_grows_accepted_and_preserves_the_rest() {
-        let q = q1();
-        let vocab = data_vocab();
-        let paths = decompose_query(&q, &vocab, &NoSynonyms, &Default::default());
-        let male_path = paths.iter().find(|p| p.len() == 2).unwrap();
-        // "Male" is absent, but its synonym "CB" is a data constant.
-        let mut t = Thesaurus::new();
-        t.group(["Male", "CB"]);
-        let widened = widen_with_synonyms(male_path, &vocab, &t);
-        match (male_path.sink(), widened.sink()) {
-            (
-                QueryLabel::Const { accepted: a, .. },
-                QueryLabel::Const {
-                    accepted: b,
-                    lexical,
-                },
-            ) => {
-                assert!(a.is_empty());
-                assert_eq!(b.len(), 1);
-                assert_eq!(&**lexical, "Male", "lexical form preserved");
-            }
-            other => panic!("expected constants, got {other:?}"),
-        }
-        assert_eq!(widened.index, male_path.index);
-        assert_eq!(widened.path, male_path.path);
-        // An empty provider widens nothing.
-        let identity = widen_with_synonyms(male_path, &vocab, &NoSynonyms);
-        assert_eq!(identity.nodes, male_path.nodes);
-        assert_eq!(identity.edges, male_path.edges);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use rdf_model::{DataGraph, QueryGraph, Triple};
 use sama_core::cluster::ALIGN_CHECK_INTERVAL;
 use sama_core::{
     align, align_lambda, apply_ic_weights, build_clusters, build_clusters_budgeted,
-    decompose_query, memoised_lambdas, widen_with_synonyms, AlignmentMode, CancelToken, Cluster,
-    ClusterConfig, ClusterEntry, QueryBudget, QueryPath, ScoreParams,
+    decompose_query, memoised_lambdas, AlignmentMode, CancelToken, Cluster, ClusterConfig,
+    ClusterEntry, QueryBudget, QueryPath, ScoreParams,
 };
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -157,25 +157,23 @@ proptest! {
     ) {
         let index = MappedIndex::build(DataGraph::from_triples(&data).expect("ground")).expect("builds");
         let Ok(query) = QueryGraph::from_triples(&query) else { return Ok(()) };
-        let plain = decompose_query(
-            &query,
-            &index,
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        );
-        let mut weighted = plain.clone();
-        for q in &mut weighted {
-            q.node_weights = Some(weights.iter().cycle().take(q.nodes.len()).copied().collect());
-            q.edge_weights = Some(weights.iter().rev().cycle().take(q.edges.len()).copied().collect());
-        }
         // One data label accepted at two query positions (and two
         // labels at one): `n0`, `n1`, `n2` stand for one another.
         let mut thesaurus = Thesaurus::new();
         thesaurus.group(["n0", "n1", "n2"]);
-        let widened: Vec<QueryPath> = weighted
-            .iter()
-            .map(|q| widen_with_synonyms(q, &index, &thesaurus))
-            .collect();
+        let decompose = |synonyms: &dyn SynonymProvider| {
+            decompose_query(&query, &index, synonyms, &ExtractionConfig::default())
+        };
+        let stamp = |mut qpaths: Vec<QueryPath>| {
+            for q in &mut qpaths {
+                q.node_weights = Some(weights.iter().cycle().take(q.nodes.len()).copied().collect());
+                q.edge_weights = Some(weights.iter().rev().cycle().take(q.edges.len()).copied().collect());
+            }
+            qpaths
+        };
+        let plain = decompose(&NoSynonyms);
+        let weighted = stamp(plain.clone());
+        let widened = stamp(decompose(&thesaurus));
         for qpaths in [&plain, &weighted, &widened] {
             assert_memo_is_exact(&index, qpaths);
         }
@@ -615,10 +613,7 @@ proptest! {
         };
         let mut thesaurus = Thesaurus::new();
         thesaurus.group(["n0", "n1", "n2"]);
-        let widened: Vec<QueryPath> = plain
-            .iter()
-            .map(|q| widen_with_synonyms(q, &index, &thesaurus))
-            .collect();
+        let widened = decompose_query(&query, &index, &thesaurus, &ExtractionConfig::default());
         let configs = [
             ClusterConfig::default(),
             ClusterConfig { exhaustive: true, ..Default::default() },
@@ -683,23 +678,18 @@ fn the_sink_bit_is_read_where_the_lookup_does_not_fix_it() {
     let mut thesaurus = Thesaurus::new();
     thesaurus.group(["HC", "Health"]);
     thesaurus.group(["M", "Male"]);
-    let decompose = |triples: &[(&str, &str, &str)]| {
+    let decompose = |triples: &[(&str, &str, &str)], synonyms: &dyn SynonymProvider| {
         let mut q = QueryGraph::builder();
         for (s, p, o) in triples {
             q.triple_str(s, p, o).unwrap();
         }
-        decompose_query(
-            &q.build(),
-            &index,
-            &NoSynonyms,
-            &ExtractionConfig::default(),
-        )
+        decompose_query(&q.build(), &index, synonyms, &ExtractionConfig::default())
     };
-    let hc = decompose(&[("?x", "sponsor", "?b"), ("?b", "subject", "\"HC\"")]);
-    let m: Vec<QueryPath> = decompose(&[("?p", "gender", "\"M\"")])
-        .iter()
-        .map(|q| widen_with_synonyms(q, &index, &thesaurus))
-        .collect();
+    let hc = decompose(
+        &[("?x", "sponsor", "?b"), ("?b", "subject", "\"HC\"")],
+        &NoSynonyms,
+    );
+    let m = decompose(&[("?p", "gender", "\"M\"")], &thesaurus);
     let cases: [(&str, &[QueryPath], &dyn SynonymProvider); 2] = [
         ("HC through the thesaurus", &hc, &thesaurus),
         ("M widened, looked up plain", &m, &NoSynonyms),

@@ -166,12 +166,12 @@ fn assert_entry_points_agree<I: IndexLike + Sync>(engine: &SamaEngine<I>, label:
 }
 
 /// An engine under one configuration, the synonym table installed when
-/// `relax` (`with_config` attaches the LSH tier an LSH configuration
+/// `synonyms` (`with_config` attaches the LSH tier an LSH configuration
 /// needs).
-fn engine(config: EngineConfig, relax: bool) -> SamaEngine {
+fn engine(config: EngineConfig, synonyms: bool) -> SamaEngine {
     let engine = SamaEngine::with_config(data(), config);
-    if relax {
-        engine.relax_synonyms(thesaurus())
+    if synonyms {
+        engine.with_synonyms(thesaurus())
     } else {
         engine
     }
@@ -179,11 +179,11 @@ fn engine(config: EngineConfig, relax: bool) -> SamaEngine {
 
 #[test]
 fn every_entry_point_gives_the_same_answers() {
-    for (name, mut config, relax) in configs() {
+    for (name, mut config, synonyms) in configs() {
         let [untraced, traced] = [false, true].map(|trace| {
             let name = format!("{name}{}", if trace { "+trace" } else { "" });
             config.trace.enabled = trace;
-            let engine = engine(config, relax);
+            let engine = engine(config, synonyms);
             assert_entry_points_agree(&engine, &name);
             // A result carries a trace exactly when one was asked for.
             let mut answers = Vec::new();
@@ -206,9 +206,9 @@ fn the_tier_configurations_are_not_vacuous() {
     let lsh = SamaEngine::with_config(data(), all[1].1);
     let result = lsh.answer(&workload()[2], K);
     assert!(result.clusters.iter().any(|c| c.lsh_pruned > 0));
-    let relaxed = SamaEngine::with_config(data(), all[3].1).relax_synonyms(thesaurus());
-    let result = relaxed.answer(&workload()[3], K);
-    assert_eq!(result.best().expect("relaxed answer").score(), 0.0);
+    let widened = engine(all[3].1, all[3].2);
+    let result = widened.answer(&workload()[3], K);
+    assert_eq!(result.best().expect("widened answer").score(), 0.0);
 }
 
 /// A query with no triple patterns: an error from the checked entry

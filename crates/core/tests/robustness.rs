@@ -24,7 +24,7 @@ use path_index::{MappedIndex, Thesaurus};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, QueryGraph};
 use sama_core::{
-    BatchConfig, CancelToken, ClusterConfig, ClusterTier, EngineConfig, QueryBudget, QueryError,
+    BatchConfig, CancelToken, ClusterConfig, EngineConfig, QueryBudget, QueryError, QueryLabel,
     QueryResult, SamaEngine, TraceConfig, TruncationReason,
 };
 use sama_obs::fault::{self, FaultAction, FaultPlan};
@@ -330,10 +330,10 @@ const MALES: usize = 600;
 /// `query` over [`MALES`] `P<i> gender "Male"` paths (more than two
 /// budget-poll intervals of candidates), the last of them led in by `Z
 /// likes P<MALES-1>` — the last path in content order — with `M` ≡
-/// `Male` as the relaxation table and the token cancelled at the first
+/// `Male` as the synonym table and the token cancelled at the first
 /// `labels` call. Returns the result, the `labels` calls and the sink
 /// lookups (one per fill).
-fn relaxed_under_tripwire(
+fn fill_under_tripwire(
     query: &[(&str, &str, &str)],
     max_cluster_size: usize,
 ) -> (QueryResult, usize, usize) {
@@ -360,7 +360,7 @@ fn relaxed_under_tripwire(
             ..Default::default()
         },
     )
-    .relax_synonyms(Arc::new(table));
+    .with_synonyms(Arc::new(table));
     let mut q = QueryGraph::builder();
     for (s, p, o) in query {
         q.triple_str(s, p, o).unwrap();
@@ -374,49 +374,30 @@ fn relaxed_under_tripwire(
     )
 }
 
-/// A token cancelled during the first fill: the fill stops at its next
-/// poll, the thin cluster it leaves is *not* relaxed (no second fill),
-/// and the partial result is flagged.
+/// A token cancelled during the fill of a thesaurus-widened query: the
+/// one fill stops at its next poll, no second fill runs, and the
+/// partial result is flagged.
 #[test]
-fn cancel_during_the_first_fill_skips_the_relaxation() {
+fn cancel_during_the_fill_stops_the_one_fill() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::install(FaultPlan::none());
-    // Four entries kept of the 256 scored: thin enough to relax. "M" is
-    // not in the data, so the fill anchors on `gender`; `Z`'s path, the
-    // one the query's inner constant touches, is read first (the token
-    // trips) and scores λ = 1 against 4 for the `P` paths, so the floor
-    // stays below the heap's worst until the end and the scan runs on to
-    // the poll that notices the cancel.
+    // "M" is not in the data; the table widens the sink to "Male" at
+    // decomposition. `Z`'s path, the one the query's inner constant
+    // touches, is read first (the token trips), and the scan runs on to
+    // the poll that notices the cancel, four entries kept.
     let query = [("Z", "likes", "?p"), ("?p", "gender", "\"M\"")];
-    let (result, labels_calls, fills) = relaxed_under_tripwire(&query, 4);
+    let (result, labels_calls, fills) = fill_under_tripwire(&query, 4);
     assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
     assert!(result.truncated);
     assert!(!result.answers.is_empty(), "partial, not empty");
+    assert!(matches!(
+        result.query_paths[0].sink(),
+        QueryLabel::Const { accepted, .. } if accepted.len() == 1
+    ));
     assert_eq!(result.clusters[0].entries.len(), 4);
-    assert_eq!(result.clusters[0].tier, ClusterTier::Exact);
     assert!(result.clusters[0].candidates_dropped > 0);
     assert_eq!(fills, 1, "a second fill ran");
     assert!(labels_calls < MALES, "{labels_calls} candidates read");
-    fault::reset_to_env();
-}
-
-/// A token cancelled during the relaxation's refill: the refill runs
-/// under the query's budget too, so it stops at its next poll instead
-/// of aligning every candidate, and what it found is not adopted.
-#[test]
-fn cancel_during_the_relaxation_refill_stops_it() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fault::install(FaultPlan::none());
-    // "M", the query's only constant, is not in the data: the first
-    // fill retrieves nothing and reads no labels, so the token fires in
-    // the refill.
-    let (result, labels_calls, fills) = relaxed_under_tripwire(&[("?p", "?e", "\"M\"")], 256);
-    assert_eq!(result.truncation, Some(TruncationReason::Cancelled));
-    assert!(result.truncated);
-    assert_eq!(fills, 2, "the exact fill and the refill");
-    assert!(labels_calls < MALES, "{labels_calls} candidates read");
-    assert_eq!(result.clusters[0].tier, ClusterTier::Exact);
-    assert!(result.clusters[0].is_empty());
     fault::reset_to_env();
 }
 

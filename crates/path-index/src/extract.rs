@@ -58,8 +58,17 @@ impl Extraction {
 }
 
 /// Enumerate all source-to-sink simple paths of `graph` under `config`.
+///
+/// One [`Walk`] serves every source, so the extraction allocates
+/// O(nodes + emitted paths), not O(sources × nodes).
 pub fn extract_paths(graph: &Graph, config: &ExtractionConfig) -> Extraction {
     let mut out = Extraction::default();
+    let mut walk = Walk {
+        node_stack: Vec::new(),
+        edge_stack: Vec::new(),
+        frames: Vec::new(),
+        on_path: vec![false; graph.node_count()],
+    };
     for s in graph.effective_sources() {
         if out.paths.len() >= config.max_total_paths {
             out.dropped += 1;
@@ -69,10 +78,7 @@ pub fn extract_paths(graph: &Graph, config: &ExtractionConfig) -> Extraction {
             .max_total_paths
             .saturating_sub(out.paths.len())
             .min(config.max_paths_per_source);
-        let from = walk_from(graph, s, config.max_depth, budget);
-        out.paths.extend(from.paths);
-        out.depth_truncated += from.depth_truncated;
-        out.dropped += from.dropped;
+        walk_from(graph, s, config.max_depth, budget, &mut walk, &mut out);
     }
     out
 }
@@ -87,23 +93,45 @@ struct Frame {
     extended: bool,
 }
 
-fn walk_from(graph: &Graph, source: NodeId, max_depth: usize, budget: usize) -> Extraction {
-    let mut out = Extraction::default();
+/// The DFS state, reused from one source's walk to the next. Between
+/// walks the stacks are empty and no node is marked `on_path`.
+struct Walk {
+    node_stack: Vec<NodeId>,
+    edge_stack: Vec<EdgeId>,
+    frames: Vec<Frame>,
+    /// `on_path[n]` iff node `n` is on the current walk.
+    on_path: Vec<bool>,
+}
+
+/// Enumerate the paths from `source` into `out`, at most `budget` of
+/// them, leaving `walk` as it found it.
+fn walk_from(
+    graph: &Graph,
+    source: NodeId,
+    max_depth: usize,
+    budget: usize,
+    walk: &mut Walk,
+    out: &mut Extraction,
+) {
     if budget == 0 {
         out.dropped += 1;
-        return out;
+        return;
     }
+    let Walk {
+        node_stack,
+        edge_stack,
+        frames,
+        on_path,
+    } = walk;
+    let start = out.paths.len();
 
-    // Current walk state.
-    let mut node_stack: Vec<NodeId> = vec![source];
-    let mut edge_stack: Vec<EdgeId> = Vec::new();
-    let mut on_path = vec![false; graph.node_count()];
+    node_stack.push(source);
     on_path[source.index()] = true;
-    let mut frames = vec![Frame {
+    frames.push(Frame {
         node: source,
         next_edge: 0,
         extended: false,
-    }];
+    });
 
     while let Some(frame) = frames.last_mut() {
         let node = frame.node;
@@ -112,19 +140,13 @@ fn walk_from(graph: &Graph, source: NodeId, max_depth: usize, budget: usize) -> 
         // Depth cut: emit and backtrack.
         if node_stack.len() >= max_depth && !out_edges.is_empty() {
             out.depth_truncated += 1;
-            if out.paths.len() < budget {
+            if out.paths.len() - start < budget {
                 out.paths
                     .push(Path::new(node_stack.clone(), edge_stack.clone()));
             } else {
                 out.dropped += 1;
             }
-            pop_walk(
-                graph,
-                &mut frames,
-                &mut node_stack,
-                &mut edge_stack,
-                &mut on_path,
-            );
+            pop_walk(frames, node_stack, edge_stack, on_path);
             continue;
         }
 
@@ -157,7 +179,7 @@ fn walk_from(graph: &Graph, source: NodeId, max_depth: usize, budget: usize) -> 
         // here (true sink, or pseudo-sink due to cycles/depth).
         let emit = !frames.last().expect("frame exists").extended;
         if emit {
-            if out.paths.len() < budget {
+            if out.paths.len() - start < budget {
                 out.paths
                     .push(Path::new(node_stack.clone(), edge_stack.clone()));
             } else {
@@ -166,19 +188,16 @@ fn walk_from(graph: &Graph, source: NodeId, max_depth: usize, budget: usize) -> 
                 break;
             }
         }
-        pop_walk(
-            graph,
-            &mut frames,
-            &mut node_stack,
-            &mut edge_stack,
-            &mut on_path,
-        );
+        pop_walk(frames, node_stack, edge_stack, on_path);
     }
-    out
+    // The budget break leaves frames on the stack: unset only the nodes
+    // this walk set.
+    while !frames.is_empty() {
+        pop_walk(frames, node_stack, edge_stack, on_path);
+    }
 }
 
 fn pop_walk(
-    _graph: &Graph,
     frames: &mut Vec<Frame>,
     node_stack: &mut Vec<NodeId>,
     edge_stack: &mut Vec<EdgeId>,
@@ -307,6 +326,20 @@ mod tests {
         let ex = extract_paths(&g, &cfg);
         assert_eq!(ex.paths.len(), 2);
         assert!(ex.dropped > 0);
+    }
+
+    #[test]
+    fn a_walk_cut_by_its_budget_leaves_no_node_on_the_next_walk() {
+        // `a`'s budget runs out with `a → y` still on the walk; `b`'s
+        // walk must still reach `y`.
+        let g = graph_from(&[("a", "p", "x"), ("a", "p", "y"), ("b", "q", "y")]);
+        let cfg = ExtractionConfig {
+            max_paths_per_source: 1,
+            ..Default::default()
+        };
+        let ex = extract_paths(&g, &cfg);
+        assert_eq!(ex.dropped, 1);
+        assert_eq!(rendered(&g, &ex), vec!["a-p-x", "b-q-y"]);
     }
 
     #[test]

@@ -30,11 +30,6 @@ use std::path::Path;
 pub trait SynonymProvider: Send + Sync {
     /// All labels related to `label` (not including `label` itself).
     fn synonyms(&self, label: &str) -> Vec<String>;
-
-    /// `true` if `a` and `b` are the same label or related.
-    fn related(&self, a: &str, b: &str) -> bool {
-        a == b || self.synonyms(a).iter().any(|s| s == b)
-    }
 }
 
 /// A provider with no synonyms: labels match only themselves.
@@ -44,10 +39,6 @@ pub struct NoSynonyms;
 impl SynonymProvider for NoSynonyms {
     fn synonyms(&self, _label: &str) -> Vec<String> {
         Vec::new()
-    }
-
-    fn related(&self, a: &str, b: &str) -> bool {
-        a == b
     }
 }
 
@@ -253,38 +244,32 @@ impl SynonymProvider for Thesaurus {
                 .collect(),
         }
     }
-
-    fn related(&self, a: &str, b: &str) -> bool {
-        if a == b {
-            return true;
-        }
-        match (self.membership.get(a), self.membership.get(b)) {
-            (Some(ga), Some(gb)) => ga == gb,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `label`'s synonyms, sorted (group order is insertion order).
+    fn sorted(provider: &impl SynonymProvider, label: &str) -> Vec<String> {
+        let mut synonyms = provider.synonyms(label);
+        synonyms.sort();
+        synonyms
+    }
+
     #[test]
     fn no_synonyms_matches_identity_only() {
-        let p = NoSynonyms;
-        assert!(p.related("a", "a"));
-        assert!(!p.related("a", "b"));
-        assert!(p.synonyms("a").is_empty());
+        assert!(NoSynonyms.synonyms("a").is_empty());
     }
 
     #[test]
     fn thesaurus_groups_are_symmetric() {
         let mut t = Thesaurus::new();
         t.group(["professor", "lecturer", "faculty"]);
-        assert!(t.related("professor", "lecturer"));
-        assert!(t.related("lecturer", "professor"));
-        assert!(t.related("faculty", "faculty"));
-        assert!(!t.related("professor", "student"));
+        assert_eq!(sorted(&t, "professor"), ["faculty", "lecturer"]);
+        assert_eq!(sorted(&t, "lecturer"), ["faculty", "professor"]);
+        assert_eq!(sorted(&t, "faculty"), ["lecturer", "professor"]);
+        assert!(t.synonyms("student").is_empty());
     }
 
     #[test]
@@ -300,7 +285,8 @@ mod tests {
         let mut t = Thesaurus::new();
         t.group(["a", "b"]);
         t.group(["b", "c"]);
-        assert!(t.related("a", "c"));
+        assert_eq!(sorted(&t, "a"), ["b", "c"]);
+        assert_eq!(sorted(&t, "c"), ["a", "b"]);
         assert_eq!(t.group_count(), 1);
     }
 
@@ -310,16 +296,17 @@ mod tests {
         t.group(["a", "b"]);
         t.group(["c", "d"]);
         assert_eq!(t.group_count(), 2);
+        assert_eq!(sorted(&t, "b"), ["a"]);
         t.group(["a", "c"]);
-        assert!(t.related("b", "d"));
+        assert_eq!(sorted(&t, "b"), ["a", "c", "d"]);
+        assert_eq!(sorted(&t, "d"), ["a", "b", "c"]);
         assert_eq!(t.group_count(), 1);
     }
 
     #[test]
     fn unknown_labels_unrelated() {
         let t = Thesaurus::new();
-        assert!(!t.related("x", "y"));
-        assert!(t.related("x", "x"));
+        assert!(t.synonyms("x").is_empty());
     }
 
     #[test]
@@ -328,9 +315,9 @@ mod tests {
             "# domain thesaurus\nprofessor lecturer faculty\n\ncar automobile\n",
         )
         .unwrap();
-        assert!(t.related("professor", "faculty"));
-        assert!(t.related("car", "automobile"));
-        assert!(!t.related("car", "professor"));
+        assert_eq!(sorted(&t, "professor"), ["faculty", "lecturer"]);
+        assert_eq!(sorted(&t, "car"), ["automobile"]);
+        assert_eq!(t.group_count(), 2);
     }
 
     #[test]
@@ -339,15 +326,16 @@ mod tests {
             "[\"Health Care\", \"Healthcare\"]\n[\"a\\\"b\", \"c\"]\n",
         )
         .unwrap();
-        assert!(t.related("Health Care", "Healthcare"));
-        assert!(t.related("a\"b", "c"));
+        assert_eq!(sorted(&t, "Health Care"), ["Healthcare"]);
+        assert_eq!(sorted(&t, "a\"b"), ["c"]);
     }
 
     #[test]
     fn mixed_formats_in_one_file() {
         let t = Thesaurus::from_str_contents("x y\n[\"Health Care\", \"HC\"]\n").unwrap();
-        assert!(t.related("x", "y"));
-        assert!(t.related("Health Care", "HC"));
+        assert_eq!(sorted(&t, "x"), ["y"]);
+        assert_eq!(sorted(&t, "Health Care"), ["HC"]);
+        assert_eq!(t.group_count(), 2);
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn register_metrics() {
     registry.counter("serve.shed_total");
     registry.counter("serve.timeouts_total");
     registry.rolling("serve.request.total_ns");
-    // The semantic tier's series (IC weighting, synonym relaxation)
-    // exist from the first scrape even if neither flag is on.
+    // The IC weighting series exist from the first scrape even if
+    // `--ic-weights` is off.
     sama_core::register_semantic_metrics();
 }

@@ -624,8 +624,9 @@ fn lsh_converges_to_exact(case: &Case) -> Result<(), String> {
 /// table and a *uniform* IC table both features are armed but inert, so
 /// answers and the EXPLAIN structure (including every cluster's tier
 /// tag) must be bit-identical to the legacy engine. With a real synonym
-/// group over data labels, widening only ever *adds* accepted labels and
-/// candidate entries, so the best score can never get worse.
+/// group over data labels, widening every query path at decomposition
+/// only ever *adds* accepted labels and candidate entries, so the best
+/// score can never get worse.
 fn synonyms_converge_to_exact(case: &Case) -> Result<(), String> {
     let query = case.query_graph();
     let configure = || {
@@ -638,7 +639,7 @@ fn synonyms_converge_to_exact(case: &Case) -> Result<(), String> {
     let neutral_engine = engine(case, configure());
     let vocab_len = neutral_engine.index().data().vocab().len();
     let neutral_engine = neutral_engine
-        .relax_synonyms(std::sync::Arc::new(Thesaurus::new()))
+        .with_synonyms(std::sync::Arc::new(Thesaurus::new()))
         .with_ic_table(IcTable::uniform(vocab_len));
     let neutral = neutral_engine.answer(&query, case.k);
     if fingerprint(&plain) != fingerprint(&neutral) {
@@ -674,23 +675,23 @@ fn synonyms_converge_to_exact(case: &Case) -> Result<(), String> {
     if labels.len() >= 2 {
         let mut thesaurus = Thesaurus::new();
         thesaurus.group([labels[0].as_str(), labels[1].as_str()]);
-        let relaxed_engine =
-            engine(case, configure()).relax_synonyms(std::sync::Arc::new(thesaurus));
-        let relaxed = relaxed_engine.answer(&query, case.k);
-        if let (Some(p), Some(r)) = (plain.best(), relaxed.best()) {
-            if r.score() > p.score() + 1e-9 {
+        let widened = engine(case, configure())
+            .with_synonyms(std::sync::Arc::new(thesaurus))
+            .answer(&query, case.k);
+        if let (Some(p), Some(w)) = (plain.best(), widened.best()) {
+            if w.score() > p.score() + 1e-9 {
                 return Err(format!(
-                    "synonym relaxation WORSENED the best score: {} -> {} \
+                    "synonym widening WORSENED the best score: {} -> {} \
                      (widening can only add candidates)",
                     p.score(),
-                    r.score()
+                    w.score()
                 ));
             }
         }
-        for (rank, a) in relaxed.answers.iter().enumerate() {
+        for (rank, a) in widened.answers.iter().enumerate() {
             if !a.score().is_finite() || a.score() < -1e-9 {
                 return Err(format!(
-                    "synonym relaxation produced a non-finite/negative score at \
+                    "synonym widening produced a non-finite/negative score at \
                      rank {rank}: {}",
                     a.score()
                 ));

@@ -125,13 +125,12 @@ USAGE:
                      instead of uniformly, so rare-label disagreements cost
                      more than generic ones (indexes without the section
                      fall back to uniform)
-  --synonyms F       load a synonym table (TSV: one tab- or comma-separated
-                     group per line; # comments) and, when a cluster comes
-                     back thinner than 8 entries, retry its retrieval with
-                     synonym-widened labels. Exact fallback: if widening
-                     adds nothing the original cluster is kept, and an empty
-                     table leaves every answer bit-identical; EXPLAIN tags
-                     relaxed clusters \"tier\":\"synonym\"
+  --synonyms F       load a synonym table (one group per line: whitespace-
+                     separated labels, or a JSON string array; # comments)
+                     and widen every query constant with its synonyms when
+                     the query is decomposed. A synonym match costs what an
+                     exact match costs; an empty table leaves every answer
+                     bit-identical
   --profile-out F    arm the phase-stack profiler and write the folded
                      flamegraph lines to F after the run
   --slowlog MS       capture queries slower than MS milliseconds into the
@@ -256,7 +255,7 @@ impl EngineOpts {
 
     /// Arm the diagnostics sinks, then open the engine (so the index
     /// open profiles too): the index from [`open_index`], the synonym
-    /// relaxation tier installed when a table was given. A missing or malformed table
+    /// table installed when one was given. A missing or malformed table
     /// is a one-line diagnostic, not a panic.
     fn open_engine(
         &self,
@@ -285,7 +284,7 @@ impl EngineOpts {
         let index = open_index(index_path)?;
         let engine = SamaEngine::from_index_with_config(index, self.engine_config(trace));
         Ok(match thesaurus {
-            Some(thesaurus) => engine.relax_synonyms(std::sync::Arc::new(thesaurus)),
+            Some(thesaurus) => engine.with_synonyms(std::sync::Arc::new(thesaurus)),
             None => engine,
         })
     }

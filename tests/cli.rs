@@ -1008,7 +1008,7 @@ fn ic_weights_flag_and_env_keep_exact_answers() {
 }
 
 #[test]
-fn synonyms_flag_relaxes_thin_clusters_and_falls_back_exactly() {
+fn synonyms_flag_widens_constants_and_an_empty_table_changes_nothing() {
     let nt = temp_path("data_syn.nt");
     let rq = temp_path("query_syn.rq");
     let idx = temp_path("index_syn.bin");
@@ -1052,22 +1052,22 @@ fn synonyms_flag_relaxes_thin_clusters_and_falls_back_exactly() {
     };
 
     // Without synonyms "M" matches nothing exactly; with the table the
-    // widened cluster finds "Male" at cost 0.
+    // widened constant accepts "Male" at cost 0.
     let plain = run(&|_| {});
     assert!(!plain.contains("\"score\":0,"), "{plain}");
-    let relaxed = run(&|c| {
+    let widened = run(&|c| {
         c.args(["--synonyms", syn.to_str().unwrap()]);
     });
-    assert!(relaxed.contains("\"score\":0,"), "{relaxed}");
-    assert!(relaxed.contains("\"exact\":true"), "{relaxed}");
-    assert!(relaxed.contains("PierceDickes"), "{relaxed}");
+    assert!(widened.contains("\"score\":0,"), "{widened}");
+    assert!(widened.contains("\"exact\":true"), "{widened}");
+    assert!(widened.contains("PierceDickes"), "{widened}");
 
     // --mmap serves the same answers; the retired `SAMA_SYN` loads no
     // table.
     let mapped = run(&|c| {
         c.args(["--synonyms", syn.to_str().unwrap(), "--mmap"]);
     });
-    assert_eq!(relaxed, mapped);
+    assert_eq!(widened, mapped);
     let via_env = run(&|c| {
         c.env("SAMA_SYN", syn.to_str().unwrap());
     });
@@ -1079,7 +1079,7 @@ fn synonyms_flag_relaxes_thin_clusters_and_falls_back_exactly() {
     });
     assert_eq!(plain, neutral);
 
-    // --explain tags the relaxed cluster with its tier.
+    // The widened cluster is an exact-retrieval cluster.
     let out = sama()
         .args([
             "query",
@@ -1093,7 +1093,7 @@ fn synonyms_flag_relaxes_thin_clusters_and_falls_back_exactly() {
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"tier\":\"synonym\""), "{text}");
+    assert!(text.contains("\"tier\":\"exact\""), "{text}");
 
     // batch accepts both semantic flags together.
     let out = sama()
@@ -1115,6 +1115,47 @@ fn synonyms_flag_relaxes_thin_clusters_and_falls_back_exactly() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("batch: 1 queries"), "{text}");
     assert!(text.contains("best score 0.00"), "{text}");
+}
+
+/// A synonym match is admitted however many exact matches the cluster
+/// holds: with 7 and with 8 `"Male"` subjects, the `"M"` subject comes
+/// back at score 0.
+#[test]
+fn synonyms_widen_a_cluster_however_many_exact_entries_it_has() {
+    let rq = temp_path("query_syn_count.rq");
+    let syn = temp_path("syn_count.tsv");
+    let _cleanup = Cleanup(vec![rq.clone(), syn.clone()]);
+    std::fs::write(&rq, "SELECT ?p WHERE { ?p <gender> \"Male\" . }\n").unwrap();
+    std::fs::write(&syn, "M Male\n").unwrap();
+    for males in [7, 8] {
+        let nt = temp_path(&format!("data_syn_{males}.nt"));
+        let idx = temp_path(&format!("index_syn_{males}.bin"));
+        let _cleanup = Cleanup(vec![nt.clone(), idx.clone()]);
+        let mut data: String = (0..males)
+            .map(|i| format!("<P{i}> <gender> \"Male\" .\n"))
+            .collect();
+        data.push_str("<Q0> <gender> \"M\" .\n");
+        std::fs::write(&nt, data).unwrap();
+        let out = sama()
+            .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let out = sama()
+            .args(["query", idx.to_str().unwrap(), rq.to_str().unwrap()])
+            .args(["-k", "20", "--json", "--synonyms", syn.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        let q0 = "\"score\":0,\"lambda\":0,\"psi\":0,\"exact\":true,\
+                  \"triples\":[\"Q0 gender \\\"M\\\"\"]";
+        assert!(text.contains(q0), "{males} males: {text}");
+    }
 }
 
 /// Synonyms-file failures are one-line diagnostics with exit 1, before
@@ -1415,7 +1456,7 @@ fn serve_drain_returns_in_flight_results() {
 
 /// The semantic flags flow through `sama serve` to every HTTP query:
 /// a vocabulary-mismatched query answers exactly once the synonym
-/// table bridges it, and the relaxation counters appear on /metrics.
+/// table bridges it, and the IC series appear on /metrics.
 #[cfg(unix)]
 #[test]
 fn serve_applies_semantic_flags_to_http_queries() {
@@ -1444,7 +1485,7 @@ fn serve_applies_semantic_flags_to_http_queries() {
     assert!(text.contains("\"score\":0,"), "{text}");
     assert!(text.contains("PierceDickes"), "{text}");
 
-    // /metrics exposes the semantic tier's counters after the probe.
+    // /metrics exposes the IC weighting series after the query.
     let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
@@ -1455,15 +1496,8 @@ fn serve_applies_semantic_flags_to_http_queries() {
     let (status, _, body) = read_http_reply(&mut stream);
     assert_eq!(status, 200);
     let metrics = String::from_utf8(body).unwrap();
-    assert!(
-        metrics.contains("sama_cluster_synonym_probes_total"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("sama_cluster_synonym_admitted_total"),
-        "{metrics}"
-    );
     assert!(metrics.contains("sama_score_ic_queries_total"), "{metrics}");
+    assert!(metrics.contains("sama_score_ic_labels"), "{metrics}");
 
     sigterm(&child);
     let status = child.wait().expect("wait");
