@@ -7,6 +7,7 @@ use crate::cluster::ClusterEntry;
 use crate::score::ScoreBreakdown;
 use path_index::{IndexLike, PathId};
 use rdf_model::{EdgeId, Graph, LabelId};
+use std::ops::Range;
 
 /// The path chosen for one query path.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +86,7 @@ impl Answer {
     /// The data edges of the answer: the union of the edges of all
     /// chosen paths, ascending, each once. Single-node paths and
     /// uncovered query paths contribute none.
-    fn edge_ids(&self, index: &impl IndexLike) -> Vec<EdgeId> {
+    pub(crate) fn edge_ids(&self, index: &impl IndexLike) -> Vec<EdgeId> {
         let mut edge_ids: Vec<EdgeId> = Vec::new();
         for c in &self.choices {
             if let Some(e) = &c.entry {
@@ -117,17 +118,41 @@ impl Answer {
     /// one emitter behind the JSON `"triples"` array and the CLI's
     /// plain-text answers.
     pub fn triple_lines(&self, index: &impl IndexLike) -> Vec<String> {
-        let term = |label| index.label_kind(label).display(index.label_lexical(label));
-        let mut lines: Vec<String> = self
-            .edge_ids(index)
-            .into_iter()
-            .map(|edge| {
-                let (s, p, o) = index.edge_labels(edge);
-                format!("{} {} {}", term(s), term(p), term(o))
-            })
-            .collect();
-        lines.sort();
+        let (mut text, mut lines) = (String::new(), Vec::new());
+        self.write_triple_lines(index, &mut text, &mut lines);
         lines
+            .into_iter()
+            .map(|line| text[line].to_string())
+            .collect()
+    }
+
+    /// [`Answer::triple_lines`] without a `String` per line: the lines
+    /// go into `text` (cleared first), and `lines` (cleared too) gets
+    /// their byte ranges, sorted by content — the order sorting the
+    /// lines as `String`s gives.
+    pub(crate) fn write_triple_lines(
+        &self,
+        index: &impl IndexLike,
+        text: &mut String,
+        lines: &mut Vec<Range<usize>>,
+    ) {
+        text.clear();
+        lines.clear();
+        for edge in self.edge_ids(index) {
+            let start = text.len();
+            let (s, p, o) = index.edge_labels(edge);
+            for (i, label) in [s, p, o].into_iter().enumerate() {
+                if i > 0 {
+                    text.push(' ');
+                }
+                let (before, after) = index.label_kind(label).affixes();
+                text.push_str(before);
+                text.push_str(index.label_lexical(label));
+                text.push_str(after);
+            }
+            lines.push(start..text.len());
+        }
+        lines.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
     }
 }
 

@@ -18,20 +18,24 @@ proptest! {
     fn sorted_chi_equals_reference(triples in arb_dag_triples(9, 16)) {
         let data = DataGraph::from_triples(&triples).expect("ground");
         let index = path_index::PathIndex::build(data);
+        let owned = |ip: path_index::IndexedPath<'_>| {
+            path_index::Path::new(ip.nodes.to_vec(), ip.edges.to_vec())
+        };
         for (_, pa) in index.paths() {
             for (_, pb) in index.paths() {
-                let reference = sama_core::chi_count(&pa.path, &pb.path);
+                let (path_a, path_b) = (owned(pa), owned(pb));
+                let reference = sama_core::chi_count(&path_a, &path_b);
                 prop_assert_eq!(
-                    sama_core::chi_count_sorted(pa.sorted_nodes(), pb.sorted_nodes()),
+                    sama_core::chi_count_sorted(pa.sorted_nodes, pb.sorted_nodes),
                     reference
                 );
                 prop_assert_eq!(
-                    sama_core::chi_count_sorted(pb.sorted_nodes(), pa.sorted_nodes()),
+                    sama_core::chi_count_sorted(pb.sorted_nodes, pa.sorted_nodes),
                     reference
                 );
                 prop_assert_eq!(
-                    sama_core::chi_sorted(pa.sorted_nodes(), pb.sorted_nodes()),
-                    sama_core::chi(&pa.path, &pb.path)
+                    sama_core::chi_sorted(pa.sorted_nodes, pb.sorted_nodes),
+                    sama_core::chi(&path_a, &path_b)
                 );
             }
         }

@@ -57,12 +57,47 @@ impl Extraction {
     }
 }
 
+/// What [`extract_into`] emitted and what its limits cut.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExtractionCounts {
+    /// Paths handed to the sink.
+    pub paths: usize,
+    /// Number of walks cut short by `max_depth`.
+    pub depth_truncated: u64,
+    /// Number of paths dropped by the per-source or total limits.
+    pub dropped: u64,
+}
+
 /// Enumerate all source-to-sink simple paths of `graph` under `config`.
 ///
-/// One [`Walk`] serves every source, so the extraction allocates
-/// O(nodes + emitted paths), not O(sources × nodes).
+/// A wrapper over [`extract_into`] that keeps every path as an owned
+/// [`Path`].
 pub fn extract_paths(graph: &Graph, config: &ExtractionConfig) -> Extraction {
-    let mut out = Extraction::default();
+    let mut paths = Vec::new();
+    let counts = extract_into(graph, config, |nodes, edges| {
+        paths.push(Path::new(nodes.to_vec(), edges.to_vec()));
+    });
+    Extraction {
+        paths,
+        depth_truncated: counts.depth_truncated,
+        dropped: counts.dropped,
+    }
+}
+
+/// Enumerate all source-to-sink simple paths of `graph` under `config`,
+/// handing each to `sink` as its node and edge ids, grouped by source
+/// in [`Graph::effective_sources`] order. The slices are the walk's own
+/// stacks, valid for the call only.
+///
+/// One walk state serves every source, so the enumeration allocates
+/// O(nodes + longest path), not O(sources × nodes); what the paths
+/// occupy is the sink's business.
+pub fn extract_into(
+    graph: &Graph,
+    config: &ExtractionConfig,
+    mut sink: impl FnMut(&[NodeId], &[EdgeId]),
+) -> ExtractionCounts {
+    let mut counts = ExtractionCounts::default();
     let mut walk = Walk {
         node_stack: Vec::new(),
         edge_stack: Vec::new(),
@@ -70,17 +105,25 @@ pub fn extract_paths(graph: &Graph, config: &ExtractionConfig) -> Extraction {
         on_path: vec![false; graph.node_count()],
     };
     for s in graph.effective_sources() {
-        if out.paths.len() >= config.max_total_paths {
-            out.dropped += 1;
+        if counts.paths >= config.max_total_paths {
+            counts.dropped += 1;
             break;
         }
         let budget = config
             .max_total_paths
-            .saturating_sub(out.paths.len())
+            .saturating_sub(counts.paths)
             .min(config.max_paths_per_source);
-        walk_from(graph, s, config.max_depth, budget, &mut walk, &mut out);
+        walk_from(
+            graph,
+            s,
+            config.max_depth,
+            budget,
+            &mut walk,
+            &mut counts,
+            &mut sink,
+        );
     }
-    out
+    counts
 }
 
 /// One frame of the iterative DFS: a node and the index of the next
@@ -103,7 +146,7 @@ struct Walk {
     on_path: Vec<bool>,
 }
 
-/// Enumerate the paths from `source` into `out`, at most `budget` of
+/// Enumerate the paths from `source` into `sink`, at most `budget` of
 /// them, leaving `walk` as it found it.
 fn walk_from(
     graph: &Graph,
@@ -111,10 +154,11 @@ fn walk_from(
     max_depth: usize,
     budget: usize,
     walk: &mut Walk,
-    out: &mut Extraction,
+    counts: &mut ExtractionCounts,
+    sink: &mut impl FnMut(&[NodeId], &[EdgeId]),
 ) {
     if budget == 0 {
-        out.dropped += 1;
+        counts.dropped += 1;
         return;
     }
     let Walk {
@@ -123,7 +167,7 @@ fn walk_from(
         frames,
         on_path,
     } = walk;
-    let start = out.paths.len();
+    let mut emitted = 0;
 
     node_stack.push(source);
     on_path[source.index()] = true;
@@ -139,12 +183,12 @@ fn walk_from(
 
         // Depth cut: emit and backtrack.
         if node_stack.len() >= max_depth && !out_edges.is_empty() {
-            out.depth_truncated += 1;
-            if out.paths.len() - start < budget {
-                out.paths
-                    .push(Path::new(node_stack.clone(), edge_stack.clone()));
+            counts.depth_truncated += 1;
+            if emitted < budget {
+                sink(node_stack, edge_stack);
+                emitted += 1;
             } else {
-                out.dropped += 1;
+                counts.dropped += 1;
             }
             pop_walk(frames, node_stack, edge_stack, on_path);
             continue;
@@ -179,17 +223,18 @@ fn walk_from(
         // here (true sink, or pseudo-sink due to cycles/depth).
         let emit = !frames.last().expect("frame exists").extended;
         if emit {
-            if out.paths.len() - start < budget {
-                out.paths
-                    .push(Path::new(node_stack.clone(), edge_stack.clone()));
+            if emitted < budget {
+                sink(node_stack, edge_stack);
+                emitted += 1;
             } else {
-                out.dropped += 1;
+                counts.dropped += 1;
                 // Budget exhausted: unwind entirely.
                 break;
             }
         }
         pop_walk(frames, node_stack, edge_stack, on_path);
     }
+    counts.paths += emitted;
     // The budget break leaves frames on the stack: unset only the nodes
     // this walk set.
     while !frames.is_empty() {

@@ -11,6 +11,11 @@
 //! (a node together with its out-neighbors) plus one hyperedge per
 //! *indexed path* (the node set of the path). `|HV|` is the number of
 //! graph nodes.
+//!
+//! The index build counts `|HV|` and `|HE|` without materializing this
+//! view (a star per node with out-neighbours, plus the paths); the view
+//! spells the hyperedges out, and a test in `index.rs` holds the two
+//! counts equal.
 
 use crate::path::Path;
 use rdf_model::{Graph, NodeId};

@@ -11,49 +11,285 @@
 //!
 //! [`PathIndex`] is the builder's side of the index: what `build`,
 //! `insert_triples` and `decode_v2` produce and [`crate::encode_v2`]
-//! writes. Queries read the written image, through
+//! writes. It holds its paths the way the `SAMAIDX2` image does — flat
+//! pools with offsets, one shape pool, postings as arrays indexed by
+//! label id — so a build allocates per pool, not per path, and the
+//! encoder copies sections. Queries read the written image, through
 //! [`crate::MappedIndex`] — the one [`crate::IndexLike`].
 
-use crate::extract::{extract_paths, ExtractionConfig};
-use crate::hypergraph::HyperGraphView;
+use crate::extract::{extract_into, ExtractionConfig};
 use crate::ic::IcCounts;
-use crate::path::{Path, PathId, PathLabels};
+use crate::path::{display_parts, LabelsRef, PathId, PathPartsDisplay};
 use crate::stats::IndexStats;
-use rdf_model::{DataGraph, FxHashMap, LabelId, NodeId};
+use crate::v2::IndexView;
+use rdf_model::hash::FxHasher;
+use rdf_model::{DataGraph, EdgeId, Graph, LabelId, NodeId};
+use std::hash::Hasher;
 use std::time::Instant;
 
-/// A path plus its materialized label sequences and the sorted set of
-/// its node ids (what the conformity function `χ` intersects).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexedPath {
-    /// Node/edge ids in the data graph.
-    pub path: Path,
+/// One indexed path, borrowed from the index's pools: its node and edge
+/// ids, its label sequences, and the sorted set of its node ids (what
+/// the conformity function `χ` intersects).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexedPath<'a> {
+    /// Node ids `n1 … nk`; `n1` is the source end, `nk` the sink end.
+    pub nodes: &'a [NodeId],
+    /// Edge ids `e1 … e(k-1)`; `e_i` connects `n_i` to `n_{i+1}`.
+    pub edges: &'a [EdgeId],
     /// Node/edge label sequences (what alignment compares).
-    pub labels: PathLabels,
+    pub labels: LabelsRef<'a>,
     /// The path's node ids sorted ascending and deduplicated,
     /// precomputed at index-build time so `χ` between two indexed paths
     /// is a linear merge-intersection with no hashing or sorting.
-    sorted_nodes: Box<[NodeId]>,
+    pub sorted_nodes: &'a [NodeId],
 }
 
-impl IndexedPath {
-    /// Index a path: materializes the sorted node set alongside the
-    /// given label sequences.
-    pub fn new(path: Path, labels: PathLabels) -> Self {
-        let mut sorted_nodes: Vec<NodeId> = path.nodes.to_vec();
-        sorted_nodes.sort_unstable();
-        sorted_nodes.dedup();
-        IndexedPath {
-            path,
-            labels,
-            sorted_nodes: sorted_nodes.into_boxed_slice(),
+impl<'a> IndexedPath<'a> {
+    /// Render in the paper's `JR-sponsor-A1589-aTo-B0532` form.
+    pub fn display(&self, graph: &'a Graph) -> PathPartsDisplay<'a> {
+        display_parts(graph, self.nodes, self.edges)
+    }
+}
+
+/// The path store, laid out as sections 8–16 of the image: path `i`'s
+/// nodes and node labels are `offs[i]..offs[i + 1]` of their pools, its
+/// edges the same span less `i` and one shorter, its edge labels its
+/// shape's run of the shape pool, its sorted node set
+/// `sorted_offs[i]..sorted_offs[i + 1]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Pools {
+    pub(crate) offs: Vec<usize>,
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) edges: Vec<EdgeId>,
+    pub(crate) node_labels: Vec<LabelId>,
+    /// Shape id per path: two paths share an id exactly when they share
+    /// an edge-label sequence. Dense, numbered by first occurrence in
+    /// path-id order.
+    pub(crate) shapes: Vec<u32>,
+    pub(crate) shape_offs: Vec<usize>,
+    /// Each distinct edge-label sequence once, in shape-id order.
+    pub(crate) shape_labels: Vec<LabelId>,
+    pub(crate) sorted_offs: Vec<usize>,
+    pub(crate) sorted_nodes: Vec<NodeId>,
+}
+
+impl Default for Pools {
+    fn default() -> Self {
+        Pools {
+            offs: vec![0],
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            node_labels: Vec::new(),
+            shapes: Vec::new(),
+            shape_offs: vec![0],
+            shape_labels: Vec::new(),
+            sorted_offs: vec![0],
+            sorted_nodes: Vec::new(),
+        }
+    }
+}
+
+impl Pools {
+    #[inline]
+    fn len(&self) -> usize {
+        self.shapes.len()
+    }
+
+    #[inline]
+    fn nodes_of(&self, id: PathId) -> &[NodeId] {
+        &self.nodes[self.offs[id.index()]..self.offs[id.index() + 1]]
+    }
+
+    #[inline]
+    fn edges_of(&self, id: PathId) -> &[EdgeId] {
+        let i = id.index();
+        &self.edges[self.offs[i] - i..self.offs[i + 1] - i - 1]
+    }
+
+    #[inline]
+    pub(crate) fn shape(&self, shape: u32) -> &[LabelId] {
+        let s = shape as usize;
+        &self.shape_labels[self.shape_offs[s]..self.shape_offs[s + 1]]
+    }
+
+    #[inline]
+    fn labels_of(&self, id: PathId) -> LabelsRef<'_> {
+        LabelsRef {
+            node_labels: &self.node_labels[self.offs[id.index()]..self.offs[id.index() + 1]],
+            edge_labels: self.shape(self.shapes[id.index()]),
         }
     }
 
-    /// The path's node ids, sorted ascending, deduplicated.
     #[inline]
-    pub fn sorted_nodes(&self) -> &[NodeId] {
-        &self.sorted_nodes
+    fn sorted_of(&self, id: PathId) -> &[NodeId] {
+        &self.sorted_nodes[self.sorted_offs[id.index()]..self.sorted_offs[id.index() + 1]]
+    }
+}
+
+/// Appends extracted paths to [`Pools`], interning each edge-label
+/// sequence in an open-addressing table of shape ids keyed by the
+/// sequence's run of the shape pool, so no sequence is stored twice.
+struct PoolBuilder<'g> {
+    graph: &'g Graph,
+    pools: Pools,
+    /// Shape ids, `u32::MAX` for empty; at most half full.
+    shape_slots: Vec<u32>,
+    /// The edge labels of the path being appended.
+    edge_labels: Vec<LabelId>,
+}
+
+impl PoolBuilder<'_> {
+    fn push(&mut self, nodes: &[NodeId], edges: &[EdgeId]) {
+        let graph = self.graph;
+        let p = &mut self.pools;
+        p.nodes.extend_from_slice(nodes);
+        p.edges.extend_from_slice(edges);
+        p.node_labels
+            .extend(nodes.iter().map(|&n| graph.node_label(n)));
+        p.offs.push(p.nodes.len());
+
+        let start = p.sorted_nodes.len();
+        p.sorted_nodes.extend_from_slice(nodes);
+        let set = &mut p.sorted_nodes[start..];
+        set.sort_unstable();
+        let mut kept = 1;
+        for i in 1..set.len() {
+            if set[i] != set[kept - 1] {
+                set[kept] = set[i];
+                kept += 1;
+            }
+        }
+        p.sorted_nodes.truncate(start + kept);
+        p.sorted_offs.push(p.sorted_nodes.len());
+
+        self.edge_labels.clear();
+        self.edge_labels
+            .extend(edges.iter().map(|&e| graph.edge(e).label));
+        let shape = self.intern_shape();
+        self.pools.shapes.push(shape);
+    }
+
+    fn slot_of(labels: &[LabelId], cap: usize) -> usize {
+        let mut hasher = FxHasher::default();
+        for label in labels {
+            hasher.write_u32(label.0);
+        }
+        hasher.write_usize(labels.len());
+        // Fx multiplies last, so the high bits are the mixed ones.
+        (hasher.finish() >> (64 - cap.trailing_zeros())) as usize
+    }
+
+    /// The shape id of `edge_labels`, appending it to the shape pool when
+    /// it is new.
+    fn intern_shape(&mut self) -> u32 {
+        let count = self.pools.shape_offs.len() - 1;
+        if 2 * (count + 1) > self.shape_slots.len() {
+            let cap = (2 * self.shape_slots.len()).max(16);
+            self.shape_slots.clear();
+            self.shape_slots.resize(cap, u32::MAX);
+            for shape in 0..count as u32 {
+                let mut slot = Self::slot_of(self.pools.shape(shape), cap);
+                while self.shape_slots[slot] != u32::MAX {
+                    slot = (slot + 1) & (cap - 1);
+                }
+                self.shape_slots[slot] = shape;
+            }
+        }
+        let cap = self.shape_slots.len();
+        let mut slot = Self::slot_of(&self.edge_labels, cap);
+        loop {
+            let shape = self.shape_slots[slot];
+            if shape == u32::MAX {
+                let shape = count as u32;
+                self.shape_slots[slot] = shape;
+                let p = &mut self.pools;
+                p.shape_labels.extend_from_slice(&self.edge_labels);
+                p.shape_offs.push(p.shape_labels.len());
+                return shape;
+            }
+            if self.pools.shape(shape) == self.edge_labels.as_slice() {
+                return shape;
+            }
+            slot = (slot + 1) & (cap - 1);
+        }
+    }
+}
+
+/// Path ids by label id: the run of label `l` is
+/// `ids[offs[l]..offs[l + 1]]`, in path-content order.
+#[derive(Debug, Clone)]
+pub(crate) struct Postings {
+    pub(crate) offs: Vec<usize>,
+    pub(crate) ids: Vec<PathId>,
+}
+
+impl Postings {
+    /// Count each path once per distinct label `labels` yields for it,
+    /// then fill the runs walking `order`, so each run keeps its order.
+    fn build<L: Iterator<Item = LabelId>>(
+        vocab_len: usize,
+        order: &[PathId],
+        labels: impl Fn(PathId) -> L,
+    ) -> Postings {
+        // `stamp[l]` is the last position in `order` that counted `l`.
+        let mut stamp = vec![usize::MAX; vocab_len];
+        let mut offs = vec![0usize; vocab_len + 1];
+        for (pos, &id) in order.iter().enumerate() {
+            for label in labels(id) {
+                if std::mem::replace(&mut stamp[label.index()], pos) != pos {
+                    offs[label.index() + 1] += 1;
+                }
+            }
+        }
+        for l in 0..vocab_len {
+            offs[l + 1] += offs[l];
+        }
+        // Fill with `offs[l]` as the cursor of run `l`, which leaves it
+        // at the run's end: the start of `l + 1`.
+        let mut ids = vec![PathId(0); offs[vocab_len]];
+        stamp.fill(usize::MAX);
+        for (pos, &id) in order.iter().enumerate() {
+            for label in labels(id) {
+                let l = label.index();
+                if std::mem::replace(&mut stamp[l], pos) != pos {
+                    ids[offs[l]] = id;
+                    offs[l] += 1;
+                }
+            }
+        }
+        offs.copy_within(0..vocab_len, 1);
+        offs[0] = 0;
+        Postings { offs, ids }
+    }
+
+    /// The stored table of a validated image, one run per label id.
+    fn from_runs<'a>(vocab_len: usize, run: impl Fn(LabelId) -> &'a [u32]) -> Postings {
+        let mut offs = Vec::with_capacity(vocab_len + 1);
+        let mut ids = Vec::new();
+        offs.push(0);
+        for l in 0..vocab_len as u32 {
+            ids.extend(run(LabelId(l)).iter().map(|&p| PathId(p)));
+            offs.push(ids.len());
+        }
+        Postings { offs, ids }
+    }
+
+    #[inline]
+    fn get(&self, label: LabelId) -> &[PathId] {
+        match self.offs.get(label.index()..label.index() + 2) {
+            Some(&[a, b]) => &self.ids[a..b],
+            _ => &[],
+        }
+    }
+
+    /// Every label with a non-empty run, ascending, with its run's
+    /// start and length.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (LabelId, usize, usize)> + '_ {
+        self.offs
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[1] > w[0])
+            .map(|(l, w)| (LabelId(l as u32), w[0], w[1] - w[0]))
     }
 }
 
@@ -61,27 +297,19 @@ impl IndexedPath {
 /// holds it: the input to [`crate::encode_v2`], and what
 /// [`crate::decode_v2`] gives back for an update.
 ///
-/// Every list of path ids it hands out — postings, `all_path_ids` — is
-/// in *path-content order*: ascending by `(path.nodes, path.edges)`.
-/// Two distinct paths never share both, so the order is strict.
+/// Every list of path ids it hands out — postings, `content_order` — is
+/// in *path-content order*: ascending by `(nodes, edges)`. Two distinct
+/// paths never share both, so the order is strict.
 #[derive(Debug, Clone)]
 pub struct PathIndex {
     graph: DataGraph,
-    paths: Vec<IndexedPath>,
+    pools: Pools,
     /// Every path id, in path-content order.
     order: Vec<PathId>,
-    /// label → paths containing it (as node or edge label), content order.
-    by_label: FxHashMap<LabelId, Vec<PathId>>,
-    /// sink label → paths ending in it, content order.
-    by_sink: FxHashMap<LabelId, Vec<PathId>>,
-    /// Shape id per path: two paths share an id exactly when they share
-    /// an edge-label sequence. Dense, numbered by first occurrence in
-    /// path-id order.
-    path_shapes: Vec<u32>,
-    /// The first path of each shape: shape `s` *is*
-    /// `paths[shape_reps[s]].labels.edge_labels`, so no sequence is
-    /// stored twice.
-    shape_reps: Vec<PathId>,
+    /// label → paths containing it (as node or edge label).
+    by_label: Postings,
+    /// sink label → paths ending in it.
+    by_sink: Postings,
     stats: IndexStats,
 }
 
@@ -91,36 +319,51 @@ impl PathIndex {
         Self::build_with_config(graph, &ExtractionConfig::default())
     }
 
-    /// Build with explicit extraction limits: extract, materialize
-    /// labels, and assemble through `from_parts` — the one place that
-    /// builds the inverted maps and the shape table.
+    /// Build with explicit extraction limits: extract into the pools,
+    /// then order the paths and fill the label and sink postings in
+    /// that order.
     pub fn build_with_config(graph: DataGraph, config: &ExtractionConfig) -> Self {
         let build_span = sama_obs::span!("index.build_ns");
         let start = Instant::now();
-        let extraction = extract_paths(graph.as_graph(), config);
-        let paths: Vec<IndexedPath> = extraction
-            .paths
-            .into_iter()
-            .map(|path| {
-                let labels = path.labels(graph.as_graph());
-                IndexedPath::new(path, labels)
-            })
-            .collect();
-        let hyper = HyperGraphView::build(
-            graph.as_graph(),
-            &paths.iter().map(|ip| ip.path.clone()).collect::<Vec<_>>(),
-        );
+        let g = graph.as_graph();
+        let mut builder = PoolBuilder {
+            graph: g,
+            pools: Pools::default(),
+            shape_slots: Vec::new(),
+            edge_labels: Vec::new(),
+        };
+        let counts = extract_into(g, config, |nodes, edges| builder.push(nodes, edges));
+        let pools = builder.pools;
+        // Table 1's hypergraph: a vertex per node, a hyperedge per node
+        // with out-neighbours (its star) and per path.
+        let stars = g.nodes().filter(|&n| !g.out_edges(n).is_empty()).count();
         let stats = IndexStats {
             triples: graph.edge_count(),
-            hyper_vertices: hyper.vertex_count,
-            hyper_edges: hyper.edge_count(),
-            path_count: paths.len(),
+            hyper_vertices: g.node_count(),
+            hyper_edges: stars + pools.len(),
+            path_count: pools.len(),
             build_time: std::time::Duration::ZERO,
             serialized_bytes: None,
-            depth_truncated: extraction.depth_truncated,
-            dropped: extraction.dropped,
+            depth_truncated: counts.depth_truncated,
+            dropped: counts.dropped,
         };
-        let mut index = Self::from_parts(graph, paths, stats);
+        let order = content_order(&pools);
+        let vocab_len = graph.vocab().len();
+        let by_label = Postings::build(vocab_len, &order, |id| {
+            let labels = pools.labels_of(id);
+            labels.node_labels.iter().chain(labels.edge_labels).copied()
+        });
+        let by_sink = Postings::build(vocab_len, &order, |id| {
+            std::iter::once(pools.labels_of(id).sink_label())
+        });
+        let mut index = PathIndex {
+            graph,
+            pools,
+            order,
+            by_label,
+            by_sink,
+            stats,
+        };
         index.stats.build_time = start.elapsed();
         drop(build_span);
         sama_obs::counter_add("index.builds_total", 1);
@@ -129,47 +372,28 @@ impl PathIndex {
         index
     }
 
-    /// Reassemble an index from its parts (used by [`crate::storage`]).
-    pub(crate) fn from_parts(graph: DataGraph, paths: Vec<IndexedPath>, stats: IndexStats) -> Self {
-        let order = content_order(&paths);
-        let mut by_label: FxHashMap<LabelId, Vec<PathId>> = FxHashMap::default();
-        let mut by_sink: FxHashMap<LabelId, Vec<PathId>> = FxHashMap::default();
-        // One buffer for every path's label set: an allocation per path
-        // was a quarter of this loop.
-        let mut seen: Vec<LabelId> = Vec::new();
-        for &id in &order {
-            let ip = &paths[id.index()];
-            seen.clear();
-            seen.extend(ip.labels.node_labels.iter().chain(&*ip.labels.edge_labels));
-            seen.sort_unstable();
-            seen.dedup();
-            for &label in &seen {
-                by_label.entry(label).or_default().push(id);
-            }
-            by_sink.entry(ip.labels.sink_label()).or_default().push(id);
-        }
-        // Intern the edge-label sequences: the map borrows them from
-        // `paths`, so a distinct sequence costs one id, not a copy.
-        let mut shape_of: FxHashMap<&[LabelId], u32> = FxHashMap::default();
-        let mut shape_reps = Vec::new();
-        let path_shapes = paths
-            .iter()
-            .enumerate()
-            .map(|(i, ip)| {
-                *shape_of.entry(&ip.labels.edge_labels).or_insert_with(|| {
-                    shape_reps.push(PathId(i as u32));
-                    shape_reps.len() as u32 - 1
-                })
-            })
-            .collect();
+    /// Copy a validated image's path store, order and postings back
+    /// into pools (used by [`crate::decode_v2`]).
+    pub(crate) fn from_view(view: &IndexView<'_>, graph: DataGraph, stats: IndexStats) -> Self {
+        let widen = |offs: &[u32]| offs.iter().map(|&o| o as usize).collect();
+        let pools = Pools {
+            offs: widen(view.path_offs),
+            nodes: view.path_nodes.to_vec(),
+            edges: view.path_edges.to_vec(),
+            node_labels: view.path_nlabels.to_vec(),
+            shapes: view.path_shapes.to_vec(),
+            shape_offs: widen(view.shape_offs),
+            shape_labels: view.shape_labels.to_vec(),
+            sorted_offs: widen(view.sorted_offs),
+            sorted_nodes: view.sorted_nodes.to_vec(),
+        };
+        let vocab_len = graph.vocab().len();
         PathIndex {
+            order: view.path_order.iter().map(|&p| PathId(p)).collect(),
+            by_label: Postings::from_runs(vocab_len, |l| view.paths_with_label(l)),
+            by_sink: Postings::from_runs(vocab_len, |l| view.paths_with_sink(l)),
             graph,
-            paths,
-            order,
-            by_label,
-            by_sink,
-            path_shapes,
-            shape_reps,
+            pools,
             stats,
         }
     }
@@ -183,7 +407,7 @@ impl PathIndex {
     /// Number of indexed paths.
     #[inline]
     pub fn path_count(&self) -> usize {
-        self.paths.len()
+        self.pools.len()
     }
 
     /// Look up one indexed path.
@@ -191,37 +415,32 @@ impl PathIndex {
     /// # Panics
     /// Panics if `id` is out of range; use ids produced by this index.
     #[inline]
-    pub fn path(&self, id: PathId) -> &IndexedPath {
-        &self.paths[id.index()]
+    pub fn path(&self, id: PathId) -> IndexedPath<'_> {
+        let p = &self.pools;
+        IndexedPath {
+            nodes: p.nodes_of(id),
+            edges: p.edges_of(id),
+            labels: p.labels_of(id),
+            sorted_nodes: p.sorted_of(id),
+        }
     }
 
-    /// Iterate over all `(PathId, &IndexedPath)` pairs.
-    pub fn paths(&self) -> impl Iterator<Item = (PathId, &IndexedPath)> + '_ {
-        self.paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PathId(i as u32), p))
+    /// Iterate over all `(PathId, IndexedPath)` pairs, in id order.
+    pub fn paths(&self) -> impl Iterator<Item = (PathId, IndexedPath<'_>)> + '_ {
+        (0..self.path_count() as u32).map(|i| (PathId(i), self.path(PathId(i))))
     }
 
     /// The shape id of a path: equal for two paths exactly when their
     /// edge-label sequences are equal; dense in `0..shape_count()`.
     #[inline]
     pub fn path_shape(&self, id: PathId) -> u32 {
-        self.path_shapes[id.index()]
+        self.pools.shapes[id.index()]
     }
 
     /// Number of distinct edge-label sequences among the indexed paths.
     #[inline]
     pub fn shape_count(&self) -> usize {
-        self.shape_reps.len()
-    }
-
-    /// The distinct edge-label sequences, in shape-id order (v2 encoder
-    /// input).
-    pub(crate) fn shapes(&self) -> impl Iterator<Item = &[LabelId]> + '_ {
-        self.shape_reps
-            .iter()
-            .map(|&rep| &*self.path(rep).labels.edge_labels)
+        self.pools.shape_offs.len() - 1
     }
 
     /// Every path id, in path-content order (the v2 encoder's
@@ -233,28 +452,35 @@ impl PathIndex {
 
     /// Paths containing `label` anywhere (node or edge position).
     pub fn paths_with_label(&self, label: LabelId) -> &[PathId] {
-        self.by_label.get(&label).map(Vec::as_slice).unwrap_or(&[])
+        self.by_label.get(label)
     }
 
     /// Paths whose sink carries `label`.
     pub fn paths_with_sink(&self, label: LabelId) -> &[PathId] {
-        self.by_sink.get(&label).map(Vec::as_slice).unwrap_or(&[])
+        self.by_sink.get(label)
     }
 
     /// Label occurrence counts over the indexed paths — the input to
     /// the IC-weighted cost model and the `ic-counts` section of the
-    /// v2 format (see [`crate::ic`]).
+    /// v2 format (see [`crate::ic`]). A shape's labels count once per
+    /// path that has it.
     pub fn ic_counts(&self) -> IcCounts {
-        IcCounts::tally(
-            self.graph.vocab().len(),
-            self.paths.iter().map(|ip| {
-                ip.labels
-                    .node_labels
-                    .iter()
-                    .copied()
-                    .chain(ip.labels.edge_labels.iter().copied())
-            }),
-        )
+        let p = &self.pools;
+        let mut counts = vec![0u64; self.graph.vocab().len()];
+        for label in &p.node_labels {
+            counts[label.index()] += 1;
+        }
+        let mut uses = vec![0u64; self.shape_count()];
+        for &shape in &p.shapes {
+            uses[shape as usize] += 1;
+        }
+        for (shape, &n) in uses.iter().enumerate() {
+            for label in p.shape(shape as u32) {
+                counts[label.index()] += n;
+            }
+        }
+        let total = counts.iter().sum();
+        IcCounts { counts, total }
     }
 
     /// Build statistics (Table 1's row for this dataset).
@@ -263,32 +489,34 @@ impl PathIndex {
         &self.stats
     }
 
-    /// Record the serialized size (called by [`crate::storage`]).
+    /// Record the serialized size (called by [`crate::serialize_index_v2`]).
     pub(crate) fn set_serialized_bytes(&mut self, bytes: usize) {
         self.stats.serialized_bytes = Some(bytes);
     }
 
-    /// The inverted label → paths map (read-only; v2 encoder input).
-    pub(crate) fn label_map(&self) -> &FxHashMap<LabelId, Vec<PathId>> {
+    /// The path store (v2 encoder input).
+    pub(crate) fn pools(&self) -> &Pools {
+        &self.pools
+    }
+
+    /// The label postings (v2 encoder input).
+    pub(crate) fn label_postings(&self) -> &Postings {
         &self.by_label
     }
 
-    /// The inverted sink-label → paths map (read-only; v2 encoder input).
-    pub(crate) fn sink_map(&self) -> &FxHashMap<LabelId, Vec<PathId>> {
+    /// The sink postings (v2 encoder input).
+    pub(crate) fn sink_postings(&self) -> &Postings {
         &self.by_sink
     }
 }
 
-/// The ids of `paths` ascending by `(nodes, edges)`. Extraction emits
-/// paths grouped by source, sources ascending, so sorting each source's
-/// run is all it takes; the final check confirms that, and a list that
-/// came some other way gets the full sort.
-fn content_order(paths: &[IndexedPath]) -> Vec<PathId> {
-    let key = |id: &PathId| {
-        let path = &paths[id.index()].path;
-        (&*path.nodes, &*path.edges)
-    };
-    let mut order: Vec<PathId> = (0..paths.len() as u32).map(PathId).collect();
+/// The path ids ascending by `(nodes, edges)`. Extraction emits paths
+/// grouped by source, sources ascending, so sorting each source's run
+/// is all it takes; the final check confirms that, and a list that came
+/// some other way gets the full sort.
+fn content_order(pools: &Pools) -> Vec<PathId> {
+    let key = |id: &PathId| (pools.nodes_of(*id), pools.edges_of(*id));
+    let mut order: Vec<PathId> = (0..pools.len() as u32).map(PathId).collect();
     for run in order.chunk_by_mut(|a, b| key(a).0[0] == key(b).0[0]) {
         run.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
     }
@@ -301,6 +529,8 @@ fn content_order(paths: &[IndexedPath]) -> Vec<PathId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::extract_paths;
+    use crate::hypergraph::HyperGraphView;
     use rdf_model::Term;
 
     fn sample_index() -> PathIndex {
@@ -338,9 +568,26 @@ mod tests {
         assert_eq!(idx.path_count(), 3);
         let rendered: Vec<String> = idx
             .paths()
-            .map(|(_, ip)| ip.path.display(idx.graph().as_graph()).to_string())
+            .map(|(_, ip)| ip.display(idx.graph().as_graph()).to_string())
             .collect();
         assert!(rendered.contains(&"PD-gender-\"Male\"".to_string()));
+    }
+
+    #[test]
+    fn pools_hold_what_extraction_emits() {
+        let idx = sample_index();
+        let g = idx.graph().as_graph();
+        let paths = extract_paths(g, &ExtractionConfig::default()).paths;
+        assert_eq!(paths.len(), idx.path_count());
+        for (path, (_, ip)) in paths.iter().zip(idx.paths()) {
+            assert_eq!(ip.nodes, &*path.nodes);
+            assert_eq!(ip.edges, &*path.edges);
+            assert_eq!(ip.labels, path.labels(g).view());
+            let mut sorted = path.nodes.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(ip.sorted_nodes, sorted.as_slice());
+        }
     }
 
     #[test]
@@ -350,6 +597,8 @@ mod tests {
         assert_eq!(idx.paths_with_sink(hc).len(), 2);
         let male = idx.graph().vocab().get(&Term::literal("Male")).unwrap();
         assert_eq!(idx.paths_with_sink(male).len(), 1);
+        // An id past the vocabulary misses cleanly.
+        assert!(idx.paths_with_sink(LabelId(9999)).is_empty());
     }
 
     #[test]
@@ -375,14 +624,67 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rebuilds_maps() {
+    fn hyper_counts_match_the_hypergraph_view() {
+        let mut b = DataGraph::builder();
+        for (s, p, o) in [
+            ("a", "p", "b"),
+            ("a", "p", "c"),
+            ("b", "q", "d"),
+            ("c", "q", "a"),
+        ] {
+            b.triple_str(s, p, o).unwrap();
+        }
+        b.node(&Term::iri("lonely")).unwrap();
+        let idx = PathIndex::build(b.build());
+        let g = idx.graph().as_graph();
+        let view = HyperGraphView::build(g, &extract_paths(g, &ExtractionConfig::default()).paths);
+        assert_eq!(idx.stats().hyper_vertices, view.vertex_count);
+        assert_eq!(idx.stats().hyper_edges, view.edge_count());
+    }
+
+    #[test]
+    fn shapes_are_interned_past_table_growth() {
+        // 40 distinct predicates, each on two chains: 40 shapes, each
+        // shared by two paths, across several growths of the table.
+        let mut b = DataGraph::builder();
+        for i in 0..80 {
+            b.triple_str(&format!("s{i}"), &format!("p{}", i % 40), &format!("o{i}"))
+                .unwrap();
+        }
+        let idx = PathIndex::build(b.build());
+        assert_eq!(idx.path_count(), 80);
+        assert_eq!(idx.shape_count(), 40);
+        for (id, ip) in idx.paths() {
+            let shape = idx.path_shape(id);
+            assert_eq!(idx.pools().shape(shape), ip.labels.edge_labels);
+        }
+        for i in 0..40 {
+            let p = idx
+                .graph()
+                .vocab()
+                .get(&Term::iri(format!("p{i}")))
+                .unwrap();
+            let [a, b] = idx.paths_with_label(p) else {
+                panic!("p{i} is on two paths");
+            };
+            assert_eq!(idx.path_shape(*a), idx.path_shape(*b));
+        }
+    }
+
+    #[test]
+    fn ic_counts_tally_every_position() {
         let idx = sample_index();
-        let rebuilt =
-            PathIndex::from_parts(idx.graph.clone(), idx.paths.clone(), idx.stats.clone());
-        let sponsor = rebuilt.graph().vocab().get(&Term::iri("sponsor")).unwrap();
-        assert_eq!(
-            rebuilt.paths_with_label(sponsor),
-            idx.paths_with_label(sponsor)
+        let want = IcCounts::tally(
+            idx.graph().vocab().len(),
+            idx.paths().map(|(_, ip)| {
+                ip.labels
+                    .node_labels
+                    .iter()
+                    .chain(ip.labels.edge_labels)
+                    .copied()
+                    .collect::<Vec<_>>()
+            }),
         );
+        assert_eq!(idx.ic_counts(), want);
     }
 }

@@ -11,11 +11,13 @@
 //!   graphs and cycle-safe simple-path walks, one traversal per source
 //!   as the paper describes;
 //! * keep those paths with materialized label sequences, behind
-//!   inverted *label → paths* and *sink label → paths* maps
-//!   ([`PathIndex`], the builder's side), so query answering can "skip
-//!   the expensive graph traversal at runtime";
+//!   inverted *label → paths* and *sink label → paths* postings
+//!   ([`PathIndex`], the builder's side, held in the image's flat
+//!   pools), so query answering can "skip the expensive graph traversal
+//!   at runtime";
 //! * account for the hypergraph representation (`|HV|`, `|HE|`) used by
-//!   Table 1 ([`hypergraph::HyperGraphView`]);
+//!   Table 1 (counted by the build; [`hypergraph::HyperGraphView`]
+//!   spells the hyperedges out);
 //! * serialize the whole index to the one on-disk image, `SAMAIDX2`
 //!   ([`v2`]) — the paper's disk boundary and the Table 1 *Space*
 //!   column — and serve it in place from a memory map
@@ -51,7 +53,7 @@ pub mod synonyms;
 pub mod update;
 pub mod v2;
 
-pub use extract::{extract_paths, Extraction, ExtractionConfig};
+pub use extract::{extract_into, extract_paths, Extraction, ExtractionConfig, ExtractionCounts};
 pub use hypergraph::{HyperEdge, HyperEdgeKind, HyperGraphView};
 pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};

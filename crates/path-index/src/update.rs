@@ -67,7 +67,7 @@ mod tests {
         let g = index.graph().as_graph();
         let mut v: Vec<String> = index
             .paths()
-            .map(|(_, ip)| ip.path.display(g).to_string())
+            .map(|(_, ip)| ip.display(g).to_string())
             .collect();
         v.sort();
         v
@@ -108,7 +108,7 @@ mod tests {
             let g = idx.graph().as_graph();
             let mut v: Vec<String> = ids
                 .iter()
-                .map(|&id| idx.path(id).path.display(g).to_string())
+                .map(|&id| idx.path(id).display(g).to_string())
                 .collect();
             v.sort();
             v

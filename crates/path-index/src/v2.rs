@@ -94,9 +94,9 @@
 
 use crate::extract::ExtractionConfig;
 use crate::ic::{IcCounts, IcTable};
-use crate::index::{IndexedPath, PathIndex};
+use crate::index::PathIndex;
 use crate::index_like::IndexLike;
-use crate::path::{LabelsRef, Path, PathId, PathLabels};
+use crate::path::{LabelsRef, PathId};
 use crate::stats::IndexStats;
 use crate::storage::{try_u32, StorageError};
 use crate::synonyms::SynonymProvider;
@@ -229,95 +229,243 @@ fn slot_of(label: u32, cap: usize) -> usize {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-struct Writer {
-    buf: Vec<u8>,
-    table: [(u64, u64); SECTION_COUNT],
+/// Where each section of an image goes. Every size follows from the
+/// builder's pools, so the image is written once, in place, into a
+/// zeroed buffer of its exact length — which leaves the padding between
+/// sections zero.
+struct Plan {
+    sec: [(usize, usize); SECTION_COUNT],
+    len: usize,
+    label_cap: usize,
+    sink_cap: usize,
+}
+
+impl Plan {
+    fn of(index: &PathIndex) -> Result<Plan, StorageError> {
+        let graph = index.graph().as_graph();
+        let vocab = graph.vocab();
+        let pools = index.pools();
+        try_u32(vocab.len(), "vocabulary entries")?;
+        try_u32(graph.node_count(), "nodes")?;
+        try_u32(graph.edge_count(), "edges")?;
+        let paths = index.path_count();
+        try_u32(paths, "paths")?;
+        let node_pool = pools.nodes.len();
+        try_u32(node_pool, "path node pool")?;
+        try_u32(pools.sorted_nodes.len(), "sorted node pool")?;
+        let blob_len: usize = vocab.iter().map(|(_, _, lex)| lex.len()).sum();
+        try_u32(blob_len, "vocabulary blob")?;
+        let (label, sink) = (index.label_postings(), index.sink_postings());
+        for postings in [label, sink] {
+            try_u32(postings.ids.len(), "postings pool")?;
+        }
+        // A table at most half full: twice the labels with a run.
+        let cap = |runs: usize| (runs * 2).next_power_of_two().max(4);
+        let label_cap = cap(label.runs().count());
+        let sink_cap = cap(sink.runs().count());
+
+        let mut sizes = [0usize; SECTION_COUNT];
+        sizes[S_COUNTS] = 64;
+        sizes[S_VOCAB_KINDS] = vocab.len();
+        sizes[S_VOCAB_OFFS] = (vocab.len() + 1) * 4;
+        sizes[S_VOCAB_BLOB] = blob_len;
+        sizes[S_NODE_LABELS] = graph.node_count() * 4;
+        for s in [S_EDGE_FROM, S_EDGE_TO, S_EDGE_LABEL] {
+            sizes[s] = graph.edge_count() * 4;
+        }
+        sizes[S_PATH_OFFS] = (paths + 1) * 4;
+        sizes[S_PATH_NODES] = node_pool * 4;
+        sizes[S_PATH_EDGES] = (node_pool - paths) * 4;
+        sizes[S_PATH_NLABELS] = node_pool * 4;
+        sizes[S_PATH_SHAPES] = paths * 4;
+        sizes[S_SHAPE_OFFS] = pools.shape_offs.len() * 4;
+        sizes[S_SHAPE_LABELS] = pools.shape_labels.len() * 4;
+        sizes[S_SORTED_OFFS] = (paths + 1) * 4;
+        sizes[S_SORTED_NODES] = pools.sorted_nodes.len() * 4;
+        sizes[S_LABEL_TABLE] = label_cap * 12;
+        sizes[S_LABEL_POSTS] = label.ids.len() * 4;
+        sizes[S_SINK_TABLE] = sink_cap * 12;
+        sizes[S_SINK_POSTS] = sink.ids.len() * 4;
+        sizes[S_STATS] = 56;
+        sizes[S_IC_COUNTS] = (vocab.len() + 1) * 8;
+        sizes[S_PATH_ORDER] = paths * 4;
+
+        let mut sec = [(0, 0); SECTION_COUNT];
+        let mut at = HEADER_LEN + TABLE_LEN;
+        for (slot, size) in sec.iter_mut().zip(sizes) {
+            at = at.next_multiple_of(8);
+            *slot = (at, size);
+            at += size;
+        }
+        Ok(Plan {
+            sec,
+            len: at,
+            label_cap,
+            sink_cap,
+        })
+    }
+}
+
+/// Writes the sections of a [`Plan`], in table order, into the
+/// buffer it was planned for.
+struct SectionWriter<'a> {
+    out: &'a mut [u8],
+    sec: &'a [(usize, usize); SECTION_COUNT],
     next: usize,
 }
 
-impl Writer {
-    fn new(capacity: usize) -> Self {
-        let mut buf = Vec::with_capacity(capacity);
-        buf.extend_from_slice(MAGIC2);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // file length, patched
-        buf.resize(HEADER_LEN + TABLE_LEN, 0); // table, patched
-        Writer {
-            buf,
-            table: [(0, 0); SECTION_COUNT],
-            next: 0,
-        }
-    }
-
-    /// Write one section: pad to 8, record offset/length.
-    fn section(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
-        }
-        let start = self.buf.len();
-        write(&mut self.buf);
-        self.table[self.next] = ((start as u64), (self.buf.len() - start) as u64);
+impl SectionWriter<'_> {
+    /// The next section's bytes.
+    fn section(&mut self) -> &mut [u8] {
+        let (off, len) = self.sec[self.next];
         self.next += 1;
+        &mut self.out[off..off + len]
     }
 
-    fn u32_section(&mut self, values: impl IntoIterator<Item = u32>) {
-        self.section(|buf| {
-            for v in values {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        });
-    }
-
-    /// CSR offsets over runs of the given lengths: a leading 0, then
-    /// the running total after each run. [`encode_v2`] checks every
-    /// pool's total against the `u32` range before it writes.
-    fn offsets_section(&mut self, lens: impl IntoIterator<Item = usize>) {
-        let mut off = 0u32;
-        self.u32_section(std::iter::once(0).chain(lens.into_iter().map(|len| {
-            off += len as u32;
-            off
-        })));
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        assert_eq!(self.next, SECTION_COUNT, "every section written");
-        let len = self.buf.len() as u64;
-        self.buf[16..24].copy_from_slice(&len.to_le_bytes());
-        for (i, (off, size)) in self.table.iter().enumerate() {
-            let at = HEADER_LEN + i * 16;
-            self.buf[at..at + 8].copy_from_slice(&off.to_le_bytes());
-            self.buf[at + 8..at + 16].copy_from_slice(&size.to_le_bytes());
+    /// Fill the next section with `values`, exactly.
+    fn words<const N: usize>(&mut self, values: impl IntoIterator<Item = [u8; N]>) {
+        let out = self.section();
+        let mut written = 0;
+        for (dst, v) in out.chunks_exact_mut(N).zip(values) {
+            dst.copy_from_slice(&v);
+            written += N;
         }
-        self.buf
+        assert_eq!(written, out.len(), "section filled exactly");
+    }
+
+    fn u32s(&mut self, values: impl IntoIterator<Item = u32>) {
+        self.words(values.into_iter().map(u32::to_le_bytes));
+    }
+
+    fn u64s(&mut self, values: impl IntoIterator<Item = u64>) {
+        self.words(values.into_iter().map(u64::to_le_bytes));
+    }
+
+    /// CSR offsets, each already checked against the `u32` range by
+    /// the pool total it ends at.
+    fn offsets(&mut self, offs: &[usize]) {
+        self.u32s(offs.iter().map(|&o| o as u32));
+    }
+
+    /// A stored open-addressing table over the runs of `postings`,
+    /// inserted in ascending label order so the encoding is
+    /// deterministic.
+    fn table(&mut self, postings: &crate::index::Postings, cap: usize) {
+        let out = self.section();
+        out.fill(0xFF);
+        let word = |i: usize| i * 4..i * 4 + 4;
+        for (label, start, len) in postings.runs() {
+            let mut slot = slot_of(label.0, cap);
+            while out[word(slot * 3)] != EMPTY.to_le_bytes() {
+                slot = (slot + 1) & (cap - 1);
+            }
+            for (i, v) in [label.0, start as u32, len as u32].into_iter().enumerate() {
+                out[word(slot * 3 + i)].copy_from_slice(&v.to_le_bytes());
+            }
+        }
     }
 }
 
-/// Build one stored open-addressing table plus its postings pool from
-/// an inverted map. Entries are inserted in ascending label order so
-/// the encoding is deterministic.
-fn build_table(
-    map: &rdf_model::FxHashMap<LabelId, Vec<PathId>>,
-) -> Result<(Vec<u32>, Vec<u32>), StorageError> {
-    let cap = (map.len() * 2).next_power_of_two().max(4);
-    let mut table = vec![EMPTY; cap * 3];
-    let mut postings: Vec<u32> = Vec::with_capacity(map.values().map(Vec::len).sum());
-    let mut labels: Vec<LabelId> = map.keys().copied().collect();
-    labels.sort_unstable();
-    for label in labels {
-        let ids = &map[&label];
-        let start = try_u32(postings.len(), "postings pool")?;
-        let len = try_u32(ids.len(), "postings run")?;
-        postings.extend(ids.iter().map(|id| id.0));
-        let mut slot = slot_of(label.0, cap);
-        while table[slot * 3] != EMPTY {
-            slot = (slot + 1) & (cap - 1);
-        }
-        table[slot * 3] = label.0;
-        table[slot * 3 + 1] = start;
-        table[slot * 3 + 2] = len;
+/// Write `index`'s image into `out`, zeroed and `plan.len` bytes long —
+/// a `Vec<u8>` for [`encode_v2`], the aligned words
+/// [`MappedIndex::build_with_config`] serves.
+fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
+    assert_eq!(out.len(), plan.len, "a buffer of the planned length");
+
+    out[..8].copy_from_slice(MAGIC2);
+    out[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    out[12..16].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
+    out[16..24].copy_from_slice(&(plan.len as u64).to_le_bytes());
+    for (i, &(off, len)) in plan.sec.iter().enumerate() {
+        let at = HEADER_LEN + i * 16;
+        out[at..at + 8].copy_from_slice(&(off as u64).to_le_bytes());
+        out[at + 8..at + 16].copy_from_slice(&(len as u64).to_le_bytes());
     }
-    Ok((table, postings))
+
+    let graph = index.graph().as_graph();
+    let vocab = graph.vocab();
+    let pools = index.pools();
+    let (label, sink) = (index.label_postings(), index.sink_postings());
+    let mut w = SectionWriter {
+        out,
+        sec: &plan.sec,
+        next: 0,
+    };
+    // 0: counts.
+    w.u64s(
+        [
+            vocab.len(),
+            graph.node_count(),
+            graph.edge_count(),
+            index.path_count(),
+            pools.nodes.len(),
+            pools.sorted_nodes.len(),
+            plan.label_cap,
+            plan.sink_cap,
+        ]
+        .map(|n| n as u64),
+    );
+    // 1-3: vocabulary.
+    let kinds = w.section();
+    for (dst, (_, kind, _)) in kinds.iter_mut().zip(vocab.iter()) {
+        *dst = match kind {
+            TermKind::Iri => 0,
+            TermKind::Literal => 1,
+            TermKind::Blank => 2,
+            TermKind::Variable => 3,
+        };
+    }
+    let mut end = 0u32;
+    w.u32s(std::iter::once(0).chain(vocab.iter().map(|(_, _, lex)| {
+        end += lex.len() as u32;
+        end
+    })));
+    let blob = w.section();
+    let mut at = 0;
+    for (_, _, lex) in vocab.iter() {
+        blob[at..at + lex.len()].copy_from_slice(lex.as_bytes());
+        at += lex.len();
+    }
+    // 4: node labels.
+    w.u32s(graph.nodes().map(|n| graph.node_label(n).0));
+    // 5-7: edge table.
+    w.u32s(graph.edges().map(|(_, e)| e.from.0));
+    w.u32s(graph.edges().map(|(_, e)| e.to.0));
+    w.u32s(graph.edges().map(|(_, e)| e.label.0));
+    // 8-11: the path store.
+    w.offsets(&pools.offs);
+    w.u32s(pools.nodes.iter().map(|n| n.0));
+    w.u32s(pools.edges.iter().map(|e| e.0));
+    w.u32s(pools.node_labels.iter().map(|l| l.0));
+    // 12-14: the shape table. The pool is no longer than the edge pool
+    // it replaces, so its offsets fit the node-pool check.
+    w.u32s(pools.shapes.iter().copied());
+    w.offsets(&pools.shape_offs);
+    w.u32s(pools.shape_labels.iter().map(|l| l.0));
+    // 15-16: sorted node sets.
+    w.offsets(&pools.sorted_offs);
+    w.u32s(pools.sorted_nodes.iter().map(|n| n.0));
+    // 17-20: stored inverted maps.
+    w.table(label, plan.label_cap);
+    w.u32s(label.ids.iter().map(|id| id.0));
+    w.table(sink, plan.sink_cap);
+    w.u32s(sink.ids.iter().map(|id| id.0));
+    // 21: stats.
+    let stats = index.stats();
+    w.u64s([
+        stats.triples as u64,
+        stats.hyper_vertices as u64,
+        stats.hyper_edges as u64,
+        stats.path_count as u64,
+        stats.depth_truncated,
+        stats.dropped,
+        stats.build_time.as_nanos() as u64,
+    ]);
+    // 22: ic counts.
+    w.section().copy_from_slice(&index.ic_counts().to_bytes());
+    // 23: path-content order.
+    w.u32s(index.content_order().iter().map(|id| id.0));
+    assert_eq!(w.next, SECTION_COUNT, "every section written");
 }
 
 /// Serialize `index` in the `SAMAIDX2` zero-copy format.
@@ -326,128 +474,10 @@ fn build_table(
 /// [`StorageError::TooLarge`] if any section exceeds the format's
 /// `u32` count range.
 pub fn encode_v2(index: &PathIndex) -> Result<Vec<u8>, StorageError> {
-    let graph = index.graph().as_graph();
-    let vocab = graph.vocab();
-    let vocab_len = try_u32(vocab.len(), "vocabulary entries")? as u64;
-    let node_count = try_u32(graph.node_count(), "nodes")? as u64;
-    let edge_count = try_u32(graph.edge_count(), "edges")? as u64;
-    let path_count = try_u32(index.path_count(), "paths")? as u64;
-    let node_pool: usize = index.paths().map(|(_, ip)| ip.path.nodes.len()).sum();
-    let sorted_pool: usize = index.paths().map(|(_, ip)| ip.sorted_nodes().len()).sum();
-    try_u32(node_pool, "path node pool")?;
-    try_u32(sorted_pool, "sorted node pool")?;
-    let blob_len: usize = vocab.iter().map(|(_, _, lex)| lex.len()).sum();
-    try_u32(blob_len, "vocabulary blob")?;
-
-    let (label_table, label_posts) = build_table(index.label_map())?;
-    let (sink_table, sink_posts) = build_table(index.sink_map())?;
-    let ic = index.ic_counts();
-
-    let estimate = HEADER_LEN
-        + TABLE_LEN
-        + 64
-        + vocab.len() * 5
-        + blob_len
-        + (graph.node_count() + 3 * graph.edge_count()) * 4
-        + (3 * node_pool + 4 * index.path_count() + 3 + sorted_pool) * 4
-        + (label_table.len() + label_posts.len() + sink_table.len() + sink_posts.len()) * 4
-        + 56
-        + (vocab.len() + 1) * 8
-        + 8 * SECTION_COUNT;
-    let mut w = Writer::new(estimate);
-
-    // 0: counts.
-    w.section(|buf| {
-        for v in [
-            vocab_len,
-            node_count,
-            edge_count,
-            path_count,
-            node_pool as u64,
-            sorted_pool as u64,
-            (label_table.len() / 3) as u64,
-            (sink_table.len() / 3) as u64,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    });
-    // 1-3: vocabulary.
-    w.section(|buf| {
-        buf.extend(vocab.iter().map(|(_, kind, _)| match kind {
-            TermKind::Iri => 0u8,
-            TermKind::Literal => 1,
-            TermKind::Blank => 2,
-            TermKind::Variable => 3,
-        }));
-    });
-    w.offsets_section(vocab.iter().map(|(_, _, lex)| lex.len()));
-    w.section(|buf| {
-        for (_, _, lex) in vocab.iter() {
-            buf.extend_from_slice(lex.as_bytes());
-        }
-    });
-    // 4: node labels.
-    w.u32_section(graph.nodes().map(|n| graph.node_label(n).0));
-    // 5-7: edge table.
-    w.u32_section(graph.edges().map(|(_, e)| e.from.0));
-    w.u32_section(graph.edges().map(|(_, e)| e.to.0));
-    w.u32_section(graph.edges().map(|(_, e)| e.label.0));
-    // 8: path offsets (CSR into the node pool).
-    w.offsets_section(index.paths().map(|(_, ip)| ip.path.nodes.len()));
-    // 9-11: path pools.
-    w.u32_section(
-        index
-            .paths()
-            .flat_map(|(_, ip)| ip.path.nodes.iter().map(|n| n.0)),
-    );
-    w.u32_section(
-        index
-            .paths()
-            .flat_map(|(_, ip)| ip.path.edges.iter().map(|e| e.0)),
-    );
-    w.u32_section(
-        index
-            .paths()
-            .flat_map(|(_, ip)| ip.labels.node_labels.iter().map(|l| l.0)),
-    );
-    // 12-14: the shape table. The pool is no longer than the edge pool
-    // it replaces, so its offsets fit the node_pool check.
-    w.u32_section(index.paths().map(|(id, _)| index.path_shape(id)));
-    w.offsets_section(index.shapes().map(<[LabelId]>::len));
-    w.u32_section(index.shapes().flat_map(|shape| shape.iter().map(|l| l.0)));
-    // 15-16: sorted node sets.
-    w.offsets_section(index.paths().map(|(_, ip)| ip.sorted_nodes().len()));
-    w.u32_section(
-        index
-            .paths()
-            .flat_map(|(_, ip)| ip.sorted_nodes().iter().map(|n| n.0)),
-    );
-    // 17-20: stored inverted maps.
-    w.u32_section(label_table);
-    w.u32_section(label_posts);
-    w.u32_section(sink_table);
-    w.u32_section(sink_posts);
-    // 21: stats.
-    w.section(|buf| {
-        let stats = index.stats();
-        for v in [
-            stats.triples as u64,
-            stats.hyper_vertices as u64,
-            stats.hyper_edges as u64,
-            stats.path_count as u64,
-            stats.depth_truncated,
-            stats.dropped,
-            stats.build_time.as_nanos() as u64,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    });
-    // 22: ic counts.
-    w.section(|buf| buf.extend_from_slice(&ic.to_bytes()));
-    // 23: path-content order.
-    w.u32_section(index.content_order().iter().map(|id| id.0));
-
-    Ok(w.finish())
+    let plan = Plan::of(index)?;
+    let mut image = vec![0; plan.len];
+    write_image(index, &plan, &mut image);
+    Ok(image)
 }
 
 /// Serialize in the v2 format and record the byte length in the stats.
@@ -841,21 +871,21 @@ pub struct IndexView<'a> {
     edge_from: &'a [NodeId],
     edge_to: &'a [NodeId],
     edge_label: &'a [LabelId],
-    path_offs: &'a [u32],
-    path_nodes: &'a [NodeId],
-    path_edges: &'a [EdgeId],
-    path_nlabels: &'a [LabelId],
-    path_shapes: &'a [u32],
-    shape_offs: &'a [u32],
-    shape_labels: &'a [LabelId],
-    sorted_offs: &'a [u32],
-    sorted_nodes: &'a [NodeId],
+    pub(crate) path_offs: &'a [u32],
+    pub(crate) path_nodes: &'a [NodeId],
+    pub(crate) path_edges: &'a [EdgeId],
+    pub(crate) path_nlabels: &'a [LabelId],
+    pub(crate) path_shapes: &'a [u32],
+    pub(crate) shape_offs: &'a [u32],
+    pub(crate) shape_labels: &'a [LabelId],
+    pub(crate) sorted_offs: &'a [u32],
+    pub(crate) sorted_nodes: &'a [NodeId],
     label_table: &'a [u32],
     label_posts: &'a [u32],
     sink_table: &'a [u32],
     sink_posts: &'a [u32],
     ic_counts: &'a [u64],
-    path_order: &'a [u32],
+    pub(crate) path_order: &'a [u32],
 }
 
 impl<'a> IndexView<'a> {
@@ -1198,7 +1228,8 @@ impl<'a> IndexView<'a> {
 
 /// An 8-byte-aligned owned byte buffer — the pure-`Vec` fallback
 /// backing for environments where file mapping is unavailable or
-/// undesired, and the staging area for [`decode_v2`].
+/// undesired, and the buffer [`MappedIndex::build_with_config`] writes
+/// its image into.
 #[derive(Debug, Clone)]
 pub struct AlignedBytes {
     /// Never resized. A `Vec`, not a `Box`: [`MappedIndex`] keeps
@@ -1226,6 +1257,21 @@ impl AlignedBytes {
             words,
             len: bytes.len(),
         }
+    }
+
+    /// A zeroed buffer of `len` bytes.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        AlignedBytes {
+            words: vec![0; len.div_ceil(8)],
+            len,
+        }
+    }
+
+    /// The buffer contents, to write into.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: u64 -> u8 reinterpretation of an exclusively borrowed
+        // buffer; `len <= words.len() * 8`.
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
     }
 
     /// The buffer contents.
@@ -1339,9 +1385,10 @@ impl MappedIndex {
     }
 
     /// Index `data` and serve the image from memory: build the paths
-    /// ([`PathIndex::build_with_config`]), [`encode_v2`], and
-    /// [`MappedIndex::from_bytes`] — the bytes `sama index` writes, read
-    /// the way a mapped file is.
+    /// ([`PathIndex::build_with_config`]) and write their image straight
+    /// into the aligned buffer it is served from — the bytes
+    /// [`encode_v2`] gives and `sama index` writes, read the way a
+    /// mapped file is.
     ///
     /// # Errors
     /// [`StorageError::TooLarge`] when the index outgrows the format's
@@ -1350,8 +1397,13 @@ impl MappedIndex {
         data: DataGraph,
         config: &ExtractionConfig,
     ) -> Result<MappedIndex, StorageError> {
-        let image = encode_v2(&PathIndex::build_with_config(data, config))?;
-        Self::from_bytes(&image)
+        let index = PathIndex::build_with_config(data, config);
+        let plan = Plan::of(&index)?;
+        let mut image = AlignedBytes::zeroed(plan.len);
+        write_image(&index, &plan, image.as_mut_slice());
+        drop(index);
+        sama_obs::fault::point("index.load");
+        Self::from_backing(Backing::Owned(image))
     }
 
     fn from_backing(backing: Backing) -> Result<MappedIndex, StorageError> {
@@ -1576,21 +1628,9 @@ pub fn decode_v2(buf: &[u8]) -> Result<PathIndex, StorageError> {
     sama_obs::fault::point("index.load");
     let owned = AlignedBytes::copy_from(buf);
     let view = IndexView::parse(owned.as_slice())?;
-    let data = view.materialize_graph();
-    let mut paths = Vec::with_capacity(view.path_count());
-    for i in 0..view.path_count() {
-        let id = PathId(i as u32);
-        let path = Path::new(view.path_nodes(id).to_vec(), view.path_edges(id).to_vec());
-        let stored = view.labels(id);
-        let labels = PathLabels {
-            node_labels: stored.node_labels.into(),
-            edge_labels: stored.edge_labels.into(),
-        };
-        paths.push(IndexedPath::new(path, labels));
-    }
     let mut stats = view.stats();
     stats.serialized_bytes = Some(buf.len());
-    Ok(PathIndex::from_parts(data, paths, stats))
+    Ok(PathIndex::from_view(&view, view.materialize_graph(), stats))
 }
 
 /// [`decode_v2`] under the name it had while several formats were read:
@@ -1641,10 +1681,11 @@ mod tests {
                 idx.graph().as_graph().to_sorted_lines()
             );
             for (id, ip) in idx.paths() {
-                assert_eq!(&loaded.path(id).path, &ip.path);
-                assert_eq!(&loaded.path(id).labels, &ip.labels);
-                assert_eq!(loaded.path(id).sorted_nodes(), ip.sorted_nodes());
+                assert_eq!(loaded.path(id), ip);
+                assert_eq!(loaded.path_shape(id), idx.path_shape(id));
             }
+            assert_eq!(loaded.content_order(), idx.content_order());
+            assert_eq!(encode_v2(&loaded).unwrap(), bytes);
             assert_eq!(loaded.stats().triples, idx.stats().triples);
             assert_eq!(loaded.stats().serialized_bytes, Some(bytes.len()));
         }
@@ -1698,10 +1739,10 @@ mod tests {
         assert_eq!(mapped.total_paths(), idx.path_count());
         assert_eq!(IndexLike::shape_count(&mapped), idx.shape_count());
         for (id, ip) in idx.paths() {
-            assert_eq!(mapped.path_nodes(id), &*ip.path.nodes);
-            assert_eq!(mapped.path_edges(id), &*ip.path.edges);
-            assert_eq!(mapped.labels(id), ip.labels.view());
-            assert_eq!(mapped.sorted_nodes(id), ip.sorted_nodes());
+            assert_eq!(mapped.path_nodes(id), ip.nodes);
+            assert_eq!(mapped.path_edges(id), ip.edges);
+            assert_eq!(mapped.labels(id), ip.labels);
+            assert_eq!(mapped.sorted_nodes(id), ip.sorted_nodes);
             assert_eq!(IndexLike::path_shape(&mapped, id), idx.path_shape(id));
         }
         assert_shapes_partition_by_edge_labels(&mapped);
@@ -1729,6 +1770,28 @@ mod tests {
             idx.graph().as_graph().to_sorted_lines()
         );
         assert_eq!(mapped.stats().triples, idx.stats().triples);
+    }
+
+    /// `bytes` with the stats section's build-time word zeroed: the one
+    /// word two builds of the same graph may disagree on.
+    fn without_build_time(bytes: &[u8]) -> Vec<u8> {
+        let at = HEADER_LEN + S_STATS * 16;
+        let stats = read_u64_at(bytes, at) as usize;
+        let mut out = bytes.to_vec();
+        out[stats + 48..stats + 56].fill(0);
+        out
+    }
+
+    #[test]
+    fn build_serves_the_encoded_image() {
+        for idx in [sample_index(), bigger_index()] {
+            let mapped = MappedIndex::build(idx.graph().clone()).unwrap();
+            assert_eq!(mapped.backing.bytes().len(), encode_v2(&idx).unwrap().len());
+            assert_eq!(
+                without_build_time(mapped.backing.bytes()),
+                without_build_time(&encode_v2(&idx).unwrap())
+            );
+        }
     }
 
     #[test]
@@ -1929,8 +1992,8 @@ mod tests {
         let bytes = encode_v2(&idx).unwrap();
         let mapped = MappedIndex::from_bytes(&bytes).unwrap();
         for (id, ip) in idx.paths() {
-            assert_eq!(mapped.path_nodes(id), &*ip.path.nodes);
-            assert_eq!(mapped.path_edges(id), &*ip.path.edges);
+            assert_eq!(mapped.path_nodes(id), ip.nodes);
+            assert_eq!(mapped.path_edges(id), ip.edges);
         }
     }
 

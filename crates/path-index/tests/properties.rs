@@ -150,7 +150,7 @@ fn sorted_paths(index: &PathIndex) -> Vec<String> {
     let g = index.graph().as_graph();
     let mut v: Vec<String> = index
         .paths()
-        .map(|(_, ip)| ip.path.display(g).to_string())
+        .map(|(_, ip)| ip.display(g).to_string())
         .collect();
     v.sort();
     v

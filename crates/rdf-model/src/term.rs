@@ -40,6 +40,18 @@ impl TermKind {
             lexical,
         }
     }
+
+    /// What [`TermKind::display`] prints before and after the lexical
+    /// form, for callers that append to a buffer without formatting.
+    #[inline]
+    pub fn affixes(self) -> (&'static str, &'static str) {
+        match self {
+            TermKind::Iri => ("", ""),
+            TermKind::Literal => ("\"", "\""),
+            TermKind::Blank => ("_:", ""),
+            TermKind::Variable => ("?", ""),
+        }
+    }
 }
 
 /// Display adapter returned by [`TermKind::display`].
@@ -51,13 +63,10 @@ pub struct TermDisplay<'a> {
 
 impl fmt::Display for TermDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.lexical;
-        match self.kind {
-            TermKind::Iri => write!(f, "{s}"),
-            TermKind::Literal => write!(f, "\"{s}\""),
-            TermKind::Blank => write!(f, "_:{s}"),
-            TermKind::Variable => write!(f, "?{s}"),
-        }
+        let (before, after) = self.kind.affixes();
+        f.write_str(before)?;
+        f.write_str(self.lexical)?;
+        f.write_str(after)
     }
 }
 

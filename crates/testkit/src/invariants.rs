@@ -29,6 +29,7 @@
 //!   insertions for the unmatched prefix/suffix).
 
 use crate::case::Case;
+use crate::reference_image::{reference_image, without_build_time};
 use datasets::Rng;
 use eval::oracle::ged_relevance;
 use graph_match::{Matcher, Vf2Matcher};
@@ -417,16 +418,31 @@ fn cluster_line(c: &TraceCluster, kept: usize) -> String {
     )
 }
 
-/// The one index a query reads is the index the builder built: served
-/// from its `SAMAIDX2` image, every accessor returns exactly what the
-/// builder's own structs hold — per path its nodes, edges, labels,
-/// sorted node set and shape; per data label its lexical form, kind,
-/// sink postings and label postings; per edge its three labels; the
-/// content order and the IC table, bit for bit — and decoding the image
-/// and encoding it again gives the same bytes.
+/// The one index a query reads is the index the builder built: its
+/// `SAMAIDX2` image is, but for the build-time word, the image of
+/// [`reference_image`] (a builder that shares no code with the
+/// library's); served from that image, every accessor returns exactly
+/// what the builder's own pools hold — per path its nodes, edges,
+/// labels, sorted node set and shape; per data label its lexical form,
+/// kind, sink postings and label postings; per edge its three labels;
+/// the content order and the IC table, bit for bit — and decoding the
+/// image and encoding it again gives the same bytes.
 fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     let built = PathIndex::build(case.data_graph());
     let image = encode_v2(&built).map_err(|e| format!("encode failed: {e}"))?;
+    let (got, want) = (
+        without_build_time(&image),
+        without_build_time(&reference_image(&case.data_graph())),
+    );
+    if got != want {
+        let at = got.iter().zip(&want).position(|(a, b)| a != b);
+        return Err(format!(
+            "the image differs from the reference builder's: {} bytes against {}, \
+             first difference at {at:?}",
+            got.len(),
+            want.len()
+        ));
+    }
     let mapped = MappedIndex::from_bytes(&image).map_err(|e| format!("open failed: {e}"))?;
     let mismatch = |what: String| Err(format!("the image disagrees with the builder: {what}"));
 
@@ -440,10 +456,10 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     }
     for (id, ip) in built.paths() {
         let want: (&[_], &[_], LabelsRef<'_>, &[_], u32) = (
-            &ip.path.nodes,
-            &ip.path.edges,
-            ip.labels.view(),
-            ip.sorted_nodes(),
+            ip.nodes,
+            ip.edges,
+            ip.labels,
+            ip.sorted_nodes,
             built.path_shape(id),
         );
         let got = (

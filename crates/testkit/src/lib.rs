@@ -19,6 +19,8 @@
 //!   driver, and `testkit replay`.
 //! * [`golden`] — shape pinning for EXPLAIN JSONL and the Prometheus
 //!   export.
+//! * [`reference_image`] — an index image builder that shares no code
+//!   with the library's, to hold `encode_v2` to byte for byte.
 //!
 //! Budget: `SAMA_TESTKIT_CASES` (default 24) cases per invariant; the
 //! CI deep leg runs 500. See DESIGN.md §13 for the workflow.
@@ -28,6 +30,7 @@ pub mod gen;
 pub mod golden;
 pub mod invariants;
 pub mod json;
+pub mod reference_image;
 pub mod runner;
 pub mod shrink;
 

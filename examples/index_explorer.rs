@@ -7,7 +7,7 @@
 //! ```
 
 use sama::data::bsbm;
-use sama::index::{decode_v2, serialize_index_v2, HyperGraphView, PathIndex};
+use sama::index::{decode_v2, serialize_index_v2, PathIndex};
 
 fn main() {
     let triples: usize = std::env::args()
@@ -38,13 +38,12 @@ fn main() {
     );
     println!("  truncated      : {}", stats.is_truncated());
 
-    // The hypergraph view behind |HV|/|HE|.
-    let paths: Vec<_> = index.paths().map(|(_, ip)| ip.path.clone()).collect();
-    let hv = HyperGraphView::build(index.graph().as_graph(), &paths);
+    // |HE| counts a star per node with out-neighbours and one
+    // hyperedge per path.
     println!(
         "  hyperedges     : {} stars + {} paths",
-        hv.star_count(),
-        hv.path_count()
+        stats.hyper_edges - stats.path_count,
+        stats.path_count
     );
 
     // Round-trip through the disk format.
@@ -74,6 +73,6 @@ fn main() {
     // A few example paths.
     println!("\nsample paths:");
     for (id, ip) in loaded.paths().take(5) {
-        println!("  {id}: {}", ip.path.display(loaded.graph().as_graph()));
+        println!("  {id}: {}", ip.display(loaded.graph().as_graph()));
     }
 }

@@ -189,6 +189,29 @@ fn number<T: std::str::FromStr>(
         .map_err(|_| format!("bad {flag} value"))
 }
 
+/// Walk a subcommand's arguments: `flag` takes each one it knows (with
+/// the rest, for an operand) and answers `Ok(true)`; any other argument
+/// is positional — at most `max_positional` of them — or a mistyped
+/// flag, refused by name.
+fn parse_args<'a>(
+    args: &'a [String],
+    max_positional: usize,
+    mut flag: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> Result<bool, String>,
+) -> Result<Vec<&'a str>, String> {
+    let mut positional = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if flag(arg, &mut rest)? {
+            continue;
+        }
+        if positional.len() == max_positional {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
+        positional.push(not_a_flag(arg)?);
+    }
+    Ok(positional)
+}
+
 /// How `query`, `batch` and `serve` configure the engine and its
 /// diagnostics: one set of flags, one parse, one [`EngineConfig`]
 /// assembly.
@@ -359,23 +382,20 @@ fn parse_rdf_file(path: &str) -> Result<Vec<sama::model::Triple>, String> {
 }
 
 fn cmd_index(args: &[String]) -> Result<(), String> {
-    let mut input = None;
-    let mut output = None;
-    let mut show_stats = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
+    let (mut output, mut show_stats) = (None, false);
+    let positional = parse_args(args, 1, |arg, rest| {
+        match arg {
+            "-o" | "--output" => output = Some(operand("-o", "a path", rest)?.clone()),
             "--stats" => show_stats = true,
-            other if input.is_none() => input = Some(not_a_flag(other)?.to_string()),
-            other => return Err(format!("unexpected argument {other:?}")),
+            _ => return Ok(false),
         }
-    }
-    let input = input.ok_or("missing input .nt/.ttl file")?;
+        Ok(true)
+    })?;
+    let input = positional.first().ok_or("missing input .nt/.ttl file")?;
     let output = output.ok_or("missing -o <index.bin>")?;
 
-    let triples = parse_rdf_file(&input)?;
-    let data = DataGraph::from_triples(&triples).map_err(|e| e.to_string())?;
+    // The parsed triples go before the build: the graph holds them.
+    let data = DataGraph::from_triples(&parse_rdf_file(input)?).map_err(|e| e.to_string())?;
     eprintln!(
         "parsed {} triples ({} nodes)",
         data.edge_count(),
@@ -425,19 +445,18 @@ fn print_open_time_and_sections(index: &MappedIndex, open_time: std::time::Durat
 }
 
 fn cmd_update(args: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
     let mut output = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-o" | "--output" => output = Some(operand("-o", "a path", &mut iter)?.clone()),
-            other => positional.push(not_a_flag(other)?.to_string()),
+    let positional = parse_args(args, usize::MAX, |arg, rest| {
+        let is_output = matches!(arg, "-o" | "--output");
+        if is_output {
+            output = Some(operand("-o", "a path", rest)?.clone());
         }
-    }
-    let [index_path, data_path] = positional.as_slice() else {
+        Ok(is_output)
+    })?;
+    let [index_path, data_path] = positional[..] else {
         return Err("usage: sama update <index.bin> <more.nt|more.ttl> [-o out.bin]".into());
     };
-    let output = output.unwrap_or_else(|| index_path.clone());
+    let output = output.unwrap_or_else(|| index_path.to_string());
 
     let mut index = load_index(index_path)?;
     let triples = parse_rdf_file(data_path)?;
@@ -459,22 +478,18 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
     let mut opts = EngineOpts::new();
-    let mut explain = false;
-    let mut explain_text = false;
-    let mut json = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let (mut explain, mut explain_text, mut json) = (false, false, false);
+    let positional = parse_args(args, usize::MAX, |arg, rest| {
+        match arg {
             "--explain" => explain = true,
             "--explain-text" => explain_text = true,
             "--json" => json = true,
-            other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(not_a_flag(other)?.to_string()),
+            _ => return opts.accept(arg, rest),
         }
-    }
-    let [index_path, query_path] = positional.as_slice() else {
+        Ok(true)
+    })?;
+    let [index_path, query_path] = positional[..] else {
         return Err("usage: sama query <index.bin> <query.rq|-> [-k N] [--explain]".into());
     };
 
@@ -617,7 +632,6 @@ fn run_query(
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
     let mut opts = EngineOpts::new();
     let mut json = false;
     let mut metrics_out: Option<String> = None;
@@ -625,19 +639,18 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut max_queue = 0usize;
     // Pool width; 0 = one worker per hardware thread.
     let mut threads = 0usize;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let positional = parse_args(args, usize::MAX, |arg, rest| {
+        match arg {
             "--json" => json = true,
-            "--max-queue" => max_queue = number(arg, &mut iter)?,
-            "--threads" => threads = number(arg, &mut iter)?,
-            "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
-            "--trace-out" => trace_out = Some(operand(arg, "a path", &mut iter)?.clone()),
-            other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(not_a_flag(other)?.to_string()),
+            "--max-queue" => max_queue = number(arg, rest)?,
+            "--threads" => threads = number(arg, rest)?,
+            "--metrics-out" => metrics_out = Some(operand(arg, "a path", rest)?.clone()),
+            "--trace-out" => trace_out = Some(operand(arg, "a path", rest)?.clone()),
+            _ => return opts.accept(arg, rest),
         }
-    }
-    let [index_path, query_paths @ ..] = positional.as_slice() else {
+        Ok(true)
+    })?;
+    let [index_path, ref query_paths @ ..] = positional[..] else {
         return Err(
             "usage: sama batch <index.bin> <q1.rq> [q2.rq ...] [-k N] [--threads N]".into(),
         );
@@ -675,7 +688,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                 .trace
                 .clone()
                 .expect("trace enabled for --trace-out")
-                .with_label(file.as_str());
+                .with_label(*file);
             lines.push_str(&trace.to_json_line());
             lines.push('\n');
             written += 1;
@@ -831,16 +844,15 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_paths(args: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
     let mut limit = 50usize;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--limit" => limit = number(arg, &mut iter)?,
-            other => positional.push(not_a_flag(other)?.to_string()),
+    let positional = parse_args(args, usize::MAX, |arg, rest| {
+        let is_limit = arg == "--limit";
+        if is_limit {
+            limit = number(arg, rest)?;
         }
-    }
-    let [index_path] = positional.as_slice() else {
+        Ok(is_limit)
+    })?;
+    let [index_path] = positional[..] else {
         return Err("usage: sama paths <index.bin> [--limit N]".into());
     };
     let index = open_index(index_path)?;
@@ -860,7 +872,6 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::time::Duration;
-    let mut positional = Vec::new();
     let mut serve_config = sama::serve::ServeConfig {
         // Connections already run side by side, one thread each; a
         // `POST /batch` gets a wider pool only when asked.
@@ -869,31 +880,23 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let mut opts = EngineOpts::new();
     let mut metrics_out: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => serve_config.addr = operand(arg, "HOST:PORT", &mut iter)?.clone(),
-            "--max-connections" => serve_config.max_connections = number(arg, &mut iter)?,
-            "--max-body-kb" => {
-                serve_config.max_body_bytes = number::<usize>(arg, &mut iter)? * 1024;
-            }
-            "--read-timeout-ms" => {
-                serve_config.read_timeout = Duration::from_millis(number(arg, &mut iter)?);
-            }
-            "--write-timeout-ms" => {
-                serve_config.write_timeout = Duration::from_millis(number(arg, &mut iter)?);
-            }
-            "--drain-ms" => {
-                serve_config.drain_grace = Duration::from_millis(number(arg, &mut iter)?);
-            }
-            "--max-queue" => serve_config.max_queue_depth = number(arg, &mut iter)?,
-            "--threads" => serve_config.batch_threads = number(arg, &mut iter)?,
-            "--metrics-out" => metrics_out = Some(operand(arg, "a path", &mut iter)?.clone()),
-            other if opts.accept(other, &mut iter)? => {}
-            other => positional.push(not_a_flag(other)?.to_string()),
+    let positional = parse_args(args, usize::MAX, |arg, rest| {
+        let c = &mut serve_config;
+        match arg {
+            "--addr" => c.addr = operand(arg, "HOST:PORT", rest)?.clone(),
+            "--max-connections" => c.max_connections = number(arg, rest)?,
+            "--max-body-kb" => c.max_body_bytes = number::<usize>(arg, rest)? * 1024,
+            "--read-timeout-ms" => c.read_timeout = Duration::from_millis(number(arg, rest)?),
+            "--write-timeout-ms" => c.write_timeout = Duration::from_millis(number(arg, rest)?),
+            "--drain-ms" => c.drain_grace = Duration::from_millis(number(arg, rest)?),
+            "--max-queue" => c.max_queue_depth = number(arg, rest)?,
+            "--threads" => c.batch_threads = number(arg, rest)?,
+            "--metrics-out" => metrics_out = Some(operand(arg, "a path", rest)?.clone()),
+            _ => return opts.accept(arg, rest),
         }
-    }
-    let [index_path] = positional.as_slice() else {
+        Ok(true)
+    })?;
+    let [index_path] = positional[..] else {
         return Err("usage: sama serve <index.bin> [--addr HOST:PORT] [-k N] ...".into());
     };
     serve_config.k = opts.k;

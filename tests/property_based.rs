@@ -205,7 +205,7 @@ proptest! {
             index.graph().as_graph().to_sorted_lines()
         );
         for (id, ip) in index.paths() {
-            prop_assert_eq!(&loaded.path(id).labels, &ip.labels);
+            prop_assert_eq!(loaded.path(id), ip);
         }
     }
 
