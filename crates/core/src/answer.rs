@@ -6,8 +6,10 @@
 use crate::cluster::ClusterEntry;
 use crate::score::ScoreBreakdown;
 use path_index::{IndexLike, PathId};
-use rdf_model::{EdgeId, Graph, LabelId};
+use rdf_model::{EdgeId, FxHashMap, Graph, LabelId, NodeId, Term};
 use std::ops::Range;
+
+const WITHIN_PARENT: &str = "subgraph cannot exceed parent capacity";
 
 /// The path chosen for one query path.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,32 +85,41 @@ impl Answer {
         out
     }
 
-    /// The data edges of the answer: the union of the edges of all
-    /// chosen paths, ascending, each once. Single-node paths and
-    /// uncovered query paths contribute none.
-    pub(crate) fn edge_ids(&self, index: &impl IndexLike) -> Vec<EdgeId> {
-        let mut edge_ids: Vec<EdgeId> = Vec::new();
-        for c in &self.choices {
-            if let Some(e) = &c.entry {
-                edge_ids.extend(index.path_edges(e.path_id).iter().copied());
-            }
+    /// The data edges of the answer with their endpoints: the union of
+    /// the edges of all chosen paths, ascending by edge id, each once.
+    /// Single-node paths and uncovered query paths contribute none.
+    pub(crate) fn edges(&self, index: &impl IndexLike) -> Vec<(EdgeId, NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        for e in self.choices.iter().filter_map(|c| c.entry.as_ref()) {
+            // Edge `i` of a path runs from its node `i` to its node `i + 1`.
+            let nodes = index.path_nodes(e.path_id);
+            let path_edges = index.path_edges(e.path_id).iter().enumerate();
+            edges.extend(path_edges.map(|(i, &edge)| (edge, nodes[i], nodes[i + 1])));
         }
-        edge_ids.sort_unstable();
-        edge_ids.dedup();
-        edge_ids
+        edges.sort_unstable_by_key(|&(edge, ..)| edge);
+        edges.dedup_by_key(|&mut (edge, ..)| edge);
+        edges
     }
 
-    /// Assemble the answer subgraph `G' ⊆ G`: the union of the edges of
-    /// all chosen paths. Single-node paths contribute their node via the
-    /// mapping only when an edge touches it; answers made purely of
-    /// single-node paths produce an empty graph. Needs the index's data
-    /// graph; to print an answer use [`Answer::triple_lines`], which
-    /// does not.
+    /// Assemble the answer subgraph `G' ⊆ G` — the union of the edges
+    /// of all chosen paths — from the index's labels, mapping nodes by
+    /// node id in the order the edges (ascending by id) first reach
+    /// them, as [`Graph::subgraph_from_edges`] does.
+    /// Answers made purely of single-node paths produce an empty graph.
+    /// To print an answer use [`Answer::triple_lines`], which builds no
+    /// graph.
     pub fn subgraph(&self, index: &impl IndexLike) -> Graph {
-        let (sub, _) = index
-            .data()
-            .as_graph()
-            .subgraph_from_edges(&self.edge_ids(index));
+        let term = |label| Term::from_parts(index.label_kind(label), index.label_lexical(label));
+        let (mut sub, mut mapped) = (Graph::new(), FxHashMap::<NodeId, NodeId>::default());
+        for (edge, from, to) in self.edges(index) {
+            let (s, p, o) = index.edge_labels(edge);
+            let [from, to] = [(from, s), (to, o)].map(|(n, label)| {
+                *mapped
+                    .entry(n)
+                    .or_insert_with(|| sub.add_node(&term(label)).expect(WITHIN_PARENT))
+            });
+            sub.add_edge(from, to, &term(p)).expect(WITHIN_PARENT);
+        }
         sub
     }
 
@@ -138,7 +149,7 @@ impl Answer {
     ) {
         text.clear();
         lines.clear();
-        for edge in self.edge_ids(index) {
+        for (edge, ..) in self.edges(index) {
             let start = text.len();
             let (s, p, o) = index.edge_labels(edge);
             for (i, label) in [s, p, o].into_iter().enumerate() {

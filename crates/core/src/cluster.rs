@@ -1,13 +1,14 @@
 //! The clustering step (paper, Section 5 "Clustering").
 //!
 //! One cluster per query path `q ∈ PQ`. Candidate data paths are
-//! retrieved through the index: paths whose *sink* matches the sink of
-//! `q`; if the sink of `q` is a variable, paths containing a label
-//! matching the first constant found scanning `q` backward from the
-//! sink. Each admitted path is aligned against `q` ("before the
-//! insertion of a path p in the cluster for q, we evaluate the
-//! alignment needed to obtain p from q") and clusters are kept sorted
-//! by alignment quality, best (lowest λ) first.
+//! retrieved through the index: paths whose *sink* carries a label the
+//! sink of `q` accepts; if there are none, paths containing a label
+//! that the first constant found scanning `q` backward from the sink
+//! accepts — the labels decomposition resolved each constant to (its
+//! own and its synonyms'). Each admitted path is aligned against `q`
+//! ("before the insertion of a path p in the cluster for q, we evaluate
+//! the alignment needed to obtain p from q") and clusters are kept
+//! sorted by alignment quality, best (lowest λ) first.
 
 use crate::align::{align, align_lambda, Alignment, AlignmentMode};
 use crate::deadline::QueryBudget;
@@ -15,7 +16,7 @@ use crate::frontier::{from_total_order_key, total_order_key};
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
-use path_index::{IndexLike, LabelsRef, LshCandidate, NoSynonyms, PathId, SynonymProvider};
+use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
 use rdf_model::{FxHashMap, LabelId};
 use std::collections::BinaryHeap;
 
@@ -214,6 +215,10 @@ impl Cluster {
 
 /// Build all clusters for the decomposed query `qpaths` against `index`,
 /// on the calling thread.
+///
+/// `synonyms` is unused: `qpaths` already accept every synonym's label,
+/// decomposition put them there. The parameter stays because the frozen
+/// performance ledger calls this signature; delete with ROADMAP 1a.
 pub fn build_clusters<I: IndexLike>(
     qpaths: &[QueryPath],
     index: &I,
@@ -222,10 +227,10 @@ pub fn build_clusters<I: IndexLike>(
     mode: AlignmentMode,
     config: &ClusterConfig,
 ) -> Vec<Cluster> {
+    let _ = synonyms;
     build_clusters_budgeted(
         qpaths,
         index,
-        synonyms,
         params,
         mode,
         config,
@@ -244,7 +249,6 @@ pub fn build_clusters<I: IndexLike>(
 pub fn build_clusters_budgeted<I: IndexLike>(
     qpaths: &[QueryPath],
     index: &I,
-    synonyms: &dyn SynonymProvider,
     params: &ScoreParams,
     mode: AlignmentMode,
     config: &ClusterConfig,
@@ -267,7 +271,7 @@ pub fn build_clusters_budgeted<I: IndexLike>(
                     tier: ClusterTier::Exact,
                 };
             }
-            build_cluster(q, index, synonyms, params, mode, config, budget)
+            build_cluster(q, index, params, mode, config, budget)
         })
         .collect()
 }
@@ -276,11 +280,9 @@ pub fn build_clusters_budgeted<I: IndexLike>(
 /// during clustering.
 pub const ALIGN_CHECK_INTERVAL: usize = 256;
 
-#[allow(clippy::too_many_arguments)]
 fn build_cluster<I: IndexLike>(
     q: &QueryPath,
     index: &I,
-    synonyms: &dyn SynonymProvider,
     params: &ScoreParams,
     mode: AlignmentMode,
     config: &ClusterConfig,
@@ -288,7 +290,7 @@ fn build_cluster<I: IndexLike>(
 ) -> Cluster {
     sama_obs::fault::point("cluster.align");
     let retrieve_span = sama_obs::span!("cluster.retrieve_ns");
-    let (exact, sink) = retrieve_candidates(q, index, synonyms, config);
+    let (exact, sink) = retrieve_candidates(q, index, config);
     let retrieved = exact.len();
     let (candidates, lsh_pruned) = lsh_filter(q, index, exact, config);
     drop(retrieve_span);
@@ -449,15 +451,11 @@ fn query_shingles(q: &QueryPath) -> Vec<u64> {
         }
     }
     let mut shingles = Vec::new();
-    for label in &seq {
-        if let QueryLabel::Const { accepted, .. } = label {
-            shingles.extend(accepted.iter().map(|&l| unigram_shingle(l)));
-        }
+    for accepted in seq.iter().filter_map(|label| label.accepted()) {
+        shingles.extend(accepted.iter().map(|&l| unigram_shingle(l)));
     }
     for pair in seq.windows(2) {
-        if let (QueryLabel::Const { accepted: a, .. }, QueryLabel::Const { accepted: b, .. }) =
-            (pair[0], pair[1])
-        {
+        if let (Some(a), Some(b)) = (pair[0].accepted(), pair[1].accepted()) {
             for &x in a.iter() {
                 shingles.extend(b.iter().map(|&y| bigram_shingle(x, y)));
             }
@@ -660,10 +658,8 @@ impl<'a, I: IndexLike + ?Sized> ShapePrices<'a, I> {
         let mut keys = vec![i64::MAX; 2 * shapes];
         let mut node_labels = Vec::new();
         for &bit in bits {
-            let sink_label = match q.sink() {
-                QueryLabel::Const { accepted, .. } if bit => {
-                    accepted.first().copied().unwrap_or(NO_LABEL)
-                }
+            let sink_label = match q.sink().accepted() {
+                Some(&[first, ..]) if bit => first,
                 _ => NO_LABEL,
             };
             for shape in 0..shapes {
@@ -734,10 +730,7 @@ impl Touched {
         let mut labels: Vec<LabelId> = memo
             .inner_consts
             .iter()
-            .flat_map(|constant| match constant {
-                QueryLabel::Const { accepted, .. } => &accepted[..],
-                QueryLabel::Var(_) => &[],
-            })
+            .flat_map(|constant| constant.accepted().unwrap_or_default())
             .copied()
             .collect();
         labels.sort_unstable();
@@ -749,10 +742,7 @@ impl Touched {
         let mut scored: FxHashMap<PathId, i64> = FxHashMap::default();
         let mut read = 0usize;
         for label in labels {
-            // An accepted label is what `constant_label` resolves its
-            // lexical form to (`decompose_query`), so that form names
-            // the label's postings.
-            for pid in index.label_matching(index.label_lexical(label), &NoSynonyms) {
+            for pid in index.paths_containing(&[label]) {
                 if scored.contains_key(&pid) {
                     continue;
                 }
@@ -843,7 +833,7 @@ pub fn memoised_lambdas<I: IndexLike + ?Sized>(
     params: &ScoreParams,
     mode: AlignmentMode,
 ) -> (Vec<f64>, usize) {
-    let sink = sink_bit(q, index, None);
+    let sink = sink_bit(q);
     let prices = ShapePrices::new(q, index, sink, params, mode);
     let mut memo = LambdaMemo::new(q, index, params, mode);
     let touched =
@@ -946,75 +936,48 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
 /// queries whose anchors are absent from the data still retrieve
 /// candidates:
 ///
-/// 1. sink constant → sink-label lookup;
+/// 1. sink constant → the paths ending in a label it accepts;
 /// 2. each constant scanning backward from the sink (including the sink
-///    itself) → containment lookup, first non-empty wins;
-/// 3. pure-variable path, or every constant absent → full scan if
-///    allowed.
+///    itself) → the paths containing a label it accepts, first non-empty
+///    wins;
+/// 3. pure-variable path, or no constant accepting a label on any path
+///    → full scan if allowed.
 ///
-/// Returns the list and the sink bit the rule fixes for it.
+/// Returns the list and the sink bit the rule fixes for it: every path
+/// of step 1 ends in an accepted label, and no path does once step 1
+/// found none.
 fn retrieve_candidates<I: IndexLike>(
     q: &QueryPath,
     index: &I,
-    synonyms: &dyn SynonymProvider,
     config: &ClusterConfig,
 ) -> (Vec<PathId>, SinkBit) {
     if config.exhaustive {
-        return (index.all_path_ids(), sink_bit(q, index, None));
+        return (index.all_path_ids(), sink_bit(q));
     }
-    if let Some(lexical) = q.sink().lexical() {
-        let by_sink = index.sink_matching(lexical, synonyms);
+    if let Some(accepted) = q.sink().accepted() {
+        let by_sink = index.paths_ending_in(accepted);
         if !by_sink.is_empty() {
-            return (by_sink, sink_bit(q, index, Some((synonyms, true))));
+            return (by_sink, SinkBit::Fixed(true));
         }
     }
-    let bit = sink_bit(q, index, Some((synonyms, false)));
-    for anchor in q.constants_from_sink() {
-        let lexical = anchor.lexical().expect("anchor is a constant");
-        let hits = index.label_matching(lexical, synonyms);
-        if !hits.is_empty() {
-            return (hits, bit);
-        }
-    }
-    if config.allow_full_scan {
-        (index.all_path_ids(), bit)
-    } else {
-        (Vec::new(), bit)
-    }
+    let anchored = q
+        .constants_from_sink()
+        .map(|anchor| index.paths_containing(anchor.accepted().expect("anchor is a constant")))
+        .find(|hits| !hits.is_empty());
+    let list = anchored.unwrap_or_else(|| match config.allow_full_scan {
+        true => index.all_path_ids(),
+        false => Vec::new(),
+    });
+    (list, SinkBit::Fixed(false))
 }
 
-/// The sink bit of every candidate of a list, where the rule that
-/// retrieved it fixes one. `lookup` is the sink-label lookup that ran:
-/// the synonyms it widened the sink's lexical form with, and whether the
-/// list is its result (`true`) or it found no path (`false`); `None` for
-/// a list that owes nothing to it (`exhaustive`).
-///
-/// An accepted label is what `constant_label` resolves its lexical form
-/// to, so a name an accepted label carries resolves to that label. The
-/// lookup's postings are then all admitted when every name it looked up
-/// is an accepted label's; and when it found nothing, no path ends in an
-/// admitted label if every accepted label's name was looked up.
-fn sink_bit<I: IndexLike + ?Sized>(
-    q: &QueryPath,
-    index: &I,
-    lookup: Option<(&dyn SynonymProvider, bool)>,
-) -> SinkBit {
-    let QueryLabel::Const { accepted, lexical } = q.sink() else {
-        return SinkBit::Fixed(false);
-    };
-    if accepted.is_empty() {
-        return SinkBit::Fixed(false);
-    }
-    let Some((synonyms, found)) = lookup else {
-        return SinkBit::PerCandidate;
-    };
-    let widened = synonyms.synonyms(lexical);
-    let looked_up = || std::iter::once(&**lexical).chain(widened.iter().map(String::as_str));
-    let named: Vec<&str> = accepted.iter().map(|&l| index.label_lexical(l)).collect();
-    match found {
-        true if looked_up().all(|name| named.contains(&name)) => SinkBit::Fixed(true),
-        false if named.iter().all(|&name| looked_up().any(|n| n == name)) => SinkBit::Fixed(false),
-        _ => SinkBit::PerCandidate,
+/// The sink bit of a list that owes nothing to the sink postings
+/// (`exhaustive`, [`memoised_lambdas`]): read per candidate, unless the
+/// sink accepts no label at all.
+fn sink_bit(q: &QueryPath) -> SinkBit {
+    match q.sink().accepted() {
+        Some([_, ..]) => SinkBit::PerCandidate,
+        _ => SinkBit::Fixed(false),
     }
 }
 

@@ -142,7 +142,6 @@ impl QueryResult {
     ) -> Option<String> {
         use std::fmt::Write;
         let answer = self.answers.get(rank)?;
-        let graph = index.data().as_graph();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -168,11 +167,7 @@ impl QueryResult {
                     let _ = writeln!(
                         out,
                         "\n      → {} [λ={}{}]",
-                        path_index::display_parts(
-                            graph,
-                            index.path_nodes(entry.path_id),
-                            index.path_edges(entry.path_id),
-                        ),
+                        path_index::display_path(index, entry.path_id),
                         entry.lambda(),
                         if counts.is_exact() {
                             ", exact".to_string()
@@ -489,7 +484,6 @@ impl<I: IndexLike> SamaEngine<I> {
         let clusters = build_clusters_budgeted(
             &query_paths,
             &self.index,
-            self.synonyms.as_ref(),
             &self.params,
             self.config.alignment,
             &self.config.cluster,
@@ -524,7 +518,7 @@ impl<I: IndexLike> SamaEngine<I> {
             // same exact-fallback stance as the retrieval tiers.
             return;
         };
-        apply_ic_weights(query_paths, &self.index, &table);
+        apply_ic_weights(query_paths, &table);
         obs::counter_add("score.ic_queries_total", 1);
         obs::gauge_set("score.ic_labels", table.len() as i64);
     }

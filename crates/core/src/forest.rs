@@ -12,7 +12,7 @@
 use crate::cluster::Cluster;
 use crate::igraph::IntersectionGraph;
 use crate::score::{chi_count_sorted, conformity_ratio};
-use path_index::{display_parts, IndexLike, PathId};
+use path_index::{display_path, IndexLike, PathId};
 use std::fmt;
 
 /// A node of the forest: one candidate path of one cluster.
@@ -136,18 +136,13 @@ pub struct ForestDisplay<'a, I> {
 
 impl<I: IndexLike> fmt::Display for ForestDisplay<'_, I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let graph = self.index.data().as_graph();
         for (i, n) in self.forest.nodes.iter().enumerate() {
             writeln!(
                 f,
                 "[{i}] cluster q{} rank {}: {} (λ={})",
                 n.cluster,
                 n.rank,
-                display_parts(
-                    graph,
-                    self.index.path_nodes(n.path_id),
-                    self.index.path_edges(n.path_id)
-                ),
+                display_path(self.index, n.path_id),
                 n.lambda()
             )?;
         }

@@ -190,9 +190,9 @@ mod reference {
             out.push_str("\"triples\":[");
             let term = |label| index.label_kind(label).display(index.label_lexical(label));
             let mut lines: Vec<String> = answer
-                .edge_ids(index)
+                .edges(index)
                 .into_iter()
-                .map(|edge| {
+                .map(|(edge, ..)| {
                     let (s, p, o) = index.edge_labels(edge);
                     format!("{} {} {}", term(s), term(p), term(o))
                 })

@@ -23,7 +23,11 @@ pub enum QueryLabel {
     Const {
         /// Acceptable data labels, sorted ascending.
         accepted: Box<[LabelId]>,
-        /// The constant's lexical form (for anchoring and display).
+        /// The data label the lexical form itself resolves to, apart
+        /// from its synonyms' (`None` if the data lacks it). One of
+        /// `accepted` when present; what IC weighting prices.
+        own: Option<LabelId>,
+        /// The constant's lexical form (for display).
         lexical: Box<str>,
     },
 }
@@ -32,16 +36,23 @@ impl QueryLabel {
     /// `true` if this label admits `data_label`.
     #[inline]
     pub fn admits(&self, data_label: LabelId) -> bool {
-        match self {
-            QueryLabel::Var(_) => true,
-            QueryLabel::Const { accepted, .. } => accepted.binary_search(&data_label).is_ok(),
-        }
+        self.accepted()
+            .is_none_or(|accepted| accepted.binary_search(&data_label).is_ok())
     }
 
     /// `true` if this is a variable.
     #[inline]
     pub fn is_var(&self) -> bool {
         matches!(self, QueryLabel::Var(_))
+    }
+
+    /// The data labels a constant accepts; `None` for a variable.
+    #[inline]
+    pub fn accepted(&self) -> Option<&[LabelId]> {
+        match self {
+            QueryLabel::Var(_) => None,
+            QueryLabel::Const { accepted, .. } => Some(accepted),
+        }
     }
 
     /// The constant's lexical form, if a constant.
@@ -118,12 +129,6 @@ impl QueryPath {
             node.into_iter().chain(edge)
         })
     }
-
-    /// The first *constant* label scanning from the sink backwards —
-    /// the clustering fallback anchor when the sink is a variable.
-    pub fn first_constant_from_sink(&self) -> Option<&QueryLabel> {
-        self.constants_from_sink().next()
-    }
 }
 
 /// Decompose `query` into `PQ` and translate labels against
@@ -166,22 +171,17 @@ pub fn decompose_query(
 }
 
 /// Stamp IC mismatch weights onto each decomposed query path: a
-/// constant label weighs its information content in the data corpus
-/// (absent constants weigh [`IcTable::absent_weight`], maximal);
-/// variables weigh `1.0` — a variable never mismatches, so the value is
-/// inert and kept neutral.
-pub fn apply_ic_weights(
-    qpaths: &mut [QueryPath],
-    data_vocab: &(impl ConstantLookup + ?Sized),
-    table: &IcTable,
-) {
+/// constant label weighs the information content of its own data label
+/// in the corpus — not its synonyms' — (absent constants weigh
+/// [`IcTable::absent_weight`], maximal); variables weigh `1.0` — a
+/// variable never mismatches, so the value is inert and kept neutral.
+pub fn apply_ic_weights(qpaths: &mut [QueryPath], table: &IcTable) {
     let weight_of = |label: &QueryLabel| -> f64 {
-        match label.lexical() {
-            None => 1.0,
-            Some(lexical) => match data_vocab.get_constant(lexical) {
-                Some(id) => table.weight(id),
-                None => table.absent_weight(),
-            },
+        match label {
+            QueryLabel::Var(_) => 1.0,
+            QueryLabel::Const { own, .. } => {
+                own.map_or(table.absent_weight(), |id| table.weight(id))
+            }
         }
     };
     for qp in qpaths {
@@ -229,10 +229,8 @@ fn translate(
         return QueryLabel::Var(label);
     }
     let lexical = qv.lexical(label);
-    let mut accepted: Vec<LabelId> = Vec::new();
-    if let Some(id) = data_vocab.get_constant(lexical) {
-        accepted.push(id);
-    }
+    let own = data_vocab.get_constant(lexical);
+    let mut accepted: Vec<LabelId> = own.into_iter().collect();
     for synonym in synonyms.synonyms(lexical) {
         if let Some(id) = data_vocab.get_constant(&synonym) {
             accepted.push(id);
@@ -242,6 +240,7 @@ fn translate(
     accepted.dedup();
     QueryLabel::Const {
         accepted: accepted.into_boxed_slice(),
+        own,
         lexical: Box::from(lexical),
     }
 }
@@ -291,9 +290,14 @@ mod tests {
         let long = paths.iter().find(|p| p.len() == 4).unwrap();
         // Sink HC resolves to the data literal.
         match long.sink() {
-            QueryLabel::Const { accepted, lexical } => {
+            QueryLabel::Const {
+                accepted,
+                own,
+                lexical,
+            } => {
                 assert_eq!(&**lexical, "HC");
                 assert_eq!(accepted.len(), 1);
+                assert_eq!(*own, Some(accepted[0]));
             }
             other => panic!("expected constant sink, got {other:?}"),
         }
@@ -321,7 +325,12 @@ mod tests {
         let paths = decompose_query(&q, &vocab, &t, &Default::default());
         let male_path = paths.iter().find(|p| p.len() == 2).unwrap();
         match male_path.sink() {
-            QueryLabel::Const { accepted, .. } => assert_eq!(accepted.len(), 1),
+            // `Male` is absent: it accepts `CB`'s label, and has none of
+            // its own.
+            QueryLabel::Const { accepted, own, .. } => {
+                assert_eq!(&accepted[..], &[vocab.get_constant("CB").unwrap()]);
+                assert_eq!(*own, None);
+            }
             other => panic!("expected constant, got {other:?}"),
         }
     }
@@ -337,7 +346,7 @@ mod tests {
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert!(p.sink().is_var());
-        let anchor = p.first_constant_from_sink().unwrap();
+        let anchor = p.constants_from_sink().next().unwrap();
         // Scanning backward: ?y (var), q (edge, constant) → anchor = q.
         assert_eq!(anchor.lexical(), Some("q"));
     }
@@ -349,7 +358,7 @@ mod tests {
         let q = b.build();
         let paths = decompose_query(&q, &data_vocab(), &NoSynonyms, &Default::default());
         assert_eq!(paths.len(), 1);
-        assert!(paths[0].first_constant_from_sink().is_none());
+        assert!(paths[0].constants_from_sink().next().is_none());
     }
 
     #[test]
@@ -361,7 +370,7 @@ mod tests {
         let counts: Vec<u64> = (0..vocab.len() as u64).map(|i| i + 1).collect();
         let total = counts.iter().sum();
         let table = path_index::IcTable::from_counts(&path_index::IcCounts { counts, total });
-        apply_ic_weights(&mut paths, &vocab, &table);
+        apply_ic_weights(&mut paths, &table);
         for p in &paths {
             let nw = p.node_weights.as_ref().unwrap();
             assert_eq!(nw.len(), p.nodes.len());
@@ -383,6 +392,26 @@ mod tests {
         );
     }
 
+    /// A synonym widens what a constant accepts, not what it weighs: an
+    /// absent `Male` that accepts `HC`'s label still weighs as absent.
+    #[test]
+    fn ic_weights_price_a_constants_own_label() {
+        let vocab = data_vocab();
+        let mut t = Thesaurus::new();
+        t.group(["Male", "HC"]);
+        let mut paths = decompose_query(&q1(), &vocab, &t, &Default::default());
+        let counts: Vec<u64> = (0..vocab.len() as u64).map(|i| i + 1).collect();
+        let total = counts.iter().sum();
+        let table = path_index::IcTable::from_counts(&path_index::IcCounts { counts, total });
+        apply_ic_weights(&mut paths, &table);
+        let hc = vocab.get_constant("HC").unwrap();
+        let male_path = paths.iter().find(|p| p.len() == 2).unwrap();
+        assert!(male_path.sink().admits(hc));
+        assert_eq!(male_path.node_weight(1), table.absent_weight());
+        let long = paths.iter().find(|p| p.len() == 4).unwrap();
+        assert_eq!(long.node_weight(3), table.weight(hc));
+    }
+
     #[test]
     fn unstamped_paths_weigh_one_everywhere() {
         let q = q1();
@@ -401,6 +430,7 @@ mod tests {
     fn admits_checks_membership() {
         let c = QueryLabel::Const {
             accepted: Box::new([LabelId(3), LabelId(7)]),
+            own: Some(LabelId(3)),
             lexical: Box::from("x"),
         };
         assert!(c.admits(LabelId(3)));

@@ -31,7 +31,7 @@ use sama_core::{
 };
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
-use support::{arb_dag_triples, Probe};
+use support::{arb_constant_mix_query, arb_dag_triples, reference_candidates, Probe};
 
 const MODES: [AlignmentMode; 2] = [AlignmentMode::Greedy, AlignmentMode::Optimal];
 
@@ -99,33 +99,6 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // memoised score ≡ align_lambda
-
-/// A chain query of up to 14 nodes. Each node is a variable, one of the
-/// data's `n*` constants, or a constant the data does not have (`x<i>`,
-/// one per position, so `accepted` is empty); predicates as in
-/// [`arb_chain_query`]. Constants therefore land at the sink only, the
-/// source only, the interior only, everywhere or nowhere, and a long
-/// chain of them against a seven-node data path overflows the memo's
-/// packed key.
-fn arb_constant_mix_query() -> impl Strategy<Value = Vec<Triple>> {
-    proptest::collection::vec((0usize..14, 0usize..4), 2..=14).prop_map(|spec| {
-        let node = |i: usize, pick: usize| match pick {
-            0..=5 => format!("n{pick}"),
-            6..=9 => format!("x{i}"),
-            _ => format!("?v{i}"),
-        };
-        spec.windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                Triple::parse(
-                    &node(i, w[0].0),
-                    &format!("p{}", w[0].1),
-                    &node(i + 1, w[1].0),
-                )
-            })
-            .collect()
-    })
-}
 
 /// Every candidate's memoised λ against `align_lambda`, for every
 /// query path in `qpaths` and both modes.
@@ -369,16 +342,11 @@ fn oracle<I: IndexLike>(
 
 /// The query's one path, plain and IC-weighted.
 fn query_paths<I: IndexLike>(index: &I, query: &QueryGraph) -> [(Vec<QueryPath>, bool); 2] {
-    let plain = decompose_query(
-        query,
-        index.data().vocab(),
-        &NoSynonyms,
-        &ExtractionConfig::default(),
-    );
+    let plain = decompose_query(query, index, &NoSynonyms, &ExtractionConfig::default());
     assert_eq!(plain.len(), 1, "one query path, one cluster");
     let mut weighted = plain.clone();
     let table = index.ic_table().expect("a mapped index tallies IC");
-    apply_ic_weights(&mut weighted, index.data().vocab(), &table);
+    apply_ic_weights(&mut weighted, &table);
     [(plain, false), (weighted, true)]
 }
 
@@ -401,7 +369,6 @@ fn fill(
     let mut clusters = build_clusters_budgeted(
         qpaths,
         &*tripwire,
-        &NoSynonyms,
         &ScoreParams::paper(),
         mode,
         &ClusterConfig {
@@ -547,47 +514,15 @@ fn a_stop_that_beats_a_tripped_budget_leaves_a_complete_cluster() {
     }
 }
 
-/// The list `build_clusters` fills `q`'s cluster from, by the retrieval
-/// cascade of `ClusterConfig` (LSH aside): every path when exhaustive,
-/// else the sink lookup, else the first constant from the sink that
-/// retrieves anything, else every path when a full scan is allowed;
-/// then the first `max_candidates`.
-fn retrieved<I: IndexLike>(
-    q: &QueryPath,
-    index: &I,
-    synonyms: &dyn SynonymProvider,
-    config: &ClusterConfig,
-) -> Vec<PathId> {
-    let lookups =
-        q.sink()
-            .lexical()
-            .map(|sink| index.sink_matching(sink, synonyms))
-            .into_iter()
-            .chain(q.constants_from_sink().map(|anchor| {
-                index.label_matching(anchor.lexical().expect("a constant"), synonyms)
-            }));
-    let mut list = match config.exhaustive {
-        true => index.all_path_ids(),
-        false => lookups
-            .into_iter()
-            .find(|hits| !hits.is_empty())
-            .unwrap_or_else(|| match config.allow_full_scan {
-                true => index.all_path_ids(),
-                false => Vec::new(),
-            }),
-    };
-    list.truncate(config.max_candidates);
-    list
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random data and queries, every retrieval rule: sink lookups,
-    /// anchors, full scans, `exhaustive` and capped lists; accepted sets
-    /// plain or widened, and the lookup widened or not, so the sink bit
-    /// is fixed for the list or read per candidate; uniform, positive
-    /// and partly negative weights; caps 1, 2 and 8.
+    /// anchors, full scans, `exhaustive` and capped lists, so the sink
+    /// bit is fixed for the list or read per candidate; accepted sets
+    /// plain or widened through a thesaurus; uniform, positive and partly
+    /// negative weights; caps 1, 2 and 8. Each list is the reference
+    /// rule's, which resolves the constants itself.
     #[test]
     fn every_list_fills_to_the_oracle_cut(
         data in arb_dag_triples(8, 14),
@@ -620,100 +555,32 @@ proptest! {
             ClusterConfig { max_candidates: 3, ..Default::default() },
             ClusterConfig { allow_full_scan: false, ..Default::default() },
         ];
-        let synonyms: [&dyn SynonymProvider; 2] = [&NoSynonyms, &thesaurus];
-        for qpaths in [&plain, &stamp(false), &stamp(true), &widened] {
-            for synonyms in synonyms {
-                for config in &configs {
-                    for cap in [1, 2, 8] {
-                        for mode in MODES {
-                            let config = ClusterConfig { max_cluster_size: cap, ..*config };
-                            let clusters = build_clusters(
-                                qpaths, &index, synonyms, &ScoreParams::paper(), mode, &config,
-                            );
-                            for (q, got) in qpaths.iter().zip(&clusters) {
-                                let list = retrieved(q, &index, synonyms, &config);
-                                let (want, stop) = oracle(q, &index, &list, mode, cap);
-                                let what = format!("{q:?} {config:?} {mode:?}");
-                                prop_assert!(got.scanned >= stop && got.scanned <= list.len(), "{}", what);
-                                prop_assert!(got.touched <= got.scanned, "{}", what);
-                                assert_entries_equal(&what, &got.entries, &want);
-                            }
+        let cases: [(&[QueryPath], &dyn SynonymProvider); 4] = [
+            (&plain, &NoSynonyms),
+            (&stamp(false), &NoSynonyms),
+            (&stamp(true), &NoSynonyms),
+            (&widened, &thesaurus),
+        ];
+        for (qpaths, synonyms) in cases {
+            for config in &configs {
+                for cap in [1, 2, 8] {
+                    for mode in MODES {
+                        let config = ClusterConfig { max_cluster_size: cap, ..*config };
+                        let clusters = build_clusters(
+                            qpaths, &index, &NoSynonyms, &ScoreParams::paper(), mode, &config,
+                        );
+                        for (q, got) in qpaths.iter().zip(&clusters) {
+                            let mut list = reference_candidates(q, &index, synonyms, &config);
+                            list.truncate(config.max_candidates);
+                            let (want, stop) = oracle(q, &index, &list, mode, cap);
+                            let what = format!("{q:?} {config:?} {mode:?}");
+                            prop_assert!(got.scanned >= stop && got.scanned <= list.len(), "{}", what);
+                            prop_assert!(got.touched <= got.scanned, "{}", what);
+                            assert_entries_equal(&what, &got.entries, &want);
                         }
                     }
                 }
             }
-        }
-    }
-}
-
-/// Where the sink lookup and the query path's accepted sets disagree,
-/// the retrieval rule fixes no sink bit and the fill reads each
-/// candidate's sink. 300 `"Health"` chains come first in content order,
-/// then 300 `"HC"` chains, 300 `"Female"` stubs and 300 `"Male"` ones;
-/// the thesaurus has `HC` ≡ `Health` and `M` ≡ `Male`. A lookup through
-/// the thesaurus for an `"HC"` sink decomposed
-/// without it retrieves the `"Health"` chains too, though their sink is
-/// not admitted; a sink `"M"` widened to `Male` but looked up without
-/// the thesaurus finds no path and falls through to the `gender`
-/// anchor, whose `Male` stubs are admitted. Priced with the wrong bit,
-/// either cut would take the first ten candidates of the list.
-#[test]
-fn the_sink_bit_is_read_where_the_lookup_does_not_fix_it() {
-    let mut b = DataGraph::builder();
-    for (sink, prefix) in [("\"Health\"", "a"), ("\"HC\"", "b")] {
-        for i in 0..300 {
-            b.triple_str(&format!("{prefix}{i}"), "sponsor", &format!("{prefix}B{i}"))
-                .unwrap();
-            b.triple_str(&format!("{prefix}B{i}"), "subject", sink)
-                .unwrap();
-        }
-    }
-    for (sink, prefix) in [("\"Female\"", "f"), ("\"Male\"", "m")] {
-        for i in 0..300 {
-            b.triple_str(&format!("{prefix}{i}"), "gender", sink)
-                .unwrap();
-        }
-    }
-    let index = MappedIndex::build(b.build()).expect("builds");
-    let mut thesaurus = Thesaurus::new();
-    thesaurus.group(["HC", "Health"]);
-    thesaurus.group(["M", "Male"]);
-    let decompose = |triples: &[(&str, &str, &str)], synonyms: &dyn SynonymProvider| {
-        let mut q = QueryGraph::builder();
-        for (s, p, o) in triples {
-            q.triple_str(s, p, o).unwrap();
-        }
-        decompose_query(&q.build(), &index, synonyms, &ExtractionConfig::default())
-    };
-    let hc = decompose(
-        &[("?x", "sponsor", "?b"), ("?b", "subject", "\"HC\"")],
-        &NoSynonyms,
-    );
-    let m = decompose(&[("?p", "gender", "\"M\"")], &thesaurus);
-    let cases: [(&str, &[QueryPath], &dyn SynonymProvider); 2] = [
-        ("HC through the thesaurus", &hc, &thesaurus),
-        ("M widened, looked up plain", &m, &NoSynonyms),
-    ];
-    for (what, qpaths, synonyms) in cases {
-        for mode in MODES {
-            let config = ClusterConfig {
-                max_cluster_size: 10,
-                ..Default::default()
-            };
-            let clusters = build_clusters(
-                qpaths,
-                &index,
-                synonyms,
-                &ScoreParams::paper(),
-                mode,
-                &config,
-            );
-            let list = retrieved(&qpaths[0], &index, synonyms, &config);
-            assert_eq!(list.len(), 600, "{what}");
-            let (want, stop) = oracle(&qpaths[0], &index, &list, mode, 10);
-            assert_eq!(want[0].lambda(), 0.0, "{what}");
-            assert!(clusters[0].scanned >= stop, "{what}");
-            assert_entries_equal(&format!("{what} {mode:?}"), &clusters[0].entries, &want);
         }
     }
 }

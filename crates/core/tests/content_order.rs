@@ -1,6 +1,6 @@
 //! The content-order contract of `IndexLike`: every candidate list an
-//! index hands out — sink and label postings, synonym unions of them,
-//! `all_path_ids`, and what the LSH tier leaves of a list — is strictly
+//! index hands out — the sink and label postings of one label or a union
+//! of several, `all_path_ids`, and what the LSH tier leaves of a list — is strictly
 //! increasing in `(path_nodes, path_edges)`, for the mapped index and a
 //! wrapper forwarding to it. The cluster fill
 //! breaks λ ties by candidate position and stops once its heap is full
@@ -13,12 +13,12 @@ use path_index::{
     SynonymProvider, Thesaurus,
 };
 use proptest::prelude::*;
-use rdf_model::{DataGraph, QueryGraph, Term, Triple};
+use rdf_model::{DataGraph, LabelId, QueryGraph, Term, Triple};
 use sama_core::{
     build_clusters, decompose_query, AlignmentMode, ClusterConfig, Retrieval, ScoreParams,
 };
 use std::collections::BTreeSet;
-use support::{arb_dag_triples, Probe};
+use support::{arb_dag_triples, reference_lookup, Probe};
 
 const LSH: LshParams = LshParams { bands: 8, rows: 2 };
 
@@ -38,28 +38,51 @@ fn thesaurus() -> Thesaurus {
     t
 }
 
-/// `all_path_ids` lists every path once, and each lookup — alone and
-/// through the thesaurus — is in content order; a union holds exactly
-/// the paths of the lists it merges.
+/// `all_path_ids` lists every path once, and each lookup — of one label,
+/// of a label twice, and of a label with its synonyms' — is in content
+/// order; a union holds exactly the paths of the lists it merges, and is
+/// what the lexical reference rule retrieves through the thesaurus.
 fn check_lookups<I: IndexLike>(kind: &str, index: &I) {
     let all = index.all_path_ids();
     assert_eq!(all.len(), index.total_paths(), "{kind}");
     assert_content_order(&format!("{kind} all_path_ids"), index, &all);
     let thesaurus = thesaurus();
-    let lookup = |sink: bool, lexical: &str, synonyms: &dyn SynonymProvider| match sink {
-        true => index.sink_matching(lexical, synonyms),
-        false => index.label_matching(lexical, synonyms),
+    let lookup = |sink: bool, labels: &[LabelId]| match sink {
+        true => index.paths_ending_in(labels),
+        false => index.paths_containing(labels),
     };
-    for (_, _, lexical) in index.data().vocab().iter() {
+    let labels: BTreeSet<LabelId> = all
+        .iter()
+        .flat_map(|&p| {
+            let labels = index.labels(p);
+            [labels.node_labels, labels.edge_labels].concat()
+        })
+        .collect();
+    for &label in &labels {
+        let lexical = index.label_lexical(label);
+        let widened: Vec<LabelId> = std::iter::once(label)
+            .chain(
+                thesaurus
+                    .synonyms(lexical)
+                    .iter()
+                    .filter_map(|name| index.constant_label(name)),
+            )
+            .collect();
         for (name, sink) in [("sink", true), ("label", false)] {
             let what = format!("{kind} {name} {lexical}");
-            let alone = lookup(sink, lexical, &NoSynonyms);
+            let alone = lookup(sink, &[label]);
             assert_content_order(&what, index, &alone);
-            let union = lookup(sink, lexical, &thesaurus);
+            assert_eq!(lookup(sink, &[label, label]), alone, "{what} twice");
+            let union = lookup(sink, &widened);
             assert_content_order(&format!("{what} + synonyms"), index, &union);
-            let mut merged: BTreeSet<PathId> = alone.into_iter().collect();
-            for synonym in thesaurus.synonyms(lexical) {
-                merged.extend(lookup(sink, &synonym, &NoSynonyms));
+            assert_eq!(
+                union,
+                reference_lookup(index, sink, lexical, &thesaurus),
+                "{what}"
+            );
+            let mut merged: BTreeSet<PathId> = BTreeSet::new();
+            for &l in &widened {
+                merged.extend(lookup(sink, &[l]));
             }
             assert_eq!(union.into_iter().collect::<BTreeSet<_>>(), merged, "{what}");
         }

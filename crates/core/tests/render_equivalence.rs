@@ -1,18 +1,20 @@
 //! The answer emitter against the rendering it replaced.
 //!
 //! `render_result_json` and `Answer::triple_lines` format an answer's
-//! triples straight from the index's label accessors. The reference
-//! kept here is the old way: assemble `Answer::subgraph` (a fresh
-//! `Graph` + `Vocabulary` per answer), print its `to_sorted_lines`, and
-//! resolve bindings through `data().vocab()`. The two must agree byte
-//! for byte on the shapes an answer can take: chosen paths that share edges, single-node paths,
-//! uncovered query paths, no answers at all, labels that need JSON
-//! escapes.
+//! triples straight from the index's label accessors, and
+//! `Answer::subgraph` builds its graph from them. The reference kept
+//! here is the old way: cut the answer's edges out of the data graph
+//! rebuilt from the image (`Graph::subgraph_from_edges`, a fresh `Graph`
+//! and `Vocabulary` per answer), print its `to_sorted_lines`, and resolve
+//! bindings through `data().vocab()`. They must agree — byte for byte,
+//! and node for node — on the shapes an answer can take: chosen paths
+//! that share edges, single-node paths, uncovered query paths, no
+//! answers at all, labels that need JSON escapes.
 
 use path_index::{IndexLike, MappedIndex};
 use proptest::prelude::*;
-use rdf_model::{DataGraph, QueryGraph, Term, Triple};
-use sama_core::{render_result_json, QueryResult, SamaEngine};
+use rdf_model::{DataGraph, Graph, NodeId, QueryGraph, Term, Triple};
+use sama_core::{render_result_json, Answer, QueryResult, SamaEngine};
 
 // ---------------------------------------------------------------------------
 // The reference: the renderer as it was before the label-level surface.
@@ -33,7 +35,30 @@ fn reference_escape(s: &str) -> String {
     out
 }
 
-fn reference_json<I: IndexLike>(index: &I, query: &QueryGraph, result: &QueryResult) -> String {
+/// The answer's edges cut out of the rebuilt data graph.
+fn reference_subgraph(index: &MappedIndex, answer: &Answer) -> Graph {
+    let mut edges: Vec<_> = answer
+        .path_ids()
+        .into_iter()
+        .flatten()
+        .flat_map(|p| index.path_edges(p).to_vec())
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    index.data().as_graph().subgraph_from_edges(&edges).0
+}
+
+/// A graph node by node and edge by edge, every label as its term.
+fn parts(graph: &Graph) -> (Vec<Term>, Vec<(NodeId, NodeId, Term)>) {
+    let nodes = graph.nodes().map(|n| graph.node_term(n)).collect();
+    let edges = graph
+        .edges()
+        .map(|(e, edge)| (edge.from, edge.to, graph.edge_term(e)))
+        .collect();
+    (nodes, edges)
+}
+
+fn reference_json(index: &MappedIndex, query: &QueryGraph, result: &QueryResult) -> String {
     let mut out = String::from("{\"answers\":[");
     for (i, answer) in result.answers.iter().enumerate() {
         if i > 0 {
@@ -47,8 +72,7 @@ fn reference_json<I: IndexLike>(index: &I, query: &QueryGraph, result: &QueryRes
             answer.psi(),
             answer.is_exact()
         ));
-        let lines: Vec<String> = answer
-            .subgraph(index)
+        let lines: Vec<String> = reference_subgraph(index, answer)
             .to_sorted_lines()
             .iter()
             .map(|line| format!("\"{}\"", reference_escape(line)))
@@ -99,10 +123,9 @@ fn check(
         reference_json(index, query, &result)
     );
     for answer in &result.answers {
-        assert_eq!(
-            answer.triple_lines(index),
-            answer.subgraph(index).to_sorted_lines()
-        );
+        let subgraph = answer.subgraph(index);
+        assert_eq!(answer.triple_lines(index), subgraph.to_sorted_lines());
+        assert_eq!(parts(&subgraph), parts(&reference_subgraph(index, answer)));
     }
     json
 }

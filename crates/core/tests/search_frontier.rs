@@ -328,7 +328,7 @@ fn prepare<I: IndexLike + Sync>(index: &I, query: &QueryGraph, ic: bool) -> Prep
     let mut qpaths = decompose_query(query, index, &NoSynonyms, &ExtractionConfig::default());
     if ic {
         let table = index.ic_table().expect("a mapped index has IC counts");
-        apply_ic_weights(&mut qpaths, index, &table);
+        apply_ic_weights(&mut qpaths, &table);
     }
     let ig = IntersectionGraph::build(&qpaths);
     let clusters = build_clusters(

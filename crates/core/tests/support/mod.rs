@@ -1,15 +1,16 @@
-//! Shared by the integration tests: a random-data strategy, and an
-//! index the tests can watch — it delegates every read to the wrapped
-//! index, counts the reads the pipeline's contracts are stated in, and
-//! can cancel a budget at a known point of a cluster fill or of the
-//! combination search.
+//! Shared by the integration tests: a random-data strategy; an index the
+//! tests can watch — it delegates every read to the wrapped index,
+//! counts the reads the pipeline's contracts are stated in, and can
+//! cancel a budget at a known point of a cluster fill or of the
+//! combination search; and the retrieval rule as it read before query
+//! decomposition chose the labels, as a reference.
 
 #![allow(dead_code)] // each test target uses its own subset
 
 use path_index::{IndexLike, LabelsRef, LshCandidate, LshParams, PathId, SynonymProvider};
 use proptest::prelude::*;
-use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, Triple};
-use sama_core::CancelToken;
+use rdf_model::{EdgeId, LabelId, NodeId, TermKind, Triple};
+use sama_core::{CancelToken, ClusterConfig, QueryPath};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,6 +40,33 @@ pub fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Valu
         .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
 }
 
+/// A chain query of up to 14 nodes. Each node is a variable, one of the
+/// data's `n*` constants, or a constant the data does not have (`x<i>`,
+/// one per position, so `accepted` is empty); every predicate one of
+/// `p0..p3` (`p3` never occurs in the data). Constants therefore land
+/// at the sink only, the source only, the interior only, everywhere or
+/// nowhere, and a long chain of them against a seven-node data path
+/// overflows the memo's packed key.
+pub fn arb_constant_mix_query() -> impl Strategy<Value = Vec<Triple>> {
+    proptest::collection::vec((0usize..14, 0usize..4), 2..=14).prop_map(|spec| {
+        let node = |i: usize, pick: usize| match pick {
+            0..=5 => format!("n{pick}"),
+            6..=9 => format!("x{i}"),
+            _ => format!("?v{i}"),
+        };
+        spec.windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                Triple::parse(
+                    &node(i, w[0].0),
+                    &format!("p{}", w[0].1),
+                    &node(i + 1, w[1].0),
+                )
+            })
+            .collect()
+    })
+}
+
 pub struct Probe<I> {
     pub inner: I,
     /// `labels` calls so far: a fill reads a candidate's labels exactly
@@ -62,6 +90,10 @@ pub struct Probe<I> {
     /// How often each query constant was resolved into the data
     /// vocabulary, by lexical form.
     pub resolved: Mutex<BTreeMap<String, usize>>,
+    /// When set, what `all_path_ids` answers instead of every path: an
+    /// `exhaustive` fill then fills this list with the sink bit read per
+    /// candidate.
+    pub all_paths: Option<Vec<PathId>>,
 }
 
 impl<I> Probe<I> {
@@ -77,18 +109,25 @@ impl<I> Probe<I> {
             sorted_nodes_calls: AtomicUsize::new(0),
             sink_lookups: AtomicUsize::new(0),
             resolved: Mutex::new(BTreeMap::new()),
+            all_paths: None,
         }
     }
 }
 
 impl<I: IndexLike> IndexLike for Probe<I> {
-    fn data(&self) -> &DataGraph {
-        self.inner.data()
-    }
     fn constant_label(&self, lexical: &str) -> Option<LabelId> {
         let mut resolved = self.resolved.lock().expect("no panic under the lock");
         *resolved.entry(lexical.to_string()).or_default() += 1;
         self.inner.constant_label(lexical)
+    }
+    fn label_lexical(&self, label: LabelId) -> &str {
+        self.inner.label_lexical(label)
+    }
+    fn label_kind(&self, label: LabelId) -> TermKind {
+        self.inner.label_kind(label)
+    }
+    fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId) {
+        self.inner.edge_labels(edge)
     }
     fn total_paths(&self) -> usize {
         self.inner.total_paths()
@@ -124,15 +163,18 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     fn shape_edge_labels(&self, shape: u32) -> &[LabelId] {
         self.inner.shape_edge_labels(shape)
     }
-    fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+    fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId> {
         self.sink_lookups.fetch_add(1, Ordering::SeqCst);
-        self.inner.sink_matching(lexical, synonyms)
+        self.inner.paths_ending_in(labels)
     }
-    fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
-        self.inner.label_matching(lexical, synonyms)
+    fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId> {
+        self.inner.paths_containing(labels)
     }
     fn all_path_ids(&self) -> Vec<PathId> {
-        self.inner.all_path_ids()
+        match &self.all_paths {
+            Some(paths) => paths.clone(),
+            None => self.inner.all_path_ids(),
+        }
     }
     fn lsh_params(&self) -> Option<LshParams> {
         self.inner.lsh_params()
@@ -140,4 +182,64 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     fn lsh_probe(&self, signature: &[u32]) -> Vec<LshCandidate> {
         self.inner.lsh_probe(signature)
     }
+}
+
+/// The retrieval rule as it read while the index resolved query
+/// constants itself: resolve `lexical` and each of its synonyms, then
+/// union the postings of the labels found — each read on its own — in
+/// path-content order. `sink` picks the sink postings, else the label
+/// postings.
+pub fn reference_lookup<I: IndexLike>(
+    index: &I,
+    sink: bool,
+    lexical: &str,
+    synonyms: &dyn SynonymProvider,
+) -> Vec<PathId> {
+    let widened = synonyms.synonyms(lexical);
+    let mut union: Vec<PathId> = std::iter::once(lexical)
+        .chain(widened.iter().map(String::as_str))
+        .filter_map(|name| index.constant_label(name))
+        .flat_map(|label| match sink {
+            true => index.paths_ending_in(&[label]),
+            false => index.paths_containing(&[label]),
+        })
+        .collect();
+    union.sort_by(|&a, &b| {
+        (index.path_nodes(a), index.path_edges(a)).cmp(&(index.path_nodes(b), index.path_edges(b)))
+    });
+    union.dedup();
+    union
+}
+
+/// The list `build_clusters` fills `q`'s cluster from, by the retrieval
+/// cascade of `ClusterConfig` (LSH aside) over [`reference_lookup`]:
+/// every path when exhaustive, else the sink lookup, else the first
+/// constant from the sink that retrieves anything, else every path when
+/// a full scan is allowed — before `max_candidates` cuts it.
+pub fn reference_candidates<I: IndexLike>(
+    q: &QueryPath,
+    index: &I,
+    synonyms: &dyn SynonymProvider,
+    config: &ClusterConfig,
+) -> Vec<PathId> {
+    if config.exhaustive {
+        return index.all_path_ids();
+    }
+    q.sink()
+        .lexical()
+        .map(|sink| reference_lookup(index, true, sink, synonyms))
+        .into_iter()
+        .chain(q.constants_from_sink().map(|anchor| {
+            reference_lookup(
+                index,
+                false,
+                anchor.lexical().expect("a constant"),
+                synonyms,
+            )
+        }))
+        .find(|hits| !hits.is_empty())
+        .unwrap_or_else(|| match config.allow_full_scan {
+            true => index.all_path_ids(),
+            false => Vec::new(),
+        })
 }

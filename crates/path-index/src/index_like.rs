@@ -1,16 +1,17 @@
 //! What the query-answering pipeline asks of an index: the
 //! [`IndexLike`] trait, implemented in the library by the one index a
-//! query reads — a `SAMAIDX2` image, [`crate::MappedIndex`] — and the
-//! [`ConstantLookup`] it resolves query constants through.
+//! query reads — a `SAMAIDX2` image, [`crate::MappedIndex`] — the
+//! [`ConstantLookup`] it resolves query constants through, and
+//! [`display_path`], which prints a path from the index's labels.
 
 use crate::ic::IcTable;
 use crate::path::{LabelsRef, PathId};
-use crate::synonyms::SynonymProvider;
-use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Vocabulary};
+use rdf_model::{EdgeId, LabelId, NodeId, TermKind, Vocabulary};
+use std::fmt;
 
 /// Resolves a query constant's lexical form to a data label id — all
-/// that query decomposition, IC stamping and synonym widening need
-/// from the data side. [`Vocabulary`] and every [`IndexLike`] implement
+/// that query decomposition (synonym widening included) needs from the
+/// data side. [`Vocabulary`] and every [`IndexLike`] implement
 /// it, so the pipeline takes either an interned vocabulary or an index
 /// that answers from its own bytes.
 pub trait ConstantLookup {
@@ -37,6 +38,10 @@ impl<I: IndexLike + ?Sized> ConstantLookup for I {
 /// [`crate::MappedIndex`]; the trait stays a seam so a test can wrap
 /// that index and watch what a query reads.
 ///
+/// It speaks in label ids: a lexical form becomes a label once, in
+/// [`IndexLike::constant_label`], and retrieval, scoring and display
+/// read ids and the labels behind them — no data graph.
+///
 /// All per-path accessors return *borrowed slices* so an implementation
 /// backed by a read-only file mapping can serve the hot alignment and
 /// conformity loops directly out of its on-disk arrays, with no
@@ -46,35 +51,20 @@ impl<I: IndexLike + ?Sized> ConstantLookup for I {
 /// The per-path accessors panic if `id` is out of range; use ids
 /// produced by the same index.
 pub trait IndexLike {
-    /// The indexed data graph. A mapped index rebuilds it on first call
-    /// (every string interned, adjacency re-created), so the query path
-    /// does not ask for it: it reads labels through the four label
-    /// accessors below. What still needs a graph — path display and
-    /// `Answer::subgraph` — calls this.
-    fn data(&self) -> &DataGraph;
-
     /// The data label a query constant names, with
     /// [`Vocabulary::get_constant`] semantics (see [`ConstantLookup`]).
-    fn constant_label(&self, lexical: &str) -> Option<LabelId> {
-        self.data().vocab().get_constant(lexical)
-    }
+    /// Query decomposition is its one caller on the query path: every
+    /// later step reads the label ids it chose.
+    fn constant_label(&self, lexical: &str) -> Option<LabelId>;
 
     /// The lexical form of a data label.
-    fn label_lexical(&self, label: LabelId) -> &str {
-        self.data().vocab().lexical(label)
-    }
+    fn label_lexical(&self, label: LabelId) -> &str;
 
     /// The term kind of a data label.
-    fn label_kind(&self, label: LabelId) -> TermKind {
-        self.data().vocab().kind(label)
-    }
+    fn label_kind(&self, label: LabelId) -> TermKind;
 
     /// The `(subject, predicate, object)` labels of a data edge.
-    fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId) {
-        let graph = self.data().as_graph();
-        let e = graph.edge(edge);
-        (graph.node_label(e.from), e.label, graph.node_label(e.to))
-    }
+    fn edge_labels(&self, edge: EdgeId) -> (LabelId, LabelId, LabelId);
 
     /// Total number of indexed paths.
     fn total_paths(&self) -> usize;
@@ -108,18 +98,18 @@ pub trait IndexLike {
     /// their shape alone.
     fn shape_edge_labels(&self, shape: u32) -> &[LabelId];
 
-    /// Paths whose sink label matches `lexical` (or a synonym).
+    /// Paths whose sink carries one of `labels`, each once.
     ///
     /// This and the two lists below are in *path-content order*: strictly
     /// ascending by `(path_nodes, path_edges)` (distinct paths never
     /// share both). The cluster fill relies on it — a candidate's
     /// position is its tie-break, and a fill whose heap is full at λ = 0
     /// stops there.
-    fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId>;
+    fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId>;
 
-    /// Paths containing a label matching `lexical` (or a synonym), in
-    /// path-content order.
-    fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId>;
+    /// Paths with a node or an edge carrying one of `labels`, each once,
+    /// in path-content order.
+    fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId>;
 
     /// Every path id (the clustering full-scan fallback), in path-content
     /// order.
@@ -146,4 +136,21 @@ pub trait IndexLike {
     fn ic_table(&self) -> Option<IcTable> {
         None
     }
+}
+
+/// Render path `id` of `index` in the paper's `JR-sponsor-A1589-aTo-B0532`
+/// form from the index's labels, each printed as [`TermKind::display`]
+/// prints it — what `Term`'s `Display` prints, with no graph.
+pub fn display_path<I: IndexLike + ?Sized>(index: &I, id: PathId) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        let label = |l: LabelId| index.label_kind(l).display(index.label_lexical(l));
+        let labels = index.labels(id);
+        for (i, &node) in labels.node_labels.iter().enumerate() {
+            if i > 0 {
+                write!(f, "-{}-", label(labels.edge_labels[i - 1]))?;
+            }
+            write!(f, "{}", label(node))?;
+        }
+        Ok(())
+    })
 }

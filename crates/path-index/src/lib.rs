@@ -57,7 +57,7 @@ pub use extract::{extract_into, extract_paths, Extraction, ExtractionConfig, Ext
 pub use hypergraph::{HyperEdge, HyperEdgeKind, HyperGraphView};
 pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};
-pub use index_like::{ConstantLookup, IndexLike};
+pub use index_like::{display_path, ConstantLookup, IndexLike};
 pub use lsh::{build_lsh_bytes, LshCandidate, LshParams, LshSidecar, LSH_MAGIC};
 pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels};
 pub use stats::{format_bytes, IndexStats};

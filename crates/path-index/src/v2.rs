@@ -50,7 +50,7 @@
 //! each path — what the cluster fill breaks λ ties by. Every postings
 //! run and the path-order section list their ids in it, so a candidate
 //! list read from this file is already sorted for the fill
-//! (`IndexLike::sink_matching`). Path ids themselves stay in extraction
+//! (`IndexLike::paths_ending_in`). Path ids themselves stay in extraction
 //! order.
 //!
 //! A path's edge labels are its *shape*: the sequence is interned at
@@ -1307,10 +1307,10 @@ impl Backing {
 /// the hot lookup structures (path store, sorted node sets, stored
 /// inverted maps) are then read in place for the lifetime of the
 /// handle, shared by every worker thread that borrows it. The
-/// label-level reads of the query path (constant → label id, label id
-/// → lexical form and kind, edge → its three labels) are served from
-/// the mapped vocabulary and edge sections too; only callers that need
-/// a [`DataGraph`] pay for materializing one, lazily on first access.
+/// label-level reads (constant → label id, label id → lexical form and
+/// kind, edge → its three labels) are served from the mapped vocabulary
+/// and edge sections too, so answering, explaining and listing paths
+/// build no [`DataGraph`].
 #[derive(Debug)]
 pub struct MappedIndex {
     /// Every section of `backing`, sliced once at open: slicing them
@@ -1471,23 +1471,17 @@ impl MappedIndex {
         matches!(self.backing, Backing::Mapped(_))
     }
 
-    /// The paths `postings` lists for `lexical` and for each of its
-    /// synonyms, in path-content order and deduplicated — the admission
-    /// rule behind [`IndexLike::sink_matching`] and
-    /// [`IndexLike::label_matching`].
-    fn match_via(
+    /// The paths `postings` lists for any of `labels`, in path-content
+    /// order and deduplicated — the admission rule behind
+    /// [`IndexLike::paths_ending_in`] and [`IndexLike::paths_containing`].
+    fn union_of(
         &self,
-        lexical: &str,
-        synonyms: &dyn SynonymProvider,
+        labels: &[LabelId],
         postings: fn(&IndexView<'static>, LabelId) -> &'static [u32],
     ) -> Vec<PathId> {
         let mut out: Vec<PathId> = Vec::new();
         let mut lists = 0;
-        let widened = synonyms.synonyms(lexical);
-        let labels = std::iter::once(lexical)
-            .chain(widened.iter().map(String::as_str))
-            .filter_map(|lexical| self.constant_label(lexical));
-        for label in labels {
+        for &label in labels {
             let run = postings(&self.view, label);
             out.extend(run.iter().map(|&p| PathId(p)));
             lists += usize::from(!run.is_empty());
@@ -1500,16 +1494,42 @@ impl MappedIndex {
         }
         out
     }
-}
 
-impl IndexLike for MappedIndex {
-    fn data(&self) -> &DataGraph {
+    /// The labels `lexical` and each of its synonyms resolve to.
+    fn resolve(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<LabelId> {
+        let widened = synonyms.synonyms(lexical);
+        std::iter::once(lexical)
+            .chain(widened.iter().map(String::as_str))
+            .filter_map(|lexical| self.constant_label(lexical))
+            .collect()
+    }
+
+    /// [`IndexLike::paths_ending_in`] of the labels `lexical` and its
+    /// synonyms resolve to. Kept for the frozen ledger's anchor scan;
+    /// delete with ROADMAP 1a.
+    pub fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+        self.paths_ending_in(&self.resolve(lexical, synonyms))
+    }
+
+    /// [`IndexLike::paths_containing`] of the labels `lexical` and its
+    /// synonyms resolve to. Kept for the frozen ledger's anchor scan;
+    /// delete with ROADMAP 1a.
+    pub fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+        self.paths_containing(&self.resolve(lexical, synonyms))
+    }
+
+    /// The indexed data graph, rebuilt from the image on first call.
+    /// Nothing in the library reads it; kept for the frozen ledger,
+    /// which reads its vocabulary; delete with ROADMAP 1a.
+    pub fn data(&self) -> &DataGraph {
         self.data.get_or_init(|| {
             let _span = sama_obs::span!("index.materialize_ns");
             self.view.materialize_graph()
         })
     }
+}
 
+impl IndexLike for MappedIndex {
     fn constant_label(&self, lexical: &str) -> Option<LabelId> {
         let vocab = self.view.vocab;
         let table = self.constants.get_or_init(|| vocab.constant_table());
@@ -1581,16 +1601,16 @@ impl IndexLike for MappedIndex {
         &view.shape_labels[view.shape_offs[shape] as usize..view.shape_offs[shape + 1] as usize]
     }
 
-    fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+    fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.sink_lookups_total", 1);
-        self.match_via(lexical, synonyms, IndexView::paths_with_sink)
+        self.union_of(labels, IndexView::paths_with_sink)
     }
 
-    fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
+    fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId> {
         let _span = sama_obs::span!("index.locate_ns");
         sama_obs::counter_add("index.label_lookups_total", 1);
-        self.match_via(lexical, synonyms, IndexView::paths_with_label)
+        self.union_of(labels, IndexView::paths_with_label)
     }
 
     /// The stored path-order section: every id in range, as open checked.

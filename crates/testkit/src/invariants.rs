@@ -34,7 +34,8 @@ use datasets::Rng;
 use eval::oracle::ged_relevance;
 use graph_match::{Matcher, Vf2Matcher};
 use path_index::{
-    decode_v2, encode_v2, IcTable, IndexLike, LabelsRef, MappedIndex, PathId, PathIndex, Thesaurus,
+    decode_v2, display_parts, display_path, encode_v2, IcTable, IndexLike, LabelsRef, MappedIndex,
+    PathId, PathIndex, Thesaurus,
 };
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
@@ -125,8 +126,9 @@ pub const CATALOG: &[Invariant] = &[
         name: "image_round_trip_identity",
         kind: Kind::Differential,
         summary: "the mapped image reads back every path, posting list, label, the \
-                  content order and the IC table the builder holds, and re-encodes \
-                  to the same bytes",
+                  content order and the IC table the builder holds, prints every path \
+                  from its labels as the rebuilt graph prints it, and re-encodes to \
+                  the same bytes",
         check: image_round_trip_identity,
     },
     Invariant {
@@ -454,13 +456,17 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     if got != want {
         return mismatch(format!("{got}, built {want}"));
     }
+    // Explain, forest display and `sama paths` print a path from its
+    // labels: as the graph rebuilt from the image prints it.
+    let rebuilt = mapped.data().as_graph();
     for (id, ip) in built.paths() {
-        let want: (&[_], &[_], LabelsRef<'_>, &[_], u32) = (
+        let want: (&[_], &[_], LabelsRef<'_>, &[_], u32, String) = (
             ip.nodes,
             ip.edges,
             ip.labels,
             ip.sorted_nodes,
             built.path_shape(id),
+            display_parts(rebuilt, ip.nodes, ip.edges).to_string(),
         );
         let got = (
             mapped.path_nodes(id),
@@ -468,6 +474,7 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
             mapped.labels(id),
             mapped.sorted_nodes(id),
             mapped.path_shape(id),
+            display_path(&mapped, id).to_string(),
         );
         if got != want {
             return mismatch(format!("path {id}: {got:?}, built {want:?}"));

@@ -8,7 +8,7 @@
 
 use sama::data::govtrack;
 use sama::engine::{IntersectionGraph, PathForest, SamaEngine};
-use sama::index::{display_parts, IndexLike, PathId};
+use sama::index::{display_path, IndexLike, PathId};
 
 fn main() {
     let data = govtrack::data_graph();
@@ -22,8 +22,7 @@ fn main() {
 
     let engine = SamaEngine::new(data);
     let index = engine.index();
-    let graph = index.data().as_graph();
-    let path = |id: PathId| display_parts(graph, index.path_nodes(id), index.path_edges(id));
+    let path = |id: PathId| display_path(index, id);
     println!("indexed paths:");
     for id in (0..index.total_paths() as u32).map(PathId) {
         println!("  {id}: {}", path(id));

@@ -20,7 +20,7 @@ use sama::engine::{
     TruncationReason,
 };
 use sama::index::{
-    decode_v2, display_parts, serialize_index_v2, v2::SECTION_NAMES, ExtractionConfig, IndexLike,
+    decode_v2, display_path, serialize_index_v2, v2::SECTION_NAMES, ExtractionConfig, IndexLike,
     MappedIndex, PathId, PathIndex, StorageError, Thesaurus,
 };
 use sama::model::{parse_ntriples, parse_sparql, parse_turtle, DataGraph};
@@ -856,13 +856,9 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
         return Err("usage: sama paths <index.bin> [--limit N]".into());
     };
     let index = open_index(index_path)?;
-    let graph = index.data().as_graph();
     let total = index.total_paths();
     for id in (0..total.min(limit) as u32).map(PathId) {
-        outln!(
-            "{id}: {}",
-            display_parts(graph, index.path_nodes(id), index.path_edges(id))
-        );
+        outln!("{id}: {}", display_path(&index, id));
     }
     if total > limit {
         eprintln!("… {} more (use --limit)", total - limit);

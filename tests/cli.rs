@@ -789,6 +789,43 @@ fn query_default_open_is_mapped_and_mmap_flag_decides_nothing() {
     }
 }
 
+/// `--explain-text` prints every chosen data path from the index's
+/// labels: the profile shows the mapped open and no rebuilt graph.
+#[test]
+fn explain_text_prints_paths_without_rebuilding_the_graph() {
+    let nt = temp_path("data_explain_open.nt");
+    let rq = temp_path("query_explain_open.rq");
+    let idx = temp_path("index_explain_open.bin");
+    let prof = temp_path("profile_explain_open.folded");
+    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone(), prof.clone()]);
+    std::fs::write(&nt, DEMO_NT).unwrap();
+    std::fs::write(&rq, DEMO_RQ).unwrap();
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let out = sama()
+        .args(["query", idx.to_str().unwrap(), rq.to_str().unwrap()])
+        .args(["--explain-text", "--profile-out", prof.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("CarlaBunes-sponsor-A0056-aTo-B1432-subject-\"Health Care\""),
+        "{stdout}"
+    );
+    let stacks = std::fs::read_to_string(&prof).unwrap();
+    assert!(stacks.contains("index.open_ns"), "{stacks}");
+    assert!(!stacks.contains("index.materialize_ns"), "{stacks}");
+}
+
 #[test]
 fn retired_formats_and_flags_are_refused() {
     let nt = temp_path("data_retired.nt");
