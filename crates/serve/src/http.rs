@@ -8,9 +8,7 @@
 //! `Transfer-Encoding` (typed `400`). Everything hostile maps to a
 //! typed [`ParseError`] the connection loop turns into a status code.
 
-use std::io::Read;
-use std::io::Write as IoWrite;
-use std::net::TcpStream;
+use std::io::{Read, Write};
 
 /// Hard cap on the request line + headers. Anything larger is either
 /// hostile or lost; `431` and close.
@@ -91,16 +89,15 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 /// [`MAX_HEAD_BYTES`] on the head and `max_body` on the declared body
 /// length — an oversized `Content-Length` is rejected *before* any
 /// body byte is buffered.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ParseError> {
+///
+/// The head, its `\r\n\r\n` included, may be at most
+/// [`MAX_HEAD_BYTES`] long however the peer splits it across reads.
+/// Each read searches only its own bytes (plus the 3 before them, where
+/// a terminator may have started) and only below the cap.
+pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, ParseError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_len = loop {
-        if let Some(pos) = head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ParseError::HeadersTooLarge);
-        }
         let n = stream.read(&mut chunk).map_err(map_io)?;
         if n == 0 {
             return Err(if buf.is_empty() {
@@ -109,7 +106,15 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
                 ParseError::BadRequest("connection closed mid-request".into())
             });
         }
+        let from = buf.len().saturating_sub(3);
         buf.extend_from_slice(&chunk[..n]);
+        let searched = &buf[from..buf.len().min(MAX_HEAD_BYTES)];
+        if let Some(pos) = head_end(searched) {
+            break from + pos;
+        }
+        if buf.len() >= MAX_HEAD_BYTES {
+            return Err(ParseError::HeadersTooLarge);
+        }
     };
 
     let head = std::str::from_utf8(&buf[..head_len])
@@ -256,28 +261,30 @@ impl Response {
         self.status
     }
 
-    /// Serialize onto `stream`. `keep_alive` is what the connection
-    /// loop decided (client wish ∧ not [`Response::wants_close`] ∧ not
-    /// draining) and is advertised back in the `Connection` header.
-    pub fn write_to(&self, stream: &mut TcpStream, keep_alive: bool) -> std::io::Result<()> {
-        use std::fmt::Write;
-        let mut head = String::with_capacity(128);
-        let _ = write!(
-            head,
+    /// Serialize onto `stream` in one `write_all`: status line,
+    /// headers and body go out as one buffer, so a `TCP_NODELAY`
+    /// socket does not send the head in a segment of its own and the
+    /// peer wakes once. `keep_alive` is what the connection loop decided
+    /// (client wish ∧ not [`Response::wants_close`] ∧ not draining) and
+    /// is advertised back in the `Connection` header.
+    pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        // Every head this server sends fits in 256 bytes.
+        let mut wire = Vec::with_capacity(256 + self.body.len());
+        write!(
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_reason(self.status),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        );
+        )?;
         for (name, value) in &self.extra {
-            let _ = write!(head, "{name}: {value}\r\n");
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)
     }
 }
 
@@ -301,8 +308,7 @@ pub fn status_reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     /// Run the parser against raw bytes written from a peer thread.
     fn parse(raw: &'static [u8], max_body: usize) -> Result<Request, ParseError> {
@@ -381,5 +387,179 @@ mod tests {
             parse(b"GET / HT", 16).unwrap_err(),
             ParseError::BadRequest(_)
         ));
+    }
+
+    /// Hands `raw` to the reader at most `step` bytes a read.
+    struct Trickle {
+        raw: Vec<u8>,
+        at: usize,
+        step: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.raw.len() - self.at);
+            buf[..n].copy_from_slice(&self.raw[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// A `GET` carrying `headers` whose head, `\r\n\r\n` included, is
+    /// `len` bytes long.
+    fn head_of(len: usize, headers: &str) -> Vec<u8> {
+        let head = |pad: &str| format!("GET /healthz HTTP/1.1\r\n{headers}X-Pad: {pad}\r\n\r\n");
+        let head = head(&"a".repeat(len - head("").len()));
+        assert_eq!(head.len(), len);
+        head.into_bytes()
+    }
+
+    #[test]
+    fn the_head_cap_holds_however_the_head_is_split() {
+        for step in [1, 3, 4, 7, 1000, 4093, 4096, usize::MAX] {
+            let read = |raw: Vec<u8>| read_request(&mut Trickle { raw, at: 0, step }, 64);
+            let at_cap = read(head_of(MAX_HEAD_BYTES, "")).expect("a head at the cap is read");
+            assert_eq!(at_cap.path(), "/healthz", "step {step}");
+            assert!(
+                matches!(
+                    read(head_of(MAX_HEAD_BYTES + 1, "")),
+                    Err(ParseError::HeadersTooLarge)
+                ),
+                "step {step}: one byte over the cap"
+            );
+            // Body bytes that arrive in the read that completes the head
+            // are the body's, not the head's.
+            let mut raw = head_of(MAX_HEAD_BYTES, "Content-Length: 5\r\n");
+            raw.extend_from_slice(b"hello");
+            let with_body = read(raw).expect("a head at the cap with a body");
+            assert_eq!(with_body.body, b"hello", "step {step}");
+        }
+    }
+
+    /// Counts `write` calls and keeps what it was given, taking at most
+    /// `limit` bytes a call.
+    struct Recorder {
+        writes: usize,
+        limit: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Recorder {
+        fn taking(limit: usize) -> Self {
+            Recorder {
+                writes: 0,
+                limit,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.limit);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The serialization `write_to` replaced — the head, then the body,
+    /// as two writes — kept as the reference for the bytes on the wire.
+    fn two_part_reference(response: &Response, keep_alive: bool) -> Vec<u8> {
+        use std::fmt::Write;
+        use std::io::Write as IoWrite;
+        let mut head = String::with_capacity(128);
+        let _ = write!(
+            head,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            response.status,
+            status_reason(response.status),
+            response.content_type,
+            response.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        );
+        for (name, value) in &response.extra {
+            let _ = write!(head, "{name}: {value}\r\n");
+        }
+        head.push_str("\r\n");
+        let mut wire = Vec::new();
+        IoWrite::write_all(&mut wire, head.as_bytes()).expect("write to a Vec");
+        IoWrite::write_all(&mut wire, &response.body).expect("write to a Vec");
+        wire
+    }
+
+    /// One of each response shape the server sends, with the
+    /// keep-alive it is sent with.
+    fn response_shapes() -> Vec<(&'static str, Response, bool)> {
+        let error = |status, message: &str, id: u64| {
+            Response::json(
+                status,
+                format!("{{\"error\":\"{message}\",\"query_id\":{id}}}\n"),
+            )
+            .header("X-Sama-Query-Id", id.to_string())
+        };
+        vec![
+            (
+                "200 query",
+                Response::json(200, "{\"answers\":[],\"truncated\":false}\n".into())
+                    .header("X-Sama-Query-Id", "7"),
+                true,
+            ),
+            (
+                "64 KB body",
+                Response::json(200, "x".repeat(64 * 1024)).header("X-Sama-Query-Id", "8"),
+                true,
+            ),
+            (
+                "503 shed",
+                error(
+                    503,
+                    "connection shed by admission control (server at capacity)",
+                    9,
+                )
+                .header("Retry-After", "1")
+                .closing(),
+                false,
+            ),
+            (
+                "408 timeout",
+                error(408, "request not received within the read timeout", 10).closing(),
+                false,
+            ),
+            (
+                "405 with Allow",
+                Response::text(405, "method not allowed\n").header("Allow", "GET"),
+                true,
+            ),
+            ("metrics", Response::prometheus("sama_up 1\n".into()), true),
+            ("health", Response::text(200, "ok\n"), false),
+        ]
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        for (shape, response, keep_alive) in response_shapes() {
+            let mut sink = Recorder::taking(usize::MAX);
+            response.write_to(&mut sink, keep_alive).expect("write");
+            assert_eq!(sink.writes, 1, "{shape}");
+        }
+    }
+
+    #[test]
+    fn the_bytes_are_the_two_part_serializations() {
+        for (shape, response, keep_alive) in response_shapes() {
+            // Short writes exercise `write_all`'s resumption.
+            let mut sink = Recorder::taking(7);
+            response.write_to(&mut sink, keep_alive).expect("write");
+            assert_eq!(
+                sink.bytes,
+                two_part_reference(&response, keep_alive),
+                "{shape}"
+            );
+        }
     }
 }

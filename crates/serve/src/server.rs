@@ -1,12 +1,15 @@
 //! The listener, connection lifecycle, and request routing.
 //!
-//! One accepting thread polls a non-blocking listener so it can watch
-//! the drain flags between accepts; each admitted connection gets its
-//! own worker thread wrapped in `catch_unwind`, so a handler panic
-//! (organic or injected via `SAMA_FAULTS=serve.handler:panic`) costs
-//! exactly one connection. Admission control is a plain connection
-//! count: the accept beyond [`crate::ServeConfig::max_connections`] is
-//! answered `503` + `Retry-After` and closed without spawning.
+//! One accepting thread drives a non-blocking listener. When no
+//! connection is pending it waits in `poll(2)` for the next one, at most
+//! `POLL_INTERVAL` (5 ms) at a time, so a fresh connection is taken the
+//! moment it arrives and the drain flags are still checked between
+//! accepts. Each admitted connection gets its own worker thread wrapped
+//! in `catch_unwind`, so a handler panic (organic or injected via
+//! `SAMA_FAULTS=serve.handler:panic`) costs exactly one connection.
+//! Admission control is a plain connection count: the accept beyond
+//! [`crate::ServeConfig::max_connections`] is answered `503` +
+//! `Retry-After` and closed without spawning.
 
 use crate::http::{read_request, ParseError, Request, Response};
 use crate::ServeConfig;
@@ -23,8 +26,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop wakes to poll the drain flags, and how
-/// often a drain re-checks the in-flight count.
+/// The longest the accept loop waits for a connection before it
+/// re-checks the drain flags, and how often a drain re-checks the
+/// in-flight count.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Flags and counters shared between the accept loop, the connection
@@ -177,7 +181,7 @@ impl<I: IndexLike + Send + Sync + 'static> Server<I> {
             match self.listener.accept() {
                 Ok((stream, _)) => self.dispatch(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
+                    wait_for_connection(&self.listener, POLL_INTERVAL);
                 }
                 // Transient accept errors (ECONNABORTED, EMFILE…):
                 // back off and keep listening.
@@ -248,6 +252,55 @@ impl<I: IndexLike + Send + Sync + 'static> Server<I> {
             waited: started.elapsed(),
         }
     }
+}
+
+/// Block until `listener` has a connection to accept, `timeout`
+/// passes, or a signal (SIGTERM, SIGINT) interrupts the wait with
+/// `EINTR` — whichever comes first. The caller re-checks the drain
+/// flags and retries `accept` either way.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short};
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    }
+    // The same value on Linux, macOS and the BSDs.
+    const POLLIN: c_short = 0x1;
+
+    let mut entry = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `entry` is one initialised `pollfd` that outlives the
+    // call and `nfds` is 1, so the kernel reads and writes that struct
+    // only; its descriptor is the listener's, open for as long as the
+    // borrow of `listener` lasts.
+    let ready = unsafe { poll(&mut entry, 1, millis) };
+    // A failure other than a signal (ENOMEM, …) would return at once
+    // and spin the accept loop: wait out the timeout instead.
+    if ready < 0 && std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+        std::thread::sleep(timeout);
+    }
+}
+
+/// No `poll(2)` off Unix: sleep the interval and retry.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 /// Serve requests off one accepted connection until the peer leaves,

@@ -10,11 +10,12 @@
 use rdf_model::DataGraph;
 use sama_core::SamaEngine;
 use sama_obs::fault::{install, FaultAction, FaultPlan};
+use sama_serve::http::MAX_HEAD_BYTES;
 use sama_serve::{DrainReport, ServeConfig, Server, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -256,6 +257,29 @@ fn error_paths_are_typed_with_correlatable_ids() {
     assert!(drain(&handle, join).is_clean());
 }
 
+/// A GET of `/healthz` whose head, `\r\n\r\n` included, is `len` bytes.
+fn healthz_head_of(len: usize) -> String {
+    let head = |pad: &str| format!("GET /healthz HTTP/1.1\r\nHost: sama\r\nX-Pad: {pad}\r\n\r\n");
+    let head = head(&"a".repeat(len - head("").len()));
+    assert_eq!(head.len(), len);
+    head
+}
+
+#[test]
+fn a_head_one_byte_past_the_cap_is_refused() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    install(FaultPlan::none());
+    let (addr, handle, join) = start(ServeConfig::default());
+
+    let reply = send(addr, healthz_head_of(MAX_HEAD_BYTES));
+    assert_eq!((reply.status, reply.body.as_str()), (200, "ok\n"));
+    let reply = send(addr, healthz_head_of(MAX_HEAD_BYTES + 1));
+    assert_eq!(reply.status, 431);
+    assert_eq!(reply.header("connection"), Some("close"));
+
+    assert!(drain(&handle, join).is_clean());
+}
+
 #[test]
 fn deadline_header_becomes_the_query_budget() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -450,6 +474,50 @@ fn drain_finishes_in_flight_queries_and_stops_accepting() {
     assert!(TcpStream::connect(addr).is_err());
 
     install(FaultPlan::none());
+}
+
+/// A connection is accepted when it arrives, not when the accept loop
+/// next wakes: fifty one-request connections in a row take well under
+/// the 5 ms a connection a timer-driven loop would add.
+#[test]
+fn fresh_connections_are_accepted_on_arrival() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    install(FaultPlan::none());
+    let (addr, handle, join) = start(ServeConfig::default());
+    let request = "GET /healthz HTTP/1.1\r\nHost: sama\r\nConnection: close\r\n\r\n";
+    // The first connection pays the worker's first spawn.
+    assert_eq!(send(addr, request.to_string()).status, 200);
+
+    let started = Instant::now();
+    for _ in 0..50 {
+        let reply = send(addr, request.to_string());
+        assert_eq!((reply.status, reply.body.as_str()), (200, "ok\n"));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(125),
+        "50 fresh connections took {took:?}"
+    );
+
+    assert!(drain(&handle, join).is_clean());
+}
+
+#[test]
+fn an_idle_server_shuts_down_at_once() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    install(FaultPlan::none());
+    let (_addr, handle, join) = start(ServeConfig::default());
+    // Let the accept loop settle into its wait.
+    std::thread::sleep(Duration::from_millis(20));
+
+    let started = Instant::now();
+    let report = drain(&handle, join);
+    let took = started.elapsed();
+    assert!(report.is_clean());
+    assert!(
+        took < Duration::from_millis(50),
+        "run() returned {took:?} after shutdown()"
+    );
 }
 
 /// `(live threads, open descriptors)` of this process, sampled until
