@@ -198,10 +198,10 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
             queries.len()
         };
         let threads = clamp_threads(config.threads, admitted);
-        let batch_span = sama_obs::span!("batch.run_ns");
-        sama_obs::counter_add("batch.batches_total", 1);
-        sama_obs::counter_add("batch.queries_total", queries.len() as u64);
-        sama_obs::gauge_set("batch.pool_threads", threads as i64);
+        let batch_span = sama_obs::span!(sama_obs::metrics::BATCH_RUN_NS);
+        sama_obs::metrics::BATCH_BATCHES_TOTAL.add(1);
+        sama_obs::metrics::BATCH_QUERIES_TOTAL.add(queries.len() as u64);
+        sama_obs::metrics::BATCH_POOL_THREADS.set(threads as i64);
         let started = Instant::now();
 
         // One query, end to end: cancellation gate, per-query budget
@@ -286,9 +286,9 @@ impl<I: IndexLike + Sync> SamaEngine<I> {
                 )
             })
             .count();
-        sama_obs::counter_add("batch.failed_total", failed as u64);
-        sama_obs::counter_add("batch.shed_total", shed as u64);
-        sama_obs::counter_add("batch.degraded_total", degraded as u64);
+        sama_obs::metrics::BATCH_FAILED_TOTAL.add(failed as u64);
+        sama_obs::metrics::BATCH_SHED_TOTAL.add(shed as u64);
+        sama_obs::metrics::BATCH_DEGRADED_TOTAL.add(degraded as u64);
 
         // Latency percentiles describe the queries that actually ran.
         let collect = |f: &dyn Fn(&QueryResult) -> Duration| {

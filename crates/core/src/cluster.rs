@@ -289,12 +289,12 @@ fn build_cluster<I: IndexLike>(
     budget: &QueryBudget,
 ) -> Cluster {
     sama_obs::fault::point("cluster.align");
-    let retrieve_span = sama_obs::span!("cluster.retrieve_ns");
+    let retrieve_span = sama_obs::span!(sama_obs::metrics::CLUSTER_RETRIEVE_NS);
     let (exact, sink) = retrieve_candidates(q, index, config);
     let retrieved = exact.len();
     let (candidates, lsh_pruned) = lsh_filter(q, index, exact, config);
     drop(retrieve_span);
-    sama_obs::observe("cluster.candidates_retrieved", retrieved as u64);
+    sama_obs::metrics::CLUSTER_CANDIDATES_RETRIEVED.record(retrieved as u64);
     let mut dropped = 0usize;
     let considered: &[PathId] = if candidates.len() > config.max_candidates {
         dropped = candidates.len() - config.max_candidates;
@@ -303,7 +303,7 @@ fn build_cluster<I: IndexLike>(
         &candidates
     };
 
-    let align_span = sama_obs::span!("cluster.align_ns");
+    let align_span = sama_obs::span!(sama_obs::metrics::CLUSTER_ALIGN_NS);
     // The LSH tier and the cap keep a sublist: the sink bit holds for it.
     let fill = fill_chunk(
         q,
@@ -323,10 +323,10 @@ fn build_cluster<I: IndexLike>(
     entries.sort_by(|x, y| x.lambda().total_cmp(&y.lambda()));
     drop(align_span);
 
-    sama_obs::counter_add("cluster.builds_total", 1);
-    sama_obs::counter_add("cluster.candidates_retrieved_total", retrieved as u64);
-    sama_obs::counter_add("cluster.candidates_dropped_total", dropped as u64);
-    sama_obs::counter_add("cluster.alignments_computed_total", fill.computed as u64);
+    sama_obs::metrics::CLUSTER_BUILDS_TOTAL.add(1);
+    sama_obs::metrics::CLUSTER_CANDIDATES_RETRIEVED_TOTAL.add(retrieved as u64);
+    sama_obs::metrics::CLUSTER_CANDIDATES_DROPPED_TOTAL.add(dropped as u64);
+    sama_obs::metrics::CLUSTER_ALIGNMENTS_COMPUTED_TOTAL.add(fill.computed as u64);
 
     Cluster {
         qpath_index: q.index,
@@ -368,18 +368,18 @@ fn lsh_filter<I: IndexLike + ?Sized>(
         return (exact, 0);
     }
     let Some(params) = index.lsh_params() else {
-        sama_obs::counter_add("cluster.lsh_fallback_total", 1);
+        sama_obs::metrics::CLUSTER_LSH_FALLBACK_TOTAL.add(1);
         return (exact, 0);
     };
     let shingles = query_shingles(q);
     if shingles.is_empty() {
         // A pure-variable path hashes to nothing; its signature would
         // collide with the empty-path bucket only.
-        sama_obs::counter_add("cluster.lsh_fallback_total", 1);
+        sama_obs::metrics::CLUSTER_LSH_FALLBACK_TOTAL.add(1);
         return (exact, 0);
     }
     let signature = path_index::lsh::signature_of_shingles(&shingles, params);
-    let probe_span = sama_obs::span!("cluster.lsh_probe_ns");
+    let probe_span = sama_obs::span!(sama_obs::metrics::CLUSTER_LSH_PROBE_NS);
     let collisions = index.lsh_probe(&signature);
     drop(probe_span);
     // Intersect through a bitset over path ids: first with the exact
@@ -391,9 +391,9 @@ fn lsh_filter<I: IndexLike + ?Sized>(
         .into_iter()
         .filter(|c| marked.contains(c.path))
         .collect();
-    sama_obs::observe("cluster.lsh_candidates", viable.len() as u64);
+    sama_obs::metrics::CLUSTER_LSH_CANDIDATES.record(viable.len() as u64);
     if viable.len() < LSH_MIN_CANDIDATES.min(top_m) {
-        sama_obs::counter_add("cluster.lsh_fallback_total", 1);
+        sama_obs::metrics::CLUSTER_LSH_FALLBACK_TOTAL.add(1);
         return (exact, 0);
     }
     viable.sort_by(|a, b| b.matches.cmp(&a.matches).then(a.path.cmp(&b.path)));

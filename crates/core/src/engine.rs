@@ -435,7 +435,7 @@ impl<I: IndexLike> SamaEngine<I> {
             return Ok(self.finish(query, Prepared::default(), outcome, Duration::ZERO));
         }
         let prepared = self.prepare(query, checked, budget)?;
-        let search_span = obs::span!("query.search_ns");
+        let search_span = obs::span!(obs::metrics::QUERY_SEARCH_NS);
         let outcome = search_top_k_budgeted(
             &prepared.query_paths,
             &prepared.intersection_graph,
@@ -460,7 +460,7 @@ impl<I: IndexLike> SamaEngine<I> {
         checked: bool,
         budget: &QueryBudget,
     ) -> Result<Prepared, SamaError> {
-        let preprocess_span = obs::span!("query.preprocess_ns");
+        let preprocess_span = obs::span!(obs::metrics::QUERY_PREPROCESS_NS);
         let mut query_paths = if checked {
             decompose_query_checked(
                 query,
@@ -480,7 +480,7 @@ impl<I: IndexLike> SamaEngine<I> {
         let intersection_graph = IntersectionGraph::build(&query_paths);
         let preprocessing = preprocess_span.finish();
 
-        let cluster_span = obs::span!("query.cluster_ns");
+        let cluster_span = obs::span!(obs::metrics::QUERY_CLUSTER_NS);
         let clusters = build_clusters_budgeted(
             &query_paths,
             &self.index,
@@ -508,7 +508,7 @@ impl<I: IndexLike> SamaEngine<I> {
         if !self.config.ic_weights {
             return;
         }
-        let _span = obs::span!("score.ic_ns");
+        let _span = obs::span!(obs::metrics::SCORE_IC_NS);
         let table = match &self.ic_override {
             Some(table) => Some(table.clone()),
             None => self.index.ic_table(),
@@ -519,13 +519,13 @@ impl<I: IndexLike> SamaEngine<I> {
             return;
         };
         apply_ic_weights(query_paths, &table);
-        obs::counter_add("score.ic_queries_total", 1);
-        obs::gauge_set("score.ic_labels", table.len() as i64);
+        obs::metrics::SCORE_IC_QUERIES_TOTAL.add(1);
+        obs::metrics::SCORE_IC_LABELS.set(table.len() as i64);
     }
 
     /// Everything after the combination search, and all there is to an
-    /// expired query: flush the query's local aggregates to the metrics
-    /// registry (once per query, so the search hot loop never touches
+    /// expired query: flush the query's local aggregates to the metric
+    /// table (once per query, so the search hot loop never touches
     /// an atomic), capture the slow-query record and EXPLAIN trace, and
     /// assemble the [`QueryResult`].
     fn finish(
@@ -550,42 +550,34 @@ impl<I: IndexLike> SamaEngine<I> {
             clustering,
             search,
         };
-        if obs::enabled() {
-            obs::counter_add("query.queries_total", 1);
-            obs::counter_add("query.answers_total", outcome.answers.len() as u64);
-            obs::counter_add("search.expansions_total", outcome.expansions as u64);
-            obs::counter_add("search.chi_lookups_total", outcome.chi_stats.lookups());
-            obs::counter_add("cluster.retrieved_paths_total", retrieved_paths as u64);
-            if let Some(reason) = outcome.truncation {
-                obs::counter_add(
-                    match reason {
-                        TruncationReason::ExpansionLimit => {
-                            "search.truncated_expansion_limit_total"
-                        }
-                        TruncationReason::FrontierOverflow => {
-                            "search.truncated_frontier_overflow_total"
-                        }
-                        TruncationReason::DeadlineExceeded => "query.deadline_exceeded_total",
-                        TruncationReason::Cancelled => "query.cancelled_total",
-                    },
-                    1,
-                );
+        let total = timings.total();
+        obs::metrics::QUERY_QUERIES_TOTAL.add(1);
+        obs::metrics::QUERY_ANSWERS_TOTAL.add(outcome.answers.len() as u64);
+        obs::metrics::SEARCH_EXPANSIONS_TOTAL.add(outcome.expansions as u64);
+        obs::metrics::SEARCH_CHI_LOOKUPS_TOTAL.add(outcome.chi_stats.lookups());
+        obs::metrics::CLUSTER_RETRIEVED_PATHS_TOTAL.add(retrieved_paths as u64);
+        if let Some(reason) = outcome.truncation {
+            match reason {
+                TruncationReason::ExpansionLimit => {
+                    &obs::metrics::SEARCH_TRUNCATED_EXPANSION_LIMIT_TOTAL
+                }
+                TruncationReason::FrontierOverflow => {
+                    &obs::metrics::SEARCH_TRUNCATED_FRONTIER_OVERFLOW_TOTAL
+                }
+                TruncationReason::DeadlineExceeded => &obs::metrics::QUERY_DEADLINE_EXCEEDED_TOTAL,
+                TruncationReason::Cancelled => &obs::metrics::QUERY_CANCELLED_TOTAL,
             }
-            obs::observe_duration("query.total_ns", timings.total());
-            obs::rolling_observe_duration("query.total_ns", timings.total());
-            // Registered with 0 so the series exists from the first
-            // query, before (and whether or not) any violation happens.
-            obs::counter_add(
-                "query.slo_violations_total",
-                u64::from(timings.total() > SLO),
-            );
+            .add(1);
+        }
+        obs::metrics::QUERY_TOTAL_NS.record_duration(total);
+        obs::metrics::QUERY_TOTAL_NS_ROLLING.record_duration(total);
+        if total > SLO {
+            obs::metrics::QUERY_SLO_VIOLATIONS_TOTAL.add(1);
         }
         // The slow-query log needs the EXPLAIN trace even when tracing
         // is otherwise off: build it on demand for captured queries,
         // but attach it to the result only when tracing is configured.
-        let slow_threshold = obs::slowlog::global()
-            .threshold()
-            .filter(|&t| timings.total() >= t);
+        let slow_threshold = obs::slowlog::global().threshold().filter(|&t| total >= t);
         let trace = (self.config.trace.enabled || slow_threshold.is_some()).then(|| {
             ExplainTrace::build(query_id, query, &query_paths, &clusters, &outcome, &timings)
         });
@@ -593,7 +585,7 @@ impl<I: IndexLike> SamaEngine<I> {
             obs::slowlog::capture(obs::SlowQueryRecord {
                 query_id,
                 label: None,
-                total_ns: duration_ns(timings.total()),
+                total_ns: duration_ns(total),
                 threshold_ns: duration_ns(threshold),
                 truncation: outcome.truncation.map(|t| t.as_str().to_string()),
                 trace_json: Some(trace.to_json_line()),
@@ -625,15 +617,6 @@ struct Prepared {
     clusters: Vec<Cluster>,
     preprocessing: Duration,
     clustering: Duration,
-}
-
-/// Register the IC weighting metrics with the global registry up
-/// front, so `/metrics` scrapes and the golden Prometheus-name pinning
-/// see the series before the first weighted query runs.
-pub fn register_semantic_metrics() {
-    let registry = obs::global();
-    registry.counter("score.ic_queries_total");
-    registry.gauge("score.ic_labels");
 }
 
 impl<I: IndexLike> std::fmt::Debug for SamaEngine<I> {
@@ -873,14 +856,18 @@ mod tests {
     #[test]
     fn slo_violations_and_rolling_window_are_recorded() {
         let engine = SamaEngine::new(figure1_data());
-        let before = obs::global().counter("query.queries_total").get();
+        let before = obs::metrics::QUERY_QUERIES_TOTAL.get();
         let _ = engine.answer(&q1(), 1);
-        let snap = obs::global().snapshot();
-        // The SLO series exists from the first query even without a
-        // violation, and the rolling window saw this query.
-        assert!(snap.counters.contains_key("query.slo_violations_total"));
-        assert!(snap.counters["query.queries_total"] > before);
-        assert!(snap.windows["query.total_ns"].windows[2].1.count() > 0);
+        // The SLO series is exported whether or not a violation
+        // happened, and the rolling window saw this query.
+        assert!(obs::export::prometheus().contains("\nsama_query_slo_violations_total "));
+        assert!(obs::metrics::QUERY_QUERIES_TOTAL.get() > before);
+        assert!(
+            obs::metrics::QUERY_TOTAL_NS_ROLLING.windowed().windows[2]
+                .1
+                .count()
+                > 0
+        );
     }
 
     #[test]

@@ -75,9 +75,7 @@ pub use cluster::{
     LSH_MIN_CANDIDATES,
 };
 pub use deadline::{CancelToken, QueryBudget};
-pub use engine::{
-    next_query_id, register_semantic_metrics, EngineConfig, QueryResult, QueryTimings, SamaEngine,
-};
+pub use engine::{next_query_id, EngineConfig, QueryResult, QueryTimings, SamaEngine};
 pub use error::{QueryError, SamaError};
 pub use forest::{ForestEdge, ForestNode, PathForest};
 pub use igraph::{IgEdge, IntersectionGraph};

@@ -7,7 +7,7 @@
 //!
 //! The trace answers "*why was this approximate answer returned, and
 //! where did its latency go?*" per query, correlating the numbers the
-//! aggregate metrics registry (see [`sama_obs`]) can only report as
+//! aggregate metric table (see [`sama_obs`]) can only report as
 //! process-wide distributions.
 
 use crate::cluster::{Cluster, ClusterTier};

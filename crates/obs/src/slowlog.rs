@@ -188,7 +188,7 @@ pub fn global() -> &'static SlowLog {
 /// Record into the [global] log and count the capture in the
 /// global `query.slow_total` metric — what the engine calls.
 pub fn capture(record: SlowQueryRecord) {
-    crate::counter_add("query.slow_total", 1);
+    crate::metrics::QUERY_SLOW_TOTAL.add(1);
     global().record(record);
 }
 

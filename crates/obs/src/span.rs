@@ -1,9 +1,8 @@
 //! RAII span timers: measure a scope, record its duration into a
 //! histogram when the guard drops (or explicitly via [`Span::finish`]).
 
-use crate::metrics::Histogram;
+use crate::metrics::{duration_ns, Histogram};
 use crate::profile::{self, FrameToken};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A running span: created by [`Span::enter`] (usually through the
@@ -12,33 +11,23 @@ use std::time::{Duration, Instant};
 /// when the caller also wants the duration.
 ///
 /// When the [phase-stack profiler](crate::profile) is armed, a span
-/// entered through [`Span::enter_named`] (which the macro uses) also
-/// forms one frame of its thread's phase stack; the *same* elapsed
-/// measurement then feeds both the histogram and the profile table, so
-/// the two views agree exactly.
+/// also forms one frame of its thread's phase stack, named after its
+/// histogram; the *same* elapsed measurement then feeds both the
+/// histogram and the profile table, so the two views agree exactly.
 #[derive(Debug)]
 pub struct Span {
-    hist: Option<Arc<Histogram>>,
+    hist: Option<&'static Histogram>,
     frame: Option<FrameToken>,
     start: Instant,
 }
 
 impl Span {
-    /// Start timing into `hist`.
-    pub fn enter(hist: Arc<Histogram>) -> Self {
-        Span {
-            hist: Some(hist),
-            frame: None,
-            start: Instant::now(),
-        }
-    }
-
-    /// Start timing into `hist` *and* push `name` as a frame of the
+    /// Start timing into `hist` and push its name as a frame of the
     /// thread's phase stack (a no-op while profiling is disarmed).
-    pub fn enter_named(name: &str, hist: Arc<Histogram>) -> Self {
+    pub fn enter(hist: &'static Histogram) -> Self {
         Span {
             hist: Some(hist),
-            frame: profile::push(name),
+            frame: profile::push(hist.name),
             start: Instant::now(),
         }
     }
@@ -59,7 +48,7 @@ impl Span {
             hist.record_duration(elapsed);
         }
         if let Some(token) = self.frame.take() {
-            profile::pop(token, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+            profile::pop(token, duration_ns(elapsed));
         }
         elapsed
     }
@@ -77,11 +66,11 @@ impl Drop for Span {
     }
 }
 
-/// Time the enclosing scope into the global registry's histogram
-/// `$name` (span naming scheme: `phase.subphase_ns`):
+/// Time the enclosing scope into a histogram of the metric table
+/// (span naming scheme: `phase.subphase_ns`):
 ///
 /// ```
-/// let _span = sama_obs::span!("cluster.align_ns");
+/// let _span = sama_obs::span!(sama_obs::metrics::CLUSTER_ALIGN_NS);
 /// // ... work ...
 /// // recorded when `_span` drops
 /// ```
@@ -91,9 +80,9 @@ impl Drop for Span {
 /// (`let _span = …`, not `let _ = …`) or the span ends immediately.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
+    ($hist:expr) => {
         if $crate::enabled() {
-            $crate::Span::enter_named($name, $crate::global().histogram($name))
+            $crate::Span::enter(&$hist)
         } else {
             $crate::Span::noop()
         }
@@ -106,45 +95,46 @@ mod tests {
 
     #[test]
     fn span_records_on_drop() {
-        let hist = Arc::new(Histogram::new());
+        static HIST: Histogram = Histogram::new("span_test.drop_ns", "");
         {
-            let _span = Span::enter(Arc::clone(&hist));
+            let _span = Span::enter(&HIST);
         }
-        assert_eq!(hist.snapshot().count(), 1);
+        assert_eq!(HIST.snapshot().count(), 1);
     }
 
     #[test]
     fn finish_records_once_and_returns_elapsed() {
-        let hist = Arc::new(Histogram::new());
-        let span = Span::enter(Arc::clone(&hist));
+        static HIST: Histogram = Histogram::new("span_test.finish_ns", "");
+        let span = Span::enter(&HIST);
         let elapsed = span.finish();
-        assert_eq!(hist.snapshot().count(), 1);
+        assert_eq!(HIST.snapshot().count(), 1);
         assert!(elapsed.as_nanos() > 0 || elapsed.is_zero());
         let noop = Span::noop();
         let _ = noop.finish();
-        assert_eq!(hist.snapshot().count(), 1, "noop span records nothing");
+        assert_eq!(HIST.snapshot().count(), 1, "noop span records nothing");
     }
 
     #[test]
     fn named_span_feeds_histogram_and_profile_identically() {
+        static OUTER: Histogram = Histogram::new("span_test.outer_ns", "");
+        static INNER: Histogram = Histogram::new("span_test.inner_ns", "");
         let _guard = profile::test_lock();
-        let hist = Arc::new(Histogram::new());
         profile::set_profiling(true);
         profile::reset();
         {
-            let _outer = Span::enter_named("span_test.outer_ns", Arc::clone(&hist));
-            let _inner = Span::enter_named("span_test.inner_ns", Arc::clone(&hist));
+            let _outer = Span::enter(&OUTER);
+            let _inner = Span::enter(&INNER);
         }
         profile::set_profiling(false);
-        assert_eq!(hist.snapshot().count(), 2);
         let stats = profile::stats();
         let outer = stats["span_test.outer_ns"];
         let inner = stats["span_test.outer_ns;span_test.inner_ns"];
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 1);
         // The same elapsed measurement feeds both sinks, so the profile
-        // totals and the histogram sum agree exactly.
-        assert_eq!(hist.snapshot().sum, outer.total_ns + inner.total_ns);
+        // totals and the histogram sums agree exactly.
+        assert_eq!(OUTER.snapshot().sum, outer.total_ns);
+        assert_eq!(INNER.snapshot().sum, inner.total_ns);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
     }
 }

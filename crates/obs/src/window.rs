@@ -28,7 +28,8 @@
 //! [`Instant`]), so the structure never consults the wall clock and is
 //! immune to clock steps.
 
-use crate::metrics::{bucket_index, HistogramSnapshot, BUCKET_COUNT};
+use crate::enabled;
+use crate::metrics::{bucket_index, duration_ns, HistogramSnapshot, BUCKET_COUNT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -50,10 +51,10 @@ struct Slice {
 }
 
 impl Slice {
-    fn empty() -> Self {
+    const fn empty() -> Self {
         Slice {
             stamp: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [const { AtomicU64::new(0) }; BUCKET_COUNT],
             sum: AtomicU64::new(0),
         }
     }
@@ -74,49 +75,48 @@ pub(crate) fn now_secs() -> u64 {
 }
 
 /// A log2-bucketed histogram over a ring of one-second slices,
-/// queryable for the sliding trailing windows in [`WINDOWS`].
+/// queryable for the sliding trailing windows in [`WINDOWS`]. The ring
+/// is inline (≈190 KB), so a rolling histogram is a `static` of the
+/// metric table, never a local.
 pub struct RollingHistogram {
-    slices: Vec<Slice>,
-}
-
-impl Default for RollingHistogram {
-    fn default() -> Self {
-        RollingHistogram {
-            slices: (0..SLICES).map(|_| Slice::empty()).collect(),
-        }
-    }
+    /// Dotted name; the exporters append `_p50`… to it.
+    pub name: &'static str,
+    /// One-line description.
+    pub help: &'static str,
+    slices: [Slice; SLICES],
 }
 
 impl std::fmt::Debug for RollingHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RollingHistogram")
-            .field("slices", &self.slices.len())
-            .finish()
+            .field("name", &self.name)
+            .finish_non_exhaustive()
     }
 }
 
 impl RollingHistogram {
     /// An empty rolling histogram.
-    pub fn new() -> Self {
-        RollingHistogram::default()
-    }
-
-    /// Record one sample at the current second.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.record_at(value, now_secs());
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        RollingHistogram {
+            name,
+            help,
+            slices: [const { Slice::empty() }; SLICES],
+        }
     }
 
     /// Record a duration (as saturating nanoseconds) at the current
-    /// second.
+    /// second (no-op while disabled).
     #[inline]
     pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        if enabled() {
+            self.record_at(duration_ns(d), now_secs());
+        }
     }
 
-    /// [`RollingHistogram::record`] with an explicit clock, for tests
-    /// and deterministic replays. `second` must be monotonically
-    /// non-decreasing across calls for windows to mean anything.
+    /// Record one sample at `second`, whether or not recording is
+    /// enabled — for tests and deterministic replays. `second` must be
+    /// monotonically non-decreasing across calls for windows to mean
+    /// anything.
     pub fn record_at(&self, value: u64, second: u64) {
         let slice = &self.slices[(second as usize) % SLICES];
         if slice.stamp.load(Ordering::Acquire) != second + 1 {
@@ -130,12 +130,7 @@ impl RollingHistogram {
     }
 
     /// The merged distribution of the trailing `window_secs` seconds
-    /// (inclusive of the in-progress current second).
-    pub fn window(&self, window_secs: u64) -> HistogramSnapshot {
-        self.window_at(window_secs, now_secs())
-    }
-
-    /// [`RollingHistogram::window`] with an explicit clock.
+    /// before `now` (inclusive of second `now` itself).
     pub fn window_at(&self, window_secs: u64, now: u64) -> HistogramSnapshot {
         let oldest = now.saturating_sub(window_secs.saturating_sub(1));
         let mut merged = HistogramSnapshot::default();
@@ -177,26 +172,10 @@ pub struct WindowedSnapshot {
     pub windows: [(&'static str, HistogramSnapshot); 3],
 }
 
-impl Default for WindowedSnapshot {
-    fn default() -> Self {
-        WindowedSnapshot {
-            windows: WINDOWS.map(|(label, _)| (label, HistogramSnapshot::default())),
-        }
-    }
-}
-
 impl WindowedSnapshot {
     /// Iterate `(label, distribution)` pairs, shortest window first.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &HistogramSnapshot)> {
         self.windows.iter().map(|(label, h)| (*label, h))
-    }
-
-    /// Bucket-wise accumulate `other` (window by window). Merging makes
-    /// per-worker snapshots combinable exactly like plain histograms.
-    pub fn merge(&mut self, other: &WindowedSnapshot) {
-        for (mine, theirs) in self.windows.iter_mut().zip(&other.windows) {
-            mine.1.merge(&theirs.1);
-        }
     }
 }
 
@@ -206,7 +185,8 @@ mod tests {
 
     #[test]
     fn samples_expire_out_of_short_windows_first() {
-        let h = RollingHistogram::new();
+        static H: RollingHistogram = RollingHistogram::new("t.h1", "");
+        let h = &H;
         h.record_at(1_000, 0);
         h.record_at(2_000, 5);
         h.record_at(4_000, 100);
@@ -228,7 +208,8 @@ mod tests {
 
     #[test]
     fn window_includes_the_current_second() {
-        let h = RollingHistogram::new();
+        static H: RollingHistogram = RollingHistogram::new("t.h2", "");
+        let h = &H;
         h.record_at(7, 42);
         let w = h.window_at(10, 42);
         assert_eq!(w.count(), 1);
@@ -240,7 +221,8 @@ mod tests {
 
     #[test]
     fn ring_recycling_drops_only_stale_slices() {
-        let h = RollingHistogram::new();
+        static H: RollingHistogram = RollingHistogram::new("t.h3", "");
+        let h = &H;
         h.record_at(1, 3);
         // A full ring later the same slot is recycled for the new
         // second; the stale sample must not resurface.
@@ -252,7 +234,8 @@ mod tests {
 
     #[test]
     fn quantiles_resolve_like_plain_histograms() {
-        let h = RollingHistogram::new();
+        static H: RollingHistogram = RollingHistogram::new("t.h4", "");
+        let h = &H;
         for v in [100u64, 200, 400, 800, 100_000] {
             h.record_at(v, 50);
         }
@@ -264,30 +247,16 @@ mod tests {
     }
 
     #[test]
-    fn windowed_snapshot_merges_bucketwise() {
-        let a = RollingHistogram::new();
-        let b = RollingHistogram::new();
-        a.record_at(10, 1);
-        b.record_at(20, 1);
-        let mut merged = a.windowed_at(1);
-        merged.merge(&b.windowed_at(1));
-        for (label, w) in merged.iter() {
-            assert_eq!(w.count(), 2, "window {label}");
-            assert_eq!(w.sum, 30, "window {label}");
-        }
-    }
-
-    #[test]
     fn real_clock_record_is_visible_immediately() {
-        let h = RollingHistogram::new();
-        h.record(5);
-        assert_eq!(h.window(10).count(), 1);
-        assert_eq!(h.windowed().windows[0].1.count(), 1);
+        static H: RollingHistogram = RollingHistogram::new("t.real_clock_ns", "");
+        H.record_duration(Duration::from_nanos(5));
+        assert_eq!(H.windowed().windows[0].1.count(), 1);
     }
 
     #[test]
     fn concurrent_recording_within_one_second_is_lossless() {
-        let h = RollingHistogram::new();
+        static H: RollingHistogram = RollingHistogram::new("t.h5", "");
+        let h = &H;
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

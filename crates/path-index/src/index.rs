@@ -323,7 +323,7 @@ impl PathIndex {
     /// then order the paths and fill the label and sink postings in
     /// that order.
     pub fn build_with_config(graph: DataGraph, config: &ExtractionConfig) -> Self {
-        let build_span = sama_obs::span!("index.build_ns");
+        let build_span = sama_obs::span!(sama_obs::metrics::INDEX_BUILD_NS);
         let start = Instant::now();
         let g = graph.as_graph();
         let mut builder = PoolBuilder {
@@ -366,9 +366,9 @@ impl PathIndex {
         };
         index.stats.build_time = start.elapsed();
         drop(build_span);
-        sama_obs::counter_add("index.builds_total", 1);
-        sama_obs::gauge_set("index.paths", index.stats.path_count as i64);
-        sama_obs::gauge_set("index.triples", index.stats.triples as i64);
+        sama_obs::metrics::INDEX_BUILDS_TOTAL.add(1);
+        sama_obs::metrics::INDEX_PATHS.set(index.stats.path_count as i64);
+        sama_obs::metrics::INDEX_TRIPLES.set(index.stats.triples as i64);
         index
     }
 

@@ -219,7 +219,7 @@ pub fn build_lsh_bytes<I: IndexLike + ?Sized>(
     params: LshParams,
 ) -> Result<Vec<u8>, StorageError> {
     params.validate()?;
-    let _span = sama_obs::span!("lsh.build_ns");
+    let _span = sama_obs::span!(sama_obs::metrics::LSH_BUILD_NS);
     let paths = index.total_paths();
     try_u32(paths, "LSH path count")?;
     let sig_len = params.signature_len();

@@ -1407,11 +1407,11 @@ impl MappedIndex {
     }
 
     fn from_backing(backing: Backing) -> Result<MappedIndex, StorageError> {
-        let _span = sama_obs::span!("index.open_ns");
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_OPEN_NS);
         let view = IndexView::parse(backing.bytes())?;
         let mut stats = view.stats();
         stats.serialized_bytes = Some(backing.bytes().len());
-        sama_obs::counter_add("index.opens_total", 1);
+        sama_obs::metrics::INDEX_OPENS_TOTAL.add(1);
         // SAFETY: only the lifetime changes. The slices point into the
         // bytes `backing` owns — a file mapping, or the heap allocation
         // of an `AlignedBytes` — whose address does not change when
@@ -1523,7 +1523,7 @@ impl MappedIndex {
     /// which reads its vocabulary; delete with ROADMAP 1a.
     pub fn data(&self) -> &DataGraph {
         self.data.get_or_init(|| {
-            let _span = sama_obs::span!("index.materialize_ns");
+            let _span = sama_obs::span!(sama_obs::metrics::INDEX_MATERIALIZE_NS);
             self.view.materialize_graph()
         })
     }
@@ -1602,14 +1602,14 @@ impl IndexLike for MappedIndex {
     }
 
     fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId> {
-        let _span = sama_obs::span!("index.locate_ns");
-        sama_obs::counter_add("index.sink_lookups_total", 1);
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_LOCATE_NS);
+        sama_obs::metrics::INDEX_SINK_LOOKUPS_TOTAL.add(1);
         self.union_of(labels, IndexView::paths_with_sink)
     }
 
     fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId> {
-        let _span = sama_obs::span!("index.locate_ns");
-        sama_obs::counter_add("index.label_lookups_total", 1);
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_LOCATE_NS);
+        sama_obs::metrics::INDEX_LABEL_LOOKUPS_TOTAL.add(1);
         self.union_of(labels, IndexView::paths_with_label)
     }
 

@@ -80,6 +80,20 @@ fn map_io(e: std::io::Error) -> ParseError {
     }
 }
 
+/// One `read` into `chunk`, retried while a signal interrupts it: a
+/// socket with a receive timeout is not restarted after a signal
+/// handler runs (`SA_RESTART` does not cover it), and `sama serve`
+/// handles SIGTERM/SIGINT, so a drain signal must not cut a request in
+/// half.
+fn read_chunk(stream: &mut impl Read, chunk: &mut [u8]) -> Result<usize, ParseError> {
+    loop {
+        match stream.read(chunk) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            result => return result.map_err(map_io),
+        }
+    }
+}
+
 /// Byte offset of the `\r\n\r\n` head terminator, if present.
 fn head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
@@ -98,7 +112,7 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_len = loop {
-        let n = stream.read(&mut chunk).map_err(map_io)?;
+        let n = read_chunk(stream, &mut chunk)?;
         if n == 0 {
             return Err(if buf.is_empty() {
                 ParseError::Closed
@@ -178,7 +192,7 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
 
     let mut body = buf[head_len + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(map_io)?;
+        let n = read_chunk(stream, &mut chunk)?;
         if n == 0 {
             return Err(ParseError::BadRequest("connection closed mid-body".into()));
         }
@@ -322,6 +336,44 @@ mod tests {
         let parsed = read_request(&mut stream, max_body);
         writer.join().expect("writer");
         parsed
+    }
+
+    /// A reader that fails with `Interrupted` before every chunk it
+    /// hands out, the way a socket read does when a signal lands.
+    struct Interrupting<'a> {
+        chunks: std::slice::Iter<'a, &'a [u8]>,
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let Some(chunk) = self.chunks.next() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let chunks: [&[u8]; 4] = [
+            b"POST /query HTTP/1.1\r\n",
+            b"Content-Length: 5\r\n",
+            b"\r\nhe",
+            b"llo",
+        ];
+        let mut reader = Interrupting {
+            chunks: chunks.iter(),
+            interrupt: false,
+        };
+        let req = read_request(&mut reader, 64).expect("interrupts are retried");
+        assert_eq!(req.path(), "/query");
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | `POST /query[?k=N]` | SPARQL body → the engine's `--json` document, bit-identical to `sama query --json` |
 //! | `POST /batch[?k=N]` | queries separated by `;;` lines → per-slot results + pool stats |
-//! | `GET /metrics` | Prometheus exposition of the global registry |
+//! | `GET /metrics` | Prometheus exposition of the metric table |
 //! | `GET /healthz` | liveness: `200 ok` whenever the listener breathes |
 //! | `GET /readyz` | readiness: `200 ready` only after the index is open and a self-probe query succeeded; flips back to `503` while draining |
 //!
@@ -52,7 +52,6 @@ pub mod signal;
 
 pub use server::{DrainReport, Server, ShutdownHandle};
 
-use sama_obs as obs;
 use std::time::Duration;
 
 /// Tuning knobs for a [`Server`]. `Default` is sized for a laptop
@@ -94,19 +93,4 @@ impl Default for ServeConfig {
             max_queue_depth: 0,
         }
     }
-}
-
-/// Register every `serve.*` metric with the global registry up front,
-/// so `/metrics` scrapes (and the golden Prometheus-name pinning) see
-/// the full serving surface before the first request arrives.
-pub fn register_metrics() {
-    let registry = obs::global();
-    registry.gauge("serve.active_connections");
-    registry.counter("serve.requests_total");
-    registry.counter("serve.shed_total");
-    registry.counter("serve.timeouts_total");
-    registry.rolling("serve.request.total_ns");
-    // The IC weighting series exist from the first scrape even if
-    // `--ic-weights` is off.
-    sama_core::register_semantic_metrics();
 }

@@ -50,7 +50,7 @@ impl ServerState {
 /// [`ActiveGuard::drop`] so it executes even while a worker unwinds.
 fn release(state: &ServerState) {
     let now = state.active.fetch_sub(1, Ordering::SeqCst) - 1;
-    obs::gauge_set("serve.active_connections", now as i64);
+    obs::metrics::SERVE_ACTIVE_CONNECTIONS.set(now as i64);
 }
 
 /// Drop guard owning one slot of the connection count.
@@ -108,11 +108,10 @@ pub struct Server<I: IndexLike + Send + Sync + 'static> {
 }
 
 impl<I: IndexLike + Send + Sync + 'static> Server<I> {
-    /// Bind the configured address, register the `serve.*` metrics,
-    /// and run the readiness self-probe (answer one trivial query so
-    /// `/readyz` only flips after the index demonstrably works).
+    /// Bind the configured address and run the readiness self-probe
+    /// (answer one trivial query so `/readyz` only flips after the
+    /// index demonstrably works).
     pub fn bind(engine: SamaEngine<I>, config: ServeConfig) -> Result<Self, String> {
-        crate::register_metrics();
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
         let local_addr = listener
@@ -201,9 +200,9 @@ impl<I: IndexLike + Send + Sync + 'static> Server<I> {
             return;
         }
         let active = self.state.active.fetch_add(1, Ordering::SeqCst) + 1;
-        obs::gauge_set("serve.active_connections", active as i64);
+        obs::metrics::SERVE_ACTIVE_CONNECTIONS.set(active as i64);
         if active > self.config.max_connections {
-            obs::counter_add("serve.shed_total", 1);
+            obs::metrics::SERVE_SHED_TOTAL.add(1);
             let mut stream = stream;
             let _ = stream.set_nonblocking(false);
             let _ = stream.set_write_timeout(Some(self.config.write_timeout));
@@ -327,7 +326,7 @@ fn handle_connection<I: IndexLike + Send + Sync>(
             Err(ParseError::TimedOut) => {
                 // Slow-loris cut: the peer held the socket without
                 // completing a request inside the read timeout.
-                obs::counter_add("serve.timeouts_total", 1);
+                obs::metrics::SERVE_TIMEOUTS_TOTAL.add(1);
                 let _ = error_response(408, "request not received within the read timeout")
                     .closing()
                     .write_to(&mut stream, false);
@@ -361,8 +360,8 @@ fn handle_connection<I: IndexLike + Send + Sync>(
         } else {
             route(&request, engine, config, state)
         };
-        obs::counter_add("serve.requests_total", 1);
-        obs::rolling_observe_duration("serve.request.total_ns", started.elapsed());
+        obs::metrics::SERVE_REQUESTS_TOTAL.add(1);
+        obs::metrics::SERVE_REQUEST_TOTAL_NS_ROLLING.record_duration(started.elapsed());
         let keep_alive = request.keep_alive && !response.wants_close() && !state.draining();
         obs::fault::point("serve.write");
         match response.write_to(&mut stream, keep_alive) {
@@ -373,7 +372,7 @@ fn handle_connection<I: IndexLike + Send + Sync>(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                obs::counter_add("serve.timeouts_total", 1);
+                obs::metrics::SERVE_TIMEOUTS_TOTAL.add(1);
                 return;
             }
             Err(_) => return,
@@ -400,7 +399,7 @@ fn route<I: IndexLike + Send + Sync>(
                 Response::text(503, "starting\n")
             }
         }
-        ("GET", "/metrics") => Response::prometheus(obs::global().snapshot().to_prometheus()),
+        ("GET", "/metrics") => Response::prometheus(obs::export::prometheus()),
         ("POST", "/query") => handle_query(request, engine, config),
         ("POST", "/batch") => handle_batch(request, engine, config),
         (_, "/healthz" | "/readyz" | "/metrics") => {

@@ -73,6 +73,17 @@ impl Reply {
     }
 }
 
+/// One `read` off `stream`, retried while a signal interrupts it (as
+/// `read_exact` and `read_to_end` do).
+fn read_some(stream: &mut impl std::io::Read, chunk: &mut [u8], what: &str) -> usize {
+    loop {
+        match stream.read(chunk) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            result => return result.unwrap_or_else(|e| panic!("{what}: {e}")),
+        }
+    }
+}
+
 /// Read exactly one response off `stream` (head, then Content-Length
 /// bytes of body) so keep-alive connections can be reused.
 fn read_reply(stream: &mut TcpStream) -> Reply {
@@ -82,7 +93,7 @@ fn read_reply(stream: &mut TcpStream) -> Reply {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
-        let n = stream.read(&mut chunk).expect("read response head");
+        let n = read_some(stream, &mut chunk, "read response head");
         assert!(n > 0, "connection closed before a full response head");
         buf.extend_from_slice(&chunk[..n]);
     };
@@ -104,7 +115,7 @@ fn read_reply(stream: &mut TcpStream) -> Reply {
         .unwrap_or(0);
     let mut body = buf[head_len + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
+        let n = read_some(stream, &mut chunk, "read response body");
         assert!(n > 0, "connection closed mid-body");
         body.extend_from_slice(&chunk[..n]);
     }
@@ -198,12 +209,7 @@ fn query_answers_with_engine_json_and_query_id() {
 fn index_is_served_without_materializing_its_graph() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     install(FaultPlan::none());
-    let materialized = || {
-        sama_obs::global()
-            .histogram("index.materialize_ns")
-            .snapshot()
-            .count()
-    };
+    let materialized = || sama_obs::metrics::INDEX_MATERIALIZE_NS.snapshot().count();
     let before = materialized();
     let (addr, handle, join) = start(ServeConfig::default());
 
@@ -549,7 +555,7 @@ fn settled_resources() -> (usize, usize) {
 fn resources_return_to_baseline_after_faults() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     install(FaultPlan::none());
-    let active = sama_obs::global().gauge("serve.active_connections");
+    let active = &sama_obs::metrics::SERVE_ACTIVE_CONNECTIONS;
     let (threads, fds) = settled_resources();
     let connections = active.get();
 

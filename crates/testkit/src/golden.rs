@@ -2,16 +2,17 @@
 //! exports so a refactor cannot silently rename or drop a field that
 //! dashboards and log pipelines depend on.
 //!
-//! Two snapshots, both committed under `crates/testkit/golden/`:
+//! Three snapshots, all committed under `crates/testkit/golden/` and
+//! compared exactly — a new entry is as much a contract change as a
+//! removed one:
 //!
 //! * `explain_shape.txt` — the flattened key paths of one EXPLAIN JSONL
 //!   line (payloads erased, arrays collapsed; see [`crate::json::shape`]).
-//!   Compared exactly: a new key is as much a contract change as a
-//!   removed one.
-//! * `prometheus_names.txt` — metric names a query run must export.
-//!   Compared as a *required subset*: other tests in the process and
-//!   the `SAMA_FAULTS` chaos leg may add series, but these must always
-//!   exist.
+//! * `prometheus_names.txt` — the series names the exposition carries
+//!   after a query run. The exporter walks the static metric table, so
+//!   the set cannot vary with what else the process recorded.
+//! * `metrics.txt` — the metric reference: one `name kind help` line
+//!   per table entry, in table order.
 //!
 //! Regenerate intentionally with `SAMA_UPDATE_GOLDEN=1 cargo test -p
 //! sama-testkit golden` and review the diff like any API change.
@@ -78,10 +79,7 @@ pub fn prometheus_names() -> Vec<String> {
     let (data, query) = fixture();
     let engine = SamaEngine::new(data);
     let _ = engine.answer(&query, 3);
-    // The serving layer registers its metrics up front (no server
-    // needed), so the golden set pins the full `serve.*` surface too.
-    sama_serve::register_metrics();
-    let text = sama_obs::global().snapshot().to_prometheus();
+    let text = sama_obs::export::prometheus();
     let mut names: Vec<String> = text
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
@@ -93,17 +91,19 @@ pub fn prometheus_names() -> Vec<String> {
     names
 }
 
-/// How a snapshot is compared against its golden file.
-pub enum Mode {
-    /// Current lines must equal the golden lines exactly.
-    Exact,
-    /// Every golden line must appear in the current lines.
-    RequiredSubset,
+/// The metric reference rendered from the table: `name kind help`,
+/// tab-separated, one line per declared metric.
+pub fn metric_reference() -> Vec<String> {
+    sama_obs::metrics::TABLE
+        .iter()
+        .map(|m| format!("{}\t{}\t{}", m.name(), m.kind(), m.help()))
+        .collect()
 }
 
-/// Compare `lines` to `golden/<file>`, or rewrite the file when
-/// `SAMA_UPDATE_GOLDEN=1`. `Err` carries a reviewable diff message.
-pub fn check_golden(file: &str, lines: &[String], mode: Mode) -> Result<(), String> {
+/// Compare `lines` to `golden/<file>` exactly, or rewrite the file
+/// when `SAMA_UPDATE_GOLDEN=1`. `Err` carries a reviewable diff
+/// message.
+pub fn check_golden(file: &str, lines: &[String]) -> Result<(), String> {
     let path = golden_dir().join(file);
     if std::env::var_os("SAMA_UPDATE_GOLDEN").is_some_and(|v| v == "1") {
         let mut body = lines.join("\n");
@@ -120,31 +120,15 @@ pub fn check_golden(file: &str, lines: &[String], mode: Mode) -> Result<(), Stri
         )
     })?;
     let golden: Vec<&str> = golden_text.lines().collect();
-    match mode {
-        Mode::Exact => {
-            let current: Vec<&str> = lines.iter().map(String::as_str).collect();
-            if current != golden {
-                let missing: Vec<&&str> = golden.iter().filter(|g| !current.contains(g)).collect();
-                let added: Vec<&&str> = current.iter().filter(|c| !golden.contains(c)).collect();
-                return Err(format!(
-                    "{file} drifted from its golden shape\n  missing: {missing:?}\n  \
-                     added: {added:?}\n  \
-                     if intentional: SAMA_UPDATE_GOLDEN=1 cargo test -p sama-testkit golden"
-                ));
-            }
-        }
-        Mode::RequiredSubset => {
-            let missing: Vec<&&str> = golden
-                .iter()
-                .filter(|g| !lines.iter().any(|l| l == *g))
-                .collect();
-            if !missing.is_empty() {
-                return Err(format!(
-                    "{file}: required entries missing from the export: {missing:?}\n  \
-                     if intentional: SAMA_UPDATE_GOLDEN=1 cargo test -p sama-testkit golden"
-                ));
-            }
-        }
+    let current: Vec<&str> = lines.iter().map(String::as_str).collect();
+    if current != golden {
+        let missing: Vec<&&str> = golden.iter().filter(|g| !current.contains(g)).collect();
+        let added: Vec<&&str> = current.iter().filter(|c| !golden.contains(c)).collect();
+        return Err(format!(
+            "{file} drifted from its golden shape\n  missing: {missing:?}\n  \
+             added: {added:?}\n  \
+             if intentional: SAMA_UPDATE_GOLDEN=1 cargo test -p sama-testkit golden"
+        ));
     }
     Ok(())
 }

@@ -353,9 +353,7 @@ fn read_query(query_path: &str) -> Result<sama::model::SparqlQuery, String> {
 /// memory map — the one index type and the one read path of every
 /// subcommand but `update`.
 fn open_index(path: &str) -> Result<MappedIndex, String> {
-    let index = MappedIndex::open(std::path::Path::new(path)).map_err(|e| index_error(path, e))?;
-    sama::obs::global().set_build_info("index.format", "SAMAIDX2");
-    Ok(index)
+    MappedIndex::open(std::path::Path::new(path)).map_err(|e| index_error(path, e))
 }
 
 /// Decode an index file into the owned, mutable representation `update`
@@ -697,14 +695,13 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         eprintln!("wrote {written} traces to {path}");
     }
 
-    // Registry snapshot: Prometheus text exposition to <file>, JSON
-    // snapshot to <file>.json.
+    // The metric table: Prometheus text exposition to <file>, JSON
+    // to <file>.json.
     if let Some(path) = &metrics_out {
-        let snapshot = sama::obs::global().snapshot();
-        std::fs::write(path, snapshot.to_prometheus())
+        std::fs::write(path, sama::obs::export::prometheus())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         let json_path = format!("{path}.json");
-        std::fs::write(&json_path, snapshot.to_json())
+        std::fs::write(&json_path, sama::obs::export::json())
             .map_err(|e| format!("cannot write {json_path:?}: {e}"))?;
         eprintln!("wrote metrics to {path} (Prometheus) and {json_path} (JSON)");
     }
@@ -911,8 +908,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let _ = std::io::Write::flush(&mut std::io::stdout());
     let report = server.run();
     if let Some(path) = &metrics_out {
-        let snapshot = sama::obs::global().snapshot();
-        std::fs::write(path, snapshot.to_prometheus())
+        std::fs::write(path, sama::obs::export::prometheus())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
     }
     opts.flush_diagnostics()?;

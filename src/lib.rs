@@ -65,7 +65,7 @@ pub mod engine {
     pub use sama_core::*;
 }
 
-/// Metrics registry, span timers, and exporters (`sama-obs`).
+/// Metric table, span timers, and exporters (`sama-obs`).
 pub mod obs {
     pub use sama_obs::*;
 }

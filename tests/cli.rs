@@ -1278,16 +1278,26 @@ fn synonyms_file_error_paths() {
 
 // ---- sama serve ------------------------------------------------------
 
+/// One `read` off `stream`, retried while a signal interrupts it (as
+/// `read_exact` and `read_to_end` do).
+fn read_some(stream: &mut impl std::io::Read, chunk: &mut [u8], what: &str) -> usize {
+    loop {
+        match stream.read(chunk) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            result => return result.unwrap_or_else(|e| panic!("{what}: {e}")),
+        }
+    }
+}
+
 /// Read one HTTP response (head + Content-Length body) off `stream`.
 fn read_http_reply(stream: &mut std::net::TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    use std::io::Read;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_len = loop {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
-        let n = stream.read(&mut chunk).expect("read response head");
+        let n = read_some(stream, &mut chunk, "read response head");
         assert!(n > 0, "connection closed before a full response head");
         buf.extend_from_slice(&chunk[..n]);
     };
@@ -1309,7 +1319,7 @@ fn read_http_reply(stream: &mut std::net::TcpStream) -> (u16, Vec<(String, Strin
         .unwrap_or(0);
     let mut body = buf[head_len + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
+        let n = read_some(stream, &mut chunk, "read response body");
         assert!(n > 0, "connection closed mid-body");
         body.extend_from_slice(&chunk[..n]);
     }
