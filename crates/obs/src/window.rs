@@ -19,10 +19,14 @@
 //!
 //! Recording is the same two relaxed `fetch_add`s as a plain
 //! histogram plus one stamp check; the structure is written once per
-//! *query*, never inside hot loops. Readers and writers never block
-//! each other — a scrape racing a slice reset can observe a partially
-//! zeroed slice, which for second-granularity operational quantiles is
-//! an accepted (and documented) imprecision.
+//! *query*, never inside hot loops. Recycling a slice is claimed by one
+//! writer, which swaps the stale stamp for a "resetting" sentinel,
+//! zeroes the slice and then publishes the new stamp; writers of the
+//! same second wait for that stamp before they add, so no recorded
+//! sample is zeroed by a racing writer. Readers never wait: a scrape
+//! skips a slice being reset, and one racing the zeroing can observe a
+//! partially zeroed slice — for second-granularity operational
+//! quantiles an accepted imprecision.
 //!
 //! Time is measured as whole seconds since process start (a monotonic
 //! [`Instant`]), so the structure never consults the wall clock and is
@@ -43,8 +47,12 @@ pub const WINDOWS: [(&str, u64); 3] = [("10s", 10), ("1m", 60), ("5m", 300)];
 /// to be recycled for the *current* second.
 pub const SLICES: usize = 360;
 
+/// The stamp of a slice one writer is zeroing for a new second.
+const RESETTING: u64 = u64::MAX;
+
 struct Slice {
-    /// `second + 1` of the data this slice holds; `0` = never written.
+    /// `second + 1` of the data this slice holds; `0` = never written,
+    /// [`RESETTING`] = being recycled.
     stamp: AtomicU64,
     buckets: [AtomicU64; BUCKET_COUNT],
     sum: AtomicU64,
@@ -59,12 +67,35 @@ impl Slice {
         }
     }
 
-    fn reset_for(&self, second: u64) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+    /// Make this slice hold second `stamp - 1`: return once its stamp
+    /// reads `stamp`. A writer that finds another stamp claims the
+    /// slice by swapping that stamp for [`RESETTING`], zeroes it and
+    /// publishes `stamp` with a `Release` store; every other writer
+    /// waits until its `Acquire` load reads that store, so its add
+    /// lands after the zeroing, never before it.
+    fn claim(&self, stamp: u64) {
+        loop {
+            match self.stamp.load(Ordering::Acquire) {
+                seen if seen == stamp => return,
+                RESETTING => std::hint::spin_loop(),
+                stale => {
+                    let claimed = self.stamp.compare_exchange(
+                        stale,
+                        RESETTING,
+                        Ordering::Acquire,
+                        Ordering::Relaxed,
+                    );
+                    if claimed.is_ok() {
+                        for b in &self.buckets {
+                            b.store(0, Ordering::Relaxed);
+                        }
+                        self.sum.store(0, Ordering::Relaxed);
+                        self.stamp.store(stamp, Ordering::Release);
+                        return;
+                    }
+                }
+            }
         }
-        self.sum.store(0, Ordering::Relaxed);
-        self.stamp.store(second + 1, Ordering::Release);
     }
 }
 
@@ -116,15 +147,11 @@ impl RollingHistogram {
     /// Record one sample at `second`, whether or not recording is
     /// enabled — for tests and deterministic replays. `second` must be
     /// monotonically non-decreasing across calls for windows to mean
-    /// anything.
+    /// anything, and below `u64::MAX - 1` (a slice's stamp is
+    /// `second + 1`, and `u64::MAX` marks one being reset).
     pub fn record_at(&self, value: u64, second: u64) {
         let slice = &self.slices[(second as usize) % SLICES];
-        if slice.stamp.load(Ordering::Acquire) != second + 1 {
-            // First writer of this second recycles the slice. A racing
-            // writer may re-zero a freshly recorded sample from the
-            // same second — a bounded, diagnostics-grade imprecision.
-            slice.reset_for(second);
-        }
+        slice.claim(second + 1);
         slice.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         slice.sum.fetch_add(value, Ordering::Relaxed);
     }

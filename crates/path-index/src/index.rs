@@ -530,7 +530,6 @@ fn content_order(pools: &Pools) -> Vec<PathId> {
 mod tests {
     use super::*;
     use crate::extract::extract_paths;
-    use crate::hypergraph::HyperGraphView;
     use rdf_model::Term;
 
     fn sample_index() -> PathIndex {
@@ -621,25 +620,6 @@ mod tests {
         assert_eq!(s.hyper_vertices, idx.graph().node_count());
         assert!(s.hyper_edges >= s.path_count);
         assert!(!s.is_truncated());
-    }
-
-    #[test]
-    fn hyper_counts_match_the_hypergraph_view() {
-        let mut b = DataGraph::builder();
-        for (s, p, o) in [
-            ("a", "p", "b"),
-            ("a", "p", "c"),
-            ("b", "q", "d"),
-            ("c", "q", "a"),
-        ] {
-            b.triple_str(s, p, o).unwrap();
-        }
-        b.node(&Term::iri("lonely")).unwrap();
-        let idx = PathIndex::build(b.build());
-        let g = idx.graph().as_graph();
-        let view = HyperGraphView::build(g, &extract_paths(g, &ExtractionConfig::default()).paths);
-        assert_eq!(idx.stats().hyper_vertices, view.vertex_count);
-        assert_eq!(idx.stats().hyper_edges, view.edge_count());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   pools), so query answering can "skip the expensive graph traversal
 //!   at runtime";
 //! * account for the hypergraph representation (`|HV|`, `|HE|`) used by
-//!   Table 1 (counted by the build; [`hypergraph::HyperGraphView`]
-//!   spells the hyperedges out);
+//!   Table 1, counted by the build without spelling the hyperedges out;
 //! * serialize the whole index to the one on-disk image, `SAMAIDX2`
 //!   ([`v2`]) — the paper's disk boundary and the Table 1 *Space*
 //!   column — and serve it in place from a memory map
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod extract;
-pub mod hypergraph;
 pub mod ic;
 pub mod index;
 pub mod index_like;
@@ -54,7 +52,6 @@ pub mod update;
 pub mod v2;
 
 pub use extract::{extract_into, extract_paths, Extraction, ExtractionConfig, ExtractionCounts};
-pub use hypergraph::{HyperEdge, HyperEdgeKind, HyperGraphView};
 pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};
 pub use index_like::{display_path, ConstantLookup, IndexLike};

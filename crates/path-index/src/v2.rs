@@ -103,6 +103,7 @@ use crate::synonyms::SynonymProvider;
 use rdf_model::hash::FxHasher;
 use rdf_model::{DataGraph, EdgeId, Graph, LabelId, NodeId, TermKind};
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -120,6 +121,15 @@ const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
 /// Empty hash-table slot marker (never a valid label id: ids are < len).
 const EMPTY: u32 = u32::MAX;
+/// [`IndexLike::constant_label`] calls a [`MappedIndex`] answers by
+/// scanning the vocabulary before it builds the constant table: about
+/// as many full scans as one table build costs. On the ledger fixture
+/// (45 130 labels; 2 vCPU), the first scan in a fresh open costs
+/// 1–3 µs for a constant found as an IRI (the pass stops there),
+/// 21–52 µs for the LUBM queries' constants that are missing (a full
+/// pass) and 96–112 µs for a missing 13- or 14-byte form, the commonest
+/// lengths; the table build (a 512 KB array) costs 1.0–1.1 ms.
+pub const CONSTANT_SCANS: usize = 16;
 
 const S_COUNTS: usize = 0;
 const S_VOCAB_KINDS: usize = 1;
@@ -762,6 +772,52 @@ impl<'a> VocabView<'a> {
         (hasher.finish() >> (64 - cap.trailing_zeros())) as usize
     }
 
+    /// `Vocabulary::get_constant` with no table: one pass over the
+    /// offsets that compares bytes only for entries as long as
+    /// `lexical`. Of the entries spelled `lexical`, the IRI wins, else
+    /// the literal, else the blank; ids are visited in order, so a
+    /// repeated `(kind, lexical)` pair keeps its first id and the first
+    /// IRI ends the pass. Variables never match.
+    fn scan_constant(&self, lexical: &str) -> Option<LabelId> {
+        /// Ids whose lengths are checked together.
+        const CHUNK: usize = 16;
+        let want = lexical.as_bytes();
+        let len = u32::try_from(want.len()).ok()?;
+        let count = self.kinds.len();
+        let mut best: Option<(u8, u32)> = None;
+        for base in (0..count).step_by(CHUNK) {
+            let lanes = CHUNK.min(count - base);
+            let offs = &self.offs[base..=base + lanes];
+            let matches = |i: usize| offs[i + 1] - offs[i] == len;
+            // Most runs hold no entry of the wanted length. This fold
+            // vectorises; the bit mask below does not, so it is built
+            // only for a run with a hit.
+            if lanes == CHUNK && !(0..CHUNK).fold(false, |hit, i| hit | matches(i)) {
+                continue;
+            }
+            let mut hits = (0..lanes).fold(0u32, |hits, i| hits | u32::from(matches(i)) << i);
+            while hits != 0 {
+                let i = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                let kind = self.kinds[base + i];
+                if kind == 3 || best.is_some_and(|(k, _)| k <= kind) {
+                    continue;
+                }
+                let bytes = &self.blob[offs[i] as usize..offs[i + 1] as usize];
+                // The last byte first: entries of one length often share
+                // a prefix, and a mismatch there skips the full compare.
+                if bytes.last() == want.last() && bytes == want {
+                    let id = (base + i) as u32;
+                    if kind == 0 {
+                        return Some(LabelId(id));
+                    }
+                    best = Some((kind, id));
+                }
+            }
+        }
+        best.map(|(_, id)| LabelId(id))
+    }
+
     /// The lookup table behind [`VocabView::get_constant`]: open
     /// addressing over label ids, keyed by lexical form (compared in
     /// the blob — no string is copied), at most half full. Labels are
@@ -771,6 +827,7 @@ impl<'a> VocabView<'a> {
     /// grow a probe chain. Variables are left out: no constant names
     /// one.
     fn constant_table(&self) -> Box<[u32]> {
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_CONSTANT_TABLE_NS);
         let cap = (self.kinds.len() * 2).next_power_of_two().max(2);
         let mut table = vec![EMPTY; cap].into_boxed_slice();
         for id in 0..self.kinds.len() as u32 {
@@ -1324,8 +1381,13 @@ pub struct MappedIndex {
     stats: IndexStats,
     data: OnceLock<DataGraph>,
     /// The constant → label id table over the vocabulary sections,
-    /// built on the first [`IndexLike::constant_label`] call.
+    /// built by the [`IndexLike::constant_label`] call that follows the
+    /// first [`CONSTANT_SCANS`].
     constants: OnceLock<Box<[u32]>>,
+    /// [`IndexLike::constant_label`] calls answered before the table
+    /// existed. Relaxed: the count only picks which calls scan and
+    /// publishes nothing; `constants` publishes the table.
+    scans: AtomicUsize,
     /// Optional MinHash/LSH candidate tier, built in memory and
     /// attached with [`MappedIndex::attach_lsh`] (see [`crate::lsh`]).
     lsh: Option<crate::lsh::LshSidecar>,
@@ -1428,6 +1490,7 @@ impl MappedIndex {
             stats,
             data: OnceLock::new(),
             constants: OnceLock::new(),
+            scans: AtomicUsize::new(0),
             lsh: None,
             ic: OnceLock::new(),
         })
@@ -1530,8 +1593,16 @@ impl MappedIndex {
 }
 
 impl IndexLike for MappedIndex {
+    /// The first [`CONSTANT_SCANS`] calls scan the vocabulary; the
+    /// next builds the table once, and every later call probes it.
     fn constant_label(&self, lexical: &str) -> Option<LabelId> {
         let vocab = self.view.vocab;
+        if let Some(table) = self.constants.get() {
+            return vocab.get_constant(table, lexical);
+        }
+        if self.scans.fetch_add(1, Ordering::Relaxed) < CONSTANT_SCANS {
+            return vocab.scan_constant(lexical);
+        }
         let table = self.constants.get_or_init(|| vocab.constant_table());
         vocab.get_constant(table, lexical)
     }
@@ -1917,14 +1988,91 @@ mod tests {
         let idx = PathIndex::build(DataGraph::try_from_graph(graph).unwrap());
         let mapped = MappedIndex::from_bytes(&encode_v2(&idx).unwrap()).unwrap();
 
-        assert_eq!(mapped.constant_label("x"), Some(iri_x));
-        assert_eq!(mapped.constant_label("only"), Some(lit_only));
-        assert_eq!(mapped.constant_label("b"), Some(blank_only));
-        assert_eq!(mapped.constant_label("v"), None);
+        // Both sides of the threshold: the scan, then the table.
+        for scanned in [true, false] {
+            assert_eq!(mapped.constant_label("x"), Some(iri_x));
+            assert_eq!(mapped.constant_label("only"), Some(lit_only));
+            assert_eq!(mapped.constant_label("b"), Some(blank_only));
+            assert_eq!(mapped.constant_label("v"), None);
+            assert_eq!(mapped.constants.get().is_none(), scanned);
+            for _ in 0..CONSTANT_SCANS {
+                mapped.constant_label("");
+            }
+        }
         // The shadowed entries still read back by id.
         assert_eq!(mapped.label_lexical(iri_x_again), "x");
         assert_eq!(mapped.label_kind(lit_only_again), TermKind::Literal);
         assert_label_surface_matches_graph(&mapped);
+    }
+
+    #[test]
+    fn the_lookup_after_the_scans_builds_the_table() {
+        let idx = bigger_index();
+        let mapped = MappedIndex::from_bytes(&encode_v2(&idx).unwrap()).unwrap();
+        let vocab = idx.graph().vocab();
+        let probes = ["p", "absent", "leaf 2", "m1"];
+        for lookup in 0..CONSTANT_SCANS {
+            let probe = probes[lookup % probes.len()];
+            assert_eq!(mapped.constant_label(probe), vocab.get_constant(probe));
+            assert!(mapped.constants.get().is_none(), "lookup {}", lookup + 1);
+        }
+        assert_eq!(mapped.constant_label("p"), vocab.get_constant("p"));
+        assert!(mapped.constants.get().is_some());
+    }
+
+    /// Lexical forms that collide across kinds and lengths: the empty
+    /// string, one- and two-byte ASCII, and multi-byte UTF-8 of the
+    /// same byte lengths.
+    fn arb_lexical() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            prop_oneof![Just('a'), Just('b'), Just('\u{e9}'), Just('\u{65e5}')],
+            0..4,
+        )
+        .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn scan_and_table_agree_with_the_vocabulary(
+            entries in proptest::collection::vec((0u8..4, arb_lexical()), 0..40),
+            misses in proptest::collection::vec(arb_lexical(), 0..8),
+        ) {
+            // Entries laid down as a file could hold them: every kind,
+            // variables included, and repeated `(kind, lexical)` pairs.
+            let mut graph = Graph::new();
+            for (kind, lexical) in &entries {
+                let kind = match kind {
+                    0 => TermKind::Iri,
+                    1 => TermKind::Literal,
+                    2 => TermKind::Blank,
+                    _ => TermKind::Variable,
+                };
+                graph.vocab_mut().push_raw(kind, lexical);
+            }
+            let vocab = graph.vocab().clone();
+            let idx = PathIndex::build(DataGraph::try_from_graph(graph).unwrap());
+            let bytes = encode_v2(&idx).unwrap();
+            let probes: Vec<&str> = entries
+                .iter()
+                .map(|(_, lexical)| lexical.as_str())
+                .chain(misses.iter().map(String::as_str))
+                .collect();
+            let tabled = MappedIndex::from_bytes(&bytes).unwrap();
+            for _ in 0..CONSTANT_SCANS {
+                tabled.constant_label("");
+            }
+            for batch in probes.chunks(CONSTANT_SCANS) {
+                let scanned = MappedIndex::from_bytes(&bytes).unwrap();
+                for &probe in batch {
+                    let expected = vocab.get_constant(probe);
+                    proptest::prop_assert_eq!(scanned.constant_label(probe), expected, "scan {:?}", probe);
+                    proptest::prop_assert_eq!(tabled.constant_label(probe), expected, "table {:?}", probe);
+                }
+                proptest::prop_assert!(scanned.constants.get().is_none());
+            }
+            proptest::prop_assert!(tabled.constants.get().is_some() || probes.is_empty());
+        }
     }
 
     #[test]

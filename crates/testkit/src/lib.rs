@@ -20,7 +20,8 @@
 //! * [`golden`] — shape pinning for EXPLAIN JSONL and the Prometheus
 //!   export.
 //! * [`reference_image`] — an index image builder that shares no code
-//!   with the library's, to hold `encode_v2` to byte for byte.
+//!   with the library's, to hold `encode_v2` to byte for byte, and the
+//!   [`hypergraph`] view of Table 1's hyperedges it counts from.
 //!
 //! Budget: `SAMA_TESTKIT_CASES` (default 24) cases per invariant; the
 //! CI deep leg runs 500. See DESIGN.md §13 for the workflow.
@@ -28,6 +29,7 @@
 pub mod case;
 pub mod gen;
 pub mod golden;
+pub mod hypergraph;
 pub mod invariants;
 pub mod json;
 pub mod reference_image;

@@ -11,7 +11,8 @@
 //! to [`reference_image`] byte for byte, modulo the build-time word
 //! ([`without_build_time`]).
 
-use path_index::{extract_paths, ExtractionConfig, HyperGraphView, Path};
+use crate::hypergraph::HyperGraphView;
+use path_index::{extract_paths, ExtractionConfig, Path};
 use rdf_model::{DataGraph, FxHashMap, LabelId, NodeId, TermKind};
 
 const MAGIC: &[u8; 8] = b"SAMAIDX2";
