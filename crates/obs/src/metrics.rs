@@ -78,7 +78,6 @@ metrics! {
     Histogram CLUSTER_LSH_PROBE_NS = "cluster.lsh_probe_ns", "LSH probe, ns.";
     Histogram CLUSTER_RETRIEVE_NS = "cluster.retrieve_ns", "Cluster fill: retrieving the candidates, ns.";
     Histogram INDEX_BUILD_NS = "index.build_ns", "Path index build, ns.";
-    Histogram INDEX_CONSTANT_TABLE_NS = "index.constant_table_ns", "Constant-to-label table built over a mapped vocabulary, ns.";
     Histogram INDEX_LOCATE_NS = "index.locate_ns", "Posting-list lookup on a mapped index, ns.";
     Histogram INDEX_MATERIALIZE_NS = "index.materialize_ns", "Data graph rebuilt from an index image, ns.";
     Histogram INDEX_OPEN_NS = "index.open_ns", "Index image open and validation, ns.";

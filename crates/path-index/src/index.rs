@@ -262,34 +262,12 @@ impl Postings {
         Postings { offs, ids }
     }
 
-    /// The stored table of a validated image, one run per label id.
-    fn from_runs<'a>(vocab_len: usize, run: impl Fn(LabelId) -> &'a [u32]) -> Postings {
-        let mut offs = Vec::with_capacity(vocab_len + 1);
-        let mut ids = Vec::new();
-        offs.push(0);
-        for l in 0..vocab_len as u32 {
-            ids.extend(run(LabelId(l)).iter().map(|&p| PathId(p)));
-            offs.push(ids.len());
-        }
-        Postings { offs, ids }
-    }
-
     #[inline]
     fn get(&self, label: LabelId) -> &[PathId] {
         match self.offs.get(label.index()..label.index() + 2) {
             Some(&[a, b]) => &self.ids[a..b],
             _ => &[],
         }
-    }
-
-    /// Every label with a non-empty run, ascending, with its run's
-    /// start and length.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (LabelId, usize, usize)> + '_ {
-        self.offs
-            .windows(2)
-            .enumerate()
-            .filter(|(_, w)| w[1] > w[0])
-            .map(|(l, w)| (LabelId(l as u32), w[0], w[1] - w[0]))
     }
 }
 
@@ -376,6 +354,7 @@ impl PathIndex {
     /// into pools (used by [`crate::decode_v2`]).
     pub(crate) fn from_view(view: &IndexView<'_>, graph: DataGraph, stats: IndexStats) -> Self {
         let widen = |offs: &[u32]| offs.iter().map(|&o| o as usize).collect();
+        let path_ids = |ids: &[u32]| ids.iter().map(|&p| PathId(p)).collect();
         let pools = Pools {
             offs: widen(view.path_offs),
             nodes: view.path_nodes.to_vec(),
@@ -387,11 +366,16 @@ impl PathIndex {
             sorted_offs: widen(view.sorted_offs),
             sorted_nodes: view.sorted_nodes.to_vec(),
         };
-        let vocab_len = graph.vocab().len();
         PathIndex {
-            order: view.path_order.iter().map(|&p| PathId(p)).collect(),
-            by_label: Postings::from_runs(vocab_len, |l| view.paths_with_label(l)),
-            by_sink: Postings::from_runs(vocab_len, |l| view.paths_with_sink(l)),
+            order: path_ids(view.path_order),
+            by_label: Postings {
+                offs: widen(view.label_offs),
+                ids: path_ids(view.label_posts),
+            },
+            by_sink: Postings {
+                offs: widen(view.sink_offs),
+                ids: path_ids(view.sink_posts),
+            },
             graph,
             pools,
             stats,

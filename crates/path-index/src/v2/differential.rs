@@ -36,6 +36,18 @@ impl IndexView<'_> {
             return Err(corrupt("unknown term kind"));
         }
 
+        // Constant table: every used slot a label id, and an empty slot.
+        if vocab
+            .constants
+            .iter()
+            .any(|&id| id != EMPTY && id as usize >= l.vocab_len)
+        {
+            return Err(corrupt("constant table slot out of range"));
+        }
+        if !vocab.constants.contains(&EMPTY) {
+            return Err(corrupt("constant table has no empty slot"));
+        }
+
         // Graph arrays: ids in range, no variable labels in data.
         let label_ok =
             |l_: LabelId| (l_.0 as usize) < l.vocab_len && vocab.kinds[l_.0 as usize] != 3;
@@ -121,22 +133,26 @@ impl IndexView<'_> {
             }
         }
 
-        // Stored hash tables: keys and postings runs in range.
-        for (table, posts) in [
-            (self.label_table, self.label_posts),
-            (self.sink_table, self.sink_posts),
+        // Inverted maps: CSR offsets spanning their postings.
+        for (offs, posts, span, monotone) in [
+            (
+                self.label_offs,
+                self.label_posts,
+                "label offsets do not span postings",
+                "label offsets not monotone",
+            ),
+            (
+                self.sink_offs,
+                self.sink_posts,
+                "sink offsets do not span postings",
+                "sink offsets not monotone",
+            ),
         ] {
-            for slot in table.chunks_exact(3) {
-                if slot[0] == EMPTY {
-                    continue;
-                }
-                if slot[0] as usize >= l.vocab_len {
-                    return Err(corrupt("table key out of range"));
-                }
-                let end = (slot[1] as u64) + (slot[2] as u64);
-                if end > posts.len() as u64 {
-                    return Err(corrupt("postings run out of range"));
-                }
+            if offs[0] != 0 || *offs.last().expect("len >= 1") as usize != posts.len() {
+                return Err(corrupt(span));
+            }
+            if offs.windows(2).any(|w| w[0] > w[1]) {
+                return Err(corrupt(monotone));
             }
             if posts.iter().any(|&p| p as usize >= l.path_count) {
                 return Err(corrupt("posting out of range"));
@@ -279,8 +295,10 @@ fn every_word_set_to_an_edge_value_gets_the_same_result() {
             "corrupt index: path shape out of range",
             "corrupt index: shape length does not match path",
             "corrupt index: sorted node set not strictly ascending",
-            "corrupt index: table key out of range",
-            "corrupt index: postings run out of range",
+            "corrupt index: constant table slot out of range",
+            "corrupt index: label offsets do not span postings",
+            "corrupt index: label offsets not monotone",
+            "corrupt index: sink offsets not monotone",
             "corrupt index: path order entry out of range",
             "corrupt index: ic counts checksum mismatch",
         ] {

@@ -19,7 +19,12 @@
 //! * `label_kind` — every kind byte is one of the four known kinds;
 //! * `edge_labels` — both endpoints of every edge are node ids in range,
 //!   and every node label and edge label is a label id in range;
-//! * `constant_label` — the three above (its table is built from them);
+//! * `constant_label` — the constant table has a power-of-two number
+//!   of slots, one of them empty, and every other holds a label id. The
+//!   table is stored, keyed by the hash of each form the blob held when
+//!   it was written, so a survivor whose blob or table was altered may
+//!   miss a constant; it still returns, and any label it names is a
+//!   constant spelled as asked;
 //! * `labels`, `path_shape` — every path's shape id is below the shape
 //!   count, the shape offsets start at 0, never decrease and end at the
 //!   pool's length, and a path's shape has one label per edge;
@@ -56,7 +61,7 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 const HEADER_LEN: usize = 24;
-const SECTIONS: usize = 24;
+const SECTIONS: usize = 25;
 const VOCAB_KINDS: usize = 1;
 const VOCAB_OFFSETS: usize = 2;
 const VOCAB_BLOB: usize = 3;
@@ -67,10 +72,13 @@ const SHAPE_OFFSETS: usize = 13;
 const SHAPE_LABELS: usize = 14;
 const SORTED_OFFSETS: usize = 15;
 const SORTED_NODES: usize = 16;
-const LABEL_TABLE: usize = 17;
+const LABEL_OFFSETS: usize = 17;
 const LABEL_POSTINGS: usize = 18;
+const SINK_OFFSETS: usize = 19;
+const SINK_POSTINGS: usize = 20;
 const IC_COUNTS: usize = 22;
 const PATH_ORDER: usize = 23;
+const CONSTANT_TABLE: usize = 24;
 
 /// Byte `(offset, length)` of section `index`, from the table.
 fn section(bytes: &[u8], index: usize) -> (usize, usize) {
@@ -115,11 +123,12 @@ fn probe(bytes: &[u8]) {
     for (label, kind, lexical) in graph.vocab().iter() {
         assert_eq!(mapped.label_lexical(label), lexical);
         assert_eq!(mapped.label_kind(label), kind);
-        assert_eq!(
-            mapped.constant_label(lexical),
-            graph.vocab().get_constant(lexical),
-            "{lexical:?}"
-        );
+        for probe in [lexical, "no such constant"] {
+            if let Some(found) = mapped.constant_label(probe) {
+                assert_eq!(mapped.label_lexical(found), probe);
+                assert_ne!(mapped.label_kind(found), TermKind::Variable, "{probe:?}");
+            }
+        }
     }
     for (id, edge) in graph.edges() {
         assert_eq!(
@@ -172,7 +181,8 @@ fn retired_formats_are_refused_from_the_header_alone() {
     // before the shape table, the 24-byte header announcing 20 sections
     // (without `ic-counts`) or 21 (with); from before path-content
     // order, 23 (its postings are in path-id order, which the cluster
-    // fill would take for content order).
+    // fill would take for content order); from before the stored
+    // constant table, 24 (postings behind hash tables).
     let old_header = |sections: u32| {
         let mut header = MAGIC2.to_vec();
         header.extend_from_slice(&2u32.to_le_bytes());
@@ -186,6 +196,7 @@ fn retired_formats_are_refused_from_the_header_alone() {
         old_header(20),
         old_header(21),
         old_header(23),
+        old_header(24),
     ];
     for identifying in &retired {
         // Refused as soon as the identifying bytes are all there,
@@ -539,28 +550,94 @@ fn interleaved_shape_faults_report_the_first_path() {
 }
 
 #[test]
-fn interleaved_table_faults_report_the_first_slot() {
+fn every_postings_offset_violation_is_typed() {
     let bytes = sample_bytes();
-    let slots = section(&bytes, LABEL_TABLE).1 / 12;
-    let used: Vec<usize> = (0..slots)
-        .filter(|&s| word_of(&bytes, LABEL_TABLE, 3 * s) != u32::MAX)
-        .collect();
-    let (early, late) = (used[0], used[used.len() - 1]);
-    assert!(early < late, "two used slots");
+    for (offsets, postings, span, monotone) in [
+        (
+            LABEL_OFFSETS,
+            LABEL_POSTINGS,
+            "label offsets do not span postings",
+            "label offsets not monotone",
+        ),
+        (
+            SINK_OFFSETS,
+            SINK_POSTINGS,
+            "sink offsets do not span postings",
+            "sink offsets not monotone",
+        ),
+    ] {
+        let last = section(&bytes, offsets).1 / 4 - 1;
+        let posts = (section(&bytes, postings).1 / 4) as u32;
+        assert_eq!(
+            word_of(&bytes, offsets, last),
+            posts,
+            "the runs tile the postings"
+        );
+        // An offset whose predecessor is past 0, so lowering it to 0
+        // descends.
+        let inner = (2..last)
+            .find(|&i| word_of(&bytes, offsets, i - 1) > 0)
+            .expect("a run before the last label");
+        for (fault, message) in [
+            ((offsets, 0, 1), span),
+            ((offsets, last, posts - 1), span),
+            ((offsets, last, posts + 1), span),
+            ((offsets, inner, 0), monotone),
+            ((offsets, inner, u32::MAX), monotone),
+        ] {
+            assert_readers(
+                &set_words(&bytes, &[fault]),
+                Err(StorageError::Corrupt(message)),
+                &format!("{message}: {fault:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn every_constant_table_violation_is_typed() {
+    let bytes = sample_bytes();
+    let slots = section(&bytes, CONSTANT_TABLE).1 / 4;
+    assert!(slots.is_power_of_two());
     let vocab_len = word_of(&bytes, 0, 0);
-    let postings = (section(&bytes, LABEL_POSTINGS).1 / 4) as u32;
-    // A run past the postings keeps its key; a bad key keeps its run.
-    let bad_run = |slot: usize| (LABEL_TABLE, 3 * slot + 2, postings + 1);
-    let bad_key = |slot: usize| (LABEL_TABLE, 3 * slot, vocab_len);
-    for (faults, message) in [
-        ([bad_run(early), bad_key(late)], "postings run out of range"),
-        ([bad_key(early), bad_run(late)], "table key out of range"),
+    let empty: Vec<usize> = (0..slots)
+        .filter(|&s| word_of(&bytes, CONSTANT_TABLE, s) == u32::MAX)
+        .collect();
+    let used = (0..slots)
+        .find(|s| !empty.contains(s))
+        .expect("a used slot");
+
+    // No empty slot: open refuses it, so no probe can run for ever.
+    let full: Vec<_> = empty.iter().map(|&s| (CONSTANT_TABLE, s, 0)).collect();
+    assert_readers(
+        &set_words(&bytes, &full),
+        Err(StorageError::Corrupt("constant table has no empty slot")),
+        "no empty slot",
+    );
+    // A slot naming no label.
+    for fault in [
+        (CONSTANT_TABLE, used, vocab_len),
+        (CONSTANT_TABLE, empty[0], u32::MAX - 1),
     ] {
         assert_readers(
-            &set_words(&bytes, &faults),
-            Err(StorageError::Corrupt(message)),
-            message,
+            &set_words(&bytes, &[fault]),
+            Err(StorageError::Corrupt("constant table slot out of range")),
+            &format!("{fault:?}"),
         );
+    }
+    // A length that is not a power of two of at least two slots, told by
+    // the section table (the section's bytes stay where they are).
+    let entry = HEADER_LEN + CONSTANT_TABLE * 16 + 8;
+    for len in [0, 4, 4 * slots - 4, 4 * slots - 2] {
+        let mut mutated = bytes.clone();
+        mutated[entry..entry + 8].copy_from_slice(&(len as u64).to_le_bytes());
+        for outcome in readers(&mutated) {
+            assert_eq!(
+                outcome,
+                Err(StorageError::Corrupt("constant table size")),
+                "{len} bytes"
+            );
+        }
     }
 }
 

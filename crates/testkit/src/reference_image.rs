@@ -4,9 +4,12 @@
 //!
 //! One struct per path with its own label and sorted-node vectors,
 //! `FxHashMap` postings, a [`HyperGraphView`] for Table 1's counts, the
-//! shape table interned through a map of borrowed sequences, and a
-//! writer that appends each section to a growing `Vec<u8>` — none of
-//! it reaches `path_index`'s pools, postings arrays or section writer.
+//! shape table interned through a map of borrowed sequences, a
+//! constant table that finds each `(kind, lexical)` pair's first label
+//! through a map and hashes lexical forms with its own copy of the Fx
+//! hash, and a writer that appends each section to a growing `Vec<u8>`
+//! — none of it reaches `path_index`'s pools, postings arrays, hash or
+//! section writer.
 //! `image_round_trip_identity` holds `encode_v2(&PathIndex::build(g))`
 //! to [`reference_image`] byte for byte, modulo the build-time word
 //! ([`without_build_time`]).
@@ -17,7 +20,7 @@ use rdf_model::{DataGraph, FxHashMap, LabelId, NodeId, TermKind};
 
 const MAGIC: &[u8; 8] = b"SAMAIDX2";
 const VERSION: u32 = 2;
-const SECTIONS: usize = 24;
+const SECTIONS: usize = 25;
 const HEADER: usize = 24;
 /// Table entry of the `stats` section, and the offset of its build-time
 /// word (the seventh `u64`) inside it.
@@ -106,9 +109,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
 
     let node_pool: usize = paths.iter().map(|p| p.path.nodes.len()).sum();
     let sorted_pool: usize = paths.iter().map(|p| p.sorted_nodes.len()).sum();
-    let (label_table, label_posts) = stored_table(&by_label);
-    let (sink_table, sink_posts) = stored_table(&by_sink);
-
     let mut w = Writer::new();
     w.u64s(&[
         vocab.len() as u64,
@@ -117,8 +117,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
         paths.len() as u64,
         node_pool as u64,
         sorted_pool as u64,
-        (label_table.len() / 3) as u64,
-        (sink_table.len() / 3) as u64,
     ]);
     w.section(|buf| {
         for (_, kind, _) in vocab.iter() {
@@ -153,10 +151,10 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
             .iter()
             .flat_map(|p| p.sorted_nodes.iter().map(|n| n.0)),
     );
-    w.u32s(label_table);
-    w.u32s(label_posts);
-    w.u32s(sink_table);
-    w.u32s(sink_posts);
+    for map in [&by_label, &by_sink] {
+        w.offsets(runs(map, vocab.len()).map(<[u32]>::len));
+        w.u32s(runs(map, vocab.len()).flatten().copied());
+    }
     w.u64s(&[
         g.edge_count() as u64,
         hyper.vertex_count as u64,
@@ -170,6 +168,7 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     counts.extend(ic);
     w.u64s(&counts);
     w.u32s(order);
+    w.u32s(constant_table(graph));
     w.finish()
 }
 
@@ -186,27 +185,56 @@ pub fn without_build_time(image: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A power-of-two open-addressing table (Fibonacci hash on the high
-/// bits, linear probing, slots `{label, start, len}`) and its postings
-/// pool, labels inserted in ascending order.
-fn stored_table(map: &FxHashMap<LabelId, Vec<u32>>) -> (Vec<u32>, Vec<u32>) {
-    let cap = (map.len() * 2).next_power_of_two().max(4);
-    let mut table = vec![EMPTY; cap * 3];
-    let mut posts = Vec::new();
-    let mut labels: Vec<LabelId> = map.keys().copied().collect();
-    labels.sort_unstable();
-    for label in labels {
-        let run = &map[&label];
-        let start = posts.len() as u32;
-        posts.extend_from_slice(run);
-        let hash = u64::from(label.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut slot = (hash >> (64 - cap.trailing_zeros())) as usize;
-        while table[slot * 3] != EMPTY {
-            slot = (slot + 1) & (cap - 1);
+/// Every label's run of `map`, in label order, empty where it has none.
+fn runs(map: &FxHashMap<LabelId, Vec<u32>>, labels: usize) -> impl Iterator<Item = &[u32]> + '_ {
+    (0..labels as u32).map(move |l| map.get(&LabelId(l)).map_or(&[][..], Vec::as_slice))
+}
+
+/// The constant table: the first label of every constant `(kind,
+/// lexical)` pair, in id order, placed by linear probing from the high
+/// bits of the Fx hash of its lexical bytes in a power-of-two table of
+/// at least twice the vocabulary's length.
+fn constant_table(graph: &DataGraph) -> Vec<u32> {
+    let vocab = graph.vocab();
+    let cap = (vocab.len() * 2).next_power_of_two().max(2);
+    let mut first: FxHashMap<(TermKind, &str), LabelId> = FxHashMap::default();
+    let mut table = vec![EMPTY; cap];
+    for (label, kind, lexical) in vocab.iter() {
+        if kind == TermKind::Variable || *first.entry((kind, lexical)).or_insert(label) != label {
+            continue;
         }
-        table[slot * 3..slot * 3 + 3].copy_from_slice(&[label.0, start, run.len() as u32]);
+        let mut slot = (fx(lexical.as_bytes()) >> (64 - cap.trailing_zeros())) as usize;
+        while table[slot] != EMPTY {
+            slot = (slot + 1) % cap;
+        }
+        table[slot] = label.0;
     }
-    (table, posts)
+    table
+}
+
+/// rustc's Fx hash of `bytes`, as `Hasher::write` feeds it: whole
+/// little-endian 8-byte words, then one 4-byte word if that many
+/// remain, then single bytes.
+fn fx(bytes: &[u8]) -> u64 {
+    let mut hash = 0u64;
+    let mut add = |word: u64| {
+        hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    };
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        add(u64::from(u32::from_le_bytes(
+            rest[..4].try_into().expect("4 bytes"),
+        )));
+        rest = &rest[4..];
+    }
+    for &byte in rest {
+        add(u64::from(byte));
+    }
+    hash
 }
 
 /// Appends 8-aligned sections after a header and table patched last.

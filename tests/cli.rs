@@ -734,7 +734,7 @@ fn index_stats_flag_reports_sections_and_open_time() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("zero-copy"), "{text}");
-    assert!(text.contains("sink-table"), "{text}");
+    assert!(text.contains("sink-offsets"), "{text}");
 }
 
 /// A `SAMAIDX2` file is served from its validated map whatever the
