@@ -228,6 +228,15 @@ fn as_label_ids(ids: &[u32]) -> &[LabelId] {
     unsafe { std::slice::from_raw_parts(ids.as_ptr().cast(), ids.len()) }
 }
 
+/// The number of slots of the constant table over `vocab_len` labels:
+/// at most half full (variables counted too), a power of two, and at
+/// least two — a home slot is the top log2(slots) bits of a 64-bit
+/// hash, and a shift by 64 overflows.
+#[inline]
+fn constant_slots(vocab_len: usize) -> usize {
+    (vocab_len * 2).next_power_of_two().max(2)
+}
+
 /// The home slot of a lexical form in a constant table of `cap ≥ 2`
 /// slots, a power of two — part of the on-disk format; never change
 /// without bumping the version.
@@ -297,8 +306,7 @@ impl Plan {
         sizes[S_STATS] = 56;
         sizes[S_IC_COUNTS] = (vocab.len() + 1) * 8;
         sizes[S_PATH_ORDER] = paths * 4;
-        // At most half full: twice the labels, variables included.
-        sizes[S_CONSTANTS] = (vocab.len() * 2).next_power_of_two().max(2) * 4;
+        sizes[S_CONSTANTS] = constant_slots(vocab.len()) * 4;
 
         let mut sec = [(0, 0); SECTION_COUNT];
         let mut at = HEADER_LEN + TABLE_LEN;
@@ -659,12 +667,11 @@ impl Layout {
         let shape_count = offs / 4 - 1;
         expect(S_IC_COUNTS, (vocab_len + 1) * 8, "ic counts section size")?;
         expect(S_PATH_ORDER, path_count * 4, "path order section size")?;
-        // At least two slots: a home slot is the top log2(slots) bits of
-        // a 64-bit hash, and a shift by 64 overflows.
-        let constants = sec[S_CONSTANTS].1;
-        if constants % 4 != 0 || constants < 8 || !(constants / 4).is_power_of_two() {
-            return Err(StorageError::Corrupt("constant table size"));
-        }
+        expect(
+            S_CONSTANTS,
+            constant_slots(vocab_len) * 4,
+            "constant table size",
+        )?;
         let st = cast_u64s(&bytes[sec[S_STATS].0..sec[S_STATS].0 + 56]);
         let stats: [u64; 7] = st.try_into().expect("7 stats");
         if stats[3] != path_count as u64 {
@@ -739,8 +746,8 @@ impl Layout {
 /// rely on what [`IndexView::validate`] established at open — `offs`
 /// has one entry more than `kinds`, starts at 0, never decreases and
 /// ends at `blob.len()`; every entry is valid UTF-8; every kind byte is
-/// ≤ 3; the constant table has a power-of-two number of slots, at
-/// least one of them empty, and every other holds a label id — so on
+/// ≤ 3; the constant table has `constant_slots` slots, at least one
+/// of them empty, and every other holds a label id — so on
 /// an opened index they cannot read out of range or loop for ever, and
 /// panic only on a label id ≥ the vocabulary length (like
 /// `Vocabulary::lexical`).

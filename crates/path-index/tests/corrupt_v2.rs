@@ -19,12 +19,16 @@
 //! * `label_kind` — every kind byte is one of the four known kinds;
 //! * `edge_labels` — both endpoints of every edge are node ids in range,
 //!   and every node label and edge label is a label id in range;
-//! * `constant_label` — the constant table has a power-of-two number
-//!   of slots, one of them empty, and every other holds a label id. The
-//!   table is stored, keyed by the hash of each form the blob held when
-//!   it was written, so a survivor whose blob or table was altered may
-//!   miss a constant; it still returns, and any label it names is a
-//!   constant spelled as asked;
+//! * `constant_label` — the constant table has the number of slots the
+//!   vocabulary length implies, one of them empty, and every other holds
+//!   a label id. The table is stored, keyed by the hash of each form the
+//!   blob held when it was written, and open does not check it against
+//!   the blob: a survivor whose vocabulary offsets, blob or table was
+//!   altered may miss a constant, so there it is only held to returning,
+//!   with any label it names a constant spelled as asked. Everywhere
+//!   else it answers as the owned decode does — a flipped kind byte
+//!   included, since the table holds every constant and the probe keeps
+//!   the first entry of the smallest kind along the chain;
 //! * `labels`, `path_shape` — every path's shape id is below the shape
 //!   count, the shape offsets start at 0, never decrease and end at the
 //!   pool's length, and a path's shape has one label per edge;
@@ -105,10 +109,26 @@ fn interesting_offsets(bytes: &[u8]) -> Vec<usize> {
     offs
 }
 
+/// Whether `bytes` holds the vocabulary offsets, the blob and the
+/// constant table where `original` has them and as it has them: their
+/// section-table entries and their bytes are untouched.
+fn constants_as_written(bytes: &[u8], original: &[u8]) -> bool {
+    [VOCAB_OFFSETS, VOCAB_BLOB, CONSTANT_TABLE]
+        .iter()
+        .all(|&s| {
+            let entry = HEADER_LEN + s * 16..HEADER_LEN + s * 16 + 16;
+            let (off, len) = section(original, s);
+            bytes[entry.clone()] == original[entry]
+                && bytes.get(off..off + len) == original.get(off..off + len)
+        })
+}
+
 /// Both decode paths must agree on rejecting (or both accept — some
-/// flips are harmless); neither may panic. A survivor must then answer
-/// every label-level read exactly as its owned decode does.
-fn probe(bytes: &[u8]) {
+/// flips are harmless); neither may panic. A survivor of a mutation of
+/// `original` must then answer every label-level read exactly as its
+/// owned decode does — the constant lookup too, unless the mutation
+/// altered what the stored table was keyed by (see the module doc).
+fn probe(bytes: &[u8], original: &[u8]) {
     let owned = decode_v2(bytes);
     let mapped = MappedIndex::from_bytes(bytes);
     assert_eq!(
@@ -120,11 +140,15 @@ fn probe(bytes: &[u8]) {
         return;
     };
     let graph = owned.graph().as_graph();
+    let exact = constants_as_written(bytes, original);
     for (label, kind, lexical) in graph.vocab().iter() {
         assert_eq!(mapped.label_lexical(label), lexical);
         assert_eq!(mapped.label_kind(label), kind);
         for probe in [lexical, "no such constant"] {
-            if let Some(found) = mapped.constant_label(probe) {
+            let found = mapped.constant_label(probe);
+            if exact {
+                assert_eq!(found, graph.vocab().get_constant(probe), "{probe:?}");
+            } else if let Some(found) = found {
                 assert_eq!(mapped.label_lexical(found), probe);
                 assert_ne!(mapped.label_kind(found), TermKind::Variable, "{probe:?}");
             }
@@ -233,7 +257,7 @@ fn bit_flips_at_section_boundaries_never_panic() {
         for bit in 0..8 {
             let mut mutated = bytes.clone();
             mutated[at] ^= 1 << bit;
-            probe(&mutated);
+            probe(&mutated, &bytes);
         }
     }
 }
@@ -244,7 +268,7 @@ fn every_header_and_table_byte_zeroed_never_panics() {
     for at in 0..(HEADER_LEN + SECTIONS * 16) {
         let mut mutated = bytes.clone();
         mutated[at] = 0;
-        probe(&mutated);
+        probe(&mutated, &bytes);
     }
 }
 
@@ -420,12 +444,13 @@ fn set_words(bytes: &[u8], words: &[(usize, usize, u32)]) -> Vec<u8> {
     mutated
 }
 
-/// Every reader gives `expected`; a survivor also passes [`probe`].
-fn assert_readers(bytes: &[u8], expected: Result<(), StorageError>, what: &str) {
+/// Every reader gives `expected` on `bytes`, a mutation of `original`;
+/// a survivor also passes [`probe`].
+fn assert_readers(bytes: &[u8], original: &[u8], expected: Result<(), StorageError>, what: &str) {
     for outcome in readers(bytes) {
         assert_eq!(outcome, expected, "{what}");
     }
-    probe(bytes);
+    probe(bytes, original);
 }
 
 #[test]
@@ -446,10 +471,15 @@ fn a_vocabulary_offset_inside_a_character_is_bad_utf8() {
     // longer are.
     let mutated = set_words(&bytes, &[(VOCAB_OFFSETS, i, entry as u32 + 2)]);
     assert!(std::str::from_utf8(&mutated[off..off + len]).is_ok());
-    assert_readers(&mutated, Err(StorageError::BadUtf8), "offset inside ü");
+    assert_readers(
+        &mutated,
+        &bytes,
+        Err(StorageError::BadUtf8),
+        "offset inside ü",
+    );
     // On the character boundary just before it, both entries are UTF-8.
     let mutated = set_words(&bytes, &[(VOCAB_OFFSETS, i, entry as u32 + 1)]);
-    assert_readers(&mutated, Ok(()), "offset before ü");
+    assert_readers(&mutated, &bytes, Ok(()), "offset before ü");
 }
 
 #[test]
@@ -476,10 +506,10 @@ fn sorted_sets_must_ascend_inside_but_not_across_boundaries() {
     let fault = Err(StorageError::Corrupt(
         "sorted node set not strictly ascending",
     ));
-    assert_readers(&mutated, fault.clone(), "descent inside a set");
+    assert_readers(&mutated, &bytes, fault.clone(), "descent inside a set");
     // A repeat inside one set.
     let mutated = set_words(&bytes, &[(SORTED_NODES, a + 1, node(a))]);
-    assert_readers(&mutated, fault, "repeat inside a set");
+    assert_readers(&mutated, &bytes, fault, "repeat inside a set");
 
     // A set that starts at node 0 right after one that ends above it:
     // a descent across the boundary only, which is no fault.
@@ -487,7 +517,7 @@ fn sorted_sets_must_ascend_inside_but_not_across_boundaries() {
         .find(|&p| node(set(p).start - 1) > 0 && node(set(p).start) > 0)
         .expect("a boundary to descend across");
     let mutated = set_words(&bytes, &[(SORTED_NODES, set(p).start, 0)]);
-    assert_readers(&mutated, Ok(()), "descent across a boundary");
+    assert_readers(&mutated, &bytes, Ok(()), "descent across a boundary");
 }
 
 #[test]
@@ -499,16 +529,21 @@ fn a_variable_label_is_refused_only_where_data_uses_it() {
     let variable = graph.vocab_mut().push_raw(TermKind::Variable, "v");
     let data = DataGraph::try_from_graph(graph).unwrap();
     let bytes = encode_v2(&PathIndex::build(data)).unwrap();
-    assert_readers(&bytes, Ok(()), "a variable no data label uses");
+    assert_readers(&bytes, &bytes, Ok(()), "a variable no data label uses");
 
     // A node that names it.
     let mutated = set_words(&bytes, &[(NODE_LABELS, 0, variable.0)]);
     let fault = Err(StorageError::Corrupt("node label out of range"));
-    assert_readers(&mutated, fault.clone(), "a node labelled by the variable");
+    assert_readers(
+        &mutated,
+        &bytes,
+        fault.clone(),
+        "a node labelled by the variable",
+    );
     // A constant a node names, turned into a variable.
     let mut mutated = bytes.clone();
     mutated[section(&bytes, VOCAB_KINDS).0 + word_of(&bytes, NODE_LABELS, 0) as usize] = 3;
-    assert_readers(&mutated, fault, "a node's label turned variable");
+    assert_readers(&mutated, &bytes, fault, "a node's label turned variable");
 }
 
 #[test]
@@ -543,6 +578,7 @@ fn interleaved_shape_faults_report_the_first_path() {
     ] {
         assert_readers(
             &set_words(&bytes, &faults),
+            &bytes,
             Err(StorageError::Corrupt(message)),
             message,
         );
@@ -587,6 +623,7 @@ fn every_postings_offset_violation_is_typed() {
         ] {
             assert_readers(
                 &set_words(&bytes, &[fault]),
+                &bytes,
                 Err(StorageError::Corrupt(message)),
                 &format!("{message}: {fault:?}"),
             );
@@ -611,6 +648,7 @@ fn every_constant_table_violation_is_typed() {
     let full: Vec<_> = empty.iter().map(|&s| (CONSTANT_TABLE, s, 0)).collect();
     assert_readers(
         &set_words(&bytes, &full),
+        &bytes,
         Err(StorageError::Corrupt("constant table has no empty slot")),
         "no empty slot",
     );
@@ -621,14 +659,25 @@ fn every_constant_table_violation_is_typed() {
     ] {
         assert_readers(
             &set_words(&bytes, &[fault]),
+            &bytes,
             Err(StorageError::Corrupt("constant table slot out of range")),
             &format!("{fault:?}"),
         );
     }
-    // A length that is not a power of two of at least two slots, told by
-    // the section table (the section's bytes stay where they are).
+    // A slot naming another label opens: open does not check the table
+    // against the blob, so the constant the slot held is missed.
+    let other = (word_of(&bytes, CONSTANT_TABLE, used) + 1) % vocab_len;
+    assert_readers(
+        &set_words(&bytes, &[(CONSTANT_TABLE, used, other)]),
+        &bytes,
+        Ok(()),
+        "a slot naming another label",
+    );
+    // A length other than the one the vocabulary length implies, told
+    // by the section table (the section's bytes stay where they are):
+    // none, one slot, half the slots, one slot short, a part slot.
     let entry = HEADER_LEN + CONSTANT_TABLE * 16 + 8;
-    for len in [0, 4, 4 * slots - 4, 4 * slots - 2] {
+    for len in [0, 4, 2 * slots, 4 * slots - 4, 4 * slots - 2] {
         let mut mutated = bytes.clone();
         mutated[entry..entry + 8].copy_from_slice(&(len as u64).to_le_bytes());
         for outcome in readers(&mutated) {
@@ -651,7 +700,7 @@ proptest! {
         let mut mutated = bytes.clone();
         let at = at % mutated.len();
         mutated[at] = value;
-        probe(&mutated);
+        probe(&mutated, &bytes);
     }
 
     /// Arbitrary truncation points.

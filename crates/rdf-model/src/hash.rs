@@ -20,6 +20,12 @@ const ROTATE: u32 = 5;
 ///
 /// Low quality as a general-purpose hash, but extremely fast for the short
 /// integer and string keys used throughout this workspace.
+///
+/// Its `write`/`finish` output over a label's lexical bytes is also part
+/// of the `SAMAIDX2` format: it places each constant in the image's
+/// constant table (section 24), so an image written under one hash
+/// silently misses constants under another. Changing it needs a format
+/// version bump.
 #[derive(Default, Clone)]
 pub struct FxHasher {
     hash: u64,
