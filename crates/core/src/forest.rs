@@ -12,6 +12,7 @@
 use crate::cluster::Cluster;
 use crate::igraph::IntersectionGraph;
 use crate::score::{chi_count_sorted, conformity_ratio};
+use crate::search::ChiSets;
 use path_index::{display_path, IndexLike, PathId};
 use std::fmt;
 
@@ -85,6 +86,7 @@ impl PathForest {
                 });
             }
         }
+        let sets = ChiSets::build(clusters, ig, index);
         let mut edges = Vec::new();
         for edge in &ig.edges {
             for (ai, a) in nodes.iter().enumerate() {
@@ -96,8 +98,8 @@ impl PathForest {
                         continue;
                     }
                     let chi_p = chi_count_sorted(
-                        index.sorted_nodes(a.path_id),
-                        index.sorted_nodes(b.path_id),
+                        sets.get(a.cluster, a.rank as u32),
+                        sets.get(b.cluster, b.rank as u32),
                     );
                     if chi_p == 0 {
                         continue; // no shared nodes: no forest edge

@@ -75,8 +75,8 @@ pub fn chi_count(p1: &Path, p2: &Path) -> usize {
     chi(p1, p2).len()
 }
 
-/// `χ` over pre-sorted, deduplicated node-id slices (the
-/// [`path_index::IndexedPath::sorted_nodes`] representation): a linear
+/// `χ` over pre-sorted, deduplicated node-id slices (what the
+/// combination search holds for the paths it combines): a linear
 /// merge-intersection with no hashing, sorting, or deduplication.
 pub fn chi_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));

@@ -56,6 +56,7 @@ use crate::params::ScoreParams;
 use crate::qpath::QueryPath;
 use crate::score::{chi_count_sorted, PairConformity, ScoreBreakdown};
 use path_index::IndexLike;
+use rdf_model::NodeId;
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -113,8 +114,8 @@ impl TruncationReason {
 }
 
 /// `|χ|` evaluations of one search. Every lookup is computed — a ~10 ns
-/// sorted merge over node sets the index already stores, which no memo
-/// beat in the ledger (DESIGN §5).
+/// sorted merge over two node sets of the search's [`ChiSets`], which
+/// no memo beat in the ledger (DESIGN §5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChiStats {
     pub(crate) lookups: u64,
@@ -196,19 +197,76 @@ const NO_LINK: u32 = u32::MAX;
 /// well under the cost of a single expansion.
 pub const BUDGET_CHECK_INTERVAL: u32 = 16;
 
+/// The node set of every entry of every cluster an IG edge touches,
+/// sorted ascending and deduplicated: what `χ`, "the set of common
+/// nodes of two paths" (paper §4, Eq. 2), intersects. Built once when a
+/// search starts, so a χ lookup merges two runs of this arena instead
+/// of reading the index; the clusters no IG edge touches take no part
+/// in any χ and have no runs. The combination forest reads it too.
+pub(crate) struct ChiSets {
+    /// Per cluster, the run of its entry 0 (entry `e` is run
+    /// `first + e`); unused for a cluster no IG edge touches.
+    first: Vec<usize>,
+    /// Run `r` is `nodes[offs[r]..offs[r + 1]]`.
+    offs: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl ChiSets {
+    pub(crate) fn build<I: IndexLike + ?Sized>(
+        clusters: &[Cluster],
+        ig: &IntersectionGraph,
+        index: &I,
+    ) -> ChiSets {
+        let mut touched = vec![false; clusters.len()];
+        for edge in &ig.edges {
+            touched[edge.qi] = true;
+            touched[edge.qj] = true;
+        }
+        let mut sets = ChiSets {
+            first: Vec::with_capacity(clusters.len()),
+            offs: vec![0],
+            nodes: Vec::new(),
+        };
+        let mut set = Vec::new();
+        for (cluster, touched) in clusters.iter().zip(touched) {
+            sets.first.push(sets.offs.len() - 1);
+            if !touched {
+                continue;
+            }
+            for entry in &cluster.entries {
+                set.clear();
+                set.extend_from_slice(index.path_nodes(entry.path_id));
+                set.sort_unstable();
+                set.dedup();
+                sets.nodes.extend_from_slice(&set);
+                sets.offs.push(sets.nodes.len());
+            }
+        }
+        sets
+    }
+
+    /// The node set of entry `entry` of cluster `cluster`.
+    #[inline]
+    pub(crate) fn get(&self, cluster: usize, entry: u32) -> &[NodeId] {
+        let run = self.first[cluster] + entry as usize;
+        &self.nodes[self.offs[run]..self.offs[run + 1]]
+    }
+}
+
 /// A resumable combination search: answers pop lazily in
 /// non-decreasing score order. Holds the decomposition artefacts
 /// (`PQ`, IG, clusters) — owned when built with [`SearchStream::new`],
-/// so the stream can outlive the call that created it — and borrows
-/// the index.
+/// so the stream can outlive the call that created it — and the node
+/// sets it reads the index for once, at the start.
 ///
 /// Obtained from [`crate::SamaEngine::answer_stream`] or built directly;
 /// [`search_top_k`] is the batch wrapper.
-pub struct SearchStream<'a, I: IndexLike> {
+pub struct SearchStream<'a> {
     qpaths: Cow<'a, [QueryPath]>,
     ig: Cow<'a, IntersectionGraph>,
     clusters: Cow<'a, [Cluster]>,
-    index: &'a I,
+    chi_sets: ChiSets,
     params: ScoreParams,
     config: SearchConfig,
     /// Suffix sums of per-cluster lower bounds.
@@ -231,13 +289,13 @@ pub struct SearchStream<'a, I: IndexLike> {
     budget_countdown: u32,
 }
 
-impl<'a, I: IndexLike> SearchStream<'a, I> {
+impl<'a> SearchStream<'a> {
     /// Start a search over pre-built decomposition artefacts.
-    pub fn new(
+    pub fn new<I: IndexLike + ?Sized>(
         qpaths: Vec<QueryPath>,
         ig: IntersectionGraph,
         clusters: Vec<Cluster>,
-        index: &'a I,
+        index: &I,
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
@@ -251,11 +309,11 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         )
     }
 
-    fn start(
+    fn start<I: IndexLike + ?Sized>(
         qpaths: Cow<'a, [QueryPath]>,
         ig: Cow<'a, IntersectionGraph>,
         clusters: Cow<'a, [Cluster]>,
-        index: &'a I,
+        index: &I,
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
@@ -265,11 +323,12 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
         for i in (0..n).rev() {
             bound[i] = bound[i + 1] + clusters[i].best_lambda();
         }
+        let chi_sets = ChiSets::build(&clusters, &ig, index);
         let mut stream = SearchStream {
             qpaths,
             ig,
             clusters,
-            index,
+            chi_sets,
             params,
             config,
             bound,
@@ -366,7 +425,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                 slot,
                 &self.ig,
                 &self.clusters,
-                self.index,
+                &self.chi_sets,
                 &self.params,
                 &mut self.chi_lookups,
             );
@@ -461,7 +520,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                     &self.qpaths,
                     &self.ig,
                     &self.clusters,
-                    self.index,
+                    &self.chi_sets,
                     &self.params,
                     &mut self.chi_lookups,
                 ));
@@ -517,7 +576,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                         slot,
                         &self.ig,
                         &self.clusters,
-                        self.index,
+                        &self.chi_sets,
                         &self.params,
                         &mut self.chi_lookups,
                     )
@@ -551,7 +610,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
                 &self.qpaths,
                 &self.ig,
                 &self.clusters,
-                self.index,
+                &self.chi_sets,
                 &self.params,
                 &mut self.chi_lookups,
             ));
@@ -559,7 +618,7 @@ impl<'a, I: IndexLike> SearchStream<'a, I> {
     }
 }
 
-impl<I: IndexLike> Iterator for SearchStream<'_, I> {
+impl Iterator for SearchStream<'_> {
     type Item = Answer;
 
     fn next(&mut self) -> Option<Answer> {
@@ -659,13 +718,13 @@ fn first_choice(cluster: &Cluster) -> u32 {
 /// given the `prefix` choices of clusters `0..slot`: the entry's λ plus
 /// conformity penalties against assigned IG neighbors.
 #[allow(clippy::too_many_arguments)]
-fn choice_cost<I: IndexLike + ?Sized>(
+fn choice_cost(
     prefix: &[u32],
     choice: u32,
     slot: usize,
     ig: &IntersectionGraph,
     clusters: &[Cluster],
-    index: &I,
+    chi_sets: &ChiSets,
     params: &ScoreParams,
     chi_lookups: &mut u64,
 ) -> f64 {
@@ -681,50 +740,42 @@ fn choice_cost<I: IndexLike + ?Sized>(
         if other >= prefix.len() {
             continue;
         }
-        let chi_p = pair_chi_p(
-            prefix[other],
-            other,
-            choice,
-            slot,
-            clusters,
-            index,
-            chi_lookups,
-        );
+        let chi_p = pair_chi_p(prefix[other], other, choice, slot, chi_sets, chi_lookups);
         cost += crate::score::conformity_penalty(edge.chi_q(), chi_p, params.e);
     }
     cost
 }
 
 /// `|χ(p_i, p_j)|` for two cluster choices (0 if either is deleted):
-/// the sorted merge over the node sets the index stores.
-fn pair_chi_p<I: IndexLike + ?Sized>(
+/// the sorted merge over their node sets.
+fn pair_chi_p(
     choice_a: u32,
     cluster_a: usize,
     choice_b: u32,
     cluster_b: usize,
-    clusters: &[Cluster],
-    index: &I,
+    chi_sets: &ChiSets,
     chi_lookups: &mut u64,
 ) -> usize {
     if choice_a == DELETED || choice_b == DELETED {
         return 0;
     }
-    let pa = clusters[cluster_a].entries[choice_a as usize].path_id;
-    let pb = clusters[cluster_b].entries[choice_b as usize].path_id;
     *chi_lookups += 1;
-    chi_count_sorted(index.sorted_nodes(pa), index.sorted_nodes(pb))
+    chi_count_sorted(
+        chi_sets.get(cluster_a, choice_a),
+        chi_sets.get(cluster_b, choice_b),
+    )
 }
 
 /// The answer for the complete assignment `state_choices`, whose
 /// incrementally computed cost is `g`.
 #[allow(clippy::too_many_arguments)]
-fn materialize<I: IndexLike + ?Sized>(
+fn materialize(
     state_choices: &[u32],
     g: f64,
     qpaths: &[QueryPath],
     ig: &IntersectionGraph,
     clusters: &[Cluster],
-    index: &I,
+    chi_sets: &ChiSets,
     params: &ScoreParams,
     chi_lookups: &mut u64,
 ) -> Answer {
@@ -754,8 +805,7 @@ fn materialize<I: IndexLike + ?Sized>(
             edge.qi,
             state_choices[edge.qj],
             edge.qj,
-            clusters,
-            index,
+            chi_sets,
             chi_lookups,
         );
         let pair = PairConformity::evaluate(edge.qi, edge.qj, edge.chi_q(), chi_p, params.e);

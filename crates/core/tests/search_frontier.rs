@@ -12,7 +12,8 @@
 //! `search_frontier.table`, which the commit *before* the frontier
 //! change generated with this same code — across expansion and frontier
 //! limits, paper and IC-weighted costs, and a cancellation tripped
-//! mid-search. Any change to the pop
+//! mid-search, in the expansion that makes a given χ lookup. Any change
+//! to the pop
 //! order, to the truncation point or to the states the anytime fill
 //! drains shows up as a different row.
 
@@ -25,13 +26,16 @@ use rdf_model::{DataGraph, QueryGraph};
 use sama_core::frontier::Frontier;
 use sama_core::{
     apply_ic_weights, build_clusters, decompose_query, search_top_k_budgeted, AlignmentMode,
-    ClusterConfig, IntersectionGraph, QueryBudget, ScoreParams, SearchConfig, SearchOutcome,
-    TruncationReason,
+    CancelToken, ClusterConfig, IntersectionGraph, QueryBudget, ScoreParams, SearchConfig,
+    SearchOutcome, SearchStream, TruncationReason,
 };
+use sama_obs::fault::{self, FaultAction, FaultPlan};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
-use support::{arb_dag_triples, Probe};
+use std::sync::Arc;
+use support::arb_dag_triples;
 
 // ---------------------------------------------------------------- (a)
 
@@ -201,7 +205,7 @@ const K: usize = 1000;
 const MAX_EXPANSIONS: [Option<usize>; 5] = [Some(1), Some(2), Some(7), Some(50), None];
 const MAX_FRONTIER: [Option<usize>; 3] = [Some(2), Some(8), None];
 /// χ lookups after which the cancel rows trip their token.
-const CANCEL_AFTER_LOOKUPS: [usize; 2] = [1, 40];
+const CANCEL_AFTER_LOOKUPS: [u64; 2] = [1, 40];
 
 fn figure1_data() -> DataGraph {
     let mut b = DataGraph::builder();
@@ -423,24 +427,87 @@ fn limit_row<I: IndexLike + Sync>(
     out.push('\n');
 }
 
-/// One row: the search over a probe that cancels the budget's token
-/// after a fixed number of χ lookups — the search notices at its next
-/// poll, puts the popped state back and greedily completes the frontier.
-fn cancel_row(out: &mut String, label: &str, image: &[u8], query: &QueryGraph, ic: bool) {
-    let open = || MappedIndex::from_bytes(image).expect("own image");
-    let prepared = prepare(&open(), query, ic);
+thread_local! {
+    /// The trip of this thread's cancel-row search: expansions to go
+    /// until its token is cancelled, and the token.
+    static TRIP: RefCell<Option<(usize, Arc<CancelToken>)>> = const { RefCell::new(None) };
+}
+
+/// Called at every `search.expand` hit — the top of each expansion, just
+/// before the search polls its budget — while the table is computed.
+fn count_expansion() {
+    TRIP.with_borrow_mut(|trip| {
+        if let Some((left, token)) = trip {
+            *left -= 1;
+            if *left == 0 {
+                token.cancel();
+            }
+        }
+    });
+}
+
+/// The expansion (1-based) in which the search makes its `n`-th χ
+/// lookup: the fewest expansions a limit must allow for the search to
+/// have made `n`. `None` when the whole search makes fewer.
+fn expansion_of_lookup<I: IndexLike>(prepared: &Prepared, index: &I, n: u64) -> Option<usize> {
+    let mut max_expansions = 0;
+    loop {
+        max_expansions += 1;
+        let mut stream = SearchStream::new(
+            prepared.qpaths.clone(),
+            prepared.ig.clone(),
+            prepared.clusters.clone(),
+            index,
+            ScoreParams::paper(),
+            SearchConfig {
+                max_expansions,
+                ..SearchConfig::default()
+            },
+        );
+        while stream.next_answer().is_some() {}
+        if stream.chi_stats().lookups() >= n {
+            return Some(max_expansions);
+        }
+        if !stream.is_truncated() {
+            return None;
+        }
+    }
+}
+
+/// One row: the search with a token cancelled in the expansion that
+/// makes χ lookup `lookups + 1` — cancelling it at the top of the next
+/// expansion, before that one polls, is the same: the search notices at
+/// its next poll either way, puts the popped state back and greedily
+/// completes the frontier.
+fn cancel_row<I: IndexLike + Sync>(
+    out: &mut String,
+    label: &str,
+    index: &I,
+    query: &QueryGraph,
+    ic: bool,
+) {
+    let prepared = prepare(index, query, ic);
     write!(out, "{label} {} cancel", if ic { "ic" } else { "paper" }).unwrap();
     for lookups in CANCEL_AFTER_LOOKUPS {
-        let mut probe = Probe::new(open());
-        probe.trip_at_sorted_nodes = 2 * lookups + 1;
-        let budget = QueryBudget::unlimited().cancelled_by(probe.token.clone());
-        let outcome = search(&prepared, &probe, &SearchConfig::default(), &budget);
+        let token = CancelToken::new();
+        let trip = expansion_of_lookup(&prepared, index, lookups + 1);
+        TRIP.set(trip.map(|expansion| (expansion + 1, token.clone())));
+        let budget = QueryBudget::unlimited().cancelled_by(token);
+        let outcome = search(&prepared, index, &SearchConfig::default(), &budget);
+        TRIP.set(None);
         write!(out, " {}", cell(&outcome)).unwrap();
     }
     out.push('\n');
 }
 
 fn actual_table() -> String {
+    // Every expansion of every search in this process counts down its
+    // own thread's trip, if it has one; no other fault fires.
+    fault::install(FaultPlan::single(
+        "search.expand",
+        FaultAction::Call(count_expansion),
+        1,
+    ));
     let mut out = String::new();
     for case in cases() {
         let image = encode_v2(&PathIndex::build(case.data.clone())).expect("encodes");
@@ -459,9 +526,10 @@ fn actual_table() -> String {
             .collect();
         for ic in [false, true] {
             limit_row(&mut out, &label, &index, &case.query, ic, &limits);
-            cancel_row(&mut out, &label, &image, &case.query, ic);
+            cancel_row(&mut out, &label, &index, &case.query, ic);
         }
     }
+    fault::reset_to_env();
     out
 }
 

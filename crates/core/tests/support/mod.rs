@@ -1,9 +1,9 @@
 //! Shared by the integration tests: a random-data strategy; an index the
 //! tests can watch — it delegates every read to the wrapped index,
 //! counts the reads the pipeline's contracts are stated in, and can
-//! cancel a budget at a known point of a cluster fill or of the
-//! combination search; and the retrieval rule as it read before query
-//! decomposition chose the labels, as a reference.
+//! cancel a budget at a known point of a cluster fill; and the
+//! retrieval rule as it read before query decomposition chose the
+//! labels, as a reference.
 
 #![allow(dead_code)] // each test target uses its own subset
 
@@ -79,11 +79,9 @@ pub struct Probe<I> {
     /// budget trips mid-cluster at a known candidate.
     pub trip_at: usize,
     pub token: Arc<CancelToken>,
-    /// `token` is also cancelled during this `sorted_nodes` call
-    /// (1-based). Only the combination search reads sorted node sets —
-    /// two per χ lookup — so this trips a budget mid-search.
-    pub trip_at_sorted_nodes: usize,
-    pub sorted_nodes_calls: AtomicUsize,
+    /// `path_nodes` calls so far: the combination search reads each
+    /// node set it intersects once, when it starts.
+    pub path_nodes_calls: AtomicUsize,
     /// Sink lookups so far: one per fill of a query path with a
     /// constant sink.
     pub sink_lookups: AtomicUsize,
@@ -105,8 +103,7 @@ impl<I> Probe<I> {
             labels_read: Mutex::new(Vec::new()),
             trip_at: usize::MAX,
             token: CancelToken::new(),
-            trip_at_sorted_nodes: usize::MAX,
-            sorted_nodes_calls: AtomicUsize::new(0),
+            path_nodes_calls: AtomicUsize::new(0),
             sink_lookups: AtomicUsize::new(0),
             resolved: Mutex::new(BTreeMap::new()),
             all_paths: None,
@@ -133,6 +130,7 @@ impl<I: IndexLike> IndexLike for Probe<I> {
         self.inner.total_paths()
     }
     fn path_nodes(&self, id: PathId) -> &[NodeId] {
+        self.path_nodes_calls.fetch_add(1, Ordering::SeqCst);
         self.inner.path_nodes(id)
     }
     fn path_edges(&self, id: PathId) -> &[EdgeId] {
@@ -147,12 +145,6 @@ impl<I: IndexLike> IndexLike for Probe<I> {
             .expect("no panic under the lock")
             .push(id);
         self.inner.labels(id)
-    }
-    fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
-        if self.sorted_nodes_calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trip_at_sorted_nodes {
-            self.token.cancel();
-        }
-        self.inner.sorted_nodes(id)
     }
     fn path_shape(&self, id: PathId) -> u32 {
         self.inner.path_shape(id)

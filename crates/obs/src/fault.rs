@@ -12,7 +12,11 @@
 //! * `panic` — unwind with an identifiable payload (proving the
 //!   caller's isolation, e.g. `catch_unwind` in the batch pool);
 //! * `delay=MS` — sleep, simulating a slow peer / IO stall (proving
-//!   deadline enforcement end-to-end).
+//!   deadline enforcement end-to-end);
+//! * [`FaultAction::Call`] — call a function, so a test can act at a
+//!   site's n-th hit (e.g. cancel a query at a given search expansion);
+//!   installed with [`install`] only, the grammar below has no word
+//!   for it.
 //!
 //! Plans come from the `SAMA_FAULTS` environment variable (the CI
 //! chaos leg) or programmatically via [`install`] (unit tests). The
@@ -51,12 +55,14 @@ use std::sync::{OnceLock, RwLock};
 use std::time::Duration;
 
 /// What an armed fault site does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum FaultAction {
     /// Panic with the payload `"injected fault: <site>"`.
     Panic,
     /// Sleep for the given duration, then continue.
     Delay(Duration),
+    /// Call the function, then continue.
+    Call(fn()),
 }
 
 /// One armed site of a [`FaultPlan`].
@@ -265,6 +271,7 @@ fn point_armed(site: &str) {
     match fired {
         Some(FaultAction::Panic) => panic!("injected fault: {site}"),
         Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+        Some(FaultAction::Call(f)) => f(),
         None => {}
     }
 }
@@ -282,17 +289,11 @@ mod tests {
         let plan = FaultPlan::parse("search.expand:panic:every=7").unwrap();
         assert_eq!(plan.sites(), vec!["search.expand"]);
         assert_eq!(plan.rules[0].every, 7);
-        assert_eq!(plan.rules[0].action, FaultAction::Panic);
+        assert!(matches!(plan.rules[0].action, FaultAction::Panic));
 
         let plan = FaultPlan::parse("a:delay=5, b:delay:12:every=2").unwrap();
-        assert_eq!(
-            plan.rules[0].action,
-            FaultAction::Delay(Duration::from_millis(5))
-        );
-        assert_eq!(
-            plan.rules[1].action,
-            FaultAction::Delay(Duration::from_millis(12))
-        );
+        assert!(matches!(plan.rules[0].action, FaultAction::Delay(d) if d.as_millis() == 5));
+        assert!(matches!(plan.rules[1].action, FaultAction::Delay(d) if d.as_millis() == 12));
         assert_eq!(plan.rules[1].every, 2);
 
         assert!(FaultPlan::parse("").unwrap().is_empty());
@@ -314,6 +315,23 @@ mod tests {
         point("unit.site"); // hit 4 — counter continues, no fire
         install(FaultPlan::none());
         point("unit.site"); // disarmed
+        reset_to_env();
+    }
+
+    #[test]
+    fn call_fires_on_schedule() {
+        use std::sync::atomic::AtomicUsize;
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn count() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        install(FaultPlan::single("unit.site", FaultAction::Call(count), 2));
+        for _ in 0..5 {
+            point("unit.site");
+        }
+        point("other.site");
+        assert_eq!(CALLS.load(Ordering::Relaxed), 2, "hits 2 and 4");
         reset_to_env();
     }
 

@@ -42,27 +42,32 @@ impl Span {
         }
     }
 
-    fn record(&mut self) -> Duration {
-        let elapsed = self.start.elapsed();
+    /// Record `elapsed` into the span's sinks, once: they are taken.
+    fn record(&mut self, elapsed: Duration) {
         if let Some(hist) = self.hist.take() {
             hist.record_duration(elapsed);
         }
         if let Some(token) = self.frame.take() {
             profile::pop(token, duration_ns(elapsed));
         }
-        elapsed
     }
 
     /// Stop the span now, record it, and return the elapsed time (the
     /// elapsed time is returned even for a no-op span).
     pub fn finish(mut self) -> Duration {
-        self.record()
+        let elapsed = self.start.elapsed();
+        self.record(elapsed);
+        elapsed
     }
 }
 
 impl Drop for Span {
+    /// Reads the clock only for a span with somewhere to record it: a
+    /// dropped no-op span, or one already finished, costs nothing.
     fn drop(&mut self) {
-        self.record();
+        if self.hist.is_some() || self.frame.is_some() {
+            self.record(self.start.elapsed());
+        }
     }
 }
 

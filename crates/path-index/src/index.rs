@@ -28,8 +28,7 @@ use std::hash::Hasher;
 use std::time::Instant;
 
 /// One indexed path, borrowed from the index's pools: its node and edge
-/// ids, its label sequences, and the sorted set of its node ids (what
-/// the conformity function `χ` intersects).
+/// ids and its label sequences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexedPath<'a> {
     /// Node ids `n1 … nk`; `n1` is the source end, `nk` the sink end.
@@ -38,10 +37,6 @@ pub struct IndexedPath<'a> {
     pub edges: &'a [EdgeId],
     /// Node/edge label sequences (what alignment compares).
     pub labels: LabelsRef<'a>,
-    /// The path's node ids sorted ascending and deduplicated,
-    /// precomputed at index-build time so `χ` between two indexed paths
-    /// is a linear merge-intersection with no hashing or sorting.
-    pub sorted_nodes: &'a [NodeId],
 }
 
 impl<'a> IndexedPath<'a> {
@@ -51,11 +46,10 @@ impl<'a> IndexedPath<'a> {
     }
 }
 
-/// The path store, laid out as sections 8–16 of the image: path `i`'s
+/// The path store, laid out as sections 8–14 of the image: path `i`'s
 /// nodes and node labels are `offs[i]..offs[i + 1]` of their pools, its
 /// edges the same span less `i` and one shorter, its edge labels its
-/// shape's run of the shape pool, its sorted node set
-/// `sorted_offs[i]..sorted_offs[i + 1]`.
+/// shape's run of the shape pool.
 #[derive(Debug, Clone)]
 pub(crate) struct Pools {
     pub(crate) offs: Vec<usize>,
@@ -69,8 +63,6 @@ pub(crate) struct Pools {
     pub(crate) shape_offs: Vec<usize>,
     /// Each distinct edge-label sequence once, in shape-id order.
     pub(crate) shape_labels: Vec<LabelId>,
-    pub(crate) sorted_offs: Vec<usize>,
-    pub(crate) sorted_nodes: Vec<NodeId>,
 }
 
 impl Default for Pools {
@@ -83,8 +75,6 @@ impl Default for Pools {
             shapes: Vec::new(),
             shape_offs: vec![0],
             shape_labels: Vec::new(),
-            sorted_offs: vec![0],
-            sorted_nodes: Vec::new(),
         }
     }
 }
@@ -119,11 +109,6 @@ impl Pools {
             edge_labels: self.shape(self.shapes[id.index()]),
         }
     }
-
-    #[inline]
-    fn sorted_of(&self, id: PathId) -> &[NodeId] {
-        &self.sorted_nodes[self.sorted_offs[id.index()]..self.sorted_offs[id.index() + 1]]
-    }
 }
 
 /// Appends extracted paths to [`Pools`], interning each edge-label
@@ -147,20 +132,6 @@ impl PoolBuilder<'_> {
         p.node_labels
             .extend(nodes.iter().map(|&n| graph.node_label(n)));
         p.offs.push(p.nodes.len());
-
-        let start = p.sorted_nodes.len();
-        p.sorted_nodes.extend_from_slice(nodes);
-        let set = &mut p.sorted_nodes[start..];
-        set.sort_unstable();
-        let mut kept = 1;
-        for i in 1..set.len() {
-            if set[i] != set[kept - 1] {
-                set[kept] = set[i];
-                kept += 1;
-            }
-        }
-        p.sorted_nodes.truncate(start + kept);
-        p.sorted_offs.push(p.sorted_nodes.len());
 
         self.edge_labels.clear();
         self.edge_labels
@@ -363,8 +334,6 @@ impl PathIndex {
             shapes: view.path_shapes.to_vec(),
             shape_offs: widen(view.shape_offs),
             shape_labels: view.shape_labels.to_vec(),
-            sorted_offs: widen(view.sorted_offs),
-            sorted_nodes: view.sorted_nodes.to_vec(),
         };
         PathIndex {
             order: path_ids(view.path_order),
@@ -405,7 +374,6 @@ impl PathIndex {
             nodes: p.nodes_of(id),
             edges: p.edges_of(id),
             labels: p.labels_of(id),
-            sorted_nodes: p.sorted_of(id),
         }
     }
 
@@ -566,10 +534,6 @@ mod tests {
             assert_eq!(ip.nodes, &*path.nodes);
             assert_eq!(ip.edges, &*path.edges);
             assert_eq!(ip.labels, path.labels(g).view());
-            let mut sorted = path.nodes.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(ip.sorted_nodes, sorted.as_slice());
         }
     }
 

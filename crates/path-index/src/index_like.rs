@@ -78,10 +78,6 @@ pub trait IndexLike {
     /// The label sequences of a path (what alignment compares).
     fn labels(&self, id: PathId) -> LabelsRef<'_>;
 
-    /// The path's node ids sorted ascending and deduplicated (what the
-    /// conformity function `χ` intersects).
-    fn sorted_nodes(&self, id: PathId) -> &[NodeId];
-
     /// The path's *shape*: its edge-label sequence, interned when the
     /// index was built. Two paths of this index have the same shape id
     /// exactly when `labels(a).edge_labels == labels(b).edge_labels`;

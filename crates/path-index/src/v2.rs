@@ -6,12 +6,12 @@
 //! place** from a single read-only mapping:
 //!
 //! ```text
-//! header   magic b"SAMAIDX2", u32 version, u32 section count,
+//! header   magic b"SAMAIDX2", u32 version (3), u32 section count,
 //!          u64 file length                                  (24 bytes)
-//! table    25 × { u64 offset, u64 length }                 (400 bytes)
+//! table    23 × { u64 offset, u64 length }                 (368 bytes)
 //! sections each 8-byte aligned, in table order:
-//!   0 counts        u64 × 6  (vocab, nodes, edges, paths,
-//!                             path-node pool, sorted pool)
+//!   0 counts        u64 × 5  (vocab, nodes, edges, paths,
+//!                             path-node pool)
 //!   1 vocab-kinds   u8  × vocab            term kind per label
 //!   2 vocab-offs    u32 × vocab+1          offsets into vocab-blob
 //!   3 vocab-blob    utf-8 bytes            concatenated lexical forms
@@ -29,23 +29,26 @@
 //!  13 shape-offs    u32 × shapes+1         shape-pool offsets (CSR)
 //!  14 shape-labels  u32 × shape pool       edge labels, one copy per
 //!                                          distinct sequence
-//!  15 sorted-offs   u32 × paths+1          sorted-node-pool offsets
-//!  16 sorted-nodes  u32 × sorted pool      per-path sorted+deduped ids
-//!  17 label-offs    u32 × vocab+1          label-posts offsets (CSR)
-//!  18 label-posts   u32 × n                postings (path ids, in
+//!  15 label-offs    u32 × vocab+1          label-posts offsets (CSR)
+//!  16 label-posts   u32 × n                postings (path ids, in
 //!                                          path-content order)
-//!  19 sink-offs     u32 × vocab+1          sink-posts offsets (CSR)
-//!  20 sink-posts    u32 × n                postings (path ids, in
+//!  17 sink-offs     u32 × vocab+1          sink-posts offsets (CSR)
+//!  18 sink-posts    u32 × n                postings (path ids, in
 //!                                          path-content order)
-//!  21 stats         u64 × 7                Table 1 numbers
-//!  22 ic-counts     u64 × vocab+1          label occurrence counts
+//!  19 stats         u64 × 7                Table 1 numbers
+//!  20 ic-counts     u64 × vocab+1          label occurrence counts
 //!                                          (total first) for the
 //!                                          IC-weighted cost model
-//!  23 path-order    u32 × paths            every path id, in
+//!  21 path-order    u32 × paths            every path id, in
 //!                                          path-content order
-//!  24 constants     u32 × cap              constant → label id,
+//!  22 constants     u32 × cap              constant → label id,
 //!                                          open addressing
 //! ```
+//!
+//! The image stores each path's nodes once, in path order. The
+//! conformity function `χ` intersects node *sets*; the combination
+//! search sorts the node lists of the paths it combines itself, once per
+//! query (`sama_core::search`), so no per-path sorted copy is stored.
 //!
 //! *Path-content order* is ascending by `(path-nodes, path-edges)` of
 //! each path — what the cluster fill breaks λ ties by. Every postings
@@ -62,20 +65,18 @@
 //! shape once instead of a path at a time (`IndexLike::path_shape`).
 //!
 //! Formats this crate used to write — `SAMAIDX1`, the compressed
-//! `SAMAIDXZ`, `SAMAIDX2` files from before the shape table (a 20- or
-//! 21-entry section table), from before path-content order (23
-//! entries: postings in path-id order, which the fill would misread as
-//! content order) and from before the stored constant table (24
-//! entries: postings behind hash tables) — are recognised from their
-//! header and refused with
-//! [`StorageError::LegacyLayout`]: an index is a pure function of its
-//! RDF source, so the remedy is `sama index`, not a reader kept alive
-//! per retired layout.
+//! `SAMAIDXZ`, and every version-2 `SAMAIDX2` image (a 20- or 21-entry
+//! section table from before the shape table, 23 entries from before
+//! path-content order, 24 from before the stored constant table, 25
+//! with a sorted copy of every path's nodes) — are recognised from
+//! their header and refused with [`StorageError::LegacyLayout`]: an
+//! index is a pure function of its RDF source, so the remedy is
+//! `sama index`, not a reader kept alive per retired layout.
 //!
 //! Every lookup is stored in the form it is read in, so lookups on
 //! load need **no rebuild and no allocation**. The label and sink maps
 //! are CSR like the path store: label `l`'s postings are
-//! `posts[offs[l]..offs[l + 1]]`. The constant table (section 24) maps
+//! `posts[offs[l]..offs[l + 1]]`. The constant table (section 22) maps
 //! a query constant to its label: power-of-two open addressing with
 //! linear probing over label ids, at most half full, empty slot
 //! `u32::MAX`. A constant's home slot is the high bits of the Fx hash
@@ -89,7 +90,7 @@
 //!
 //! Opening ([`MappedIndex::open`]) maps the file (via the vendored
 //! `memmap2` shim; [`MappedIndex::from_bytes`] is the pure in-memory
-//! fallback), parses the ~424-byte header, and runs one allocation-free
+//! fallback), parses the 392-byte header, and runs one allocation-free
 //! validation pass — a fold per check over its array, which vectorises
 //! — so every later accessor can index without panicking on corrupt
 //! data. The data graph itself
@@ -118,16 +119,17 @@ use std::time::Duration;
 
 /// The format magic.
 pub const MAGIC2: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 2;
-const SECTION_COUNT: usize = 25;
-/// Magics of the two retired formats, and the section counts of
-/// `SAMAIDX2` files written before the shape table (without and with
-/// the `ic-counts` section), before path-content order and before the
-/// stored constant table: [`Layout::parse`] refuses all six.
+const VERSION: u32 = 3;
+const SECTION_COUNT: usize = 23;
+/// Magics of the two retired formats, and the version every earlier
+/// `SAMAIDX2` layout was written as: [`Layout::parse`] refuses all of
+/// them.
 const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SAMAIDX1", b"SAMAIDXZ"];
-const RETIRED_SECTION_COUNTS: [usize; 4] = [20, 21, 23, 24];
+const RETIRED_VERSION: u32 = 2;
 const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
+/// The counts section: five `u64`s.
+const COUNTS_LEN: usize = 40;
 /// Empty constant-table slot marker (never a valid label id: ids are < len).
 const EMPTY: u32 = u32::MAX;
 
@@ -146,16 +148,14 @@ const S_PATH_NLABELS: usize = 11;
 const S_PATH_SHAPES: usize = 12;
 const S_SHAPE_OFFS: usize = 13;
 const S_SHAPE_LABELS: usize = 14;
-const S_SORTED_OFFS: usize = 15;
-const S_SORTED_NODES: usize = 16;
-const S_LABEL_OFFS: usize = 17;
-const S_LABEL_POSTS: usize = 18;
-const S_SINK_OFFS: usize = 19;
-const S_SINK_POSTS: usize = 20;
-const S_STATS: usize = 21;
-const S_IC_COUNTS: usize = 22;
-const S_PATH_ORDER: usize = 23;
-const S_CONSTANTS: usize = 24;
+const S_LABEL_OFFS: usize = 15;
+const S_LABEL_POSTS: usize = 16;
+const S_SINK_OFFS: usize = 17;
+const S_SINK_POSTS: usize = 18;
+const S_STATS: usize = 19;
+const S_IC_COUNTS: usize = 20;
+const S_PATH_ORDER: usize = 21;
+const S_CONSTANTS: usize = 22;
 
 /// Human-readable section names, table order (for `sama index --stats`).
 pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -174,8 +174,6 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "path-shapes",
     "shape-offsets",
     "shape-labels",
-    "sorted-offsets",
-    "sorted-node-pool",
     "label-offsets",
     "label-postings",
     "sink-offsets",
@@ -273,7 +271,6 @@ impl Plan {
         try_u32(paths, "paths")?;
         let node_pool = pools.nodes.len();
         try_u32(node_pool, "path node pool")?;
-        try_u32(pools.sorted_nodes.len(), "sorted node pool")?;
         let blob_len: usize = vocab.iter().map(|(_, _, lex)| lex.len()).sum();
         try_u32(blob_len, "vocabulary blob")?;
         let (label, sink) = (index.label_postings(), index.sink_postings());
@@ -282,7 +279,7 @@ impl Plan {
         }
 
         let mut sizes = [0usize; SECTION_COUNT];
-        sizes[S_COUNTS] = 48;
+        sizes[S_COUNTS] = COUNTS_LEN;
         sizes[S_VOCAB_KINDS] = vocab.len();
         sizes[S_VOCAB_OFFS] = (vocab.len() + 1) * 4;
         sizes[S_VOCAB_BLOB] = blob_len;
@@ -297,8 +294,6 @@ impl Plan {
         sizes[S_PATH_SHAPES] = paths * 4;
         sizes[S_SHAPE_OFFS] = pools.shape_offs.len() * 4;
         sizes[S_SHAPE_LABELS] = pools.shape_labels.len() * 4;
-        sizes[S_SORTED_OFFS] = (paths + 1) * 4;
-        sizes[S_SORTED_NODES] = pools.sorted_nodes.len() * 4;
         sizes[S_LABEL_OFFS] = (vocab.len() + 1) * 4;
         sizes[S_LABEL_POSTS] = label.ids.len() * 4;
         sizes[S_SINK_OFFS] = (vocab.len() + 1) * 4;
@@ -426,7 +421,6 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
             graph.edge_count(),
             index.path_count(),
             pools.nodes.len(),
-            pools.sorted_nodes.len(),
         ]
         .map(|n| n as u64),
     );
@@ -467,15 +461,12 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
     w.u32s(pools.shapes.iter().copied());
     w.offsets(&pools.shape_offs);
     w.u32s(pools.shape_labels.iter().map(|l| l.0));
-    // 15-16: sorted node sets.
-    w.offsets(&pools.sorted_offs);
-    w.u32s(pools.sorted_nodes.iter().map(|n| n.0));
-    // 17-20: the inverted maps, CSR.
+    // 15-18: the inverted maps, CSR.
     w.offsets(&label.offs);
     w.u32s(label.ids.iter().map(|id| id.0));
     w.offsets(&sink.offs);
     w.u32s(sink.ids.iter().map(|id| id.0));
-    // 21: stats.
+    // 19: stats.
     let stats = index.stats();
     w.u64s([
         stats.triples as u64,
@@ -486,11 +477,11 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
         stats.dropped,
         stats.build_time.as_nanos() as u64,
     ]);
-    // 22: ic counts.
+    // 20: ic counts.
     w.section().copy_from_slice(&index.ic_counts().to_bytes());
-    // 23: path-content order.
+    // 21: path-content order.
     w.u32s(index.content_order().iter().map(|id| id.0));
-    // 24: the constant table.
+    // 22: the constant table.
     w.constants(vocab);
     assert_eq!(w.next, SECTION_COUNT, "every section written");
 }
@@ -531,7 +522,6 @@ struct Layout {
     edge_count: usize,
     path_count: usize,
     node_pool: usize,
-    sorted_pool: usize,
     shape_count: usize,
     stats: [u64; 7],
 }
@@ -568,13 +558,13 @@ impl Layout {
             return Err(StorageError::Truncated);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        if version == RETIRED_VERSION {
+            return Err(StorageError::LegacyLayout);
+        }
         if version != VERSION {
             return Err(StorageError::Corrupt("unsupported SAMAIDX2 version"));
         }
         let sections = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        if RETIRED_SECTION_COUNTS.contains(&sections) {
-            return Err(StorageError::LegacyLayout);
-        }
         if sections != SECTION_COUNT {
             return Err(StorageError::Corrupt("unexpected section count"));
         }
@@ -609,10 +599,10 @@ impl Layout {
             *slot = (off, len);
         }
 
-        if sec[S_COUNTS].1 != 48 {
+        if sec[S_COUNTS].1 != COUNTS_LEN {
             return Err(StorageError::Corrupt("counts section size"));
         }
-        let c = cast_u64s(&bytes[sec[S_COUNTS].0..sec[S_COUNTS].0 + 48]);
+        let c = cast_u64s(&bytes[sec[S_COUNTS].0..sec[S_COUNTS].0 + COUNTS_LEN]);
         let as_usize = |v: u64, what: &'static str| -> Result<usize, StorageError> {
             if v > u32::MAX as u64 {
                 return Err(StorageError::Corrupt(what));
@@ -624,7 +614,6 @@ impl Layout {
         let edge_count = as_usize(c[2], "edge count")?;
         let path_count = as_usize(c[3], "path count")?;
         let node_pool = as_usize(c[4], "path node pool size")?;
-        let sorted_pool = as_usize(c[5], "sorted pool size")?;
         if node_pool < path_count {
             return Err(StorageError::Corrupt("node pool smaller than path count"));
         }
@@ -649,8 +638,6 @@ impl Layout {
             "path edge pool size",
         )?;
         expect(S_PATH_NLABELS, node_pool * 4, "path node label pool size")?;
-        expect(S_SORTED_OFFS, (path_count + 1) * 4, "sorted offsets size")?;
-        expect(S_SORTED_NODES, sorted_pool * 4, "sorted pool size")?;
         expect(S_LABEL_OFFS, (vocab_len + 1) * 4, "label offsets size")?;
         expect(S_SINK_OFFS, (vocab_len + 1) * 4, "sink offsets size")?;
         for s in [S_LABEL_POSTS, S_SINK_POSTS] {
@@ -685,7 +672,6 @@ impl Layout {
             edge_count,
             path_count,
             node_pool,
-            sorted_pool,
             shape_count,
             stats,
         })
@@ -729,8 +715,6 @@ impl Layout {
             path_shapes: self.u32s(bytes, S_PATH_SHAPES),
             shape_offs: self.u32s(bytes, S_SHAPE_OFFS),
             shape_labels: as_label_ids(self.u32s(bytes, S_SHAPE_LABELS)),
-            sorted_offs: self.u32s(bytes, S_SORTED_OFFS),
-            sorted_nodes: as_node_ids(self.u32s(bytes, S_SORTED_NODES)),
             label_offs: self.u32s(bytes, S_LABEL_OFFS),
             label_posts: self.u32s(bytes, S_LABEL_POSTS),
             sink_offs: self.u32s(bytes, S_SINK_OFFS),
@@ -843,8 +827,6 @@ pub struct IndexView<'a> {
     pub(crate) path_shapes: &'a [u32],
     pub(crate) shape_offs: &'a [u32],
     pub(crate) shape_labels: &'a [LabelId],
-    pub(crate) sorted_offs: &'a [u32],
-    pub(crate) sorted_nodes: &'a [NodeId],
     pub(crate) label_offs: &'a [u32],
     pub(crate) label_posts: &'a [u32],
     pub(crate) sink_offs: &'a [u32],
@@ -873,15 +855,13 @@ impl<'a> IndexView<'a> {
     /// Each check is a fold over its whole section with no early exit
     /// ([`all_below`], [`pairs`]), which the compiler vectorises; the
     /// checks run in a fixed order and the first that fails names the
-    /// error. Three of them test an equivalent, cheaper property:
+    /// error. Two of them test an equivalent, cheaper property:
     ///
     /// * every vocabulary entry is UTF-8 ⇔ the whole blob is and no
     ///   entry offset lands on a continuation byte (the offsets are
     ///   already known to be monotone and to span the blob);
     /// * no data label is a variable ⇔ trivially, when no vocabulary
-    ///   entry is one, so the per-label kind gather runs only otherwise;
-    /// * every sorted node set is strictly ascending ⇔ the pool has as
-    ///   many non-ascending adjacent pairs as straddle a set boundary.
+    ///   entry is one, so the per-label kind gather runs only otherwise.
     ///
     /// One block interleaves checks with different messages (a path's
     /// shape id against its length). A fold there only says that
@@ -991,32 +971,6 @@ impl<'a> IndexView<'a> {
             self.first_shape_fault()?;
         }
 
-        // Sorted node sets: strictly ascending within each path.
-        if self.sorted_offs[0] != 0
-            || *self.sorted_offs.last().expect("len >= 1") as usize != l.sorted_pool
-        {
-            return Err(corrupt("sorted offsets do not span pool"));
-        }
-        if pairs(self.sorted_offs).fold(false, |bad, (a, b)| bad | (a >= b)) {
-            return Err(corrupt("empty sorted node set"));
-        }
-        if !nodes_ok(self.sorted_nodes) {
-            return Err(corrupt("sorted node out of range"));
-        }
-        // The sets are non-empty and tile the pool, so every adjacent
-        // pair of the pool lies inside one set or across one boundary.
-        // Fewer than 2^32 pairs: the counts fit a u32.
-        let pool = self.sorted_nodes;
-        let descents: u32 = pairs(pool).map(|(a, b)| u32::from(a >= b)).sum();
-        let boundaries = self.sorted_offs.get(1..l.path_count).unwrap_or_default();
-        let across: u32 = boundaries
-            .iter()
-            .map(|&at| u32::from(pool[at as usize - 1] >= pool[at as usize]))
-            .sum();
-        if descents != across {
-            return Err(corrupt("sorted node set not strictly ascending"));
-        }
-
         // Inverted maps: CSR offsets spanning their postings, path ids
         // in range.
         for (offs, posts, span, monotone) in [
@@ -1107,14 +1061,6 @@ impl<'a> IndexView<'a> {
             edge_labels: &self.shape_labels
                 [self.shape_offs[shape] as usize..self.shape_offs[shape + 1] as usize],
         }
-    }
-
-    /// Sorted, deduplicated node ids of path `id`.
-    #[inline]
-    pub fn sorted_nodes(&self, id: PathId) -> &'a [NodeId] {
-        let a = self.sorted_offs[id.index()] as usize;
-        let b = self.sorted_offs[id.index() + 1] as usize;
-        &self.sorted_nodes[a..b]
     }
 
     #[inline]
@@ -1282,8 +1228,7 @@ impl Backing {
 /// owned copy.
 ///
 /// Opening performs an `mmap` plus one allocation-free validation scan;
-/// the hot lookup structures (path store, sorted node sets, stored
-/// inverted maps) are then read in place for the lifetime of the
+/// the hot lookup structures (path store, stored inverted maps) are then read in place for the lifetime of the
 /// handle, shared by every worker thread that borrows it. The
 /// label-level reads (constant → label id, label id → lexical form and
 /// kind, edge → its three labels) are served from the mapped vocabulary
@@ -1554,11 +1499,6 @@ impl IndexLike for MappedIndex {
     }
 
     #[inline]
-    fn sorted_nodes(&self, id: PathId) -> &[NodeId] {
-        self.view.sorted_nodes(id)
-    }
-
-    #[inline]
     fn path_shape(&self, id: PathId) -> u32 {
         self.view.path_shapes[id.index()]
     }
@@ -1736,7 +1676,6 @@ mod tests {
             assert_eq!(mapped.path_nodes(id), ip.nodes);
             assert_eq!(mapped.path_edges(id), ip.edges);
             assert_eq!(mapped.labels(id), ip.labels);
-            assert_eq!(mapped.sorted_nodes(id), ip.sorted_nodes);
             assert_eq!(IndexLike::path_shape(&mapped, id), idx.path_shape(id));
         }
         assert_shapes_partition_by_edge_labels(&mapped);
@@ -2014,7 +1953,7 @@ mod tests {
         let owned = AlignedBytes::copy_from(&bytes);
         let view = IndexView::parse(owned.as_slice()).unwrap();
         let sizes = view.section_sizes();
-        assert_eq!(sizes[S_COUNTS], 48);
+        assert_eq!(sizes[S_COUNTS], 40);
         assert_eq!(sizes[S_STATS], 56);
         let total: usize = sizes.iter().sum();
         assert!(total <= bytes.len());

@@ -109,30 +109,6 @@ impl IndexView<'_> {
             }
         }
 
-        // Sorted node sets: strictly ascending within each path.
-        if self.sorted_offs[0] != 0
-            || *self.sorted_offs.last().expect("len >= 1") as usize != l.sorted_pool
-        {
-            return Err(corrupt("sorted offsets do not span pool"));
-        }
-        if self.sorted_offs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(corrupt("empty sorted node set"));
-        }
-        if self
-            .sorted_nodes
-            .iter()
-            .any(|n| n.0 as usize >= l.node_count)
-        {
-            return Err(corrupt("sorted node out of range"));
-        }
-        for i in 0..l.path_count {
-            let s =
-                &self.sorted_nodes[self.sorted_offs[i] as usize..self.sorted_offs[i + 1] as usize];
-            if s.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(corrupt("sorted node set not strictly ascending"));
-            }
-        }
-
         // Inverted maps: CSR offsets spanning their postings.
         for (offs, posts, span, monotone) in [
             (
@@ -294,7 +270,6 @@ fn every_word_set_to_an_edge_value_gets_the_same_result() {
             "corrupt index: empty path",
             "corrupt index: path shape out of range",
             "corrupt index: shape length does not match path",
-            "corrupt index: sorted node set not strictly ascending",
             "corrupt index: constant table slot out of range",
             "corrupt index: label offsets do not span postings",
             "corrupt index: label offsets not monotone",

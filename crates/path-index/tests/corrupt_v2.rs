@@ -65,7 +65,7 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 const HEADER_LEN: usize = 24;
-const SECTIONS: usize = 25;
+const SECTIONS: usize = 23;
 const VOCAB_KINDS: usize = 1;
 const VOCAB_OFFSETS: usize = 2;
 const VOCAB_BLOB: usize = 3;
@@ -74,15 +74,13 @@ const PATH_OFFSETS: usize = 8;
 const PATH_SHAPES: usize = 12;
 const SHAPE_OFFSETS: usize = 13;
 const SHAPE_LABELS: usize = 14;
-const SORTED_OFFSETS: usize = 15;
-const SORTED_NODES: usize = 16;
-const LABEL_OFFSETS: usize = 17;
-const LABEL_POSTINGS: usize = 18;
-const SINK_OFFSETS: usize = 19;
-const SINK_POSTINGS: usize = 20;
-const IC_COUNTS: usize = 22;
-const PATH_ORDER: usize = 23;
-const CONSTANT_TABLE: usize = 24;
+const LABEL_OFFSETS: usize = 15;
+const LABEL_POSTINGS: usize = 16;
+const SINK_OFFSETS: usize = 17;
+const SINK_POSTINGS: usize = 18;
+const IC_COUNTS: usize = 20;
+const PATH_ORDER: usize = 21;
+const CONSTANT_TABLE: usize = 22;
 
 /// Byte `(offset, length)` of section `index`, from the table.
 fn section(bytes: &[u8], index: usize) -> (usize, usize) {
@@ -201,12 +199,14 @@ fn readers(bytes: &[u8]) -> [Result<(), StorageError>; 4] {
 #[test]
 fn retired_formats_are_refused_from_the_header_alone() {
     // What identifies each retired format: the eight magic bytes of
-    // `SAMAIDX1` and the compressed `SAMAIDXZ`; for a `SAMAIDX2` from
-    // before the shape table, the 24-byte header announcing 20 sections
-    // (without `ic-counts`) or 21 (with); from before path-content
-    // order, 23 (its postings are in path-id order, which the cluster
-    // fill would take for content order); from before the stored
-    // constant table, 24 (postings behind hash tables).
+    // `SAMAIDX1` and the compressed `SAMAIDXZ`; for a `SAMAIDX2`, the
+    // 24-byte header of version 2, which every earlier layout was
+    // written as — announcing 20 sections from before the shape table
+    // (without `ic-counts`) or 21 (with); 23 from before path-content
+    // order (its postings are in path-id order, which the cluster fill
+    // would take for content order); 24 from before the stored constant
+    // table (postings behind hash tables); 25 with a sorted copy of
+    // every path's nodes.
     let old_header = |sections: u32| {
         let mut header = MAGIC2.to_vec();
         header.extend_from_slice(&2u32.to_le_bytes());
@@ -221,6 +221,7 @@ fn retired_formats_are_refused_from_the_header_alone() {
         old_header(21),
         old_header(23),
         old_header(24),
+        old_header(25),
     ];
     for identifying in &retired {
         // Refused as soon as the identifying bytes are all there,
@@ -480,44 +481,6 @@ fn a_vocabulary_offset_inside_a_character_is_bad_utf8() {
     // On the character boundary just before it, both entries are UTF-8.
     let mutated = set_words(&bytes, &[(VOCAB_OFFSETS, i, entry as u32 + 1)]);
     assert_readers(&mutated, &bytes, Ok(()), "offset before ü");
-}
-
-#[test]
-fn sorted_sets_must_ascend_inside_but_not_across_boundaries() {
-    let bytes = sample_bytes();
-    let paths = section(&bytes, PATH_SHAPES).1 / 4;
-    let set = |p: usize| {
-        word_of(&bytes, SORTED_OFFSETS, p) as usize..word_of(&bytes, SORTED_OFFSETS, p + 1) as usize
-    };
-    let node = |i: usize| word_of(&bytes, SORTED_NODES, i);
-
-    // A swap inside one set.
-    let p = (0..paths)
-        .find(|&p| set(p).len() >= 2)
-        .expect("a set of two");
-    let a = set(p).start;
-    let mutated = set_words(
-        &bytes,
-        &[
-            (SORTED_NODES, a, node(a + 1)),
-            (SORTED_NODES, a + 1, node(a)),
-        ],
-    );
-    let fault = Err(StorageError::Corrupt(
-        "sorted node set not strictly ascending",
-    ));
-    assert_readers(&mutated, &bytes, fault.clone(), "descent inside a set");
-    // A repeat inside one set.
-    let mutated = set_words(&bytes, &[(SORTED_NODES, a + 1, node(a))]);
-    assert_readers(&mutated, &bytes, fault, "repeat inside a set");
-
-    // A set that starts at node 0 right after one that ends above it:
-    // a descent across the boundary only, which is no fault.
-    let p = (1..paths)
-        .find(|&p| node(set(p).start - 1) > 0 && node(set(p).start) > 0)
-        .expect("a boundary to descend across");
-    let mutated = set_words(&bytes, &[(SORTED_NODES, set(p).start, 0)]);
-    assert_readers(&mutated, &bytes, Ok(()), "descent across a boundary");
 }
 
 #[test]

@@ -425,7 +425,7 @@ fn cluster_line(c: &TraceCluster, kept: usize) -> String {
 /// [`reference_image`] (a builder that shares no code with the
 /// library's); served from that image, every accessor returns exactly
 /// what the builder's own pools hold — per path its nodes, edges,
-/// labels, sorted node set and shape; per data label its lexical form,
+/// labels and shape; per data label its lexical form,
 /// kind, sink postings and label postings; per edge its three labels;
 /// the content order and the IC table, bit for bit — and decoding the
 /// image and encoding it again gives the same bytes.
@@ -460,11 +460,10 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     // labels: as the graph rebuilt from the image prints it.
     let rebuilt = mapped.data().as_graph();
     for (id, ip) in built.paths() {
-        let want: (&[_], &[_], LabelsRef<'_>, &[_], u32, String) = (
+        let want: (&[_], &[_], LabelsRef<'_>, u32, String) = (
             ip.nodes,
             ip.edges,
             ip.labels,
-            ip.sorted_nodes,
             built.path_shape(id),
             display_parts(rebuilt, ip.nodes, ip.edges).to_string(),
         );
@@ -472,7 +471,6 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
             mapped.path_nodes(id),
             mapped.path_edges(id),
             mapped.labels(id),
-            mapped.sorted_nodes(id),
             mapped.path_shape(id),
             display_path(&mapped, id).to_string(),
         );

@@ -2,7 +2,7 @@
 //! library's: the per-path assembly and append-only encoder that
 //! `path_index` used before its builder held the image's section pools.
 //!
-//! One struct per path with its own label and sorted-node vectors,
+//! One struct per path with its own label vectors,
 //! `FxHashMap` postings, a [`HyperGraphView`] for Table 1's counts, the
 //! shape table interned through a map of borrowed sequences, a
 //! constant table that finds each `(kind, lexical)` pair's first label
@@ -16,15 +16,15 @@
 
 use crate::hypergraph::HyperGraphView;
 use path_index::{extract_paths, ExtractionConfig, Path};
-use rdf_model::{DataGraph, FxHashMap, LabelId, NodeId, TermKind};
+use rdf_model::{DataGraph, FxHashMap, LabelId, TermKind};
 
 const MAGIC: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 2;
-const SECTIONS: usize = 25;
+const VERSION: u32 = 3;
+const SECTIONS: usize = 23;
 const HEADER: usize = 24;
 /// Table entry of the `stats` section, and the offset of its build-time
 /// word (the seventh `u64`) inside it.
-const STATS_SECTION: usize = 21;
+const STATS_SECTION: usize = 19;
 const BUILD_TIME_AT: usize = 48;
 const EMPTY: u32 = u32::MAX;
 
@@ -33,7 +33,6 @@ struct RefPath {
     path: Path,
     node_labels: Vec<LabelId>,
     edge_labels: Vec<LabelId>,
-    sorted_nodes: Vec<NodeId>,
 }
 
 /// The image `encode_v2(&PathIndex::build(graph.clone()))` must equal,
@@ -50,14 +49,10 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
         .iter()
         .map(|path| {
             let labels = path.labels(g);
-            let mut sorted_nodes = path.nodes.to_vec();
-            sorted_nodes.sort_unstable();
-            sorted_nodes.dedup();
             RefPath {
                 path: path.clone(),
                 node_labels: labels.node_labels.to_vec(),
                 edge_labels: labels.edge_labels.to_vec(),
-                sorted_nodes,
             }
         })
         .collect();
@@ -108,7 +103,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     }
 
     let node_pool: usize = paths.iter().map(|p| p.path.nodes.len()).sum();
-    let sorted_pool: usize = paths.iter().map(|p| p.sorted_nodes.len()).sum();
     let mut w = Writer::new();
     w.u64s(&[
         vocab.len() as u64,
@@ -116,7 +110,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
         g.edge_count() as u64,
         paths.len() as u64,
         node_pool as u64,
-        sorted_pool as u64,
     ]);
     w.section(|buf| {
         for (_, kind, _) in vocab.iter() {
@@ -145,12 +138,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     w.u32s(path_shapes);
     w.offsets(shapes.iter().map(|s| s.len()));
     w.u32s(shapes.iter().flat_map(|s| s.iter().map(|l| l.0)));
-    w.offsets(paths.iter().map(|p| p.sorted_nodes.len()));
-    w.u32s(
-        paths
-            .iter()
-            .flat_map(|p| p.sorted_nodes.iter().map(|n| n.0)),
-    );
     for map in [&by_label, &by_sink] {
         w.offsets(runs(map, vocab.len()).map(<[u32]>::len));
         w.u32s(runs(map, vocab.len()).flatten().copied());
