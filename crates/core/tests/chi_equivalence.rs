@@ -14,7 +14,7 @@ use sama_core::{
     ScoreParams, SearchConfig,
 };
 use std::sync::atomic::Ordering;
-use support::{arb_dag_triples, Probe};
+use support::{arb_dag_triples, figure1_data, Probe};
 
 /// A path's nodes sorted ascending and deduplicated.
 fn node_set(index: &impl IndexLike, id: path_index::PathId) -> Vec<NodeId> {
@@ -51,34 +51,6 @@ proptest! {
             }
         }
     }
-}
-
-/// The paper's Figure 1 bills, amendments and sponsors.
-fn figure1_data() -> DataGraph {
-    let mut b = DataGraph::builder();
-    for (person, amendment, bill) in [
-        ("CB", "A0056", "B1432"),
-        ("JR", "A1589", "B0532"),
-        ("KF", "A1232", "B0045"),
-        ("JM", "A0772", "B0045"),
-        ("PD", "A0467", "B0532"),
-    ] {
-        b.triple_str(person, "sponsor", amendment).unwrap();
-        b.triple_str(amendment, "aTo", bill).unwrap();
-        b.triple_str(bill, "subject", "\"HC\"").unwrap();
-    }
-    for (person, bill) in [
-        ("JR", "B0045"),
-        ("PT", "B0532"),
-        ("AN", "B1432"),
-        ("PD", "B1432"),
-    ] {
-        b.triple_str(person, "sponsor", bill).unwrap();
-    }
-    for person in ["JR", "KF", "JM", "PD"] {
-        b.triple_str(person, "gender", "\"Male\"").unwrap();
-    }
-    b.build()
 }
 
 /// Over one search, the index serves no more node lists than the

@@ -35,7 +35,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use support::arb_dag_triples;
+use support::{arb_dag_triples, figure1_data};
 
 // ---------------------------------------------------------------- (a)
 
@@ -206,33 +206,6 @@ const MAX_EXPANSIONS: [Option<usize>; 5] = [Some(1), Some(2), Some(7), Some(50),
 const MAX_FRONTIER: [Option<usize>; 3] = [Some(2), Some(8), None];
 /// χ lookups after which the cancel rows trip their token.
 const CANCEL_AFTER_LOOKUPS: [u64; 2] = [1, 40];
-
-fn figure1_data() -> DataGraph {
-    let mut b = DataGraph::builder();
-    for (person, amendment, bill) in [
-        ("CB", "A0056", "B1432"),
-        ("JR", "A1589", "B0532"),
-        ("KF", "A1232", "B0045"),
-        ("JM", "A0772", "B0045"),
-        ("PD", "A0467", "B0532"),
-    ] {
-        b.triple_str(person, "sponsor", amendment).unwrap();
-        b.triple_str(amendment, "aTo", bill).unwrap();
-        b.triple_str(bill, "subject", "\"HC\"").unwrap();
-    }
-    for (person, bill) in [
-        ("JR", "B0045"),
-        ("PT", "B0532"),
-        ("AN", "B1432"),
-        ("PD", "B1432"),
-    ] {
-        b.triple_str(person, "sponsor", bill).unwrap();
-    }
-    for person in ["JR", "KF", "JM", "PD"] {
-        b.triple_str(person, "gender", "\"Male\"").unwrap();
-    }
-    b.build()
-}
 
 fn query(triples: &[(&str, &str, &str)]) -> QueryGraph {
     let mut b = QueryGraph::builder();

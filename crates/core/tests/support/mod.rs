@@ -9,7 +9,7 @@
 
 use path_index::{IndexLike, LabelsRef, LshCandidate, LshParams, PathId, SynonymProvider};
 use proptest::prelude::*;
-use rdf_model::{EdgeId, LabelId, NodeId, TermKind, Triple};
+use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Triple};
 use sama_core::{CancelToken, ClusterConfig, QueryPath};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,6 +38,34 @@ pub fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Valu
                 .collect()
         })
         .prop_filter("at least one triple", |v: &Vec<Triple>| !v.is_empty())
+}
+
+/// The paper's Figure 1 bills, amendments and sponsors, names shortened.
+pub fn figure1_data() -> DataGraph {
+    let mut b = DataGraph::builder();
+    for (person, amendment, bill) in [
+        ("CB", "A0056", "B1432"),
+        ("JR", "A1589", "B0532"),
+        ("KF", "A1232", "B0045"),
+        ("JM", "A0772", "B0045"),
+        ("PD", "A0467", "B0532"),
+    ] {
+        b.triple_str(person, "sponsor", amendment).unwrap();
+        b.triple_str(amendment, "aTo", bill).unwrap();
+        b.triple_str(bill, "subject", "\"HC\"").unwrap();
+    }
+    for (person, bill) in [
+        ("JR", "B0045"),
+        ("PT", "B0532"),
+        ("AN", "B1432"),
+        ("PD", "B1432"),
+    ] {
+        b.triple_str(person, "sponsor", bill).unwrap();
+    }
+    for person in ["JR", "KF", "JM", "PD"] {
+        b.triple_str(person, "gender", "\"Male\"").unwrap();
+    }
+    b.build()
 }
 
 /// A chain query of up to 14 nodes. Each node is a variable, one of the
