@@ -167,8 +167,8 @@ fn q_unit(q: &QueryPath, u: usize) -> (&QueryLabel, &QueryLabel) {
 
 #[inline]
 fn p_unit(p: LabelsRef<'_>, u: usize) -> (LabelId, LabelId) {
-    let k = p.node_labels.len();
-    (p.edge_labels[k - 1 - u], p.node_labels[k - 1 - u])
+    let k = p.len();
+    (p.edge_labels[k - 1 - u], p.node_label(k - 1 - u))
 }
 
 /// IC weights of query unit `u`: `(edge weight, node weight)` — the
@@ -269,7 +269,7 @@ fn unit_compatible(q: (&QueryLabel, &QueryLabel), p: (LabelId, LabelId)) -> bool
 }
 
 fn align_greedy(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams, bind: bool) -> Alignment {
-    let m = unit_count(p.node_labels.len());
+    let m = unit_count(p.len());
     let n = unit_count(q.nodes.len());
     let mut tally = Tally::new(bind);
 
@@ -320,7 +320,7 @@ enum Step {
 }
 
 fn align_optimal(q: &QueryPath, p: LabelsRef<'_>, params: &ScoreParams, bind: bool) -> Alignment {
-    let m = unit_count(p.node_labels.len());
+    let m = unit_count(p.len());
     let n = unit_count(q.nodes.len());
 
     // dp[i][j] = min cost aligning p units 1..=i with q units 1..=j

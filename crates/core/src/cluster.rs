@@ -17,7 +17,7 @@ use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
 use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
-use rdf_model::{FxHashMap, LabelId};
+use rdf_model::{FxHashMap, LabelId, NodeId};
 use std::collections::BinaryHeap;
 
 /// Default banding shape of [`Retrieval::Lsh`]: bands. Matches
@@ -626,7 +626,8 @@ const NO_LABEL: LabelId = LabelId(u32::MAX);
 /// gives a path of that shape whose other nodes carry a label no
 /// constant admits ([`NO_LABEL`]) and whose sink label has that bit. By
 /// the [`LambdaMemo`] key that is the λ of every path of the shape with
-/// that sink bit and no inner bit set.
+/// that sink bit and no inner bit set. Such a synthetic path is node ids
+/// `0 … 0, 1` over the two-entry table `[NO_LABEL, sink label]`.
 struct ShapePrices<'a, I: ?Sized> {
     index: &'a I,
     sink_label: &'a QueryLabel,
@@ -656,19 +657,21 @@ impl<'a, I: IndexLike + ?Sized> ShapePrices<'a, I> {
             SinkBit::PerCandidate => &[false, true],
         };
         let mut keys = vec![i64::MAX; 2 * shapes];
-        let mut node_labels = Vec::new();
+        let mut nodes = Vec::new();
         for &bit in bits {
             let sink_label = match q.sink().accepted() {
                 Some(&[first, ..]) if bit => first,
                 _ => NO_LABEL,
             };
+            let node_table = [NO_LABEL, sink_label];
             for shape in 0..shapes {
                 let edge_labels = index.shape_edge_labels(shape as u32);
-                node_labels.clear();
-                node_labels.resize(edge_labels.len(), NO_LABEL);
-                node_labels.push(sink_label);
+                nodes.clear();
+                nodes.resize(edge_labels.len(), NodeId(0));
+                nodes.push(NodeId(1));
                 let path = LabelsRef {
-                    node_labels: &node_labels,
+                    nodes: &nodes,
+                    node_table: &node_table,
                     edge_labels,
                 };
                 keys[usize::from(bit) * shapes + shape] =
@@ -900,7 +903,7 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
     /// labels of `pid`.
     fn score(&mut self, pid: PathId, labels: LabelsRef<'_>) -> f64 {
         let key = self
-            .node_bits(labels.node_labels)
+            .node_bits(labels)
             .map(|bits| (self.index.path_shape(pid), bits));
         if let Some(&lambda) = key.and_then(|key| self.seen.get(&key)) {
             return lambda;
@@ -916,14 +919,14 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
     /// Parts (ii) and (iii) of the key, or `None` when they exceed the
     /// word. The layout is a function of the shape (which fixes the
     /// node count), so equal keys mean equal bits at equal places.
-    fn node_bits(&self, node_labels: &[LabelId]) -> Option<u64> {
-        let (&sink, inner) = node_labels.split_last().expect("paths are non-empty");
-        let width = usize::from(self.sink_is_const) + inner.len() * self.inner_consts.len();
+    fn node_bits(&self, labels: LabelsRef<'_>) -> Option<u64> {
+        let inner = labels.len() - 1;
+        let width = usize::from(self.sink_is_const) + inner * self.inner_consts.len();
         if width > u64::BITS as usize {
             return None;
         }
-        let mut bits = u64::from(self.sink_is_const && self.q.sink().admits(sink));
-        for &label in inner {
+        let mut bits = u64::from(self.sink_is_const && self.q.sink().admits(labels.sink_label()));
+        for label in labels.node_labels().take(inner) {
             for constant in &self.inner_consts {
                 bits = bits << 1 | u64::from(constant.admits(label));
             }

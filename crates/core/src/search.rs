@@ -114,7 +114,7 @@ impl TruncationReason {
 }
 
 /// `|χ|` evaluations of one search. Every lookup is computed — a ~10 ns
-/// sorted merge over two node sets of the search's [`ChiSets`], which
+/// sorted merge over two node sets of the search's `ChiSets`, which
 /// no memo beat in the ledger (DESIGN §5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChiStats {

@@ -224,12 +224,13 @@ fn paths_too_long_for_the_packed_key_are_scored_directly() {
             let touched_overflowing = candidates
                 .iter()
                 .filter(|&&p| {
-                    let nodes = index.labels(p).node_labels;
-                    let width = 1 + (nodes.len() - 1) * inner.len();
+                    let labels = index.labels(p);
+                    let width = 1 + (labels.len() - 1) * inner.len();
                     width > 64
-                        && nodes[..nodes.len() - 1]
-                            .iter()
-                            .any(|&l| inner.iter().any(|c| c.admits(l)))
+                        && labels
+                            .node_labels()
+                            .take(labels.len() - 1)
+                            .any(|l| inner.iter().any(|c| c.admits(l)))
                 })
                 .count();
             assert!(touched_overflowing > 0);

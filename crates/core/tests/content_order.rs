@@ -55,7 +55,10 @@ fn check_lookups<I: IndexLike>(kind: &str, index: &I) {
         .iter()
         .flat_map(|&p| {
             let labels = index.labels(p);
-            [labels.node_labels, labels.edge_labels].concat()
+            labels
+                .node_labels()
+                .chain(labels.edge_labels.iter().copied())
+                .collect::<Vec<_>>()
         })
         .collect();
     for &label in &labels {

@@ -46,16 +46,16 @@ impl<'a> IndexedPath<'a> {
     }
 }
 
-/// The path store, laid out as sections 8–14 of the image: path `i`'s
-/// nodes and node labels are `offs[i]..offs[i + 1]` of their pools, its
-/// edges the same span less `i` and one shorter, its edge labels its
-/// shape's run of the shape pool.
+/// The path store, laid out as sections 8–13 of the image: path `i`'s
+/// nodes are `offs[i]..offs[i + 1]` of their pool, its edges the same
+/// span less `i` and one shorter, its edge labels its shape's run of
+/// the shape pool. Its node labels are no pool: they are the graph's
+/// labels of its nodes ([`LabelsRef`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Pools {
     pub(crate) offs: Vec<usize>,
     pub(crate) nodes: Vec<NodeId>,
     pub(crate) edges: Vec<EdgeId>,
-    pub(crate) node_labels: Vec<LabelId>,
     /// Shape id per path: two paths share an id exactly when they share
     /// an edge-label sequence. Dense, numbered by first occurrence in
     /// path-id order.
@@ -71,7 +71,6 @@ impl Default for Pools {
             offs: vec![0],
             nodes: Vec::new(),
             edges: Vec::new(),
-            node_labels: Vec::new(),
             shapes: Vec::new(),
             shape_offs: vec![0],
             shape_labels: Vec::new(),
@@ -102,10 +101,13 @@ impl Pools {
         &self.shape_labels[self.shape_offs[s]..self.shape_offs[s + 1]]
     }
 
+    /// Path `id`'s labels, its node labels read through `node_table`,
+    /// the label of every node of the graph.
     #[inline]
-    fn labels_of(&self, id: PathId) -> LabelsRef<'_> {
+    fn labels_of<'a>(&'a self, id: PathId, node_table: &'a [LabelId]) -> LabelsRef<'a> {
         LabelsRef {
-            node_labels: &self.node_labels[self.offs[id.index()]..self.offs[id.index() + 1]],
+            nodes: self.nodes_of(id),
+            node_table,
             edge_labels: self.shape(self.shapes[id.index()]),
         }
     }
@@ -129,8 +131,6 @@ impl PoolBuilder<'_> {
         let p = &mut self.pools;
         p.nodes.extend_from_slice(nodes);
         p.edges.extend_from_slice(edges);
-        p.node_labels
-            .extend(nodes.iter().map(|&n| graph.node_label(n)));
         p.offs.push(p.nodes.len());
 
         self.edge_labels.clear();
@@ -298,12 +298,15 @@ impl PathIndex {
         };
         let order = content_order(&pools);
         let vocab_len = graph.vocab().len();
+        let node_table = g.node_labels();
         let by_label = Postings::build(vocab_len, &order, |id| {
-            let labels = pools.labels_of(id);
-            labels.node_labels.iter().chain(labels.edge_labels).copied()
+            let labels = pools.labels_of(id, node_table);
+            labels
+                .node_labels()
+                .chain(labels.edge_labels.iter().copied())
         });
         let by_sink = Postings::build(vocab_len, &order, |id| {
-            std::iter::once(pools.labels_of(id).sink_label())
+            std::iter::once(pools.labels_of(id, node_table).sink_label())
         });
         let mut index = PathIndex {
             graph,
@@ -330,7 +333,6 @@ impl PathIndex {
             offs: widen(view.path_offs),
             nodes: view.path_nodes.to_vec(),
             edges: view.path_edges.to_vec(),
-            node_labels: view.path_nlabels.to_vec(),
             shapes: view.path_shapes.to_vec(),
             shape_offs: widen(view.shape_offs),
             shape_labels: view.shape_labels.to_vec(),
@@ -373,7 +375,7 @@ impl PathIndex {
         IndexedPath {
             nodes: p.nodes_of(id),
             edges: p.edges_of(id),
-            labels: p.labels_of(id),
+            labels: p.labels_of(id, self.graph.as_graph().node_labels()),
         }
     }
 
@@ -419,8 +421,9 @@ impl PathIndex {
     pub fn ic_counts(&self) -> IcCounts {
         let p = &self.pools;
         let mut counts = vec![0u64; self.graph.vocab().len()];
-        for label in &p.node_labels {
-            counts[label.index()] += 1;
+        let node_table = self.graph.as_graph().node_labels();
+        for node in &p.nodes {
+            counts[node_table[node.index()].index()] += 1;
         }
         let mut uses = vec![0u64; self.shape_count()];
         for &shape in &p.shapes {
@@ -606,10 +609,8 @@ mod tests {
             idx.graph().vocab().len(),
             idx.paths().map(|(_, ip)| {
                 ip.labels
-                    .node_labels
-                    .iter()
-                    .chain(ip.labels.edge_labels)
-                    .copied()
+                    .node_labels()
+                    .chain(ip.labels.edge_labels.iter().copied())
                     .collect::<Vec<_>>()
             }),
         );

@@ -141,7 +141,7 @@ pub fn display_path<I: IndexLike + ?Sized>(index: &I, id: PathId) -> impl fmt::D
     fmt::from_fn(move |f| {
         let label = |l: LabelId| index.label_kind(l).display(index.label_lexical(l));
         let labels = index.labels(id);
-        for (i, &node) in labels.node_labels.iter().enumerate() {
+        for (i, node) in labels.node_labels().enumerate() {
             if i > 0 {
                 write!(f, "-{}-", label(labels.edge_labels[i - 1]))?;
             }

@@ -150,8 +150,8 @@ pub fn bigram_shingle(a: LabelId, b: LabelId) -> u64 {
 /// bigrams of adjacent positions in the interleaved sequence
 /// `n₀ e₀ n₁ e₁ … nₖ`. Deduplicated (shingles are a *set*).
 pub fn path_shingles(labels: LabelsRef<'_>) -> Vec<u64> {
-    let mut seq: Vec<LabelId> = Vec::with_capacity(labels.node_labels.len() * 2);
-    for (i, &n) in labels.node_labels.iter().enumerate() {
+    let mut seq: Vec<LabelId> = Vec::with_capacity(labels.len() * 2);
+    for (i, n) in labels.node_labels().enumerate() {
         seq.push(n);
         if let Some(&e) = labels.edge_labels.get(i) {
             seq.push(e);

@@ -3,8 +3,9 @@
 //! A path is a sequence `ln1 - le1 - ln2 - … - le(k-1) - lnk` of node and
 //! edge labels from a source to a sink. We store the underlying node and
 //! edge *ids* (needed to assemble answers and to compute the common-node
-//! function `χ`) and materialize the label sequence once at indexing time
-//! so the hot alignment loop never touches the graph again.
+//! function `χ`); the alignment loop reads the labels through a
+//! [`LabelsRef`]: each node id looked up in the label-per-node table,
+//! and the edge-label sequence interned once at indexing time.
 
 use rdf_model::EdgeId;
 use rdf_model::{Graph, LabelId, NodeId};
@@ -103,6 +104,7 @@ impl Path {
         PathLabels {
             node_labels: self.nodes.iter().map(|&n| graph.node_label(n)).collect(),
             edge_labels: self.edges.iter().map(|&e| graph.edge(e).label).collect(),
+            positions: (0..self.nodes.len() as u32).map(NodeId).collect(),
         }
     }
 
@@ -119,6 +121,9 @@ pub struct PathLabels {
     pub node_labels: Box<[LabelId]>,
     /// Edge labels `le1 … le(k-1)`.
     pub edge_labels: Box<[LabelId]>,
+    /// `0 … k-1`: the node ids [`PathLabels::view`] reads `node_labels`
+    /// through.
+    positions: Box<[NodeId]>,
 }
 
 impl PathLabels {
@@ -141,11 +146,13 @@ impl PathLabels {
         *self.node_labels.last().expect("paths are non-empty")
     }
 
-    /// Borrow as a [`LabelsRef`] — the form the alignment loop consumes.
+    /// Borrow as a [`LabelsRef`] — the form the alignment loop consumes:
+    /// node `i` is position `i` of `node_labels`.
     #[inline]
     pub fn view(&self) -> LabelsRef<'_> {
         LabelsRef {
-            node_labels: &self.node_labels,
+            nodes: &self.positions,
+            node_table: &self.node_labels,
             edge_labels: &self.edge_labels,
         }
     }
@@ -153,36 +160,79 @@ impl PathLabels {
 
 /// A borrowed view of a path's label sequences.
 ///
-/// This is the lingua franca between indexes and the alignment loop:
-/// an owned [`PathLabels`] lends one via [`PathLabels::view`], and the
-/// zero-copy mapped index serves them straight out of its on-disk label
-/// pools without materializing anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// This is the lingua franca between indexes and the alignment loop.
+/// A path's node labels are not stored per path: node `i` carries
+/// `node_table[nodes[i]]`, a gather through the label of every node of
+/// the graph, so the zero-copy mapped index serves a view straight out
+/// of its path-node pool and its node-label section, with no copy and
+/// no allocation. An owned [`PathLabels`] lends one via
+/// [`PathLabels::view`].
+///
+/// Two views are equal when their label sequences are, whatever ids and
+/// tables they read them through.
+#[derive(Clone, Copy)]
 pub struct LabelsRef<'a> {
-    /// Node labels `ln1 … lnk`.
-    pub node_labels: &'a [LabelId],
+    /// Node ids `n1 … nk`, indexes into `node_table`.
+    pub nodes: &'a [NodeId],
+    /// The label of every node, by node id.
+    pub node_table: &'a [LabelId],
     /// Edge labels `le1 … le(k-1)`.
     pub edge_labels: &'a [LabelId],
 }
 
-impl LabelsRef<'_> {
+impl<'a> LabelsRef<'a> {
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.node_labels.len()
+        self.nodes.len()
     }
 
-    /// `true` if there are no node labels (cannot occur for well-formed
+    /// `true` if there are no nodes (cannot occur for well-formed
     /// paths; present for API completeness).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.node_labels.is_empty()
+        self.nodes.is_empty()
+    }
+
+    /// The label of node `i` (0 = source end).
+    ///
+    /// # Panics
+    /// If `i ≥ len()`, or the node id is not in the table.
+    #[inline]
+    pub fn node_label(&self, i: usize) -> LabelId {
+        self.node_table[self.nodes[i].index()]
+    }
+
+    /// Node labels `ln1 … lnk`.
+    #[inline]
+    pub fn node_labels(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = LabelId> + ExactSizeIterator + use<'a> {
+        let table = self.node_table;
+        self.nodes.iter().map(move |n| table[n.index()])
     }
 
     /// The label at the sink end.
     #[inline]
     pub fn sink_label(&self) -> LabelId {
-        *self.node_labels.last().expect("paths are non-empty")
+        self.node_label(self.nodes.len() - 1)
+    }
+}
+
+impl PartialEq for LabelsRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.edge_labels == other.edge_labels && self.node_labels().eq(other.node_labels())
+    }
+}
+
+impl Eq for LabelsRef<'_> {}
+
+impl fmt::Debug for LabelsRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LabelsRef")
+            .field("node_labels", &self.node_labels().collect::<Vec<_>>())
+            .field("edge_labels", &self.edge_labels)
+            .finish()
     }
 }
 

@@ -6,9 +6,9 @@
 //! place** from a single read-only mapping:
 //!
 //! ```text
-//! header   magic b"SAMAIDX2", u32 version (3), u32 section count,
+//! header   magic b"SAMAIDX2", u32 version (4), u32 section count,
 //!          u64 file length                                  (24 bytes)
-//! table    23 × { u64 offset, u64 length }                 (368 bytes)
+//! table    22 × { u64 offset, u64 length }                 (352 bytes)
 //! sections each 8-byte aligned, in table order:
 //!   0 counts        u64 × 5  (vocab, nodes, edges, paths,
 //!                             path-node pool)
@@ -24,31 +24,33 @@
 //!                                          path-offs[i] − i
 //!   9 path-nodes    u32 × pool             node ids, all paths
 //!  10 path-edges    u32 × pool−paths       edge ids, all paths
-//!  11 path-nlabels  u32 × pool             node labels, all paths
-//!  12 path-shapes   u32 × paths            shape id per path
-//!  13 shape-offs    u32 × shapes+1         shape-pool offsets (CSR)
-//!  14 shape-labels  u32 × shape pool       edge labels, one copy per
+//!  11 path-shapes   u32 × paths            shape id per path
+//!  12 shape-offs    u32 × shapes+1         shape-pool offsets (CSR)
+//!  13 shape-labels  u32 × shape pool       edge labels, one copy per
 //!                                          distinct sequence
-//!  15 label-offs    u32 × vocab+1          label-posts offsets (CSR)
-//!  16 label-posts   u32 × n                postings (path ids, in
+//!  14 label-offs    u32 × vocab+1          label-posts offsets (CSR)
+//!  15 label-posts   u32 × n                postings (path ids, in
 //!                                          path-content order)
-//!  17 sink-offs     u32 × vocab+1          sink-posts offsets (CSR)
-//!  18 sink-posts    u32 × n                postings (path ids, in
+//!  16 sink-offs     u32 × vocab+1          sink-posts offsets (CSR)
+//!  17 sink-posts    u32 × n                postings (path ids, in
 //!                                          path-content order)
-//!  19 stats         u64 × 7                Table 1 numbers
-//!  20 ic-counts     u64 × vocab+1          label occurrence counts
+//!  18 stats         u64 × 7                Table 1 numbers
+//!  19 ic-counts     u64 × vocab+1          label occurrence counts
 //!                                          (total first) for the
 //!                                          IC-weighted cost model
-//!  21 path-order    u32 × paths            every path id, in
+//!  20 path-order    u32 × paths            every path id, in
 //!                                          path-content order
-//!  22 constants     u32 × cap              constant → label id,
+//!  21 constants     u32 × cap              constant → label id,
 //!                                          open addressing
 //! ```
 //!
-//! The image stores each path's nodes once, in path order. The
-//! conformity function `χ` intersects node *sets*; the combination
-//! search sorts the node lists of the paths it combines itself, once per
-//! query (`sama_core::search`), so no per-path sorted copy is stored.
+//! The image stores each path's nodes once, in path order, and nothing
+//! that follows from them. The conformity function `χ` intersects node
+//! *sets*; the combination search sorts the node lists of the paths it
+//! combines itself, once per query (`sama_core::search`), so no per-path
+//! sorted copy is stored. A path's node labels are a gather, node `i`'s
+//! label being `node-labels[path-nodes[i]]` ([`LabelsRef`]), so no
+//! per-path label copy is stored either.
 //!
 //! *Path-content order* is ascending by `(path-nodes, path-edges)` of
 //! each path — what the cluster fill breaks λ ties by. Every postings
@@ -65,11 +67,13 @@
 //! shape once instead of a path at a time (`IndexLike::path_shape`).
 //!
 //! Formats this crate used to write — `SAMAIDX1`, the compressed
-//! `SAMAIDXZ`, and every version-2 `SAMAIDX2` image (a 20- or 21-entry
+//! `SAMAIDXZ`, every version-2 `SAMAIDX2` image (a 20- or 21-entry
 //! section table from before the shape table, 23 entries from before
 //! path-content order, 24 from before the stored constant table, 25
-//! with a sorted copy of every path's nodes) — are recognised from
-//! their header and refused with [`StorageError::LegacyLayout`]: an
+//! with a sorted copy of every path's nodes) and every version-3 one
+//! (23 entries, with a copy of every path's node labels) — are
+//! recognised from their header and refused with
+//! [`StorageError::LegacyLayout`]: an
 //! index is a pure function of its RDF source, so the remedy is
 //! `sama index`, not a reader kept alive per retired layout.
 //!
@@ -84,13 +88,10 @@
 //! part of the format. Labels are inserted in id order, variables left
 //! out, and an entry whose `(kind, lexical)` pair is already present is
 //! skipped — the first duplicate wins, as in `Vocabulary::push_raw`.
-//! The node-label pool (section 11) duplicates what a
-//! gather through section 4 could compute precisely so the hot
-//! alignment loop reads one contiguous slice per path.
 //!
 //! Opening ([`MappedIndex::open`]) maps the file (via the vendored
 //! `memmap2` shim; [`MappedIndex::from_bytes`] is the pure in-memory
-//! fallback), parses the 392-byte header, and runs one allocation-free
+//! fallback), parses the 376-byte header, and runs one allocation-free
 //! validation pass — a fold per check over its array, which vectorises
 //! — so every later accessor can index without panicking on corrupt
 //! data. The data graph itself
@@ -119,13 +120,13 @@ use std::time::Duration;
 
 /// The format magic.
 pub const MAGIC2: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 3;
-const SECTION_COUNT: usize = 23;
-/// Magics of the two retired formats, and the version every earlier
+const VERSION: u32 = 4;
+const SECTION_COUNT: usize = 22;
+/// Magics of the two retired formats, and the versions every earlier
 /// `SAMAIDX2` layout was written as: [`Layout::parse`] refuses all of
 /// them.
 const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SAMAIDX1", b"SAMAIDXZ"];
-const RETIRED_VERSION: u32 = 2;
+const RETIRED_VERSIONS: [u32; 2] = [2, 3];
 const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
 /// The counts section: five `u64`s.
@@ -144,18 +145,17 @@ const S_EDGE_LABEL: usize = 7;
 const S_PATH_OFFS: usize = 8;
 const S_PATH_NODES: usize = 9;
 const S_PATH_EDGES: usize = 10;
-const S_PATH_NLABELS: usize = 11;
-const S_PATH_SHAPES: usize = 12;
-const S_SHAPE_OFFS: usize = 13;
-const S_SHAPE_LABELS: usize = 14;
-const S_LABEL_OFFS: usize = 15;
-const S_LABEL_POSTS: usize = 16;
-const S_SINK_OFFS: usize = 17;
-const S_SINK_POSTS: usize = 18;
-const S_STATS: usize = 19;
-const S_IC_COUNTS: usize = 20;
-const S_PATH_ORDER: usize = 21;
-const S_CONSTANTS: usize = 22;
+const S_PATH_SHAPES: usize = 11;
+const S_SHAPE_OFFS: usize = 12;
+const S_SHAPE_LABELS: usize = 13;
+const S_LABEL_OFFS: usize = 14;
+const S_LABEL_POSTS: usize = 15;
+const S_SINK_OFFS: usize = 16;
+const S_SINK_POSTS: usize = 17;
+const S_STATS: usize = 18;
+const S_IC_COUNTS: usize = 19;
+const S_PATH_ORDER: usize = 20;
+const S_CONSTANTS: usize = 21;
 
 /// Human-readable section names, table order (for `sama index --stats`).
 pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -170,7 +170,6 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "path-offsets",
     "path-node-pool",
     "path-edge-pool",
-    "path-node-labels",
     "path-shapes",
     "shape-offsets",
     "shape-labels",
@@ -290,7 +289,6 @@ impl Plan {
         sizes[S_PATH_OFFS] = (paths + 1) * 4;
         sizes[S_PATH_NODES] = node_pool * 4;
         sizes[S_PATH_EDGES] = (node_pool - paths) * 4;
-        sizes[S_PATH_NLABELS] = node_pool * 4;
         sizes[S_PATH_SHAPES] = paths * 4;
         sizes[S_SHAPE_OFFS] = pools.shape_offs.len() * 4;
         sizes[S_SHAPE_LABELS] = pools.shape_labels.len() * 4;
@@ -451,22 +449,21 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
     w.u32s(graph.edges().map(|(_, e)| e.from.0));
     w.u32s(graph.edges().map(|(_, e)| e.to.0));
     w.u32s(graph.edges().map(|(_, e)| e.label.0));
-    // 8-11: the path store.
+    // 8-10: the path store.
     w.offsets(&pools.offs);
     w.u32s(pools.nodes.iter().map(|n| n.0));
     w.u32s(pools.edges.iter().map(|e| e.0));
-    w.u32s(pools.node_labels.iter().map(|l| l.0));
-    // 12-14: the shape table. The pool is no longer than the edge pool
+    // 11-13: the shape table. The pool is no longer than the edge pool
     // it replaces, so its offsets fit the node-pool check.
     w.u32s(pools.shapes.iter().copied());
     w.offsets(&pools.shape_offs);
     w.u32s(pools.shape_labels.iter().map(|l| l.0));
-    // 15-18: the inverted maps, CSR.
+    // 14-17: the inverted maps, CSR.
     w.offsets(&label.offs);
     w.u32s(label.ids.iter().map(|id| id.0));
     w.offsets(&sink.offs);
     w.u32s(sink.ids.iter().map(|id| id.0));
-    // 19: stats.
+    // 18: stats.
     let stats = index.stats();
     w.u64s([
         stats.triples as u64,
@@ -477,11 +474,11 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
         stats.dropped,
         stats.build_time.as_nanos() as u64,
     ]);
-    // 20: ic counts.
+    // 19: ic counts.
     w.section().copy_from_slice(&index.ic_counts().to_bytes());
-    // 21: path-content order.
+    // 20: path-content order.
     w.u32s(index.content_order().iter().map(|id| id.0));
-    // 22: the constant table.
+    // 21: the constant table.
     w.constants(vocab);
     assert_eq!(w.next, SECTION_COUNT, "every section written");
 }
@@ -558,7 +555,7 @@ impl Layout {
             return Err(StorageError::Truncated);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version == RETIRED_VERSION {
+        if RETIRED_VERSIONS.contains(&version) {
             return Err(StorageError::LegacyLayout);
         }
         if version != VERSION {
@@ -637,7 +634,6 @@ impl Layout {
             (node_pool - path_count) * 4,
             "path edge pool size",
         )?;
-        expect(S_PATH_NLABELS, node_pool * 4, "path node label pool size")?;
         expect(S_LABEL_OFFS, (vocab_len + 1) * 4, "label offsets size")?;
         expect(S_SINK_OFFS, (vocab_len + 1) * 4, "sink offsets size")?;
         for s in [S_LABEL_POSTS, S_SINK_POSTS] {
@@ -711,7 +707,6 @@ impl Layout {
             path_offs: self.u32s(bytes, S_PATH_OFFS),
             path_nodes: as_node_ids(self.u32s(bytes, S_PATH_NODES)),
             path_edges: as_edge_ids(self.u32s(bytes, S_PATH_EDGES)),
-            path_nlabels: as_label_ids(self.u32s(bytes, S_PATH_NLABELS)),
             path_shapes: self.u32s(bytes, S_PATH_SHAPES),
             shape_offs: self.u32s(bytes, S_SHAPE_OFFS),
             shape_labels: as_label_ids(self.u32s(bytes, S_SHAPE_LABELS)),
@@ -823,7 +818,6 @@ pub struct IndexView<'a> {
     pub(crate) path_offs: &'a [u32],
     pub(crate) path_nodes: &'a [NodeId],
     pub(crate) path_edges: &'a [EdgeId],
-    pub(crate) path_nlabels: &'a [LabelId],
     pub(crate) path_shapes: &'a [u32],
     pub(crate) shape_offs: &'a [u32],
     pub(crate) shape_labels: &'a [LabelId],
@@ -916,6 +910,8 @@ impl<'a> IndexView<'a> {
             all_below(labels.iter().map(|label| label.0), l.vocab_len)
                 && !(has_variable && labels.iter().any(|&label| vocab.kinds[label.index()] == 3))
         };
+        // Every path's node labels are read through this section
+        // (`IndexView::labels`), so this check guards them all.
         if !labels_ok(self.node_labels) {
             return Err(corrupt("node label out of range"));
         }
@@ -941,9 +937,6 @@ impl<'a> IndexView<'a> {
         }
         if !all_below(self.path_edges.iter().map(|e| e.0), l.edge_count) {
             return Err(corrupt("path edge out of range"));
-        }
-        if !labels_ok(self.path_nlabels) {
-            return Err(corrupt("path label out of range"));
         }
 
         // Shapes: CSR offsets spanning the pool (a single-node path has
@@ -1050,14 +1043,15 @@ impl<'a> IndexView<'a> {
         &self.path_edges[a - id.index()..b - id.index() - 1]
     }
 
-    /// Label sequences of path `id`: its run of the node-label pool and
-    /// its shape's run of the shape pool.
+    /// Label sequences of path `id`: its run of the node pool read
+    /// through the node-label section, and its shape's run of the shape
+    /// pool.
     #[inline]
     pub fn labels(&self, id: PathId) -> LabelsRef<'a> {
-        let (a, b) = self.node_span(id);
         let shape = self.path_shapes[id.index()] as usize;
         LabelsRef {
-            node_labels: &self.path_nlabels[a..b],
+            nodes: self.path_nodes(id),
+            node_table: self.node_labels,
             edge_labels: &self.shape_labels
                 [self.shape_offs[shape] as usize..self.shape_offs[shape + 1] as usize],
         }
@@ -1266,6 +1260,7 @@ impl MappedIndex {
     /// variants on malformed content ([`StorageError::LegacyLayout`] for
     /// a file in a retired format).
     pub fn open(path: &std::path::Path) -> Result<MappedIndex, StorageError> {
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_OPEN_NS);
         sama_obs::fault::point("index.load");
         let io = |e: std::io::Error| StorageError::Io(e.to_string());
         let mut file = std::fs::File::open(path).map_err(io)?;
@@ -1291,6 +1286,7 @@ impl MappedIndex {
     /// # Errors
     /// As [`MappedIndex::open`], minus I/O.
     pub fn from_bytes(bytes: &[u8]) -> Result<MappedIndex, StorageError> {
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_OPEN_NS);
         sama_obs::fault::point("index.load");
         Self::from_backing(Backing::Owned(AlignedBytes::copy_from(bytes)))
     }
@@ -1322,12 +1318,14 @@ impl MappedIndex {
         let mut image = AlignedBytes::zeroed(plan.len);
         write_image(&index, &plan, image.as_mut_slice());
         drop(index);
+        let _span = sama_obs::span!(sama_obs::metrics::INDEX_OPEN_NS);
         sama_obs::fault::point("index.load");
         Self::from_backing(Backing::Owned(image))
     }
 
+    /// Validate `backing` and serve it. The callers time the whole
+    /// open, from their fault point on, under `index.open_ns`.
     fn from_backing(backing: Backing) -> Result<MappedIndex, StorageError> {
-        let _span = sama_obs::span!(sama_obs::metrics::INDEX_OPEN_NS);
         let view = IndexView::parse(backing.bytes())?;
         let mut stats = view.stats();
         stats.serialized_bytes = Some(backing.bytes().len());

@@ -81,9 +81,6 @@ impl IndexView<'_> {
         if self.path_edges.iter().any(|e| e.0 as usize >= l.edge_count) {
             return Err(corrupt("path edge out of range"));
         }
-        if !self.path_nlabels.iter().copied().all(label_ok) {
-            return Err(corrupt("path label out of range"));
-        }
 
         // Shapes: CSR offsets spanning the pool (a single-node path has
         // the empty shape), labels in range, and every path naming a

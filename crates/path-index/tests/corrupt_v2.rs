@@ -31,7 +31,9 @@
 //!   the first entry of the smallest kind along the chain;
 //! * `labels`, `path_shape` — every path's shape id is below the shape
 //!   count, the shape offsets start at 0, never decrease and end at the
-//!   pool's length, and a path's shape has one label per edge;
+//!   pool's length, and a path's shape has one label per edge; its node
+//!   labels are read through the node-label section, so every path node
+//!   is a node id in range and every node label a label id in range;
 //! * `all_path_ids` — every entry of the path-order section is a path
 //!   id in range (the probe reads each listed path).
 //!
@@ -65,22 +67,22 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 const HEADER_LEN: usize = 24;
-const SECTIONS: usize = 23;
+const SECTIONS: usize = 22;
 const VOCAB_KINDS: usize = 1;
 const VOCAB_OFFSETS: usize = 2;
 const VOCAB_BLOB: usize = 3;
 const NODE_LABELS: usize = 4;
 const PATH_OFFSETS: usize = 8;
-const PATH_SHAPES: usize = 12;
-const SHAPE_OFFSETS: usize = 13;
-const SHAPE_LABELS: usize = 14;
-const LABEL_OFFSETS: usize = 15;
-const LABEL_POSTINGS: usize = 16;
-const SINK_OFFSETS: usize = 17;
-const SINK_POSTINGS: usize = 18;
-const IC_COUNTS: usize = 20;
-const PATH_ORDER: usize = 21;
-const CONSTANT_TABLE: usize = 22;
+const PATH_SHAPES: usize = 11;
+const SHAPE_OFFSETS: usize = 12;
+const SHAPE_LABELS: usize = 13;
+const LABEL_OFFSETS: usize = 14;
+const LABEL_POSTINGS: usize = 15;
+const SINK_OFFSETS: usize = 16;
+const SINK_POSTINGS: usize = 17;
+const IC_COUNTS: usize = 19;
+const PATH_ORDER: usize = 20;
+const CONSTANT_TABLE: usize = 21;
 
 /// Byte `(offset, length)` of section `index`, from the table.
 fn section(bytes: &[u8], index: usize) -> (usize, usize) {
@@ -165,7 +167,11 @@ fn probe(bytes: &[u8], original: &[u8]) {
     for id in mapped.all_path_ids() {
         assert!((mapped.path_shape(id) as usize) < mapped.shape_count());
         let labels = mapped.labels(id);
-        assert_eq!(labels.edge_labels.len() + 1, labels.node_labels.len());
+        assert_eq!(labels.edge_labels.len() + 1, labels.len());
+        let nodes = mapped.path_nodes(id).iter();
+        assert!(labels
+            .node_labels()
+            .eq(nodes.map(|&node| graph.node_label(node))));
         for &label in labels.edge_labels {
             let _ = mapped.label_lexical(label);
         }
@@ -206,10 +212,11 @@ fn retired_formats_are_refused_from_the_header_alone() {
     // order (its postings are in path-id order, which the cluster fill
     // would take for content order); 24 from before the stored constant
     // table (postings behind hash tables); 25 with a sorted copy of
-    // every path's nodes.
-    let old_header = |sections: u32| {
+    // every path's nodes. And the header of version 3, announcing 23
+    // sections: an image with a copy of every path's node labels.
+    let old_header = |version: u32, sections: u32| {
         let mut header = MAGIC2.to_vec();
-        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&version.to_le_bytes());
         header.extend_from_slice(&sections.to_le_bytes());
         header.extend_from_slice(&4096u64.to_le_bytes());
         header
@@ -217,11 +224,12 @@ fn retired_formats_are_refused_from_the_header_alone() {
     let retired = [
         b"SAMAIDX1".to_vec(),
         b"SAMAIDXZ".to_vec(),
-        old_header(20),
-        old_header(21),
-        old_header(23),
-        old_header(24),
-        old_header(25),
+        old_header(2, 20),
+        old_header(2, 21),
+        old_header(2, 23),
+        old_header(2, 24),
+        old_header(2, 25),
+        old_header(3, 23),
     ];
     for identifying in &retired {
         // Refused as soon as the identifying bytes are all there,

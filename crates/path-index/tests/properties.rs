@@ -1,9 +1,13 @@
 //! Property-based tests for the index substrate: an update must leave
 //! the index a fresh build over all the triples would, image for image;
-//! the index image must round-trip; and the IC weight table must stay a
-//! valid, monotone cost model under any corpus.
+//! the index image must round-trip; a mapped image must read every
+//! path's labels as extraction emits them; and the IC weight table must
+//! stay a valid, monotone cost model under any corpus.
 
-use path_index::{decode_v2, encode_v2, ExtractionConfig, IcCounts, IcTable, PathIndex};
+use path_index::{
+    decode_v2, encode_v2, extract_paths, ExtractionConfig, IcCounts, IcTable, IndexLike,
+    MappedIndex, PathId, PathIndex,
+};
 use proptest::prelude::*;
 use rdf_model::{DataGraph, LabelId, Triple};
 
@@ -56,7 +60,7 @@ fn arb_dag_triples(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = 
 /// The image with its one run-dependent word — the wall-clock build time
 /// closing the `stats` section — zeroed.
 fn without_build_time(mut image: Vec<u8>) -> Vec<u8> {
-    const STATS_ENTRY: usize = 24 + 19 * 16;
+    const STATS_ENTRY: usize = 24 + 18 * 16;
     let stats = u64::from_le_bytes(image[STATS_ENTRY..STATS_ENTRY + 8].try_into().unwrap());
     let stamp = stats as usize + 6 * 8;
     image[stamp..stamp + 8].fill(0);
@@ -146,6 +150,27 @@ fn update_is_fresh_build_on_every_known_shape() {
     }
 }
 
+/// The image of `triples` read back through [`MappedIndex::labels`]:
+/// path `i`'s label sequences are those of extraction's `i`-th path, its
+/// node labels gathered through the node-label section.
+fn assert_mapped_labels_are_extracted(triples: &[Triple]) {
+    let data = DataGraph::from_triples(triples).expect("ground");
+    let extracted = extract_paths(data.as_graph(), &ExtractionConfig::default()).paths;
+    let image = encode_v2(&PathIndex::build(data.clone())).expect("index fits format");
+    let mapped = MappedIndex::from_bytes(&image).expect("image opens");
+    assert_eq!(mapped.total_paths(), extracted.len());
+    for (i, path) in extracted.iter().enumerate() {
+        let want = path.labels(data.as_graph());
+        let got = mapped.labels(PathId(i as u32));
+        assert!(
+            got.node_labels().eq(want.node_labels.iter().copied()),
+            "path {i}: {got:?}, extracted {want:?}"
+        );
+        assert_eq!(got.edge_labels, &*want.edge_labels, "path {i}");
+        assert_eq!(got, want.view(), "path {i}");
+    }
+}
+
 fn sorted_paths(index: &PathIndex) -> Vec<String> {
     let g = index.graph().as_graph();
     let mut v: Vec<String> = index
@@ -191,6 +216,20 @@ proptest! {
         prop_assert_eq!(encode_v2(&owned).expect("index fits format"), image);
     }
 
+    /// Labels read from the image are the extracted paths' labels, on
+    /// any graph: cyclic ones and ones with no true source, whose paths
+    /// start at promoted hubs, included.
+    #[test]
+    fn mapped_labels_are_the_extracted_labels(triples in arb_triples(10, 1, 20)) {
+        assert_mapped_labels_are_extracted(&triples);
+    }
+
+    /// The same on DAGs, every path from a true source to a true sink.
+    #[test]
+    fn mapped_labels_are_the_extracted_labels_on_dags(triples in arb_dag_triples(10, 20)) {
+        assert_mapped_labels_are_extracted(&triples);
+    }
+
     /// Inverted maps agree with a linear scan after arbitrary updates.
     #[test]
     fn inverted_maps_complete_after_update(
@@ -205,11 +244,10 @@ proptest! {
 
         for (id, ip) in index.paths() {
             // Every label of the path lists the path.
-            for &label in ip
+            for label in ip
                 .labels
-                .node_labels
-                .iter()
-                .chain(ip.labels.edge_labels.iter())
+                .node_labels()
+                .chain(ip.labels.edge_labels.iter().copied())
             {
                 prop_assert!(
                     index.paths_with_label(label).contains(&id),

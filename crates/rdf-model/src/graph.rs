@@ -179,6 +179,12 @@ impl Graph {
         self.node_labels[n.index()]
     }
 
+    /// The interned label of every node, by node id.
+    #[inline]
+    pub fn node_labels(&self) -> &[LabelId] {
+        &self.node_labels
+    }
+
     /// The owned [`Term`] labelling a node.
     pub fn node_term(&self, n: NodeId) -> Term {
         self.vocab.term(self.node_label(n))

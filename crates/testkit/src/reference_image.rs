@@ -19,12 +19,12 @@ use path_index::{extract_paths, ExtractionConfig, Path};
 use rdf_model::{DataGraph, FxHashMap, LabelId, TermKind};
 
 const MAGIC: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 3;
-const SECTIONS: usize = 23;
+const VERSION: u32 = 4;
+const SECTIONS: usize = 22;
 const HEADER: usize = 24;
 /// Table entry of the `stats` section, and the offset of its build-time
 /// word (the seventh `u64`) inside it.
-const STATS_SECTION: usize = 19;
+const STATS_SECTION: usize = 18;
 const BUILD_TIME_AT: usize = 48;
 const EMPTY: u32 = u32::MAX;
 
@@ -134,7 +134,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     w.offsets(paths.iter().map(|p| p.path.nodes.len()));
     w.u32s(paths.iter().flat_map(|p| p.path.nodes.iter().map(|n| n.0)));
     w.u32s(paths.iter().flat_map(|p| p.path.edges.iter().map(|e| e.0)));
-    w.u32s(paths.iter().flat_map(|p| p.node_labels.iter().map(|l| l.0)));
     w.u32s(path_shapes);
     w.offsets(shapes.iter().map(|s| s.len()));
     w.u32s(shapes.iter().flat_map(|s| s.iter().map(|l| l.0)));

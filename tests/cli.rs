@@ -354,7 +354,7 @@ fn batch_metrics_out_and_trace_out() {
 /// time closing the `stats` section — zeroed: two files are the same
 /// index when they agree in everything else.
 fn without_build_time(path: &std::path::Path) -> Vec<u8> {
-    const STATS_ENTRY: usize = 24 + 19 * 16;
+    const STATS_ENTRY: usize = 24 + 18 * 16;
     let mut image = std::fs::read(path).unwrap();
     let stats = u64::from_le_bytes(image[STATS_ENTRY..STATS_ENTRY + 8].try_into().unwrap());
     let stamp = stats as usize + 6 * 8;
@@ -854,13 +854,14 @@ fn retired_formats_and_flags_are_refused() {
     );
 
     // A file in a format that is no longer read — `SAMAIDX1`, the
-    // compressed `SAMAIDXZ`, a `SAMAIDX2` from before the shape table
-    // (20 or 21 sections) or before path-content order (23) — is
+    // compressed `SAMAIDXZ`, a version-2 `SAMAIDX2` from before the
+    // shape table (20 or 21 sections) or before path-content order (23),
+    // a version-3 one with a copy of every path's node labels (23) — is
     // refused by every subcommand that opens one, with the remedy in
     // the message.
-    let old_header = |sections: u32| {
+    let old_header = |version: u32, sections: u32| {
         let mut header = b"SAMAIDX2".to_vec();
-        header.extend_from_slice(&2u32.to_le_bytes());
+        header.extend_from_slice(&version.to_le_bytes());
         header.extend_from_slice(&sections.to_le_bytes());
         header.extend_from_slice(&64u64.to_le_bytes());
         header.resize(64, 0);
@@ -869,9 +870,10 @@ fn retired_formats_and_flags_are_refused() {
     for retired in [
         b"SAMAIDX1\x05\0\0\0".to_vec(),
         b"SAMAIDXZ\x05".to_vec(),
-        old_header(20),
-        old_header(21),
-        old_header(23),
+        old_header(2, 20),
+        old_header(2, 21),
+        old_header(2, 23),
+        old_header(3, 23),
     ] {
         std::fs::write(&old, &retired).unwrap();
         for args in [
