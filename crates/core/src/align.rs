@@ -120,8 +120,8 @@ pub fn align(
 /// `align(q, p, params, mode).lambda`, bit for bit, without the
 /// bindings: the same tally arithmetic in the same order, but no
 /// `φ` is recorded, so the greedy scan allocates nothing. This is what
-/// the cluster fill scores candidates with; only the survivors of its
-/// `max_cluster_size` cut get a full [`align`]. ([`AlignmentMode::Optimal`]
+/// the cluster fill scores candidates with; only the paths an answer
+/// chooses get a full [`align`], in the search. ([`AlignmentMode::Optimal`]
 /// still replays its back-trace: the DP's `cost` cell sums the same
 /// terms in path order, not in the tally's order.)
 pub fn align_lambda(

@@ -3,7 +3,7 @@
 //! represented as the combination of one data path per query path,
 //! together with the full score breakdown.
 
-use crate::cluster::ClusterEntry;
+use crate::align::Alignment;
 use crate::score::ScoreBreakdown;
 use path_index::{IndexLike, PathId};
 use rdf_model::{EdgeId, FxHashMap, Graph, LabelId, NodeId, Term};
@@ -11,14 +11,34 @@ use std::ops::Range;
 
 const WITHIN_PARENT: &str = "subgraph cannot exceed parent capacity";
 
+/// A data path an answer chose, with its full alignment against the
+/// query path: `align(q, labels, params, mode)` in the mode its cluster
+/// was scored in, so `alignment.lambda` is the cluster entry's λ bit for
+/// bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AlignedPath {
+    /// The indexed data path.
+    pub path_id: PathId,
+    /// Its alignment: operation counts, λ and the variable bindings.
+    pub alignment: Alignment,
+}
+
+impl AlignedPath {
+    /// The path's alignment quality `λ`.
+    #[inline]
+    pub fn lambda(&self) -> f64 {
+        self.alignment.lambda
+    }
+}
+
 /// The path chosen for one query path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChosenPath {
     /// Index of the query path in `PQ`.
     pub qpath_index: usize,
-    /// The chosen cluster entry, or `None` if the query path is
+    /// The chosen data path, aligned, or `None` if the query path is
     /// uncovered (empty cluster) and priced as a full deletion.
-    pub entry: Option<ClusterEntry>,
+    pub entry: Option<AlignedPath>,
 }
 
 /// One ranked answer.
@@ -170,11 +190,11 @@ impl Answer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::align::{Alignment, AlignmentCounts};
+    use crate::align::AlignmentCounts;
     use crate::score::PairConformity;
 
-    fn entry(path_id: u32, lambda: f64, bindings: Vec<(LabelId, LabelId)>) -> ClusterEntry {
-        ClusterEntry {
+    fn entry(path_id: u32, lambda: f64, bindings: Vec<(LabelId, LabelId)>) -> AlignedPath {
+        AlignedPath {
             path_id: PathId(path_id),
             alignment: Alignment {
                 counts: AlignmentCounts::default(),

@@ -5,12 +5,14 @@
 //! sink of `q` accepts; if there are none, paths containing a label
 //! that the first constant found scanning `q` backward from the sink
 //! accepts — the labels decomposition resolved each constant to (its
-//! own and its synonyms'). Each admitted path is aligned against `q`
+//! own and its synonyms'). Each admitted path is scored against `q`
 //! ("before the insertion of a path p in the cluster for q, we evaluate
 //! the alignment needed to obtain p from q") and clusters are kept
-//! sorted by alignment quality, best (lowest λ) first.
+//! sorted by alignment quality, best (lowest λ) first. An entry is a
+//! path and its λ: the search combines entries by λ and χ alone, and
+//! aligns in full only the paths an answer chooses.
 
-use crate::align::{align, align_lambda, Alignment, AlignmentMode};
+use crate::align::{align_lambda, AlignmentMode};
 use crate::deadline::QueryBudget;
 use crate::frontier::{from_total_order_key, total_order_key};
 use crate::params::ScoreParams;
@@ -18,6 +20,7 @@ use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
 use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
 use rdf_model::{FxHashMap, LabelId, NodeId};
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 
 /// Default banding shape of [`Retrieval::Lsh`]: bands. Matches
@@ -137,20 +140,23 @@ impl ClusterTier {
     }
 }
 
-/// One scored cluster member.
-#[derive(Debug, Clone, PartialEq)]
+/// One scored cluster member: a data path and its λ against the
+/// cluster's query path — `align(q, labels, params, mode).lambda`, bit
+/// for bit. The full alignment (counts, bindings) is computed only for
+/// the paths an answer chooses ([`crate::AlignedPath`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterEntry {
     /// The indexed data path.
     pub path_id: PathId,
-    /// Its alignment against the cluster's query path.
-    pub alignment: Alignment,
+    /// Its alignment quality `λ`.
+    pub lambda: f64,
 }
 
 impl ClusterEntry {
     /// The entry's alignment quality `λ`.
     #[inline]
     pub fn lambda(&self) -> f64 {
-        self.alignment.lambda
+        self.lambda
     }
 }
 
@@ -190,11 +196,13 @@ pub struct Cluster {
     /// of a cluster that fits in [`ClusterConfig::max_cluster_size`]; for
     /// a streamed one, one per path shape (per sink bit read) for the
     /// shape price table plus one per *distinguishable* touched candidate
-    /// (see [`memoised_lambdas`]). The survivors' binding pass is not
-    /// counted.
+    /// (see [`memoised_lambdas`]).
     pub alignments_computed: usize,
     /// The retrieval tier that produced [`Cluster::entries`].
     pub tier: ClusterTier,
+    /// The alignment mode the entries were scored in; the search aligns
+    /// the paths an answer chooses in it.
+    pub mode: AlignmentMode,
 }
 
 impl Cluster {
@@ -269,6 +277,7 @@ pub fn build_clusters_budgeted<I: IndexLike>(
                     touched: 0,
                     alignments_computed: 0,
                     tier: ClusterTier::Exact,
+                    mode,
                 };
             }
             build_cluster(q, index, params, mode, config, budget)
@@ -343,6 +352,7 @@ fn build_cluster<I: IndexLike>(
         } else {
             ClusterTier::Exact
         },
+        mode,
     }
 }
 
@@ -354,13 +364,14 @@ fn build_cluster<I: IndexLike>(
 /// subset-or-equal of the exact run's — and when the scan already fits
 /// in `top_m` it is returned untouched, making the two retrieval modes
 /// bit-identical there. Returns the surviving candidates, still in the
-/// exact scan's path-content order, plus the number of paths pruned.
-fn lsh_filter<I: IndexLike + ?Sized>(
+/// exact scan's path-content order, plus the number of paths pruned; an
+/// unpruned list is passed through untouched.
+fn lsh_filter<'a, I: IndexLike + ?Sized>(
     q: &QueryPath,
     index: &I,
-    exact: Vec<PathId>,
+    exact: Cow<'a, [PathId]>,
     config: &ClusterConfig,
-) -> (Vec<PathId>, usize) {
+) -> (Cow<'a, [PathId]>, usize) {
     let Retrieval::Lsh { top_m, .. } = config.retrieval else {
         return (exact, 0);
     };
@@ -406,7 +417,7 @@ fn lsh_filter<I: IndexLike + ?Sized>(
         .filter(|&p| marked.contains(p))
         .collect();
     let pruned = exact.len() - kept.len();
-    (kept, pruned)
+    (Cow::Owned(kept), pruned)
 }
 
 /// A set of path ids, one bit per id of the index (`PathSet::default()`:
@@ -468,7 +479,8 @@ fn query_shingles(q: &QueryPath) -> Vec<u64> {
 
 /// What one run of [`fill_chunk`] did.
 struct Fill {
-    /// The entries that make the cut, fully aligned, in candidate order.
+    /// The entries that make the cut, with the λ the fill scored them
+    /// at, in candidate order.
     entries: Vec<ClusterEntry>,
     /// Candidates scored ([`Cluster::scanned`]).
     scanned: usize,
@@ -491,7 +503,8 @@ struct Fill {
 /// `budget` is polled every [`ALIGN_CHECK_INTERVAL`]-th candidate, the
 /// first included; on expiry the rest of the chunk is skipped.
 ///
-/// A chunk that fits in `cap` is simply aligned. A longer one is
+/// A chunk that fits in `cap` is simply scored, each candidate by
+/// [`align_lambda`]. A longer one is
 /// streamed, and most of its candidates are priced without reading
 /// their labels. [`align_lambda`] sees a path only through its
 /// [`LambdaMemo`] key: its shape, its sink bit, and which inner constant
@@ -508,8 +521,9 @@ struct Fill {
 /// and its worst is at or below the *floor*: the least shape price and
 /// the least λ of a touched candidate not yet passed. Every later
 /// candidate takes one of those values, so none can enter — under any
-/// weights, negative ones included. Only the survivors get the full
-/// [`align`].
+/// weights, negative ones included. A survivor keeps its heap key as its
+/// λ. No candidate is aligned in full here: the search does that for
+/// the paths an answer chooses.
 ///
 /// Kept out of line: inlined into [`build_cluster`], its one caller, the
 /// streaming loop ran ≈5% slower on the ledger's `lubm_mix` (six of six
@@ -526,10 +540,6 @@ fn fill_chunk<I: IndexLike + ?Sized>(
     cap: usize,
     budget: &QueryBudget,
 ) -> Fill {
-    let entry = |pid| ClusterEntry {
-        path_id: pid,
-        alignment: align(q, index.labels(pid), params, mode),
-    };
     let expired = |position| position % ALIGN_CHECK_INTERVAL == 0 && budget.exceeded().is_some();
     if chunk.len() <= cap {
         let mut entries = Vec::with_capacity(chunk.len());
@@ -537,7 +547,10 @@ fn fill_chunk<I: IndexLike + ?Sized>(
             if expired(position) {
                 break;
             }
-            entries.push(entry(pid));
+            entries.push(ClusterEntry {
+                path_id: pid,
+                lambda: align_lambda(q, index.labels(pid), params, mode),
+            });
         }
         let scanned = entries.len();
         return Fill {
@@ -592,12 +605,15 @@ fn fill_chunk<I: IndexLike + ?Sized>(
             break;
         }
     }
-    let mut survivors: Vec<usize> = best.into_iter().map(|(_, position)| position).collect();
-    survivors.sort_unstable();
+    let mut survivors = best.into_vec();
+    survivors.sort_unstable_by_key(|&(_, position)| position);
     Fill {
         entries: survivors
             .into_iter()
-            .map(|position| entry(chunk[position]))
+            .map(|(key, position)| ClusterEntry {
+                path_id: chunk[position],
+                lambda: from_total_order_key(key),
+            })
             .collect(),
         scanned,
         touched: met,
@@ -745,7 +761,7 @@ impl Touched {
         let mut scored: FxHashMap<PathId, i64> = FxHashMap::default();
         let mut read = 0usize;
         for label in labels {
-            for pid in index.paths_containing(&[label]) {
+            for &pid in index.paths_containing(&[label]).iter() {
                 if scored.contains_key(&pid) {
                     continue;
                 }
@@ -949,13 +965,13 @@ impl<'a, I: IndexLike + ?Sized> LambdaMemo<'a, I> {
 /// Returns the list and the sink bit the rule fixes for it: every path
 /// of step 1 ends in an accepted label, and no path does once step 1
 /// found none.
-fn retrieve_candidates<I: IndexLike>(
+fn retrieve_candidates<'a, I: IndexLike>(
     q: &QueryPath,
-    index: &I,
+    index: &'a I,
     config: &ClusterConfig,
-) -> (Vec<PathId>, SinkBit) {
+) -> (Cow<'a, [PathId]>, SinkBit) {
     if config.exhaustive {
-        return (index.all_path_ids(), sink_bit(q));
+        return (Cow::Owned(index.all_path_ids()), sink_bit(q));
     }
     if let Some(accepted) = q.sink().accepted() {
         let by_sink = index.paths_ending_in(accepted);
@@ -968,8 +984,8 @@ fn retrieve_candidates<I: IndexLike>(
         .map(|anchor| index.paths_containing(anchor.accepted().expect("anchor is a constant")))
         .find(|hits| !hits.is_empty());
     let list = anchored.unwrap_or_else(|| match config.allow_full_scan {
-        true => index.all_path_ids(),
-        false => Vec::new(),
+        true => Cow::Owned(index.all_path_ids()),
+        false => Cow::Borrowed(&[]),
     });
     (list, SinkBit::Fixed(false))
 }

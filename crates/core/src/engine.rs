@@ -323,7 +323,7 @@ impl<I: IndexLike> SamaEngine<I> {
     /// let best_two: Vec<_> = engine.answer_stream(&query).take(2).collect();
     /// assert_eq!(best_two.len(), 2);
     /// ```
-    pub fn answer_stream(&self, query: &QueryGraph) -> SearchStream<'static> {
+    pub fn answer_stream(&self, query: &QueryGraph) -> SearchStream<'_> {
         let budget = self.default_budget();
         let prepared = self
             .prepare(query, false, &budget)

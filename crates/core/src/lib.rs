@@ -67,7 +67,7 @@ pub mod search;
 pub mod trace;
 
 pub use align::{align, align_lambda, Alignment, AlignmentCounts, AlignmentMode};
-pub use answer::{Answer, ChosenPath};
+pub use answer::{AlignedPath, Answer, ChosenPath};
 pub use batch::{BatchConfig, BatchOutcome, BatchStats, PhaseLatency};
 pub use cluster::{
     build_clusters, build_clusters_budgeted, memoised_lambdas, Cluster, ClusterConfig,

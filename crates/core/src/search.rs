@@ -47,7 +47,8 @@
 //! bucket. DESIGN §5 has the measurements, including what a workload of
 //! all-distinct priorities — the case buckets are worst at — costs.
 
-use crate::answer::{Answer, ChosenPath};
+use crate::align::align;
+use crate::answer::{AlignedPath, Answer, ChosenPath};
 use crate::cluster::Cluster;
 use crate::deadline::QueryBudget;
 use crate::frontier::Frontier;
@@ -257,12 +258,14 @@ impl ChiSets {
 /// A resumable combination search: answers pop lazily in
 /// non-decreasing score order. Holds the decomposition artefacts
 /// (`PQ`, IG, clusters) — owned when built with [`SearchStream::new`],
-/// so the stream can outlive the call that created it — and the node
-/// sets it reads the index for once, at the start.
+/// so the stream can outlive the call that created it — the node sets
+/// it reads the index for once, at the start, and the index itself,
+/// which it reads again only to align the paths an answer chooses.
 ///
 /// Obtained from [`crate::SamaEngine::answer_stream`] or built directly;
 /// [`search_top_k`] is the batch wrapper.
 pub struct SearchStream<'a> {
+    index: &'a dyn IndexLike,
     qpaths: Cow<'a, [QueryPath]>,
     ig: Cow<'a, IntersectionGraph>,
     clusters: Cow<'a, [Cluster]>,
@@ -291,11 +294,11 @@ pub struct SearchStream<'a> {
 
 impl<'a> SearchStream<'a> {
     /// Start a search over pre-built decomposition artefacts.
-    pub fn new<I: IndexLike + ?Sized>(
+    pub fn new<I: IndexLike>(
         qpaths: Vec<QueryPath>,
         ig: IntersectionGraph,
         clusters: Vec<Cluster>,
-        index: &I,
+        index: &'a I,
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
@@ -309,11 +312,11 @@ impl<'a> SearchStream<'a> {
         )
     }
 
-    fn start<I: IndexLike + ?Sized>(
+    fn start<I: IndexLike>(
         qpaths: Cow<'a, [QueryPath]>,
         ig: Cow<'a, IntersectionGraph>,
         clusters: Cow<'a, [Cluster]>,
-        index: &I,
+        index: &'a I,
         params: ScoreParams,
         config: SearchConfig,
     ) -> Self {
@@ -325,6 +328,7 @@ impl<'a> SearchStream<'a> {
         }
         let chi_sets = ChiSets::build(&clusters, &ig, index);
         let mut stream = SearchStream {
+            index,
             qpaths,
             ig,
             clusters,
@@ -517,6 +521,7 @@ impl<'a> SearchStream<'a> {
                 return Some(materialize(
                     &self.choices,
                     state.g,
+                    self.index,
                     &self.qpaths,
                     &self.ig,
                     &self.clusters,
@@ -607,6 +612,7 @@ impl<'a> SearchStream<'a> {
             outcome.answers.push(materialize(
                 choices,
                 *g,
+                self.index,
                 &self.qpaths,
                 &self.ig,
                 &self.clusters,
@@ -767,11 +773,14 @@ fn pair_chi_p(
 }
 
 /// The answer for the complete assignment `state_choices`, whose
-/// incrementally computed cost is `g`.
+/// incrementally computed cost is `g`: each chosen path aligned in full
+/// against its query path (IC weights included) in the mode its cluster
+/// was scored in.
 #[allow(clippy::too_many_arguments)]
 fn materialize(
     state_choices: &[u32],
     g: f64,
+    index: &dyn IndexLike,
     qpaths: &[QueryPath],
     ig: &IntersectionGraph,
     clusters: &[Cluster],
@@ -789,11 +798,25 @@ fn materialize(
                 entry: None,
             });
         } else {
-            let entry = clusters[i].entries[c as usize].clone();
-            lambda_total += entry.lambda();
+            let entry = clusters[i].entries[c as usize];
+            let alignment = align(
+                &qpaths[i],
+                index.labels(entry.path_id),
+                params,
+                clusters[i].mode,
+            );
+            debug_assert_eq!(
+                alignment.lambda.to_bits(),
+                entry.lambda.to_bits(),
+                "the answer's alignment prices its path as the fill did"
+            );
+            lambda_total += entry.lambda;
             choices.push(ChosenPath {
                 qpath_index: qpaths[i].index,
-                entry: Some(entry),
+                entry: Some(AlignedPath {
+                    path_id: entry.path_id,
+                    alignment,
+                }),
             });
         }
     }

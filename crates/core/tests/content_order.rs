@@ -85,9 +85,13 @@ fn check_lookups<I: IndexLike>(kind: &str, index: &I) {
             );
             let mut merged: BTreeSet<PathId> = BTreeSet::new();
             for &l in &widened {
-                merged.extend(lookup(sink, &[l]));
+                merged.extend(lookup(sink, &[l]).iter());
             }
-            assert_eq!(union.into_iter().collect::<BTreeSet<_>>(), merged, "{what}");
+            assert_eq!(
+                union.iter().copied().collect::<BTreeSet<_>>(),
+                merged,
+                "{what}"
+            );
         }
     }
 }

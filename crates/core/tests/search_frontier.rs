@@ -410,7 +410,9 @@ thread_local! {
 /// before the search polls its budget — while the table is computed.
 fn count_expansion() {
     TRIP.with_borrow_mut(|trip| {
-        if let Some((left, token)) = trip {
+        // A trip that has fired stays at 0: the search runs on to its
+        // next budget poll after the cancel.
+        if let Some((left @ 1.., token)) = trip {
             *left -= 1;
             if *left == 0 {
                 token.cancel();

@@ -11,6 +11,7 @@ use path_index::{IndexLike, LabelsRef, LshCandidate, LshParams, PathId, SynonymP
 use proptest::prelude::*;
 use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Triple};
 use sama_core::{CancelToken, ClusterConfig, QueryPath};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -183,11 +184,11 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     fn shape_edge_labels(&self, shape: u32) -> &[LabelId] {
         self.inner.shape_edge_labels(shape)
     }
-    fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId> {
+    fn paths_ending_in(&self, labels: &[LabelId]) -> Cow<'_, [PathId]> {
         self.sink_lookups.fetch_add(1, Ordering::SeqCst);
         self.inner.paths_ending_in(labels)
     }
-    fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId> {
+    fn paths_containing(&self, labels: &[LabelId]) -> Cow<'_, [PathId]> {
         self.inner.paths_containing(labels)
     }
     fn all_path_ids(&self) -> Vec<PathId> {
@@ -220,8 +221,8 @@ pub fn reference_lookup<I: IndexLike>(
         .chain(widened.iter().map(String::as_str))
         .filter_map(|name| index.constant_label(name))
         .flat_map(|label| match sink {
-            true => index.paths_ending_in(&[label]),
-            false => index.paths_containing(&[label]),
+            true => index.paths_ending_in(&[label]).into_owned(),
+            false => index.paths_containing(&[label]).into_owned(),
         })
         .collect();
     union.sort_by(|&a, &b| {

@@ -328,7 +328,6 @@ impl PathIndex {
     /// into pools (used by [`crate::decode_v2`]).
     pub(crate) fn from_view(view: &IndexView<'_>, graph: DataGraph, stats: IndexStats) -> Self {
         let widen = |offs: &[u32]| offs.iter().map(|&o| o as usize).collect();
-        let path_ids = |ids: &[u32]| ids.iter().map(|&p| PathId(p)).collect();
         let pools = Pools {
             offs: widen(view.path_offs),
             nodes: view.path_nodes.to_vec(),
@@ -338,14 +337,14 @@ impl PathIndex {
             shape_labels: view.shape_labels.to_vec(),
         };
         PathIndex {
-            order: path_ids(view.path_order),
+            order: view.path_order.to_vec(),
             by_label: Postings {
                 offs: widen(view.label_offs),
-                ids: path_ids(view.label_posts),
+                ids: view.label_posts.to_vec(),
             },
             by_sink: Postings {
                 offs: widen(view.sink_offs),
-                ids: path_ids(view.sink_posts),
+                ids: view.sink_posts.to_vec(),
             },
             graph,
             pools,

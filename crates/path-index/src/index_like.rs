@@ -7,6 +7,7 @@
 use crate::ic::IcTable;
 use crate::path::{LabelsRef, PathId};
 use rdf_model::{EdgeId, LabelId, NodeId, TermKind, Vocabulary};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Resolves a query constant's lexical form to a data label id — all
@@ -101,11 +102,16 @@ pub trait IndexLike {
     /// share both). The cluster fill relies on it — a candidate's
     /// position is its tie-break, and a fill whose heap is full at λ = 0
     /// stops there.
-    fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId>;
+    ///
+    /// The list of a single label is its stored posting list, borrowed
+    /// from the index; only a union of several labels' lists (a synonym
+    /// group) is built and owned.
+    fn paths_ending_in(&self, labels: &[LabelId]) -> Cow<'_, [PathId]>;
 
     /// Paths with a node or an edge carrying one of `labels`, each once,
-    /// in path-content order.
-    fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId>;
+    /// in path-content order; borrowed or owned as
+    /// [`IndexLike::paths_ending_in`].
+    fn paths_containing(&self, labels: &[LabelId]) -> Cow<'_, [PathId]>;
 
     /// Every path id (the clustering full-scan fallback), in path-content
     /// order.

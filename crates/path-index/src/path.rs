@@ -13,7 +13,12 @@ use std::fmt;
 
 /// Identifier of a path within one [`crate::PathIndex`] (or extraction
 /// result). Dense, starting at zero.
+///
+/// `repr(transparent)` over `u32`, like [`rdf_model::NodeId`]: the
+/// mapped index hands out its stored postings and path order as
+/// `&[PathId]` cast from the image's `u32` arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct PathId(pub u32);
 
 impl PathId {

@@ -114,6 +114,7 @@ use crate::storage::{try_u32, StorageError};
 use crate::synonyms::SynonymProvider;
 use rdf_model::hash::FxHasher;
 use rdf_model::{DataGraph, EdgeId, Graph, LabelId, NodeId, TermKind, Vocabulary};
+use std::borrow::Cow;
 use std::hash::Hasher;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -185,10 +186,18 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
 
 // ---------------------------------------------------------------------------
 // Casting helpers. Soundness: NodeId/EdgeId/LabelId are
-// `#[repr(transparent)]` over `u32` (guaranteed in `rdf-model`), and
-// every byte range handed to these starts 4-aligned because section
-// offsets are multiples of 8 within an 8-aligned buffer.
+// `#[repr(transparent)]` over `u32` (guaranteed in `rdf-model`), as is
+// PathId (in `path.rs`), and every byte range handed to these starts
+// 4-aligned because section offsets are multiples of 8 within an
+// 8-aligned buffer. Each cast has a `const` assertion of the layout it
+// relies on beside it, so a change to a type's layout fails the build.
 
+/// `T` has the size and alignment of `u32`.
+const fn is_u32_layout<T>() -> bool {
+    std::mem::size_of::<T>() == 4 && std::mem::align_of::<T>() == 4
+}
+
+const _: () = assert!(is_u32_layout::<u32>());
 #[inline]
 fn cast_u32s(bytes: &[u8]) -> &[u32] {
     debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
@@ -198,6 +207,7 @@ fn cast_u32s(bytes: &[u8]) -> &[u32] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), bytes.len() / 4) }
 }
 
+const _: () = assert!(std::mem::size_of::<u64>() == 8 && std::mem::align_of::<u64>() <= 8);
 #[inline]
 fn cast_u64s(bytes: &[u8]) -> &[u64] {
     debug_assert_eq!(bytes.as_ptr() as usize % 8, 0);
@@ -207,21 +217,36 @@ fn cast_u64s(bytes: &[u8]) -> &[u64] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), bytes.len() / 8) }
 }
 
+const _: () = assert!(is_u32_layout::<NodeId>());
 #[inline]
 fn as_node_ids(ids: &[u32]) -> &[NodeId] {
-    // SAFETY: NodeId is repr(transparent) over u32.
+    // SAFETY: NodeId is repr(transparent) over u32 (layout asserted
+    // above), so the slice's length, alignment and every bit pattern
+    // carry over.
     unsafe { std::slice::from_raw_parts(ids.as_ptr().cast(), ids.len()) }
 }
 
+const _: () = assert!(is_u32_layout::<EdgeId>());
 #[inline]
 fn as_edge_ids(ids: &[u32]) -> &[EdgeId] {
-    // SAFETY: EdgeId is repr(transparent) over u32.
+    // SAFETY: EdgeId is repr(transparent) over u32 (layout asserted
+    // above).
     unsafe { std::slice::from_raw_parts(ids.as_ptr().cast(), ids.len()) }
 }
 
+const _: () = assert!(is_u32_layout::<LabelId>());
 #[inline]
 fn as_label_ids(ids: &[u32]) -> &[LabelId] {
-    // SAFETY: LabelId is repr(transparent) over u32.
+    // SAFETY: LabelId is repr(transparent) over u32 (layout asserted
+    // above).
+    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast(), ids.len()) }
+}
+
+const _: () = assert!(is_u32_layout::<PathId>());
+#[inline]
+fn as_path_ids(ids: &[u32]) -> &[PathId] {
+    // SAFETY: PathId is repr(transparent) over u32 (layout asserted
+    // above).
     unsafe { std::slice::from_raw_parts(ids.as_ptr().cast(), ids.len()) }
 }
 
@@ -711,11 +736,11 @@ impl Layout {
             shape_offs: self.u32s(bytes, S_SHAPE_OFFS),
             shape_labels: as_label_ids(self.u32s(bytes, S_SHAPE_LABELS)),
             label_offs: self.u32s(bytes, S_LABEL_OFFS),
-            label_posts: self.u32s(bytes, S_LABEL_POSTS),
+            label_posts: as_path_ids(self.u32s(bytes, S_LABEL_POSTS)),
             sink_offs: self.u32s(bytes, S_SINK_OFFS),
-            sink_posts: self.u32s(bytes, S_SINK_POSTS),
+            sink_posts: as_path_ids(self.u32s(bytes, S_SINK_POSTS)),
             ic_counts: cast_u64s(self.bytes_of(bytes, S_IC_COUNTS)),
-            path_order: self.u32s(bytes, S_PATH_ORDER),
+            path_order: as_path_ids(self.u32s(bytes, S_PATH_ORDER)),
         }
     }
 }
@@ -822,11 +847,11 @@ pub struct IndexView<'a> {
     pub(crate) shape_offs: &'a [u32],
     pub(crate) shape_labels: &'a [LabelId],
     pub(crate) label_offs: &'a [u32],
-    pub(crate) label_posts: &'a [u32],
+    pub(crate) label_posts: &'a [PathId],
     pub(crate) sink_offs: &'a [u32],
-    pub(crate) sink_posts: &'a [u32],
+    pub(crate) sink_posts: &'a [PathId],
     ic_counts: &'a [u64],
-    pub(crate) path_order: &'a [u32],
+    pub(crate) path_order: &'a [PathId],
 }
 
 impl<'a> IndexView<'a> {
@@ -986,11 +1011,11 @@ impl<'a> IndexView<'a> {
             if pairs(offs).fold(false, |bad, (a, b)| bad | (a > b)) {
                 return Err(corrupt(monotone));
             }
-            if !all_below(posts.iter().copied(), l.path_count) {
+            if !all_below(posts.iter().map(|p| p.0), l.path_count) {
                 return Err(corrupt("posting out of range"));
             }
         }
-        if !all_below(self.path_order.iter().copied(), l.path_count) {
+        if !all_below(self.path_order.iter().map(|p| p.0), l.path_count) {
             return Err(corrupt("path order entry out of range"));
         }
 
@@ -1067,7 +1092,7 @@ impl<'a> IndexView<'a> {
 
     /// `label`'s run of a stored inverted map; empty past the
     /// vocabulary.
-    fn run(offs: &[u32], posts: &'a [u32], label: LabelId) -> &'a [u32] {
+    fn run(offs: &[u32], posts: &'a [PathId], label: LabelId) -> &'a [PathId] {
         match offs.get(label.index()..label.index() + 2) {
             Some(&[a, b]) => &posts[a as usize..b as usize],
             _ => &[],
@@ -1075,12 +1100,12 @@ impl<'a> IndexView<'a> {
     }
 
     /// Paths containing `label` (stored inverted map; no rebuild).
-    pub fn paths_with_label(&self, label: LabelId) -> &'a [u32] {
+    pub fn paths_with_label(&self, label: LabelId) -> &'a [PathId] {
         Self::run(self.label_offs, self.label_posts, label)
     }
 
     /// Paths whose sink carries `label` (stored inverted map).
-    pub fn paths_with_sink(&self, label: LabelId) -> &'a [u32] {
+    pub fn paths_with_sink(&self, label: LabelId) -> &'a [PathId] {
         Self::run(self.sink_offs, self.sink_posts, label)
     }
 
@@ -1156,6 +1181,11 @@ pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
 }
+
+// `as_slice`/`as_mut_slice` read `len` bytes out of `words`: a `u64` is
+// eight bytes, so `len <= words.len() * 8` keeps them in bounds, and a
+// byte needs no alignment.
+const _: () = assert!(std::mem::size_of::<u64>() == 8 && std::mem::align_of::<u8>() == 1);
 
 impl AlignedBytes {
     /// Copy `bytes` into a fresh 8-aligned buffer.
@@ -1391,25 +1421,29 @@ impl MappedIndex {
     /// The paths `postings` lists for any of `labels`, in path-content
     /// order and deduplicated — the admission rule behind
     /// [`IndexLike::paths_ending_in`] and [`IndexLike::paths_containing`].
+    /// One non-empty posting list is in content order and duplicate-free
+    /// as stored, so it is lent straight out of the image; only a union
+    /// of several is merged into an owned list.
     fn union_of(
         &self,
         labels: &[LabelId],
-        postings: fn(&IndexView<'static>, LabelId) -> &'static [u32],
-    ) -> Vec<PathId> {
-        let mut out: Vec<PathId> = Vec::new();
-        let mut lists = 0;
-        for &label in labels {
-            let run = postings(&self.view, label);
-            out.extend(run.iter().map(|&p| PathId(p)));
-            lists += usize::from(!run.is_empty());
+        postings: fn(&IndexView<'static>, LabelId) -> &'static [PathId],
+    ) -> Cow<'_, [PathId]> {
+        let mut runs = labels
+            .iter()
+            .map(|&label| postings(&self.view, label))
+            .filter(|run| !run.is_empty());
+        match (runs.next(), runs.next()) {
+            (None, _) => Cow::Borrowed(&[]),
+            (Some(only), None) => Cow::Borrowed(only),
+            (Some(first), Some(second)) => {
+                let mut out = [first, second].concat();
+                runs.for_each(|run| out.extend_from_slice(run));
+                out.sort_unstable_by_key(|&p| (self.path_nodes(p), self.path_edges(p)));
+                out.dedup();
+                Cow::Owned(out)
+            }
         }
-        // One posting list is in content order and duplicate-free as it is;
-        // only a union of several needs the merge.
-        if lists > 1 {
-            out.sort_unstable_by_key(|&p| (self.path_nodes(p), self.path_edges(p)));
-            out.dedup();
-        }
-        out
     }
 
     /// The labels `lexical` and each of its synonyms resolve to.
@@ -1426,6 +1460,7 @@ impl MappedIndex {
     /// delete with ROADMAP 1a.
     pub fn sink_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         self.paths_ending_in(&self.resolve(lexical, synonyms))
+            .into_owned()
     }
 
     /// [`IndexLike::paths_containing`] of the labels `lexical` and its
@@ -1433,6 +1468,7 @@ impl MappedIndex {
     /// delete with ROADMAP 1a.
     pub fn label_matching(&self, lexical: &str, synonyms: &dyn SynonymProvider) -> Vec<PathId> {
         self.paths_containing(&self.resolve(lexical, synonyms))
+            .into_owned()
     }
 
     /// The indexed data graph, rebuilt from the image on first call.
@@ -1513,13 +1549,13 @@ impl IndexLike for MappedIndex {
         &view.shape_labels[view.shape_offs[shape] as usize..view.shape_offs[shape + 1] as usize]
     }
 
-    fn paths_ending_in(&self, labels: &[LabelId]) -> Vec<PathId> {
+    fn paths_ending_in(&self, labels: &[LabelId]) -> Cow<'_, [PathId]> {
         let _span = sama_obs::span!(sama_obs::metrics::INDEX_LOCATE_NS);
         sama_obs::metrics::INDEX_SINK_LOOKUPS_TOTAL.add(1);
         self.union_of(labels, IndexView::paths_with_sink)
     }
 
-    fn paths_containing(&self, labels: &[LabelId]) -> Vec<PathId> {
+    fn paths_containing(&self, labels: &[LabelId]) -> Cow<'_, [PathId]> {
         let _span = sama_obs::span!(sama_obs::metrics::INDEX_LOCATE_NS);
         sama_obs::metrics::INDEX_LABEL_LOOKUPS_TOTAL.add(1);
         self.union_of(labels, IndexView::paths_with_label)
@@ -1527,7 +1563,7 @@ impl IndexLike for MappedIndex {
 
     /// The stored path-order section: every id in range, as open checked.
     fn all_path_ids(&self) -> Vec<PathId> {
-        self.view.path_order.iter().map(|&p| PathId(p)).collect()
+        self.view.path_order.to_vec()
     }
 
     fn lsh_params(&self) -> Option<crate::lsh::LshParams> {
@@ -1924,18 +1960,12 @@ mod tests {
         let vocab = idx.graph().vocab();
         for (label, _, _) in vocab.iter() {
             assert_eq!(
-                view.paths_with_label(label)
-                    .iter()
-                    .map(|&p| PathId(p))
-                    .collect::<Vec<_>>(),
+                view.paths_with_label(label),
                 idx.paths_with_label(label),
                 "label {label}"
             );
             assert_eq!(
-                view.paths_with_sink(label)
-                    .iter()
-                    .map(|&p| PathId(p))
-                    .collect::<Vec<_>>(),
+                view.paths_with_sink(label),
                 idx.paths_with_sink(label),
                 "sink {label}"
             );

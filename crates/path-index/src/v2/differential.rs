@@ -127,11 +127,11 @@ impl IndexView<'_> {
             if offs.windows(2).any(|w| w[0] > w[1]) {
                 return Err(corrupt(monotone));
             }
-            if posts.iter().any(|&p| p as usize >= l.path_count) {
+            if posts.iter().any(|p| p.index() >= l.path_count) {
                 return Err(corrupt("posting out of range"));
             }
         }
-        if self.path_order.iter().any(|&p| p as usize >= l.path_count) {
+        if self.path_order.iter().any(|p| p.index() >= l.path_count) {
             return Err(corrupt("path order entry out of range"));
         }
 

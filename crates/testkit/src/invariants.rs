@@ -35,12 +35,12 @@ use eval::oracle::ged_relevance;
 use graph_match::{Matcher, Vf2Matcher};
 use path_index::{
     decode_v2, display_parts, display_path, encode_v2, IcTable, IndexLike, LabelsRef, MappedIndex,
-    PathId, PathIndex, Thesaurus,
+    PathIndex, Thesaurus,
 };
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
-    AlignmentMode, BatchConfig, ClusterConfig, ClusterEntry, EngineConfig, QueryBudget,
-    QueryResult, Retrieval, SamaEngine, SearchConfig, TraceCluster, TraceConfig,
+    align, AlignmentMode, BatchConfig, ClusterConfig, ClusterEntry, EngineConfig, QueryBudget,
+    QueryResult, Retrieval, SamaEngine, ScoreParams, SearchConfig, TraceCluster, TraceConfig,
 };
 use std::time::Duration;
 
@@ -480,19 +480,18 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     }
     let graph = built.graph().as_graph();
     let view = mapped.view();
-    let ids = |list: &[PathId]| list.iter().map(|p| p.0).collect::<Vec<u32>>();
     for (label, kind, lexical) in graph.vocab().iter() {
         let want = (
             lexical,
             kind,
-            ids(built.paths_with_sink(label)),
-            ids(built.paths_with_label(label)),
+            built.paths_with_sink(label),
+            built.paths_with_label(label),
         );
         let got = (
             mapped.label_lexical(label),
             mapped.label_kind(label),
-            view.paths_with_sink(label).to_vec(),
-            view.paths_with_label(label).to_vec(),
+            view.paths_with_sink(label),
+            view.paths_with_label(label),
         );
         if got != want {
             return mismatch(format!("label {label}: {got:?}, built {want:?}"));
@@ -989,32 +988,62 @@ fn topk_prefix_stability(case: &Case) -> Result<(), String> {
     Ok(())
 }
 
+/// Every answer of `result` carries the full alignment of each path it
+/// chose: `align(q, index.labels(path), params, mode)` against its query
+/// path (IC weights included), and λ bits equal to those of the cluster
+/// entry the search chose it as. `mode` and `params` are what the engine
+/// was configured with, not read back from the result.
+pub fn answer_alignments_hold(
+    result: &QueryResult,
+    index: &impl IndexLike,
+    params: &ScoreParams,
+    mode: AlignmentMode,
+) -> Result<(), String> {
+    for (rank, answer) in result.answers.iter().enumerate() {
+        for choice in &answer.choices {
+            let Some(chosen) = &choice.entry else {
+                continue;
+            };
+            let q = &result.query_paths[choice.qpath_index];
+            let want = align(q, index.labels(chosen.path_id), params, mode);
+            if chosen.alignment != want {
+                return Err(format!(
+                    "answer {rank}, q{}: path {} carries {:?}, align gives {want:?}",
+                    choice.qpath_index, chosen.path_id, chosen.alignment
+                ));
+            }
+            let cluster = &result.clusters[choice.qpath_index];
+            let entry = cluster.entries.iter().find(|e| e.path_id == chosen.path_id);
+            if entry.map(|e| e.lambda.to_bits()) != Some(want.lambda.to_bits()) {
+                return Err(format!(
+                    "answer {rank}, q{}: path {} has λ {} but its cluster entry {entry:?}",
+                    choice.qpath_index, chosen.path_id, want.lambda
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// [`base_config`] never truncates a cluster (`max_cluster_size` 2^20),
 /// so this is the one check that reaches the bounded selection of the
 /// cluster fill: capping a cluster must keep exactly the first `cap`
-/// entries of the uncapped one — same paths, λ bits, counts and
-/// bindings, in the same order — and must not change what EXPLAIN says
-/// was retrieved, aligned and dropped.
+/// entries of the uncapped one — same paths and λ bits, in the same
+/// order — must not change what EXPLAIN says was retrieved, aligned and
+/// dropped, and the capped run's answers must carry the full alignment
+/// of each path they chose ([`answer_alignments_hold`]).
 fn cluster_cap_is_prefix_of_uncapped(case: &Case) -> Result<(), String> {
     let query = case.query_graph();
-    let run = |cap: usize| {
+    let eng = |cap: usize| {
         let mut config = base_config();
         config.cluster.max_cluster_size = cap;
         config.trace = TraceConfig::enabled();
-        engine(case, config).answer(&query, case.k)
+        engine(case, config)
     };
     let entry_lines = |entries: &[ClusterEntry]| -> Vec<String> {
         entries
             .iter()
-            .map(|e| {
-                format!(
-                    "{:?} λ={:016x} {:?} {:?}",
-                    e.path_id,
-                    e.lambda().to_bits(),
-                    e.alignment.counts,
-                    e.alignment.bindings
-                )
-            })
+            .map(|e| format!("{:?} λ={:016x}", e.path_id, e.lambda.to_bits()))
             .collect()
     };
     // What EXPLAIN says of every cluster, `kept` clamped to the cap.
@@ -1022,9 +1051,12 @@ fn cluster_cap_is_prefix_of_uncapped(case: &Case) -> Result<(), String> {
         let clusters = result.trace.iter().flat_map(|t| &t.clusters);
         clusters.map(|c| cluster_line(c, c.kept.min(cap))).collect()
     };
-    let uncapped = run(1 << 20);
+    let uncapped = eng(1 << 20).answer(&query, case.k);
     for cap in [1, 2, 8] {
-        let capped = run(cap);
+        let eng = eng(cap);
+        let capped = eng.answer(&query, case.k);
+        answer_alignments_hold(&capped, eng.index(), eng.params(), base_config().alignment)
+            .map_err(|e| format!("cap {cap}: {e}"))?;
         for (c, u) in capped.clusters.iter().zip(&uncapped.clusters) {
             let want = &u.entries[..cap.min(u.entries.len())];
             if entry_lines(&c.entries) != entry_lines(want) {

@@ -51,8 +51,10 @@ fn main() {
             cluster.qpath_index,
             cluster.entries.len()
         );
+        // An entry is a path and its λ; the answers below carry the
+        // full alignment of the paths they chose.
         for entry in cluster.entries.iter().take(6) {
-            println!("    {} [{}]", path(entry.path_id), entry.lambda());
+            println!("    {} [λ = {}]", path(entry.path_id), entry.lambda);
         }
     }
 
