@@ -827,6 +827,23 @@ fn pairs<T: Copy>(values: &[T]) -> impl Iterator<Item = (T, T)> + '_ {
     values.iter().copied().zip(next.iter().copied())
 }
 
+/// The blocks of [`IndexView::validate`]'s fixed check order, in that
+/// order, each run whole by one of its two halves: of two faults, the
+/// one in the earlier block is reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Block {
+    /// Vocabulary, constant table, graph arrays, path offsets and nodes.
+    Tables,
+    /// The path-edge pool (the helper's).
+    PathEdges,
+    /// The shape pool and each path's shape.
+    Shapes,
+    /// Both inverted maps and the path order (the helper's).
+    Postings,
+    /// The IC counts and their checksum.
+    IcCounts,
+}
+
 /// A borrowed, zero-copy view over a `SAMAIDX2` buffer: every accessor
 /// returns slices pointing straight into the underlying bytes.
 ///
@@ -858,6 +875,11 @@ impl<'a> IndexView<'a> {
     /// Parse and fully validate a buffer. The buffer must be 8-byte
     /// aligned (file mappings and [`AlignedBytes`] both are).
     ///
+    /// The validation reads every byte of the buffer and is bound by
+    /// memory bandwidth, so half of its checks run on a scoped helper
+    /// thread, joined before this returns; the `Result` is the one the
+    /// checks give in their fixed order on one thread.
+    ///
     /// # Errors
     /// Typed [`StorageError`]s for any structural or range violation —
     /// never panics, never allocates proportionally to the input.
@@ -867,14 +889,26 @@ impl<'a> IndexView<'a> {
         Ok(view)
     }
 
-    /// The deep validation pass: allocation-free, establishing every
-    /// invariant the accessors rely on, so that no lookup on a
-    /// successfully opened index can panic or read out of range.
+    /// The deep validation pass: establishing every invariant the
+    /// accessors rely on, so that no lookup on a successfully opened
+    /// index can panic or read out of range. It allocates nothing
+    /// proportional to the image.
+    ///
+    /// The checks have a fixed order, and the first that fails names
+    /// the error. They run as two halves that share no invariant, at
+    /// once: the calling thread checks the vocabulary, the constant
+    /// table, the graph arrays, the path offsets and nodes, the shapes
+    /// (which rely on the path offsets) and the IC counts; one scoped
+    /// helper thread checks the path-edge pool, both inverted maps and
+    /// the path order, which rely on the section sizes alone. The pass
+    /// is bound by memory bandwidth, and two cores read the image in
+    /// about two thirds of the time one does. The helper is joined
+    /// before the pass returns. When the OS refuses the thread, the
+    /// calling thread runs both halves.
     ///
     /// Each check is a fold over its whole section with no early exit
-    /// ([`all_below`], [`pairs`]), which the compiler vectorises; the
-    /// checks run in a fixed order and the first that fails names the
-    /// error. Two of them test an equivalent, cheaper property:
+    /// ([`all_below`], [`pairs`]), which the compiler vectorises. Two of
+    /// them test an equivalent, cheaper property:
     ///
     /// * every vocabulary entry is UTF-8 ⇔ the whole blob is and no
     ///   entry offset lands on a continuation byte (the offsets are
@@ -888,10 +922,64 @@ impl<'a> IndexView<'a> {
     /// the first fault, so an image with several always reports the one
     /// that comes first.
     fn validate(&self) -> Result<(), StorageError> {
-        let l = &self.layout;
-        let corrupt = |what: &'static str| StorageError::Corrupt(what);
+        self.validate_with(true)
+    }
 
-        // Vocabulary: monotone offsets, utf-8 entries, known kinds.
+    /// [`IndexView::validate`], with its second half on a helper thread
+    /// if `helper_thread` holds and the OS grants one, else on this
+    /// thread.
+    fn validate_with(&self, helper_thread: bool) -> Result<(), StorageError> {
+        std::thread::scope(|scope| {
+            let helper = helper_thread.then(|| {
+                std::thread::Builder::new()
+                    .name("sama-validate".into())
+                    .spawn_scoped(scope, || self.validate_pools())
+            });
+            let tables = self.validate_tables();
+            let pools = match helper {
+                Some(Ok(helper)) => helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                // Refused by the OS, or not asked for: this thread
+                // checks the pools too.
+                Some(Err(_)) | None => self.validate_pools(),
+            };
+            // Each half stops at its own first fault; the one in the
+            // earlier block comes first in the fixed order.
+            match (tables, pools) {
+                (Err(a), Err(b)) => Err(if a.0 < b.0 { a.1 } else { b.1 }),
+                (Err((_, fault)), Ok(())) | (Ok(()), Err((_, fault))) => Err(fault),
+                (Ok(()), Ok(())) => Ok(()),
+            }
+        })
+    }
+
+    /// The calling thread's half of [`IndexView::validate`].
+    fn validate_tables(&self) -> Result<(), (Block, StorageError)> {
+        let has_variable = self.vocab.kinds.contains(&3);
+        self.check_vocabulary()
+            .and_then(|()| self.check_graph(has_variable))
+            .and_then(|()| self.check_paths())
+            .map_err(|fault| (Block::Tables, fault))?;
+        self.check_shapes(has_variable)
+            .map_err(|fault| (Block::Shapes, fault))?;
+        self.check_ic_counts()
+            .map_err(|fault| (Block::IcCounts, fault))
+    }
+
+    /// The helper's half of [`IndexView::validate`].
+    fn validate_pools(&self) -> Result<(), (Block, StorageError)> {
+        self.check_path_edges()
+            .map_err(|fault| (Block::PathEdges, fault))?;
+        self.check_postings()
+            .map_err(|fault| (Block::Postings, fault))
+    }
+
+    /// Vocabulary: monotone offsets, utf-8 entries, known kinds; and the
+    /// constant table: every used slot a label id, and an empty slot to
+    /// end every probe.
+    fn check_vocabulary(&self) -> Result<(), StorageError> {
+        let corrupt = StorageError::Corrupt;
         let vocab = &self.vocab;
         if vocab.offs[0] != 0 || *vocab.offs.last().expect("len >= 1") as usize != vocab.blob.len()
         {
@@ -913,14 +1001,15 @@ impl<'a> IndexView<'a> {
             return Err(corrupt("unknown term kind"));
         }
 
-        // Constant table: every used slot a label id, and an empty slot
-        // to end every probe.
         let (ids_ok, has_empty) = vocab
             .constants
             .iter()
             .fold((true, false), |(ok, empty), &id| {
                 let free = id == EMPTY;
-                (ok & (free | ((id as usize) < l.vocab_len)), empty | free)
+                (
+                    ok & (free | ((id as usize) < self.layout.vocab_len)),
+                    empty | free,
+                )
             });
         if !ids_ok {
             return Err(corrupt("constant table slot out of range"));
@@ -928,45 +1017,71 @@ impl<'a> IndexView<'a> {
         if !has_empty {
             return Err(corrupt("constant table has no empty slot"));
         }
+        Ok(())
+    }
 
-        // Graph arrays: ids in range, no variable labels in data.
-        let has_variable = vocab.kinds.contains(&3);
-        let labels_ok = |labels: &[LabelId]| {
-            all_below(labels.iter().map(|label| label.0), l.vocab_len)
-                && !(has_variable && labels.iter().any(|&label| vocab.kinds[label.index()] == 3))
-        };
+    /// Every label in range, and none a variable (which only a
+    /// vocabulary with a variable entry can hold).
+    fn labels_ok(&self, labels: &[LabelId], has_variable: bool) -> bool {
+        all_below(labels.iter().map(|label| label.0), self.layout.vocab_len)
+            && !(has_variable
+                && labels
+                    .iter()
+                    .any(|&label| self.vocab.kinds[label.index()] == 3))
+    }
+
+    /// Every node id in range.
+    fn nodes_ok(&self, nodes: &[NodeId]) -> bool {
+        all_below(nodes.iter().map(|n| n.0), self.layout.node_count)
+    }
+
+    /// Graph arrays: ids in range, no variable labels in data.
+    fn check_graph(&self, has_variable: bool) -> Result<(), StorageError> {
         // Every path's node labels are read through this section
         // (`IndexView::labels`), so this check guards them all.
-        if !labels_ok(self.node_labels) {
-            return Err(corrupt("node label out of range"));
+        if !self.labels_ok(self.node_labels, has_variable) {
+            return Err(StorageError::Corrupt("node label out of range"));
         }
-        if !labels_ok(self.edge_label) {
-            return Err(corrupt("edge label out of range"));
+        if !self.labels_ok(self.edge_label, has_variable) {
+            return Err(StorageError::Corrupt("edge label out of range"));
         }
-        let nodes_ok = |nodes: &[NodeId]| all_below(nodes.iter().map(|n| n.0), l.node_count);
-        if !(nodes_ok(self.edge_from) && nodes_ok(self.edge_to)) {
-            return Err(corrupt("edge endpoint out of range"));
+        if !(self.nodes_ok(self.edge_from) && self.nodes_ok(self.edge_to)) {
+            return Err(StorageError::Corrupt("edge endpoint out of range"));
         }
+        Ok(())
+    }
 
-        // Path CSR: strictly increasing offsets spanning the pools.
+    /// Path CSR: strictly increasing offsets spanning the node pool,
+    /// and every node in range.
+    fn check_paths(&self) -> Result<(), StorageError> {
         if self.path_offs[0] != 0
-            || *self.path_offs.last().expect("len >= 1") as usize != l.node_pool
+            || *self.path_offs.last().expect("len >= 1") as usize != self.layout.node_pool
         {
-            return Err(corrupt("path offsets do not span pool"));
+            return Err(StorageError::Corrupt("path offsets do not span pool"));
         }
         if pairs(self.path_offs).fold(false, |bad, (a, b)| bad | (a >= b)) {
-            return Err(corrupt("empty path"));
+            return Err(StorageError::Corrupt("empty path"));
         }
-        if !nodes_ok(self.path_nodes) {
-            return Err(corrupt("path node out of range"));
+        if !self.nodes_ok(self.path_nodes) {
+            return Err(StorageError::Corrupt("path node out of range"));
         }
-        if !all_below(self.path_edges.iter().map(|e| e.0), l.edge_count) {
-            return Err(corrupt("path edge out of range"));
-        }
+        Ok(())
+    }
 
-        // Shapes: CSR offsets spanning the pool (a single-node path has
-        // the empty shape), labels in range, and every path naming a
-        // shape exactly as long as its edge sequence.
+    /// The path-edge pool: every edge in range.
+    fn check_path_edges(&self) -> Result<(), StorageError> {
+        if !all_below(self.path_edges.iter().map(|e| e.0), self.layout.edge_count) {
+            return Err(StorageError::Corrupt("path edge out of range"));
+        }
+        Ok(())
+    }
+
+    /// Shapes: CSR offsets spanning the pool (a single-node path has
+    /// the empty shape), labels in range, and every path naming a shape
+    /// exactly as long as its edge sequence. Run after
+    /// [`IndexView::check_paths`].
+    fn check_shapes(&self, has_variable: bool) -> Result<(), StorageError> {
+        let corrupt = StorageError::Corrupt;
         if self.shape_offs[0] != 0
             || *self.shape_offs.last().expect("len >= 1") as usize != self.shape_labels.len()
         {
@@ -975,10 +1090,10 @@ impl<'a> IndexView<'a> {
         if pairs(self.shape_offs).fold(false, |bad, (a, b)| bad | (a > b)) {
             return Err(corrupt("shape offsets not monotone"));
         }
-        if !labels_ok(self.shape_labels) {
+        if !self.labels_ok(self.shape_labels, has_variable) {
             return Err(corrupt("shape label out of range"));
         }
-        let shapes_ok = all_below(self.path_shapes.iter().copied(), l.shape_count)
+        let shapes_ok = all_below(self.path_shapes.iter().copied(), self.layout.shape_count)
             && pairs(self.path_offs)
                 .zip(self.path_shapes)
                 .fold(true, |ok, ((a, b), &shape)| {
@@ -988,9 +1103,14 @@ impl<'a> IndexView<'a> {
         if !shapes_ok {
             self.first_shape_fault()?;
         }
+        Ok(())
+    }
 
-        // Inverted maps: CSR offsets spanning their postings, path ids
-        // in range.
+    /// Inverted maps: CSR offsets spanning their postings, path ids in
+    /// range; and the path order: path ids in range.
+    fn check_postings(&self) -> Result<(), StorageError> {
+        let corrupt = StorageError::Corrupt;
+        let path_count = self.layout.path_count;
         for (offs, posts, span, monotone) in [
             (
                 self.label_offs,
@@ -1011,29 +1131,32 @@ impl<'a> IndexView<'a> {
             if pairs(offs).fold(false, |bad, (a, b)| bad | (a > b)) {
                 return Err(corrupt(monotone));
             }
-            if !all_below(posts.iter().map(|p| p.0), l.path_count) {
+            if !all_below(posts.iter().map(|p| p.0), path_count) {
                 return Err(corrupt("posting out of range"));
             }
         }
-        if !all_below(self.path_order.iter().map(|p| p.0), l.path_count) {
+        if !all_below(self.path_order.iter().map(|p| p.0), path_count) {
             return Err(corrupt("path order entry out of range"));
         }
+        Ok(())
+    }
 
-        // IC counts: the stored total must equal the summed counts — a
-        // flipped bit anywhere in the section trips this. A prefix of
-        // the counts overflows a u64 exactly when their whole sum does,
-        // and fewer than 2^32 of them cannot overflow a u128.
+    /// IC counts: the stored total must equal the summed counts — a
+    /// flipped bit anywhere in the section trips this. A prefix of the
+    /// counts overflows a u64 exactly when their whole sum does, and
+    /// fewer than 2^32 of them cannot overflow a u128.
+    fn check_ic_counts(&self) -> Result<(), StorageError> {
         let sum: u128 = self.ic_counts[1..].iter().map(|&c| u128::from(c)).sum();
-        let sum = u64::try_from(sum).map_err(|_| corrupt("ic counts overflow"))?;
+        let sum = u64::try_from(sum).map_err(|_| StorageError::Corrupt("ic counts overflow"))?;
         if sum != self.ic_counts[0] {
-            return Err(corrupt("ic counts checksum mismatch"));
+            return Err(StorageError::Corrupt("ic counts checksum mismatch"));
         }
         Ok(())
     }
 
     /// Name the first path, in path order, whose shape id is out of
     /// range or whose shape is not one label per edge long — run once
-    /// [`IndexView::validate`]'s fold has found that one is.
+    /// [`IndexView::check_shapes`]' fold has found that one is.
     fn first_shape_fault(&self) -> Result<(), StorageError> {
         for (nodes, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
             let shape = shape as usize;
@@ -1251,8 +1374,11 @@ impl Backing {
 /// [`encode_v2`] image is what this serves, from a file mapping or an
 /// owned copy.
 ///
-/// Opening performs an `mmap` plus one allocation-free validation scan;
-/// the hot lookup structures (path store, stored inverted maps) are then read in place for the lifetime of the
+/// Opening performs an `mmap` plus one validation scan that allocates
+/// nothing proportional to the image, run as two halves on the calling
+/// thread and one scoped helper joined before the open returns (see
+/// [`IndexView::parse`]). The hot lookup structures (path store, stored
+/// inverted maps) are then read in place for the lifetime of the
 /// handle, shared by every worker thread that borrows it. The
 /// label-level reads (constant → label id, label id → lexical form and
 /// kind, edge → its three labels) are served from the mapped vocabulary

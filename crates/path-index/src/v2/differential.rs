@@ -1,10 +1,14 @@
 //! The validation pass against the one it replaced. [`IndexView::validate`]
-//! folds over each section and rescans only to name a fault; the
-//! reference below is the earlier early-exit pass, kept verbatim. On
-//! every mutated image of the sweeps — each truncation, each flipped
-//! bit, each 32-bit word overwritten with an edge value, and random
-//! multi-word faults — the two must return the identical `Result`,
-//! variant and message.
+//! folds over each section and rescans only to name a fault, in two
+//! halves on two threads; the reference below is the earlier
+//! early-exit pass on one thread, kept verbatim. On every mutated image
+//! of the sweeps — each truncation, each flipped bit, each 32-bit word
+//! overwritten with an edge value, and random multi-word faults — the
+//! pass must return the reference's `Result`, variant and message,
+//! both with its helper thread and with both halves on the calling
+//! thread (the path an open takes when the OS refuses the thread).
+//! Images with one fault in each half, at every boundary between them,
+//! pin the combined order.
 
 use super::*;
 use proptest::prelude::*;
@@ -178,22 +182,25 @@ fn build_fixtures() -> [Vec<u8>; 2] {
     [plain, with_variable]
 }
 
-/// What the new pass and the reference make of `bytes`, once its
-/// header and section table parse.
-fn both_passes(bytes: &[u8]) -> [Result<(), StorageError>; 2] {
+/// What the pass with its helper thread, the pass on the calling
+/// thread alone, and the reference make of `bytes`, once its header and
+/// section table parse.
+fn all_passes(bytes: &[u8]) -> [Result<(), StorageError>; 3] {
     let owned = AlignedBytes::copy_from(bytes);
     let bytes = owned.as_slice();
     let view = Layout::parse(bytes).map(|layout| layout.view(bytes));
     [
         view.clone().and_then(|view| view.validate()),
+        view.clone().and_then(|view| view.validate_with(false)),
         view.and_then(|view| view.validate_reference()),
     ]
 }
 
 fn assert_passes_agree(bytes: &[u8], what: &str) -> Result<(), StorageError> {
-    let [new, reference] = both_passes(bytes);
-    assert_eq!(new, reference, "{what}");
-    new
+    let [threaded, inline, reference] = all_passes(bytes);
+    assert_eq!(threaded, reference, "{what}: helper thread");
+    assert_eq!(inline, reference, "{what}: calling thread alone");
+    reference
 }
 
 fn word_at(bytes: &[u8], at: usize) -> u32 {
@@ -207,9 +214,57 @@ fn with_word(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
 }
 
 #[test]
-fn both_passes_accept_the_fixtures() {
+fn all_passes_accept_the_fixtures() {
     for bytes in fixtures() {
-        assert_eq!(both_passes(bytes), [Ok(()), Ok(())]);
+        assert_eq!(all_passes(bytes), [Ok(()), Ok(()), Ok(())]);
+    }
+}
+
+/// Byte offset of word `i` of section `s`.
+fn word_in(bytes: &[u8], s: usize, i: usize) -> usize {
+    read_u64_at(bytes, HEADER_LEN + s * 16) as usize + 4 * i
+}
+
+/// `bytes` with word `i` of section `s` set to `value`, per fault; an
+/// IC-counts word is the low half of a u64.
+fn with_faults(bytes: &[u8], faults: &[(usize, usize, u32)]) -> Vec<u8> {
+    faults
+        .iter()
+        .fold(bytes.to_vec(), |mutated, &(s, i, value)| {
+            with_word(&mutated, word_in(bytes, s, i), value)
+        })
+}
+
+#[test]
+fn a_fault_in_each_half_reports_the_first_in_check_order() {
+    for bytes in fixtures() {
+        let [edges, posts] = [S_PATH_EDGES, S_LABEL_POSTS].map(|s| {
+            let len = read_u64_at(bytes, HEADER_LEN + s * 16 + 8) as usize;
+            len / 4 - 1
+        });
+        // A stored total one above the summed counts.
+        let total = word_at(bytes, word_in(bytes, S_IC_COUNTS, 0));
+        let ic_total = (S_IC_COUNTS, 0, total.wrapping_add(1));
+        let node = (S_PATH_NODES, 0, u32::MAX);
+        let edge = (S_PATH_EDGES, edges, u32::MAX);
+        let shape = (S_PATH_SHAPES, 0, u32::MAX);
+        let posting = (S_LABEL_POSTS, posts, u32::MAX);
+        let order = (S_PATH_ORDER, 0, u32::MAX);
+        // Each boundary between the halves, the earlier fault named.
+        for (faults, first) in [
+            ([node, edge], "path node out of range"),
+            ([edge, shape], "path edge out of range"),
+            ([shape, posting], "path shape out of range"),
+            ([posting, ic_total], "posting out of range"),
+            ([order, ic_total], "path order entry out of range"),
+        ] {
+            for fault in faults {
+                let what = format!("{first}: one fault alone");
+                assert_passes_agree(&with_faults(bytes, &[fault]), &what).unwrap_err();
+            }
+            let outcome = assert_passes_agree(&with_faults(bytes, &faults), first);
+            assert_eq!(outcome, Err(StorageError::Corrupt(first)));
+        }
     }
 }
 
@@ -303,8 +358,9 @@ proptest! {
             };
             mutated = with_word(&mutated, at, value);
         }
-        let [new, reference] = both_passes(&mutated);
-        prop_assert_eq!(new, reference);
+        let [threaded, inline, reference] = all_passes(&mutated);
+        prop_assert_eq!(&threaded, &reference);
+        prop_assert_eq!(inline, reference);
     }
 
     /// Arbitrary single-byte corruption anywhere in the file.
@@ -314,8 +370,9 @@ proptest! {
             let mut mutated = bytes.clone();
             let at = at % mutated.len();
             mutated[at] = value;
-            let [new, reference] = both_passes(&mutated);
-            prop_assert_eq!(new, reference);
+            let [threaded, inline, reference] = all_passes(&mutated);
+            prop_assert_eq!(&threaded, &reference);
+            prop_assert_eq!(inline, reference);
         }
     }
 }
