@@ -11,7 +11,7 @@
 
 use crate::cluster::Cluster;
 use crate::igraph::IntersectionGraph;
-use crate::score::{chi_count_sorted, conformity_ratio};
+use crate::score::conformity_ratio;
 use crate::search::ChiSets;
 use path_index::{display_path, IndexLike, PathId};
 use std::fmt;
@@ -97,10 +97,7 @@ impl PathForest {
                     if b.cluster != edge.qj {
                         continue;
                     }
-                    let chi_p = chi_count_sorted(
-                        sets.get(a.cluster, a.rank as u32),
-                        sets.get(b.cluster, b.rank as u32),
-                    );
+                    let chi_p = sets.chi((a.cluster, a.rank as u32), (b.cluster, b.rank as u32));
                     if chi_p == 0 {
                         continue; // no shared nodes: no forest edge
                     }

@@ -49,6 +49,11 @@ pub struct Frontier<T> {
     /// — one keyed by `(priority, depth)` inserted and removed an entry
     /// per push.
     levels: BTreeMap<i64, Level<T>>,
+    /// The last level to empty, its buckets' capacity kept: a search
+    /// that pops the last state of a priority often queues at it again
+    /// in the same or one of the next few pops, and a level taken from
+    /// here makes that allocate nothing.
+    spare: Option<Level<T>>,
     len: usize,
 }
 
@@ -74,6 +79,7 @@ impl<T> Default for Frontier<T> {
     fn default() -> Self {
         Frontier {
             levels: BTreeMap::new(),
+            spare: None,
             len: 0,
         }
     }
@@ -98,7 +104,10 @@ impl<T> Frontier<T> {
     /// Queue `item` behind everything already queued at the same
     /// `(priority, depth)`.
     pub fn push(&mut self, priority: f64, depth: u32, item: T) {
-        let level = self.levels.entry(total_order_key(priority)).or_default();
+        let level = self
+            .levels
+            .entry(total_order_key(priority))
+            .or_insert_with(|| self.spare.take().unwrap_or_default());
         let depth = depth as usize;
         if level.by_depth.len() <= depth {
             level.by_depth.resize_with(depth + 1, VecDeque::new);
@@ -122,7 +131,7 @@ impl<T> Frontier<T> {
         let item = level.by_depth[depth].pop_front().expect("just found");
         level.len -= 1;
         if level.len == 0 {
-            first.remove();
+            self.spare = Some(first.remove());
         }
         self.len -= 1;
         Some((from_total_order_key(key), depth as u32, item))

@@ -66,6 +66,10 @@ pub mod score;
 pub mod search;
 pub mod trace;
 
+#[cfg(test)]
+#[path = "../tests/support/dag.rs"]
+mod test_dag;
+
 pub use align::{align, align_lambda, Alignment, AlignmentCounts, AlignmentMode};
 pub use answer::{AlignedPath, Answer, ChosenPath};
 pub use batch::{BatchConfig, BatchOutcome, BatchStats, PhaseLatency};

@@ -39,13 +39,19 @@
 //! (`tests/search_frontier.rs`) — at a cost that does not depend on the
 //! frontier's size.
 //!
-//! A queued state is 24 bytes and owns nothing: its choice list is a
-//! chain of 8-byte (parent, choice) links, shared with the states it was
-//! derived from and read back (≤ one link per cluster) when it is
-//! popped. Pushing a state therefore copies and allocates nothing; the
+//! A queued state is 8 bytes and owns nothing: it names the last link
+//! of its choice list, a chain of 16-byte (parent, choice, cost) links
+//! shared with the states it was derived from and read back (≤ one link
+//! per cluster) when it is popped. A link holds the exact cost of the
+//! prefix that ends at it, so a state's cost, and its sibling's starting
+//! cost, are read from the arena rather than carried through the
+//! frontier. Pushing a state therefore copies and allocates nothing; the
 //! only growth is the amortised doubling of the link arena and of a
-//! bucket. DESIGN §5 has the measurements, including what a workload of
-//! all-distinct priorities — the case buckets are worst at — costs.
+//! bucket. What is left per expansion is mostly χ, and a χ lookup first
+//! tests two 64-bit node masks, merging the node sets only when the
+//! masks share a bit. DESIGN §5 has the measurements, including what a
+//! workload of all-distinct priorities — the case buckets are worst at —
+//! costs.
 
 use crate::align::align;
 use crate::answer::{AlignedPath, Answer, ChosenPath};
@@ -114,9 +120,10 @@ impl TruncationReason {
     }
 }
 
-/// `|χ|` evaluations of one search. Every lookup is computed — a ~10 ns
-/// sorted merge over two node sets of the search's `ChiSets`, which
-/// no memo beat in the ledger (DESIGN §5).
+/// `|χ|` evaluations of one search. Every lookup is computed: a test of
+/// two node masks of the search's `ChiSets`, then, only when the masks
+/// share a bit, a sorted merge over the two node sets (~10 ns), which no
+/// memo beat in the ledger (DESIGN §5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChiStats {
     pub(crate) lookups: u64,
@@ -162,13 +169,11 @@ pub struct SearchOutcome {
 /// the minimum of the two subtrees' lower bounds; popping a state whose
 /// priority came from the sibling bound pushes the sibling and
 /// re-inserts the state with its own (tighter) bound.
+///
+/// Its costs live in the arena: the prefix's is its link's
+/// [`Link::g`], the sibling's starting cost that of the link's parent.
 #[derive(Debug, Clone, Copy)]
 struct State {
-    /// Exact cost of the prefix *excluding* the last choice — the
-    /// sibling successor re-prices only the last slot.
-    g_before_last: f64,
-    /// Exact cost of the assigned prefix (Λ + Ψ among assigned).
-    g: f64,
     /// The [`Link`] holding the last choice; its parents hold the rest.
     link: u32,
     /// `true` once the sibling subtree has its own frontier entry.
@@ -187,7 +192,15 @@ struct Link {
     /// Entry index in this cluster; [`DELETED`] encodes deletion (only
     /// used for empty clusters).
     choice: u32,
+    /// Exact cost of the prefix that ends at this link (Λ + Ψ among
+    /// its choices).
+    g: f64,
 }
+
+// The frontier moves states, and the arena grows by a link per push: a
+// cost that creeps back into the queued state fails the build here.
+const _: () = assert!(std::mem::size_of::<State>() == 8);
+const _: () = assert!(std::mem::size_of::<Link>() == 16);
 
 const DELETED: u32 = u32::MAX;
 const NO_LINK: u32 = u32::MAX;
@@ -204,13 +217,27 @@ pub const BUDGET_CHECK_INTERVAL: u32 = 16;
 /// search starts, so a χ lookup merges two runs of this arena instead
 /// of reading the index; the clusters no IG edge touches take no part
 /// in any χ and have no runs. The combination forest reads it too.
+///
+/// Each run also has a 64-bit mask, one bit per node ([`node_bit`]):
+/// two runs whose masks share no bit share no node, so [`ChiSets::chi`]
+/// answers 0 for them without the merge. The mask is a property of one
+/// run, computed with it; nothing is remembered between lookups.
 pub(crate) struct ChiSets {
     /// Per cluster, the run of its entry 0 (entry `e` is run
     /// `first + e`); unused for a cluster no IG edge touches.
     first: Vec<usize>,
     /// Run `r` is `nodes[offs[r]..offs[r + 1]]`.
     offs: Vec<usize>,
+    /// Run `r`'s node mask: the [`node_bit`] of each of its nodes.
+    masks: Vec<u64>,
     nodes: Vec<NodeId>,
+}
+
+/// The mask bit of `node`: the top six bits of a multiplicative hash of
+/// its id pick one of 64.
+#[inline]
+fn node_bit(node: NodeId) -> u64 {
+    1 << (u64::from(node.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
 }
 
 impl ChiSets {
@@ -227,11 +254,12 @@ impl ChiSets {
         let mut sets = ChiSets {
             first: Vec::with_capacity(clusters.len()),
             offs: vec![0],
+            masks: Vec::new(),
             nodes: Vec::new(),
         };
         let mut set = Vec::new();
         for (cluster, touched) in clusters.iter().zip(touched) {
-            sets.first.push(sets.offs.len() - 1);
+            sets.first.push(sets.masks.len());
             if !touched {
                 continue;
             }
@@ -240,18 +268,40 @@ impl ChiSets {
                 set.extend_from_slice(index.path_nodes(entry.path_id));
                 set.sort_unstable();
                 set.dedup();
-                sets.nodes.extend_from_slice(&set);
-                sets.offs.push(sets.nodes.len());
+                sets.push_run(&set);
             }
         }
         sets
     }
 
-    /// The node set of entry `entry` of cluster `cluster`.
+    /// Append the run of the sorted, deduplicated node set `set`.
+    fn push_run(&mut self, set: &[NodeId]) {
+        self.masks
+            .push(set.iter().fold(0, |mask, &node| mask | node_bit(node)));
+        self.nodes.extend_from_slice(set);
+        self.offs.push(self.nodes.len());
+    }
+
     #[inline]
-    pub(crate) fn get(&self, cluster: usize, entry: u32) -> &[NodeId] {
-        let run = self.first[cluster] + entry as usize;
+    fn run(&self, run: usize) -> &[NodeId] {
         &self.nodes[self.offs[run]..self.offs[run + 1]]
+    }
+
+    /// `|χ|` of entry `entry_a` of cluster `cluster_a` and entry
+    /// `entry_b` of cluster `cluster_b`: 0 when their masks share no
+    /// bit, the sorted merge of their node sets otherwise.
+    #[inline]
+    pub(crate) fn chi(
+        &self,
+        (cluster_a, entry_a): (usize, u32),
+        (cluster_b, entry_b): (usize, u32),
+    ) -> usize {
+        let a = self.first[cluster_a] + entry_a as usize;
+        let b = self.first[cluster_b] + entry_b as usize;
+        if self.masks[a] & self.masks[b] == 0 {
+            return 0;
+        }
+        chi_count_sorted(self.run(a), self.run(b))
     }
 }
 
@@ -348,7 +398,7 @@ impl<'a> SearchStream<'a> {
         };
         if n > 0 {
             let first = first_choice(&stream.clusters[0]);
-            stream.push_state(NO_LINK, 0.0, 0, first);
+            stream.push_state(NO_LINK, 0, first);
         }
         stream
     }
@@ -412,16 +462,27 @@ impl<'a> SearchStream<'a> {
     /// `self.choices[..depth]`.
     fn load_choices(&mut self, mut link: u32, depth: usize) {
         for slot in (0..depth).rev() {
-            let Link { parent, choice } = self.links[link as usize];
+            let Link { parent, choice, .. } = self.links[link as usize];
             self.choices[slot] = choice;
             link = parent;
         }
     }
 
+    /// The exact cost of the prefix whose last link is `link` (0 for
+    /// the empty prefix, [`NO_LINK`]).
+    #[inline]
+    fn cost_at(&self, link: u32) -> f64 {
+        if link == NO_LINK {
+            0.0
+        } else {
+            self.links[link as usize].g
+        }
+    }
+
     /// Push the state that assigns `choice` to cluster `slot` on top of
-    /// the prefix `self.choices[..slot]`, whose last link is `parent`
-    /// and whose exact cost is `g_prefix`.
-    fn push_state(&mut self, parent: u32, g_prefix: f64, slot: usize, choice: u32) {
+    /// the prefix `self.choices[..slot]`, whose last link is `parent`.
+    fn push_state(&mut self, parent: u32, slot: usize, choice: u32) {
+        let g_prefix = self.cost_at(parent);
         let g = g_prefix
             + choice_cost(
                 &self.choices[..slot],
@@ -445,13 +506,11 @@ impl<'a> SearchStream<'a> {
             own.min(g_prefix + next.lambda() + self.bound[slot + 1])
         });
         let link = u32::try_from(self.links.len()).expect("fewer than 2^32 states are pushed");
-        self.links.push(Link { parent, choice });
+        self.links.push(Link { parent, choice, g });
         self.frontier.push(
             priority,
             slot as u32 + 1,
             State {
-                g_before_last: g_prefix,
-                g,
                 link,
                 sibling_pushed: false,
             },
@@ -494,7 +553,8 @@ impl<'a> SearchStream<'a> {
             self.expansions += 1;
 
             let t = depth as usize;
-            let own = state.g + self.bound[t];
+            let Link { parent, g, .. } = self.links[state.link as usize];
+            let own = g + self.bound[t];
             self.load_choices(state.link, t);
 
             // Materialize the sibling subtree as its own entry (once).
@@ -504,8 +564,7 @@ impl<'a> SearchStream<'a> {
                 if last_choice != DELETED
                     && (last_choice as usize + 1) < self.clusters[last_slot].entries.len()
                 {
-                    let parent = self.links[state.link as usize].parent;
-                    self.push_state(parent, state.g_before_last, last_slot, last_choice + 1);
+                    self.push_state(parent, last_slot, last_choice + 1);
                 }
                 state.sibling_pushed = true;
             }
@@ -520,7 +579,7 @@ impl<'a> SearchStream<'a> {
             if t == n {
                 return Some(materialize(
                     &self.choices,
-                    state.g,
+                    g,
                     self.index,
                     &self.qpaths,
                     &self.ig,
@@ -532,7 +591,7 @@ impl<'a> SearchStream<'a> {
             } else {
                 // Child: assign the next cluster its best entry.
                 let first = first_choice(&self.clusters[t]);
-                self.push_state(state.link, state.g, t, first);
+                self.push_state(state.link, t, first);
             }
 
             if self.frontier.len() > self.config.max_frontier {
@@ -554,7 +613,10 @@ impl<'a> SearchStream<'a> {
             };
             let depth = depth as usize;
             self.load_choices(state.link, depth);
-            frontier.push((self.choices[..depth].to_vec(), state.g));
+            frontier.push((
+                self.choices[..depth].to_vec(),
+                self.links[state.link as usize].g,
+            ));
         }
         frontier
     }
@@ -752,8 +814,8 @@ fn choice_cost(
     cost
 }
 
-/// `|χ(p_i, p_j)|` for two cluster choices (0 if either is deleted):
-/// the sorted merge over their node sets.
+/// `|χ(p_i, p_j)|` for two cluster choices (0 if either is deleted),
+/// counted as one lookup.
 fn pair_chi_p(
     choice_a: u32,
     cluster_a: usize,
@@ -766,10 +828,7 @@ fn pair_chi_p(
         return 0;
     }
     *chi_lookups += 1;
-    chi_count_sorted(
-        chi_sets.get(cluster_a, choice_a),
-        chi_sets.get(cluster_b, choice_b),
-    )
+    chi_sets.chi((cluster_a, choice_a), (cluster_b, choice_b))
 }
 
 /// The answer for the complete assignment `state_choices`, whose
@@ -855,7 +914,9 @@ mod tests {
     use crate::align::AlignmentMode;
     use crate::cluster::{build_clusters, ClusterConfig};
     use crate::qpath::decompose_query;
+    use crate::test_dag::arb_dag_triples;
     use path_index::{ExtractionConfig, NoSynonyms};
+    use proptest::prelude::*;
     use rdf_model::{DataGraph, QueryGraph};
 
     fn figure1_data() -> DataGraph {
@@ -1102,5 +1163,66 @@ mod tests {
         assert_eq!(best.psi(), 0.0);
         assert_eq!(best.score(), 3.0);
         assert!(best.choices.iter().all(|c| c.entry.is_some()));
+    }
+
+    /// One cluster whose entries are `sets`, each sorted and deduplicated.
+    fn chi_sets_of(sets: &[Vec<NodeId>]) -> ChiSets {
+        let mut chi_sets = ChiSets {
+            first: vec![0],
+            offs: vec![0],
+            masks: Vec::new(),
+            nodes: Vec::new(),
+        };
+        for set in sets {
+            let mut set = set.clone();
+            set.sort_unstable();
+            set.dedup();
+            chi_sets.push_run(&set);
+        }
+        chi_sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Over every pair of indexed paths, in both orders, the masked
+        /// lookup is the sorted merge, and disjoint masks mean χ = 0.
+        #[test]
+        fn masked_chi_is_the_sorted_merge(triples in arb_dag_triples(9, 16)) {
+            let index = path_index::MappedIndex::build(
+                DataGraph::from_triples(&triples).expect("ground"),
+            )
+            .expect("small index");
+            let sets: Vec<Vec<NodeId>> = index
+                .all_path_ids()
+                .into_iter()
+                .map(|id| index.path_nodes(id).to_vec())
+                .collect();
+            let chi_sets = chi_sets_of(&sets);
+            for a in 0..sets.len() {
+                for b in 0..sets.len() {
+                    let merged = chi_count_sorted(chi_sets.run(a), chi_sets.run(b));
+                    let masked = chi_sets.chi((0, a as u32), (0, b as u32));
+                    prop_assert_eq!(masked, merged);
+                    if chi_sets.masks[a] & chi_sets.masks[b] == 0 {
+                        prop_assert_eq!(merged, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_masks_of_disjoint_sets_still_merge_to_zero() {
+        let first = NodeId(0);
+        let twin = (1..)
+            .map(NodeId)
+            .find(|&node| node_bit(node) == node_bit(first))
+            .expect("64 bits cannot tell every id apart");
+        let chi_sets = chi_sets_of(&[vec![first], vec![twin]]);
+        assert_ne!(chi_sets.masks[0] & chi_sets.masks[1], 0);
+        assert_eq!(chi_sets.chi((0, 0), (0, 1)), 0);
+        assert_eq!(chi_sets.chi((0, 1), (0, 0)), 0);
+        assert_eq!(chi_sets.chi((0, 0), (0, 0)), 1);
     }
 }
