@@ -342,18 +342,24 @@ fn search<I: IndexLike>(
 }
 
 /// `expansions/truncation/χ lookups/answers/hash of the answer list` —
-/// the hash is FNV-1a over the bit-exact fingerprint lines the other
-/// equivalence tests compare (score, λ, ψ bits, exactness, path ids).
-fn cell(outcome: &SearchOutcome) -> String {
+/// the hash is FNV-1a over bit-exact fingerprint lines (score, λ, ψ
+/// bits, exactness, and each chosen path's node and edge ids, `None` for
+/// a gap). A path is named by its content, not its id, so the table
+/// holds whatever order the index numbers its paths in.
+fn cell<I: IndexLike>(outcome: &SearchOutcome, index: &I) -> String {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for a in &outcome.answers {
+        let paths: Vec<_> = a
+            .path_ids()
+            .into_iter()
+            .map(|id| id.map(|id| (index.path_nodes(id), index.path_edges(id))))
+            .collect();
         let line = format!(
-            "s={:016x} l={:016x} p={:016x} exact={} paths={:?}\n",
+            "s={:016x} l={:016x} p={:016x} exact={} paths={paths:?}\n",
             a.score().to_bits(),
             a.lambda().to_bits(),
             a.psi().to_bits(),
             a.is_exact(),
-            a.path_ids(),
         );
         for byte in line.bytes() {
             hash ^= u64::from(byte);
@@ -395,7 +401,7 @@ fn limit_row<I: IndexLike + Sync>(
             max_frontier: max_frontier.unwrap_or(default.max_frontier),
         };
         let outcome = search(&prepared, index, &config, &QueryBudget::unlimited());
-        write!(out, " {}", cell(&outcome)).unwrap();
+        write!(out, " {}", cell(&outcome, index)).unwrap();
     }
     out.push('\n');
 }
@@ -470,7 +476,7 @@ fn cancel_row<I: IndexLike + Sync>(
         let budget = QueryBudget::unlimited().cancelled_by(token);
         let outcome = search(&prepared, index, &SearchConfig::default(), &budget);
         TRIP.set(None);
-        write!(out, " {}", cell(&outcome)).unwrap();
+        write!(out, " {}", cell(&outcome, index)).unwrap();
     }
     out.push('\n');
 }
