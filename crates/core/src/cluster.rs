@@ -495,10 +495,9 @@ struct Fill {
 
 /// The cluster-fill kernel: the entries of `chunk` that make the
 /// `cap`-entry cut of a stable sort by λ. `chunk` is in path-content
-/// order (every [`IndexLike`] list is), so candidate position *is* the
-/// content tie-break: the cut is the paper's `(λ, path content)` one,
-/// the same entry set whatever the path ids — an index rebuilt after an
-/// update numbers its paths differently.
+/// order (every [`IndexLike`] list is: its ids ascend, and an index
+/// numbers its paths in content order), so candidate position *is* the
+/// content tie-break: the cut is the paper's `(λ, path content)` one.
 ///
 /// `budget` is polled every [`ALIGN_CHECK_INTERVAL`]-th candidate, the
 /// first included; on expiry the rest of the chunk is skipped.

@@ -101,6 +101,39 @@ impl Pools {
         &self.shape_labels[self.shape_offs[s]..self.shape_offs[s + 1]]
     }
 
+    /// These paths renumbered ascending by `(nodes, edges)`, shapes by
+    /// first occurrence in the new order. Extraction emits paths grouped
+    /// by source, sources ascending: sorting each group is all it takes.
+    fn in_content_order(self) -> Pools {
+        let key = |id: &PathId| (self.nodes_of(*id), self.edges_of(*id));
+        let mut order: Vec<PathId> = (0..self.len() as u32).map(PathId).collect();
+        for run in order.chunk_by_mut(|a, b| key(a).0[0] == key(b).0[0]) {
+            run.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        }
+        debug_assert!(order.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        let mut out = Pools::default();
+        out.offs.reserve_exact(self.len());
+        out.nodes.reserve_exact(self.nodes.len());
+        out.edges.reserve_exact(self.edges.len());
+        out.shapes.reserve_exact(self.len());
+        // Old shape id → new, `u32::MAX` before the shape's first path.
+        let mut renamed = vec![u32::MAX; self.shape_offs.len() - 1];
+        for id in order {
+            out.nodes.extend_from_slice(self.nodes_of(id));
+            out.edges.extend_from_slice(self.edges_of(id));
+            out.offs.push(out.nodes.len());
+            let old = self.shapes[id.index()];
+            let new = &mut renamed[old as usize];
+            if *new == u32::MAX {
+                *new = (out.shape_offs.len() - 1) as u32;
+                out.shape_labels.extend_from_slice(self.shape(old));
+                out.shape_offs.push(out.shape_labels.len());
+            }
+            out.shapes.push(*new);
+        }
+        out
+    }
+
     /// Path `id`'s labels, its node labels read through `node_table`,
     /// the label of every node of the graph.
     #[inline]
@@ -187,7 +220,7 @@ impl PoolBuilder<'_> {
 }
 
 /// Path ids by label id: the run of label `l` is
-/// `ids[offs[l]..offs[l + 1]]`, in path-content order.
+/// `ids[offs[l]..offs[l + 1]]`, ids ascending.
 #[derive(Debug, Clone)]
 pub(crate) struct Postings {
     pub(crate) offs: Vec<usize>,
@@ -195,19 +228,19 @@ pub(crate) struct Postings {
 }
 
 impl Postings {
-    /// Count each path once per distinct label `labels` yields for it,
-    /// then fill the runs walking `order`, so each run keeps its order.
+    /// Count each of `path_count` paths once per distinct label `labels`
+    /// yields for it, then fill the runs walking ids up.
     fn build<L: Iterator<Item = LabelId>>(
         vocab_len: usize,
-        order: &[PathId],
+        path_count: usize,
         labels: impl Fn(PathId) -> L,
     ) -> Postings {
-        // `stamp[l]` is the last position in `order` that counted `l`.
-        let mut stamp = vec![usize::MAX; vocab_len];
+        // `stamp[l]` is the last path that counted `l`.
+        let mut stamp = vec![u32::MAX; vocab_len];
         let mut offs = vec![0usize; vocab_len + 1];
-        for (pos, &id) in order.iter().enumerate() {
+        for id in (0..path_count as u32).map(PathId) {
             for label in labels(id) {
-                if std::mem::replace(&mut stamp[label.index()], pos) != pos {
+                if std::mem::replace(&mut stamp[label.index()], id.0) != id.0 {
                     offs[label.index() + 1] += 1;
                 }
             }
@@ -218,11 +251,11 @@ impl Postings {
         // Fill with `offs[l]` as the cursor of run `l`, which leaves it
         // at the run's end: the start of `l + 1`.
         let mut ids = vec![PathId(0); offs[vocab_len]];
-        stamp.fill(usize::MAX);
-        for (pos, &id) in order.iter().enumerate() {
+        stamp.fill(u32::MAX);
+        for id in (0..path_count as u32).map(PathId) {
             for label in labels(id) {
                 let l = label.index();
-                if std::mem::replace(&mut stamp[l], pos) != pos {
+                if std::mem::replace(&mut stamp[l], id.0) != id.0 {
                     ids[offs[l]] = id;
                     offs[l] += 1;
                 }
@@ -246,15 +279,13 @@ impl Postings {
 /// holds it: the input to [`crate::encode_v2`], and what
 /// [`crate::decode_v2`] gives back for an update.
 ///
-/// Every list of path ids it hands out — postings, `content_order` — is
-/// in *path-content order*: ascending by `(nodes, edges)`. Two distinct
-/// paths never share both, so the order is strict.
+/// Its path ids are *path-content order*: path `i` is the `i`-th by
+/// `(nodes, edges)` ascending (two paths never share both), so every
+/// posting list, its ids ascending, is in content order.
 #[derive(Debug, Clone)]
 pub struct PathIndex {
     graph: DataGraph,
     pools: Pools,
-    /// Every path id, in path-content order.
-    order: Vec<PathId>,
     /// label → paths containing it (as node or edge label).
     by_label: Postings,
     /// sink label → paths ending in it.
@@ -269,8 +300,8 @@ impl PathIndex {
     }
 
     /// Build with explicit extraction limits: extract into the pools,
-    /// then order the paths and fill the label and sink postings in
-    /// that order.
+    /// renumber the paths in content order, and fill the label and sink
+    /// postings.
     pub fn build_with_config(graph: DataGraph, config: &ExtractionConfig) -> Self {
         let build_span = sama_obs::span!(sama_obs::metrics::INDEX_BUILD_NS);
         let start = Instant::now();
@@ -282,7 +313,7 @@ impl PathIndex {
             edge_labels: Vec::new(),
         };
         let counts = extract_into(g, config, |nodes, edges| builder.push(nodes, edges));
-        let pools = builder.pools;
+        let pools = builder.pools.in_content_order();
         // Table 1's hypergraph: a vertex per node, a hyperedge per node
         // with out-neighbours (its star) and per path.
         let stars = g.nodes().filter(|&n| !g.out_edges(n).is_empty()).count();
@@ -296,22 +327,20 @@ impl PathIndex {
             depth_truncated: counts.depth_truncated,
             dropped: counts.dropped,
         };
-        let order = content_order(&pools);
         let vocab_len = graph.vocab().len();
         let node_table = g.node_labels();
-        let by_label = Postings::build(vocab_len, &order, |id| {
+        let by_label = Postings::build(vocab_len, pools.len(), |id| {
             let labels = pools.labels_of(id, node_table);
             labels
                 .node_labels()
                 .chain(labels.edge_labels.iter().copied())
         });
-        let by_sink = Postings::build(vocab_len, &order, |id| {
+        let by_sink = Postings::build(vocab_len, pools.len(), |id| {
             std::iter::once(pools.labels_of(id, node_table).sink_label())
         });
         let mut index = PathIndex {
             graph,
             pools,
-            order,
             by_label,
             by_sink,
             stats,
@@ -324,8 +353,8 @@ impl PathIndex {
         index
     }
 
-    /// Copy a validated image's path store, order and postings back
-    /// into pools (used by [`crate::decode_v2`]).
+    /// Copy a validated image's path store and postings back into
+    /// pools (used by [`crate::decode_v2`]).
     pub(crate) fn from_view(view: &IndexView<'_>, graph: DataGraph, stats: IndexStats) -> Self {
         let widen = |offs: &[u32]| offs.iter().map(|&o| o as usize).collect();
         let pools = Pools {
@@ -337,7 +366,6 @@ impl PathIndex {
             shape_labels: view.shape_labels.to_vec(),
         };
         PathIndex {
-            order: view.path_order.to_vec(),
             by_label: Postings {
                 offs: widen(view.label_offs),
                 ids: view.label_posts.to_vec(),
@@ -394,13 +422,6 @@ impl PathIndex {
     #[inline]
     pub fn shape_count(&self) -> usize {
         self.pools.shape_offs.len() - 1
-    }
-
-    /// Every path id, in path-content order (the v2 encoder's
-    /// `path-order` section).
-    #[inline]
-    pub fn content_order(&self) -> &[PathId] {
-        &self.order
     }
 
     /// Paths containing `label` anywhere (node or edge position).
@@ -464,22 +485,6 @@ impl PathIndex {
     }
 }
 
-/// The path ids ascending by `(nodes, edges)`. Extraction emits paths
-/// grouped by source, sources ascending, so sorting each source's run
-/// is all it takes; the final check confirms that, and a list that came
-/// some other way gets the full sort.
-fn content_order(pools: &Pools) -> Vec<PathId> {
-    let key = |id: &PathId| (pools.nodes_of(*id), pools.edges_of(*id));
-    let mut order: Vec<PathId> = (0..pools.len() as u32).map(PathId).collect();
-    for run in order.chunk_by_mut(|a, b| key(a).0[0] == key(b).0[0]) {
-        run.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
-    }
-    if !order.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
-        order.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,10 +532,11 @@ mod tests {
     }
 
     #[test]
-    fn pools_hold_what_extraction_emits() {
+    fn pools_hold_what_extraction_emits_in_content_order() {
         let idx = sample_index();
         let g = idx.graph().as_graph();
-        let paths = extract_paths(g, &ExtractionConfig::default()).paths;
+        let mut paths = extract_paths(g, &ExtractionConfig::default()).paths;
+        paths.sort_by(|a, b| (&a.nodes, &a.edges).cmp(&(&b.nodes, &b.edges)));
         assert_eq!(paths.len(), idx.path_count());
         for (path, (_, ip)) in paths.iter().zip(idx.paths()) {
             assert_eq!(ip.nodes, &*path.nodes);

@@ -97,11 +97,11 @@ pub trait IndexLike {
 
     /// Paths whose sink carries one of `labels`, each once.
     ///
-    /// This and the two lists below are in *path-content order*: strictly
-    /// ascending by `(path_nodes, path_edges)` (distinct paths never
-    /// share both). The cluster fill relies on it — a candidate's
-    /// position is its tie-break, and a fill whose heap is full at λ = 0
-    /// stops there.
+    /// This and the two lists below are strictly ascending path ids,
+    /// which is *path-content order*: ids are numbered ascending by
+    /// `(path_nodes, path_edges)`. The cluster fill relies on it — a
+    /// candidate's position is its tie-break, and a fill whose heap is
+    /// full at λ = 0 stops there.
     ///
     /// The list of a single label is its stored posting list, borrowed
     /// from the index; only a union of several labels' lists (a synonym
@@ -113,9 +113,10 @@ pub trait IndexLike {
     /// [`IndexLike::paths_ending_in`].
     fn paths_containing(&self, labels: &[LabelId]) -> Cow<'_, [PathId]>;
 
-    /// Every path id (the clustering full-scan fallback), in path-content
-    /// order.
-    fn all_path_ids(&self) -> Vec<PathId>;
+    /// Every path id (the clustering full-scan fallback), ascending.
+    fn all_path_ids(&self) -> Vec<PathId> {
+        (0..self.total_paths() as u32).map(PathId).collect()
+    }
 
     /// Banding shape of the attached MinHash/LSH candidate tier (see
     /// [`crate::lsh`]), or `None` when the index has no LSH structure

@@ -15,7 +15,7 @@ use std::fmt;
 /// result). Dense, starting at zero.
 ///
 /// `repr(transparent)` over `u32`, like [`rdf_model::NodeId`]: the
-/// mapped index hands out its stored postings and path order as
+/// mapped index hands out its stored postings as
 /// `&[PathId]` cast from the image's `u32` arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]

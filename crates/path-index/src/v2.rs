@@ -6,9 +6,9 @@
 //! place** from a single read-only mapping:
 //!
 //! ```text
-//! header   magic b"SAMAIDX2", u32 version (4), u32 section count,
+//! header   magic b"SAMAIDX2", u32 version (5), u32 section count,
 //!          u64 file length                                  (24 bytes)
-//! table    22 × { u64 offset, u64 length }                 (352 bytes)
+//! table    21 × { u64 offset, u64 length }                 (336 bytes)
 //! sections each 8-byte aligned, in table order:
 //!   0 counts        u64 × 5  (vocab, nodes, edges, paths,
 //!                             path-node pool)
@@ -29,22 +29,20 @@
 //!  13 shape-labels  u32 × shape pool       edge labels, one copy per
 //!                                          distinct sequence
 //!  14 label-offs    u32 × vocab+1          label-posts offsets (CSR)
-//!  15 label-posts   u32 × n                postings (path ids, in
-//!                                          path-content order)
+//!  15 label-posts   u32 × n                postings (path ids,
+//!                                          ascending)
 //!  16 sink-offs     u32 × vocab+1          sink-posts offsets (CSR)
-//!  17 sink-posts    u32 × n                postings (path ids, in
-//!                                          path-content order)
+//!  17 sink-posts    u32 × n                postings (path ids,
+//!                                          ascending)
 //!  18 stats         u64 × 7                Table 1 numbers
 //!  19 ic-counts     u64 × vocab+1          label occurrence counts
 //!                                          (total first) for the
 //!                                          IC-weighted cost model
-//!  20 path-order    u32 × paths            every path id, in
-//!                                          path-content order
-//!  21 constants     u32 × cap              constant → label id,
+//!  20 constants     u32 × cap              constant → label id,
 //!                                          open addressing
 //! ```
 //!
-//! The image stores each path's nodes once, in path order, and nothing
+//! The image stores each path's nodes once, source end first, and nothing
 //! that follows from them. The conformity function `χ` intersects node
 //! *sets*; the combination search sorts the node lists of the paths it
 //! combines itself, once per query (`sama_core::search`), so no per-path
@@ -53,34 +51,31 @@
 //! per-path label copy is stored either.
 //!
 //! *Path-content order* is ascending by `(path-nodes, path-edges)` of
-//! each path — what the cluster fill breaks λ ties by. Every postings
-//! run and the path-order section list their ids in it, so a candidate
-//! list read from this file is already sorted for the fill
-//! (`IndexLike::paths_ending_in`). Path ids themselves stay in extraction
-//! order.
+//! each path — what the cluster fill breaks λ ties by. Path ids are
+//! numbered in it: path `i` is the `i`-th by content. Every postings run
+//! lists its ids strictly ascending, so a candidate list read from this
+//! file is already in content order for the fill
+//! (`IndexLike::paths_ending_in`).
 //!
 //! A path's edge labels are its *shape*: the sequence is interned at
-//! build time and stored once in the shape pool (sections 13/14), and
-//! each path carries only the id (section 12). LUBM-like data has tens
+//! build time and stored once in the shape pool (`shape-offsets` and
+//! `shape-labels`), and each path carries only the shape's id
+//! (`path-shapes`). LUBM-like data has tens
 //! of distinct sequences under hundreds of thousands of paths, so this
 //! is both the smaller encoding and what lets the cluster fill score a
 //! shape once instead of a path at a time (`IndexLike::path_shape`).
 //!
 //! Formats this crate used to write — `SAMAIDX1`, the compressed
-//! `SAMAIDXZ`, every version-2 `SAMAIDX2` image (a 20- or 21-entry
-//! section table from before the shape table, 23 entries from before
-//! path-content order, 24 from before the stored constant table, 25
-//! with a sorted copy of every path's nodes) and every version-3 one
-//! (23 entries, with a copy of every path's node labels) — are
-//! recognised from their header and refused with
-//! [`StorageError::LegacyLayout`]: an
-//! index is a pure function of its RDF source, so the remedy is
-//! `sama index`, not a reader kept alive per retired layout.
+//! `SAMAIDXZ`, and every `SAMAIDX2` image of versions 2 to 4 (DESIGN.md
+//! §14 lists their layouts) — are recognised from their header and
+//! refused with [`StorageError::LegacyLayout`]: an index is a pure
+//! function of its RDF source, so the remedy is `sama index`, not a
+//! reader kept alive per retired layout.
 //!
 //! Every lookup is stored in the form it is read in, so lookups on
 //! load need **no rebuild and no allocation**. The label and sink maps
 //! are CSR like the path store: label `l`'s postings are
-//! `posts[offs[l]..offs[l + 1]]`. The constant table (section 22) maps
+//! `posts[offs[l]..offs[l + 1]]`. The `constant-table` section maps
 //! a query constant to its label: power-of-two open addressing with
 //! linear probing over label ids, at most half full, empty slot
 //! `u32::MAX`. A constant's home slot is the high bits of the Fx hash
@@ -91,7 +86,7 @@
 //!
 //! Opening ([`MappedIndex::open`]) maps the file (via the vendored
 //! `memmap2` shim; [`MappedIndex::from_bytes`] is the pure in-memory
-//! fallback), parses the 376-byte header, and runs one allocation-free
+//! fallback), parses the 360-byte header, and runs one allocation-free
 //! validation pass — a fold per check over its array, which vectorises
 //! — so every later accessor can index without panicking on corrupt
 //! data. The data graph itself
@@ -121,13 +116,13 @@ use std::time::Duration;
 
 /// The format magic.
 pub const MAGIC2: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 4;
-const SECTION_COUNT: usize = 22;
+const VERSION: u32 = 5;
+const SECTION_COUNT: usize = 21;
 /// Magics of the two retired formats, and the versions every earlier
 /// `SAMAIDX2` layout was written as: [`Layout::parse`] refuses all of
 /// them.
 const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SAMAIDX1", b"SAMAIDXZ"];
-const RETIRED_VERSIONS: [u32; 2] = [2, 3];
+const RETIRED_VERSIONS: [u32; 3] = [2, 3, 4];
 const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
 /// The counts section: five `u64`s.
@@ -155,8 +150,7 @@ const S_SINK_OFFS: usize = 16;
 const S_SINK_POSTS: usize = 17;
 const S_STATS: usize = 18;
 const S_IC_COUNTS: usize = 19;
-const S_PATH_ORDER: usize = 20;
-const S_CONSTANTS: usize = 21;
+const S_CONSTANTS: usize = 20;
 
 /// Human-readable section names, table order (for `sama index --stats`).
 pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -180,7 +174,6 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "sink-postings",
     "stats",
     "ic-counts",
-    "path-order",
     "constant-table",
 ];
 
@@ -323,7 +316,6 @@ impl Plan {
         sizes[S_SINK_POSTS] = sink.ids.len() * 4;
         sizes[S_STATS] = 56;
         sizes[S_IC_COUNTS] = (vocab.len() + 1) * 8;
-        sizes[S_PATH_ORDER] = paths * 4;
         sizes[S_CONSTANTS] = constant_slots(vocab.len()) * 4;
 
         let mut sec = [(0, 0); SECTION_COUNT];
@@ -501,9 +493,7 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
     ]);
     // 19: ic counts.
     w.section().copy_from_slice(&index.ic_counts().to_bytes());
-    // 20: path-content order.
-    w.u32s(index.content_order().iter().map(|id| id.0));
-    // 21: the constant table.
+    // 20: the constant table.
     w.constants(vocab);
     assert_eq!(w.next, SECTION_COUNT, "every section written");
 }
@@ -674,7 +664,6 @@ impl Layout {
         }
         let shape_count = offs / 4 - 1;
         expect(S_IC_COUNTS, (vocab_len + 1) * 8, "ic counts section size")?;
-        expect(S_PATH_ORDER, path_count * 4, "path order section size")?;
         expect(
             S_CONSTANTS,
             constant_slots(vocab_len) * 4,
@@ -740,7 +729,6 @@ impl Layout {
             sink_offs: self.u32s(bytes, S_SINK_OFFS),
             sink_posts: as_path_ids(self.u32s(bytes, S_SINK_POSTS)),
             ic_counts: cast_u64s(self.bytes_of(bytes, S_IC_COUNTS)),
-            path_order: as_path_ids(self.u32s(bytes, S_PATH_ORDER)),
         }
     }
 }
@@ -838,7 +826,7 @@ enum Block {
     PathEdges,
     /// The shape pool and each path's shape.
     Shapes,
-    /// Both inverted maps and the path order (the helper's).
+    /// Both inverted maps (the helper's).
     Postings,
     /// The IC counts and their checksum.
     IcCounts,
@@ -868,7 +856,6 @@ pub struct IndexView<'a> {
     pub(crate) sink_offs: &'a [u32],
     pub(crate) sink_posts: &'a [PathId],
     ic_counts: &'a [u64],
-    pub(crate) path_order: &'a [PathId],
 }
 
 impl<'a> IndexView<'a> {
@@ -899,22 +886,24 @@ impl<'a> IndexView<'a> {
     /// once: the calling thread checks the vocabulary, the constant
     /// table, the graph arrays, the path offsets and nodes, the shapes
     /// (which rely on the path offsets) and the IC counts; one scoped
-    /// helper thread checks the path-edge pool, both inverted maps and
-    /// the path order, which rely on the section sizes alone. The pass
-    /// is bound by memory bandwidth, and two cores read the image in
+    /// helper thread checks the path-edge pool and both inverted maps,
+    /// which rely on the section sizes alone. The pass is bound by
+    /// memory bandwidth, and two cores read the image in
     /// about two thirds of the time one does. The helper is joined
     /// before the pass returns. When the OS refuses the thread, the
     /// calling thread runs both halves.
     ///
     /// Each check is a fold over its whole section with no early exit
-    /// ([`all_below`], [`pairs`]), which the compiler vectorises. Two of
-    /// them test an equivalent, cheaper property:
+    /// ([`all_below`], [`pairs`]), which the compiler vectorises. Three
+    /// of them test an equivalent, cheaper property:
     ///
     /// * every vocabulary entry is UTF-8 ⇔ the whole blob is and no
     ///   entry offset lands on a continuation byte (the offsets are
     ///   already known to be monotone and to span the blob);
     /// * no data label is a variable ⇔ trivially, when no vocabulary
-    ///   entry is one, so the per-label kind gather runs only otherwise.
+    ///   entry is one, so the per-label kind gather runs only otherwise;
+    /// * each posting run strictly ascends ⇔ every descent between
+    ///   neighbours of the section lies where a run begins.
     ///
     /// One block interleaves checks with different messages (a path's
     /// shape id against its length). A fold there only says that
@@ -1107,7 +1096,9 @@ impl<'a> IndexView<'a> {
     }
 
     /// Inverted maps: CSR offsets spanning their postings, path ids in
-    /// range; and the path order: path ids in range.
+    /// range, and each run strictly ascending — content order, with no
+    /// path listed twice, which [`MappedIndex::union_of`] and the
+    /// cluster fill rely on.
     fn check_postings(&self) -> Result<(), StorageError> {
         let corrupt = StorageError::Corrupt;
         let path_count = self.layout.path_count;
@@ -1134,9 +1125,16 @@ impl<'a> IndexView<'a> {
             if !all_below(posts.iter().map(|p| p.0), path_count) {
                 return Err(corrupt("posting out of range"));
             }
-        }
-        if !all_below(self.path_order.iter().map(|p| p.0), path_count) {
-            return Err(corrupt("path order entry out of range"));
+            // Every run ascends strictly ⇔ each descent between neighbours
+            // lies where a run begins (counts fit `u32`, as `offs` does).
+            let descents = pairs(posts).fold(0u32, |n, (a, b)| n + u32::from(a.0 >= b.0));
+            let at_run_starts = pairs(offs).fold(0u32, |n, (a, b)| {
+                let a = a as usize;
+                n + u32::from(0 < a && a < b as usize && posts[a - 1].0 >= posts[a].0)
+            });
+            if descents != at_run_starts {
+                return Err(corrupt("posting run not strictly ascending"));
+            }
         }
         Ok(())
     }
@@ -1154,7 +1152,7 @@ impl<'a> IndexView<'a> {
         Ok(())
     }
 
-    /// Name the first path, in path order, whose shape id is out of
+    /// Name the first path, in path-id order, whose shape id is out of
     /// range or whose shape is not one label per edge long — run once
     /// [`IndexView::check_shapes`]' fold has found that one is.
     fn first_shape_fault(&self) -> Result<(), StorageError> {
@@ -1544,11 +1542,11 @@ impl MappedIndex {
         matches!(self.backing, Backing::Mapped(_))
     }
 
-    /// The paths `postings` lists for any of `labels`, in path-content
-    /// order and deduplicated — the admission rule behind
+    /// The paths `postings` lists for any of `labels`, ids ascending
+    /// and deduplicated — the admission rule behind
     /// [`IndexLike::paths_ending_in`] and [`IndexLike::paths_containing`].
-    /// One non-empty posting list is in content order and duplicate-free
-    /// as stored, so it is lent straight out of the image; only a union
+    /// One non-empty posting list is strictly ascending as stored (open
+    /// checked), so it is lent straight out of the image; only a union
     /// of several is merged into an owned list.
     fn union_of(
         &self,
@@ -1565,7 +1563,7 @@ impl MappedIndex {
             (Some(first), Some(second)) => {
                 let mut out = [first, second].concat();
                 runs.for_each(|run| out.extend_from_slice(run));
-                out.sort_unstable_by_key(|&p| (self.path_nodes(p), self.path_edges(p)));
+                out.sort_unstable();
                 out.dedup();
                 Cow::Owned(out)
             }
@@ -1687,11 +1685,6 @@ impl IndexLike for MappedIndex {
         self.union_of(labels, IndexView::paths_with_label)
     }
 
-    /// The stored path-order section: every id in range, as open checked.
-    fn all_path_ids(&self) -> Vec<PathId> {
-        self.view.path_order.to_vec()
-    }
-
     fn lsh_params(&self) -> Option<crate::lsh::LshParams> {
         self.lsh.as_ref().map(|sidecar| sidecar.params())
     }
@@ -1778,7 +1771,6 @@ mod tests {
                 assert_eq!(loaded.path(id), ip);
                 assert_eq!(loaded.path_shape(id), idx.path_shape(id));
             }
-            assert_eq!(loaded.content_order(), idx.content_order());
             assert_eq!(encode_v2(&loaded).unwrap(), bytes);
             assert_eq!(loaded.stats().triples, idx.stats().triples);
             assert_eq!(loaded.stats().serialized_bytes, Some(bytes.len()));
@@ -1839,7 +1831,11 @@ mod tests {
             assert_eq!(IndexLike::path_shape(&mapped, id), idx.path_shape(id));
         }
         assert_shapes_partition_by_edge_labels(&mapped);
-        assert_eq!(mapped.all_path_ids(), idx.content_order());
+        let ids = mapped.all_path_ids();
+        assert!(ids.iter().map(|id| id.0).eq(0..idx.path_count() as u32));
+        // Path ids are numbered in content order.
+        let content = |id: &PathId| (mapped.path_nodes(*id), mapped.path_edges(*id));
+        assert!(ids.windows(2).all(|w| content(&w[0]) < content(&w[1])));
         // Stored inverted maps agree with the built ones.
         for probe in ["p", "q", "m1", "leaf 2", "absent"] {
             let label = idx.graph().vocab().get_constant(probe);

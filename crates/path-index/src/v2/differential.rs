@@ -110,7 +110,8 @@ impl IndexView<'_> {
             }
         }
 
-        // Inverted maps: CSR offsets spanning their postings.
+        // Inverted maps: CSR offsets spanning their postings, each run
+        // strictly ascending.
         for (offs, posts, span, monotone) in [
             (
                 self.label_offs,
@@ -134,9 +135,12 @@ impl IndexView<'_> {
             if posts.iter().any(|p| p.index() >= l.path_count) {
                 return Err(corrupt("posting out of range"));
             }
-        }
-        if self.path_order.iter().any(|p| p.index() >= l.path_count) {
-            return Err(corrupt("path order entry out of range"));
+            for w in offs.windows(2) {
+                let run = &posts[w[0] as usize..w[1] as usize];
+                if run.windows(2).any(|pair| pair[0] >= pair[1]) {
+                    return Err(corrupt("posting run not strictly ascending"));
+                }
+            }
         }
 
         // IC counts: the stored total must equal the summed counts — a
@@ -249,14 +253,22 @@ fn a_fault_in_each_half_reports_the_first_in_check_order() {
         let edge = (S_PATH_EDGES, edges, u32::MAX);
         let shape = (S_PATH_SHAPES, 0, u32::MAX);
         let posting = (S_LABEL_POSTS, posts, u32::MAX);
-        let order = (S_PATH_ORDER, 0, u32::MAX);
+        // The second entry of the first label run of two or more, set to
+        // the first: a path listed twice.
+        let run_start = |l: usize| word_at(bytes, word_in(bytes, S_LABEL_OFFS, l)) as usize;
+        let at = (0..)
+            .map(|l| (run_start(l), run_start(l + 1)))
+            .find_map(|(a, b)| (b >= a + 2).then_some(a))
+            .expect("a label on two paths");
+        let first_entry = word_at(bytes, word_in(bytes, S_LABEL_POSTS, at));
+        let repeat = (S_LABEL_POSTS, at + 1, first_entry);
         // Each boundary between the halves, the earlier fault named.
         for (faults, first) in [
             ([node, edge], "path node out of range"),
             ([edge, shape], "path edge out of range"),
             ([shape, posting], "path shape out of range"),
             ([posting, ic_total], "posting out of range"),
-            ([order, ic_total], "path order entry out of range"),
+            ([repeat, ic_total], "posting run not strictly ascending"),
         ] {
             for fault in faults {
                 let what = format!("{first}: one fault alone");
@@ -326,7 +338,7 @@ fn every_word_set_to_an_edge_value_gets_the_same_result() {
             "corrupt index: label offsets do not span postings",
             "corrupt index: label offsets not monotone",
             "corrupt index: sink offsets not monotone",
-            "corrupt index: path order entry out of range",
+            "corrupt index: posting run not strictly ascending",
             "corrupt index: ic counts checksum mismatch",
         ] {
             assert!(seen.contains(message), "no mutation reached {message:?}");

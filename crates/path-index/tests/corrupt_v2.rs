@@ -34,8 +34,12 @@
 //!   pool's length, and a path's shape has one label per edge; its node
 //!   labels are read through the node-label section, so every path node
 //!   is a node id in range and every node label a label id in range;
-//! * `all_path_ids` — every entry of the path-order section is a path
-//!   id in range (the probe reads each listed path).
+//! * `all_path_ids` — the ids below the path count, each of which names
+//!   a path (the probe reads each listed path).
+//!
+//! The candidate lists lean on one more: every posting is a path id in
+//! range and every run lists its ids strictly ascending — content order,
+//! each path once.
 //!
 //! The formats this crate no longer reads are refused by name, from the
 //! header alone, by every reader.
@@ -67,7 +71,7 @@ fn sample_bytes() -> Vec<u8> {
 }
 
 const HEADER_LEN: usize = 24;
-const SECTIONS: usize = 22;
+const SECTIONS: usize = 21;
 const VOCAB_KINDS: usize = 1;
 const VOCAB_OFFSETS: usize = 2;
 const VOCAB_BLOB: usize = 3;
@@ -81,8 +85,7 @@ const LABEL_POSTINGS: usize = 15;
 const SINK_OFFSETS: usize = 16;
 const SINK_POSTINGS: usize = 17;
 const IC_COUNTS: usize = 19;
-const PATH_ORDER: usize = 20;
-const CONSTANT_TABLE: usize = 21;
+const CONSTANT_TABLE: usize = 20;
 
 /// Byte `(offset, length)` of section `index`, from the table.
 fn section(bytes: &[u8], index: usize) -> (usize, usize) {
@@ -212,8 +215,10 @@ fn retired_formats_are_refused_from_the_header_alone() {
     // order (its postings are in path-id order, which the cluster fill
     // would take for content order); 24 from before the stored constant
     // table (postings behind hash tables); 25 with a sorted copy of
-    // every path's nodes. And the header of version 3, announcing 23
-    // sections: an image with a copy of every path's node labels.
+    // every path's nodes. The header of version 3, announcing 23
+    // sections: an image with a copy of every path's node labels. And
+    // the header of version 4, announcing 22: path ids in extraction
+    // order, beside a `path-order` section listing them by content.
     let old_header = |version: u32, sections: u32| {
         let mut header = MAGIC2.to_vec();
         header.extend_from_slice(&version.to_le_bytes());
@@ -230,6 +235,7 @@ fn retired_formats_are_refused_from_the_header_alone() {
         old_header(2, 24),
         old_header(2, 25),
         old_header(3, 23),
+        old_header(4, 22),
     ];
     for identifying in &retired {
         // Refused as soon as the identifying bytes are all there,
@@ -401,37 +407,6 @@ fn every_shape_table_violation_is_typed() {
     }
 }
 
-#[test]
-fn a_path_order_entry_out_of_range_is_typed() {
-    let bytes = sample_bytes();
-    let (off, len) = section(&bytes, PATH_ORDER);
-    let paths = section(&bytes, PATH_SHAPES).1 / 4;
-    assert_eq!(len, 4 * paths, "one entry per path");
-    // The order is a permutation of the path ids, stored as written.
-    let mut order: Vec<u32> = bytes[off..off + len]
-        .chunks_exact(4)
-        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-        .collect();
-    let mapped = MappedIndex::from_bytes(&bytes).unwrap();
-    let listed: Vec<u32> = mapped.all_path_ids().iter().map(|p| p.0).collect();
-    assert_eq!(listed, order);
-    order.sort_unstable();
-    assert!(order.iter().copied().eq(0..paths as u32));
-
-    for (entry, value) in [(0, paths as u32), (paths - 1, u32::MAX)] {
-        let mut mutated = bytes.clone();
-        let at = off + 4 * entry;
-        mutated[at..at + 4].copy_from_slice(&value.to_le_bytes());
-        for outcome in readers(&mutated) {
-            assert_eq!(
-                outcome,
-                Err(StorageError::Corrupt("path order entry out of range")),
-                "entry {entry} = {value}"
-            );
-        }
-    }
-}
-
 // Targeted images for the checks the validation pass tests through an
 // equivalent property (DESIGN §14 "Open path"): one image that the
 // equivalence must reject and, where one exists, one it must let
@@ -597,6 +572,48 @@ fn every_postings_offset_violation_is_typed() {
                 &bytes,
                 Err(StorageError::Corrupt(message)),
                 &format!("{message}: {fault:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_posting_run_out_of_order_is_typed() {
+    let bytes = sample_bytes();
+    for (offsets, postings) in [
+        (LABEL_OFFSETS, LABEL_POSTINGS),
+        (SINK_OFFSETS, SINK_POSTINGS),
+    ] {
+        let labels = section(&bytes, offsets).1 / 4 - 1;
+        let run = |l: usize| {
+            word_of(&bytes, offsets, l) as usize..word_of(&bytes, offsets, l + 1) as usize
+        };
+        let post = |i: usize| word_of(&bytes, postings, i);
+        // Runs ascend each on its own: a path listed under several
+        // labels puts a descent between two label runs, in an image
+        // that opens.
+        if postings == LABEL_POSTINGS {
+            let posts = section(&bytes, postings).1 / 4;
+            assert!((1..posts).any(|i| post(i - 1) > post(i)));
+        }
+        let first = (0..labels)
+            .map(run)
+            .find(|r| r.len() >= 2)
+            .expect("a label on two paths")
+            .start;
+        let (a, b) = (post(first), post(first + 1));
+        for (faults, what) in [
+            (
+                vec![(postings, first, b), (postings, first + 1, a)],
+                "two adjacent entries swapped",
+            ),
+            (vec![(postings, first + 1, a)], "one entry repeated"),
+        ] {
+            assert_readers(
+                &set_words(&bytes, &faults),
+                &bytes,
+                Err(StorageError::Corrupt("posting run not strictly ascending")),
+                &format!("section {postings}: {what}"),
             );
         }
     }

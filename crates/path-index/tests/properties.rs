@@ -151,11 +151,13 @@ fn update_is_fresh_build_on_every_known_shape() {
 }
 
 /// The image of `triples` read back through [`MappedIndex::labels`]:
-/// path `i`'s label sequences are those of extraction's `i`-th path, its
-/// node labels gathered through the node-label section.
+/// path `i`'s label sequences are those of the `i`-th extracted path by
+/// `(nodes, edges)` — ids are numbered in content order — its node
+/// labels gathered through the node-label section.
 fn assert_mapped_labels_are_extracted(triples: &[Triple]) {
     let data = DataGraph::from_triples(triples).expect("ground");
-    let extracted = extract_paths(data.as_graph(), &ExtractionConfig::default()).paths;
+    let mut extracted = extract_paths(data.as_graph(), &ExtractionConfig::default()).paths;
+    extracted.sort_by(|a, b| (&a.nodes, &a.edges).cmp(&(&b.nodes, &b.edges)));
     let image = encode_v2(&PathIndex::build(data.clone())).expect("index fits format");
     let mapped = MappedIndex::from_bytes(&image).expect("image opens");
     assert_eq!(mapped.total_paths(), extracted.len());

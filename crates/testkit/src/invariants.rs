@@ -35,7 +35,7 @@ use eval::oracle::ged_relevance;
 use graph_match::{Matcher, Vf2Matcher};
 use path_index::{
     decode_v2, display_parts, display_path, encode_v2, IcTable, IndexLike, LabelsRef, MappedIndex,
-    PathIndex, Thesaurus,
+    PathId, PathIndex, Thesaurus,
 };
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
@@ -427,8 +427,9 @@ fn cluster_line(c: &TraceCluster, kept: usize) -> String {
 /// what the builder's own pools hold — per path its nodes, edges,
 /// labels and shape; per data label its lexical form,
 /// kind, sink postings and label postings; per edge its three labels;
-/// the content order and the IC table, bit for bit — and decoding the
-/// image and encoding it again gives the same bytes.
+/// every path id, ascending, with consecutive paths ascending by
+/// content; and the IC table, bit for bit — and decoding the image and
+/// encoding it again gives the same bytes.
 fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     let built = PathIndex::build(case.data_graph());
     let image = encode_v2(&built).map_err(|e| format!("encode failed: {e}"))?;
@@ -510,11 +511,18 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
             ));
         }
     }
-    if mapped.all_path_ids() != built.content_order() {
+    let ids = mapped.all_path_ids();
+    if !ids.iter().map(|id| id.0).eq(0..built.path_count() as u32) {
         return mismatch(format!(
-            "content order {:?}, built {:?}",
-            mapped.all_path_ids(),
-            built.content_order()
+            "all_path_ids {ids:?}, built {} paths",
+            built.path_count()
+        ));
+    }
+    let content = |id: PathId| (mapped.path_nodes(id), mapped.path_edges(id));
+    if let Some(w) = ids.windows(2).find(|w| content(w[0]) >= content(w[1])) {
+        return mismatch(format!(
+            "path {} does not ascend by content from {}",
+            w[1], w[0]
         ));
     }
     let want = IcTable::from_counts(&built.ic_counts());

@@ -19,8 +19,8 @@ use path_index::{extract_paths, ExtractionConfig, Path};
 use rdf_model::{DataGraph, FxHashMap, LabelId, TermKind};
 
 const MAGIC: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 4;
-const SECTIONS: usize = 22;
+const VERSION: u32 = 5;
+const SECTIONS: usize = 21;
 const HEADER: usize = 24;
 /// Table entry of the `stats` section, and the offset of its build-time
 /// word (the seventh `u64`) inside it.
@@ -44,7 +44,7 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     let g = graph.as_graph();
     let extraction = extract_paths(g, &ExtractionConfig::default());
     let hyper = HyperGraphView::build(g, &extraction.paths);
-    let paths: Vec<RefPath> = extraction
+    let mut paths: Vec<RefPath> = extraction
         .paths
         .iter()
         .map(|path| {
@@ -56,19 +56,14 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
             }
         })
         .collect();
+    // Path ids in content order: ascending by (nodes, edges), one full
+    // sort.
+    paths.sort_by(|a, b| (&a.path.nodes, &a.path.edges).cmp(&(&b.path.nodes, &b.path.edges)));
 
-    // Content order: ascending by (nodes, edges), one full sort.
-    let mut order: Vec<u32> = (0..paths.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (a, b) = (&paths[a as usize].path, &paths[b as usize].path);
-        (&a.nodes, &a.edges).cmp(&(&b.nodes, &b.edges))
-    });
-
-    // Postings, filled in content order.
+    // Postings, filled walking ids up.
     let mut by_label: FxHashMap<LabelId, Vec<u32>> = FxHashMap::default();
     let mut by_sink: FxHashMap<LabelId, Vec<u32>> = FxHashMap::default();
-    for &id in &order {
-        let p = &paths[id as usize];
+    for (id, p) in (0u32..).zip(&paths) {
         let mut seen: Vec<LabelId> = p.node_labels.clone();
         seen.extend(&p.edge_labels);
         seen.sort_unstable();
@@ -153,7 +148,6 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     let mut counts = vec![ic.iter().sum::<u64>()];
     counts.extend(ic);
     w.u64s(&counts);
-    w.u32s(order);
     w.u32s(constant_table(graph));
     w.finish()
 }

@@ -856,7 +856,9 @@ fn retired_formats_and_flags_are_refused() {
     // A file in a format that is no longer read — `SAMAIDX1`, the
     // compressed `SAMAIDXZ`, a version-2 `SAMAIDX2` from before the
     // shape table (20 or 21 sections) or before path-content order (23),
-    // a version-3 one with a copy of every path's node labels (23) — is
+    // a version-3 one with a copy of every path's node labels (23), a
+    // version-4 one with ids in extraction order and a path-order
+    // section (22) — is
     // refused by every subcommand that opens one, with the remedy in
     // the message.
     let old_header = |version: u32, sections: u32| {
@@ -874,6 +876,7 @@ fn retired_formats_and_flags_are_refused() {
         old_header(2, 21),
         old_header(2, 23),
         old_header(3, 23),
+        old_header(4, 22),
     ] {
         std::fs::write(&old, &retired).unwrap();
         for args in [
