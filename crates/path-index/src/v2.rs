@@ -903,7 +903,7 @@ impl<'a> IndexView<'a> {
     /// * no data label is a variable ⇔ trivially, when no vocabulary
     ///   entry is one, so the per-label kind gather runs only otherwise;
     /// * each posting run strictly ascends ⇔ every descent between
-    ///   neighbours of the section lies where a run begins.
+    ///   neighbours lies where a run begins; then its last id bounds it.
     ///
     /// One block interleaves checks with different messages (a path's
     /// shape id against its length). A fold there only says that
@@ -1095,10 +1095,9 @@ impl<'a> IndexView<'a> {
         Ok(())
     }
 
-    /// Inverted maps: CSR offsets spanning their postings, path ids in
-    /// range, and each run strictly ascending — content order, with no
-    /// path listed twice, which [`MappedIndex::union_of`] and the
-    /// cluster fill rely on.
+    /// Inverted maps: CSR offsets spanning their postings, each run
+    /// strictly ascending (content order, each path once: what the fill
+    /// and [`MappedIndex::union_of`] rely on), path ids in range.
     fn check_postings(&self) -> Result<(), StorageError> {
         let corrupt = StorageError::Corrupt;
         let path_count = self.layout.path_count;
@@ -1122,9 +1121,6 @@ impl<'a> IndexView<'a> {
             if pairs(offs).fold(false, |bad, (a, b)| bad | (a > b)) {
                 return Err(corrupt(monotone));
             }
-            if !all_below(posts.iter().map(|p| p.0), path_count) {
-                return Err(corrupt("posting out of range"));
-            }
             // Every run ascends strictly ⇔ each descent between neighbours
             // lies where a run begins (counts fit `u32`, as `offs` does).
             let descents = pairs(posts).fold(0u32, |n, (a, b)| n + u32::from(a.0 >= b.0));
@@ -1134,6 +1130,11 @@ impl<'a> IndexView<'a> {
             });
             if descents != at_run_starts {
                 return Err(corrupt("posting run not strictly ascending"));
+            }
+            // Then a run's last id is its largest.
+            let lasts = offs.iter().filter(|&&end| end > 0);
+            if !all_below(lasts.map(|&end| posts[end as usize - 1].0), path_count) {
+                return Err(corrupt("posting out of range"));
             }
         }
         Ok(())

@@ -111,7 +111,7 @@ impl IndexView<'_> {
         }
 
         // Inverted maps: CSR offsets spanning their postings, each run
-        // strictly ascending.
+        // strictly ascending, ids in range.
         for (offs, posts, span, monotone) in [
             (
                 self.label_offs,
@@ -132,14 +132,14 @@ impl IndexView<'_> {
             if offs.windows(2).any(|w| w[0] > w[1]) {
                 return Err(corrupt(monotone));
             }
-            if posts.iter().any(|p| p.index() >= l.path_count) {
-                return Err(corrupt("posting out of range"));
-            }
             for w in offs.windows(2) {
                 let run = &posts[w[0] as usize..w[1] as usize];
                 if run.windows(2).any(|pair| pair[0] >= pair[1]) {
                     return Err(corrupt("posting run not strictly ascending"));
                 }
+            }
+            if posts.iter().any(|p| p.index() >= l.path_count) {
+                return Err(corrupt("posting out of range"));
             }
         }
 
