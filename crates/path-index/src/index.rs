@@ -116,7 +116,6 @@ impl Pools {
         out.nodes.reserve_exact(self.nodes.len());
         out.edges.reserve_exact(self.edges.len());
         out.shapes.reserve_exact(self.len());
-        // Old shape id → new, `u32::MAX` before the shape's first path.
         let mut renamed = vec![u32::MAX; self.shape_offs.len() - 1];
         for id in order {
             out.nodes.extend_from_slice(self.nodes_of(id));

@@ -1121,19 +1121,20 @@ impl<'a> IndexView<'a> {
             if pairs(offs).fold(false, |bad, (a, b)| bad | (a > b)) {
                 return Err(corrupt(monotone));
             }
-            // Every run ascends strictly ⇔ each descent between neighbours
-            // lies where a run begins (counts fit `u32`, as `offs` does).
+            // Runs ascend strictly ⇔ every descent lies where a run begins;
+            // then a run's last id is its largest (counts fit `u32`).
             let descents = pairs(posts).fold(0u32, |n, (a, b)| n + u32::from(a.0 >= b.0));
-            let at_run_starts = pairs(offs).fold(0u32, |n, (a, b)| {
-                let a = a as usize;
-                n + u32::from(0 < a && a < b as usize && posts[a - 1].0 >= posts[a].0)
-            });
+            let (at_run_starts, lasts_in_range) = pairs(offs)
+                .filter(|(start, end)| start < end)
+                .fold((0u32, true), |(n, ok), (start, end)| {
+                    let (start, last) = (start as usize, posts[end as usize - 1]);
+                    let descent = start > 0 && posts[start - 1].0 >= posts[start].0;
+                    (n + u32::from(descent), ok & (last.index() < path_count))
+                });
             if descents != at_run_starts {
                 return Err(corrupt("posting run not strictly ascending"));
             }
-            // Then a run's last id is its largest.
-            let lasts = offs.iter().filter(|&&end| end > 0);
-            if !all_below(lasts.map(|&end| posts[end as usize - 1].0), path_count) {
+            if !lasts_in_range {
                 return Err(corrupt("posting out of range"));
             }
         }

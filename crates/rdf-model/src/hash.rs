@@ -23,7 +23,7 @@ const ROTATE: u32 = 5;
 ///
 /// Its `write`/`finish` output over a label's lexical bytes is also part
 /// of the `SAMAIDX2` format: it places each constant in the image's
-/// constant table (section 22), so an image written under one hash
+/// `constant-table` section, so an image written under one hash
 /// silently misses constants under another. Changing it needs a format
 /// version bump.
 #[derive(Default, Clone)]
