@@ -596,24 +596,30 @@ fn a_posting_run_out_of_order_is_typed() {
             let posts = section(&bytes, postings).1 / 4;
             assert!((1..posts).any(|i| post(i - 1) > post(i)));
         }
-        let first = (0..labels)
+        let pair = (0..labels)
             .map(run)
             .find(|r| r.len() >= 2)
-            .expect("a label on two paths")
-            .start;
+            .expect("a label on two paths");
+        let (first, last) = (pair.start, pair.end - 1);
         let (a, b) = (post(first), post(first + 1));
-        for (faults, what) in [
+        // Past every path, yet still the largest of its run.
+        let paths = (section(&bytes, PATH_SHAPES).1 / 4) as u32;
+        for (faults, message) in [
             (
                 vec![(postings, first, b), (postings, first + 1, a)],
-                "two adjacent entries swapped",
+                "posting run not strictly ascending",
             ),
-            (vec![(postings, first + 1, a)], "one entry repeated"),
+            (
+                vec![(postings, first + 1, a)],
+                "posting run not strictly ascending",
+            ),
+            (vec![(postings, last, paths)], "posting out of range"),
         ] {
             assert_readers(
                 &set_words(&bytes, &faults),
                 &bytes,
-                Err(StorageError::Corrupt("posting run not strictly ascending")),
-                &format!("section {postings}: {what}"),
+                Err(StorageError::Corrupt(message)),
+                &format!("section {postings}: {faults:?}"),
             );
         }
     }
