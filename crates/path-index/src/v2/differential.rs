@@ -1,7 +1,9 @@
 //! The validation pass against the one it replaced. [`IndexView::validate`]
 //! folds over each section and rescans only to name a fault, in two
 //! halves on two threads; the reference below is the earlier
-//! early-exit pass on one thread, kept verbatim. On every mutated image
+//! early-exit pass on one thread, kept verbatim but for the check each
+//! posting run's order gained, written early-exit the same way (each
+//! run's pairs, then every id's range). On every mutated image
 //! of the sweeps — each truncation, each flipped bit, each 32-bit word
 //! overwritten with an edge value, and random multi-word faults — the
 //! pass must return the reference's `Result`, variant and message,
