@@ -173,6 +173,57 @@ fn assert_mapped_labels_are_extracted(triples: &[Triple]) {
     }
 }
 
+/// Random DAG triples with self-loops added on some of their nodes: a
+/// node whose every out-edge loops back ends a walk with no edge of its
+/// own, so these graphs have paths with no edges beside longer ones.
+fn arb_dag_with_self_loops(
+    max_nodes: usize,
+    max_edges: usize,
+) -> impl Strategy<Value = Vec<Triple>> {
+    (
+        arb_dag_triples(max_nodes, max_edges),
+        proptest::collection::vec((0..max_nodes, 0usize..3), 1..4),
+    )
+        .prop_map(|(mut triples, loops)| {
+            triples.extend(triples_of(loops.into_iter().map(|(n, p)| (n, n, p))));
+            triples
+        })
+}
+
+/// Node ids of path `id` as the image gives them.
+fn mapped_nodes(mapped: &MappedIndex, id: PathId) -> Vec<rdf_model::NodeId> {
+    mapped.path_nodes(id).to_vec()
+}
+
+/// The image of `triples`, built under `config`, holds path `i` as the
+/// `i`-th extracted path by `(nodes, edges)`: the same node ids and the
+/// same edge ids, a path with no edges included.
+fn assert_mapped_paths_are_extracted(triples: &[Triple], config: &ExtractionConfig) {
+    let data = DataGraph::from_triples(triples).expect("ground");
+    let mut extracted = extract_paths(data.as_graph(), config).paths;
+    extracted.sort_by(|a, b| (&a.nodes, &a.edges).cmp(&(&b.nodes, &b.edges)));
+    let image = encode_v2(&PathIndex::build_with_config(data, config)).expect("fits");
+    let mapped = MappedIndex::from_bytes(&image).expect("image opens");
+    assert_eq!(mapped.total_paths(), extracted.len());
+    for (i, path) in extracted.iter().enumerate() {
+        let id = PathId(i as u32);
+        assert_eq!(mapped_nodes(&mapped, id), &*path.nodes, "path {i} nodes");
+        assert_eq!(mapped.path_edges(id), &*path.edges, "path {i} edges");
+    }
+}
+
+/// A one-triple self-loop: one path, one node, no edge.
+#[test]
+fn a_self_loop_is_one_path_with_no_edges() {
+    let triples = triples_of([(0, 0, 0)]);
+    let data = DataGraph::from_triples(&triples).expect("ground");
+    let extracted = extract_paths(data.as_graph(), &ExtractionConfig::default()).paths;
+    assert_eq!(extracted.len(), 1);
+    assert_eq!(extracted[0].nodes.len(), 1);
+    assert!(extracted[0].edges.is_empty());
+    assert_mapped_paths_are_extracted(&triples, &ExtractionConfig::default());
+}
+
 fn sorted_paths(index: &PathIndex) -> Vec<String> {
     let g = index.graph().as_graph();
     let mut v: Vec<String> = index
@@ -230,6 +281,18 @@ proptest! {
     #[test]
     fn mapped_labels_are_the_extracted_labels_on_dags(triples in arb_dag_triples(10, 20)) {
         assert_mapped_labels_are_extracted(&triples);
+    }
+
+    /// Every mapped path is the extracted path, node for node and edge
+    /// for edge, on DAGs with self-loops: paths with no edges among
+    /// them, with default limits and with every walk cut at one node.
+    #[test]
+    fn mapped_paths_are_the_extracted_paths_with_self_loops(
+        triples in arb_dag_with_self_loops(10, 20),
+    ) {
+        assert_mapped_paths_are_extracted(&triples, &ExtractionConfig::default());
+        let one_node = ExtractionConfig { max_depth: 1, ..Default::default() };
+        assert_mapped_paths_are_extracted(&triples, &one_node);
     }
 
     /// Inverted maps agree with a linear scan after arbitrary updates.

@@ -826,6 +826,62 @@ fn explain_text_prints_paths_without_rebuilding_the_graph() {
     assert!(!stacks.contains("index.materialize_ns"), "{stacks}");
 }
 
+/// A one-triple self-loop is one path with one node and no edge: the
+/// walk from `a` finds its only out-edge leading back onto itself.
+/// Indexing, listing and answering over it print what they printed
+/// when the image stored a node list per path.
+#[test]
+fn a_self_loop_indexes_lists_and_answers_as_one_edgeless_path() {
+    let nt = temp_path("loop.nt");
+    let rq = temp_path("loop.rq");
+    let idx = temp_path("loop.idx");
+    let _cleanup = Cleanup(vec![nt.clone(), rq.clone(), idx.clone()]);
+    std::fs::write(&nt, "<a> <p> <a> .\n").unwrap();
+    std::fs::write(&rq, "SELECT * WHERE { ?x <p> ?y . }\n").unwrap();
+
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("indexed 1 paths"), "{text}");
+
+    let out = sama()
+        .args(["paths", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "p0: a\n");
+
+    let out = sama()
+        .args([
+            "query",
+            idx.to_str().unwrap(),
+            rq.to_str().unwrap(),
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            r#"{"answers":[{"rank":0,"score":3,"lambda":3,"psi":0,"exact":false,"#,
+            r#""triples":[],"bindings":{"y":"a"}}],"truncated":false,"retrieved_paths":1}"#,
+            "\n"
+        )
+    );
+}
+
 #[test]
 fn retired_formats_and_flags_are_refused() {
     let nt = temp_path("data_retired.nt");
