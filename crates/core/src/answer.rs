@@ -114,7 +114,7 @@ impl Answer {
             // Edge `i` of a path runs from its node `i` to its node `i + 1`.
             let nodes = index.path_nodes(e.path_id);
             let path_edges = index.path_edges(e.path_id).iter().enumerate();
-            edges.extend(path_edges.map(|(i, &edge)| (edge, nodes[i], nodes[i + 1])));
+            edges.extend(path_edges.map(|(i, &edge)| (edge, nodes.get(i), nodes.get(i + 1))));
         }
         edges.sort_unstable_by_key(|&(edge, ..)| edge);
         edges.dedup_by_key(|&mut (edge, ..)| edge);

@@ -18,8 +18,8 @@ use crate::frontier::{from_total_order_key, total_order_key};
 use crate::params::ScoreParams;
 use crate::qpath::{QueryLabel, QueryPath};
 use crate::score::deletion_lambda;
-use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, SynonymProvider};
-use rdf_model::{FxHashMap, LabelId, NodeId};
+use path_index::{IndexLike, LabelsRef, LshCandidate, PathId, PathNodes, SynonymProvider};
+use rdf_model::{EdgeId, FxHashMap, LabelId, NodeId};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 
@@ -642,7 +642,8 @@ const NO_LABEL: LabelId = LabelId(u32::MAX);
 /// constant admits ([`NO_LABEL`]) and whose sink label has that bit. By
 /// the [`LambdaMemo`] key that is the λ of every path of the shape with
 /// that sink bit and no inner bit set. Such a synthetic path is node ids
-/// `0 … 0, 1` over the two-entry table `[NO_LABEL, sink label]`.
+/// `0 … 0, 1` over the two-entry table `[NO_LABEL, sink label]`: edges
+/// `0 … 0` whose one tail is node 0, and sink node 1.
 struct ShapePrices<'a, I: ?Sized> {
     index: &'a I,
     sink_label: &'a QueryLabel,
@@ -672,7 +673,7 @@ impl<'a, I: IndexLike + ?Sized> ShapePrices<'a, I> {
             SinkBit::PerCandidate => &[false, true],
         };
         let mut keys = vec![i64::MAX; 2 * shapes];
-        let mut nodes = Vec::new();
+        let mut edges = Vec::new();
         for &bit in bits {
             let sink_label = match q.sink().accepted() {
                 Some(&[first, ..]) if bit => first,
@@ -681,11 +682,14 @@ impl<'a, I: IndexLike + ?Sized> ShapePrices<'a, I> {
             let node_table = [NO_LABEL, sink_label];
             for shape in 0..shapes {
                 let edge_labels = index.shape_edge_labels(shape as u32);
-                nodes.clear();
-                nodes.resize(edge_labels.len(), NodeId(0));
-                nodes.push(NodeId(1));
+                edges.clear();
+                edges.resize(edge_labels.len(), EdgeId(0));
                 let path = LabelsRef {
-                    nodes: &nodes,
+                    nodes: PathNodes {
+                        edges: &edges,
+                        edge_from: &[NodeId(0)],
+                        sink: NodeId(1),
+                    },
                     node_table: &node_table,
                     edge_labels,
                 };

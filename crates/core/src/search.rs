@@ -265,7 +265,7 @@ impl ChiSets {
             }
             for entry in &cluster.entries {
                 set.clear();
-                set.extend_from_slice(index.path_nodes(entry.path_id));
+                set.extend(index.path_nodes(entry.path_id).iter());
                 set.sort_unstable();
                 set.dedup();
                 sets.push_run(&set);

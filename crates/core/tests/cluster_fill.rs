@@ -334,7 +334,11 @@ fn oracle<I: IndexLike>(
     }
     entries.sort_by(|x, y| {
         (x.lambda().total_cmp(&y.lambda()))
-            .then_with(|| index.path_nodes(x.path_id).cmp(index.path_nodes(y.path_id)))
+            .then_with(|| {
+                index
+                    .path_nodes(x.path_id)
+                    .cmp(&index.path_nodes(y.path_id))
+            })
             .then_with(|| index.path_edges(x.path_id).cmp(index.path_edges(y.path_id)))
     });
     entries.truncate(cap);

@@ -7,9 +7,11 @@
 
 #![allow(dead_code)] // each test target uses its own subset
 
-use path_index::{IndexLike, LabelsRef, LshCandidate, LshParams, PathId, SynonymProvider};
+use path_index::{
+    IndexLike, LabelsRef, LshCandidate, LshParams, PathId, PathNodes, SynonymProvider,
+};
 use proptest::prelude::*;
-use rdf_model::{DataGraph, EdgeId, LabelId, NodeId, TermKind, Triple};
+use rdf_model::{DataGraph, EdgeId, LabelId, TermKind, Triple};
 use sama_core::{CancelToken, ClusterConfig, QueryPath};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -137,7 +139,7 @@ impl<I: IndexLike> IndexLike for Probe<I> {
     fn total_paths(&self) -> usize {
         self.inner.total_paths()
     }
-    fn path_nodes(&self, id: PathId) -> &[NodeId] {
+    fn path_nodes(&self, id: PathId) -> PathNodes<'_> {
         self.path_nodes_calls.fetch_add(1, Ordering::SeqCst);
         self.inner.path_nodes(id)
     }

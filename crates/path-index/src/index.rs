@@ -19,7 +19,7 @@
 
 use crate::extract::{extract_into, ExtractionConfig};
 use crate::ic::IcCounts;
-use crate::path::{display_parts, LabelsRef, PathId, PathPartsDisplay};
+use crate::path::{display_parts, LabelsRef, PathId, PathNodes, PathPartsDisplay};
 use crate::stats::IndexStats;
 use crate::v2::IndexView;
 use rdf_model::hash::FxHasher;
@@ -32,7 +32,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexedPath<'a> {
     /// Node ids `n1 … nk`; `n1` is the source end, `nk` the sink end.
-    pub nodes: &'a [NodeId],
+    pub nodes: PathNodes<'a>,
     /// Edge ids `e1 … e(k-1)`; `e_i` connects `n_i` to `n_{i+1}`.
     pub edges: &'a [EdgeId],
     /// Node/edge label sequences (what alignment compares).
@@ -47,15 +47,16 @@ impl<'a> IndexedPath<'a> {
 }
 
 /// The path store, laid out as sections 8–13 of the image: path `i`'s
-/// nodes are `offs[i]..offs[i + 1]` of their pool, its edges the same
-/// span less `i` and one shorter, its edge labels its shape's run of
-/// the shape pool. Its node labels are no pool: they are the graph's
-/// labels of its nodes ([`LabelsRef`]).
+/// edges are `offs[i]..offs[i + 1]` of the edge pool, its sink is
+/// `sinks[i]`, its edge labels its shape's run of the shape pool. Its
+/// other nodes are no pool: node `j` is the tail of edge `j`, read
+/// through the graph's `edge_from` column ([`PathNodes`]); nor are its
+/// node labels, the graph's labels of its nodes ([`LabelsRef`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Pools {
     pub(crate) offs: Vec<usize>,
-    pub(crate) nodes: Vec<NodeId>,
     pub(crate) edges: Vec<EdgeId>,
+    pub(crate) sinks: Vec<NodeId>,
     /// Shape id per path: two paths share an id exactly when they share
     /// an edge-label sequence. Dense, numbered by first occurrence in
     /// path-id order.
@@ -69,8 +70,8 @@ impl Default for Pools {
     fn default() -> Self {
         Pools {
             offs: vec![0],
-            nodes: Vec::new(),
             edges: Vec::new(),
+            sinks: Vec::new(),
             shapes: Vec::new(),
             shape_offs: vec![0],
             shape_labels: Vec::new(),
@@ -84,15 +85,20 @@ impl Pools {
         self.shapes.len()
     }
 
+    /// Path `id`'s nodes, read through `edge_from`, the tail of every
+    /// edge of the graph.
     #[inline]
-    fn nodes_of(&self, id: PathId) -> &[NodeId] {
-        &self.nodes[self.offs[id.index()]..self.offs[id.index() + 1]]
+    fn nodes_of<'a>(&'a self, id: PathId, edge_from: &'a [NodeId]) -> PathNodes<'a> {
+        PathNodes {
+            edges: self.edges_of(id),
+            edge_from,
+            sink: self.sinks[id.index()],
+        }
     }
 
     #[inline]
     fn edges_of(&self, id: PathId) -> &[EdgeId] {
-        let i = id.index();
-        &self.edges[self.offs[i] - i..self.offs[i + 1] - i - 1]
+        &self.edges[self.offs[id.index()]..self.offs[id.index() + 1]]
     }
 
     #[inline]
@@ -102,25 +108,26 @@ impl Pools {
     }
 
     /// These paths renumbered ascending by `(nodes, edges)`, shapes by
-    /// first occurrence in the new order. Extraction emits paths grouped
-    /// by source, sources ascending: sorting each group is all it takes.
-    fn in_content_order(self) -> Pools {
-        let key = |id: &PathId| (self.nodes_of(*id), self.edges_of(*id));
+    /// first occurrence in the new order, the nodes gathered through
+    /// `edge_from` for the comparison. Extraction emits paths grouped by
+    /// source, sources ascending: sorting each group is all it takes.
+    fn in_content_order(self, edge_from: &[NodeId]) -> Pools {
+        let key = |id: &PathId| (self.nodes_of(*id, edge_from), self.edges_of(*id));
         let mut order: Vec<PathId> = (0..self.len() as u32).map(PathId).collect();
-        for run in order.chunk_by_mut(|a, b| key(a).0[0] == key(b).0[0]) {
+        for run in order.chunk_by_mut(|a, b| key(a).0.get(0) == key(b).0.get(0)) {
             run.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
         }
         debug_assert!(order.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         let mut out = Pools::default();
         out.offs.reserve_exact(self.len());
-        out.nodes.reserve_exact(self.nodes.len());
         out.edges.reserve_exact(self.edges.len());
+        out.sinks.reserve_exact(self.len());
         out.shapes.reserve_exact(self.len());
         let mut renamed = vec![u32::MAX; self.shape_offs.len() - 1];
         for id in order {
-            out.nodes.extend_from_slice(self.nodes_of(id));
             out.edges.extend_from_slice(self.edges_of(id));
-            out.offs.push(out.nodes.len());
+            out.offs.push(out.edges.len());
+            out.sinks.push(self.sinks[id.index()]);
             let old = self.shapes[id.index()];
             let new = &mut renamed[old as usize];
             if *new == u32::MAX {
@@ -133,12 +140,17 @@ impl Pools {
         out
     }
 
-    /// Path `id`'s labels, its node labels read through `node_table`,
-    /// the label of every node of the graph.
+    /// Path `id`'s labels, its nodes read through `edge_from` and their
+    /// labels through `node_table`, the label of every node of the graph.
     #[inline]
-    fn labels_of<'a>(&'a self, id: PathId, node_table: &'a [LabelId]) -> LabelsRef<'a> {
+    fn labels_of<'a>(
+        &'a self,
+        id: PathId,
+        edge_from: &'a [NodeId],
+        node_table: &'a [LabelId],
+    ) -> LabelsRef<'a> {
         LabelsRef {
-            nodes: self.nodes_of(id),
+            nodes: self.nodes_of(id, edge_from),
             node_table,
             edge_labels: self.shape(self.shapes[id.index()]),
         }
@@ -161,9 +173,9 @@ impl PoolBuilder<'_> {
     fn push(&mut self, nodes: &[NodeId], edges: &[EdgeId]) {
         let graph = self.graph;
         let p = &mut self.pools;
-        p.nodes.extend_from_slice(nodes);
         p.edges.extend_from_slice(edges);
-        p.offs.push(p.nodes.len());
+        p.offs.push(p.edges.len());
+        p.sinks.push(*nodes.last().expect("paths are non-empty"));
 
         self.edge_labels.clear();
         self.edge_labels
@@ -284,6 +296,9 @@ impl Postings {
 #[derive(Debug, Clone)]
 pub struct PathIndex {
     graph: DataGraph,
+    /// The tail of every edge of `graph`, by edge id: what a path's
+    /// nodes but its sink are read through (the image's `edge-from`).
+    edge_from: Vec<NodeId>,
     pools: Pools,
     /// label → paths containing it (as node or edge label).
     by_label: Postings,
@@ -312,7 +327,8 @@ impl PathIndex {
             edge_labels: Vec::new(),
         };
         let counts = extract_into(g, config, |nodes, edges| builder.push(nodes, edges));
-        let pools = builder.pools.in_content_order();
+        let edge_from: Vec<NodeId> = g.edges().map(|(_, edge)| edge.from).collect();
+        let pools = builder.pools.in_content_order(&edge_from);
         // Table 1's hypergraph: a vertex per node, a hyperedge per node
         // with out-neighbours (its star) and per path.
         let stars = g.nodes().filter(|&n| !g.out_edges(n).is_empty()).count();
@@ -329,16 +345,17 @@ impl PathIndex {
         let vocab_len = graph.vocab().len();
         let node_table = g.node_labels();
         let by_label = Postings::build(vocab_len, pools.len(), |id| {
-            let labels = pools.labels_of(id, node_table);
+            let labels = pools.labels_of(id, &edge_from, node_table);
             labels
                 .node_labels()
                 .chain(labels.edge_labels.iter().copied())
         });
         let by_sink = Postings::build(vocab_len, pools.len(), |id| {
-            std::iter::once(pools.labels_of(id, node_table).sink_label())
+            std::iter::once(node_table[pools.sinks[id.index()].index()])
         });
         let mut index = PathIndex {
             graph,
+            edge_from,
             pools,
             by_label,
             by_sink,
@@ -358,8 +375,8 @@ impl PathIndex {
         let widen = |offs: &[u32]| offs.iter().map(|&o| o as usize).collect();
         let pools = Pools {
             offs: widen(view.path_offs),
-            nodes: view.path_nodes.to_vec(),
             edges: view.path_edges.to_vec(),
+            sinks: view.path_sinks.to_vec(),
             shapes: view.path_shapes.to_vec(),
             shape_offs: widen(view.shape_offs),
             shape_labels: view.shape_labels.to_vec(),
@@ -373,6 +390,7 @@ impl PathIndex {
                 offs: widen(view.sink_offs),
                 ids: view.sink_posts.to_vec(),
             },
+            edge_from: view.edge_from.to_vec(),
             graph,
             pools,
             stats,
@@ -399,9 +417,9 @@ impl PathIndex {
     pub fn path(&self, id: PathId) -> IndexedPath<'_> {
         let p = &self.pools;
         IndexedPath {
-            nodes: p.nodes_of(id),
+            nodes: p.nodes_of(id, &self.edge_from),
             edges: p.edges_of(id),
-            labels: p.labels_of(id, self.graph.as_graph().node_labels()),
+            labels: p.labels_of(id, &self.edge_from, self.graph.as_graph().node_labels()),
         }
     }
 
@@ -440,8 +458,11 @@ impl PathIndex {
     pub fn ic_counts(&self) -> IcCounts {
         let p = &self.pools;
         let mut counts = vec![0u64; self.graph.vocab().len()];
+        // Every node of a path but its sink is the tail of one of its
+        // edges.
         let node_table = self.graph.as_graph().node_labels();
-        for node in &p.nodes {
+        let nodes = p.edges.iter().map(|e| self.edge_from[e.index()]);
+        for node in nodes.chain(p.sinks.iter().copied()) {
             counts[node_table[node.index()].index()] += 1;
         }
         let mut uses = vec![0u64; self.shape_count()];
@@ -538,7 +559,7 @@ mod tests {
         paths.sort_by(|a, b| (&a.nodes, &a.edges).cmp(&(&b.nodes, &b.edges)));
         assert_eq!(paths.len(), idx.path_count());
         for (path, (_, ip)) in paths.iter().zip(idx.paths()) {
-            assert_eq!(ip.nodes, &*path.nodes);
+            assert_eq!(ip.nodes.to_vec(), &*path.nodes);
             assert_eq!(ip.edges, &*path.edges);
             assert_eq!(ip.labels, path.labels(g).view());
         }

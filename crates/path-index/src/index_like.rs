@@ -5,8 +5,8 @@
 //! [`display_path`], which prints a path from the index's labels.
 
 use crate::ic::IcTable;
-use crate::path::{LabelsRef, PathId};
-use rdf_model::{EdgeId, LabelId, NodeId, TermKind, Vocabulary};
+use crate::path::{LabelsRef, PathId, PathNodes};
+use rdf_model::{EdgeId, LabelId, TermKind, Vocabulary};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -43,10 +43,10 @@ impl<I: IndexLike + ?Sized> ConstantLookup for I {
 /// [`IndexLike::constant_label`], and retrieval, scoring and display
 /// read ids and the labels behind them — no data graph.
 ///
-/// All per-path accessors return *borrowed slices* so an implementation
-/// backed by a read-only file mapping can serve the hot alignment and
-/// conformity loops directly out of its on-disk arrays, with no
-/// per-lookup allocation or materialization.
+/// All per-path accessors return *borrowed slices or views* so an
+/// implementation backed by a read-only file mapping can serve the hot
+/// alignment and conformity loops directly out of its on-disk arrays,
+/// with no per-lookup allocation or materialization.
 ///
 /// # Panics
 /// The per-path accessors panic if `id` is out of range; use ids
@@ -70,8 +70,9 @@ pub trait IndexLike {
     /// Total number of indexed paths.
     fn total_paths(&self) -> usize;
 
-    /// Node ids of a path, source end first.
-    fn path_nodes(&self, id: PathId) -> &[NodeId];
+    /// Node ids of a path, source end first: a view over its edges,
+    /// the tail of each, and its sink.
+    fn path_nodes(&self, id: PathId) -> PathNodes<'_>;
 
     /// Edge ids of a path (`len() - 1` entries).
     fn path_edges(&self, id: PathId) -> &[EdgeId];

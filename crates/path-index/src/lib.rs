@@ -56,7 +56,7 @@ pub use ic::{IcCounts, IcTable};
 pub use index::{IndexedPath, PathIndex};
 pub use index_like::{display_path, ConstantLookup, IndexLike};
 pub use lsh::{build_lsh_bytes, LshCandidate, LshParams, LshSidecar, LSH_MAGIC};
-pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels};
+pub use path::{display_parts, LabelsRef, Path, PathDisplay, PathId, PathLabels, PathNodes};
 pub use stats::{format_bytes, IndexStats};
 pub use storage::StorageError;
 pub use synonyms::{NoSynonyms, SynonymProvider, Thesaurus, ThesaurusError};

@@ -1,9 +1,10 @@
 //! Path representation (paper, Definition 5).
 //!
 //! A path is a sequence `ln1 - le1 - ln2 - … - le(k-1) - lnk` of node and
-//! edge labels from a source to a sink. We store the underlying node and
-//! edge *ids* (needed to assemble answers and to compute the common-node
-//! function `χ`); the alignment loop reads the labels through a
+//! edge labels from a source to a sink. An index stores the underlying
+//! edge ids and the sink (needed to assemble answers and to compute the
+//! common-node function `χ`) and reads the node ids through the edges,
+//! as a [`PathNodes`]; the alignment loop reads the labels through a
 //! [`LabelsRef`]: each node id looked up in the label-per-node table,
 //! and the edge-label sequence interned once at indexing time.
 
@@ -106,10 +107,12 @@ impl Path {
 
     /// Materialize the label sequences of this path against its graph.
     pub fn labels(&self, graph: &Graph) -> PathLabels {
+        let steps = 0..self.edges.len() as u32;
         PathLabels {
             node_labels: self.nodes.iter().map(|&n| graph.node_label(n)).collect(),
             edge_labels: self.edges.iter().map(|&e| graph.edge(e).label).collect(),
-            positions: (0..self.nodes.len() as u32).map(NodeId).collect(),
+            steps: steps.clone().map(EdgeId).collect(),
+            tails: steps.map(NodeId).collect(),
         }
     }
 
@@ -126,9 +129,11 @@ pub struct PathLabels {
     pub node_labels: Box<[LabelId]>,
     /// Edge labels `le1 … le(k-1)`.
     pub edge_labels: Box<[LabelId]>,
-    /// `0 … k-1`: the node ids [`PathLabels::view`] reads `node_labels`
-    /// through.
-    positions: Box<[NodeId]>,
+    /// `0 … k-2` as edge ids, and `0 … k-2` as node ids: the edges and
+    /// tails [`PathLabels::view`] reads nodes `0 … k-2` through, so node
+    /// `i` is position `i` of `node_labels` (the sink is `k-1`).
+    steps: Box<[EdgeId]>,
+    tails: Box<[NodeId]>,
 }
 
 impl PathLabels {
@@ -156,10 +161,112 @@ impl PathLabels {
     #[inline]
     pub fn view(&self) -> LabelsRef<'_> {
         LabelsRef {
-            nodes: &self.positions,
+            nodes: PathNodes {
+                edges: &self.steps,
+                edge_from: &self.tails,
+                sink: NodeId(self.steps.len() as u32),
+            },
             node_table: &self.node_labels,
             edge_labels: &self.edge_labels,
         }
+    }
+}
+
+/// The node ids of a path, read through its edges: node `j` is the tail
+/// of edge `j`, `edge_from[edges[j]]`, for every node but the last, and
+/// the last is the stored sink. A path with no edges (a node whose only
+/// out-edges loop back onto it, a walk cut at one node, an isolated
+/// node) is its sink alone.
+///
+/// A borrowed view, no copy: an index serves it from its edge pool, its
+/// `edge-from` column and its sink per path. Two views are equal, and
+/// order, as their node sequences do.
+#[derive(Clone, Copy)]
+pub struct PathNodes<'a> {
+    /// Edge ids `e1 … e(k-1)`; `e_j` leaves node `j`.
+    pub edges: &'a [EdgeId],
+    /// The tail node of every edge, by edge id.
+    pub edge_from: &'a [NodeId],
+    /// Node `nk`, the sink end.
+    pub sink: NodeId,
+}
+
+impl<'a> PathNodes<'a> {
+    /// Number of nodes: one more than the edges.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.edges.len() + 1
+    }
+
+    /// Always `false`: a path has its sink.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Node `i` (0 = source end).
+    ///
+    /// # Panics
+    /// If `i ≥ len()`, or an edge id is not in `edge_from`.
+    #[inline]
+    pub fn get(&self, i: usize) -> NodeId {
+        match self.edges.get(i) {
+            Some(edge) => self.edge_from[edge.index()],
+            None => {
+                assert_eq!(i, self.edges.len(), "node {i} of a path of {}", self.len());
+                self.sink
+            }
+        }
+    }
+
+    /// The sink-end node.
+    #[inline]
+    pub fn last(&self) -> NodeId {
+        self.sink
+    }
+
+    /// Nodes `n1 … nk`, source end first.
+    #[inline]
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = NodeId> + use<'a> {
+        let edge_from = self.edge_from;
+        self.edges
+            .iter()
+            .map(move |edge| edge_from[edge.index()])
+            .chain(std::iter::once(self.sink))
+    }
+
+    /// The nodes, copied out.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        let mut nodes = Vec::with_capacity(self.len());
+        nodes.extend(self.iter());
+        nodes
+    }
+}
+
+impl PartialEq for PathNodes<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges.len() == other.edges.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for PathNodes<'_> {}
+
+impl PartialOrd for PathNodes<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic by node sequence, as slices of the node ids compare.
+impl Ord for PathNodes<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl fmt::Debug for PathNodes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -167,10 +274,10 @@ impl PathLabels {
 ///
 /// This is the lingua franca between indexes and the alignment loop.
 /// A path's node labels are not stored per path: node `i` carries
-/// `node_table[nodes[i]]`, a gather through the label of every node of
-/// the graph, so the zero-copy mapped index serves a view straight out
-/// of its path-node pool and its node-label section, with no copy and
-/// no allocation. An owned [`PathLabels`] lends one via
+/// `node_table[nodes.get(i)]`, a gather through the label of every node
+/// of the graph, so the zero-copy mapped index serves a view straight
+/// out of its edge pool, its sinks and its node-label section, with no
+/// copy and no allocation. An owned [`PathLabels`] lends one via
 /// [`PathLabels::view`].
 ///
 /// Two views are equal when their label sequences are, whatever ids and
@@ -178,7 +285,7 @@ impl PathLabels {
 #[derive(Clone, Copy)]
 pub struct LabelsRef<'a> {
     /// Node ids `n1 … nk`, indexes into `node_table`.
-    pub nodes: &'a [NodeId],
+    pub nodes: PathNodes<'a>,
     /// The label of every node, by node id.
     pub node_table: &'a [LabelId],
     /// Edge labels `le1 … le(k-1)`.
@@ -205,14 +312,12 @@ impl<'a> LabelsRef<'a> {
     /// If `i ≥ len()`, or the node id is not in the table.
     #[inline]
     pub fn node_label(&self, i: usize) -> LabelId {
-        self.node_table[self.nodes[i].index()]
+        self.node_table[self.nodes.get(i).index()]
     }
 
     /// Node labels `ln1 … lnk`.
     #[inline]
-    pub fn node_labels(
-        &self,
-    ) -> impl DoubleEndedIterator<Item = LabelId> + ExactSizeIterator + use<'a> {
+    pub fn node_labels(&self) -> impl DoubleEndedIterator<Item = LabelId> + use<'a> {
         let table = self.node_table;
         self.nodes.iter().map(move |n| table[n.index()])
     }
@@ -220,7 +325,7 @@ impl<'a> LabelsRef<'a> {
     /// The label at the sink end.
     #[inline]
     pub fn sink_label(&self) -> LabelId {
-        self.node_label(self.nodes.len() - 1)
+        self.node_table[self.nodes.sink.index()]
     }
 }
 
@@ -249,16 +354,21 @@ pub struct PathDisplay<'a> {
 
 impl fmt::Display for PathDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        display_parts(self.graph, &self.path.nodes, &self.path.edges).fmt(f)
+        write_parts(
+            f,
+            self.graph,
+            self.path.nodes.iter().copied(),
+            &self.path.edges,
+        )
     }
 }
 
-/// Render borrowed node/edge id slices in the paper's display form,
-/// without constructing an owned [`Path`]. Used by consumers that read
-/// ids straight out of a mapped index.
+/// Render a borrowed path — its node view and edge ids — in the paper's
+/// display form, without constructing an owned [`Path`]. Used by
+/// consumers that read ids straight out of an index.
 pub fn display_parts<'a>(
     graph: &'a Graph,
-    nodes: &'a [NodeId],
+    nodes: PathNodes<'a>,
     edges: &'a [EdgeId],
 ) -> PathPartsDisplay<'a> {
     PathPartsDisplay {
@@ -271,21 +381,32 @@ pub fn display_parts<'a>(
 /// Display adapter returned by [`display_parts`].
 pub struct PathPartsDisplay<'a> {
     graph: &'a Graph,
-    nodes: &'a [NodeId],
+    nodes: PathNodes<'a>,
     edges: &'a [EdgeId],
 }
 
 impl fmt::Display for PathPartsDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                let e = self.edges[i - 1];
-                write!(f, "-{}-", self.graph.vocab().term(self.graph.edge(e).label))?;
-            }
-            write!(f, "{}", self.graph.vocab().term(self.graph.node_label(n)))?;
-        }
-        Ok(())
+        write_parts(f, self.graph, self.nodes.iter(), self.edges)
     }
+}
+
+/// `n1-le1-n2-…-nk`: each node's term, joined by the label of the edge
+/// between them.
+fn write_parts(
+    f: &mut fmt::Formatter<'_>,
+    graph: &Graph,
+    nodes: impl Iterator<Item = NodeId>,
+    edges: &[EdgeId],
+) -> fmt::Result {
+    for (i, n) in nodes.enumerate() {
+        if i > 0 {
+            let e = edges[i - 1];
+            write!(f, "-{}-", graph.vocab().term(graph.edge(e).label))?;
+        }
+        write!(f, "{}", graph.vocab().term(graph.node_label(n)))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

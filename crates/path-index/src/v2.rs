@@ -6,12 +6,12 @@
 //! place** from a single read-only mapping:
 //!
 //! ```text
-//! header   magic b"SAMAIDX2", u32 version (5), u32 section count,
+//! header   magic b"SAMAIDX2", u32 version (6), u32 section count,
 //!          u64 file length                                  (24 bytes)
 //! table    21 × { u64 offset, u64 length }                 (336 bytes)
 //! sections each 8-byte aligned, in table order:
 //!   0 counts        u64 × 5  (vocab, nodes, edges, paths,
-//!                             path-node pool)
+//!                             path-edge pool)
 //!   1 vocab-kinds   u8  × vocab            term kind per label
 //!   2 vocab-offs    u32 × vocab+1          offsets into vocab-blob
 //!   3 vocab-blob    utf-8 bytes            concatenated lexical forms
@@ -19,11 +19,9 @@
 //!   5 edge-from     u32 × edges ┐
 //!   6 edge-to       u32 × edges ├ edge table, struct-of-arrays
 //!   7 edge-label    u32 × edges ┘
-//!   8 path-offs     u32 × paths+1          node-pool offsets (CSR);
-//!                                          edge offset of path i is
-//!                                          path-offs[i] − i
-//!   9 path-nodes    u32 × pool             node ids, all paths
-//!  10 path-edges    u32 × pool−paths       edge ids, all paths
+//!   8 path-offs     u32 × paths+1          edge-pool offsets (CSR)
+//!   9 path-sinks    u32 × paths            sink node id per path
+//!  10 path-edges    u32 × pool             edge ids, all paths
 //!  11 path-shapes   u32 × paths            shape id per path
 //!  12 shape-offs    u32 × shapes+1         shape-pool offsets (CSR)
 //!  13 shape-labels  u32 × shape pool       edge labels, one copy per
@@ -42,16 +40,22 @@
 //!                                          open addressing
 //! ```
 //!
-//! The image stores each path's nodes once, source end first, and nothing
-//! that follows from them. The conformity function `χ` intersects node
-//! *sets*; the combination search sorts the node lists of the paths it
-//! combines itself, once per query (`sama_core::search`), so no per-path
-//! sorted copy is stored. A path's node labels are a gather, node `i`'s
-//! label being `node-labels[path-nodes[i]]` ([`LabelsRef`]), so no
-//! per-path label copy is stored either.
+//! The image stores each path as its edges and its sink, and nothing that
+//! follows from them. Path `i`'s edges are
+//! `path-edges[path-offs[i]..path-offs[i + 1]]`; node `j` of it is the
+//! tail of edge `j`, `edge-from[path-edges[…][j]]`, for every node but
+//! the last, and the last is `path-sinks[i]` ([`PathNodes`]). A path
+//! with no edges — a node whose out-edges all loop back onto it, a walk
+//! cut at one node, an isolated node — is its sink alone, with no
+//! special case. The conformity function `χ` intersects node *sets*;
+//! the combination search gathers and sorts the node lists of the paths
+//! it combines itself, once per query (`sama_core::search`), so no
+//! per-path node list or sorted copy is stored. A path's node labels
+//! are a gather too, node `j`'s label being `node-labels[…]` of its
+//! node ([`LabelsRef`]), and its sink label `node-labels[path-sinks[i]]`,
+//! so no per-path label copy is stored either.
 //!
-//! *Path-content order* is ascending by `(path-nodes, path-edges)` of
-//! each path — what the cluster fill breaks λ ties by. Path ids are
+//! *Path-content order* is ascending by `(nodes, edges)` of each path — what the cluster fill breaks λ ties by. Path ids are
 //! numbered in it: path `i` is the `i`-th by content. Every postings run
 //! lists its ids strictly ascending, so a candidate list read from this
 //! file is already in content order for the fill
@@ -66,7 +70,7 @@
 //! shape once instead of a path at a time (`IndexLike::path_shape`).
 //!
 //! Formats this crate used to write — `SAMAIDX1`, the compressed
-//! `SAMAIDXZ`, and every `SAMAIDX2` image of versions 2 to 4 (DESIGN.md
+//! `SAMAIDXZ`, and every `SAMAIDX2` image of versions 2 to 5 (DESIGN.md
 //! §14 lists their layouts) — are recognised from their header and
 //! refused with [`StorageError::LegacyLayout`]: an index is a pure
 //! function of its RDF source, so the remedy is `sama index`, not a
@@ -103,7 +107,7 @@ use crate::extract::ExtractionConfig;
 use crate::ic::{IcCounts, IcTable};
 use crate::index::PathIndex;
 use crate::index_like::IndexLike;
-use crate::path::{LabelsRef, PathId};
+use crate::path::{LabelsRef, PathId, PathNodes};
 use crate::stats::IndexStats;
 use crate::storage::{try_u32, StorageError};
 use crate::synonyms::SynonymProvider;
@@ -116,13 +120,13 @@ use std::time::Duration;
 
 /// The format magic.
 pub const MAGIC2: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 const SECTION_COUNT: usize = 21;
 /// Magics of the two retired formats, and the versions every earlier
 /// `SAMAIDX2` layout was written as: [`Layout::parse`] refuses all of
 /// them.
 const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SAMAIDX1", b"SAMAIDXZ"];
-const RETIRED_VERSIONS: [u32; 3] = [2, 3, 4];
+const RETIRED_VERSIONS: [u32; 4] = [2, 3, 4, 5];
 const HEADER_LEN: usize = 24;
 const TABLE_LEN: usize = SECTION_COUNT * 16;
 /// The counts section: five `u64`s.
@@ -139,7 +143,7 @@ const S_EDGE_FROM: usize = 5;
 const S_EDGE_TO: usize = 6;
 const S_EDGE_LABEL: usize = 7;
 const S_PATH_OFFS: usize = 8;
-const S_PATH_NODES: usize = 9;
+const S_PATH_SINKS: usize = 9;
 const S_PATH_EDGES: usize = 10;
 const S_PATH_SHAPES: usize = 11;
 const S_SHAPE_OFFS: usize = 12;
@@ -163,7 +167,7 @@ pub const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "edge-to",
     "edge-label",
     "path-offsets",
-    "path-node-pool",
+    "path-sinks",
     "path-edge-pool",
     "path-shapes",
     "shape-offsets",
@@ -286,8 +290,8 @@ impl Plan {
         try_u32(graph.edge_count(), "edges")?;
         let paths = index.path_count();
         try_u32(paths, "paths")?;
-        let node_pool = pools.nodes.len();
-        try_u32(node_pool, "path node pool")?;
+        let edge_pool = pools.edges.len();
+        try_u32(edge_pool, "path edge pool")?;
         let blob_len: usize = vocab.iter().map(|(_, _, lex)| lex.len()).sum();
         try_u32(blob_len, "vocabulary blob")?;
         let (label, sink) = (index.label_postings(), index.sink_postings());
@@ -305,8 +309,8 @@ impl Plan {
             sizes[s] = graph.edge_count() * 4;
         }
         sizes[S_PATH_OFFS] = (paths + 1) * 4;
-        sizes[S_PATH_NODES] = node_pool * 4;
-        sizes[S_PATH_EDGES] = (node_pool - paths) * 4;
+        sizes[S_PATH_SINKS] = paths * 4;
+        sizes[S_PATH_EDGES] = edge_pool * 4;
         sizes[S_PATH_SHAPES] = paths * 4;
         sizes[S_SHAPE_OFFS] = pools.shape_offs.len() * 4;
         sizes[S_SHAPE_LABELS] = pools.shape_labels.len() * 4;
@@ -435,7 +439,7 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
             graph.node_count(),
             graph.edge_count(),
             index.path_count(),
-            pools.nodes.len(),
+            pools.edges.len(),
         ]
         .map(|n| n as u64),
     );
@@ -468,10 +472,10 @@ fn write_image(index: &PathIndex, plan: &Plan, out: &mut [u8]) {
     w.u32s(graph.edges().map(|(_, e)| e.label.0));
     // 8-10: the path store.
     w.offsets(&pools.offs);
-    w.u32s(pools.nodes.iter().map(|n| n.0));
+    w.u32s(pools.sinks.iter().map(|n| n.0));
     w.u32s(pools.edges.iter().map(|e| e.0));
     // 11-13: the shape table. The pool is no longer than the edge pool
-    // it replaces, so its offsets fit the node-pool check.
+    // it replaces, so its offsets fit the edge-pool check.
     w.u32s(pools.shapes.iter().copied());
     w.offsets(&pools.shape_offs);
     w.u32s(pools.shape_labels.iter().map(|l| l.0));
@@ -533,7 +537,7 @@ struct Layout {
     node_count: usize,
     edge_count: usize,
     path_count: usize,
-    node_pool: usize,
+    edge_pool: usize,
     shape_count: usize,
     stats: [u64; 7],
 }
@@ -625,10 +629,7 @@ impl Layout {
         let node_count = as_usize(c[1], "node count")?;
         let edge_count = as_usize(c[2], "edge count")?;
         let path_count = as_usize(c[3], "path count")?;
-        let node_pool = as_usize(c[4], "path node pool size")?;
-        if node_pool < path_count {
-            return Err(StorageError::Corrupt("node pool smaller than path count"));
-        }
+        let edge_pool = as_usize(c[4], "path edge pool size")?;
 
         let expect = |s: usize, want: usize, what: &'static str| -> Result<(), StorageError> {
             if sec[s].1 != want {
@@ -643,12 +644,8 @@ impl Layout {
         expect(S_EDGE_TO, edge_count * 4, "edge-to section size")?;
         expect(S_EDGE_LABEL, edge_count * 4, "edge-label section size")?;
         expect(S_PATH_OFFS, (path_count + 1) * 4, "path offsets size")?;
-        expect(S_PATH_NODES, node_pool * 4, "path node pool size")?;
-        expect(
-            S_PATH_EDGES,
-            (node_pool - path_count) * 4,
-            "path edge pool size",
-        )?;
+        expect(S_PATH_SINKS, path_count * 4, "path sinks section size")?;
+        expect(S_PATH_EDGES, edge_pool * 4, "path edge pool size")?;
         expect(S_LABEL_OFFS, (vocab_len + 1) * 4, "label offsets size")?;
         expect(S_SINK_OFFS, (vocab_len + 1) * 4, "sink offsets size")?;
         for s in [S_LABEL_POSTS, S_SINK_POSTS] {
@@ -681,7 +678,7 @@ impl Layout {
             node_count,
             edge_count,
             path_count,
-            node_pool,
+            edge_pool,
             shape_count,
             stats,
         })
@@ -719,7 +716,7 @@ impl Layout {
             edge_to: as_node_ids(self.u32s(bytes, S_EDGE_TO)),
             edge_label: as_label_ids(self.u32s(bytes, S_EDGE_LABEL)),
             path_offs: self.u32s(bytes, S_PATH_OFFS),
-            path_nodes: as_node_ids(self.u32s(bytes, S_PATH_NODES)),
+            path_sinks: as_node_ids(self.u32s(bytes, S_PATH_SINKS)),
             path_edges: as_edge_ids(self.u32s(bytes, S_PATH_EDGES)),
             path_shapes: self.u32s(bytes, S_PATH_SHAPES),
             shape_offs: self.u32s(bytes, S_SHAPE_OFFS),
@@ -820,7 +817,7 @@ fn pairs<T: Copy>(values: &[T]) -> impl Iterator<Item = (T, T)> + '_ {
 /// one in the earlier block is reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Block {
-    /// Vocabulary, constant table, graph arrays, path offsets and nodes.
+    /// Vocabulary, constant table, graph arrays, path offsets and sinks.
     Tables,
     /// The path-edge pool (the helper's).
     PathEdges,
@@ -842,11 +839,11 @@ pub struct IndexView<'a> {
     layout: Layout,
     vocab: VocabView<'a>,
     node_labels: &'a [LabelId],
-    edge_from: &'a [NodeId],
+    pub(crate) edge_from: &'a [NodeId],
     edge_to: &'a [NodeId],
     edge_label: &'a [LabelId],
     pub(crate) path_offs: &'a [u32],
-    pub(crate) path_nodes: &'a [NodeId],
+    pub(crate) path_sinks: &'a [NodeId],
     pub(crate) path_edges: &'a [EdgeId],
     pub(crate) path_shapes: &'a [u32],
     pub(crate) shape_offs: &'a [u32],
@@ -1040,19 +1037,21 @@ impl<'a> IndexView<'a> {
         Ok(())
     }
 
-    /// Path CSR: strictly increasing offsets spanning the node pool,
-    /// and every node in range.
+    /// Path CSR: offsets spanning the edge pool and never decreasing
+    /// (a path with no edges has an empty run), and every sink a node
+    /// in range. A path's other nodes are read through `edge-from`,
+    /// which [`IndexView::check_graph`] holds in range.
     fn check_paths(&self) -> Result<(), StorageError> {
         if self.path_offs[0] != 0
-            || *self.path_offs.last().expect("len >= 1") as usize != self.layout.node_pool
+            || *self.path_offs.last().expect("len >= 1") as usize != self.layout.edge_pool
         {
-            return Err(StorageError::Corrupt("path offsets do not span pool"));
+            return Err(StorageError::Corrupt("path offsets do not span edge pool"));
         }
-        if pairs(self.path_offs).fold(false, |bad, (a, b)| bad | (a >= b)) {
-            return Err(StorageError::Corrupt("empty path"));
+        if pairs(self.path_offs).fold(false, |bad, (a, b)| bad | (a > b)) {
+            return Err(StorageError::Corrupt("path offsets not monotone"));
         }
-        if !self.nodes_ok(self.path_nodes) {
-            return Err(StorageError::Corrupt("path node out of range"));
+        if !self.nodes_ok(self.path_sinks) {
+            return Err(StorageError::Corrupt("path sink out of range"));
         }
         Ok(())
     }
@@ -1087,7 +1086,7 @@ impl<'a> IndexView<'a> {
                 .zip(self.path_shapes)
                 .fold(true, |ok, ((a, b), &shape)| {
                     let shape = shape as usize;
-                    ok & (self.shape_offs[shape + 1] - self.shape_offs[shape] == b - a - 1)
+                    ok & (self.shape_offs[shape + 1] - self.shape_offs[shape] == b - a)
                 });
         if !shapes_ok {
             self.first_shape_fault()?;
@@ -1158,12 +1157,12 @@ impl<'a> IndexView<'a> {
     /// range or whose shape is not one label per edge long — run once
     /// [`IndexView::check_shapes`]' fold has found that one is.
     fn first_shape_fault(&self) -> Result<(), StorageError> {
-        for (nodes, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
+        for (edges, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
             let shape = shape as usize;
             if shape >= self.layout.shape_count {
                 return Err(StorageError::Corrupt("path shape out of range"));
             }
-            if self.shape_offs[shape + 1] - self.shape_offs[shape] != nodes[1] - nodes[0] - 1 {
+            if self.shape_offs[shape + 1] - self.shape_offs[shape] != edges[1] - edges[0] {
                 return Err(StorageError::Corrupt("shape length does not match path"));
             }
         }
@@ -1176,24 +1175,29 @@ impl<'a> IndexView<'a> {
         self.layout.path_count
     }
 
-    /// Node ids of path `id` (panics if out of range, like
-    /// [`PathIndex::path`]).
+    /// Node ids of path `id`, read through its edges and its sink
+    /// (panics if out of range, like [`PathIndex::path`]).
     #[inline]
-    pub fn path_nodes(&self, id: PathId) -> &'a [NodeId] {
-        let (a, b) = self.node_span(id);
-        &self.path_nodes[a..b]
+    pub fn path_nodes(&self, id: PathId) -> PathNodes<'a> {
+        PathNodes {
+            edges: self.path_edges(id),
+            edge_from: self.edge_from,
+            sink: self.path_sinks[id.index()],
+        }
     }
 
     /// Edge ids of path `id`.
     #[inline]
     pub fn path_edges(&self, id: PathId) -> &'a [EdgeId] {
-        let (a, b) = self.node_span(id);
-        &self.path_edges[a - id.index()..b - id.index() - 1]
+        let (a, b) = (
+            self.path_offs[id.index()] as usize,
+            self.path_offs[id.index() + 1] as usize,
+        );
+        &self.path_edges[a..b]
     }
 
-    /// Label sequences of path `id`: its run of the node pool read
-    /// through the node-label section, and its shape's run of the shape
-    /// pool.
+    /// Label sequences of path `id`: its nodes read through the
+    /// node-label section, and its shape's run of the shape pool.
     #[inline]
     pub fn labels(&self, id: PathId) -> LabelsRef<'a> {
         let shape = self.path_shapes[id.index()] as usize;
@@ -1203,14 +1207,6 @@ impl<'a> IndexView<'a> {
             edge_labels: &self.shape_labels
                 [self.shape_offs[shape] as usize..self.shape_offs[shape + 1] as usize],
         }
-    }
-
-    #[inline]
-    fn node_span(&self, id: PathId) -> (usize, usize) {
-        (
-            self.path_offs[id.index()] as usize,
-            self.path_offs[id.index() + 1] as usize,
-        )
     }
 
     /// `label`'s run of a stored inverted map; empty past the
@@ -1644,7 +1640,7 @@ impl IndexLike for MappedIndex {
     }
 
     #[inline]
-    fn path_nodes(&self, id: PathId) -> &[NodeId] {
+    fn path_nodes(&self, id: PathId) -> PathNodes<'_> {
         self.view.path_nodes(id)
     }
 

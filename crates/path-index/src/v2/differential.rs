@@ -2,8 +2,10 @@
 //! folds over each section and rescans only to name a fault, in two
 //! halves on two threads; the reference below is the earlier
 //! early-exit pass on one thread, kept verbatim but for the check each
-//! posting run's order gained, written early-exit the same way (each
-//! run's pairs, then every id's range). On every mutated image
+//! posting run's order gained and the path store's checks, which follow
+//! the layout of version 6 (offsets into the edge pool that never
+//! decrease, then every sink's range) — each written early-exit the
+//! same way. On every mutated image
 //! of the sweeps — each truncation, each flipped bit, each 32-bit word
 //! overwritten with an edge value, and random multi-word faults — the
 //! pass must return the reference's `Result`, variant and message,
@@ -72,17 +74,18 @@ impl IndexView<'_> {
             return Err(corrupt("edge endpoint out of range"));
         }
 
-        // Path CSR: strictly increasing offsets spanning the pools.
+        // Path CSR: offsets spanning the edge pool, never decreasing (a
+        // path with no edges is legal); every sink a node in range.
         if self.path_offs[0] != 0
-            || *self.path_offs.last().expect("len >= 1") as usize != l.node_pool
+            || *self.path_offs.last().expect("len >= 1") as usize != l.edge_pool
         {
-            return Err(corrupt("path offsets do not span pool"));
+            return Err(corrupt("path offsets do not span edge pool"));
         }
-        if self.path_offs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(corrupt("empty path"));
+        if self.path_offs.windows(2).any(|w| w[0] > w[1]) {
+            return Err(corrupt("path offsets not monotone"));
         }
-        if self.path_nodes.iter().any(|n| n.0 as usize >= l.node_count) {
-            return Err(corrupt("path node out of range"));
+        if self.path_sinks.iter().any(|n| n.0 as usize >= l.node_count) {
+            return Err(corrupt("path sink out of range"));
         }
         if self.path_edges.iter().any(|e| e.0 as usize >= l.edge_count) {
             return Err(corrupt("path edge out of range"));
@@ -102,12 +105,12 @@ impl IndexView<'_> {
         if !self.shape_labels.iter().copied().all(label_ok) {
             return Err(corrupt("shape label out of range"));
         }
-        for (nodes, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
+        for (edges, &shape) in self.path_offs.windows(2).zip(self.path_shapes) {
             let shape = shape as usize;
             if shape >= l.shape_count {
                 return Err(corrupt("path shape out of range"));
             }
-            if self.shape_offs[shape + 1] - self.shape_offs[shape] != nodes[1] - nodes[0] - 1 {
+            if self.shape_offs[shape + 1] - self.shape_offs[shape] != edges[1] - edges[0] {
                 return Err(corrupt("shape length does not match path"));
             }
         }
@@ -159,8 +162,9 @@ impl IndexView<'_> {
 }
 
 /// Two images: chains with shapes of two lengths, a multibyte literal,
-/// and — in the second only — a variable-kind vocabulary entry that no
-/// data label uses. Built once: the sweeps mutate copies.
+/// an isolated node whose path has no edges, and — in the second only — a
+/// variable-kind vocabulary entry that no data label uses. Built once:
+/// the sweeps mutate copies.
 fn fixtures() -> &'static [Vec<u8>; 2] {
     static FIXTURES: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
     FIXTURES.get_or_init(build_fixtures)
@@ -179,6 +183,7 @@ fn build_fixtures() -> [Vec<u8>; 2] {
             .unwrap();
     }
     b.triple_str("lone", "p0", "\"Zürich\"").unwrap();
+    b.node(&rdf_model::Term::iri("alone")).unwrap();
     let data = b.build();
     let plain = encode_v2(&PathIndex::build(data.clone())).unwrap();
     let mut graph = data.as_graph().clone();
@@ -223,6 +228,10 @@ fn with_word(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
 fn all_passes_accept_the_fixtures() {
     for bytes in fixtures() {
         assert_eq!(all_passes(bytes), [Ok(()), Ok(()), Ok(())]);
+        let view = IndexView::parse(AlignedBytes::copy_from(bytes).as_slice()).map(|view| {
+            (0..view.path_count() as u32).any(|id| view.path_edges(PathId(id)).is_empty())
+        });
+        assert_eq!(view, Ok(true), "a path with no edges");
     }
 }
 
@@ -251,7 +260,7 @@ fn a_fault_in_each_half_reports_the_first_in_check_order() {
         // A stored total one above the summed counts.
         let total = word_at(bytes, word_in(bytes, S_IC_COUNTS, 0));
         let ic_total = (S_IC_COUNTS, 0, total.wrapping_add(1));
-        let node = (S_PATH_NODES, 0, u32::MAX);
+        let sink = (S_PATH_SINKS, 0, u32::MAX);
         let edge = (S_PATH_EDGES, edges, u32::MAX);
         let shape = (S_PATH_SHAPES, 0, u32::MAX);
         let posting = (S_LABEL_POSTS, posts, u32::MAX);
@@ -266,7 +275,7 @@ fn a_fault_in_each_half_reports_the_first_in_check_order() {
         let repeat = (S_LABEL_POSTS, at + 1, first_entry);
         // Each boundary between the halves, the earlier fault named.
         for (faults, first) in [
-            ([node, edge], "path node out of range"),
+            ([sink, edge], "path sink out of range"),
             ([edge, shape], "path edge out of range"),
             ([shape, posting], "path shape out of range"),
             ([posting, ic_total], "posting out of range"),
@@ -333,7 +342,9 @@ fn every_word_set_to_an_edge_value_gets_the_same_result() {
             "invalid UTF-8 in label table",
             "corrupt index: vocab offsets not monotone",
             "corrupt index: node label out of range",
-            "corrupt index: empty path",
+            "corrupt index: path offsets do not span edge pool",
+            "corrupt index: path offsets not monotone",
+            "corrupt index: path sink out of range",
             "corrupt index: path shape out of range",
             "corrupt index: shape length does not match path",
             "corrupt index: constant table slot out of range",

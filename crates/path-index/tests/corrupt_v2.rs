@@ -29,11 +29,16 @@
 //!   else it answers as the owned decode does — a flipped kind byte
 //!   included, since the table holds every constant and the probe keeps
 //!   the first entry of the smallest kind along the chain;
+//! * `path_nodes`, `path_edges` — the path offsets start at 0, never
+//!   decrease and end at the edge pool's length, every path edge is an
+//!   edge id in range, and every path sink a node id in range; a path's
+//!   other nodes are the tails of its edges, read through `edge-from`;
 //! * `labels`, `path_shape` — every path's shape id is below the shape
 //!   count, the shape offsets start at 0, never decrease and end at the
 //!   pool's length, and a path's shape has one label per edge; its node
 //!   labels are read through the node-label section, so every path node
-//!   is a node id in range and every node label a label id in range;
+//!   (a sink or an edge's tail) is a node id in range and every node
+//!   label a label id in range;
 //! * `all_path_ids` — the ids below the path count, each of which names
 //!   a path (the probe reads each listed path).
 //!
@@ -77,6 +82,8 @@ const VOCAB_OFFSETS: usize = 2;
 const VOCAB_BLOB: usize = 3;
 const NODE_LABELS: usize = 4;
 const PATH_OFFSETS: usize = 8;
+const PATH_SINKS: usize = 9;
+const PATH_EDGES: usize = 10;
 const PATH_SHAPES: usize = 11;
 const SHAPE_OFFSETS: usize = 12;
 const SHAPE_LABELS: usize = 13;
@@ -171,10 +178,11 @@ fn probe(bytes: &[u8], original: &[u8]) {
         assert!((mapped.path_shape(id) as usize) < mapped.shape_count());
         let labels = mapped.labels(id);
         assert_eq!(labels.edge_labels.len() + 1, labels.len());
-        let nodes = mapped.path_nodes(id).iter();
+        let nodes = mapped.path_nodes(id);
+        assert_eq!(nodes.len(), mapped.path_edges(id).len() + 1);
         assert!(labels
             .node_labels()
-            .eq(nodes.map(|&node| graph.node_label(node))));
+            .eq(nodes.iter().map(|node| graph.node_label(node))));
         for &label in labels.edge_labels {
             let _ = mapped.label_lexical(label);
         }
@@ -218,7 +226,9 @@ fn retired_formats_are_refused_from_the_header_alone() {
     // every path's nodes. The header of version 3, announcing 23
     // sections: an image with a copy of every path's node labels. And
     // the header of version 4, announcing 22: path ids in extraction
-    // order, beside a `path-order` section listing them by content.
+    // order, beside a `path-order` section listing them by content. And
+    // the header of version 5, announcing 21, as this version does: a
+    // node list per path where this version stores the path's sink.
     let old_header = |version: u32, sections: u32| {
         let mut header = MAGIC2.to_vec();
         header.extend_from_slice(&version.to_le_bytes());
@@ -236,6 +246,7 @@ fn retired_formats_are_refused_from_the_header_alone() {
         old_header(2, 25),
         old_header(3, 23),
         old_header(4, 22),
+        old_header(5, 21),
     ];
     for identifying in &retired {
         // Refused as soon as the identifying bytes are all there,
@@ -325,7 +336,7 @@ fn every_shape_table_violation_is_typed() {
         .find(|&(p, s)| shape_len(s) != shape_len(word(&bytes, PATH_SHAPES, p) as usize))
         .expect("shapes of two lengths");
     assert_eq!(
-        shape_len(word(&bytes, PATH_SHAPES, path) as usize) + 1,
+        shape_len(word(&bytes, PATH_SHAPES, path) as usize),
         word(&bytes, PATH_OFFSETS, path + 1) - word(&bytes, PATH_OFFSETS, path),
         "as encoded, a shape holds one label per edge of its paths"
     );
@@ -490,6 +501,87 @@ fn a_variable_label_is_refused_only_where_data_uses_it() {
     let mut mutated = bytes.clone();
     mutated[section(&bytes, VOCAB_KINDS).0 + word_of(&bytes, NODE_LABELS, 0) as usize] = 3;
     assert_readers(&mutated, &bytes, fault, "a node's label turned variable");
+}
+
+#[test]
+fn every_path_store_violation_is_typed() {
+    let bytes = sample_bytes();
+    let paths = section(&bytes, PATH_SINKS).1 / 4;
+    let edges = (section(&bytes, PATH_EDGES).1 / 4) as u32;
+    // The node count is the second u64 of the counts section.
+    let nodes = word_of(&bytes, 0, 2);
+    assert_eq!(word_of(&bytes, PATH_OFFSETS, paths), edges);
+    // An offset whose predecessor is past 0, so lowering it to 0
+    // descends.
+    let inner = (2..paths)
+        .find(|&i| word_of(&bytes, PATH_OFFSETS, i - 1) > 0)
+        .expect("a path past the first");
+    for (what, fault, message) in [
+        (
+            "sink = node count",
+            (PATH_SINKS, 0, nodes),
+            "path sink out of range",
+        ),
+        (
+            "sink = u32::MAX",
+            (PATH_SINKS, paths - 1, u32::MAX),
+            "path sink out of range",
+        ),
+        (
+            "offsets overrun the edge pool",
+            (PATH_OFFSETS, paths, edges + 1),
+            "path offsets do not span edge pool",
+        ),
+        (
+            "offsets stop short of the edge pool",
+            (PATH_OFFSETS, paths, edges - 1),
+            "path offsets do not span edge pool",
+        ),
+        (
+            "first offset not 0",
+            (PATH_OFFSETS, 0, 1),
+            "path offsets do not span edge pool",
+        ),
+        (
+            "offsets decrease",
+            (PATH_OFFSETS, inner, 0),
+            "path offsets not monotone",
+        ),
+        (
+            "edge = u32::MAX",
+            (PATH_EDGES, 0, u32::MAX),
+            "path edge out of range",
+        ),
+    ] {
+        assert_readers(
+            &set_words(&bytes, &[fault]),
+            &bytes,
+            Err(StorageError::Corrupt(message)),
+            what,
+        );
+    }
+}
+
+#[test]
+fn a_path_with_no_edges_opens_and_reads_as_its_sink() {
+    // A self-loop alone: no node is a source, the loop's node is the
+    // hub, and its only out-edge leads back onto the walk.
+    let mut b = DataGraph::builder();
+    b.triple_str("loop", "q", "loop").unwrap();
+    let bytes = encode_v2(&PathIndex::build(b.build())).unwrap();
+    assert_readers(&bytes, &bytes, Ok(()), "a self-loop");
+    let mapped = MappedIndex::from_bytes(&bytes).unwrap();
+    let edgeless: Vec<_> = mapped
+        .all_path_ids()
+        .into_iter()
+        .filter(|&id| mapped.path_edges(id).is_empty())
+        .collect();
+    let [id] = edgeless[..] else {
+        panic!("one path with no edges: {edgeless:?}");
+    };
+    let nodes = mapped.path_nodes(id);
+    assert_eq!((nodes.len(), nodes.get(0)), (1, nodes.last()));
+    assert_eq!(mapped.label_lexical(mapped.labels(id).sink_label()), "loop");
 }
 
 #[test]

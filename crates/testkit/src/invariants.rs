@@ -35,7 +35,7 @@ use eval::oracle::ged_relevance;
 use graph_match::{Matcher, Vf2Matcher};
 use path_index::{
     decode_v2, display_parts, display_path, encode_v2, IcTable, IndexLike, LabelsRef, MappedIndex,
-    PathId, PathIndex, Thesaurus,
+    PathId, PathIndex, PathNodes, Thesaurus,
 };
 use rdf_model::{DataGraph, Graph, Term, Triple};
 use sama_core::{
@@ -461,7 +461,7 @@ fn image_round_trip_identity(case: &Case) -> Result<(), String> {
     // labels: as the graph rebuilt from the image prints it.
     let rebuilt = mapped.data().as_graph();
     for (id, ip) in built.paths() {
-        let want: (&[_], &[_], LabelsRef<'_>, u32, String) = (
+        let want: (PathNodes<'_>, &[_], LabelsRef<'_>, u32, String) = (
             ip.nodes,
             ip.edges,
             ip.labels,

@@ -19,7 +19,7 @@ use path_index::{extract_paths, ExtractionConfig, Path};
 use rdf_model::{DataGraph, FxHashMap, LabelId, TermKind};
 
 const MAGIC: &[u8; 8] = b"SAMAIDX2";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 const SECTIONS: usize = 21;
 const HEADER: usize = 24;
 /// Table entry of the `stats` section, and the offset of its build-time
@@ -97,14 +97,14 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
         }
     }
 
-    let node_pool: usize = paths.iter().map(|p| p.path.nodes.len()).sum();
+    let edge_pool: usize = paths.iter().map(|p| p.path.edges.len()).sum();
     let mut w = Writer::new();
     w.u64s(&[
         vocab.len() as u64,
         g.node_count() as u64,
         g.edge_count() as u64,
         paths.len() as u64,
-        node_pool as u64,
+        edge_pool as u64,
     ]);
     w.section(|buf| {
         for (_, kind, _) in vocab.iter() {
@@ -126,8 +126,10 @@ pub fn reference_image(graph: &DataGraph) -> Vec<u8> {
     w.u32s(g.edges().map(|(_, e)| e.from.0));
     w.u32s(g.edges().map(|(_, e)| e.to.0));
     w.u32s(g.edges().map(|(_, e)| e.label.0));
-    w.offsets(paths.iter().map(|p| p.path.nodes.len()));
-    w.u32s(paths.iter().flat_map(|p| p.path.nodes.iter().map(|n| n.0)));
+    // Each path as its edges and its sink: its other nodes are the
+    // tails of its edges.
+    w.offsets(paths.iter().map(|p| p.path.edges.len()));
+    w.u32s(paths.iter().map(|p| p.path.sink().0));
     w.u32s(paths.iter().flat_map(|p| p.path.edges.iter().map(|e| e.0)));
     w.u32s(path_shapes);
     w.offsets(shapes.iter().map(|s| s.len()));

@@ -717,7 +717,8 @@ fn index_stats_flag_reports_sections_and_open_time() {
     // Per-section byte sizes, bytes-per-path, and the open time of the
     // file just written — and nothing about any other format.
     assert!(text.contains("sections:"), "{text}");
-    assert!(text.contains("path-node-pool"), "{text}");
+    assert!(text.contains("path-sinks"), "{text}");
+    assert!(!text.contains("path-node-pool"), "{text}");
     assert!(text.contains("B/path"), "{text}");
     assert!(text.contains("open time"), "{text}");
     assert!(text.contains("zero-copy"), "{text}");
@@ -914,7 +915,7 @@ fn retired_formats_and_flags_are_refused() {
     // shape table (20 or 21 sections) or before path-content order (23),
     // a version-3 one with a copy of every path's node labels (23), a
     // version-4 one with ids in extraction order and a path-order
-    // section (22) — is
+    // section (22), a version-5 one with a node list per path (21) — is
     // refused by every subcommand that opens one, with the remedy in
     // the message.
     let old_header = |version: u32, sections: u32| {
@@ -933,6 +934,7 @@ fn retired_formats_and_flags_are_refused() {
         old_header(2, 23),
         old_header(3, 23),
         old_header(4, 22),
+        old_header(5, 21),
     ] {
         std::fs::write(&old, &retired).unwrap();
         for args in [
