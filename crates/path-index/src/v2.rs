@@ -881,7 +881,7 @@ impl<'a> IndexView<'a> {
     /// The checks have a fixed order, and the first that fails names
     /// the error. They run as two halves that share no invariant, at
     /// once: the calling thread checks the vocabulary, the constant
-    /// table, the graph arrays, the path offsets and nodes, the shapes
+    /// table, the graph arrays, the path offsets and sinks, the shapes
     /// (which rely on the path offsets) and the IC counts; one scoped
     /// helper thread checks the path-edge pool and both inverted maps,
     /// which rely on the section sizes alone. The pass is bound by
