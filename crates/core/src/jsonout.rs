@@ -9,41 +9,7 @@
 use crate::engine::QueryResult;
 use path_index::IndexLike;
 use rdf_model::QueryGraph;
-
-/// Escape `s` for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_escaped(&mut out, s);
-    out
-}
-
-/// [`json_escape`] appended to `out`: runs that need no escape are
-/// copied whole. Every byte that does is ASCII, so each run ends on a
-/// character boundary, and multi-byte UTF-8 passes through as is.
-fn push_json_escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..0x20) {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-}
+use sama_obs::export::push_json_escaped;
 
 /// `n` in decimal, as `{}` prints it.
 fn push_uint(out: &mut String, mut n: u64) {
@@ -226,6 +192,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::engine::SamaEngine;
+    use crate::json_escape;
     use rdf_model::{parse_ntriples, DataGraph, Term, Triple};
 
     /// Every string the escape must handle: quotes, backslashes, each

@@ -83,12 +83,13 @@ pub use engine::{next_query_id, EngineConfig, QueryResult, QueryTimings, SamaEng
 pub use error::{QueryError, SamaError};
 pub use forest::{ForestEdge, ForestNode, PathForest};
 pub use igraph::{IgEdge, IntersectionGraph};
-pub use jsonout::{json_escape, render_result_json};
+pub use jsonout::render_result_json;
 pub use params::ScoreParams;
 pub use qpath::{
     apply_ic_weights, decompose_query, decompose_query_checked, QueryLabel, QueryPath,
 };
 pub use relevance::{more_relevant, ops_of_counts, transformation_cost, EditOp};
+pub use sama_obs::export::escape as json_escape;
 pub use score::{
     chi, chi_count, chi_count_sorted, chi_sorted, conformity_penalty, conformity_ratio,
     deletion_lambda, PairConformity, ScoreBreakdown,

@@ -38,6 +38,7 @@ pub mod error;
 pub mod graph;
 pub mod hash;
 pub mod interner;
+mod lex;
 pub mod ntriples;
 pub mod query;
 pub mod sparql;

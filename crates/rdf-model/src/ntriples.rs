@@ -1,26 +1,30 @@
 //! A line-oriented N-Triples parser and serializer.
 //!
-//! Supports the core N-Triples grammar: `<iri>`, `_:blank`, and
-//! `"literal"` terms with `\" \\ \n \r \t` plus `\uXXXX` /
-//! `\UXXXXXXXX` numeric escapes. Language tags
-//! (`@en`) and datatype annotations (`^^<iri>`) are *accepted and
-//! discarded*: the similarity measure compares plain labels only, so
-//! annotations carry no signal here. Comment lines (`#`) and blank lines
-//! are skipped.
+//! Supports the core N-Triples grammar: one `subject predicate object .`
+//! statement a line, of `<iri>`, `_:blank` and `"literal"` terms (IRIs
+//! and literals, with their escapes and discarded annotations, are read
+//! by [`crate::lex`]). Comment lines (`#`) and blank lines are skipped.
 
 use crate::error::{RdfError, Result};
+use crate::lex::{Cursor, Lexed};
 use crate::term::Term;
 use crate::triple::Triple;
 
 /// Parse an N-Triples document into a list of triples.
 pub fn parse_ntriples(input: &str) -> Result<Vec<Triple>> {
     let mut triples = Vec::new();
-    for (lineno, raw) in input.lines().enumerate() {
-        let line = raw.trim();
+    // Each line keeps its line break, so a literal that runs into it is
+    // told from one that runs out of text.
+    for (lineno, line) in input.split_inclusive('\n').enumerate() {
+        let line = line.trim_start();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        triples.push(parse_line(line, lineno + 1)?);
+        let triple = statement(&mut Cursor::new(line)).map_err(|(_, message)| RdfError::Parse {
+            line: lineno + 1,
+            message,
+        })?;
+        triples.push(triple);
     }
     Ok(triples)
 }
@@ -68,187 +72,43 @@ fn escape_literal(s: &str) -> String {
     out
 }
 
-fn parse_line(line: &str, lineno: usize) -> Result<Triple> {
-    let mut cursor = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-        line: lineno,
-    };
-    let subject = cursor.term()?;
-    let predicate = cursor.term()?;
-    let object = cursor.term()?;
-    cursor.expect_dot()?;
+fn statement(cursor: &mut Cursor<'_>) -> Lexed<Triple> {
+    let subject = term(cursor)?;
+    let predicate = term(cursor)?;
+    let object = term(cursor)?;
+    skip_ws(cursor);
+    if !cursor.eat(b'.') {
+        return cursor.fault("expected terminating '.'");
+    }
+    if !cursor.rest().trim().is_empty() {
+        return cursor.fault("trailing content after '.'");
+    }
     Ok(Triple::new(subject, predicate, object))
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
+fn skip_ws(cursor: &mut Cursor<'_>) {
+    cursor.take_while(|c| c.is_ascii_whitespace());
 }
 
-impl<'a> Cursor<'a> {
-    fn error(&self, message: impl Into<String>) -> RdfError {
-        RdfError::Parse {
-            line: self.line,
-            message: message.into(),
-        }
+fn term(cursor: &mut Cursor<'_>) -> Lexed<Term> {
+    skip_ws(cursor);
+    match cursor.peek_char() {
+        Some('<') => Ok(Term::Iri(cursor.iri()?.to_string())),
+        Some('"') => Ok(Term::Literal(cursor.literal()?)),
+        Some('_') => blank(cursor),
+        Some(other) => cursor.fault(format!("expected term, found {other:?}")),
+        None => cursor.fault("unexpected end of line; expected term"),
     }
+}
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_ascii_whitespace() {
-            self.pos += 1;
-        }
+/// `_:label`: the label runs to whitespace or `.`.
+fn blank(cursor: &mut Cursor<'_>) -> Lexed<Term> {
+    if !(cursor.eat(b'_') && cursor.eat(b':')) {
+        return cursor.fault("expected blank node '_:'");
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn term(&mut self) -> Result<Term> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'<') => self.iri(),
-            Some(b'_') => self.blank(),
-            Some(b'"') => self.literal(),
-            Some(other) => Err(self.error(format!("expected term, found {:?}", other as char))),
-            None => Err(self.error("unexpected end of line; expected term")),
-        }
-    }
-
-    fn iri(&mut self) -> Result<Term> {
-        debug_assert_eq!(self.peek(), Some(b'<'));
-        self.pos += 1;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'>' {
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8 in IRI"))?;
-                self.pos += 1;
-                return Ok(Term::Iri(text.to_string()));
-            }
-            self.pos += 1;
-        }
-        Err(self.error("unterminated IRI (missing '>')"))
-    }
-
-    fn blank(&mut self) -> Result<Term> {
-        if !self.bytes[self.pos..].starts_with(b"_:") {
-            return Err(self.error("expected blank node '_:'"));
-        }
-        self.pos += 2;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if (b as char).is_ascii_whitespace() || b == b'.' {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.error("empty blank node label"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid UTF-8 in blank node label"))?;
-        Ok(Term::Blank(text.to_string()))
-    }
-
-    fn literal(&mut self) -> Result<Term> {
-        debug_assert_eq!(self.peek(), Some(b'"'));
-        self.pos += 1;
-        let mut value = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated literal (missing '\"')")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => value.push('"'),
-                        Some(b'\\') => value.push('\\'),
-                        Some(b'n') => value.push('\n'),
-                        Some(b'r') => value.push('\r'),
-                        Some(b't') => value.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            value.push(self.uchar(4)?);
-                            continue;
-                        }
-                        Some(b'U') => {
-                            self.pos += 1;
-                            value.push(self.uchar(8)?);
-                            continue;
-                        }
-                        Some(other) => {
-                            return Err(
-                                self.error(format!("unsupported escape '\\{}'", other as char))
-                            )
-                        }
-                        None => return Err(self.error("dangling escape at end of literal")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in literal"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    value.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-        // Accept and discard a language tag or datatype annotation.
-        if self.peek() == Some(b'@') {
-            self.pos += 1;
-            while let Some(b) = self.peek() {
-                if (b as char).is_ascii_whitespace() {
-                    break;
-                }
-                self.pos += 1;
-            }
-        } else if self.bytes[self.pos..].starts_with(b"^^") {
-            self.pos += 2;
-            if self.peek() != Some(b'<') {
-                return Err(self.error("expected '<' after '^^'"));
-            }
-            self.iri()?; // consumed, discarded
-        }
-        Ok(Term::Literal(value))
-    }
-
-    /// Decode the hex digits of a `\uXXXX` / `\UXXXXXXXX` escape. The
-    /// cursor sits just past the `u`/`U` and is advanced past the
-    /// digits on success. Short digit runs and code points that are
-    /// not Unicode scalar values (e.g. the surrogate U+D800) are
-    /// parse errors, never panics.
-    fn uchar(&mut self, digits: usize) -> Result<char> {
-        let mut code: u32 = 0;
-        for _ in 0..digits {
-            let d = self
-                .peek()
-                .and_then(|b| (b as char).to_digit(16))
-                .ok_or_else(|| self.error(format!("\\u escape needs {digits} hex digits")))?;
-            code = code * 16 + d;
-            self.pos += 1;
-        }
-        char::from_u32(code)
-            .ok_or_else(|| self.error(format!("\\u escape U+{code:04X} is not a valid character")))
-    }
-
-    fn expect_dot(&mut self) -> Result<()> {
-        self.skip_ws();
-        if self.peek() != Some(b'.') {
-            return Err(self.error("expected terminating '.'"));
-        }
-        self.pos += 1;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing content after '.'"));
-        }
-        Ok(())
+    match cursor.take_while(|c| !c.is_ascii_whitespace() && c != '.') {
+        "" => cursor.fault("empty blank node label"),
+        label => Ok(Term::Blank(label.to_string())),
     }
 }
 

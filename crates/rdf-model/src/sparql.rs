@@ -16,12 +16,16 @@
 //! Supported: `PREFIX` declarations, `SELECT` with an explicit variable
 //! list or `*`, a `WHERE` block of triple patterns separated by `.`,
 //! terms as `<iri>`, `prefix:name`, `?var`, `"literal"`, or bare
-//! identifiers (treated as IRIs, convenient for tests). Not supported
+//! identifiers (treated as IRIs, convenient for tests). IRIs and
+//! literals are read by [`crate::lex`], as in the data parsers, so a
+//! literal copied from a data file (escapes, `@lang`, `^^datatype`)
+//! names the label the data holds. Not supported
 //! (out of the paper's scope): `FILTER`, `OPTIONAL`, `UNION`, property
 //! paths, blank-node syntax sugar.
 
-use crate::error::{RdfError, Result};
+use crate::error::Result;
 use crate::hash::FxHashMap;
+use crate::lex::{parse_error, Cursor, Tokens};
 use crate::query::QueryGraph;
 use crate::term::Term;
 use crate::triple::Triple;
@@ -41,13 +45,7 @@ pub struct SparqlQuery {
 
 /// Parse a SPARQL SELECT query over a basic graph pattern.
 pub fn parse_sparql(input: &str) -> Result<SparqlQuery> {
-    let mut rest = tokenize(input)?;
-    rest.reverse(); // pop() from the front
-    let mut tokens = Tokens {
-        input,
-        rest,
-        at: 0..0,
-    };
+    let mut tokens = Tokens::new(input, tokenize(input)?);
 
     let mut prefixes: FxHashMap<String, String> = FxHashMap::default();
     while matches!(tokens.peek(), Some(Token::Keyword(k)) if k == "PREFIX") {
@@ -89,9 +87,7 @@ pub fn parse_sparql(input: &str) -> Result<SparqlQuery> {
         let o = term(&mut tokens, &prefixes)?;
         patterns.push(Triple::new(s, p, o));
         // Triple separator: '.', optional before '}'.
-        if matches!(tokens.peek(), Some(Token::Dot)) {
-            tokens.pop();
-        }
+        tokens.eat(&Token::Dot);
     }
     if tokens.pop().is_none() {
         return tokens.err("unexpected end of query; missing '}'".to_string());
@@ -108,66 +104,14 @@ pub fn parse_sparql(input: &str) -> Result<SparqlQuery> {
     })
 }
 
-/// A parse error on the 1-based line holding byte `offset` of `input`.
-fn parse_err<T>(input: &str, offset: usize, message: String) -> Result<T> {
-    let line = 1 + input[..offset].matches('\n').count();
-    Err(RdfError::Parse { line, message })
-}
-
-/// The token stream the parser consumes front to back.
-struct Tokens<'a> {
-    input: &'a str,
-    /// What is left, next token last, each with the bytes of `input` it
-    /// was read from.
-    rest: Vec<(Token, Range<usize>)>,
-    /// The bytes of the token [`Tokens::pop`] returned last — empty, at
-    /// the end of the input, once it returned `None`. Diagnostics point
-    /// here.
-    at: Range<usize>,
-}
-
-impl Tokens<'_> {
-    fn peek(&self) -> Option<&Token> {
-        self.rest.last().map(|(token, _)| token)
-    }
-
-    fn pop(&mut self) -> Option<Token> {
-        let (token, at) = match self.rest.pop() {
-            Some((token, at)) => (Some(token), at),
-            None => (None, self.input.len()..self.input.len()),
-        };
-        self.at = at;
-        token
-    }
-
-    /// The token popped last, as the query spells it.
-    fn written(&self) -> &str {
-        &self.input[self.at.clone()]
-    }
-
-    /// An error about the token popped last.
-    fn err<T>(&self, message: String) -> Result<T> {
-        parse_err(self.input, self.at.start, message)
-    }
-
-    /// The token popped last is not the `expected` thing.
-    fn unexpected<T>(&self, expected: &str) -> Result<T> {
-        let got = match self.written() {
-            "" => "end of input",
-            written => written,
-        };
-        self.err(format!("expected {expected}, got {got}"))
-    }
-}
-
-fn expect_keyword(tokens: &mut Tokens<'_>, kw: &str) -> Result<()> {
+fn expect_keyword(tokens: &mut Tokens<'_, Token>, kw: &str) -> Result<()> {
     match tokens.pop() {
         Some(Token::Keyword(k)) if k == kw => Ok(()),
         _ => tokens.unexpected(kw),
     }
 }
 
-fn term(tokens: &mut Tokens<'_>, prefixes: &FxHashMap<String, String>) -> Result<Term> {
+fn term(tokens: &mut Tokens<'_, Token>, prefixes: &FxHashMap<String, String>) -> Result<Term> {
     match tokens.pop() {
         Some(Token::Iri(iri)) => Ok(Term::Iri(iri)),
         Some(Token::Variable(v)) => Ok(Term::Variable(v)),
@@ -199,132 +143,53 @@ enum Token {
 /// Split `input` into tokens, each with the bytes it was read from.
 fn tokenize(input: &str) -> Result<Vec<(Token, Range<usize>)>> {
     let mut tokens = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(start, c)) = chars.peek() {
+    let mut cursor = Cursor::new(input);
+    let fail = |fault| parse_error(input, fault);
+    loop {
+        cursor.skip_space();
+        let start = cursor.pos();
+        let Some(c) = cursor.peek_char() else {
+            return Ok(tokens);
+        };
         let token = match c {
-            c if c.is_whitespace() => {
-                chars.next();
-                continue;
-            }
-            '#' => {
-                // Comment to end of line.
-                for (_, c) in chars.by_ref() {
-                    if c == '\n' {
-                        break;
-                    }
+            '{' | '}' | '.' | '*' => {
+                cursor.bump();
+                match c {
+                    '{' => Token::OpenBrace,
+                    '}' => Token::CloseBrace,
+                    '.' => Token::Dot,
+                    _ => Token::Star,
                 }
-                continue;
             }
-            '{' => {
-                chars.next();
-                Token::OpenBrace
-            }
-            '}' => {
-                chars.next();
-                Token::CloseBrace
-            }
-            '.' => {
-                chars.next();
-                Token::Dot
-            }
-            '*' => {
-                chars.next();
-                Token::Star
-            }
-            '<' => {
-                chars.next();
-                let mut iri = String::new();
-                let mut closed = false;
-                for (_, c) in chars.by_ref() {
-                    if c == '>' {
-                        closed = true;
-                        break;
-                    }
-                    iri.push(c);
-                }
-                if !closed {
-                    return parse_err(input, start, "unterminated IRI".to_string());
-                }
-                Token::Iri(iri)
-            }
+            '<' => Token::Iri(cursor.iri().map_err(fail)?.to_string()),
+            '"' => Token::Literal(cursor.literal().map_err(fail)?),
             '?' | '$' => {
-                chars.next();
-                let name = take_identifier(&mut chars);
-                if name.is_empty() {
-                    return parse_err(input, start, "empty variable name".to_string());
+                cursor.bump();
+                match cursor.take_while(is_identifier_char) {
+                    "" => return Err(fail((start, "empty variable name".into()))),
+                    name => Token::Variable(name.to_string()),
                 }
-                Token::Variable(name)
-            }
-            '"' => {
-                chars.next();
-                let mut value = String::new();
-                let mut closed = false;
-                while let Some((_, c)) = chars.next() {
-                    match c {
-                        '"' => {
-                            closed = true;
-                            break;
-                        }
-                        '\\' => match chars.next() {
-                            Some((_, '"')) => value.push('"'),
-                            Some((_, '\\')) => value.push('\\'),
-                            Some((_, 'n')) => value.push('\n'),
-                            Some((_, 't')) => value.push('\t'),
-                            Some((at, other)) => {
-                                return parse_err(
-                                    input,
-                                    at,
-                                    format!("unsupported escape \\{other}"),
-                                );
-                            }
-                            None => break,
-                        },
-                        other => value.push(other),
-                    }
-                }
-                if !closed {
-                    return parse_err(input, start, "unterminated literal".to_string());
-                }
-                Token::Literal(value)
             }
             c if is_identifier_char(c) => {
-                let word = take_identifier(&mut chars);
+                let word = cursor.take_while(is_identifier_char);
                 let upper = word.to_ascii_uppercase();
                 if upper == "SELECT" || upper == "WHERE" || upper == "PREFIX" {
                     Token::Keyword(upper)
-                } else if matches!(chars.peek(), Some(&(_, ':'))) {
-                    chars.next();
-                    let local = take_identifier(&mut chars);
-                    Token::PrefixedName(word, local)
+                } else if cursor.eat(b':') {
+                    let local = cursor.take_while(is_identifier_char);
+                    Token::PrefixedName(word.to_string(), local.to_string())
                 } else {
-                    Token::PrefixedName(word, String::new())
+                    Token::PrefixedName(word.to_string(), String::new())
                 }
             }
-            other => {
-                return parse_err(input, start, format!("unexpected character {other:?}"));
-            }
+            other => return Err(fail((start, format!("unexpected character {other:?}")))),
         };
-        let end = chars.peek().map_or(input.len(), |&(at, _)| at);
-        tokens.push((token, start..end));
+        tokens.push((token, start..cursor.pos()));
     }
-    Ok(tokens)
 }
 
 fn is_identifier_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-' || c == '/'
-}
-
-fn take_identifier(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> String {
-    let mut out = String::new();
-    while let Some(&(_, c)) = chars.peek() {
-        if is_identifier_char(c) {
-            out.push(c);
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -3,25 +3,24 @@
 //! Supported: `@prefix`/`@base` directives (and SPARQL-style `PREFIX`/
 //! `BASE`), `<iri>` and `prefix:local` terms, the `a` keyword
 //! (rdf:type), predicate lists (`;`), object lists (`,`), labelled
-//! blank nodes (`_:b`), quoted literals with `\"`-style and
-//! `\uXXXX` / `\UXXXXXXXX` numeric escapes,
-//! language tags and datatype annotations (accepted, discarded — as in
-//! [`crate::ntriples`]), numeric and boolean literal shorthands, and
-//! `#` comments.
+//! blank nodes (`_:b`), quoted literals (read by [`crate::lex`], as in
+//! [`crate::ntriples`] and [`crate::sparql`]), numeric and boolean
+//! literal shorthands, and `#` comments.
 //!
 //! Not supported (rare in bulk data): anonymous blank nodes `[...]`,
 //! collections `(...)`, multiline `"""` literals.
 
-use crate::error::{RdfError, Result};
+use crate::error::Result;
 use crate::hash::FxHashMap;
+use crate::lex::{is_name_char, parse_error, Cursor, Tokens};
 use crate::term::Term;
 use crate::triple::Triple;
+use std::ops::Range;
 
 /// Parse a Turtle document into triples.
 pub fn parse_turtle(input: &str) -> Result<Vec<Triple>> {
     Parser {
-        tokens: tokenize(input)?,
-        pos: 0,
+        tokens: Tokens::new(input, tokenize(input)?),
         prefixes: FxHashMap::default(),
         base: String::new(),
         triples: Vec::new(),
@@ -31,7 +30,7 @@ pub fn parse_turtle(input: &str) -> Result<Vec<Triple>> {
 
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Token {
     Iri(String),
     PrefixedName(String, String),
@@ -45,383 +44,181 @@ enum Token {
     BaseDirective,
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
-    pos: usize,
+struct Parser<'a> {
+    tokens: Tokens<'a, Token>,
     prefixes: FxHashMap<String, String>,
     base: String,
     triples: Vec<Triple>,
 }
 
-impl Parser {
-    fn error(&self, message: impl Into<String>) -> RdfError {
-        let line = self
-            .tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|&(_, line)| line)
-            .unwrap_or(0);
-        RdfError::Parse {
-            line,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect_dot(&mut self) -> Result<()> {
-        match self.next() {
-            Some(Token::Dot) => Ok(()),
-            other => Err(self.error(format!("expected '.', got {other:?}"))),
-        }
-    }
-
+impl Parser<'_> {
     fn document(mut self) -> Result<Vec<Triple>> {
-        while self.peek().is_some() {
-            match self.peek() {
+        loop {
+            match self.tokens.peek() {
+                None => return Ok(self.triples),
                 Some(Token::PrefixDirective) => {
-                    self.pos += 1;
-                    let (name, expect_final_dot) = match self.next() {
-                        Some(Token::PrefixedName(p, local)) if local.is_empty() => (p, true),
-                        other => {
-                            return Err(self.error(format!("expected prefix name, got {other:?}")))
-                        }
+                    self.tokens.pop();
+                    let name = match self.tokens.pop() {
+                        Some(Token::PrefixedName(p, local)) if local.is_empty() => p,
+                        _ => return self.tokens.unexpected("prefix name"),
                     };
-                    let iri = match self.next() {
-                        Some(Token::Iri(iri)) => iri,
-                        other => return Err(self.error(format!("expected <iri>, got {other:?}"))),
-                    };
+                    let iri = self.iri()?;
                     self.prefixes.insert(name, iri);
-                    // `@prefix` requires a final dot; SPARQL `PREFIX`
-                    // forbids it — accept both by consuming an optional
-                    // dot.
-                    if expect_final_dot && matches!(self.peek(), Some(Token::Dot)) {
-                        self.pos += 1;
-                    }
                 }
                 Some(Token::BaseDirective) => {
-                    self.pos += 1;
-                    match self.next() {
-                        Some(Token::Iri(iri)) => self.base = iri,
-                        other => return Err(self.error(format!("expected <iri>, got {other:?}"))),
-                    }
-                    if matches!(self.peek(), Some(Token::Dot)) {
-                        self.pos += 1;
-                    }
+                    self.tokens.pop();
+                    self.base = self.iri()?;
                 }
-                _ => self.statement()?,
+                _ => {
+                    self.statement()?;
+                    continue;
+                }
             }
+            // `@prefix` and `@base` require a final dot; SPARQL `PREFIX`
+            // and `BASE` forbid it — accept both.
+            self.tokens.eat(&Token::Dot);
         }
-        Ok(self.triples)
+    }
+
+    fn iri(&mut self) -> Result<String> {
+        match self.tokens.pop() {
+            Some(Token::Iri(iri)) => Ok(iri),
+            _ => self.tokens.unexpected("<iri>"),
+        }
     }
 
     fn statement(&mut self) -> Result<()> {
         let subject = self.term()?;
         loop {
-            let predicate = self.predicate()?;
+            let predicate = if self.tokens.eat(&Token::A) {
+                Term::Iri(RDF_TYPE.to_string())
+            } else {
+                self.term()?
+            };
             loop {
                 let object = self.term()?;
                 self.triples
                     .push(Triple::new(subject.clone(), predicate.clone(), object));
-                match self.peek() {
-                    Some(Token::Comma) => {
-                        self.pos += 1;
-                    }
-                    _ => break,
+                if !self.tokens.eat(&Token::Comma) {
+                    break;
                 }
             }
-            match self.peek() {
-                Some(Token::Semicolon) => {
-                    self.pos += 1;
-                    // Trailing semicolon before '.' is legal Turtle.
-                    if matches!(self.peek(), Some(Token::Dot)) {
-                        break;
-                    }
-                }
-                _ => break,
+            // A semicolon before the '.' is legal Turtle.
+            if !self.tokens.eat(&Token::Semicolon) || self.tokens.peek() == Some(&Token::Dot) {
+                break;
             }
         }
-        self.expect_dot()
-    }
-
-    fn predicate(&mut self) -> Result<Term> {
-        match self.peek() {
-            Some(Token::A) => {
-                self.pos += 1;
-                Ok(Term::Iri(RDF_TYPE.to_string()))
-            }
-            _ => self.term(),
+        match self.tokens.pop() {
+            Some(Token::Dot) => Ok(()),
+            _ => self.tokens.unexpected("'.'"),
         }
     }
 
     fn term(&mut self) -> Result<Term> {
-        match self.next() {
-            Some(Token::Iri(iri)) => Ok(Term::Iri(self.resolve(&iri))),
+        match self.tokens.pop() {
+            Some(Token::Iri(iri)) => Ok(Term::Iri(self.resolve(iri))),
             Some(Token::PrefixedName(prefix, local)) => match self.prefixes.get(&prefix) {
                 Some(base) => Ok(Term::Iri(format!("{base}{local}"))),
-                None => Err(self.error(format!("undeclared prefix '{prefix}:'"))),
+                None => self.tokens.err(format!("undeclared prefix '{prefix}:'")),
             },
             Some(Token::Blank(b)) => Ok(Term::Blank(b)),
             Some(Token::Literal(s)) => Ok(Term::Literal(s)),
-            other => Err(self.error(format!("expected term, got {other:?}"))),
+            _ => self.tokens.unexpected("term"),
         }
     }
 
     /// Resolve against `@base` for relative IRIs (a pragmatic
     /// concatenation; full RFC 3986 resolution is out of scope).
-    fn resolve(&self, iri: &str) -> String {
+    fn resolve(&self, iri: String) -> String {
         if self.base.is_empty() || iri.contains("://") || iri.starts_with("urn:") {
-            iri.to_string()
+            iri
         } else {
             format!("{}{}", self.base, iri)
         }
     }
 }
 
-fn tokenize(input: &str) -> Result<Vec<(Token, usize)>> {
+/// Split `input` into tokens, each with the bytes it was read from.
+fn tokenize(input: &str) -> Result<Vec<(Token, Range<usize>)>> {
     let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    let mut line = 1usize;
-    let err = |line: usize, message: String| RdfError::Parse { line, message };
-
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '#' => {
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        line += 1;
-                        break;
-                    }
+    let mut cursor = Cursor::new(input);
+    let fail = |fault| parse_error(input, fault);
+    loop {
+        cursor.skip_space();
+        let start = cursor.pos();
+        let Some(c) = cursor.peek_char() else {
+            return Ok(tokens);
+        };
+        let token = match c {
+            '.' | ';' | ',' => {
+                cursor.bump();
+                match c {
+                    '.' => Token::Dot,
+                    ';' => Token::Semicolon,
+                    _ => Token::Comma,
                 }
             }
-            '.' => {
-                chars.next();
-                tokens.push((Token::Dot, line));
-            }
-            ';' => {
-                chars.next();
-                tokens.push((Token::Semicolon, line));
-            }
-            ',' => {
-                chars.next();
-                tokens.push((Token::Comma, line));
-            }
-            '<' => {
-                chars.next();
-                let mut iri = String::new();
-                let mut closed = false;
-                for c in chars.by_ref() {
-                    if c == '>' {
-                        closed = true;
-                        break;
-                    }
-                    iri.push(c);
-                }
-                if !closed {
-                    return Err(err(line, "unterminated IRI".into()));
-                }
-                tokens.push((Token::Iri(iri), line));
-            }
-            '"' => {
-                chars.next();
-                let mut value = String::new();
-                let mut closed = false;
-                while let Some(c) = chars.next() {
-                    match c {
-                        '"' => {
-                            closed = true;
-                            break;
-                        }
-                        '\\' => match chars.next() {
-                            Some('"') => value.push('"'),
-                            Some('\\') => value.push('\\'),
-                            Some('n') => value.push('\n'),
-                            Some('r') => value.push('\r'),
-                            Some('t') => value.push('\t'),
-                            Some(u @ ('u' | 'U')) => {
-                                let digits = if u == 'u' { 4 } else { 8 };
-                                let mut code: u32 = 0;
-                                for _ in 0..digits {
-                                    let d = chars.next().and_then(|c| c.to_digit(16)).ok_or_else(
-                                        || {
-                                            err(
-                                                line,
-                                                format!("\\{u} escape needs {digits} hex digits"),
-                                            )
-                                        },
-                                    )?;
-                                    code = code * 16 + d;
-                                }
-                                value.push(char::from_u32(code).ok_or_else(|| {
-                                    err(
-                                        line,
-                                        format!(
-                                            "\\{u} escape U+{code:04X} is not a valid character"
-                                        ),
-                                    )
-                                })?);
-                            }
-                            other => {
-                                return Err(err(line, format!("unsupported escape {other:?}")))
-                            }
-                        },
-                        '\n' => return Err(err(line, "newline in literal".into())),
-                        other => value.push(other),
-                    }
-                }
-                if !closed {
-                    return Err(err(line, "unterminated literal".into()));
-                }
-                // Discard @lang / ^^<dt> annotations.
-                if chars.peek() == Some(&'@') {
-                    chars.next();
-                    while let Some(&c) = chars.peek() {
-                        if c.is_alphanumeric() || c == '-' {
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                } else if chars.peek() == Some(&'^') {
-                    chars.next();
-                    if chars.next() != Some('^') {
-                        return Err(err(line, "expected '^^'".into()));
-                    }
-                    match chars.peek() {
-                        Some('<') => {
-                            chars.next();
-                            let mut closed = false;
-                            for c in chars.by_ref() {
-                                if c == '>' {
-                                    closed = true;
-                                    break;
-                                }
-                            }
-                            if !closed {
-                                return Err(err(line, "unterminated datatype IRI".into()));
-                            }
-                        }
-                        _ => {
-                            // prefixed datatype: consume a name token.
-                            while let Some(&c) = chars.peek() {
-                                if c.is_alphanumeric() || c == ':' || c == '_' || c == '-' {
-                                    chars.next();
-                                } else {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                tokens.push((Token::Literal(value), line));
-            }
+            '<' => Token::Iri(cursor.iri().map_err(fail)?.to_string()),
+            '"' => Token::Literal(cursor.literal().map_err(fail)?),
             '_' => {
-                chars.next();
-                if chars.next() != Some(':') {
-                    return Err(err(line, "expected '_:'".into()));
+                cursor.bump();
+                if !cursor.eat(b':') {
+                    return Err(fail((start, "expected '_:'".into())));
                 }
-                let name = take_name(&mut chars);
-                if name.is_empty() {
-                    return Err(err(line, "empty blank node label".into()));
+                match cursor.take_while(is_name_char) {
+                    "" => return Err(fail((start, "empty blank node label".into()))),
+                    label => Token::Blank(label.to_string()),
                 }
-                tokens.push((Token::Blank(name), line));
             }
             '@' => {
-                chars.next();
-                let word = take_name(&mut chars);
-                match word.as_str() {
-                    "prefix" => tokens.push((Token::PrefixDirective, line)),
-                    "base" => tokens.push((Token::BaseDirective, line)),
-                    other => return Err(err(line, format!("unknown directive @{other}"))),
+                cursor.bump();
+                match cursor.take_while(is_name_char) {
+                    "prefix" => Token::PrefixDirective,
+                    "base" => Token::BaseDirective,
+                    other => return Err(fail((start, format!("unknown directive @{other}")))),
                 }
             }
             c if c.is_ascii_digit() || c == '+' || c == '-' => {
-                chars.next();
-                let mut number = String::from(c);
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit()
-                        || c == '.'
-                        || c == 'e'
-                        || c == 'E'
-                        || c == '+'
-                        || c == '-'
-                    {
-                        // A '.' followed by non-digit is the statement dot.
-                        if c == '.' {
-                            let mut ahead = chars.clone();
-                            ahead.next();
-                            if !ahead.peek().is_some_and(|d| d.is_ascii_digit()) {
-                                break;
-                            }
-                        }
-                        number.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let bytes = input.as_bytes();
+                let in_number = |at: usize| match bytes.get(at) {
+                    Some(b'0'..=b'9' | b'e' | b'E' | b'+' | b'-') => true,
+                    // A '.' not followed by a digit is the statement dot.
+                    Some(b'.') => bytes.get(at + 1).is_some_and(u8::is_ascii_digit),
+                    _ => false,
+                };
+                cursor.bump();
+                while in_number(cursor.pos()) {
+                    cursor.bump();
                 }
-                tokens.push((Token::Literal(number), line));
+                Token::Literal(input[start..cursor.pos()].to_string())
             }
             c if is_name_char(c) => {
-                let word = take_name(&mut chars);
-                if chars.peek() == Some(&':') {
-                    chars.next();
-                    let local = take_name(&mut chars);
-                    tokens.push((Token::PrefixedName(word, local), line));
+                let word = cursor.take_while(is_name_char);
+                if cursor.eat(b':') {
+                    let local = cursor.take_while(is_name_char);
+                    Token::PrefixedName(word.to_string(), local.to_string())
                 } else if word == "a" {
-                    tokens.push((Token::A, line));
+                    Token::A
                 } else if word == "true" || word == "false" {
-                    tokens.push((Token::Literal(word), line));
+                    Token::Literal(word.to_string())
                 } else if word.eq_ignore_ascii_case("prefix") {
-                    tokens.push((Token::PrefixDirective, line));
+                    Token::PrefixDirective
                 } else if word.eq_ignore_ascii_case("base") {
-                    tokens.push((Token::BaseDirective, line));
+                    Token::BaseDirective
                 } else {
-                    return Err(err(line, format!("bare word {word:?} is not Turtle")));
+                    return Err(fail((start, format!("bare word {word:?} is not Turtle"))));
                 }
             }
-            other => return Err(err(line, format!("unexpected character {other:?}"))),
-        }
+            other => return Err(fail((start, format!("unexpected character {other:?}")))),
+        };
+        tokens.push((token, start..cursor.pos()));
     }
-    Ok(tokens)
-}
-
-fn is_name_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_' || c == '-'
-}
-
-fn take_name(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> String {
-    let mut out = String::new();
-    while let Some(&c) = chars.peek() {
-        if is_name_char(c) {
-            out.push(c);
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RdfError;
 
     #[test]
     fn basic_triples() {

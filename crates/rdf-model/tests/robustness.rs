@@ -55,22 +55,34 @@ proptest! {
         let _ = parse_sparql(&input);
     }
 
-    /// Ground triples with arbitrary (printable) content round-trip
-    /// through the N-Triples serializer.
+    /// Ground triples with arbitrary literal content round-trip through
+    /// the N-Triples serializer, and the serialized text reads as the
+    /// same term in Turtle and, as the object of a basic graph pattern,
+    /// in SPARQL. The content mixes printable text with tabs, line
+    /// breaks, quotes, backslashes and characters outside the BMP.
     #[test]
     fn ntriples_roundtrip_arbitrary_literals(
         subject in "[a-zA-Z][a-zA-Z0-9]{0,10}",
         predicate in "[a-zA-Z][a-zA-Z0-9]{0,10}",
-        object in "\\PC{0,40}",
+        object in "[ -~\t\r\n\"\\\\éΩ中\u{10000}-\u{10FFFF}]{0,40}",
     ) {
         let triples = vec![Triple::new(
-            Term::iri(subject),
-            Term::iri(predicate),
-            Term::literal(object),
+            Term::iri(&subject),
+            Term::iri(&predicate),
+            Term::literal(&object),
         )];
         let text = to_ntriples(&triples);
         let parsed = parse_ntriples(&text).expect("serializer output parses");
-        prop_assert_eq!(parsed, triples);
+        prop_assert_eq!(&parsed, &triples);
+        prop_assert_eq!(&parse_turtle(&text).expect("serializer output is Turtle"), &triples);
+
+        let literal = text
+            .strip_prefix(&format!("<{subject}> <{predicate}> "))
+            .and_then(|rest| rest.strip_suffix(" .\n"))
+            .expect("one statement");
+        let query = format!("SELECT * WHERE {{ <{subject}> <{predicate}> {literal} . }}");
+        let query = parse_sparql(&query).expect("a serialized literal is a SPARQL literal");
+        prop_assert_eq!(&query.patterns, &triples);
     }
 
     /// Any parsed ground document loads into a DataGraph without error

@@ -884,6 +884,57 @@ fn a_self_loop_indexes_lists_and_answers_as_one_edgeless_path() {
 }
 
 #[test]
+fn a_query_literal_spelled_as_in_the_data_is_an_exact_answer() {
+    let nt = temp_path("spelled.nt");
+    let idx = temp_path("spelled.idx");
+    let rq = temp_path("spelled.rq");
+    let _cleanup = Cleanup(vec![nt.clone(), idx.clone(), rq.clone()]);
+    std::fs::write(&nt, "<s> <p> \"caf\\u00E9\"@fr .\n<s> <q> \"a\\rb\" .\n").unwrap();
+    let out = sama()
+        .args(["index", nt.to_str().unwrap(), "-o", idx.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    for (pattern, want) in [
+        (
+            r#"?x <p> "caf\u00E9"@fr ."#,
+            r#""triples":["s p \"café\""],"bindings":{"x":"s"}}"#,
+        ),
+        (
+            r#"?x <q> "a\rb" ."#,
+            r#""triples":["s q \"a\rb\""],"bindings":{"x":"s"}}"#,
+        ),
+    ] {
+        std::fs::write(&rq, format!("SELECT * WHERE {{ {pattern} }}\n")).unwrap();
+        let out = sama()
+            .args([
+                "query",
+                idx.to_str().unwrap(),
+                rq.to_str().unwrap(),
+                "-k",
+                "1",
+                "--json",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{pattern}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = String::from_utf8_lossy(&out.stdout);
+        let exact = r#"{"answers":[{"rank":0,"score":0,"lambda":0,"psi":0,"exact":true,"#;
+        assert!(json.starts_with(exact), "{pattern}: {json}");
+        assert!(json.contains(want), "{pattern}: {json}");
+    }
+}
+
+#[test]
 fn retired_formats_and_flags_are_refused() {
     let nt = temp_path("data_retired.nt");
     let rq = temp_path("query_retired.rq");
