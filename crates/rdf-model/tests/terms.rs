@@ -81,6 +81,9 @@ fn every_malformed_term_fails_alike_in_all_three_grammars() {
         ),
         ("<o .", "unterminated IRI"),
         (r#""oops ."#, "unterminated literal"),
+        // A closing quote missing on a line that a line break ends, as
+        // every line of a file but perhaps its last is.
+        ("\"oops .\n", "line break in literal"),
         ("\"a\nb\" .", "line break in literal"),
         ("\"a\rb\" .", "line break in literal"),
         ("\"a\\\nb\" .", "line break in literal"),
